@@ -1,7 +1,7 @@
 //! Observed-cost feedback overhead: the same probe-interleaved stream
 //! ingested with calibration off vs on.
 //!
-//! The acceptance bar (BENCH_service.json) is that turning `--calibrate`
+//! The acceptance bar (DESIGN.md §17) is that turning `--calibrate`
 //! on costs **≤ 10 % of ingest throughput at the 50 000 events/sec
 //! scale**. Both lanes consume an identical log — one observed-cost
 //! probe every `PROBE_EVERY` query events — so the off lane pays the

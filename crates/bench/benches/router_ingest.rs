@@ -2,7 +2,8 @@
 //! over per-shard bounded queues, and per-shard parse + window fold —
 //! isolated from tuning by setting `epoch_events` above the log length.
 //!
-//! Acceptance contract (BENCH_service.json):
+//! Acceptance contract (DESIGN.md §13–§15; the end-to-end numbers are
+//! `benchmark/run.sh`'s, see `benchmark/README.md`):
 //!
 //! * **Scaling** — on a 4-table workload, aggregate throughput at 4
 //!   shards must be ≥ 2× the 1-shard throughput. One shard pays the full

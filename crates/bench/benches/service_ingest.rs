@@ -2,8 +2,8 @@
 //! window-aggregation path, isolated from tuning.
 //!
 //! The acceptance bar for the continuous-tuning daemon is sustained
-//! ingestion of **≥ 50 000 events/sec with a zero drop counter** (see
-//! BENCH_service.json). Both measurements set `epoch_events` above the
+//! ingestion of **≥ 50 000 events/sec with a zero drop counter**
+//! (DESIGN.md §12). Both measurements set `epoch_events` above the
 //! log length so no epoch seals — tuning cost is Algorithm 1's business
 //! and is measured elsewhere; here we want the streaming overhead alone:
 //! JSON parse + validation, queue hand-off between the reader and

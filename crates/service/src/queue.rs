@@ -10,6 +10,13 @@
 //!   than stale ones under overload). Every eviction increments a
 //!   counter; drops are **never silent**.
 //!
+//! Each policy also has a batch form — [`BoundedQueue::push_all_blocking`],
+//! [`BoundedQueue::push_all_drop_oldest`] — and the consumer a matching
+//! [`BoundedQueue::pop_all`]: one lock and one wake-up hand over many
+//! items, which is what the sharded router's per-event path uses (a
+//! condvar wake per event costs more than decoding and folding it).
+//! Capacity counts *items* under every operation.
+//!
 //! The queue also tracks its high-water mark as a backpressure
 //! diagnostic: a high-water mark at capacity means the consumer fell
 //! behind at least once.
@@ -90,6 +97,67 @@ impl<T> BoundedQueue<T> {
         true
     }
 
+    /// Enqueue all of `items` in order, leaving the vector empty (its
+    /// allocation is kept for reuse). Pushes what fits, waits for space,
+    /// continues — the queue never holds more than `capacity` items, so a
+    /// batch may be larger than the queue. Returns `false` (remaining
+    /// items discarded) only if the queue was closed.
+    pub fn push_all_blocking(&self, items: &mut Vec<T>) -> bool {
+        if items.is_empty() {
+            return true;
+        }
+        let mut rest = items.drain(..);
+        let mut g = self.inner.lock().expect("queue lock poisoned");
+        loop {
+            while g.buf.len() >= self.capacity && !g.closed {
+                g = self.not_full.wait(g).expect("queue lock poisoned");
+            }
+            if g.closed {
+                return false;
+            }
+            let room = self.capacity - g.buf.len();
+            g.buf.extend(rest.by_ref().take(room));
+            self.note_level(g.buf.len());
+            if rest.len() == 0 {
+                break;
+            }
+            // Full with items left over: the consumer has to run first.
+            self.not_empty.notify_one();
+        }
+        drop(g);
+        self.not_empty.notify_one();
+        true
+    }
+
+    /// Enqueue all of `items` in order without waiting, leaving the
+    /// vector empty. Every item that does not fit evicts the oldest
+    /// queued element — possibly an earlier item of the same batch — and
+    /// every eviction is counted in [`Self::dropped`], exactly as if the
+    /// items had been pushed one by one. Returns `false` only if closed.
+    pub fn push_all_drop_oldest(&self, items: &mut Vec<T>) -> bool {
+        if items.is_empty() {
+            return true;
+        }
+        let mut g = self.inner.lock().expect("queue lock poisoned");
+        if g.closed {
+            items.clear();
+            return false;
+        }
+        let mut evicted = 0;
+        for item in items.drain(..) {
+            if g.buf.len() >= self.capacity {
+                g.buf.pop_front();
+                evicted += 1;
+            }
+            g.buf.push_back(item);
+        }
+        self.dropped.fetch_add(evicted, Ordering::Relaxed);
+        self.note_level(g.buf.len());
+        drop(g);
+        self.not_empty.notify_one();
+        true
+    }
+
     /// Dequeue the oldest element, waiting while the queue is empty and
     /// open. `None` means closed *and* drained — the consumer's signal to
     /// finish up.
@@ -106,6 +174,30 @@ impl<T> BoundedQueue<T> {
             }
             g = self.not_empty.wait(g).expect("queue lock poisoned");
         }
+    }
+
+    /// Take everything queued, oldest first, by swapping the queue's
+    /// buffer with the (empty) `into` — one lock however many items —
+    /// waiting while the queue is empty and open. `false` means closed
+    /// *and* drained. Handing the same deque back on every call recycles
+    /// both allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `into` is not empty.
+    pub fn pop_all(&self, into: &mut VecDeque<T>) -> bool {
+        assert!(into.is_empty(), "pop_all swaps into an empty buffer");
+        let mut g = self.inner.lock().expect("queue lock poisoned");
+        while g.buf.is_empty() {
+            if g.closed {
+                return false;
+            }
+            g = self.not_empty.wait(g).expect("queue lock poisoned");
+        }
+        std::mem::swap(&mut g.buf, into);
+        drop(g);
+        self.not_full.notify_all();
+        true
     }
 
     /// Close the queue: producers stop, the consumer drains what remains.
@@ -199,6 +291,121 @@ mod tests {
         q.close();
         assert!(!blocked.join().unwrap(), "push after close reports failure");
         assert_eq!(q.pop(), Some(1), "already-queued items still drain");
+        assert_eq!(q.pop(), None);
+    }
+    #[test]
+    fn fifo_order_across_single_and_batch_pushes() {
+        let q = BoundedQueue::new(64);
+        let mut batch = vec![1, 2, 3];
+        assert!(q.push_blocking(0));
+        assert!(q.push_all_blocking(&mut batch));
+        assert!(batch.is_empty(), "the batch is handed over, not copied");
+        assert!(q.push_drop_oldest(4));
+        batch.extend([5, 6]);
+        assert!(q.push_all_drop_oldest(&mut batch));
+        assert!(q.push_all_blocking(&mut batch), "an empty batch is a no-op");
+        assert!(q.push_blocking(7));
+        assert_eq!(q.len(), 8);
+        assert_eq!(q.pop(), Some(0), "single pops and pop_all share one order");
+        let mut got = VecDeque::new();
+        assert!(q.pop_all(&mut got));
+        assert_eq!(got, (1..8).collect::<VecDeque<i32>>());
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn blocking_batch_larger_than_capacity_never_overfills() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut batch: Vec<i32> = (0..50).collect();
+                assert!(q.push_all_blocking(&mut batch));
+                let mut batch: Vec<i32> = (50..53).collect();
+                assert!(q.push_all_blocking(&mut batch));
+                q.close();
+            })
+        };
+        let mut seen = Vec::new();
+        let mut got = VecDeque::new();
+        while q.pop_all(&mut got) {
+            assert!(got.len() <= 4, "one swap never carries more than capacity");
+            seen.extend(got.drain(..));
+            thread::sleep(std::time::Duration::from_millis(1)); // slow consumer
+        }
+        producer.join().unwrap();
+        assert_eq!(seen, (0..53).collect::<Vec<i32>>());
+        assert!(q.high_water() <= 4, "high water {} exceeds capacity", q.high_water());
+        assert_eq!(q.dropped(), 0, "blocking mode never drops");
+    }
+
+    #[test]
+    fn batch_drop_oldest_accounts_for_every_item() {
+        let q = BoundedQueue::new(5);
+        let mut pushed = 0u64;
+        let mut delivered = Vec::new();
+        let mut got = VecDeque::new();
+        // Batches smaller than, equal to and larger than the capacity,
+        // with a partial drain in between.
+        for (round, size) in [3usize, 5, 12, 1, 7].into_iter().enumerate() {
+            let mut batch: Vec<u64> = (pushed..pushed + size as u64).collect();
+            pushed += size as u64;
+            assert!(q.push_all_drop_oldest(&mut batch));
+            assert!(q.len() <= 5);
+            if round == 1 {
+                assert!(q.pop_all(&mut got));
+                delivered.extend(got.drain(..));
+            }
+        }
+        q.close();
+        while q.pop_all(&mut got) {
+            delivered.extend(got.drain(..));
+        }
+        assert_eq!(delivered.len() as u64 + q.dropped(), pushed);
+        assert!(delivered.windows(2).all(|w| w[0] < w[1]), "survivors stay in order");
+        assert_eq!(delivered.last(), Some(&(pushed - 1)), "the newest item survives");
+        assert_eq!(&delivered[delivered.len() - 5..], &[23, 24, 25, 26, 27]);
+        assert_eq!(q.high_water(), 5);
+    }
+
+    #[test]
+    fn close_releases_producer_blocked_mid_batch() {
+        let q = Arc::new(BoundedQueue::new(2));
+        let blocked = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut batch = vec![1, 2, 3, 4, 5];
+                let open = q.push_all_blocking(&mut batch);
+                (open, batch.len())
+            })
+        };
+        while q.len() < 2 {
+            thread::yield_now();
+        }
+        thread::sleep(std::time::Duration::from_millis(20));
+        q.close();
+        let (open, left) = blocked.join().unwrap();
+        assert!(!open, "a batch cut short by close reports failure");
+        assert_eq!(left, 0, "the unsent remainder is discarded, not handed back");
+        let mut got = VecDeque::new();
+        assert!(q.pop_all(&mut got), "already-queued items still drain");
+        assert_eq!(got, VecDeque::from([1, 2]));
+        let mut batch = vec![9];
+        assert!(!q.push_all_drop_oldest(&mut batch), "closed to every push");
+        assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn pop_all_after_close_drains_then_reports_closed() {
+        let q = BoundedQueue::new(8);
+        let mut batch = vec![1, 2, 3];
+        assert!(q.push_all_blocking(&mut batch));
+        q.close();
+        let mut got = VecDeque::new();
+        assert!(q.pop_all(&mut got));
+        assert_eq!(got.drain(..).collect::<Vec<i32>>(), vec![1, 2, 3]);
+        assert!(!q.pop_all(&mut got), "closed and drained");
+        assert!(!q.pop_all(&mut got), "and stays that way");
         assert_eq!(q.pop(), None);
     }
 }

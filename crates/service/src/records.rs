@@ -29,7 +29,7 @@ use isel_workload::wire::crc32;
 use isel_workload::{AttrId, Query, QueryKind, Schema, TableId};
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::io::BufRead;
+use std::io::{BufRead, ErrorKind};
 
 /// One record from a mixed-encoding input stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,43 +46,116 @@ pub enum Record {
 
 /// Iterator over [`Record`]s. Works over any `BufRead`; for mmap replay
 /// wrap the mapped bytes in a `std::io::Cursor`.
+///
+/// `BufRead::fill_buf` only reads — and so only blocks — when the
+/// reader's buffer is empty. The iterator therefore tracks how much of
+/// the last `fill_buf` it has not consumed, and [`RecordIter::next_with`]
+/// tells its caller right before every read that may block: the hook
+/// for a consumer that batches records and must not sit on them while
+/// the input is idle.
 pub struct RecordIter<R: BufRead> {
     input: R,
     /// Items of the frame currently being drained; `None` marks the
     /// corrupt remainder of a frame whose payload went bad mid-way.
     pending: VecDeque<Option<WireItem>>,
+    /// Bytes of the last `fill_buf` not consumed yet.
+    buffered: usize,
 }
 
 impl<R: BufRead> RecordIter<R> {
     /// Wrap an input stream.
     pub fn new(input: R) -> Self {
-        Self { input, pending: VecDeque::new() }
+        Self { input, pending: VecDeque::new(), buffered: 0 }
     }
 
-    /// Next byte without consuming it; `None` at EOF. I/O errors end
-    /// the stream (matching line-based ingestion, which stops at the
-    /// first read error).
-    fn peek(&mut self) -> Option<u8> {
-        match self.input.fill_buf() {
-            Ok(buf) => buf.first().copied(),
-            Err(_) => None,
+    /// [`Iterator::next`], calling `before_block` ahead of every read
+    /// that may block — that is, every `fill_buf` on a drained buffer,
+    /// whether it falls between two records or in the middle of one. A
+    /// slice or mapped file drains only at its end, a pipe once per
+    /// buffer-full, a reader that hands over one line per `fill_buf`
+    /// after every line.
+    pub fn next_with(&mut self, mut before_block: impl FnMut()) -> Option<Record> {
+        let hook = &mut before_block;
+        loop {
+            if let Some(slot) = self.pending.pop_front() {
+                return Some(match slot {
+                    Some(item) => Record::Item(item),
+                    None => Record::Corrupt,
+                });
+            }
+            match self.peek(hook)? {
+                MAGIC => self.read_frame(hook), // refills `pending`; loop
+                _ => return self.read_line(hook).map(Record::Line),
+            }
         }
     }
 
-    fn read_byte(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.input.consume(1);
+    /// The unconsumed input: empty at EOF, `None` on an I/O error (which
+    /// ends the stream, matching line-based ingestion, which stops at the
+    /// first read error).
+    fn fill(&mut self, before_block: &mut impl FnMut()) -> Option<&[u8]> {
+        if self.buffered == 0 {
+            before_block();
+            loop {
+                match self.input.fill_buf() {
+                    Ok(buf) => {
+                        self.buffered = buf.len();
+                        break;
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => return None,
+                }
+            }
+            if self.buffered == 0 {
+                return Some(&[]); // EOF; asking again would be another read
+            }
+        }
+        // Served from the reader's buffer: no read.
+        self.input.fill_buf().ok()
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.input.consume(n);
+        self.buffered -= n;
+    }
+
+    /// Next byte without consuming it; `None` at EOF.
+    fn peek(&mut self, before_block: &mut impl FnMut()) -> Option<u8> {
+        self.fill(before_block)?.first().copied()
+    }
+
+    fn read_byte(&mut self, before_block: &mut impl FnMut()) -> Option<u8> {
+        let b = self.peek(before_block)?;
+        self.consume(1);
         Some(b)
+    }
+
+    /// Fill `out` completely; `false` at EOF or on an I/O error.
+    fn read_exact(&mut self, out: &mut [u8], before_block: &mut impl FnMut()) -> bool {
+        let mut done = 0;
+        while done < out.len() {
+            let n = match self.fill(before_block) {
+                Some(buf) if !buf.is_empty() => {
+                    let n = buf.len().min(out.len() - done);
+                    out[done..done + n].copy_from_slice(&buf[..n]);
+                    n
+                }
+                _ => return false,
+            };
+            self.consume(n);
+            done += n;
+        }
+        true
     }
 
     /// Skip forward to the next plausible record start: the next
     /// [`MAGIC`] byte (left unconsumed) or just past the next newline.
-    fn resync(&mut self) {
-        while let Some(b) = self.peek() {
+    fn resync(&mut self, before_block: &mut impl FnMut()) {
+        while let Some(b) = self.peek(before_block) {
             if b == MAGIC {
                 return;
             }
-            self.input.consume(1);
+            self.consume(1);
             if b == b'\n' {
                 return;
             }
@@ -93,14 +166,14 @@ impl<R: BufRead> RecordIter<R> {
     /// be [`MAGIC`]) into `pending`. On any header, checksum or payload
     /// error, queues one corrupt marker; when the error leaves the
     /// stream position unknown (bad header, truncation), also resyncs.
-    fn read_frame(&mut self) {
-        self.input.consume(1); // MAGIC
-        match self.try_read_frame() {
+    fn read_frame(&mut self, before_block: &mut impl FnMut()) {
+        self.consume(1); // MAGIC
+        match self.try_read_frame(before_block) {
             Ok(()) => {}
             Err(resync) => {
                 self.pending.push_back(None);
                 if resync {
-                    self.resync();
+                    self.resync(before_block);
                 }
             }
         }
@@ -110,8 +183,8 @@ impl<R: BufRead> RecordIter<R> {
     /// `Err(false)` = corrupt but fully consumed (a checksum mismatch
     /// after reading the declared length — the next record starts right
     /// here, so skipping would eat it).
-    fn try_read_frame(&mut self) -> Result<(), bool> {
-        if self.read_byte() != Some(FORMAT_VERSION) {
+    fn try_read_frame(&mut self, before_block: &mut impl FnMut()) -> Result<(), bool> {
+        if self.read_byte(before_block) != Some(FORMAT_VERSION) {
             return Err(true);
         }
         // Varint payload length, byte at a time (it may straddle the
@@ -119,7 +192,7 @@ impl<R: BufRead> RecordIter<R> {
         let mut len: u64 = 0;
         let mut shift = 0u32;
         loop {
-            let Some(byte) = self.read_byte() else { return Err(true) };
+            let Some(byte) = self.read_byte(before_block) else { return Err(true) };
             len |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
                 break;
@@ -136,11 +209,11 @@ impl<R: BufRead> RecordIter<R> {
             return Err(true);
         }
         let mut crc_bytes = [0u8; 4];
-        if self.input.read_exact(&mut crc_bytes).is_err() {
+        if !self.read_exact(&mut crc_bytes, before_block) {
             return Err(true);
         }
         let mut payload = vec![0u8; len];
-        if self.input.read_exact(&mut payload).is_err() {
+        if !self.read_exact(&mut payload, before_block) {
             return Err(true);
         }
         if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
@@ -161,20 +234,36 @@ impl<R: BufRead> RecordIter<R> {
         Ok(())
     }
 
-    fn read_line(&mut self) -> Option<String> {
+    /// The bytes up to and including the next newline (or EOF), as a
+    /// line. `None` at EOF and when an I/O error cuts the line short.
+    fn read_line(&mut self, before_block: &mut impl FnMut()) -> Option<String> {
         let mut raw = Vec::new();
-        match self.input.read_until(b'\n', &mut raw) {
-            Ok(0) | Err(_) => None,
-            Ok(_) => {
-                if raw.last() == Some(&b'\n') {
-                    raw.pop();
-                }
-                if raw.last() == Some(&b'\r') {
-                    raw.pop();
-                }
-                Some(String::from_utf8_lossy(&raw).into_owned())
+        loop {
+            let buf = self.fill(before_block)?;
+            let (n, complete) = match buf.iter().position(|&b| b == b'\n') {
+                Some(i) => (i + 1, true),
+                None => (buf.len(), buf.is_empty()),
+            };
+            raw.extend_from_slice(&buf[..n]);
+            self.consume(n);
+            if complete {
+                break;
             }
         }
+        if raw.is_empty() {
+            return None;
+        }
+        if raw.last() == Some(&b'\n') {
+            raw.pop();
+        }
+        if raw.last() == Some(&b'\r') {
+            raw.pop();
+        }
+        // Valid UTF-8 — every line but a corrupt one — keeps its buffer.
+        Some(match String::from_utf8(raw) {
+            Ok(line) => line,
+            Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+        })
     }
 }
 
@@ -182,18 +271,7 @@ impl<R: BufRead> Iterator for RecordIter<R> {
     type Item = Record;
 
     fn next(&mut self) -> Option<Record> {
-        loop {
-            if let Some(slot) = self.pending.pop_front() {
-                return Some(match slot {
-                    Some(item) => Record::Item(item),
-                    None => Record::Corrupt,
-                });
-            }
-            match self.peek()? {
-                MAGIC => self.read_frame(), // refills `pending`; loop
-                _ => return self.read_line().map(Record::Line),
-            }
-        }
+        self.next_with(|| {})
     }
 }
 
@@ -377,6 +455,100 @@ mod tests {
         assert!(matches!(recs[1], Record::Item(WireItem::Define { .. })));
         assert!(matches!(recs[2], Record::Item(WireItem::Event { template: 0, frequency: 1 })));
         assert_eq!(recs[3], Record::Line("tail line".into()));
+    }
+
+    /// A reader that hands its input over in fixed pieces, one per
+    /// `fill_buf` on an empty buffer, and counts those refills — each is
+    /// a read that could have blocked.
+    struct Pieces {
+        pieces: VecDeque<Vec<u8>>,
+        current: Vec<u8>,
+        pos: usize,
+        refills: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl std::io::Read for Pieces {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            unreachable!("RecordIter reads through BufRead only")
+        }
+    }
+
+    impl BufRead for Pieces {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            if self.pos >= self.current.len() {
+                self.refills.set(self.refills.get() + 1);
+                self.current = self.pieces.pop_front().unwrap_or_default();
+                self.pos = 0;
+            }
+            Ok(&self.current[self.pos..])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    fn mixed_stream() -> Vec<u8> {
+        let mut enc = FrameEncoder::new();
+        let mut bytes = b"{\"table\":0,\"attrs\":[0]}\r\n".to_vec();
+        for i in 0..40 {
+            enc.push_query(0, &[i % 2], 1 + u64::from(i % 3), QueryKind::Select);
+        }
+        enc.flush_into(&mut bytes);
+        bytes.extend_from_slice("a line with a multi-byte tail é\n\n".as_bytes());
+        enc.push_control(Control::Checkpoint, None);
+        enc.push_query(1, &[2], 1, QueryKind::Update);
+        enc.flush_into(&mut bytes);
+        bytes.extend_from_slice(b"last line, no newline");
+        bytes
+    }
+
+    #[test]
+    fn piecewise_input_decodes_like_one_slice_and_announces_every_refill() {
+        let bytes = mixed_stream();
+        let want = records(&bytes);
+        assert!(want.len() > 40 && !want.contains(&Record::Corrupt));
+        for piece in [1usize, 2, 3, 5, 7, 16, 61, bytes.len()] {
+            let refills = std::rc::Rc::new(std::cell::Cell::new(0));
+            let mut iter = RecordIter::new(Pieces {
+                pieces: bytes.chunks(piece).map(<[u8]>::to_vec).collect(),
+                current: Vec::new(),
+                pos: 0,
+                refills: std::rc::Rc::clone(&refills),
+            });
+            let announced = std::cell::Cell::new(0);
+            let mut got = Vec::new();
+            loop {
+                let before = refills.get();
+                announced.set(0);
+                let record = iter.next_with(|| {
+                    // Ahead of its refill: so far, as many refills as
+                    // earlier announcements.
+                    assert_eq!(refills.get() - before, announced.get());
+                    announced.set(announced.get() + 1);
+                });
+                assert_eq!(refills.get() - before, announced.get(), "piece size {piece}");
+                match record {
+                    Some(r) => got.push(r),
+                    None => break,
+                }
+            }
+            assert_eq!(got, want, "piece size {piece}");
+        }
+    }
+
+    #[test]
+    fn one_slice_drains_only_at_its_ends() {
+        let mut bytes = mixed_stream();
+        bytes.push(b'\n'); // an unterminated last line is read up to EOF
+        let mut iter = RecordIter::new(Cursor::new(&bytes[..]));
+        let mut announced = 0;
+        let mut n = 0;
+        while iter.next_with(|| announced += 1).is_some() {
+            n += 1;
+            assert_eq!(announced, 1, "record {n}: a slice never drains mid-stream");
+        }
+        assert_eq!(announced, 2, "once before the first byte, once at EOF");
     }
 
     #[test]

@@ -14,8 +14,12 @@
 //! determinism guarantee, pinned by `tests/service.rs`.
 //!
 //! The router thread owns the input: it classifies each raw line with
-//! the cheap byte-scan [`classify_line`] (no JSON parse) and pushes it
-//! onto the owning shard's bounded queue; workers do the full
+//! the cheap byte-scan [`classify_line`] (no JSON parse) and appends it
+//! to the owning shard's hand-off batch; a batch crosses the shard's
+//! bounded queue under one lock and one wake-up when it is full and —
+//! so that nothing waits on an idle input — before every read that may
+//! block ([`RecordIter::next_with`]; DESIGN.md §13). Workers take
+//! whatever is queued in one swap and do the full
 //! parse/validate/aggregate/tune work. Control lines are parsed by the
 //! router itself: `shutdown` stops ingestion, `checkpoint` injects a
 //! barrier into *every* queue at the same stream position, `status`
@@ -73,7 +77,7 @@ use crate::window::EpochWindow;
 use isel_core::{budget, Parallelism, Selection, Trace, TraceSink};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf};
 use isel_workload::{Query, QueryKind, Schema, TableId, Workload};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -87,7 +91,7 @@ enum ShardItem {
     /// router sends it to the owning table's shard; the worker validates
     /// it against the schema once.
     Define {
-        id: u64,
+        id: usize,
         table: u16,
         kind: QueryKind,
         attrs: Vec<u32>,
@@ -104,6 +108,86 @@ enum ShardItem {
     /// An interactive arbitration query riding every queue as an in-band
     /// barrier; the last worker to reach it answers from the arbiter.
     Query(Arc<PendingQuery>),
+}
+
+/// Most items the router thread collects per shard before handing them
+/// over. A condvar wake-up per event costs several times what decoding
+/// and folding the event does; at a few hundred items per wake-up it no
+/// longer shows. Not a knob: batches never wait for a timer, only for
+/// input that is already buffered (see [`Handoff`]).
+const HANDOFF_BATCH: usize = 512;
+
+/// The router thread's end of the shard queues: one batch per shard,
+/// pushed with one lock and one wake-up.
+///
+/// A batch is handed over when it reaches [`HANDOFF_BATCH`] items (or
+/// the queue's capacity, if that is smaller — a batch never evicts its
+/// own head under drop-oldest, and memory stays bounded by
+/// `queue_capacity` items), and every batch is handed over
+///
+/// * before anything that must see the preceding events on every shard:
+///   a checkpoint barrier, an interactive query, the end of the stream;
+/// * before every read of the input that may block
+///   ([`RecordIter::next_with`]).
+///
+/// The second rule is why there is no linger timer: an event waits in a
+/// batch only while more input is already in the reader's buffer, so a
+/// mapped journal runs at full batch size and a socket delivering one
+/// line at a time hands over every line as it arrives.
+struct Handoff<'a> {
+    queues: &'a [BoundedQueue<ShardItem>],
+    policy: OverloadPolicy,
+    batches: Vec<Vec<ShardItem>>,
+    batch_items: usize,
+}
+
+impl<'a> Handoff<'a> {
+    fn new(
+        queues: &'a [BoundedQueue<ShardItem>],
+        policy: OverloadPolicy,
+        capacity: usize,
+    ) -> Self {
+        let batch_items = HANDOFF_BATCH.min(capacity);
+        let batches = queues.iter().map(|_| Vec::with_capacity(batch_items)).collect();
+        Self { queues, policy, batches, batch_items }
+    }
+
+    fn push(&mut self, shard: u32, item: ShardItem) {
+        let batch = &mut self.batches[shard as usize];
+        batch.push(item);
+        if batch.len() >= self.batch_items {
+            Self::hand_over(&self.queues[shard as usize], self.policy, batch);
+        }
+    }
+
+    fn flush(&mut self) {
+        for (queue, batch) in self.queues.iter().zip(&mut self.batches) {
+            Self::hand_over(queue, self.policy, batch);
+        }
+    }
+
+    fn hand_over(
+        queue: &BoundedQueue<ShardItem>,
+        policy: OverloadPolicy,
+        batch: &mut Vec<ShardItem>,
+    ) {
+        match policy {
+            OverloadPolicy::Block => queue.push_all_blocking(batch),
+            OverloadPolicy::DropOldest => queue.push_all_drop_oldest(batch),
+        };
+    }
+
+    /// Put one in-band marker on *every* queue, behind everything routed
+    /// so far. Markers are pushed blocking at every policy: a barrier or
+    /// query must reach each queue (events behind it may still evict it
+    /// under drop-oldest, and the committer tolerates generations that
+    /// never complete).
+    fn broadcast(&mut self, marker: impl Fn() -> ShardItem) {
+        self.flush();
+        for queue in self.queues {
+            queue.push_blocking(marker());
+        }
+    }
 }
 
 /// One table group's live tuning state. Shared with the multi-process
@@ -546,24 +630,11 @@ impl Router {
                 let dropped = || {
                     base_dropped + queues_ref.iter().map(BoundedQueue::dropped).sum::<u64>()
                 };
-                let push = |shard: u32, item: ShardItem| match policy {
-                    OverloadPolicy::Block => {
-                        queues_ref[shard as usize].push_blocking(item);
-                    }
-                    OverloadPolicy::DropOldest => {
-                        queues_ref[shard as usize].push_drop_oldest(item);
-                    }
-                };
-                // Barriers are injected with blocking pushes at every
-                // policy: a barrier must reach each queue (events behind
-                // it may still evict under drop-oldest, and the committer
-                // tolerates generations that never complete).
-                let barrier = |gen: u64, routed: u64| {
+                let mut handoff = Handoff::new(queues_ref, policy, config_ref.queue_capacity);
+                let barrier = |handoff: &mut Handoff<'_>, gen: u64, routed: u64| {
                     if let Some(c) = committer_ref {
                         c.open(gen, routed);
-                        for q in queues_ref {
-                            q.push_blocking(ShardItem::Barrier(gen));
-                        }
+                        handoff.broadcast(|| ShardItem::Barrier(gen));
                     }
                 };
                 let depths = || -> Vec<u64> {
@@ -573,17 +644,16 @@ impl Router {
                 // reflects exactly the events preceding the query. They
                 // never count as routed lines: barrier cadence stays
                 // identical with and without queries in the stream.
-                let enqueue_query = |c: Control, reply| {
+                let enqueue_query = |handoff: &mut Handoff<'_>, c: Control, reply| {
                     let pq = PendingQuery::new(c, queues_ref.len() as u32, reply);
-                    for q in queues_ref {
-                        q.push_blocking(ShardItem::Query(Arc::clone(&pq)));
-                    }
+                    handoff.broadcast(|| ShardItem::Query(Arc::clone(&pq)));
                 };
                 // Tables of every `Define` routed so far, indexed by the
                 // stream-global template id, so events route by table
                 // without re-reading their definition.
                 let mut template_tables: Vec<u16> = Vec::new();
-                for record in RecordIter::new(input) {
+                let mut records = RecordIter::new(input);
+                while let Some(record) = records.next_with(|| handoff.flush()) {
                     if take_status_signal() {
                         status(&board_ref.line(dropped(), &depths(), &arbiter_ref.allocations()));
                     }
@@ -602,37 +672,40 @@ impl Router {
                     let mut did_route = false;
                     match record {
                         Record::Line(line) => {
-                            let trimmed = line.trim();
-                            if trimmed.is_empty() {
-                                continue;
-                            }
-                            match classify_line(trimmed) {
+                            // Strip surrounding blanks; recorded and
+                            // rendered lines have none and move as-is.
+                            let line = match line.trim() {
+                                "" => continue,
+                                t if t.len() == line.len() => line,
+                                t => t.to_owned(),
+                            };
+                            match classify_line(&line) {
                                 LineClass::Table(t) => {
-                                    push(map_ref.shard_of(t), ShardItem::Line(trimmed.to_owned()));
+                                    handoff.push(map_ref.shard_of(t), ShardItem::Line(line));
                                     did_route = true;
                                 }
-                                LineClass::Control => match parse_line(trimmed, schema_ref) {
+                                LineClass::Control => match parse_line(&line, schema_ref) {
                                     Ok(InputLine::Control(Control::Shutdown)) => break,
                                     Ok(InputLine::Control(Control::Checkpoint)) => {
                                         if committer_ref.is_some() {
-                                            barrier(next_gen, routed);
+                                            barrier(&mut handoff, next_gen, routed);
                                             next_gen += 1;
                                         }
                                     }
                                     Ok(InputLine::Control(Control::Status)) => {
-                                        let line = board_ref.line(
+                                        let counters = board_ref.line(
                                             dropped(),
                                             &depths(),
                                             &arbiter_ref.allocations(),
                                         );
                                         let reply = interactive.as_ref().and_then(|reg| {
-                                            parse_token(trimmed).and_then(|t| reg.take(t))
+                                            parse_token(&line).and_then(|t| reg.take(t))
                                         });
                                         match reply {
                                             Some(tx) => {
-                                                let _ = tx.send(line);
+                                                let _ = tx.send(counters);
                                             }
-                                            None => status(&line),
+                                            None => status(&counters),
                                         }
                                     }
                                     Ok(InputLine::Control(
@@ -642,9 +715,9 @@ impl Router {
                                         | Control::Calibration),
                                     )) => {
                                         let reply = interactive.as_ref().and_then(|reg| {
-                                            parse_token(trimmed).and_then(|t| reg.take(t))
+                                            parse_token(&line).and_then(|t| reg.take(t))
                                         });
-                                        enqueue_query(c, reply);
+                                        enqueue_query(&mut handoff, c, reply);
                                     }
                                     // A malformed control line is counted
                                     // as invalid by a worker at its stream
@@ -652,15 +725,12 @@ impl Router {
                                     // router.
                                     Ok(InputLine::Query(_) | InputLine::Observed(_))
                                     | Err(_) => {
-                                        push(
-                                            map_ref.opaque_shard(),
-                                            ShardItem::Line(trimmed.to_owned()),
-                                        );
+                                        handoff.push(map_ref.opaque_shard(), ShardItem::Line(line));
                                         did_route = true;
                                     }
                                 },
                                 LineClass::Opaque => {
-                                    push(map_ref.opaque_shard(), ShardItem::Line(trimmed.to_owned()));
+                                    handoff.push(map_ref.opaque_shard(), ShardItem::Line(line));
                                     did_route = true;
                                 }
                             }
@@ -671,9 +741,9 @@ impl Router {
                             // define lines, and barrier generations must
                             // land at identical event positions in both
                             // encodings.
-                            let id = template_tables.len() as u64;
+                            let id = template_tables.len();
                             template_tables.push(table);
-                            push(
+                            handoff.push(
                                 map_ref.shard_of(table),
                                 ShardItem::Define { id, table, kind, attrs },
                             );
@@ -683,18 +753,18 @@ impl Router {
                                 .ok()
                                 .and_then(|t| template_tables.get(t).copied())
                             {
-                                Some(t) => push(
+                                Some(t) => handoff.push(
                                     map_ref.shard_of(t),
                                     ShardItem::Event { template, frequency },
                                 ),
-                                None => push(map_ref.opaque_shard(), ShardItem::Invalid),
+                                None => handoff.push(map_ref.opaque_shard(), ShardItem::Invalid),
                             }
                             did_route = true;
                         }
                         Record::Item(WireItem::Control(Control::Shutdown)) => break,
                         Record::Item(WireItem::Control(Control::Checkpoint)) => {
                             if committer_ref.is_some() {
-                                barrier(next_gen, routed);
+                                barrier(&mut handoff, next_gen, routed);
                                 next_gen += 1;
                             }
                         }
@@ -706,30 +776,33 @@ impl Router {
                             | Control::Tenant { .. }
                             | Control::Budget { .. }
                             | Control::Calibration),
-                        )) => enqueue_query(c, None),
+                        )) => enqueue_query(&mut handoff, c, None),
                         // Tagged/Raw were unwrapped above; anything else
                         // would be a decoder invariant violation — count
                         // it invalid rather than trust it.
                         Record::Item(_) => {
-                            push(map_ref.opaque_shard(), ShardItem::Invalid);
+                            handoff.push(map_ref.opaque_shard(), ShardItem::Invalid);
                             did_route = true;
                         }
                         Record::Corrupt => {
-                            push(map_ref.opaque_shard(), ShardItem::Invalid);
+                            handoff.push(map_ref.opaque_shard(), ShardItem::Invalid);
                             did_route = true;
                         }
                     }
                     if did_route {
                         routed += 1;
                         if barrier_every > 0 && routed.is_multiple_of(barrier_every) {
-                            barrier(next_gen, routed);
+                            barrier(&mut handoff, next_gen, routed);
                             next_gen += 1;
                         }
                     }
                 }
-                // Final generation: every run with checkpointing ends on
-                // a complete committed generation.
-                barrier(next_gen, routed);
+                // Hand over what is left (the barrier does, but only a
+                // checkpointing run has one). Final generation: every
+                // run with checkpointing ends on a complete committed
+                // generation.
+                handoff.flush();
+                barrier(&mut handoff, next_gen, routed);
                 next_gen += 1;
                 for q in queues_ref {
                     q.close();
@@ -840,17 +913,27 @@ fn shard_worker(
     let mut ingested = 0u64;
     let mut invalid = 0u64;
     let mut failure: Option<String> = None;
-    // Pre-validated frequency-1 queries per stream-global template id;
-    // `None` records a define that failed schema validation, so events
-    // referencing it count invalid (at their own position, exactly like
-    // an invalid JSONL line).
-    let mut dict: HashMap<u64, Option<Query>> = HashMap::new();
+    // What the status board has been told of the two counters so far:
+    // it hears once per hand-off batch (and ahead of every in-band
+    // marker, whose answer may be followed by a status read), not once
+    // per event.
+    let mut posted = (0u64, 0u64);
+    let post = |ingested: u64, invalid: u64, posted: &mut (u64, u64)| {
+        ctx.board.ingested.fetch_add(ingested - posted.0, Ordering::Relaxed);
+        ctx.board.invalid.fetch_add(invalid - posted.1, Ordering::Relaxed);
+        *posted = (ingested, invalid);
+    };
+    // Pre-validated frequency-1 queries indexed by the stream-global
+    // template id (dense: the router numbers defines as they arrive).
+    // `None` is a template this shard was never sent or whose define
+    // failed schema validation, so events referencing it count invalid
+    // (at their own position, exactly like an invalid JSONL line).
+    let mut dict: Vec<Option<Query>> = Vec::new();
     let ingest = |q: &Query,
                   groups: &mut BTreeMap<u16, GroupState>,
                   outcomes: &mut Vec<EpochOutcome>,
                   ingested: &mut u64| {
         *ingested += 1;
-        ctx.board.ingested.fetch_add(1, Ordering::Relaxed);
         let table = q.table();
         let group = groups
             .entry(table.0)
@@ -884,7 +967,17 @@ fn shard_worker(
             }
         }
     };
-    while let Some(item) = queue.pop() {
+    let mut batch = VecDeque::new();
+    loop {
+        let Some(item) = batch.pop_front() else {
+            // Batch folded: tell the board, then take whatever has queued
+            // up meanwhile.
+            post(ingested, invalid, &mut posted);
+            if queue.pop_all(&mut batch) {
+                continue;
+            }
+            break;
+        };
         match item {
             ShardItem::Line(line) => match parse_line(&line, ctx.schema) {
                 Ok(InputLine::Query(q)) => {
@@ -904,10 +997,7 @@ fn shard_worker(
                 // router-level command was never seen by the router, so
                 // it is dropped here rather than half-applied.
                 Ok(InputLine::Control(_)) => {}
-                Err(_) => {
-                    invalid += 1;
-                    ctx.board.invalid.fetch_add(1, Ordering::Relaxed);
-                }
+                Err(_) => invalid += 1,
             },
             ShardItem::Define { id, table, kind, attrs } => {
                 let query = validate_define(ctx.schema, table, &attrs).then(|| {
@@ -918,10 +1008,13 @@ fn shard_worker(
                         kind,
                     )
                 });
-                dict.insert(id, query);
+                if dict.len() <= id {
+                    dict.resize_with(id + 1, || None);
+                }
+                dict[id] = query;
             }
             ShardItem::Event { template, frequency } => {
-                match dict.get(&template) {
+                match usize::try_from(template).ok().and_then(|t| dict.get(t)) {
                     Some(Some(base)) if frequency == 1 => {
                         // The hot path: borrow the pre-built query, no
                         // allocation per event.
@@ -936,17 +1029,12 @@ fn shard_worker(
                         );
                         ingest(&q, &mut groups, &mut outcomes, &mut ingested);
                     }
-                    _ => {
-                        invalid += 1;
-                        ctx.board.invalid.fetch_add(1, Ordering::Relaxed);
-                    }
+                    _ => invalid += 1,
                 }
             }
-            ShardItem::Invalid => {
-                invalid += 1;
-                ctx.board.invalid.fetch_add(1, Ordering::Relaxed);
-            }
+            ShardItem::Invalid => invalid += 1,
             ShardItem::Query(pq) => {
+                post(ingested, invalid, &mut posted);
                 // In-band barrier: everything queued before the query on
                 // this shard has been consumed. The last worker in
                 // answers from the arbiter's maintained state.
@@ -964,6 +1052,7 @@ fn shard_worker(
                 }
             }
             ShardItem::Barrier(generation) => {
+                post(ingested, invalid, &mut posted);
                 if failure.is_some() {
                     continue; // keep draining; the run already failed
                 }

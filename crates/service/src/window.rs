@@ -66,6 +66,10 @@ pub struct EpochWindow {
     pub(crate) window: VecDeque<EpochBatch>,
     /// The partially-filled current epoch.
     pub(crate) current: EpochBatch,
+    /// Lookup key rewritten in place by every [`EpochWindow::push`], so
+    /// an event whose template the epoch already holds — all but the
+    /// first of each — allocates nothing.
+    probe: TemplateKey,
 }
 
 impl EpochWindow {
@@ -90,14 +94,23 @@ impl EpochWindow {
             max_templates,
             window: VecDeque::new(),
             current: EpochBatch::default(),
+            probe: (TableId(0), 0, Vec::new()),
         }
     }
 
     /// Fold one event into the current epoch. Returns `true` when the
     /// event sealed an epoch (time to tune).
     pub fn push(&mut self, query: &Query) -> bool {
-        let key = (query.table(), kind_rank(query.kind()), query.attrs().to_vec());
-        *self.current.templates.entry(key).or_insert(0) += query.frequency();
+        self.probe.0 = query.table();
+        self.probe.1 = kind_rank(query.kind());
+        self.probe.2.clear();
+        self.probe.2.extend_from_slice(query.attrs());
+        match self.current.templates.get_mut(&self.probe) {
+            Some(frequency) => *frequency += query.frequency(),
+            None => {
+                self.current.templates.insert(self.probe.clone(), query.frequency());
+            }
+        }
         self.current.events += 1;
         if self.current.events < self.epoch_events {
             return false;

@@ -108,6 +108,20 @@ mod tests {
     }
 
     #[test]
+    fn names_with_escapes_and_multibyte_characters_round_trip() {
+        // What the JSON string scanner has to get right: escapes and
+        // multi-byte scalars in any order, runs ending at either.
+        let mut b = crate::SchemaBuilder::new();
+        let t = b.table("Aufträge \"offen\"\\2019\n", 1_000);
+        let a = b.attribute(t, "κωδικός\tπελάτη 𝄞", 10, 4);
+        let c = b.attribute(t, "\\\"é", 10, 4);
+        let w = Workload::new(b.finish(), vec![crate::Query::new(t, vec![a, c], 3)]);
+        let mut buf = Vec::new();
+        write(&w, &mut buf).unwrap();
+        assert_eq!(read(buf.as_slice()).unwrap(), w);
+    }
+
+    #[test]
     fn corrupt_input_is_an_error() {
         assert!(matches!(read(&b"not json"[..]), Err(IoError::Serde(_))));
     }

@@ -609,7 +609,14 @@ fn run_with_checkpoints(
     let report = router
         .run_reader(Cursor::new(bytes), OverloadPolicy::Block, Some(&manifest), &[])
         .unwrap();
-    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+    let files = take_dir_files(&dir);
+    (report, files)
+}
+
+/// Every file in `dir` as sorted `(file name, bytes)` pairs; removes the
+/// directory.
+fn take_dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| {
             let e = e.unwrap();
@@ -620,8 +627,8 @@ fn run_with_checkpoints(
         })
         .collect();
     files.sort();
-    std::fs::remove_dir_all(&dir).ok();
-    (report, files)
+    std::fs::remove_dir_all(dir).ok();
+    files
 }
 
 proptest! {
@@ -1011,4 +1018,396 @@ fn golden_observed_fixture_matches_its_jsonl_twin() {
         assert_eq!(x.workload_cost.to_bits(), y.workload_cost.to_bits());
     }
     assert_eq!(a.final_selection, b.final_selection);
+}
+
+// ------------------------------------------------- batched hand-off
+
+use isel_core::{TraceEvent, VecSink};
+use isel_service::{run_socket_router, InteractiveRegistry};
+use std::io::BufRead;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// A reader that hands out one received chunk per `fill_buf` on an empty
+/// buffer and *blocks* on the channel for the next one; the sender
+/// hanging up is EOF. With [`chunked`] it replays a byte string in
+/// pieces, with a live sender it is an input that goes idle.
+struct GatedReader {
+    rx: Receiver<Vec<u8>>,
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl GatedReader {
+    fn new(rx: Receiver<Vec<u8>>) -> Self {
+        Self { rx, buf: Vec::new(), pos: 0 }
+    }
+}
+
+impl std::io::Read for GatedReader {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let available = self.fill_buf()?;
+        let n = available.len().min(out.len());
+        out[..n].copy_from_slice(&available[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for GatedReader {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.pos >= self.buf.len() {
+            self.buf = self.rx.recv().unwrap_or_default();
+            self.pos = 0;
+        }
+        Ok(&self.buf[self.pos..])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+    }
+}
+
+/// `bytes` as a reader that yields it in pieces of seeded random sizes
+/// in `1..=max_piece`, then EOF.
+fn chunked(bytes: &[u8], max_piece: usize, seed: u64) -> GatedReader {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (tx, rx) = channel();
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let n = (rng.gen_range(0..max_piece as u64) as usize + 1).min(rest.len());
+        tx.send(rest[..n].to_vec()).unwrap();
+        rest = &rest[n..];
+    }
+    GatedReader::new(rx)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Record boundaries straddling the reader's buffers never change
+    /// the records produced: healthy frames, text lines and arbitrary
+    /// garbage, cut into random pieces, decode exactly like the one
+    /// slice — the decoder fuzz above, extended to chunked readers.
+    #[test]
+    fn chunked_readers_decode_like_the_one_slice(
+        picks in prop::collection::vec((0usize..10_000, 1u64..40), 0..48),
+        garbage in prop::collection::vec(0u8..=255, 0..96),
+        splice in 0usize..10_000,
+        max_piece in 1usize..40,
+        seed in 0u64..1_000,
+    ) {
+        let w = workload();
+        let jsonl = render_log(&w, &picks);
+        let mut stream = convert(jsonl.as_bytes(), WireFormat::Binary);
+        stream.extend_from_slice(jsonl.as_bytes());
+        stream.extend_from_slice(&convert(jsonl.as_bytes(), WireFormat::Binary));
+        let at = splice % (stream.len() + 1);
+        stream.splice(at..at, garbage);
+
+        let whole: Vec<Record> = RecordIter::new(Cursor::new(&stream[..])).collect();
+        let pieces: Vec<Record> = RecordIter::new(chunked(&stream, max_piece, seed)).collect();
+        prop_assert_eq!(pieces, whole);
+    }
+}
+
+/// One table's templates, cycled into `n` JSONL event lines.
+fn table_events(w: &Workload, table: u16, n: usize) -> Vec<String> {
+    w.queries()
+        .iter()
+        .filter(|q| q.table().0 == table)
+        .cycle()
+        .take(n)
+        .map(|q| {
+            let attrs: Vec<String> = q.attrs().iter().map(|a| a.0.to_string()).collect();
+            format!("{{\"table\":{table},\"attrs\":[{}]}}\n", attrs.join(","))
+        })
+        .collect()
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+fn epochs_traced(sink: &VecSink) -> usize {
+    sink.events().iter().filter(|e| matches!(e, TraceEvent::Epoch { .. })).count()
+}
+
+/// The `"ingested"` counter of a status line.
+fn ingested_of(status: &str) -> u64 {
+    let v: serde_json::Value = serde_json::from_str(status).unwrap();
+    v.get("status")
+        .and_then(|s| s.get("ingested"))
+        .and_then(|n| n.as_u64())
+        .expect("status reply carries an ingested counter")
+}
+
+/// The flush-before-block rule (DESIGN.md §13): far fewer events than a
+/// hand-off batch holds still reach the worker as soon as the input goes
+/// idle — no timer, no further input. Sixteen events arrive, then the
+/// reader blocks: both epochs are tuned while it is still blocked (seen
+/// through the trace sink, which needs no input at all), and status
+/// polling — each poll one more line, which is what `serve` clients do —
+/// reads `ingested == 16`. The same holds when the idle point falls in
+/// the *middle* of a line, and for a binary frame that arrives in two
+/// pieces.
+#[test]
+fn events_are_handed_over_before_the_input_blocks() {
+    let w = workload();
+    let lines = table_events(&w, 0, 16);
+    let jsonl: Vec<u8> = lines.concat().into_bytes();
+    let binary = convert(&jsonl, WireFormat::Binary);
+    let cut = binary.len() / 2;
+    /// What arrives before the input goes idle, and what completes a
+    /// record the idle point tore (if it tore one).
+    struct Case {
+        label: &'static str,
+        pieces: Vec<Vec<u8>>,
+        completion: Vec<u8>,
+    }
+    let cases = [
+        Case { label: "whole lines", pieces: vec![jsonl.clone()], completion: Vec::new() },
+        Case {
+            label: "idle in the middle of a line",
+            pieces: vec![[&jsonl[..], b"{\"control\":\"sta"].concat()],
+            completion: b"tus\"}\n".to_vec(),
+        },
+        Case {
+            label: "a frame in two pieces",
+            pieces: vec![binary[..cut].to_vec(), binary[cut..].to_vec()],
+            completion: Vec::new(),
+        },
+    ];
+    for Case { label, pieces, completion } in cases {
+        let sink = VecSink::new();
+        let registry = Arc::new(InteractiveRegistry::new());
+        let mut router = Router::new(w.schema().clone(), sharded_config(1)).unwrap();
+        router.set_interactive(Arc::clone(&registry));
+        let (tx, rx) = channel();
+        let report = std::thread::scope(|s| {
+            let serving = s.spawn(|| {
+                router.run_reader(
+                    GatedReader::new(rx),
+                    OverloadPolicy::Block,
+                    None,
+                    &[&sink as &dyn isel_core::TraceSink],
+                )
+            });
+            for piece in pieces {
+                tx.send(piece).unwrap();
+            }
+            // Nothing more is sent: the reader is blocked from here on.
+            wait_until(&format!("both epochs are tuned ({label})"), || {
+                epochs_traced(&sink) == 2
+            });
+            assert!(!serving.is_finished());
+            if !completion.is_empty() {
+                tx.send(completion).unwrap();
+            }
+            wait_until(&format!("status shows 16 ingested ({label})"), || {
+                let (reply_tx, reply_rx) = channel();
+                let token = registry.register(reply_tx);
+                tx.send(format!("{{\"control\":\"status\",\"token\":{token}}}\n").into_bytes())
+                    .unwrap();
+                ingested_of(&reply_rx.recv().unwrap()) == 16
+            });
+            drop(tx); // EOF
+            serving.join().unwrap().unwrap()
+        });
+        assert_eq!(report.ingested, 16, "{label}");
+        assert_eq!(report.invalid, 0, "{label}");
+        assert_eq!(report.epochs.len(), 2, "{label}");
+    }
+}
+
+/// One run of a control-carrying log: the report, every checkpoint file
+/// committed, and the replies to its in-stream queries in stream order.
+struct BatchedRun {
+    report: isel_service::ServiceReport,
+    files: Vec<(String, Vec<u8>)>,
+    replies: Vec<String>,
+}
+
+/// Replay `events` with `controls` spliced in *after* the given event
+/// positions; every query control is stamped with a reply token.
+fn run_with_controls(
+    w: &Workload,
+    shards: u32,
+    events: &[String],
+    controls: &[(usize, &str)],
+    binary: bool,
+    reader: impl FnOnce(&[u8]) -> Box<dyn BufRead + Send>,
+) -> BatchedRun {
+    let registry = Arc::new(InteractiveRegistry::new());
+    let mut replies = Vec::new();
+    let mut log = String::new();
+    for (i, event) in events.iter().enumerate() {
+        log.push_str(event);
+        for (_, control) in controls.iter().filter(|(at, _)| *at == i + 1) {
+            if control.contains("checkpoint") {
+                log.push_str(&format!("{{\"control\":{control}}}\n"));
+            } else {
+                let (tx, rx) = channel();
+                let token = registry.register(tx);
+                replies.push(rx);
+                log.push_str(&format!("{{\"control\":{control},\"token\":{token}}}\n"));
+            }
+        }
+    }
+    let bytes = if binary {
+        // Token-stamped controls ride as raw-framed lines; events and
+        // the plain checkpoint control transcode.
+        convert(log.as_bytes(), WireFormat::Binary)
+    } else {
+        log.into_bytes()
+    };
+    let dir = case_dir("batched");
+    let manifest = dir.join("cp.json");
+    let mut config = sharded_config(shards);
+    config.epoch_events = 32;
+    let mut router = Router::new(w.schema().clone(), config).unwrap();
+    router.set_interactive(registry);
+    let report = router
+        .run_reader(reader(&bytes), OverloadPolicy::Block, Some(&manifest), &[])
+        .unwrap();
+    let files = take_dir_files(&dir);
+    let replies =
+        replies.into_iter().map(|rx| rx.recv().expect("every query is answered")).collect();
+    BatchedRun { report, files, replies }
+}
+
+/// Where a hand-off batch ends is invisible: a log several batches long
+/// per shard, with `checkpoint`, `whatif` and `budget` controls at
+/// positions that are not multiples of the batch size (512), replays to
+/// bit-identical epochs and selections at 1, 2 and 4 shards, in both
+/// encodings, and whether the input arrives as one slice (full batches),
+/// one line per read (a hand-off per line, the pre-batching behaviour)
+/// or in random pieces — and, at one shard count, to identical
+/// checkpoint files and (one shard) identical query answers.
+#[test]
+fn batch_boundaries_never_show_in_results() {
+    let w = workload();
+    let picks: Vec<(usize, u64)> = {
+        let mut rng = StdRng::seed_from_u64(5);
+        (0..2_300).map(|_| (rng.gen_range(0..10_000) as usize, rng.gen_range(1..4))).collect()
+    };
+    let events: Vec<String> =
+        render_log(&w, &picks).lines().map(|l| format!("{l}\n")).collect();
+    let controls = [
+        (137, "\"whatif\",\"budget\":300000"),
+        (511, "\"checkpoint\""),
+        (613, "\"budget\",\"budget\":200000"),
+        (614, "\"whatif\",\"budget\":300000"),
+        (1025, "\"checkpoint\""),
+        (1500, "\"tenant\",\"table_group\":1,\"budget\":150000"),
+        (2047, "\"whatif\",\"budget\":100000"),
+    ];
+    let one_slice = |b: &[u8]| Box::new(Cursor::new(b.to_vec())) as Box<dyn BufRead + Send>;
+    let baseline = run_with_controls(&w, 1, &events, &controls, false, one_slice);
+    assert_eq!(baseline.report.ingested, 2_300);
+    assert_eq!(baseline.report.invalid, 0);
+    assert_eq!(baseline.replies.len(), 5);
+    assert_eq!(baseline.report.checkpoints_written, 3, "two in-stream, one final");
+    assert_ne!(baseline.replies[0], baseline.replies[2], "the budget control re-anchors");
+
+    for shards in [1u32, 2, 4] {
+        let mut same_shards: Vec<BatchedRun> = Vec::new();
+        for binary in [false, true] {
+            let per_line = |b: &[u8]| {
+                let (tx, rx) = channel();
+                // One record per `fill_buf`: split after every newline
+                // (JSONL) or hand over byte by byte (binary).
+                if binary {
+                    b.iter().for_each(|&byte| tx.send(vec![byte]).unwrap());
+                } else {
+                    b.split_inclusive(|&c| c == b'\n').for_each(|l| tx.send(l.to_vec()).unwrap());
+                }
+                Box::new(GatedReader::new(rx)) as Box<dyn BufRead + Send>
+            };
+            let pieces = |b: &[u8]| {
+                Box::new(chunked(b, 3_000, u64::from(shards))) as Box<dyn BufRead + Send>
+            };
+            same_shards.push(run_with_controls(&w, shards, &events, &controls, binary, one_slice));
+            same_shards.push(run_with_controls(&w, shards, &events, &controls, binary, per_line));
+            same_shards.push(run_with_controls(&w, shards, &events, &controls, binary, pieces));
+        }
+        for run in &same_shards {
+            assert_eq!(run.report.ingested, baseline.report.ingested);
+            assert_eq!(run.report.invalid, 0);
+            assert_eq!(run.report.checkpoints_written, baseline.report.checkpoints_written);
+            assert_eq!(run.report.epochs.len(), baseline.report.epochs.len());
+            for (a, b) in baseline.report.epochs.iter().zip(&run.report.epochs) {
+                assert_eq!((a.table, a.epoch), (b.table, b.epoch));
+                assert_eq!(a.selection, b.selection);
+                assert_eq!(a.workload_cost.to_bits(), b.workload_cost.to_bits());
+                assert_eq!(a.reconfig_paid.to_bits(), b.reconfig_paid.to_bits());
+            }
+            assert_eq!(run.report.final_selection, baseline.report.final_selection);
+            // Every query is answered; at one shard the answer reflects
+            // exactly the events preceding it. (At several shards a shard
+            // that has passed the query runs on and may publish a later
+            // epoch before the slowest shard answers — DESIGN.md §15.)
+            assert_eq!(run.replies.len(), baseline.replies.len());
+            if shards == 1 {
+                assert_eq!(run.replies, baseline.replies);
+            }
+            assert_eq!(run.files, same_shards[0].files, "checkpoint bytes at {shards} shards");
+        }
+    }
+}
+
+/// Drop-oldest accounting survives batching: every event sent is either
+/// ingested or counted dropped, through the socket front end with a tiny
+/// queue (a hand-off per line) and straight through `run_reader` (whole
+/// batches, clipped to the queue's capacity).
+#[test]
+fn drop_oldest_accounts_for_every_event() {
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+
+    let w = workload();
+    let sent = 600usize;
+    let events: Vec<String> = (0..sent)
+        .map(|i| table_events(&w, (i % 2) as u16, i / 2 + 1).pop().unwrap())
+        .collect();
+    let mut config = sharded_config(2);
+    config.queue_capacity = 3;
+
+    // Whole batches from a slice.
+    let mut router = Router::new(w.schema().clone(), config.clone()).unwrap();
+    let report = router
+        .run_reader(Cursor::new(events.concat()), OverloadPolicy::DropOldest, None, &[])
+        .unwrap();
+    assert_eq!(report.invalid, 0);
+    assert_eq!(report.ingested + report.dropped, sent as u64);
+    assert!(report.queue_high_water <= 3);
+
+    // The socket front end.
+    let dir = case_dir("drop-oldest-socket");
+    let sock = dir.join("isel.sock");
+    let mut router = Router::new(w.schema().clone(), config).unwrap();
+    let report = std::thread::scope(|s| {
+        let client = s.spawn(|| {
+            let mut stream = loop {
+                match UnixStream::connect(&sock) {
+                    Ok(s) => break s,
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                }
+            };
+            stream.write_all(events.concat().as_bytes()).unwrap();
+            stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
+        });
+        let report = run_socket_router(&mut router, &sock, None, None, &[]).unwrap();
+        client.join().unwrap();
+        report
+    });
+    assert_eq!(report.invalid, 0);
+    assert_eq!(report.ingested + report.dropped, sent as u64);
+    assert!(report.queue_high_water <= 3);
+    std::fs::remove_dir_all(&dir).ok();
 }
