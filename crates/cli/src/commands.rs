@@ -207,6 +207,14 @@ pub fn recommend(args: &Args) -> Result<(), String> {
         rec.what_if.calls_answered_from_cache,
         100.0 * rec.cache_hit_rate(),
     );
+    // Section III-A / Table I count an approach's what-if calls in units
+    // of Q·q̄, the summed template widths; Algorithm 1 needs about two.
+    let q_qbar: usize = workload.iter().map(|(_, q)| q.width()).sum();
+    println!(
+        "what-if calls ÷ Q·q̄ = {:.2}{}",
+        rec.what_if_calls as f64 / q_qbar as f64,
+        if rec.strategy == Strategy::H6 { " (paper ≈ 2)" } else { "" },
+    );
     if let Some(c) = rec.cache {
         println!(
             "memo tables: {} hits / {} misses / {} entries",

@@ -52,16 +52,33 @@
 //! by a *serial* left-to-right fold over the ordered metrics. The fold —
 //! not the thread schedule — decides every tie, so serial and parallel
 //! runs produce bit-for-bit identical step sequences.
+//!
+//! # The candidate table
+//!
+//! The engine keeps its candidates between steps. Single-attribute ids
+//! are interned once; every slot stores its extension moves — target id
+//! resolved, benefit cached, already in `Move::key` order — and rebuilds
+//! that list only when a query it covers changed cost; the set of
+//! selected ids is maintained by the steps themselves. A step therefore
+//! costs its refreshes plus one walk over the table (singles in attribute
+//! order, then slot by slot), not a re-enumeration, and the canonical
+//! order is a property of the walk: only a refreshed slot's list is
+//! sorted, and — with `pair_steps`, whose pair candidates interleave with
+//! the singles — the new-index segment.
 
 use crate::parallel::{parallel_map, Parallelism};
 use crate::reconfig::ReconfigCosts;
 use crate::selection::{Frontier, FrontierPoint, Selection};
 use crate::trace::{StepKind, Trace, TraceEvent};
+use isel_costmodel::cache::IdHashBuilder;
 use isel_costmodel::{WhatIfOptimizer, WhatIfStats};
 use isel_workload::{AttrId, Index, IndexId, IndexPool, QueryId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
+
+/// A set of pool ids — dense integers, hashed with two multiplies.
+type IdSet = HashSet<IndexId, IdHashBuilder>;
 
 /// Options of a run.
 #[derive(Clone, Debug)]
@@ -231,6 +248,19 @@ impl Move {
             Move::Extend { slot, to } => (1, *slot, pool.attrs(*to)),
         }
     }
+
+    /// The index the move would add to the selection.
+    fn target(&self) -> IndexId {
+        match self {
+            Move::New(k) => *k,
+            Move::Extend { to, .. } => *to,
+        }
+    }
+}
+
+/// Put candidate moves into the canonical [`Move::key`] order.
+fn sort_canonical(moves: &mut [(Move, f64)], pool: &IndexPool) {
+    moves.sort_by(|(a, _), (b, _)| a.key(pool).cmp(&b.key(pool)));
 }
 
 struct Slot {
@@ -238,10 +268,11 @@ struct Slot {
     /// Queries containing *all* attributes of `index` (sorted ids) — the
     /// only queries an extension can affect.
     covering: Vec<u32>,
-    /// Cached extension benefits keyed by the appended attribute (and the
-    /// optional second attribute of a Remark-1.4 pair extension).
-    ext_ben: HashMap<(AttrId, Option<AttrId>), f64>,
-    /// Whether `ext_ben` must be recomputed.
+    /// The slot's extension moves with their cached workload benefits, in
+    /// canonical order: one per appended attribute (and per appended pair
+    /// with Remark 1.4) that lowers some covering query's cost.
+    exts: Vec<(Move, f64)>,
+    /// Whether `exts` must be recomputed.
     dirty: bool,
     /// Number of queries currently served by this index (tracked for
     /// Remark 1.2).
@@ -335,10 +366,18 @@ struct Engine<'a, W> {
     /// Queries containing each attribute.
     attr_queries: Vec<Vec<u32>>,
     slots: Vec<Option<Slot>>,
+    /// The indexes of the live slots, maintained by every step: no move
+    /// may target an index that is already selected.
+    selected: IdSet,
+    /// `{i}` for every attribute `i`, interned once.
+    single_ids: Vec<IndexId>,
+    /// Cached benefit of `{i}` as a new index; `None` = stale. Attributes
+    /// excluded by Remark 1.1 are never refreshed and stay `None`.
     single_ben: Vec<Option<f64>>,
-    /// Remark 1.4 cache: benefits of new pair indexes in both orientations
-    /// (`(a, b)` first, `(b, a)` second).
-    pair_ben: HashMap<(AttrId, AttrId), Option<(f64, f64)>>,
+    /// Remark 1.4 cache, keyed by co-occurring attribute pair `a < b`: the
+    /// new two-attribute index in whichever orientation benefits the
+    /// covering queries more (ties go to `(a, b)`), with that benefit.
+    pair_ben: HashMap<(AttrId, AttrId), Option<(IndexId, f64)>>,
     /// Attributes allowed in new-single steps (Remark 1.1), `None` = all.
     allowed_singles: Option<Vec<bool>>,
     total_memory: u64,
@@ -348,7 +387,7 @@ struct Engine<'a, W> {
     /// Total weighted maintenance cost of the current selection.
     maint_total: f64,
     /// `Ī*` interned once — reconfiguration deltas are id set lookups.
-    reconfig_current: HashSet<IndexId>,
+    reconfig_current: IdSet,
 }
 
 impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
@@ -388,12 +427,15 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 }
             }
         }
-        let reconfig_current: HashSet<IndexId> = options
+        let reconfig_current: IdSet = options
             .reconfig
             .current
             .indexes()
             .iter()
             .map(|k| est.pool().intern(k))
+            .collect();
+        let single_ids = (0..n_attrs as u32)
+            .map(|i| est.pool().intern_single(AttrId(i)))
             .collect();
         Self {
             est,
@@ -407,6 +449,8 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             server,
             attr_queries,
             slots: Vec::new(),
+            selected: IdSet::default(),
+            single_ids,
             single_ben: vec![None; n_attrs],
             pair_ben,
             allowed_singles: None,
@@ -452,14 +496,32 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             .collect()
     }
 
-    fn reconfig_cost(&self, sel: &Selection) -> f64 {
-        self.options.reconfig.cost(sel, self.est)
+    /// `R(I, Ī*)` of the live slots — [`ReconfigCosts::cost`] by id:
+    /// creation costs summed in slot order (one memory request per
+    /// selected index outside `Ī*`) plus the drop fee of every index of
+    /// `Ī*` that is not selected.
+    fn reconfig_cost(&self) -> f64 {
+        let r = &self.options.reconfig;
+        let creates: f64 = self
+            .slots
+            .iter()
+            .flatten()
+            .filter(|s| !self.reconfig_current.contains(&s.index))
+            .map(|s| self.est.index_memory(s.index) as f64 * r.create_cost_per_byte)
+            .sum();
+        let drops = self
+            .reconfig_current
+            .iter()
+            .filter(|k| !self.selected.contains(k))
+            .count() as f64
+            * r.drop_cost;
+        creates + drops
     }
 
     /// Benefit of a brand-new index over the queries containing all its
     /// attributes.
-    fn new_index_benefit(&self, attrs: &[AttrId]) -> f64 {
-        let index = self.est.pool().intern_attrs(attrs);
+    fn new_index_benefit(&self, index: IndexId) -> f64 {
+        let attrs = self.est.pool().attrs(index);
         let mut ben = 0.0;
         for &j in &self.attr_queries[attrs[0].idx()] {
             let q = self.est.workload().query(QueryId(j));
@@ -476,11 +538,15 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         ben
     }
 
-    /// Recompute the extension-benefit cache of a slot. Side-effect-free
-    /// on the engine (only the what-if oracle's cache and the append-only
+    /// Recompute the extension moves of a slot: every target interned
+    /// and keyed by its id (distinct appended attributes give distinct
+    /// children), benefits summed over the covering queries in ascending
+    /// id, the list sorted once into canonical order. Side-effect-free on
+    /// the engine (only the what-if oracle's cache and the append-only
     /// pool are touched), so dirty slots refresh concurrently.
-    fn compute_ext_ben(&self, slot: &Slot) -> HashMap<(AttrId, Option<AttrId>), f64> {
-        let mut ext_ben: HashMap<(AttrId, Option<AttrId>), f64> = HashMap::new();
+    fn compute_exts(&self, slot_id: usize) -> Vec<(Move, f64)> {
+        let slot = self.slots[slot_id].as_ref().expect("dirty slot is live");
+        let mut ext_ben: HashMap<IndexId, f64, IdHashBuilder> = HashMap::default();
         let workload = self.est.workload();
         let pool = self.est.pool();
         let base_attrs = pool.attrs(slot.index);
@@ -497,8 +563,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 let ext = pool.intern_child(slot.index, a);
                 if let Some(f) = self.est.index_cost(QueryId(j), ext) {
                     if f < cur {
-                        *ext_ben.entry((a, None)).or_insert(0.0) +=
-                            self.freq[j as usize] * (cur - f);
+                        *ext_ben.entry(ext).or_insert(0.0) += self.freq[j as usize] * (cur - f);
                     }
                 }
                 if self.options.pair_steps {
@@ -506,7 +571,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                         let ext2 = pool.intern_child(ext, b);
                         if let Some(f) = self.est.index_cost(QueryId(j), ext2) {
                             if f < cur {
-                                *ext_ben.entry((a, Some(b))).or_insert(0.0) +=
+                                *ext_ben.entry(ext2).or_insert(0.0) +=
                                     self.freq[j as usize] * (cur - f);
                             }
                         }
@@ -514,7 +579,12 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 }
             }
         }
-        ext_ben
+        let mut exts: Vec<(Move, f64)> = ext_ben
+            .into_iter()
+            .map(|(to, ben)| (Move::Extend { slot: slot_id, to }, ben))
+            .collect();
+        sort_canonical(&mut exts, pool);
+        exts
     }
 
     /// Reconfiguration delta of a move (new R minus current R).
@@ -585,12 +655,16 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             .collect();
         let computed = {
             let this = &*self;
-            parallel_map(par, &stale_singles, |&i| this.new_index_benefit(&[AttrId(i)]))
+            parallel_map(par, &stale_singles, |&i| {
+                this.new_index_benefit(this.single_ids[i as usize])
+            })
         };
         for (&i, ben) in stale_singles.iter().zip(computed) {
             self.single_ben[i as usize] = Some(ben);
         }
-        // Refresh pair benefits (Remark 1.4), both orientations.
+        // Refresh pair benefits (Remark 1.4): cost both orientations and
+        // keep whichever benefits the covering queries more (ties go
+        // forward).
         if self.options.pair_steps {
             let stale: Vec<(AttrId, AttrId)> = self
                 .pair_ben
@@ -600,12 +674,20 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 .collect();
             let computed = {
                 let this = &*self;
+                let pool = this.est.pool();
                 parallel_map(par, &stale, |&(a, b)| {
-                    (this.new_index_benefit(&[a, b]), this.new_index_benefit(&[b, a]))
+                    let (fwd, rev) = (pool.intern_attrs(&[a, b]), pool.intern_attrs(&[b, a]));
+                    let (fwd_ben, rev_ben) =
+                        (this.new_index_benefit(fwd), this.new_index_benefit(rev));
+                    if fwd_ben >= rev_ben {
+                        (fwd, fwd_ben)
+                    } else {
+                        (rev, rev_ben)
+                    }
                 })
             };
-            for (key, bens) in stale.into_iter().zip(computed) {
-                self.pair_ben.insert(key, Some(bens));
+            for (key, best) in stale.into_iter().zip(computed) {
+                self.pair_ben.insert(key, Some(best));
             }
         }
         // Refresh dirty slots.
@@ -619,69 +701,51 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 .collect();
             let computed = {
                 let this = &*self;
-                parallel_map(par, &dirty, |&id| {
-                    this.compute_ext_ben(this.slots[id].as_ref().expect("dirty slot is live"))
-                })
+                parallel_map(par, &dirty, |&id| this.compute_exts(id))
             };
-            for (id, ext_ben) in dirty.into_iter().zip(computed) {
+            for (id, exts) in dirty.into_iter().zip(computed) {
                 let slot = self.slots[id].as_mut().expect("dirty slot is live");
-                slot.ext_ben = ext_ben;
+                slot.exts = exts;
                 slot.dirty = false;
             }
         }
     }
 
     /// Every eligible move of this step with its workload benefit, in the
-    /// canonical [`Move::key`] order.
-    fn enumerate_moves(&self) -> Vec<(Move, f64)> {
+    /// canonical [`Move::key`] order — one walk over the refreshed
+    /// candidate table, skipping moves whose target is already selected.
+    /// The walk *is* the order: singles ascend with their attribute, slots
+    /// with their id, and each slot's list was sorted when it was
+    /// refreshed.
+    fn candidates(&self) -> Vec<(Move, f64)> {
         let pool = self.est.pool();
-        let existing: HashSet<IndexId> =
-            self.slots.iter().flatten().map(|s| s.index).collect();
-        let mut moves: Vec<(Move, f64)> = Vec::new();
-        for i in 0..self.single_ben.len() {
-            if let Some(allowed) = &self.allowed_singles {
-                if !allowed[i] {
-                    continue;
-                }
+        let mut moves: Vec<(Move, f64)> = Vec::with_capacity(self.scanned_candidates);
+        for (&k, ben) in self.single_ids.iter().zip(&self.single_ben) {
+            let Some(ben) = *ben else { continue };
+            if !self.selected.contains(&k) {
+                moves.push((Move::New(k), ben)); // step (3a) requires I ∩ {i} = ∅
             }
-            let Some(ben) = self.single_ben[i] else { continue };
-            let k = pool.intern_single(AttrId(i as u32));
-            if existing.contains(&k) {
-                continue; // step (3a) requires I ∩ {i} = ∅
-            }
-            moves.push((Move::New(k), ben));
         }
         if self.options.pair_steps {
-            for (&(a, b), bens) in &self.pair_ben {
-                let Some((fwd, rev)) = *bens else { continue };
-                // Orientation: keep whichever order of the two attributes
-                // benefits the covering queries more (ties go forward).
-                let (attrs, ben) = if fwd >= rev { ([a, b], fwd) } else { ([b, a], rev) };
-                let k = pool.intern_attrs(&attrs);
-                if existing.contains(&k) {
-                    continue;
-                }
-                moves.push((Move::New(k), ben));
-            }
-        }
-        if self.options.morphing {
-            for (slot_id, slot) in self.slots.iter().enumerate() {
-                let Some(slot) = slot else { continue };
-                for (&(a, b), &ben) in &slot.ext_ben {
-                    let mut target = pool.intern_child(slot.index, a);
-                    if let Some(b) = b {
-                        target = pool.intern_child(target, b);
-                    }
-                    if existing.contains(&target) {
-                        continue;
-                    }
-                    moves.push((Move::Extend { slot: slot_id, to: target }, ben));
+            for &(k, ben) in self.pair_ben.values().flatten() {
+                if !self.selected.contains(&k) {
+                    moves.push((Move::New(k), ben));
                 }
             }
+            // Pairs come out of a hash map and interleave with the singles
+            // (`[a] < [a, b] < [a + 1]`).
+            sort_canonical(&mut moves, pool);
         }
-        // Pair and extension candidates come out of hash maps in arbitrary
-        // order; the canonical sort erases that before anyone looks.
-        moves.sort_by(|(a, _), (b, _)| a.key(pool).cmp(&b.key(pool)));
+        // Slots that were never refreshed (morphing off) hold no moves.
+        for slot in self.slots.iter().flatten() {
+            moves.extend(
+                slot.exts.iter().filter(|(mv, _)| !self.selected.contains(&mv.target())),
+            );
+        }
+        debug_assert!(
+            moves.windows(2).all(|w| w[0].0.key(pool) < w[1].0.key(pool)),
+            "candidate walk left the canonical order"
+        );
         moves
     }
 
@@ -717,7 +781,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
 
     fn best_move(&mut self) -> Option<(Move, f64, u64, f64, Option<MissedOpportunity>)> {
         self.refresh_caches();
-        let moves = self.enumerate_moves();
+        let moves = self.candidates();
         self.scanned_candidates = moves.len();
         // Metrics evaluate in parallel; the winner is decided by a serial
         // fold over the canonically ordered candidates, so the outcome is
@@ -777,10 +841,11 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 }
                 self.total_memory += self.est.index_memory(index);
                 self.maint_total += self.weighted_maint(index);
+                self.selected.insert(index);
                 self.slots.push(Some(Slot {
                     index,
                     covering,
-                    ext_ben: HashMap::new(),
+                    exts: Vec::new(),
                     dirty: true,
                     served,
                 }));
@@ -817,10 +882,12 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 }
                 self.total_memory += self.est.index_memory(to) - self.est.index_memory(from);
                 self.maint_total += self.weighted_maint(to) - self.weighted_maint(from);
+                self.selected.remove(&from);
+                self.selected.insert(to);
                 self.slots[*slot_id] = Some(Slot {
                     index: to,
                     covering,
-                    ext_ben: HashMap::new(),
+                    exts: Vec::new(),
                     dirty: true,
                     served,
                 });
@@ -882,6 +949,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             let drop_it = self.slots[pos].as_ref().is_some_and(|s| s.served == 0);
             if drop_it {
                 let s = self.slots[pos].take().expect("checked above");
+                self.selected.remove(&s.index);
                 freed += self.est.index_memory(s.index);
                 self.maint_total -= self.weighted_maint(s.index);
                 dropped.push(self.est.pool().resolve(s.index));
@@ -920,9 +988,9 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 self.options.parallelism,
                 &all,
                 |&i| {
-                    let ben = self.new_index_benefit(&[AttrId(i)]);
-                    let p = self.est.index_memory(self.est.pool().intern_single(AttrId(i)));
-                    (i as usize, ben / p.max(1) as f64)
+                    let k = self.single_ids[i as usize];
+                    let ben = self.new_index_benefit(k);
+                    (i as usize, ben / self.est.index_memory(k).max(1) as f64)
                 },
             );
             density.sort_by(|a, b| {
@@ -946,7 +1014,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             self.emit_scan(0, self.cur.len() as u64, self.run_start, self.entry_stats);
         }
 
-        let initial_cost = self.total_f() + self.reconfig_cost(&Selection::empty());
+        let initial_cost = self.total_f() + self.reconfig_cost();
         let mut steps = Vec::new();
         let mut frontier_points = vec![FrontierPoint { memory: 0, cost: initial_cost }];
 
@@ -972,8 +1040,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             let (action, changed) = self.apply(&mv);
             self.invalidate(&changed);
 
-            let total_cost =
-                self.total_f() + self.maint_total + self.reconfig_cost(&self.current_selection());
+            let total_cost = self.total_f() + self.maint_total + self.reconfig_cost();
             steps.push(StepRecord {
                 action,
                 benefit: net_ben,
@@ -1007,9 +1074,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
 
             if self.options.prune_unused {
                 if let Some((dropped, freed)) = self.prune_unused() {
-                    let total_cost = self.total_f()
-                        + self.maint_total
-                        + self.reconfig_cost(&self.current_selection());
+                    let total_cost = self.total_f() + self.maint_total + self.reconfig_cost();
                     steps.push(StepRecord {
                         action: StepAction::Prune(dropped),
                         benefit: 0.0,

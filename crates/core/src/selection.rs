@@ -4,7 +4,7 @@
 use isel_costmodel::WhatIfOptimizer;
 use isel_workload::Index;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// An index selection `I*`: a duplicate-free set of multi-attribute
 /// indexes.
@@ -19,13 +19,16 @@ impl Selection {
         Self::default()
     }
 
-    /// Selection from a list of indexes (duplicates removed, order kept).
-    pub fn from_indexes(indexes: Vec<Index>) -> Self {
-        let mut s = Self::empty();
-        for k in indexes {
-            s.insert(k);
-        }
-        s
+    /// Selection from a list of indexes (duplicates removed, order kept:
+    /// the first occurrence of each index stays where it was).
+    pub fn from_indexes(mut indexes: Vec<Index>) -> Self {
+        let first_occurrence: Vec<bool> = {
+            let mut seen = HashSet::with_capacity(indexes.len());
+            indexes.iter().map(|k| seen.insert(k)).collect()
+        };
+        let mut keep = first_occurrence.into_iter();
+        indexes.retain(|_| keep.next().expect("one flag per index"));
+        Self { indexes }
     }
 
     /// The indexes of the selection.
@@ -664,6 +667,31 @@ mod tests {
         assert!(!s.contains(&k0));
         assert!(s.remove(&k01));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn from_indexes_keeps_first_occurrences_in_order() {
+        let k = |attrs: &[u32]| Index::new(attrs.iter().map(|&a| AttrId(a)).collect());
+        let s = Selection::from_indexes(vec![
+            k(&[2]),
+            k(&[0, 1]),
+            k(&[2]),
+            k(&[1, 0]),
+            k(&[0, 1]),
+            k(&[0]),
+            k(&[2]),
+        ]);
+        assert_eq!(s.indexes(), &[k(&[2]), k(&[0, 1]), k(&[1, 0]), k(&[0])]);
+        // Same result as inserting one by one, on a list long enough to
+        // repeat every index many times.
+        let many: Vec<Index> = (0..500u32).map(|i| k(&[i * 7 % 31, 31 + i % 3])).collect();
+        let mut one_by_one = Selection::empty();
+        for index in &many {
+            one_by_one.insert(index.clone());
+        }
+        assert_eq!(Selection::from_indexes(many.clone()), one_by_one);
+        assert_eq!(many.into_iter().collect::<Selection>(), one_by_one);
+        assert!(Selection::from_indexes(Vec::new()).is_empty());
     }
 
     #[test]
