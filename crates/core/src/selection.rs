@@ -4,7 +4,9 @@
 use isel_costmodel::WhatIfOptimizer;
 use isel_workload::Index;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashSet};
 
 /// An index selection `I*`: a duplicate-free set of multi-attribute
 /// indexes.
@@ -275,11 +277,11 @@ impl TreeShape {
     }
 }
 
-/// Pareto-prune a combined state list: sort by `(memory, cost)` and keep
-/// strictly decreasing cost, then thin deterministically at
-/// [`MERGE_STATE_CAP`]. f64 totals here are sums of finite costs, so
-/// `total_cmp` is a total order consistent with `<`; the stable sort
-/// makes every tie-break deterministic (earlier-listed parts win).
+/// Pareto-prune a state list: sort by `(memory, cost)` and keep strictly
+/// decreasing cost, then thin at [`MERGE_STATE_CAP`]. f64 totals here
+/// are sums of finite costs, so `total_cmp` is a total order consistent
+/// with `<`; the stable sort makes every tie-break deterministic
+/// (earlier-listed states win).
 fn prune_states(mut next: Vec<MergeState>) -> Vec<MergeState> {
     next.sort_by(|a, b| a.memory.cmp(&b.memory).then(a.cost.total_cmp(&b.cost)));
     let mut pruned: Vec<MergeState> = Vec::with_capacity(next.len());
@@ -289,15 +291,17 @@ fn prune_states(mut next: Vec<MergeState>) -> Vec<MergeState> {
             _ => pruned.push(s),
         }
     }
-    if pruned.len() > MERGE_STATE_CAP {
-        let n = pruned.len();
-        let mut thin = Vec::with_capacity(MERGE_STATE_CAP);
-        for i in 0..MERGE_STATE_CAP {
-            thin.push(pruned[i * (n - 1) / (MERGE_STATE_CAP - 1)]);
-        }
-        pruned = thin;
+    thin_states(pruned)
+}
+
+/// Deterministic thinning of a pareto list longer than
+/// [`MERGE_STATE_CAP`]: an evenly spaced subset including both endpoints.
+fn thin_states(pruned: Vec<MergeState>) -> Vec<MergeState> {
+    let n = pruned.len();
+    if n <= MERGE_STATE_CAP {
+        return pruned;
     }
-    pruned
+    (0..MERGE_STATE_CAP).map(|i| pruned[i * (n - 1) / (MERGE_STATE_CAP - 1)]).collect()
 }
 
 /// The choice list of one part: "nothing" at `(0, weight·base_cost)`
@@ -316,26 +320,164 @@ fn leaf_states(weight: f64, base_cost: f64, frontier: &Frontier, budget: u64) ->
     prune_states(states)
 }
 
-/// Cross-product of two child state lists under `budget`, with
-/// backpointers recorded for allocation reconstruction. Both inputs are
-/// memory-ascending, so the inner loop breaks at the first overflow.
+/// The head of one row of the combine sweep. Ordered in reverse of the
+/// canonical key `(memory, cost.total_cmp, li, ri)`, so that the maximum
+/// of a [`BinaryHeap`] is the next state in canonical order.
+struct RowHead(MergeState);
+
+impl Ord for RowHead {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (&other.0, &self.0);
+        a.memory
+            .cmp(&b.memory)
+            .then_with(|| a.cost.total_cmp(&b.cost))
+            .then_with(|| (a.left, a.right).cmp(&(b.left, b.right)))
+    }
+}
+
+impl PartialOrd for RowHead {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RowHead {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for RowHead {}
+
+/// The pareto list of `left × right` under `budget`, with backpointers
+/// recorded for allocation reconstruction: what [`prune_states`] makes
+/// of the whole cross product listed in `(li, ri)` order, without
+/// listing it.
+///
+/// Both inputs are strictly ascending in memory and strictly descending
+/// in cost, so the sums of one state with every state of the other list
+/// — a row — are already in canonical order. A k-way [`Sweep`] with one
+/// cursor per row pops the states in exactly the order the stable sort
+/// would put them in (`(memory, cost.total_cmp, li, ri)`), applies the
+/// same keep test at every pop, and steps over the states that test is
+/// bound to drop. The rows are the states of the shorter list: fewer
+/// cursors, each with a longer way to step.
 fn combine_states(left: &[MergeState], right: &[MergeState], budget: u64) -> Vec<MergeState> {
-    let mut next = Vec::with_capacity(left.len() * right.len().min(64));
-    for (li, l) in left.iter().enumerate() {
-        for (ri, r) in right.iter().enumerate() {
-            let memory = l.memory.saturating_add(r.memory);
-            if memory > budget {
-                break;
+    debug_assert_pareto(left);
+    debug_assert_pareto(right);
+    let sweep = if right.len() < left.len() {
+        Sweep { rows: right, cols: left, rows_are_right: true, budget }
+    } else {
+        Sweep { rows: left, cols: right, rows_are_right: false, budget }
+    };
+    // Row heads at column 0 ascend with the row: the first one over
+    // budget ends them all.
+    let mut heap: BinaryHeap<RowHead> = (0..sweep.rows.len())
+        .map_while(|row| sweep.row_head(row, 0, None))
+        .map(RowHead)
+        .collect();
+    let mut pruned: Vec<MergeState> = Vec::new();
+    while let Some(mut top) = heap.peek_mut() {
+        let s = top.0;
+        let kept = match pruned.last() {
+            Some(last) if s.cost >= last.cost => last.cost,
+            _ => {
+                pruned.push(s);
+                s.cost
             }
-            next.push(MergeState {
-                memory,
-                cost: l.cost + r.cost,
-                left: li as u32,
-                right: ri as u32,
-            });
+        };
+        let (row, col) = sweep.position(&s);
+        // Replace the top in place: one sift instead of a pop and a push.
+        match sweep.row_head(row, col + 1, Some(kept)) {
+            Some(next) => *top = RowHead(next),
+            None => {
+                PeekMut::pop(top);
+            }
         }
     }
-    prune_states(next)
+    thin_states(pruned)
+}
+
+/// The two child lists of one [`combine_states`] call, laid out as rows
+/// (one cursor each) and columns (what a cursor steps along).
+struct Sweep<'a> {
+    rows: &'a [MergeState],
+    cols: &'a [MergeState],
+    /// The rows are the right child's states: a `(row, col)` position is
+    /// an `(ri, li)` pair. Keys and backpointers are `(li, ri)` always.
+    rows_are_right: bool,
+    budget: u64,
+}
+
+impl Sweep<'_> {
+    fn state(&self, row: usize, col: usize, memory: u64, cost: f64) -> MergeState {
+        let (li, ri) = if self.rows_are_right { (col, row) } else { (row, col) };
+        MergeState { memory, cost, left: li as u32, right: ri as u32 }
+    }
+
+    /// The `(row, col)` position of a state made by [`Sweep::state`].
+    fn position(&self, s: &MergeState) -> (usize, usize) {
+        let (li, ri) = (s.left as usize, s.right as usize);
+        if self.rows_are_right {
+            (ri, li)
+        } else {
+            (li, ri)
+        }
+    }
+
+    /// The first state of `row` at column `from` or later that the sweep
+    /// still has to look at, or `None` when the row is over: its sums
+    /// have passed the budget, or none of the rest can be kept.
+    ///
+    /// A sum whose cost is `>=` the cost the sweep kept last (`kept`) is
+    /// stepped over. The kept cost only ever falls and every state of
+    /// the row past its current head sorts after everything popped so
+    /// far, so these are exactly states the sweep would pop and drop at
+    /// their turn.
+    fn row_head(&self, row: usize, from: usize, kept: Option<f64>) -> Option<MergeState> {
+        let r = &self.rows[row];
+        for (col, c) in self.cols.iter().enumerate().skip(from) {
+            let memory = r.memory.saturating_add(c.memory);
+            if memory > self.budget {
+                return None;
+            }
+            let cost = r.cost + c.cost;
+            if kept.is_some_and(|kept| cost >= kept) {
+                continue;
+            }
+            let mut head = self.state(row, col, memory, cost);
+            if memory == u64::MAX {
+                // Every later sum of the row is pinned at `u64::MAX` too
+                // (only a budget of `u64::MAX` lets one through), so the
+                // rest of the row is ordered by cost alone, the wrong
+                // way round for a sorted row. All but the first cheapest
+                // of them sort after it at a cost no lower, and are
+                // dropped.
+                for (later, c) in self.cols.iter().enumerate().skip(col + 1) {
+                    let cost = r.cost + c.cost;
+                    if cost.total_cmp(&head.cost) == Ordering::Less {
+                        head = self.state(row, later, memory, cost);
+                    }
+                }
+            }
+            return Some(head);
+        }
+        None
+    }
+}
+
+/// What [`combine_states`] rests on: memory strictly ascending, cost
+/// strictly descending and finite. A NaN would break "the kept cost only
+/// falls", which stepping over states needs.
+fn debug_assert_pareto(states: &[MergeState]) {
+    debug_assert!(
+        states.iter().all(|s| s.cost.is_finite()),
+        "merge state costs must be finite"
+    );
+    debug_assert!(
+        states.windows(2).all(|w| w[0].memory < w[1].memory && w[0].cost > w[1].cost),
+        "merge state lists must ascend in memory and descend in cost, strictly"
+    );
 }
 
 /// Walk the root's cheapest state back down to the leaves, filling one
@@ -372,21 +514,29 @@ fn extract_merge(shape: &TreeShape, states: &[Vec<MergeState>], n_parts: usize) 
 /// The DP evaluates a canonical balanced binary tree over the parts
 /// (split at `lo + (hi-lo)/2`); every node carries a pareto state list
 /// pruned to strictly decreasing cost in memory order, so the result is
-/// exact whenever state lists stay under `MERGE_STATE_CAP`. All
-/// tie-breaks are deterministic, which the sharded service's
-/// bit-identical replay guarantee relies on. [`FrontierSet`] memoizes
-/// exactly this tree, which is what makes its incremental re-merge
-/// bit-identical to a full merge by construction.
+/// exact whenever state lists stay under `MERGE_STATE_CAP`. A node's
+/// list is what sorting the cross product of its children's lists by
+/// `(memory, cost)` — pairs in `(li, ri)` order, stably — and keeping
+/// every strict cost decrease would give; it is computed by a k-way
+/// sweep over the rows of that product in the same order, which never
+/// lists the product, so a node costs about its own list, not the
+/// product of its children's (DESIGN.md §15). All tie-breaks are
+/// deterministic, which the sharded service's bit-identical replay
+/// guarantee relies on. [`FrontierSet`] memoizes exactly this tree,
+/// which is what makes its incremental re-merge bit-identical to a full
+/// merge by construction.
 ///
 /// # Panics
 ///
-/// Panics if any weight is non-finite or not strictly positive.
+/// Panics if any weight is non-finite or not strictly positive, or if
+/// any base cost is non-finite.
 pub fn merge_frontiers_weighted(parts: &[(f64, f64, &Frontier)], budget: u64) -> FrontierMerge {
-    for &(weight, _, _) in parts {
+    for &(weight, base_cost, _) in parts {
         assert!(
             weight.is_finite() && weight > 0.0,
             "merge weights must be finite and positive, got {weight}"
         );
+        assert!(base_cost.is_finite(), "base cost must be finite, got {base_cost}");
     }
     if parts.is_empty() {
         return FrontierMerge { allocations: Vec::new(), total_memory: 0, total_cost: 0.0 };
@@ -512,6 +662,17 @@ impl FrontierSet {
         self.dirty.len()
     }
 
+    /// Whether the part at `key` is bit-identical to the given one — the
+    /// test [`upsert`](Self::upsert) makes before it dirties anything,
+    /// for a caller that would have to copy a frontier just to ask.
+    pub fn is_current(&self, key: u64, weight: f64, base_cost: f64, frontier: &Frontier) -> bool {
+        self.parts.get(&key).is_some_and(|e| {
+            e.weight.to_bits() == weight.to_bits()
+                && e.base_cost.to_bits() == base_cost.to_bits()
+                && e.frontier == *frontier
+        })
+    }
+
     /// Insert or update the part at `key`. Returns whether the set
     /// changed: republishing a bit-identical part is a no-op and does
     /// not dirty anything (the clean-part skip).
@@ -526,24 +687,14 @@ impl FrontierSet {
             "merge weights must be finite and positive, got {weight}"
         );
         assert!(base_cost.is_finite(), "base cost must be finite, got {base_cost}");
-        match self.parts.get(&key) {
-            Some(e)
-                if e.weight.to_bits() == weight.to_bits()
-                    && e.base_cost.to_bits() == base_cost.to_bits()
-                    && e.frontier == frontier =>
-            {
-                return false;
-            }
-            Some(_) => {
-                if !self.stale_shape {
-                    let pos = self
-                        .keys
-                        .binary_search(&key)
-                        .expect("existing key is in the key list");
-                    self.mark_path_stale(self.shape.leaf_of[pos]);
-                }
-            }
-            None => self.stale_shape = true,
+        if self.is_current(key, weight, base_cost, &frontier) {
+            return false;
+        }
+        if !self.parts.contains_key(&key) {
+            self.stale_shape = true;
+        } else if !self.stale_shape {
+            let pos = self.keys.binary_search(&key).expect("existing key is in the key list");
+            self.mark_path_stale(self.shape.leaf_of[pos]);
         }
         self.parts.insert(key, PartEntry { weight, base_cost, frontier });
         self.dirty.insert(key);
@@ -835,6 +986,82 @@ mod tests {
             assert_eq!(m.allocations, vec![0, 10]);
             assert!((m.total_cost - 140.0).abs() < 1e-9);
         }
+    }
+
+    /// The combine this module had before the sweep, kept as its
+    /// oracle: list the whole cross product in `(li, ri)` order and let
+    /// [`prune_states`] sort it.
+    fn combine_by_sorting(
+        left: &[MergeState],
+        right: &[MergeState],
+        budget: u64,
+    ) -> Vec<MergeState> {
+        let mut next = Vec::new();
+        for (li, l) in left.iter().enumerate() {
+            for (ri, r) in right.iter().enumerate() {
+                let memory = l.memory.saturating_add(r.memory);
+                if memory > budget {
+                    break;
+                }
+                next.push(MergeState {
+                    memory,
+                    cost: l.cost + r.cost,
+                    left: li as u32,
+                    right: ri as u32,
+                });
+            }
+        }
+        prune_states(next)
+    }
+
+    #[test]
+    fn sweep_equals_sorting_the_cross_product_state_by_state() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7377_6565);
+        // A pareto list of `len` states from memory 0 up: on a shared
+        // grid with integer costs (ties of every kind), in arbitrary
+        // bytes, or in fifths of `u64::MAX` (sums that saturate).
+        let list = |rng: &mut StdRng, len: usize, shape: u32| -> Vec<MergeState> {
+            let (mut memory, mut cost) = (0u64, 1e6);
+            let states = (0..len)
+                .map(|_| {
+                    let s = MergeState { memory, cost, left: 0, right: 0 };
+                    let (step, drop) = match shape {
+                        0 => (64 * rng.gen_range(1..4u64), f64::from(rng.gen_range(1..4u32))),
+                        1 => (rng.gen_range(1..1u64 << 26), rng.gen_range(0.5..1e4)),
+                        _ => (u64::MAX / 5, rng.gen_range(0.5..3.0)),
+                    };
+                    memory = memory.saturating_add(step);
+                    cost -= drop;
+                    s
+                })
+                .collect();
+            prune_states(states)
+        };
+        let mut kept = 0;
+        for case in 0..600 {
+            let shape = case % 3;
+            let long = if shape == 2 { 6 } else { 40 };
+            let left = list(&mut rng, 1 + case as usize % long, shape);
+            let right = list(&mut rng, (1 + case as usize % 17).min(long), shape);
+            let top = left.last().unwrap().memory.saturating_add(right.last().unwrap().memory);
+            let budget = match case % 4 {
+                0 => u64::MAX,
+                1 => top,
+                _ => rng.gen_range(0..=top),
+            };
+            let got = combine_states(&left, &right, budget);
+            let want = combine_by_sorting(&left, &right, budget);
+            let fields = |s: &MergeState| (s.memory, s.cost.to_bits(), s.left, s.right);
+            assert_eq!(
+                got.iter().map(fields).collect::<Vec<_>>(),
+                want.iter().map(fields).collect::<Vec<_>>(),
+                "case {case}: {left:?} x {right:?} under {budget}"
+            );
+            kept += got.len();
+        }
+        assert!(kept > 5_000, "the cases must keep states to compare, kept {kept}");
     }
 
     #[test]

@@ -848,6 +848,8 @@ pub struct RunReport {
     pub epochs: u64,
     /// Frontier-arbiter re-merges observed.
     pub merges: u64,
+    /// Per-merge wall-time histogram.
+    pub merge_timings: TimingHistogram,
     /// Worker failovers observed (supervisor mode).
     pub failovers: u64,
     /// Supervisor recoveries observed (restart from a state directory).
@@ -904,7 +906,10 @@ impl RunReport {
                     }
                 }
                 TraceEvent::Epoch { .. } => r.epochs += 1,
-                TraceEvent::Merge { .. } => r.merges += 1,
+                TraceEvent::Merge { micros, .. } => {
+                    r.merges += 1;
+                    r.merge_timings.record(*micros);
+                }
                 TraceEvent::Failover { .. } => r.failovers += 1,
                 TraceEvent::Recovery { .. } => r.recoveries += 1,
                 TraceEvent::ObservedCost { accepted, .. } => {
@@ -1141,16 +1146,19 @@ impl RunReport {
                 micros as f64 / 1e6
             );
         }
-        if self.step_timings.samples() > 0 {
+        let timing = |s: &mut String, what: &str, h: &TimingHistogram| {
             let _ = writeln!(
                 s,
-                "scan timing: {} samples, mean {:.0}us",
-                self.step_timings.samples(),
-                self.step_timings.mean_micros()
+                "{what} timing: {} samples, mean {:.0}us",
+                h.samples(),
+                h.mean_micros()
             );
-            for (lo, count) in self.step_timings.buckets() {
+            for (lo, count) in h.buckets() {
                 let _ = writeln!(s, "  >= {lo:>9}us  {count}");
             }
+        };
+        if self.step_timings.samples() > 0 {
+            timing(&mut s, "scan", &self.step_timings);
         }
         for (phase, micros, detail, n) in &self.solver_phases {
             let _ = writeln!(
@@ -1164,6 +1172,7 @@ impl RunReport {
         }
         if self.merges > 0 {
             let _ = writeln!(s, "merges: {}", self.merges);
+            timing(&mut s, "merge", &self.merge_timings);
         }
         if self.failovers > 0 {
             let _ = writeln!(s, "failovers: {}", self.failovers);
@@ -1531,6 +1540,34 @@ mod tests {
         // 0 -> bucket 0; 1 -> [1,2); 2,3 -> [2,4); 4 -> [4,8); 1000 -> [512,1024).
         assert_eq!(buckets, vec![(0, 1), (1, 1), (2, 2), (4, 1), (512, 1)]);
         assert!((h.mean_micros() - 1010.0 / 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn report_prints_merge_timings_after_the_merges_line() {
+        let merge = |micros| TraceEvent::Merge {
+            parts: 60,
+            dirty: 1,
+            recombined: 7,
+            budget: 1 << 30,
+            total_memory: 1 << 29,
+            total_cost: 1.0,
+            reallocated: 0,
+            micros,
+        };
+        let r = RunReport::from_events(&[merge(100), merge(3_000), merge(3_500)]);
+        assert_eq!(r.merges, 3);
+        assert_eq!(r.merge_timings.samples(), 3);
+        assert_eq!(r.merge_timings.buckets(), vec![(64, 1), (2048, 2)]);
+        let text = r.render();
+        assert!(
+            text.contains(
+                "merges: 3\nmerge timing: 3 samples, mean 2200us\n  \
+                 >=        64us  1\n  >=      2048us  2\n"
+            ),
+            "{text}"
+        );
+        // No merges, no merge lines.
+        assert!(!RunReport::from_events(&[]).render().contains("merge"));
     }
 
     #[test]

@@ -133,9 +133,11 @@ impl Arbiter {
         let weight = self.weights.get(&table).copied().unwrap_or(1.0);
         let mut g = self.lock();
         let start = trace.is_enabled().then(Instant::now);
-        if !g.set.upsert(u64::from(table), weight, pf.initial_cost, pf.frontier.clone()) {
+        // Compare before copying: a clean republish pays no clone.
+        if g.set.is_current(u64::from(table), weight, pf.initial_cost, &pf.frontier) {
             return false;
         }
+        g.set.upsert(u64::from(table), weight, pf.initial_cost, pf.frontier.clone());
         g.parts.insert(table, pf);
         let outcome = g.set.merge();
         let keys = g.set.keys();
