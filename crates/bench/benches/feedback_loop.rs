@@ -16,7 +16,7 @@
 //!   with calibration on that must shed nothing and account every probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use isel_service::{Daemon, OverloadPolicy, ServiceConfig};
+use isel_service::{OverloadPolicy, Router, ServiceConfig};
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::Workload;
 use std::io::{BufRead, Cursor, Read};
@@ -57,7 +57,9 @@ fn probed_log(w: &Workload, n: usize) -> (String, usize) {
     (out, probes)
 }
 
-/// Config that never seals an epoch: streaming path only.
+/// Config that never seals an epoch: streaming path only. `shards: 0`
+/// (the default): the whole workload as one group, so both lanes run
+/// the one-shard pipeline `isel serve` runs without `--shards`.
 fn config(calibrate: bool) -> ServiceConfig {
     let mut cfg = ServiceConfig {
         epoch_events: (EVENTS + 1) as u64,
@@ -67,19 +69,13 @@ fn config(calibrate: bool) -> ServiceConfig {
     cfg
 }
 
-fn ingest(w: &Workload, log: &str, calibrate: bool, policy: OverloadPolicy) -> Daemon {
-    let mut daemon = Daemon::new(w.schema().clone(), config(calibrate)).expect("valid config");
-    let report = daemon
-        .run_reader(
-            Cursor::new(log.as_bytes()),
-            policy,
-            None,
-            isel_core::Trace::disabled(),
-        )
-        .expect("ingest run");
+fn ingest(w: &Workload, log: &str, calibrate: bool, policy: OverloadPolicy) -> Router {
+    let mut router = Router::new(w.schema().clone(), config(calibrate)).expect("valid config");
+    let report =
+        router.run_reader(Cursor::new(log.as_bytes()), policy, None, &[]).expect("ingest run");
     assert_eq!(report.ingested as usize, EVENTS, "probes must not count as ingested");
     assert_eq!(report.dropped, 0);
-    daemon
+    router
 }
 
 fn bench_capacity(c: &mut Criterion) {
@@ -98,7 +94,8 @@ fn bench_capacity(c: &mut Criterion) {
     group.finish();
 }
 
-/// Constant-rate event source (see `service_ingest.rs`).
+/// Constant-rate event source: one line per `fill_buf`, spun out at a
+/// fixed interval.
 struct PacedLines {
     lines: Vec<Vec<u8>>,
     idx: usize,
@@ -166,10 +163,10 @@ fn feedback_contract_check(_c: &mut Criterion) {
     for _ in 0..ROUNDS {
         for (slot, calibrate) in [(0, false), (1, true)] {
             let start = Instant::now();
-            let daemon = ingest(&w, &log, calibrate, OverloadPolicy::Block);
+            let router = ingest(&w, &log, calibrate, OverloadPolicy::Block);
             let secs = start.elapsed().as_secs_f64();
             if calibrate {
-                let snap = daemon.calibration();
+                let snap = router.calibration();
                 assert!(
                     snap.contains(&format!("\"probes\":{probes}")),
                     "tracker missed probes: {snap}"
@@ -195,20 +192,15 @@ fn feedback_contract_check(_c: &mut Criterion) {
 
     // Paced 50k events/s with calibration on: nothing shed, every probe
     // accounted.
-    let mut daemon = Daemon::new(w.schema().clone(), config(true)).expect("valid config");
+    let mut router = Router::new(w.schema().clone(), config(true)).expect("valid config");
     let start = Instant::now();
-    let report = daemon
-        .run_reader(
-            PacedLines::new(&log, RATE),
-            OverloadPolicy::DropOldest,
-            None,
-            isel_core::Trace::disabled(),
-        )
+    let report = router
+        .run_reader(PacedLines::new(&log, RATE), OverloadPolicy::DropOldest, None, &[])
         .expect("paced run");
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(report.ingested as usize, EVENTS);
-    assert_eq!(report.dropped, 0, "calibrated daemon shed events at {RATE}/s");
-    let snap = daemon.calibration();
+    assert_eq!(report.dropped, 0, "calibrated service shed events at {RATE}/s");
+    let snap = router.calibration();
     assert!(snap.contains(&format!("\"probes\":{probes}")), "paced run lost probes: {snap}");
     println!(
         "feedback_paced_check: {} events + {probes} probes at {RATE}/s in {secs:.3}s, \

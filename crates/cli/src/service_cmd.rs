@@ -1,29 +1,30 @@
-//! `serve`, `replay` and `record` — the continuous-tuning daemon's
+//! `serve`, `replay` and `record` — the continuous-tuning service's
 //! command-line surface (crate `isel-service`).
 //!
 //! `record` samples a JSONL event log from a generated workload's
 //! templates (frequency-weighted, seeded); `replay` feeds such a log
-//! through the daemon losslessly and can diff the produced selection
+//! through the service losslessly and can diff the produced selection
 //! sequence against the offline `dynamic::adapt` reference
 //! (`--offline-check`, the DESIGN.md §12 determinism contract); `serve`
-//! runs the daemon live on stdin or a Unix-domain socket with the
-//! drop-oldest overload policy.
+//! runs it live on stdin or a Unix-domain socket with the drop-oldest
+//! overload policy.
 //!
-//! `--shards N` (N >= 1) routes both commands through the sharded
-//! [`Router`] (DESIGN.md §13): events are classified by table group and
-//! tuned on independent worker threads, with per-shard checkpoints
-//! committed atomically through a manifest. The selection sequence is
-//! bit-identical at every shard count.
+//! Every command runs the one engine, the [`Router`] (DESIGN.md §13).
+//! Without `--shards` (or at `--shards 0`) the whole workload is tuned
+//! as one group under the whole-schema budget; `--shards N` (N >= 1)
+//! classifies events by table group and tunes the groups on N
+//! independent worker threads — the selection sequence is
+//! bit-identical at every N >= 1. Checkpoints commit per shard,
+//! atomically through a manifest, in both modes.
 
 use crate::args::Args;
-use crate::commands::{create_trace_sink, finish_trace, load_workload, trace_sink, FileSink};
-use isel_core::{Trace, TraceSink};
+use crate::commands::{create_trace_sink, finish_trace, load_workload, FileSink};
+use isel_core::TraceSink;
 use isel_service::{
-    install_status_signal, journal::is_manifest, offline_adapt, offline_group_adapt,
-    offline_group_snapshots, offline_snapshots, read_journal_bytes, run_socket,
-    run_socket_router, run_socket_supervisor, Checkpoint, Daemon, EpochOutcome,
-    FrameEncoder, JournalConfig, MappedFile, OverloadPolicy, Router, ServiceConfig,
-    ServiceReport, Supervisor, TeeReader, WireFormat, MAGIC,
+    install_status_signal, journal::is_manifest, offline_group_adapt, offline_group_snapshots,
+    read_journal_bytes, run_socket_router, Engine, EpochOutcome, FrameEncoder, JournalConfig,
+    MappedFile, OverloadPolicy, Router, ServiceConfig, ServiceReport, Supervisor, TeeReader,
+    WireFormat, MAGIC,
 };
 use isel_workload::erp::{self, ErpConfig};
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -68,47 +69,29 @@ fn open_log(path: &str) -> Result<LogData, String> {
     Ok(LogData::Mapped(mapped))
 }
 
-/// Parse a `--shard-map "TABLE:SHARD,TABLE:SHARD,..."` spec into the
-/// explicit table-group placement map.
-fn parse_shard_map(spec: &str) -> Result<BTreeMap<u16, u32>, String> {
+/// Parse a `TABLE:VALUE,TABLE:VALUE,...` list: `--shard-map` (the
+/// explicit table-group placement, `what` = "shard") and `--weights`
+/// (the per-tenant SLO weights biasing the arbiter's budget split,
+/// `what` = "weight").
+fn parse_table_list<V: std::str::FromStr>(
+    flag: &str,
+    what: &str,
+    spec: &str,
+) -> Result<BTreeMap<u16, V>, String>
+where
+    V::Err: std::fmt::Display,
+{
     let mut map = BTreeMap::new();
     for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-        let (t, s) = part
-            .split_once(':')
-            .ok_or_else(|| format!("--shard-map entry {part:?} is not TABLE:SHARD"))?;
-        let table: u16 = t
-            .trim()
-            .parse()
-            .map_err(|e| format!("--shard-map table {:?}: {e}", t.trim()))?;
-        let shard: u32 = s
-            .trim()
-            .parse()
-            .map_err(|e| format!("--shard-map shard {:?}: {e}", s.trim()))?;
-        if map.insert(table, shard).is_some() {
-            return Err(format!("--shard-map lists table {table} twice"));
-        }
-    }
-    Ok(map)
-}
-
-/// Parse a `--weights "TABLE:WEIGHT,TABLE:WEIGHT,..."` spec into the
-/// per-tenant SLO weight map biasing the arbiter's budget split.
-fn parse_weights(spec: &str) -> Result<BTreeMap<u16, f64>, String> {
-    let mut map = BTreeMap::new();
-    for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-        let (t, w) = part
-            .split_once(':')
-            .ok_or_else(|| format!("--weights entry {part:?} is not TABLE:WEIGHT"))?;
-        let table: u16 = t
-            .trim()
-            .parse()
-            .map_err(|e| format!("--weights table {:?}: {e}", t.trim()))?;
-        let weight: f64 = w
-            .trim()
-            .parse()
-            .map_err(|e| format!("--weights weight {:?}: {e}", w.trim()))?;
-        if map.insert(table, weight).is_some() {
-            return Err(format!("--weights lists table {table} twice"));
+        let (t, v) = part.split_once(':').ok_or_else(|| {
+            format!("{flag} entry {part:?} is not TABLE:{}", what.to_uppercase())
+        })?;
+        let table: u16 =
+            t.trim().parse().map_err(|e| format!("{flag} table {:?}: {e}", t.trim()))?;
+        let value: V =
+            v.trim().parse().map_err(|e| format!("{flag} {what} {:?}: {e}", v.trim()))?;
+        if map.insert(table, value).is_some() {
+            return Err(format!("{flag} lists table {table} twice"));
         }
     }
     Ok(map)
@@ -143,11 +126,11 @@ fn service_config(args: &Args) -> Result<ServiceConfig, String> {
             .get_parsed("checkpoint-every", d.checkpoint_every_epochs)?,
         shards: args.get_parsed("shards", d.shards)?,
         shard_map: match args.get("shard-map") {
-            Some(spec) => parse_shard_map(spec)?,
+            Some(spec) => parse_table_list("--shard-map", "shard", spec)?,
             None => d.shard_map,
         },
         tenant_weights: match args.get("weights") {
-            Some(spec) => parse_weights(spec)?,
+            Some(spec) => parse_table_list("--weights", "weight", spec)?,
             None => d.tenant_weights,
         },
         workers: args.get_parsed("workers", d.workers)?,
@@ -165,36 +148,10 @@ fn service_config(args: &Args) -> Result<ServiceConfig, String> {
     Ok(cfg)
 }
 
-/// Build the daemon: fresh, or resumed from `--checkpoint FILE` when
-/// `--resume` is set and the file exists.
-fn make_daemon(
-    workload: &Workload,
-    config: ServiceConfig,
-    checkpoint: Option<&Path>,
-    resume: bool,
-) -> Result<Daemon, String> {
-    if resume {
-        let path = checkpoint.ok_or("--resume requires --checkpoint FILE")?;
-        if path.exists() {
-            let cp = Checkpoint::load(path)?;
-            let daemon = Daemon::resume(workload.schema().clone(), config, &cp)?;
-            eprintln!(
-                "resumed from {} at epoch {} ({} events ingested)",
-                path.display(),
-                daemon.epoch(),
-                cp.ingested
-            );
-            return Ok(daemon);
-        }
-        eprintln!("no checkpoint at {}; starting fresh", path.display());
-    }
-    Daemon::new(workload.schema().clone(), config)
-}
-
-/// Build the sharded router: fresh, or resumed from the checkpoint
-/// manifest at `--checkpoint FILE` when `--resume` is set and the
-/// manifest exists. Resuming at a different `--shards` count is fine —
-/// table groups are repacked onto the new shard layout.
+/// Build the router: fresh, or resumed from the checkpoint manifest at
+/// `--checkpoint FILE` when `--resume` is set and the manifest exists.
+/// Resuming at a different `--shards N` (N >= 1) is fine — table groups
+/// are repacked onto the new shard layout.
 fn make_router(
     workload: &Workload,
     config: ServiceConfig,
@@ -206,8 +163,9 @@ fn make_router(
         if path.exists() {
             let router = Router::resume(workload.schema().clone(), config, path)?;
             eprintln!(
-                "resumed {} table groups across {} shards from {}",
+                "resumed {} groups at {} tuned epochs across {} shards from {}",
                 router.group_count(),
+                router.epochs_tuned(),
                 router.shards(),
                 path.display()
             );
@@ -264,29 +222,25 @@ fn serve_supervised(
         }
         return serve_recoverable(args, workload, config, checkpoint, Path::new(dir));
     }
-    let mut sup =
-        make_supervisor(workload, config, checkpoint, args.flag("resume"))?;
-    let sink = trace_sink(args)?;
-    let report = {
-        let sink_ref = sink.as_ref().map(|s| s as &dyn TraceSink);
-        match args.get("socket") {
-            Some(path) => run_socket_supervisor(
-                &mut sup,
-                Path::new(path),
-                checkpoint,
-                journal,
-                sink_ref,
-            )?,
-            None => sup.run_reader(
-                BufReader::new(std::io::stdin()),
-                checkpoint,
-                sink_ref,
-            )?,
-        }
-    };
-    finish_trace(sink)?;
+    let mut sup = make_supervisor(workload, config, checkpoint, args.flag("resume"))?;
+    let report = traced(args, 0, |sinks| serve_live(args, &mut sup, checkpoint, journal, sinks))?;
     print_report(&report, workload);
     Ok(())
+}
+
+/// Serve `engine` live — on `--socket PATH`, else on stdin — until EOF
+/// or a `{"control":"shutdown"}` line.
+fn serve_live<E: Engine>(
+    args: &Args,
+    engine: &mut E,
+    checkpoint: Option<&Path>,
+    journal: Option<&JournalConfig>,
+    sinks: &[&dyn TraceSink],
+) -> Result<ServiceReport, String> {
+    match args.get("socket") {
+        Some(path) => run_socket_router(engine, Path::new(path), checkpoint, journal, sinks),
+        None => engine.serve(BufReader::new(std::io::stdin()), checkpoint, sinks),
+    }
 }
 
 /// `serve --workers N --state-dir DIR`: stdin serving with supervisor
@@ -351,15 +305,12 @@ fn serve_recoverable(
         sup.set_recovery(prior.len() as u64);
     }
     sup.set_state_dir(dir.to_path_buf());
-    let sink = trace_sink(args)?;
-    let report = {
-        let sink_ref = sink.as_ref().map(|s| s as &dyn TraceSink);
+    let report = traced(args, 0, |sinks| {
         let stdin = std::io::stdin();
         let tee = TeeReader::create(BufReader::new(stdin.lock()), &journal_path)?;
         let input = Cursor::new(prior).chain(tee);
-        sup.run_reader(input, Some(manifest_path.as_path()), sink_ref)?
-    };
-    finish_trace(sink)?;
+        sup.run_reader(input, Some(manifest_path.as_path()), sinks.first().copied())
+    })?;
     print_report(&report, workload);
     Ok(())
 }
@@ -371,37 +322,32 @@ pub fn worker(_args: &Args) -> Result<(), String> {
     isel_service::run_worker()
 }
 
-/// `--trace FILE` under `--shards N`: one trace file per shard, named
-/// `FILE.shard-{k}` — each is a complete, checkable event stream for the
-/// runs that executed on that shard (in the `--trace-format` encoding).
-fn shard_trace_sinks(args: &Args, shards: u32) -> Result<Vec<FileSink>, String> {
-    match args.get("trace") {
-        None => Ok(Vec::new()),
-        Some(base) => (0..shards)
-            .map(|k| create_trace_sink(args, &format!("{base}.shard-{k}")))
-            .collect(),
-    }
-}
-
-/// Run the sharded router over `input` and flush any per-shard traces.
-fn run_router<R: BufRead + Send>(
+/// Run `run` with the `--trace FILE` sinks of a `shards`-way run, then
+/// flush them. Under `--shards N` (N >= 1) that is one trace file per
+/// shard, named `FILE.shard-{k}` — each a complete, checkable event
+/// stream for the runs that executed on that shard; a run with one
+/// tracing thread (`shards` 0: whole-workload tuning, the supervisor)
+/// writes `FILE` itself. All in the `--trace-format` encoding.
+fn traced<T>(
     args: &Args,
-    workload: &Workload,
-    config: ServiceConfig,
-    checkpoint: Option<&Path>,
-    input: R,
-    policy: OverloadPolicy,
-) -> Result<ServiceReport, String> {
-    let mut router = make_router(workload, config, checkpoint, args.flag("resume"))?;
-    let sinks = shard_trace_sinks(args, router.shards())?;
-    let report = {
+    shards: u32,
+    run: impl FnOnce(&[&dyn TraceSink]) -> Result<T, String>,
+) -> Result<T, String> {
+    let sinks: Vec<FileSink> = match (args.get("trace"), shards) {
+        (None, _) => Vec::new(),
+        (Some(path), 0) => vec![create_trace_sink(args, path)?],
+        (Some(base), n) => (0..n)
+            .map(|k| create_trace_sink(args, &format!("{base}.shard-{k}")))
+            .collect::<Result<_, _>>()?,
+    };
+    let out = {
         let refs: Vec<&dyn TraceSink> = sinks.iter().map(|s| s as &dyn TraceSink).collect();
-        router.run_reader(input, policy, checkpoint, &refs)?
+        run(&refs)?
     };
     for sink in sinks {
         finish_trace(Some(sink))?;
     }
-    Ok(report)
+    Ok(out)
 }
 
 fn print_epoch(out: &EpochOutcome) {
@@ -469,10 +415,11 @@ fn journal_config(args: &Args) -> Result<Option<JournalConfig>, String> {
     }
 }
 
-/// `isel serve` — run the daemon on stdin (default) or `--socket PATH`
+/// `isel serve` — run the service on stdin (default) or `--socket PATH`
 /// with the drop-oldest overload policy until EOF or a
 /// `{"control":"shutdown"}` line, then drain, checkpoint and report.
-/// `--shards N` serves through the sharded router (stdin or socket);
+/// `--shards N` tunes per table group on N threads, `--workers N` in N
+/// worker processes;
 /// `--journal FILE` (socket mode) records every accepted line with
 /// connection/sequence tags for deterministic replay. `SIGUSR1` or a
 /// `{"control":"status"}` line renders a live JSON status line, and
@@ -505,70 +452,20 @@ pub fn serve(args: &Args) -> Result<(), String> {
             journal.as_ref(),
         );
     }
-    if config.shards > 0 {
-        if let Some(path) = args.get("socket") {
-            let mut router =
-                make_router(&workload, config, checkpoint.as_deref(), args.flag("resume"))?;
-            let sinks = shard_trace_sinks(args, router.shards())?;
-            let report = {
-                let refs: Vec<&dyn TraceSink> =
-                    sinks.iter().map(|s| s as &dyn TraceSink).collect();
-                run_socket_router(
-                    &mut router,
-                    Path::new(path),
-                    checkpoint.as_deref(),
-                    journal.as_ref(),
-                    &refs,
-                )?
-            };
-            for sink in sinks {
-                finish_trace(Some(sink))?;
-            }
-            print_report(&report, &workload);
-            return Ok(());
-        }
-        let report = run_router(
-            args,
-            &workload,
-            config,
-            checkpoint.as_deref(),
-            BufReader::new(std::io::stdin()),
-            OverloadPolicy::DropOldest,
-        )?;
-        print_report(&report, &workload);
-        return Ok(());
-    }
-    let mut daemon =
-        make_daemon(&workload, config, checkpoint.as_deref(), args.flag("resume"))?;
-    let sink = trace_sink(args)?;
-    let report = {
-        let trace = sink.as_ref().map_or(Trace::disabled(), |s| Trace::to(s));
-        match args.get("socket") {
-            Some(path) => run_socket(
-                &mut daemon,
-                Path::new(path),
-                checkpoint.as_deref(),
-                journal.as_ref(),
-                trace,
-            )?,
-            None => daemon.run_reader(
-                BufReader::new(std::io::stdin()),
-                OverloadPolicy::DropOldest,
-                checkpoint.as_deref(),
-                trace,
-            )?,
-        }
-    };
-    finish_trace(sink)?;
+    let shards = config.shards;
+    let mut router = make_router(&workload, config, checkpoint.as_deref(), args.flag("resume"))?;
+    let report = traced(args, shards, |sinks| {
+        serve_live(args, &mut router, checkpoint.as_deref(), journal.as_ref(), sinks)
+    })?;
     print_report(&report, &workload);
     Ok(())
 }
 
-/// `isel replay` — feed a recorded `--log FILE` through the daemon
+/// `isel replay` — feed a recorded `--log FILE` through the service
 /// losslessly (blocking pushes; nothing is ever dropped).
 /// `--offline-check` forces the always-adapt drift thresholds and
 /// verifies the selection sequence is bit-identical to the offline
-/// `dynamic::adapt` loop over the same epoch snapshots.
+/// `dynamic::adapt` loop over the same epoch snapshots, group by group.
 pub fn replay(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
     let log = args.get("log").ok_or("missing --log FILE")?;
@@ -599,90 +496,46 @@ pub fn replay(args: &Args) -> Result<(), String> {
         }
     }
     let reader = || Cursor::new(data.bytes());
-    if config.shards > 0 {
-        let report = run_router(
-            args,
-            &workload,
-            config.clone(),
-            checkpoint.as_deref(),
-            reader(),
-            OverloadPolicy::Block,
-        )?;
-        print_report(&report, &workload);
-        if args.flag("offline-check") {
-            let snaps = offline_group_snapshots(reader(), workload.schema(), &config)?;
-            let offline = offline_group_adapt(&snaps, &config);
-            let total: usize = offline.values().map(Vec::len).sum();
-            if report.epochs.len() != total {
-                return Err(format!(
-                    "offline check: router tuned {} epochs, per-group offline reference {total}",
-                    report.epochs.len()
-                ));
-            }
-            for out in &report.epochs {
-                let t = out
-                    .table
-                    .ok_or("offline check: sharded epochs must carry a table id")?
-                    .0;
-                let want = offline
-                    .get(&t)
-                    .and_then(|v| v.get(out.epoch as usize))
-                    .ok_or_else(|| {
-                        format!("offline check: no reference for table {t} epoch {}", out.epoch)
-                    })?;
-                if &out.selection != want {
-                    return Err(format!(
-                        "offline check: selections diverge at table {t} epoch {} \
-                         (router {} indexes, offline {})",
-                        out.epoch,
-                        out.selection.len(),
-                        want.len()
-                    ));
-                }
-            }
-            println!(
-                "offline check: {total} epochs across {} table groups bit-identical \
-                 to per-group dynamic::adapt",
-                offline.len()
-            );
-        }
-        return Ok(());
-    }
-    let mut daemon =
-        make_daemon(&workload, config.clone(), checkpoint.as_deref(), args.flag("resume"))?;
-    let sink = trace_sink(args)?;
-    let report = {
-        let trace = sink.as_ref().map_or(Trace::disabled(), |s| Trace::to(s));
-        daemon.run_reader(reader(), OverloadPolicy::Block, checkpoint.as_deref(), trace)?
-    };
-    finish_trace(sink)?;
+    let mut router =
+        make_router(&workload, config.clone(), checkpoint.as_deref(), args.flag("resume"))?;
+    let report = traced(args, config.shards, |sinks| {
+        router.run_reader(reader(), OverloadPolicy::Block, checkpoint.as_deref(), sinks)
+    })?;
     print_report(&report, &workload);
-
     if args.flag("offline-check") {
-        let snaps = offline_snapshots(reader(), workload.schema(), &config)?;
-        let offline = offline_adapt(&snaps, &config);
-        if report.epochs.len() != offline.len() {
+        let snaps = offline_group_snapshots(reader(), workload.schema(), &config)?;
+        let offline = offline_group_adapt(&snaps, &config);
+        let total: usize = offline.values().map(Vec::len).sum();
+        if report.epochs.len() != total {
             return Err(format!(
-                "offline check: daemon tuned {} epochs, offline reference {}",
-                report.epochs.len(),
-                offline.len()
+                "offline check: the service tuned {} epochs, the offline reference {total}",
+                report.epochs.len()
             ));
         }
-        for (out, want) in report.epochs.iter().zip(&offline) {
+        for out in &report.epochs {
+            // Whole-workload epochs carry no table: they are group 0's.
+            let key = out.table.map_or(0, |t| t.0);
+            let want = offline.get(&key).and_then(|v| v.get(out.epoch as usize)).ok_or_else(
+                || format!("offline check: no reference for group {key} epoch {}", out.epoch),
+            )?;
             if &out.selection != want {
                 return Err(format!(
-                    "offline check: selections diverge at epoch {} \
-                     (daemon {} indexes, offline {})",
+                    "offline check: selections diverge at group {key} epoch {} \
+                     (service {} indexes, offline {})",
                     out.epoch,
                     out.selection.len(),
                     want.len()
                 ));
             }
         }
-        println!(
-            "offline check: {} epochs bit-identical to dynamic::adapt",
-            offline.len()
-        );
+        match config.shards {
+            0 => println!("offline check: {total} epochs bit-identical to dynamic::adapt"),
+            _ => println!(
+                "offline check: {total} epochs across {} table groups bit-identical \
+                 to per-group dynamic::adapt",
+                offline.len()
+            ),
+        }
     }
     Ok(())
 }
@@ -883,58 +736,55 @@ pub fn budget(args: &Args) -> Result<(), String> {
         None => None,
     };
     if let Some(sock) = args.get("socket") {
-        return budget_over_socket(args, sock, &budgets, tenant, set);
+        // The budget change is an in-band barrier like any other
+        // interactive control: applied after every event that preceded
+        // it on this stream, acknowledged with the new allocations.
+        let set = set.map(|b| format!("{{\"control\":\"budget\",\"budget\":{b}}}"));
+        let asks = budgets.iter().map(|&b| match tenant {
+            Some(t) => format!("{{\"control\":\"tenant\",\"table_group\":{t},\"budget\":{b}}}"),
+            None => format!("{{\"control\":\"whatif\",\"budget\":{b}}}"),
+        });
+        return ask_over_socket(args, sock, set.into_iter().chain(asks));
     }
-    let workload = load_workload(args)?;
-    let log = args.get("log").ok_or("missing --log FILE (or --socket PATH)")?;
     let config = service_config(args)?;
-    let data = open_log(log)?;
-    if config.shards > 0 {
-        let mut router = make_router(&workload, config, None, false)?;
-        router.run_reader(Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
-        let arbiter = router.arbiter();
-        if let Some(b) = set {
-            println!("{}", arbiter.set_budget(b));
-        }
-        for &b in &budgets {
-            println!(
-                "{}",
-                match tenant {
-                    Some(t) => arbiter.tenant(t, b),
-                    None => arbiter.whatif(b),
-                }
-            );
-        }
-        return Ok(());
+    if tenant.is_some() && config.shards == 0 {
+        return Err("--tenant requires --shards N (whole-workload tuning is one tenant)".into());
     }
-    if tenant.is_some() {
-        return Err("--tenant requires --shards N (the unsharded daemon is one tenant)".into());
-    }
-    let mut daemon = make_daemon(&workload, config, None, false)?;
-    daemon.run_reader(
-        Cursor::new(data.bytes()),
-        OverloadPolicy::Block,
-        None,
-        Trace::disabled(),
-    )?;
+    let router = replay_offline(args, config)?;
+    let arbiter = router.arbiter();
     if let Some(b) = set {
-        println!("{}", daemon.arbiter().set_budget(b));
+        println!("{}", arbiter.set_budget(b));
     }
     for &b in &budgets {
-        println!("{}", daemon.arbiter().whatif(b));
+        println!(
+            "{}",
+            match tenant {
+                Some(t) => arbiter.tenant(t, b),
+                None => arbiter.whatif(b),
+            }
+        );
     }
     Ok(())
 }
 
-/// Live `isel budget --socket`: stream the optional `--log`, apply an
-/// optional `--set` global-budget change, then query over the wire,
-/// print each reply line, and optionally `--shutdown` the server.
-fn budget_over_socket(
+/// The state `--workload FILE --log FILE` replays to, for the offline
+/// modes of `budget` and `calibrate`.
+fn replay_offline(args: &Args, config: ServiceConfig) -> Result<Router, String> {
+    let workload = load_workload(args)?;
+    let log = args.get("log").ok_or("missing --log FILE (or --socket PATH)")?;
+    let data = open_log(log)?;
+    let mut router = make_router(&workload, config, None, false)?;
+    router.run_reader(Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
+    Ok(router)
+}
+
+/// The live modes of `budget` and `calibrate`: stream the optional
+/// `--log` into the serving socket at `sock`, then send each query
+/// line, print its reply line, and optionally `--shutdown` the server.
+fn ask_over_socket(
     args: &Args,
     sock: &str,
-    budgets: &[u64],
-    tenant: Option<u16>,
-    set: Option<u64>,
+    queries: impl Iterator<Item = String>,
 ) -> Result<(), String> {
     use std::os::unix::net::UnixStream;
     let mut stream =
@@ -948,7 +798,7 @@ fn budget_over_socket(
     let mut reader = BufReader::new(
         stream.try_clone().map_err(|e| format!("clone socket stream: {e}"))?,
     );
-    let mut ask = |stream: &mut UnixStream, line: String| -> Result<(), String> {
+    for line in queries {
         writeln!(stream, "{line}").map_err(|e| format!("send query to {sock}: {e}"))?;
         let mut reply = String::new();
         reader
@@ -958,20 +808,6 @@ fn budget_over_socket(
             return Err("server closed the connection before answering".into());
         }
         print!("{reply}");
-        Ok(())
-    };
-    if let Some(b) = set {
-        // The budget change is an in-band barrier like any other
-        // interactive control: applied after every event that preceded
-        // it on this stream, acknowledged with the new allocations.
-        ask(&mut stream, format!("{{\"control\":\"budget\",\"budget\":{b}}}"))?;
-    }
-    for &b in budgets {
-        let line = match tenant {
-            Some(t) => format!("{{\"control\":\"tenant\",\"table_group\":{t},\"budget\":{b}}}"),
-            None => format!("{{\"control\":\"whatif\",\"budget\":{b}}}"),
-        };
-        ask(&mut stream, line)?;
     }
     if args.flag("shutdown") {
         let _ = stream.write_all(b"{\"control\":\"shutdown\"}\n");
@@ -983,68 +819,21 @@ fn budget_over_socket(
 ///
 /// Offline mode (`--log FILE`): replay the recorded log with calibration
 /// forced on and print the canonical `{"calibration":{...}}` snapshot
-/// line (`--shards N` routes through the sharded router and sums the
-/// per-group tables). Live mode (`--socket PATH`): stream `--log` (if
-/// given) into a serving socket, then issue the in-band
-/// `{"control":"calibration"}` barrier query and print the reply —
-/// byte-identical to the offline answer over the same events.
+/// line (under `--shards N` the per-group tables, summed). Live mode
+/// (`--socket PATH`): stream `--log` (if given) into a serving socket,
+/// then issue the in-band `{"control":"calibration"}` barrier query and
+/// print the reply — byte-identical to the offline answer over the same
+/// events.
 pub fn calibrate(args: &Args) -> Result<(), String> {
     if let Some(sock) = args.get("socket") {
-        return calibrate_over_socket(args, sock);
+        let query = "{\"control\":\"calibration\"}".to_owned();
+        return ask_over_socket(args, sock, std::iter::once(query));
     }
-    let workload = load_workload(args)?;
-    let log = args.get("log").ok_or("missing --log FILE (or --socket PATH)")?;
     let mut config = service_config(args)?;
     // The whole point of the offline mode is to see what the tracker
     // would learn, so calibration is on unless explicitly configured.
     config.calibration.enabled = true;
-    let data = open_log(log)?;
-    if config.shards > 0 {
-        let mut router = make_router(&workload, config, None, false)?;
-        router.run_reader(Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
-        println!("{}", router.calibration());
-        return Ok(());
-    }
-    let mut daemon = make_daemon(&workload, config, None, false)?;
-    daemon.run_reader(
-        Cursor::new(data.bytes()),
-        OverloadPolicy::Block,
-        None,
-        Trace::disabled(),
-    )?;
-    println!("{}", daemon.calibration());
-    Ok(())
-}
-
-/// Live `isel calibrate --socket`: stream the optional `--log`, issue
-/// the in-band calibration query, print the reply line, and optionally
-/// `--shutdown` the server.
-fn calibrate_over_socket(args: &Args, sock: &str) -> Result<(), String> {
-    use std::os::unix::net::UnixStream;
-    let mut stream =
-        UnixStream::connect(sock).map_err(|e| format!("connect {sock}: {e}"))?;
-    if let Some(log) = args.get("log") {
-        let data = open_log(log)?;
-        stream
-            .write_all(data.bytes())
-            .map_err(|e| format!("stream {log} to {sock}: {e}"))?;
-    }
-    let mut reader = BufReader::new(
-        stream.try_clone().map_err(|e| format!("clone socket stream: {e}"))?,
-    );
-    writeln!(stream, "{{\"control\":\"calibration\"}}")
-        .map_err(|e| format!("send query to {sock}: {e}"))?;
-    let mut reply = String::new();
-    reader
-        .read_line(&mut reply)
-        .map_err(|e| format!("read reply from {sock}: {e}"))?;
-    if reply.is_empty() {
-        return Err("server closed the connection before answering".into());
-    }
-    print!("{reply}");
-    if args.flag("shutdown") {
-        let _ = stream.write_all(b"{\"control\":\"shutdown\"}\n");
-    }
+    println!("{}", replay_offline(args, config)?.calibration());
     Ok(())
 }
 
@@ -1121,8 +910,9 @@ mod tests {
             "replay --workload {w} --log {log} --epoch-events 16 --checkpoint {cp} --resume"
         )))
         .unwrap();
-        let restored = Checkpoint::load(std::path::Path::new(&cp)).unwrap();
-        assert_eq!(restored.epoch, 8);
+        let manifest = isel_service::Manifest::load(Path::new(&cp)).unwrap();
+        let restored = manifest.load_shards(Path::new(&cp)).unwrap();
+        assert_eq!(restored[0].groups[0].epoch, 8);
     }
 
     #[test]
@@ -1146,9 +936,10 @@ mod tests {
         assert_eq!(cfg.shards, 4);
         assert_eq!(cfg.shard_map.get(&0), Some(&1));
         assert_eq!(cfg.shard_map.get(&3), Some(&2));
-        assert!(parse_shard_map("0:1,0:2").is_err(), "duplicate table");
-        assert!(parse_shard_map("0-1").is_err(), "bad separator");
-        assert!(parse_shard_map("x:1").is_err(), "bad table");
+        let parse = |spec| parse_table_list::<u32>("--shard-map", "shard", spec);
+        assert!(parse("0:1,0:2").is_err(), "duplicate table");
+        assert!(parse("0-1").unwrap_err().ends_with("is not TABLE:SHARD"), "bad separator");
+        assert!(parse("x:1").is_err(), "bad table");
         assert!(
             service_config(&argv("serve --shards 2 --shard-map 0:5")).is_err(),
             "shard out of range"
@@ -1160,9 +951,10 @@ mod tests {
         let cfg = service_config(&argv("serve --weights 0:2.5,3:10")).unwrap();
         assert_eq!(cfg.tenant_weights.get(&0), Some(&2.5));
         assert_eq!(cfg.tenant_weights.get(&3), Some(&10.0));
-        assert!(parse_weights("0:1,0:2").is_err(), "duplicate table");
-        assert!(parse_weights("0=1").is_err(), "bad separator");
-        assert!(parse_weights("x:1").is_err(), "bad table");
+        let parse = |spec| parse_table_list::<f64>("--weights", "weight", spec);
+        assert!(parse("0:1,0:2").is_err(), "duplicate table");
+        assert!(parse("0=1").is_err(), "bad separator");
+        assert!(parse("x:1").is_err(), "bad table");
         assert!(
             service_config(&argv("serve --weights 0:-1")).is_err(),
             "weights must be positive"

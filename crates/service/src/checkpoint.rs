@@ -1,35 +1,33 @@
-//! Checkpoint / restore of the daemon's tuning state.
+//! Checkpoint / restore of the service's tuning state.
 //!
-//! A checkpoint is one JSON document capturing everything the consumer
-//! loop owns: the interned [`IndexPool`] (entries in id order — restoring
-//! re-interns them in order, which reproduces every id exactly, prefixes
-//! included), the current selection as pool ids, the drift baseline, the
-//! sliding window including the partial current epoch, the epoch counter
-//! and the ingestion counters. Restoring a checkpoint and feeding the
-//! remainder of a log continues **bit-identically** with a run that was
-//! never interrupted (pinned by `tests/service.rs`).
+//! The state of one group ([`GroupCheckpoint`]) is everything its host
+//! owns for it: the interned [`IndexPool`] (entries in id order —
+//! restoring re-interns them in order, which reproduces every id
+//! exactly, prefixes included), the current selection as pool ids, the
+//! drift baseline, the sliding window including the partial current
+//! epoch, the epoch counter and the last published frontier. Restoring
+//! a checkpoint and feeding the remainder of a log continues
+//! **bit-identically** with a run that was never interrupted (pinned by
+//! `tests/service.rs`). Pools are compacted (canonically, see
+//! [`IndexPool::compact`]) when captured, which keeps checkpoints from
+//! growing with selection churn, and all maps serialize in sorted
+//! order, so checkpoint bytes are deterministic for identical state.
 //!
-//! Writes are atomic: the document lands in `<path>.tmp` and is renamed
-//! over the target, so a crash mid-write never leaves a torn checkpoint.
-//! All maps serialize in sorted order, so checkpoint bytes themselves are
-//! deterministic for identical state.
+//! # Shard documents and the manifest
 //!
-//! # Sharded checkpoints
-//!
-//! The sharded router checkpoints per shard: each worker serializes its
-//! table groups as a [`ShardCheckpoint`] into
-//! `<name>.shard-{k}.g{generation}.json` next to the manifest path (see
-//! [`shard_file`]), and once every shard has committed a generation the
-//! router writes a [`Manifest`] naming those files at the user's
-//! checkpoint path — also via tmp+rename, so a kill at any moment leaves
-//! either the previous complete generation or the new one, never a mix
-//! (restore verifies each file's embedded generation against the
-//! manifest). Group state is placement-independent, so a manifest may be
-//! restored at a *different* shard count; groups are simply re-packed by
-//! the new map. Group pools are compacted (canonically, see
-//! [`IndexPool::compact`]) when captured, which keeps shard checkpoints
-//! from growing with selection churn — the legacy single-daemon
-//! [`Checkpoint`] format is unchanged.
+//! Every run checkpoints per shard — whole-workload tuning
+//! (`shards == 0`) is the one-shard, one-group case: each shard
+//! serializes its groups and its share of the ingestion counters as a
+//! [`ShardCheckpoint`] into `<name>.shard-{k}.g{generation}.json` next
+//! to the manifest path (see [`shard_file`]), and once every shard has
+//! committed a generation a [`Manifest`] naming those files is written
+//! at the user's checkpoint path. Every write goes through `<path>.tmp`
+//! and a rename, so a kill at any moment leaves either the previous
+//! complete generation or the new one, never a mix and never a torn
+//! file (restore verifies each file's embedded generation against the
+//! manifest). Group state is placement-independent, so a manifest may
+//! be restored at a *different* shard count; groups are simply
+//! re-packed by the new map.
 
 use crate::arbiter::PublishedFrontier;
 use crate::config::ServiceConfig;
@@ -65,47 +63,6 @@ pub struct SavedBatch {
     pub events: u64,
     /// Aggregated templates in key order.
     pub templates: Vec<SavedTemplate>,
-}
-
-/// Serialized daemon state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Document schema version ([`CHECKPOINT_VERSION`]).
-    pub version: u32,
-    /// Configuration the state was produced under; a restore under a
-    /// different aggregation configuration is refused.
-    pub config: ServiceConfig,
-    /// Sealed epochs tuned so far.
-    pub epoch: u64,
-    /// Valid query events ingested so far.
-    pub ingested: u64,
-    /// Invalid input lines skipped so far.
-    pub invalid: u64,
-    /// Events dropped under overload so far.
-    pub dropped: u64,
-    /// Pool entries in id order, each as its attribute list.
-    pub pool: Vec<Vec<u32>>,
-    /// Current selection as ids into `pool`.
-    pub selection: Vec<u32>,
-    /// Drift baseline: templates of the last re-selected snapshot, in
-    /// workload order.
-    pub baseline: Option<Vec<SavedTemplate>>,
-    /// Sealed window batches, oldest first.
-    pub window: Vec<SavedBatch>,
-    /// The partially-filled current epoch.
-    pub current: SavedBatch,
-    /// Frontier published to the arbiter by the last re-selecting epoch,
-    /// if any. Absent in pre-arbitration checkpoints (`serde` default),
-    /// which restore with no publication and simply re-publish on their
-    /// next re-selection.
-    #[serde(default)]
-    pub published: Option<PublishedFrontier>,
-    /// Observed-cost feedback state (see [`crate::feedback`]), present
-    /// only when calibration ran: absent in pre-calibration checkpoints
-    /// and with calibration disabled, so those documents stay
-    /// byte-identical to earlier releases.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub feedback: Option<FeedbackCheckpoint>,
 }
 
 fn save_batch(batch: &EpochBatch) -> SavedBatch {
@@ -225,119 +182,14 @@ fn restore_window(
     Ok(window)
 }
 
-impl Checkpoint {
-    /// Capture the consumer loop's state.
-    pub fn capture(
-        config: &ServiceConfig,
-        tuner: &Tuner,
-        window: &EpochWindow,
-        ingested: u64,
-        invalid: u64,
-        dropped: u64,
-    ) -> Self {
-        let pool = tuner.pool();
-        let entries: Vec<Vec<u32>> = (0..pool.len() as u32)
-            .map(|id| pool.attrs(IndexId(id)).iter().map(|a| a.0).collect())
-            .collect();
-        let selection: Vec<u32> = tuner
-            .selection()
-            .indexes()
-            .iter()
-            .map(|k| pool.intern(k).0)
-            .collect();
-        Self {
-            version: CHECKPOINT_VERSION,
-            config: config.clone(),
-            epoch: tuner.epoch(),
-            ingested,
-            invalid,
-            dropped,
-            pool: entries,
-            selection,
-            baseline: tuner.drift_baseline().map(save_workload),
-            window: window.window.iter().map(save_batch).collect(),
-            current: save_batch(&window.current),
-            published: tuner.published().map(|p| (**p).clone()),
-            feedback: None,
-        }
-    }
-
-    /// Attach observed-cost feedback state (see [`crate::feedback`]).
-    #[must_use]
-    pub fn with_feedback(mut self, feedback: Option<FeedbackCheckpoint>) -> Self {
-        self.feedback = feedback;
-        self
-    }
-
-    /// Rebuild tuner and window state over `schema`.
-    ///
-    /// The pool is re-interned entry by entry in id order; any divergence
-    /// between recorded and reproduced ids (a corrupted or reordered
-    /// document) is an error, as is a configuration mismatch.
-    pub fn restore(&self, schema: &Schema) -> Result<(Tuner, EpochWindow), String> {
-        if self.version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "checkpoint version {} unsupported (expected {CHECKPOINT_VERSION})",
-                self.version
-            ));
-        }
-        let pool = restore_pool(schema, &self.pool)?;
-        let selection = restore_selection(&pool, &self.selection)?;
-        let baseline = self
-            .baseline
-            .as_ref()
-            .map(|t| load_workload(schema, t))
-            .transpose()?;
-        let window = restore_window(schema, &self.config, &self.window, &self.current)?;
-        let tuner = Tuner::restore(
-            self.config.clone(),
-            pool,
-            selection,
-            baseline,
-            self.epoch,
-            None,
-            self.published.clone().map(std::sync::Arc::new),
-        );
-        Ok((tuner, window))
-    }
-
-    /// Serialize to JSON text (one line).
-    pub fn to_json(&self) -> Result<String, String> {
-        serde_json::to_string(self).map_err(|e| format!("serialize checkpoint: {e}"))
-    }
-
-    /// Parse a checkpoint document.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("parse checkpoint: {e}"))
-    }
-
-    /// Atomically write the checkpoint to `path` (`<path>.tmp` + rename).
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        let json = self.to_json()?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json.as_bytes())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
-    }
-
-    /// Load a checkpoint from `path`.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::from_json(&text)
-    }
-}
-
-/// Saved state of one table group inside a [`ShardCheckpoint`].
-///
-/// The layout mirrors [`Checkpoint`] minus run-global fields: each group
-/// carries its own pool, selection, drift baseline and window. The pool
-/// is compacted on capture, so group checkpoints do not grow with
-/// selection churn.
+/// Saved state of one group inside a [`ShardCheckpoint`]: its own pool,
+/// selection, drift baseline and window. The pool is compacted on
+/// capture, so group checkpoints do not grow with selection churn.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GroupCheckpoint {
-    /// Table the group tunes.
+    /// The group's key: the table it tunes — or 0 for the one
+    /// whole-schema group of a `shards == 0` document (which of the two
+    /// a document holds is decided by the `config.shards` it embeds).
     pub table: u16,
     /// Sealed epochs tuned by this group so far.
     pub epoch: u64,
@@ -369,11 +221,11 @@ pub struct GroupCheckpoint {
 }
 
 impl GroupCheckpoint {
-    /// Capture one table group, compacting its pool first (canonical:
-    /// the result depends only on the group's logical state, so two runs
+    /// Capture one group, compacting its pool first (canonical: the
+    /// result depends only on the group's logical state, so two runs
     /// that converged to the same state produce identical bytes).
     pub fn capture(tuner: &mut Tuner, window: &EpochWindow) -> Self {
-        let table = tuner.scope().expect("group tuners are table-scoped").0;
+        let table = tuner.scope().map_or(0, |t| t.0);
         tuner.compact_pool();
         let pool = tuner.pool();
         let entries: Vec<Vec<u32>> = (0..pool.len() as u32)
@@ -413,6 +265,10 @@ impl GroupCheckpoint {
     }
 
     /// Rebuild the group's tuner and window under `config`.
+    ///
+    /// The pool is re-interned entry by entry in id order; any divergence
+    /// between recorded and reproduced ids (a corrupted or reordered
+    /// document) is an error.
     pub fn restore(
         &self,
         schema: &Schema,
@@ -431,7 +287,7 @@ impl GroupCheckpoint {
             selection,
             baseline,
             self.epoch,
-            Some(TableId(self.table)),
+            config.group_scope(self.table),
             self.published.clone().map(std::sync::Arc::new),
         );
         Ok((tuner, window))
@@ -613,11 +469,29 @@ mod tests {
         (config, tuner, window)
     }
 
+    /// The whole-workload group as one shard document, the way a
+    /// `shards == 0` run writes it.
+    fn whole_document() -> (ServiceConfig, ShardCheckpoint, Tuner, EpochWindow) {
+        let (config, mut tuner, window) = populated_state();
+        let cp = ShardCheckpoint {
+            version: CHECKPOINT_VERSION,
+            config: config.clone(),
+            shard: 0,
+            generation: 1,
+            ingested: 10,
+            invalid: 1,
+            dropped: 2,
+            groups: vec![GroupCheckpoint::capture(&mut tuner, &window)],
+        };
+        (config, cp, tuner, window)
+    }
+
     #[test]
     fn capture_restore_round_trips() {
-        let (config, tuner, window) = populated_state();
-        let cp = Checkpoint::capture(&config, &tuner, &window, 10, 1, 2);
-        let (tuner2, window2) = cp.restore(window.schema()).unwrap();
+        let (config, cp, tuner, window) = whole_document();
+        assert_eq!(cp.groups[0].table, 0, "the whole-schema group sits under part key 0");
+        let (tuner2, window2) = cp.groups[0].restore(window.schema(), &config).unwrap();
+        assert_eq!(tuner2.scope(), None, "a shards == 0 document restores unscoped");
         assert_eq!(tuner2.epoch(), tuner.epoch());
         assert_eq!(tuner2.selection(), tuner.selection());
         assert_eq!(tuner2.pool().len(), tuner.pool().len());
@@ -625,47 +499,64 @@ mod tests {
         assert_eq!(window2.sealed_masses(), window.sealed_masses());
         assert_eq!(window2.current_events(), window.current_events());
         // A second capture of the restored state is byte-identical.
-        let cp2 = Checkpoint::capture(&config, &tuner2, &window2, 10, 1, 2);
-        assert_eq!(cp.to_json().unwrap(), cp2.to_json().unwrap());
+        let mut tuner2 = tuner2;
+        let cp2 = GroupCheckpoint::capture(&mut tuner2, &window2);
+        assert_eq!(cp.groups[0].to_json().unwrap(), cp2.to_json().unwrap());
     }
 
     #[test]
     fn json_round_trips() {
-        let (config, tuner, window) = populated_state();
-        let cp = Checkpoint::capture(&config, &tuner, &window, 10, 0, 0);
-        let back = Checkpoint::from_json(&cp.to_json().unwrap()).unwrap();
+        let (_, cp, ..) = whole_document();
+        let back = ShardCheckpoint::from_json(&cp.to_json().unwrap()).unwrap();
         assert_eq!(cp, back);
     }
 
     #[test]
     fn save_load_is_atomic_and_faithful() {
-        let (config, tuner, window) = populated_state();
-        let cp = Checkpoint::capture(&config, &tuner, &window, 10, 0, 0);
+        let (_, cp, ..) = whole_document();
         let dir = std::env::temp_dir().join("isel-service-cp-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.json");
         cp.save(&path).unwrap();
         assert!(!path.with_extension("tmp").exists(), "tmp file renamed away");
-        assert_eq!(Checkpoint::load(&path).unwrap(), cp);
+        assert_eq!(ShardCheckpoint::load(&path).unwrap(), cp);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn reordered_pool_is_rejected() {
-        let (config, tuner, window) = populated_state();
-        let mut cp = Checkpoint::capture(&config, &tuner, &window, 0, 0, 0);
-        assert!(cp.pool.len() >= 2, "state must intern multiple entries");
-        cp.pool.reverse();
-        let err = cp.restore(window.schema()).unwrap_err();
+        let (config, mut cp, _, window) = whole_document();
+        let group = &mut cp.groups[0];
+        assert!(group.pool.len() >= 2, "state must intern multiple entries");
+        group.pool.reverse();
+        let err = group.restore(window.schema(), &config).unwrap_err();
         assert!(err.contains("re-interned"), "{err}");
     }
 
     #[test]
     fn wrong_version_is_rejected() {
-        let (config, tuner, window) = populated_state();
-        let mut cp = Checkpoint::capture(&config, &tuner, &window, 0, 0, 0);
+        let (_, mut cp, ..) = whole_document();
+        let dir = std::env::temp_dir().join(format!("isel-cp-version-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest_path = dir.join("checkpoint.json");
+        let file = shard_file(&manifest_path, 0, 1);
+        let name = file.file_name().unwrap().to_str().unwrap().to_owned();
+        let mut manifest = Manifest {
+            version: CHECKPOINT_VERSION,
+            generation: 1,
+            shards: 1,
+            routed_lines: 10,
+            files: vec![name],
+        };
         cp.version = 99;
-        assert!(cp.restore(window.schema()).unwrap_err().contains("version"));
+        cp.save(&file).unwrap();
+        assert!(manifest.load_shards(&manifest_path).unwrap_err().contains("version"));
+        cp.version = CHECKPOINT_VERSION;
+        cp.save(&file).unwrap();
+        manifest.load_shards(&manifest_path).unwrap();
+        manifest.version = 99;
+        assert!(manifest.load_shards(&manifest_path).unwrap_err().contains("version"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn populated_group(seed_offset: usize) -> (ServiceConfig, Tuner, EpochWindow) {
@@ -675,6 +566,7 @@ mod tests {
             window_epochs: 2,
             max_templates: 32,
             drift: DriftThresholds::always_adapt(),
+            shards: 1,
             ..ServiceConfig::default()
         };
         let mut tuner = Tuner::for_table(w.schema(), config.clone(), TableId(0));
@@ -710,13 +602,7 @@ mod tests {
         // is canonical, so the second compact is a no-op).
         let mut tuner2 = tuner2;
         let cp2 = GroupCheckpoint::capture(&mut tuner2, &window2);
-        assert_eq!(cp.to_json_for_test(), cp2.to_json_for_test());
-    }
-
-    impl GroupCheckpoint {
-        fn to_json_for_test(&self) -> String {
-            serde_json::to_string(self).unwrap()
-        }
+        assert_eq!(cp.to_json().unwrap(), cp2.to_json().unwrap());
     }
 
     #[test]

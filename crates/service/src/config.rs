@@ -1,6 +1,7 @@
-//! Daemon configuration.
+//! Service configuration.
 
 use isel_core::dynamic::TransitionCosts;
+use isel_workload::TableId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -69,7 +70,7 @@ impl Default for CalibrationConfig {
     }
 }
 
-/// Static configuration of a daemon run. Serialized into every
+/// Static configuration of a service run. Serialized into every
 /// checkpoint so a restore can verify it resumes under the same
 /// aggregation parameters (changing them mid-run would silently change
 /// every later snapshot).
@@ -98,10 +99,11 @@ pub struct ServiceConfig {
     /// Write a checkpoint every `n` sealed epochs (0 = only on a
     /// `checkpoint` control event and at shutdown).
     pub checkpoint_every_epochs: u64,
-    /// Number of router shards (0 = the legacy unsharded daemon; the
-    /// router requires at least 1). Tuning state is per table group at
-    /// every setting, so selections are shard-count-invariant — shards
-    /// only decide how groups are packed onto worker threads.
+    /// Number of router shards. 0 tunes the whole workload as one
+    /// whole-schema group on one shard (DESIGN.md §12). At 1 and above
+    /// tuning state is per table group, so selections are
+    /// shard-count-invariant — shards only decide how groups are packed
+    /// onto worker threads.
     #[serde(default)]
     pub shards: u32,
     /// Explicit table → shard placements overriding the default map
@@ -208,6 +210,50 @@ impl ServiceConfig {
         }
         Ok(())
     }
+
+    /// Key of the tuning group a query on `table` belongs to: its
+    /// table's — or, when the whole workload is one group
+    /// (`shards == 0`), that group's part key 0.
+    pub fn group_key(&self, table: TableId) -> u16 {
+        self.group_scope(table.0).map_or(0, |t| t.0)
+    }
+
+    /// The table the group under `key` is scoped to — what its tuner
+    /// budgets over; `None` for the one whole-schema group of
+    /// `shards == 0`.
+    pub fn group_scope(&self, key: u16) -> Option<TableId> {
+        (self.shards > 0).then_some(TableId(key))
+    }
+
+    /// Whether a run under `self` may resume state checkpointed under
+    /// `saved` (the configuration every shard document embeds).
+    /// Silently changing epoch sizing mid-stream would corrupt every
+    /// later snapshot, and one whole-workload group does not split into
+    /// table groups (nor the reverse), so both are refused.
+    pub fn check_resume(&self, saved: &ServiceConfig) -> Result<(), String> {
+        if saved.epoch_events != self.epoch_events
+            || saved.window_epochs != self.window_epochs
+            || saved.max_templates != self.max_templates
+        {
+            return Err(format!(
+                "checkpoint aggregation config (epoch_events={}, window_epochs={}, \
+                 max_templates={}) does not match the requested configuration",
+                saved.epoch_events, saved.window_epochs, saved.max_templates
+            ));
+        }
+        if (saved.shards == 0) != (self.shards == 0) {
+            let mode = |shards: u32| match shards {
+                0 => "whole-workload tuning (--shards 0)",
+                _ => "per-table groups (--shards >= 1)",
+            };
+            return Err(format!(
+                "checkpoint was written under {} and cannot resume under {}",
+                mode(saved.shards),
+                mode(self.shards)
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -290,6 +336,21 @@ mod tests {
             ..ServiceConfig::default()
         };
         assert!(orphan.validate().is_err(), "a map without shards is meaningless");
+    }
+
+    #[test]
+    fn resume_refuses_other_sizing_and_the_other_tuning_mode() {
+        let base = ServiceConfig::default();
+        let sharded = |shards| ServiceConfig { shards, ..ServiceConfig::default() };
+        let retuned = ServiceConfig { threads: 7, queue_capacity: 9, ..base.clone() };
+        base.check_resume(&retuned).expect("only sizing and mode matter");
+        sharded(4).check_resume(&sharded(2)).expect("groups re-pack at any shard count");
+        let resized = ServiceConfig { epoch_events: base.epoch_events + 1, ..base.clone() };
+        assert!(base.check_resume(&resized).unwrap_err().contains("aggregation config"));
+        let err = sharded(2).check_resume(&base).unwrap_err();
+        assert!(err.contains("written under whole-workload tuning"), "{err}");
+        let err = base.check_resume(&sharded(1)).unwrap_err();
+        assert!(err.contains("written under per-table groups"), "{err}");
     }
 
     #[test]

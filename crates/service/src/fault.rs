@@ -84,8 +84,6 @@ pub const CHECKPOINT_MANIFEST: &str = "checkpoint.manifest";
 pub const JOURNAL_APPEND: &str = "journal.append";
 /// Journal layer: rotating into a new segment (scope 0).
 pub const JOURNAL_ROTATE: &str = "journal.rotate";
-/// Unsharded daemon: writing a mid-stream or final checkpoint (scope 0).
-pub const DAEMON_CHECKPOINT: &str = "daemon.checkpoint";
 
 /// Every registered site name, for validation and sweeps.
 pub const SITES: &[&str] = &[
@@ -100,7 +98,6 @@ pub const SITES: &[&str] = &[
     CHECKPOINT_MANIFEST,
     JOURNAL_APPEND,
     JOURNAL_ROTATE,
-    DAEMON_CHECKPOINT,
 ];
 
 /// The supervisor-process sites on the commit, route and failover

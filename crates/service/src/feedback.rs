@@ -520,7 +520,7 @@ impl CalSnapshot {
     }
 
     /// The canonical one-line JSON rendering — byte-identical however
-    /// the snapshot was produced (live daemon, router, supervisor sum,
+    /// the snapshot was produced (live router, supervisor sum,
     /// or offline replay), so served and offline answers diff cleanly.
     pub fn render(&self) -> String {
         format!("{{\"calibration\":{}}}", self.render_inner())
@@ -537,10 +537,9 @@ fn bump(cal: Option<&CalCounters>, f: impl FnOnce(&CalCounters)) {
 /// pipeline. With calibration disabled this is exactly
 /// [`Tuner::tune`]; enabled, the tuner plans through a
 /// [`CalibratedWhatIf`] built from the group's warm templates, and
-/// selection changes pass through the deployment gate (groups only —
-/// the gate needs the table-scoped [`GroupCheckpoint`] rollback
-/// target, so the unsharded whole-schema daemon calibrates estimates
-/// but deploys directly).
+/// selection changes pass through the deployment gate (table groups
+/// only: the one whole-schema group of `shards == 0` calibrates
+/// estimates but deploys directly, its gate stays idle).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tune_group(
     tuner: &mut Tuner,

@@ -1,4 +1,4 @@
-//! Online continuous-tuning daemon (`isel-service`).
+//! Online continuous-tuning service (`isel-service`).
 //!
 //! The paper's evaluation is one-shot: a workload arrives, Algorithm 1
 //! selects, the experiment ends. This crate closes the loop for the
@@ -6,9 +6,9 @@
 //! long-running advisor built from the existing layers:
 //!
 //! 1. **Ingestion** ([`event`], [`queue`], [`socket`]) — query events
-//!    from stdin, a file, or a Unix-domain socket flow through a bounded
-//!    queue. Replay uses blocking pushes (lossless); live serving uses a
-//!    drop-oldest overload policy whose every drop is *counted*, never
+//!    from stdin, a file, or a Unix-domain socket flow through bounded
+//!    queues. Replay uses blocking pushes (lossless); live serving uses
+//!    a drop-oldest overload policy whose every drop is *counted*, never
 //!    silent. Events arrive in either of two peer encodings, mixed
 //!    freely on one stream and auto-detected per record by a magic byte
 //!    ([`records`]): JSONL lines, or the length-prefixed checksummed
@@ -28,37 +28,44 @@
 //!    reconfiguration-aware re-selection (`core::reconfig` as in
 //!    `dynamic::adapt`), or a from-scratch run — always under the
 //!    relative memory budget of Eq. (10).
-//! 4. **State** ([`checkpoint`]) — the interned [`IndexPool`], current
-//!    selection, window contents and counters serialize to a JSON
-//!    checkpoint written atomically; a restarted daemon restores it and
-//!    continues **bit-identically** with an uninterrupted run.
-//! 5. **Control** ([`daemon`]) — EOF or a `{"control":"shutdown"}` line
-//!    drains the queue, tunes any sealed epochs, and writes a final
-//!    checkpoint; `{"control":"checkpoint"}` snapshots mid-stream in
-//!    event order. Runs emit the same [`isel_core::TraceEvent`] stream as
-//!    the offline strategies, so `isel report --check` works on daemon
-//!    traces.
+//! 4. **State** ([`checkpoint`]) — each group's interned [`IndexPool`],
+//!    current selection, window contents and counters serialize into
+//!    per-shard JSON documents committed atomically through a
+//!    [`Manifest`]; a restarted service restores them and continues
+//!    **bit-identically** with an uninterrupted run.
+//! 5. **Control** ([`router`]) — EOF or a `{"control":"shutdown"}` line
+//!    drains the queues, tunes any sealed epochs, and commits a final
+//!    checkpoint generation; `{"control":"checkpoint"}` snapshots
+//!    mid-stream in event order. Runs emit the same
+//!    [`isel_core::TraceEvent`] stream as the offline strategies, so
+//!    `isel report --check` works on service traces.
 //!
-//! **Determinism contract** (DESIGN.md §12): replaying a recorded log
-//! with drift thresholds forcing the adapt policy produces a selection
-//! sequence bit-identical to the offline `dynamic::adapt` loop over the
-//! same epoch snapshots, at every thread count.
+//! # One engine, one or many groups
 //!
-//! # Sharding
+//! The [`Router`] is the serving engine at every setting: one thread
+//! owns the input, classifies raw JSONL lines with a byte-scanning fast
+//! path (binary events route by their template's table without any
+//! parse at all), and fans them out over per-shard bounded queues to
+//! worker threads that host tuning *groups* — per-group windows, drift
+//! baselines and index pools. What `ServiceConfig::shards` chooses is
+//! the product:
 //!
-//! For multi-table workloads the daemon scales out across worker threads
-//! ([`router`], [`shard`]): a [`Router`] classifies raw JSONL lines by
-//! table group with a byte-scanning fast path (binary events route by
-//! their template's table without any parse at all), fans them out over
-//! per-shard bounded queues, and each shard tunes its table groups
-//! independently — per-group windows, drift baselines and index pools.
-//! Because the unit of tuning state is always a single table group, the
-//! selection sequence is **bit-identical at every shard count**;
-//! sharding only changes which thread a group runs on. Per-shard
-//! checkpoints commit atomically through a [`Manifest`]
-//! (all-or-nothing across shards), and the final per-group selections
-//! are merged under the *global* memory budget with the MCKP frontier
-//! merge from `isel_core`. [`StatusBoard`]
+//! * `shards == 0` — the **whole workload as one group** on one shard,
+//!   under the whole-schema budget. **Determinism contract**
+//!   (DESIGN.md §12): replaying a recorded log with drift thresholds
+//!   forcing the adapt policy produces a selection sequence
+//!   bit-identical to the offline `dynamic::adapt` loop over the same
+//!   epoch snapshots, at every thread count.
+//! * `shards >= 1` — **one group per table**, packed onto that many
+//!   worker threads. Because the unit of tuning state is always a
+//!   single table group, the selection sequence is **bit-identical at
+//!   every shard count**; sharding only changes which thread a group
+//!   runs on, and each group matches `dynamic::adapt` at its table's
+//!   share of the budget (DESIGN.md §13).
+//!
+//! Per-shard checkpoints commit all-or-nothing across shards, and the
+//! final per-group selections are merged under the *global* memory
+//! budget with the MCKP frontier merge from `isel_core`. [`StatusBoard`]
 //! aggregates live counters across shards; `SIGUSR1` or a
 //! `{"control":"status"}` line renders them as one JSON status line.
 //!
@@ -80,7 +87,7 @@
 //! socket, the journal, the checkpoint [`Manifest`] and the live
 //! [`Arbiter`], and routes events over per-worker stdin pipes (binary
 //! frames) to `N` **worker child processes**, each hosting shards with
-//! exactly the in-process [`GroupState`] tuning machinery. The
+//! exactly the in-process group-host tuning machinery. The
 //! supervisor detects a dead worker (pipe EOF, `SIGCHLD`), restores its
 //! shards onto a survivor or respawned replacement from the last
 //! committed checkpoint generation, and replays the journal tail since
@@ -91,18 +98,17 @@
 //! [`Workload`]: isel_workload::Workload
 //! [`IndexPool`]: isel_workload::IndexPool
 //! [`Manifest`]: checkpoint::Manifest
-//! [`GroupState`]: crate::router
 
 #![warn(missing_docs)]
 
 pub mod arbiter;
 pub mod checkpoint;
 pub mod config;
-pub mod daemon;
 pub mod event;
 pub mod fault;
 pub mod feedback;
 pub mod frame;
+mod group;
 pub mod journal;
 pub mod mmap;
 pub mod process;
@@ -112,6 +118,7 @@ pub mod router;
 pub mod shard;
 pub mod socket;
 pub mod status;
+mod stream;
 pub mod tuner;
 pub mod window;
 
@@ -119,10 +126,9 @@ pub use arbiter::{
     global_budget, Arbiter, InteractiveRegistry, PendingQuery, PublishedFrontier,
 };
 pub use checkpoint::{
-    shard_file, Checkpoint, GroupCheckpoint, Manifest, ShardCheckpoint, CHECKPOINT_VERSION,
+    shard_file, GroupCheckpoint, Manifest, ShardCheckpoint, CHECKPOINT_VERSION,
 };
 pub use config::{CalibrationConfig, DriftThresholds, ServiceConfig};
-pub use daemon::{offline_adapt, offline_snapshots, Daemon, OverloadPolicy, ServiceReport};
 pub use event::{parse_line, parse_token, Control, InputLine};
 pub use fault::{Schedule as FaultSchedule, ENV_SCHEDULE as ENV_FAULT_SCHEDULE};
 pub use feedback::{CalCounters, CalSnapshot, FeedbackCheckpoint, GroupFeedback, RatioTracker};
@@ -132,9 +138,11 @@ pub use mmap::MappedFile;
 pub use process::{run_worker, SupMsg, Supervisor, WorkerMsg};
 pub use records::{DecodeDict, Record, RecordIter};
 pub use queue::BoundedQueue;
-pub use router::{offline_group_adapt, offline_group_snapshots, Router};
+pub use router::{
+    offline_group_adapt, offline_group_snapshots, OverloadPolicy, Router, ServiceReport,
+};
 pub use shard::{classify_line, LineClass, ShardMap, ShardTagSink};
-pub use socket::{run_socket, run_socket_router, run_socket_supervisor};
+pub use socket::{run_socket_router, Engine};
 pub use status::{install_status_signal, take_status_signal, PersistedStatus, StatusBoard};
 pub use tuner::{EpochOutcome, TunePolicy, Tuner};
 pub use window::EpochWindow;

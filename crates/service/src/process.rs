@@ -10,7 +10,7 @@
 //! process (`isel worker`, spawned from the supervisor's own
 //! executable) hosting one or more *shards* — the same per-table-group
 //! tuning state a [`crate::router::Router`] shard thread holds, behind
-//! the same `GroupState` type.
+//! the same `GroupHost` (`group.rs`).
 //!
 //! The wire between them is the binary frame protocol of
 //! [`crate::frame`]: the supervisor writes frames onto each worker's
@@ -59,22 +59,21 @@
 //! failover tests.
 
 use crate::arbiter::{global_budget, Arbiter, InteractiveRegistry, PublishedFrontier};
-use crate::checkpoint::{
-    shard_file, GroupCheckpoint, Manifest, ShardCheckpoint, CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{shard_file, Manifest, ShardCheckpoint};
 use crate::config::ServiceConfig;
-use crate::daemon::ServiceReport;
-use crate::event::{parse_line, parse_token, Control, InputLine};
+use crate::event::Control;
 use crate::fault;
-use crate::feedback::{self, CalSnapshot};
+use crate::feedback::CalSnapshot;
 use crate::frame::{put_frame, put_item, render_query, WireItem, MAX_PAYLOAD};
+use crate::group::{Env, GroupHost, Sealed};
 use crate::records::{Record, RecordIter};
-use crate::router::{Committer, GroupState};
-use crate::shard::{classify_line, LineClass, ShardMap};
-use crate::status::{take_child_signal, take_status_signal, StatusBoard};
+use crate::router::{Committer, ServiceReport};
+use crate::shard::ShardMap;
+use crate::status::{take_status_signal, StatusBoard};
+use crate::stream::{Decision, Stream};
 use crate::tuner::EpochOutcome;
-use isel_core::{Parallelism, Trace, TraceEvent, TraceSink};
-use isel_workload::{Query, QueryKind, Schema};
+use isel_core::{Trace, TraceEvent, TraceSink};
+use isel_workload::{QueryKind, Schema};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -261,22 +260,6 @@ fn raw_frame(line: &str) -> Vec<u8> {
 // Worker side
 // ---------------------------------------------------------------------
 
-/// One hosted shard inside a worker process: its table groups plus the
-/// shard's absolute lifetime counters (checkpoint-exact — they restore
-/// from [`SupMsg::Adopt`] and serialize into every [`ShardCheckpoint`]).
-struct ShardCtx {
-    groups: BTreeMap<u16, GroupState>,
-    ingested: u64,
-    invalid: u64,
-    dropped: u64,
-}
-
-impl ShardCtx {
-    fn fresh() -> Self {
-        Self { groups: BTreeMap::new(), ingested: 0, invalid: 0, dropped: 0 }
-    }
-}
-
 /// The `isel worker` entrypoint: host shards over the stdin/stdout pipe
 /// protocol until [`SupMsg::Shutdown`] or EOF. Never called directly by
 /// users — the supervisor spawns it from its own executable.
@@ -320,17 +303,13 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
         }
         other => return Err(format!("worker protocol: expected Hello frame, got {other:?}")),
     };
-    let par = match config.threads {
-        0 => Parallelism::available(),
-        n => Parallelism::new(n),
-    };
-    let mut ctxs: BTreeMap<u32, ShardCtx> =
-        initial_shards.into_iter().map(|k| (k, ShardCtx::fresh())).collect();
+    let env = Env::new(&schema, &config);
+    let mut hosts: BTreeMap<u32, GroupHost> =
+        initial_shards.into_iter().map(|k| (k, GroupHost::default())).collect();
     let mut current: Option<u32> = None;
 
     // A stdout write fails only when the supervisor died; exit quietly
-    // (the replacement supervisor story is "restart the service"), and
-    // signal the loop via `gone`.
+    // (the replacement supervisor story is "restart the service").
     let mut gone = false;
     macro_rules! send {
         ($msg:expr) => {{
@@ -342,69 +321,6 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
         }};
     }
     send!(WorkerMsg::Ready);
-
-    // Mirrors the in-process shard worker's ingest closure
-    // (`router::shard_worker`): push into the group's window, tune on
-    // sealed epochs, publish dirty frontiers — here over the pipe.
-    let ingest = |q: &Query,
-                  shard: u32,
-                  ctx: &mut ShardCtx,
-                  out: &mut W,
-                  gone: &mut bool|
-     -> Result<(), String> {
-        ctx.ingested += 1;
-        // Fresh workers count from 0, so the hit count equals the
-        // shard's ingested count (the old KILL_AFTER contract). An
-        // injected error exits the worker like a crash: no Fatal
-        // report, so the supervisor fails the shard over.
-        fault::fire(fault::WORKER_INGEST, shard)?;
-        let table = q.table();
-        let group = ctx
-            .groups
-            .entry(table.0)
-            .or_insert_with(|| GroupState::fresh(&schema, &config, table));
-        if group.window.push(q) {
-            let snap = group
-                .window
-                .snapshot()
-                .expect("snapshot exists after an epoch seals");
-            let mut outcome = feedback::tune_group(
-                &mut group.tuner,
-                &mut group.window,
-                &mut group.feedback,
-                &snap,
-                &schema,
-                &config,
-                par,
-                Trace::disabled(),
-                None,
-            );
-            outcome.shard = Some(shard);
-            let msg = WorkerMsg::Outcome {
-                shard,
-                outcome,
-                ingested: ctx.ingested,
-                invalid: ctx.invalid,
-                dropped: ctx.dropped,
-            };
-            let json =
-                serde_json::to_string(&msg).map_err(|e| format!("serialize WorkerMsg: {e}"))?;
-            if writeln!(out, "{json}").and_then(|()| out.flush()).is_err() {
-                *gone = true;
-            }
-            if group.tuner.take_published_dirty() {
-                if let Some(pf) = group.tuner.published() {
-                    let msg = WorkerMsg::Publish { table: table.0, pf: (**pf).clone() };
-                    let json = serde_json::to_string(&msg)
-                        .map_err(|e| format!("serialize WorkerMsg: {e}"))?;
-                    if writeln!(out, "{json}").and_then(|()| out.flush()).is_err() {
-                        *gone = true;
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
 
     for record in records {
         if gone {
@@ -424,42 +340,24 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
                     }
                     SupMsg::Shard { shard } => current = Some(shard),
                     SupMsg::Query { id } => {
-                        let counts = ctxs
+                        let counts = hosts
                             .iter()
-                            .map(|(k, c)| (*k, c.ingested, c.invalid, c.dropped))
+                            .map(|(k, h)| (*k, h.ingested, h.invalid, h.dropped))
                             .collect();
-                        let cal = ctxs
-                            .iter()
-                            .map(|(k, c)| {
-                                let mut sum = CalSnapshot::default();
-                                for g in c.groups.values() {
-                                    sum.add(&g.feedback.snapshot());
-                                }
-                                (*k, sum)
-                            })
-                            .collect();
+                        let cal = hosts.iter().map(|(k, h)| (*k, h.calibration())).collect();
                         send!(WorkerMsg::Ack { id, counts, cal });
                     }
                     SupMsg::Adopt { shard, data } => {
-                        let restore = || -> Result<ShardCtx, String> {
-                            let Some(text) = &data else { return Ok(ShardCtx::fresh()) };
-                            let cp = ShardCheckpoint::from_json(text)?;
-                            let mut ctx = ShardCtx {
-                                groups: BTreeMap::new(),
-                                ingested: cp.ingested,
-                                invalid: cp.invalid,
-                                dropped: cp.dropped,
-                            };
-                            for gc in &cp.groups {
-                                ctx.groups.insert(
-                                    gc.table,
-                                    GroupState::from_checkpoint(gc, &schema, &config)?,
-                                );
-                            }
-                            Ok(ctx)
+                        let restore = || match &data {
+                            Some(text) => GroupHost::adopt(
+                                &ShardCheckpoint::from_json(text)?,
+                                &schema,
+                                &config,
+                            ),
+                            None => Ok(GroupHost::default()),
                         };
-                        let ctx = match restore() {
-                            Ok(ctx) => ctx,
+                        let host = match restore() {
+                            Ok(host) => host,
                             Err(e) => {
                                 send_fatal(&mut out, &e);
                                 return Err(e);
@@ -471,20 +369,15 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
                         // skipped arbiter-side, and the tail replay
                         // converges to the same last publication per
                         // table).
-                        for (t, g) in &ctx.groups {
-                            if let Some(pf) = g.tuner.published() {
-                                send!(WorkerMsg::Publish {
-                                    table: *t,
-                                    pf: (**pf).clone()
-                                });
-                            }
+                        for (table, pf) in host.published() {
+                            send!(WorkerMsg::Publish { table, pf: (**pf).clone() });
                         }
-                        ctxs.insert(shard, ctx);
+                        hosts.insert(shard, host);
                     }
                     SupMsg::Barrier { generation, shards } => {
                         let targets: Vec<u32> = match shards {
                             Some(list) => list,
-                            None => ctxs.keys().copied().collect(),
+                            None => hosts.keys().copied().collect(),
                         };
                         let Some(manifest) = &manifest else {
                             // No checkpoint path: barriers are no-ops,
@@ -492,29 +385,8 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
                             continue;
                         };
                         for k in targets {
-                            let Some(ctx) = ctxs.get_mut(&k) else { continue };
-                            let cp = ShardCheckpoint {
-                                version: CHECKPOINT_VERSION,
-                                config: config.clone(),
-                                shard: k,
-                                generation,
-                                ingested: ctx.ingested,
-                                invalid: ctx.invalid,
-                                dropped: ctx.dropped,
-                                groups: ctx
-                                    .groups
-                                    .values_mut()
-                                    .map(|g| {
-                                        GroupCheckpoint::capture(&mut g.tuner, &g.window)
-                                            .with_feedback(
-                                                config
-                                                    .calibration
-                                                    .enabled
-                                                    .then(|| g.feedback.save()),
-                                            )
-                                    })
-                                    .collect(),
-                            };
+                            let Some(host) = hosts.get_mut(&k) else { continue };
+                            let cp = host.capture(&config, k, generation);
                             let file = shard_file(manifest, k, generation);
                             // A failed save (unwritable directory, full
                             // disk) would fail every adopter the same
@@ -546,31 +418,35 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
                 if trimmed.is_empty() {
                     continue;
                 }
-                let Some(shard) = current else {
-                    // Protocol: a line before any Shard message has no
-                    // home; the supervisor never does this.
-                    continue;
-                };
-                let Some(ctx) = ctxs.get_mut(&shard) else { continue };
-                match parse_line(trimmed, &schema) {
-                    Ok(InputLine::Query(q)) => {
-                        ingest(&q, shard, ctx, &mut out, &mut gone)?;
+                // Protocol: a line before any Shard message, or for a
+                // shard this worker does not host, has no home; the
+                // supervisor never sends one.
+                let Some(shard) = current else { continue };
+                let Some(host) = hosts.get_mut(&shard) else { continue };
+                let before = host.ingested;
+                let sealed = host.line(&env, trimmed, Trace::disabled(), None);
+                if host.ingested != before {
+                    // One hit per ingested query event, and fresh workers
+                    // count from 0, so the hit count equals the shard's
+                    // ingested count. Nothing about this event has left
+                    // the process yet: a kill here loses it whole, and an
+                    // injected error exits the worker like a crash — no
+                    // Fatal report, so the supervisor fails the shard
+                    // over.
+                    fault::fire(fault::WORKER_INGEST, shard)?;
+                }
+                if let Some(Sealed { mut outcome, publish }) = sealed {
+                    outcome.shard = Some(shard);
+                    send!(WorkerMsg::Outcome {
+                        shard,
+                        outcome,
+                        ingested: host.ingested,
+                        invalid: host.invalid,
+                        dropped: host.dropped,
+                    });
+                    if let Some((table, pf)) = publish {
+                        send!(WorkerMsg::Publish { table, pf: (*pf).clone() });
                     }
-                    // Observed-cost probes feed the owning group's ratio
-                    // tracker; they never count as ingested events.
-                    Ok(InputLine::Observed(o)) => {
-                        let table = o.query.table();
-                        let group = ctx
-                            .groups
-                            .entry(table.0)
-                            .or_insert_with(|| GroupState::fresh(&schema, &config, table));
-                        group.feedback.observe(&config, &o, None, Trace::disabled());
-                    }
-                    // Mirror the in-process worker: a line that routed
-                    // as a table line but parses as a control is
-                    // dropped, never half-applied.
-                    Ok(InputLine::Control(_)) => {}
-                    Err(_) => ctx.invalid += 1,
                 }
             }
             // The supervisor sends only Sup and Raw frames; anything
@@ -578,15 +454,17 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
             other => return Err(format!("worker protocol: unexpected record {other:?}")),
         }
     }
-    for (k, ctx) in &ctxs {
+    for (k, host) in &hosts {
+        if gone {
+            break;
+        }
         send!(WorkerMsg::Final {
             shard: *k,
-            ingested: ctx.ingested,
-            invalid: ctx.invalid,
-            dropped: ctx.dropped,
+            ingested: host.ingested,
+            invalid: host.invalid,
+            dropped: host.dropped,
         });
     }
-    let _ = gone;
     Ok(())
 }
 
@@ -881,6 +759,15 @@ fn write_slot(slot: &mut Slot, bytes: &[u8]) -> bool {
     }
 }
 
+/// Write `bytes` to every live slot; returns the slots whose pipe broke.
+fn write_live(slots: &mut [Slot], bytes: &[u8]) -> Vec<usize> {
+    slots
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, slot)| (slot.alive && !write_slot(slot, bytes)).then_some(i))
+        .collect()
+}
+
 /// The multi-process supervisor: routes events to worker processes,
 /// arbitrates budgets, commits checkpoints, and absorbs worker crashes
 /// without changing any selection (see the module docs).
@@ -889,6 +776,7 @@ pub struct Supervisor {
     config: ServiceConfig,
     map: ShardMap,
     arbiter: Arbiter,
+    board: Arc<StatusBoard>,
     interactive: Option<Arc<InteractiveRegistry>>,
     routed_lines: u64,
     next_generation: u64,
@@ -931,11 +819,13 @@ impl Supervisor {
             global_budget(&schema, config.budget_share),
             config.tenant_weights.clone(),
         );
+        let board = Arc::new(StatusBoard::new(config.shards));
         Ok(Self {
             schema,
             config,
             map,
             arbiter,
+            board,
             interactive: None,
             routed_lines: 0,
             next_generation: 1,
@@ -975,16 +865,7 @@ impl Supervisor {
             ));
         }
         for cp in manifest.load_shards(manifest_path)? {
-            if cp.config.epoch_events != sup.config.epoch_events
-                || cp.config.window_epochs != sup.config.window_epochs
-                || cp.config.max_templates != sup.config.max_templates
-            {
-                return Err(format!(
-                    "checkpoint aggregation config (epoch_events={}, window_epochs={}, \
-                     max_templates={}) does not match the requested configuration",
-                    cp.config.epoch_events, cp.config.window_epochs, cp.config.max_templates
-                ));
-            }
+            sup.config.check_resume(&cp.config)?;
         }
         sup.routed_lines = manifest.routed_lines;
         sup.next_generation = manifest.generation + 1;
@@ -1045,10 +926,6 @@ impl Supervisor {
         self.config.workers
     }
 
-    pub(crate) fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
     /// Run the supervisor over a line-based input until EOF or a
     /// `shutdown` control: spawn the workers, route every event to its
     /// shard's hosting process, commit checkpoint generations, fail
@@ -1074,14 +951,13 @@ impl Supervisor {
         let t_start = Instant::now();
         let shards = self.map.shards();
         let workers = self.config.workers as usize;
-        let board = StatusBoard::new(shards);
+        let board = &*self.board;
         let status_path = self.state_dir.as_ref().map(|d| d.join("status.json"));
         let outcomes_path = self.state_dir.as_ref().map(|d| d.join("outcomes.json"));
         if let Some(p) = &status_path {
-            crate::status::PersistedStatus::load(p).apply(&board);
+            crate::status::PersistedStatus::load(p).apply(board);
         }
-        let committer =
-            checkpoint.map(|p| Committer::new(p, shards, &board));
+        let committer = checkpoint.map(|p| Committer::new(p, shards, board));
         // Epoch outcomes folded into committed generations by prior
         // incarnations replay without re-tuning, so their report lines
         // come from the sidecar, not from the workers.
@@ -1104,7 +980,7 @@ impl Supervisor {
             pending: Mutex::new(HashMap::new()),
             tails: Mutex::new((0..shards).map(|k| (k, VecDeque::new())).collect()),
             failure: Mutex::new(None),
-            board: &board,
+            board,
             committer: committer.as_ref(),
             arbiter: &self.arbiter,
             sink,
@@ -1139,14 +1015,9 @@ impl Supervisor {
         let resume_skip = self.resume_skip;
         let skip_gen = self.resume_skip_gen;
         let recovered_bytes = self.recovered_bytes;
-        let barrier_every = self
-            .config
-            .checkpoint_every_epochs
-            .saturating_mul(self.config.epoch_events);
-        let start_routed = self.routed_lines;
-        let start_gen = self.next_generation;
+        let mut stream = Stream::new(&self.config, self.routed_lines, self.next_generation);
 
-        let scope_result: Result<(u64, u64, Option<u64>), String> =
+        let scope_result: Result<Option<u64>, String> =
             std::thread::scope(|s| {
                 let spawn_worker = |slot_idx: usize,
                                    hello_shards: Vec<u32>,
@@ -1383,11 +1254,7 @@ impl Supervisor {
                         };
                         for id in &ids {
                             let frame = sup_frame(&SupMsg::Query { id: *id })?;
-                            for (i, slot) in slots.iter_mut().enumerate() {
-                                if slot.alive && !write_slot(slot, &frame) {
-                                    dead.push(i);
-                                }
-                            }
+                            dead.extend(write_live(slots, &frame));
                         }
                         if dead.is_empty() {
                             // The failover/restart counters just moved;
@@ -1421,19 +1288,20 @@ impl Supervisor {
                 let route = |slots: &mut Vec<Slot>,
                              owners: &mut Vec<usize>,
                              shard: u32,
-                             line: &str|
+                             line: String|
                  -> Result<(), String> {
                     // Fires before the tail append: a kill here loses
                     // nothing, because the input journal already holds
                     // this line (teed at consume time).
                     fault::fire(fault::SUP_ROUTE, shard)?;
+                    let frame = raw_frame(&line);
                     shared
                         .tails
                         .lock()
                         .expect("tails lock poisoned")
                         .get_mut(&shard)
                         .expect("tail exists for every shard")
-                        .push_back(TailEntry::Line(line.to_owned()));
+                        .push_back(TailEntry::Line(line));
                     let idx = owners[shard as usize];
                     let slot = &mut slots[idx];
                     let mut bytes = Vec::new();
@@ -1441,7 +1309,7 @@ impl Supervisor {
                         bytes.extend(sup_frame(&SupMsg::Shard { shard })?);
                         slot.current_shard = Some(shard);
                     }
-                    bytes.extend(raw_frame(line));
+                    bytes.extend(frame);
                     if slot.alive && write_slot(slot, &bytes) {
                         Ok(())
                     } else {
@@ -1466,12 +1334,7 @@ impl Supervisor {
                         }
                     }
                     let frame = sup_frame(&SupMsg::Barrier { generation: gen, shards: None })?;
-                    let mut dead = Vec::new();
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        if slot.alive && !write_slot(slot, &frame) {
-                            dead.push(i);
-                        }
-                    }
+                    let dead = write_live(slots, &frame);
                     if dead.is_empty() {
                         Ok(())
                     } else {
@@ -1496,13 +1359,7 @@ impl Supervisor {
                         .lock()
                         .expect("pending lock poisoned")
                         .insert(id, PendingInteractive { control: c, waiting, reply });
-                    let frame = sup_frame(&SupMsg::Query { id })?;
-                    let mut dead = Vec::new();
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        if slot.alive && !write_slot(slot, &frame) {
-                            dead.push(i);
-                        }
-                    }
+                    let dead = write_live(slots, &sup_frame(&SupMsg::Query { id })?);
                     if dead.is_empty() {
                         Ok(())
                     } else {
@@ -1541,24 +1398,20 @@ impl Supervisor {
                     });
                 }
 
-                let mut routed = start_routed;
-                let mut next_gen = start_gen;
                 let mut next_query_id = 0u64;
-                // Tables of every binary `Define` seen, by stream-global
+                // Shape of every binary `Define` seen, by stream-global
                 // template id: events re-render as canonical JSONL
                 // through this dictionary, so worker streams (and
                 // therefore failover tails) carry no dictionary state.
-                let mut templates: Vec<(u16, QueryKind, Vec<u32>)> = Vec::new();
-                const INVALID_LINE: &str = "{\"invalid\":\"undecodable binary item\"}";
+                let mut templates: Vec<(QueryKind, Vec<u32>)> = Vec::new();
+                let opaque = map.opaque_shard();
 
                 for record in RecordIter::new(input) {
                     if let Some(e) = shared.take_failure() {
                         return Err(e);
                     }
-                    if take_child_signal() {
-                        // Reaping happens inside the failover; the
-                        // signal just prompts the sweep.
-                    }
+                    // Every record sweeps for collectors at EOF; reaping
+                    // happens inside the failover.
                     sweep(&mut slots, &mut owners)?;
                     if take_status_signal() {
                         eprintln!(
@@ -1570,169 +1423,58 @@ impl Supervisor {
                             )
                         );
                     }
-                    let record = match record {
-                        Record::Item(WireItem::Tagged { item, .. }) => Record::Item(*item),
-                        r => r,
-                    };
-                    let record = match record {
-                        Record::Item(WireItem::Raw(bytes)) => {
-                            Record::Line(String::from_utf8_lossy(&bytes).into_owned())
+                    let (shard, line) = match stream.decide(record, schema) {
+                        Decision::Skip => continue,
+                        Decision::Shutdown => break,
+                        Decision::Line { table, line } => {
+                            (table.map_or(opaque, |t| map.shard_of(t)), line)
                         }
-                        r => r,
-                    };
-                    let mut did_route = false;
-                    match record {
-                        Record::Line(line) => {
-                            let trimmed = line.trim();
-                            if trimmed.is_empty() {
-                                continue;
-                            }
-                            match classify_line(trimmed) {
-                                LineClass::Table(t) => {
-                                    // Recovery: records below resume_skip
-                                    // are already inside the restored
-                                    // checkpoint state — count them (so
-                                    // cadence positions match the clean
-                                    // run) but do not re-route them.
-                                    if routed >= resume_skip {
-                                        route(&mut slots, &mut owners, map.shard_of(t), trimmed)?;
-                                    }
-                                    did_route = true;
-                                }
-                                LineClass::Control => match parse_line(trimmed, schema) {
-                                    Ok(InputLine::Control(Control::Shutdown)) => break,
-                                    Ok(InputLine::Control(Control::Checkpoint)) => {
-                                        if committer.is_some() {
-                                            let gen = next_gen;
-                                            next_gen += 1;
-                                            if gen > skip_gen {
-                                                barrier(&mut slots, &mut owners, gen, routed)?;
-                                            }
-                                        }
-                                    }
-                                    Ok(InputLine::Control(
-                                        c @ (Control::Status
-                                        | Control::Whatif { .. }
-                                        | Control::Tenant { .. }
-                                        | Control::Budget { .. }
-                                        | Control::Calibration),
-                                    )) => {
-                                        let reply = interactive.as_ref().and_then(|reg| {
-                                            parse_token(trimmed).and_then(|t| reg.take(t))
-                                        });
-                                        let id = next_query_id;
-                                        next_query_id += 1;
-                                        enqueue_query(
-                                            &mut slots,
-                                            &mut owners,
-                                            id,
-                                            c,
-                                            reply,
-                                        )?;
-                                    }
-                                    Ok(InputLine::Query(_) | InputLine::Observed(_))
-                                    | Err(_) => {
-                                        if routed >= resume_skip {
-                                            route(
-                                                &mut slots,
-                                                &mut owners,
-                                                map.opaque_shard(),
-                                                trimmed,
-                                            )?;
-                                        }
-                                        did_route = true;
-                                    }
-                                },
-                                LineClass::Opaque => {
-                                    if routed >= resume_skip {
-                                        route(
-                                            &mut slots,
-                                            &mut owners,
-                                            map.opaque_shard(),
-                                            trimmed,
-                                        )?;
-                                    }
-                                    did_route = true;
-                                }
-                            }
-                        }
-                        Record::Item(WireItem::Define { table, kind, attrs }) => {
-                            // Defines never route or count (mirrors the
-                            // in-process router): the dictionary lives
+                        Decision::Define { kind, attrs, .. } => {
+                            // Defines never travel: the dictionary lives
                             // here, and events re-render through it.
-                            templates.push((table, kind, attrs));
+                            templates.push((kind, attrs));
+                            continue;
                         }
-                        Record::Item(WireItem::Event { template, frequency }) => {
-                            match usize::try_from(template)
-                                .ok()
-                                .and_then(|t| templates.get(t))
-                            {
-                                Some((t, kind, attrs)) => {
-                                    if routed >= resume_skip {
-                                        let line =
-                                            render_query(None, *t, attrs, frequency, *kind);
-                                        route(&mut slots, &mut owners, map.shard_of(*t), &line)?;
-                                    }
-                                }
-                                None => {
-                                    if routed >= resume_skip {
-                                        route(
-                                            &mut slots,
-                                            &mut owners,
-                                            map.opaque_shard(),
-                                            INVALID_LINE,
-                                        )?;
-                                    }
-                                }
-                            }
-                            did_route = true;
+                        Decision::Event { table, template, frequency } => {
+                            let (kind, attrs) = &templates[template as usize];
+                            let line = render_query(None, table, attrs, frequency, *kind);
+                            (map.shard_of(table), line)
                         }
-                        Record::Item(WireItem::Control(Control::Shutdown)) => break,
-                        Record::Item(WireItem::Control(Control::Checkpoint)) => {
+                        Decision::Invalid => {
+                            (opaque, "{\"invalid\":\"undecodable binary item\"}".to_owned())
+                        }
+                        Decision::Barrier => {
                             if committer.is_some() {
-                                let gen = next_gen;
-                                next_gen += 1;
+                                let gen = stream.take_generation();
                                 if gen > skip_gen {
-                                    barrier(&mut slots, &mut owners, gen, routed)?;
+                                    barrier(&mut slots, &mut owners, gen, stream.routed)?;
                                 }
                             }
+                            continue;
                         }
-                        Record::Item(WireItem::Control(
-                            c @ (Control::Status
-                            | Control::Whatif { .. }
-                            | Control::Tenant { .. }
-                            | Control::Budget { .. }
-                            | Control::Calibration),
-                        )) => {
+                        // `status` is in band here like every query: the
+                        // counters live in the workers, and the acks that
+                        // release the answer carry them.
+                        Decision::Query { control, token } => {
+                            let reply = interactive.as_ref().and_then(|reg| reg.take(token?));
                             let id = next_query_id;
                             next_query_id += 1;
-                            enqueue_query(&mut slots, &mut owners, id, c, None)?;
+                            enqueue_query(&mut slots, &mut owners, id, control, reply)?;
+                            continue;
                         }
-                        Record::Item(_) => {
-                            if routed >= resume_skip {
-                                route(&mut slots, &mut owners, map.opaque_shard(), INVALID_LINE)?;
-                            }
-                            did_route = true;
-                        }
-                        Record::Corrupt => {
-                            if routed >= resume_skip {
-                                route(&mut slots, &mut owners, map.opaque_shard(), INVALID_LINE)?;
-                            }
-                            did_route = true;
-                        }
+                    };
+                    // Recovery: records below resume_skip are already
+                    // inside the restored checkpoint state, and the prior
+                    // incarnation already committed generations ≤
+                    // skip_gen — count both (so cadence positions and
+                    // numbering match the clean run) but re-route and
+                    // re-fire neither.
+                    if stream.routed >= resume_skip {
+                        route(&mut slots, &mut owners, shard, line)?;
                     }
-                    if did_route {
-                        routed += 1;
-                        if barrier_every > 0 && routed.is_multiple_of(barrier_every) {
-                            let gen = next_gen;
-                            next_gen += 1;
-                            // Recovery: the prior incarnation already
-                            // committed generations ≤ skip_gen; count
-                            // them (so numbering matches the clean run)
-                            // but do not re-fire them.
-                            if gen > skip_gen {
-                                barrier(&mut slots, &mut owners, gen, routed)?;
-                            }
+                    if let Some(gen) = stream.count_routed() {
+                        if gen > skip_gen {
+                            barrier(&mut slots, &mut owners, gen, stream.routed)?;
                         }
                     }
                 }
@@ -1778,9 +1520,8 @@ impl Supervisor {
                 // --- Shutdown: final generation, then drain the fleet.
                 let mut final_committed = None;
                 if committer.is_some() {
-                    barrier(&mut slots, &mut owners, next_gen, routed)?;
-                    let final_gen = next_gen;
-                    next_gen += 1;
+                    let final_gen = stream.take_generation();
+                    barrier(&mut slots, &mut owners, final_gen, stream.routed)?;
                     // Wait out the final commit, absorbing deaths: a
                     // dead worker's tail ends with the scoped final
                     // barrier, so its adopter completes the generation.
@@ -1818,12 +1559,12 @@ impl Supervisor {
                 for slot in &mut slots {
                     slot.child.wait().ok();
                 }
-                Ok((routed, next_gen, final_committed))
+                Ok(final_committed)
             });
 
-        let (routed, next_gen, final_committed) = scope_result?;
-        self.routed_lines = routed;
-        self.next_generation = next_gen;
+        let final_committed = scope_result?;
+        self.routed_lines = stream.routed;
+        self.next_generation = stream.next_gen;
         shared.persist_sidecars();
         if let Some(e) = shared.take_failure() {
             return Err(e);
@@ -1859,6 +1600,26 @@ impl Supervisor {
             checkpoints_written: committer.as_ref().map_or(0, Committer::commits),
             final_selection: self.arbiter.merged_selection(),
         })
+    }
+}
+
+impl crate::socket::Engine for Supervisor {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+    fn board(&self) -> Arc<StatusBoard> {
+        Arc::clone(&self.board)
+    }
+    fn set_interactive(&mut self, registry: Arc<InteractiveRegistry>) {
+        Supervisor::set_interactive(self, registry);
+    }
+    fn serve<R: BufRead + Send>(
+        &mut self,
+        input: R,
+        checkpoint: Option<&Path>,
+        sinks: &[&dyn TraceSink],
+    ) -> Result<ServiceReport, String> {
+        self.run_reader(input, checkpoint, sinks.first().copied())
     }
 }
 

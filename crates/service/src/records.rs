@@ -23,7 +23,6 @@
 //! pre-builds a frequency-1 [`Query`] per valid template, so resolving
 //! a frequency-1 event is an array lookup that allocates nothing.
 
-use crate::event::Control;
 use crate::frame::{get_item, WireItem, FORMAT_VERSION, MAGIC, MAX_PAYLOAD};
 use isel_workload::wire::crc32;
 use isel_workload::{AttrId, Query, QueryKind, Schema, TableId};
@@ -376,54 +375,10 @@ pub(crate) fn validate_define(schema: &Schema, table: u16, attrs: &[u32]) -> boo
     })
 }
 
-/// Convenience: interpret one decoded [`WireItem`] against a dictionary
-/// the way [`parse_line`](crate::event::parse_line) interprets a line.
-/// `Define`s mutate the dictionary and yield `Ok(None)`; `Tagged`
-/// wrappers are transparent (conn/seq are journal metadata, exactly as
-/// the JSONL parser ignores those keys).
-pub fn interpret<'d>(
-    dict: &'d mut DecodeDict,
-    schema: &Schema,
-    item: &WireItem,
-) -> Result<Option<DecodedEvent<'d>>, InvalidTemplate> {
-    match item {
-        WireItem::Define { table, kind, attrs } => {
-            dict.define(schema, *table, *kind, attrs.clone());
-            Ok(None)
-        }
-        WireItem::Event { template, frequency } => match dict.resolve(*template, *frequency) {
-            Some(q) => Ok(Some(DecodedEvent::Query(q))),
-            None => Err(InvalidTemplate),
-        },
-        WireItem::Control(c) => Ok(Some(DecodedEvent::Control(*c))),
-        WireItem::Raw(bytes) => Ok(Some(DecodedEvent::RawLine(
-            String::from_utf8_lossy(bytes).into_owned(),
-        ))),
-        WireItem::Tagged { item, .. } => interpret(dict, schema, item),
-        // Supervisor messages are not events; in an event stream one
-        // counts as a single invalid input.
-        WireItem::Sup(_) => Err(InvalidTemplate),
-    }
-}
-
-/// An event referenced a template that was never validly defined —
-/// counted as one invalid input, like an unparseable JSONL line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InvalidTemplate;
-
-/// A [`WireItem`] interpreted against the schema and dictionary.
-pub enum DecodedEvent<'d> {
-    /// A validated query (borrowed for frequency-1 events).
-    Query(Cow<'d, Query>),
-    /// A control command.
-    Control(Control),
-    /// A raw line to be fed through the JSONL parser.
-    RawLine(String),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Control;
     use crate::frame::FrameEncoder;
     use isel_workload::SchemaBuilder;
     use std::io::Cursor;

@@ -1,35 +1,42 @@
-//! The sharded tuning router: one ingest loop fanning raw lines out to
-//! per-shard workers, each tuning its own table groups.
+//! The tuning router — the in-process serving engine under every
+//! `--shards`: one ingest loop fanning records out to per-shard
+//! workers, each hosting its own groups.
 //!
 //! ## Architecture
 //!
-//! The **unit of tuning state is the table group** — one [`EpochWindow`]
-//! plus one table-scoped [`Tuner`] per table, sealing epochs on the
-//! group's *own* valid-event count and budgeting with the
-//! table-separable split of Eq. (10)
-//! ([`isel_core::budget::table_relative_budget`]). Shards merely pack
-//! groups onto worker threads via the [`ShardMap`]; because no tuning
-//! state spans shards, the selection sequence is **bit-identical at
-//! every shard count** by construction — the router's headline
-//! determinism guarantee, pinned by `tests/service.rs`.
+//! The **unit of tuning state is the group** (`group.rs`). Under
+//! `shards >= 1` a group is a table — one [`EpochWindow`] plus one
+//! table-scoped tuner per table, sealing epochs on the group's *own*
+//! valid-event count and budgeting with the table-separable split of
+//! Eq. (10) ([`isel_core::budget::table_relative_budget`]). Shards
+//! merely pack groups onto worker threads via the [`ShardMap`]; because
+//! no tuning state spans shards, the selection sequence is
+//! **bit-identical at every shard count** by construction — the
+//! router's headline determinism guarantee, pinned by
+//! `tests/service.rs`. `shards == 0` is the one-group case: the whole
+//! workload tuned as a single whole-schema group on one shard, which is
+//! Section VII's `dynamic::adapt` loop run continuously (DESIGN.md §12)
+//! — a different product (one budget, one drift baseline, epochs sealed
+//! on the global event count), not a different engine.
 //!
-//! The router thread owns the input: it classifies each raw line with
-//! the cheap byte-scan [`classify_line`] (no JSON parse) and appends it
-//! to the owning shard's hand-off batch; a batch crosses the shard's
-//! bounded queue under one lock and one wake-up when it is full and —
-//! so that nothing waits on an idle input — before every read that may
-//! block ([`RecordIter::next_with`]; DESIGN.md §13). Workers take
-//! whatever is queued in one swap and do the full
-//! parse/validate/aggregate/tune work. Control lines are parsed by the
-//! router itself: `shutdown` stops ingestion, `checkpoint` injects a
-//! barrier into *every* queue at the same stream position, `status`
-//! prints the [`StatusBoard`] line (out of band — never queued).
+//! The router thread owns the input and follows the stream grammar
+//! (`stream.rs`): a text line is classified with a cheap byte
+//! scan (no JSON parse) and appended to the owning shard's hand-off
+//! batch; a batch crosses the shard's bounded queue under one lock and
+//! one wake-up when it is full and — so that nothing waits on an idle
+//! input — before every read that may block ([`RecordIter::next_with`];
+//! DESIGN.md §13). Workers take whatever is queued in one swap and do
+//! the full parse/validate/aggregate/tune work. Control lines are
+//! parsed by the router itself: `shutdown` stops ingestion,
+//! `checkpoint` injects a barrier into *every* queue at the same stream
+//! position, `status` prints the [`StatusBoard`] line (out of band —
+//! never queued).
 //!
 //! ## Checkpointing
 //!
 //! A checkpoint barrier carries a monotonically increasing *generation*.
 //! Each worker, on seeing `Barrier(g)`, serializes its groups as a
-//! [`ShardCheckpoint`] into `<stem>.shard-{k}.g{g}.json`; when every
+//! [`crate::ShardCheckpoint`] into `<stem>.shard-{k}.g{g}.json`; when every
 //! shard has committed generation `g`, the committer atomically writes
 //! the [`Manifest`] at the user's checkpoint path and deletes
 //! older-generation files. A kill at any moment leaves either the
@@ -60,21 +67,19 @@
 //! budget, so every later publish folds into allocations under `B`.
 
 use crate::arbiter::{global_budget, Arbiter, InteractiveRegistry, PendingQuery};
-use crate::checkpoint::{
-    shard_file, GroupCheckpoint, Manifest, ShardCheckpoint, CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{shard_file, Manifest, CHECKPOINT_VERSION};
 use crate::config::ServiceConfig;
-use crate::daemon::{flatten_item, FlatItem, OverloadPolicy, ServiceReport};
-use crate::event::{parse_line, parse_token, Control, InputLine};
-use crate::feedback::{self, GroupFeedback};
+use crate::event::{parse_line, Control, InputLine};
 use crate::frame::WireItem;
+use crate::group::{Env, GroupHost, Sealed};
 use crate::queue::BoundedQueue;
 use crate::records::{validate_define, DecodeDict, Record, RecordIter};
-use crate::shard::{classify_line, LineClass, ShardMap, ShardTagSink};
+use crate::shard::{ShardMap, ShardTagSink};
 use crate::status::{take_status_signal, StatusBoard};
-use crate::tuner::{EpochOutcome, Tuner};
+use crate::stream::{Decision, Stream};
+use crate::tuner::EpochOutcome;
 use crate::window::EpochWindow;
-use isel_core::{budget, Parallelism, Selection, Trace, TraceSink};
+use isel_core::{budget, Selection, Trace, TraceSink};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf};
 use isel_workload::{Query, QueryKind, Schema, TableId, Workload};
 use std::collections::{BTreeMap, VecDeque};
@@ -82,6 +87,36 @@ use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
+
+/// What happens when a shard queue is full.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OverloadPolicy {
+    /// Producer waits — lossless; required for deterministic replay.
+    Block,
+    /// Oldest queued event is evicted (counted) — live serving.
+    DropOldest,
+}
+
+/// Summary of one run.
+#[derive(Clone, Debug)]
+pub struct ServiceReport {
+    /// Outcome of every epoch tuned during this run, in canonical
+    /// `(group, epoch)` order.
+    pub epochs: Vec<EpochOutcome>,
+    /// Valid query events ingested (lifetime total, including epochs
+    /// restored from a checkpoint).
+    pub ingested: u64,
+    /// Invalid input lines skipped (lifetime total).
+    pub invalid: u64,
+    /// Events dropped under overload (lifetime total).
+    pub dropped: u64,
+    /// Highest queue fill level observed this run.
+    pub queue_high_water: u64,
+    /// Checkpoints written this run.
+    pub checkpoints_written: u64,
+    /// Selection in force at shutdown.
+    pub final_selection: Selection,
+}
 
 /// Items flowing through one shard's queue.
 enum ShardItem {
@@ -187,45 +222,6 @@ impl<'a> Handoff<'a> {
         for queue in self.queues {
             queue.push_blocking(marker());
         }
-    }
-}
-
-/// One table group's live tuning state. Shared with the multi-process
-/// supervisor's worker loop ([`crate::process`]), which hosts groups in
-/// child processes exactly as a shard thread does here.
-pub(crate) struct GroupState {
-    pub(crate) tuner: Tuner,
-    pub(crate) window: EpochWindow,
-    pub(crate) feedback: GroupFeedback,
-}
-
-impl GroupState {
-    pub(crate) fn fresh(schema: &Schema, config: &ServiceConfig, table: TableId) -> Self {
-        Self {
-            tuner: Tuner::for_table(schema, config.clone(), table),
-            window: EpochWindow::new(
-                schema.clone(),
-                config.epoch_events,
-                config.window_epochs,
-                config.max_templates,
-            ),
-            feedback: GroupFeedback::new(config),
-        }
-    }
-
-    /// Restore a group — tuning state and feedback state — from a
-    /// checkpoint document.
-    pub(crate) fn from_checkpoint(
-        gc: &GroupCheckpoint,
-        schema: &Schema,
-        config: &ServiceConfig,
-    ) -> Result<Self, String> {
-        let (tuner, window) = gc.restore(schema, config)?;
-        let feedback = match &gc.feedback {
-            Some(saved) => GroupFeedback::load(saved, config)?,
-            None => GroupFeedback::new(config),
-        };
-        Ok(Self { tuner, window, feedback })
     }
 }
 
@@ -396,79 +392,67 @@ impl<'a> Committer<'a> {
 /// Per-worker context shared by the shard loop.
 struct WorkerCtx<'a> {
     shard: u32,
-    schema: &'a Schema,
-    config: &'a ServiceConfig,
-    par: Parallelism,
+    env: &'a Env<'a>,
     board: &'a StatusBoard,
     committer: Option<&'a Committer<'a>>,
     checkpoint: Option<&'a Path>,
-    /// Lifetime counter bases folded into this shard's checkpoints
-    /// (non-zero only on shard 0, which carries the restored history).
-    base_ingested: u64,
-    base_invalid: u64,
-    base_dropped: u64,
     sink: Option<&'a dyn TraceSink>,
     arbiter: &'a Arbiter,
 }
 
-/// What one worker hands back when its queue drains.
-struct WorkerOut {
-    outcomes: Vec<EpochOutcome>,
-    groups: BTreeMap<u16, GroupState>,
-    ingested: u64,
-    invalid: u64,
-}
-
-/// The sharded tuning service: a [`ShardMap`] over per-table groups,
-/// driven by [`Router::run_reader`].
+/// The tuning service: table groups packed onto shard threads by a
+/// [`ShardMap`] — or, at `config.shards == 0`, the whole workload tuned
+/// as one group on one shard — driven by [`Router::run_reader`].
 pub struct Router {
     schema: Schema,
     config: ServiceConfig,
     map: ShardMap,
-    groups: BTreeMap<u16, GroupState>,
-    base_ingested: u64,
-    base_invalid: u64,
-    base_dropped: u64,
+    /// Every group, with the lifetime counters restored from a
+    /// checkpoint (zero for a fresh router); a run deals the groups out
+    /// to its shards and collects them again.
+    state: GroupHost,
     routed_lines: u64,
     next_generation: u64,
     arbiter: Arbiter,
+    board: Arc<StatusBoard>,
     interactive: Option<Arc<InteractiveRegistry>>,
 }
 
 impl Router {
-    /// Fresh router with no tuned state. Requires `config.shards >= 1`.
+    /// Fresh router with no tuned state. `config.shards == 0` selects
+    /// whole-workload tuning: one shard hosting the one whole-schema
+    /// group, published under part key 0 (DESIGN.md §12).
     ///
     /// # Errors
     ///
     /// Returns the first configuration problem, if any.
     pub fn new(schema: Schema, config: ServiceConfig) -> Result<Self, String> {
         config.validate()?;
-        if config.shards == 0 {
-            return Err("the router requires shards >= 1 (0 selects the unsharded daemon)".into());
-        }
-        let map = ShardMap::new(config.shards, config.shard_map.clone(), schema.tables().len())?;
+        let map =
+            ShardMap::new(config.shards.max(1), config.shard_map.clone(), schema.tables().len())?;
         let arbiter = Arbiter::new(
             global_budget(&schema, config.budget_share),
             config.tenant_weights.clone(),
         );
+        let board = Arc::new(StatusBoard::new(config.shards));
         Ok(Self {
             schema,
             config,
             map,
-            groups: BTreeMap::new(),
-            base_ingested: 0,
-            base_invalid: 0,
-            base_dropped: 0,
+            state: GroupHost::default(),
             routed_lines: 0,
             next_generation: 1,
             arbiter,
+            board,
             interactive: None,
         })
     }
 
-    /// Resume from a sharded checkpoint manifest. The manifest may have
-    /// been written at a different shard count — groups are re-packed
-    /// under the current [`ShardMap`] (placement never affects results).
+    /// Resume from a checkpoint manifest. The manifest may have been
+    /// written at a different shard count — groups are re-packed under
+    /// the current [`ShardMap`] (placement never affects results) — but
+    /// not in the other tuning mode: a whole-workload document does not
+    /// split into table groups, nor the reverse.
     pub fn resume(
         schema: Schema,
         config: ServiceConfig,
@@ -476,43 +460,17 @@ impl Router {
     ) -> Result<Self, String> {
         let mut router = Self::new(schema, config)?;
         let manifest = Manifest::load(manifest_path)?;
-        let shards = manifest.load_shards(manifest_path)?;
-        for cp in &shards {
-            if cp.config.epoch_events != router.config.epoch_events
-                || cp.config.window_epochs != router.config.window_epochs
-                || cp.config.max_templates != router.config.max_templates
-            {
-                return Err(format!(
-                    "checkpoint aggregation config (epoch_events={}, window_epochs={}, \
-                     max_templates={}) does not match the requested configuration",
-                    cp.config.epoch_events, cp.config.window_epochs, cp.config.max_templates
-                ));
-            }
-            router.base_ingested += cp.ingested;
-            router.base_invalid += cp.invalid;
-            router.base_dropped += cp.dropped;
-            for gc in &cp.groups {
-                if router.groups.contains_key(&gc.table) {
-                    return Err(format!(
-                        "table t{} appears in more than one shard checkpoint",
-                        gc.table
-                    ));
-                }
-                router.groups.insert(
-                    gc.table,
-                    GroupState::from_checkpoint(gc, &router.schema, &router.config)?,
-                );
-            }
+        for cp in &manifest.load_shards(manifest_path)? {
+            router.config.check_resume(&cp.config)?;
+            router.state.absorb(GroupHost::adopt(cp, &router.schema, &router.config)?)?;
         }
         router.routed_lines = manifest.routed_lines;
         router.next_generation = manifest.generation + 1;
         // Re-publish the checkpointed frontiers so the resumed arbiter
         // answers queries — and computes the merged selection — without
         // any group having to re-run from scratch.
-        for (t, g) in &router.groups {
-            if let Some(pf) = g.tuner.published() {
-                router.arbiter.publish(*t, Arc::clone(pf), Trace::disabled());
-            }
+        for (key, pf) in router.state.published() {
+            router.arbiter.publish(key, Arc::clone(pf), Trace::disabled());
         }
         Ok(router)
     }
@@ -530,41 +488,27 @@ impl Router {
         self.interactive = Some(registry);
     }
 
-    /// Number of shards the router fans out to.
+    /// Number of shard threads a run fans out to (1 under
+    /// whole-workload tuning).
     pub fn shards(&self) -> u32 {
         self.map.shards()
     }
 
-    pub(crate) fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Number of table groups holding state.
+    /// Number of groups holding state.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.state.groups.len()
     }
 
     /// Sealed epochs tuned across all groups (lifetime).
     pub fn epochs_tuned(&self) -> u64 {
-        self.groups.values().map(|g| g.tuner.epoch()).sum()
+        self.state.groups.values().map(|g| g.tuner.epoch()).sum()
     }
 
-    /// Canonical calibration snapshot line summed over every table
-    /// group — byte-identical to the in-band `{"control":"calibration"}`
-    /// answer at this point in the stream.
+    /// Canonical calibration snapshot line summed over every group —
+    /// byte-identical to the in-band `{"control":"calibration"}` answer
+    /// at this point in the stream.
     pub fn calibration(&self) -> String {
-        let mut sum = crate::feedback::CalSnapshot::default();
-        for g in self.groups.values() {
-            sum.add(&g.feedback.snapshot());
-        }
-        sum.render()
-    }
-
-    fn parallelism(&self) -> Parallelism {
-        match self.config.threads {
-            0 => Parallelism::available(),
-            n => Parallelism::new(n),
-        }
+        self.state.calibration().render()
     }
 
     /// Run the router over a line-based input until EOF or a `shutdown`
@@ -590,45 +534,51 @@ impl Router {
                 sinks.len()
             ));
         }
-        let board = StatusBoard::new(self.map.shards());
-        board.ingested.store(self.base_ingested, Ordering::Relaxed);
-        board.invalid.store(self.base_invalid, Ordering::Relaxed);
+        let board = &*self.board;
+        board.ingested.store(self.state.ingested, Ordering::Relaxed);
+        board.invalid.store(self.state.invalid, Ordering::Relaxed);
+        // Restored groups bring their calibration history with them, so
+        // the in-band `calibration` answer is the lifetime table at
+        // every placement.
+        board.cal.store(&self.state.calibration());
         let queues: Vec<BoundedQueue<ShardItem>> = (0..shards)
             .map(|_| BoundedQueue::new(self.config.queue_capacity))
             .collect();
-        let committer = checkpoint.map(|p| Committer::new(p, self.map.shards(), &board));
+        let committer = checkpoint.map(|p| Committer::new(p, self.map.shards(), board));
 
-        // Pack the groups onto shards under the current map.
-        let mut per_shard: Vec<BTreeMap<u16, GroupState>> =
-            (0..shards).map(|_| BTreeMap::new()).collect();
-        for (t, g) in std::mem::take(&mut self.groups) {
-            per_shard[self.map.shard_of(t) as usize].insert(t, g);
+        // Deal the groups out to the shards under the current map; shard
+        // 0 carries the restored counter history.
+        let base_dropped = self.state.dropped;
+        let mut hosts: Vec<GroupHost> = (0..shards).map(|_| GroupHost::default()).collect();
+        let state = std::mem::take(&mut self.state);
+        (hosts[0].ingested, hosts[0].invalid, hosts[0].dropped) =
+            (state.ingested, state.invalid, state.dropped);
+        for (key, group) in state.groups {
+            hosts[self.map.shard_of(key) as usize].groups.insert(key, group);
         }
 
-        let par = self.parallelism();
-        // Periodic barrier cadence in routed lines; 0 disables it.
-        let barrier_every = self
-            .config
-            .checkpoint_every_epochs
-            .saturating_mul(self.config.epoch_events);
-        let mut routed = self.routed_lines;
-        let mut next_gen = self.next_generation;
-        let base_dropped = self.base_dropped;
+        let env = Env::new(&self.schema, &self.config);
+        let mut stream = Stream::new(&self.config, self.routed_lines, self.next_generation);
         let interactive = self.interactive.clone();
 
-        let result: Result<(Vec<WorkerOut>, u64, u64), String> = std::thread::scope(|s| {
+        let result: Result<Vec<GroupOut>, String> = std::thread::scope(|s| {
             let queues_ref = &queues;
-            let board_ref = &board;
             let map_ref = &self.map;
             let schema_ref = &self.schema;
             let config_ref = &self.config;
             let committer_ref = committer.as_ref();
             let arbiter_ref = &self.arbiter;
+            let stream = &mut stream;
 
             let router_thread = s.spawn(move || {
-                let status = |line: &str| eprintln!("{line}");
-                let dropped = || {
-                    base_dropped + queues_ref.iter().map(BoundedQueue::dropped).sum::<u64>()
+                let status_line = || {
+                    let dropped =
+                        base_dropped + queues_ref.iter().map(BoundedQueue::dropped).sum::<u64>();
+                    let depths: Vec<u64> = queues_ref.iter().map(|q| q.len() as u64).collect();
+                    board.line(dropped, &depths, &arbiter_ref.allocations())
+                };
+                let reply_to = |token: Option<u64>| {
+                    interactive.as_ref().and_then(|reg| reg.take(token?))
                 };
                 let mut handoff = Handoff::new(queues_ref, policy, config_ref.queue_capacity);
                 let barrier = |handoff: &mut Handoff<'_>, gen: u64, routed: u64| {
@@ -637,164 +587,63 @@ impl Router {
                         handoff.broadcast(|| ShardItem::Barrier(gen));
                     }
                 };
-                let depths = || -> Vec<u64> {
-                    queues_ref.iter().map(|q| q.len() as u64).collect()
-                };
-                // Interactive queries barrier every queue so the answer
-                // reflects exactly the events preceding the query. They
-                // never count as routed lines: barrier cadence stays
-                // identical with and without queries in the stream.
-                let enqueue_query = |handoff: &mut Handoff<'_>, c: Control, reply| {
-                    let pq = PendingQuery::new(c, queues_ref.len() as u32, reply);
-                    handoff.broadcast(|| ShardItem::Query(Arc::clone(&pq)));
-                };
-                // Tables of every `Define` routed so far, indexed by the
-                // stream-global template id, so events route by table
-                // without re-reading their definition.
-                let mut template_tables: Vec<u16> = Vec::new();
+                let opaque = map_ref.opaque_shard();
                 let mut records = RecordIter::new(input);
                 while let Some(record) = records.next_with(|| handoff.flush()) {
                     if take_status_signal() {
-                        status(&board_ref.line(dropped(), &depths(), &arbiter_ref.allocations()));
+                        eprintln!("{}", status_line());
                     }
-                    // Journal conn/seq tags and raw-carried lines reduce
-                    // to the plain record they wrap.
-                    let record = match record {
-                        Record::Item(WireItem::Tagged { item, .. }) => Record::Item(*item),
-                        r => r,
-                    };
-                    let record = match record {
-                        Record::Item(WireItem::Raw(bytes)) => {
-                            Record::Line(String::from_utf8_lossy(&bytes).into_owned())
+                    let (shard, item) = match stream.decide(record, schema_ref) {
+                        Decision::Skip => continue,
+                        Decision::Shutdown => break,
+                        Decision::Line { table, line } => {
+                            (table.map_or(opaque, |t| map_ref.shard_of(t)), ShardItem::Line(line))
                         }
-                        r => r,
-                    };
-                    let mut did_route = false;
-                    match record {
-                        Record::Line(line) => {
-                            // Strip surrounding blanks; recorded and
-                            // rendered lines have none and move as-is.
-                            let line = match line.trim() {
-                                "" => continue,
-                                t if t.len() == line.len() => line,
-                                t => t.to_owned(),
-                            };
-                            match classify_line(&line) {
-                                LineClass::Table(t) => {
-                                    handoff.push(map_ref.shard_of(t), ShardItem::Line(line));
-                                    did_route = true;
-                                }
-                                LineClass::Control => match parse_line(&line, schema_ref) {
-                                    Ok(InputLine::Control(Control::Shutdown)) => break,
-                                    Ok(InputLine::Control(Control::Checkpoint)) => {
-                                        if committer_ref.is_some() {
-                                            barrier(&mut handoff, next_gen, routed);
-                                            next_gen += 1;
-                                        }
-                                    }
-                                    Ok(InputLine::Control(Control::Status)) => {
-                                        let counters = board_ref.line(
-                                            dropped(),
-                                            &depths(),
-                                            &arbiter_ref.allocations(),
-                                        );
-                                        let reply = interactive.as_ref().and_then(|reg| {
-                                            parse_token(&line).and_then(|t| reg.take(t))
-                                        });
-                                        match reply {
-                                            Some(tx) => {
-                                                let _ = tx.send(counters);
-                                            }
-                                            None => status(&counters),
-                                        }
-                                    }
-                                    Ok(InputLine::Control(
-                                        c @ (Control::Whatif { .. }
-                                        | Control::Tenant { .. }
-                                        | Control::Budget { .. }
-                                        | Control::Calibration),
-                                    )) => {
-                                        let reply = interactive.as_ref().and_then(|reg| {
-                                            parse_token(&line).and_then(|t| reg.take(t))
-                                        });
-                                        enqueue_query(&mut handoff, c, reply);
-                                    }
-                                    // A malformed control line is counted
-                                    // as invalid by a worker at its stream
-                                    // position (deterministic), not by the
-                                    // router.
-                                    Ok(InputLine::Query(_) | InputLine::Observed(_))
-                                    | Err(_) => {
-                                        handoff.push(map_ref.opaque_shard(), ShardItem::Line(line));
-                                        did_route = true;
-                                    }
-                                },
-                                LineClass::Opaque => {
-                                    handoff.push(map_ref.opaque_shard(), ShardItem::Line(line));
-                                    did_route = true;
-                                }
-                            }
-                        }
-                        Record::Item(WireItem::Define { table, kind, attrs }) => {
-                            // Defines ride to the owning shard but do NOT
-                            // count as routed: a JSONL stream has no
-                            // define lines, and barrier generations must
-                            // land at identical event positions in both
-                            // encodings.
-                            let id = template_tables.len();
-                            template_tables.push(table);
+                        Decision::Define { id, table, kind, attrs } => {
+                            // The worker validates it against the schema once.
                             handoff.push(
                                 map_ref.shard_of(table),
                                 ShardItem::Define { id, table, kind, attrs },
                             );
+                            continue;
                         }
-                        Record::Item(WireItem::Event { template, frequency }) => {
-                            match usize::try_from(template)
-                                .ok()
-                                .and_then(|t| template_tables.get(t).copied())
-                            {
-                                Some(t) => handoff.push(
-                                    map_ref.shard_of(t),
-                                    ShardItem::Event { template, frequency },
-                                ),
-                                None => handoff.push(map_ref.opaque_shard(), ShardItem::Invalid),
-                            }
-                            did_route = true;
+                        Decision::Event { table, template, frequency } => {
+                            (map_ref.shard_of(table), ShardItem::Event { template, frequency })
                         }
-                        Record::Item(WireItem::Control(Control::Shutdown)) => break,
-                        Record::Item(WireItem::Control(Control::Checkpoint)) => {
+                        Decision::Invalid => (opaque, ShardItem::Invalid),
+                        Decision::Barrier => {
                             if committer_ref.is_some() {
-                                barrier(&mut handoff, next_gen, routed);
-                                next_gen += 1;
+                                let gen = stream.take_generation();
+                                barrier(&mut handoff, gen, stream.routed);
                             }
+                            continue;
                         }
-                        Record::Item(WireItem::Control(Control::Status)) => {
-                            status(&board_ref.line(dropped(), &depths(), &arbiter_ref.allocations()));
+                        // Out of band: answered from the board as it
+                        // stands, never queued.
+                        Decision::Query { control: Control::Status, token } => {
+                            match reply_to(token) {
+                                Some(tx) => {
+                                    let _ = tx.send(status_line());
+                                }
+                                None => eprintln!("{}", status_line()),
+                            }
+                            continue;
                         }
-                        Record::Item(WireItem::Control(
-                            c @ (Control::Whatif { .. }
-                            | Control::Tenant { .. }
-                            | Control::Budget { .. }
-                            | Control::Calibration),
-                        )) => enqueue_query(&mut handoff, c, None),
-                        // Tagged/Raw were unwrapped above; anything else
-                        // would be a decoder invariant violation — count
-                        // it invalid rather than trust it.
-                        Record::Item(_) => {
-                            handoff.push(map_ref.opaque_shard(), ShardItem::Invalid);
-                            did_route = true;
+                        // Interactive queries barrier every queue so the
+                        // answer reflects exactly the events preceding
+                        // the query. They never count as routed:
+                        // barrier cadence stays identical with and
+                        // without queries in the stream.
+                        Decision::Query { control, token } => {
+                            let shards = queues_ref.len() as u32;
+                            let pq = PendingQuery::new(control, shards, reply_to(token));
+                            handoff.broadcast(|| ShardItem::Query(Arc::clone(&pq)));
+                            continue;
                         }
-                        Record::Corrupt => {
-                            handoff.push(map_ref.opaque_shard(), ShardItem::Invalid);
-                            did_route = true;
-                        }
-                    }
-                    if did_route {
-                        routed += 1;
-                        if barrier_every > 0 && routed.is_multiple_of(barrier_every) {
-                            barrier(&mut handoff, next_gen, routed);
-                            next_gen += 1;
-                        }
+                    };
+                    handoff.push(shard, item);
+                    if let Some(gen) = stream.count_routed() {
+                        barrier(&mut handoff, gen, stream.routed);
                     }
                 }
                 // Hand over what is left (the barrier does, but only a
@@ -802,35 +651,28 @@ impl Router {
                 // run with checkpointing ends on a complete committed
                 // generation.
                 handoff.flush();
-                barrier(&mut handoff, next_gen, routed);
-                next_gen += 1;
+                let gen = stream.take_generation();
+                barrier(&mut handoff, gen, stream.routed);
                 for q in queues_ref {
                     q.close();
                 }
-                (routed, next_gen)
             });
 
-            let workers: Vec<_> = per_shard
+            let workers: Vec<_> = hosts
                 .into_iter()
                 .enumerate()
-                .map(|(k, groups)| {
+                .map(|(k, host)| {
                     let queue = &queues_ref[k];
-                    let sink = if sinks.is_empty() { None } else { Some(sinks[k]) };
                     let ctx = WorkerCtx {
                         shard: k as u32,
-                        schema: schema_ref,
-                        config: config_ref,
-                        par,
-                        board: board_ref,
+                        env: &env,
+                        board,
                         committer: committer_ref,
                         checkpoint,
-                        base_ingested: if k == 0 { self.base_ingested } else { 0 },
-                        base_invalid: if k == 0 { self.base_invalid } else { 0 },
-                        base_dropped: if k == 0 { base_dropped } else { 0 },
-                        sink,
+                        sink: sinks.get(k).copied(),
                         arbiter: arbiter_ref,
                     };
-                    s.spawn(move || shard_worker(ctx, groups, queue))
+                    s.spawn(move || shard_worker(ctx, host, queue))
                 })
                 .collect();
 
@@ -847,28 +689,20 @@ impl Router {
                     }
                 }
             }
-            let (routed, next_gen) = router_thread
-                .join()
-                .map_err(|_| "the router thread panicked".to_owned())?;
+            router_thread.join().map_err(|_| "the router thread panicked".to_owned())?;
             match first_err {
                 Some(e) => Err(e),
-                None => Ok((outs, routed, next_gen)),
+                None => Ok(outs),
             }
         });
-        let (outs, routed, next_gen) = result?;
-        self.routed_lines = routed;
-        self.next_generation = next_gen;
+        let outs = result?;
+        self.routed_lines = stream.routed;
+        self.next_generation = stream.next_gen;
 
         let mut epochs = Vec::new();
-        let mut ingested = self.base_ingested;
-        let mut invalid = self.base_invalid;
-        for out in outs {
-            epochs.extend(out.outcomes);
-            ingested += out.ingested;
-            invalid += out.invalid;
-            for (t, g) in out.groups {
-                self.groups.insert(t, g);
-            }
+        for (outcomes, host) in outs {
+            epochs.extend(outcomes);
+            self.state.absorb(host)?;
         }
         // Canonical order: by (table, epoch). Shard packing decides only
         // *where* an epoch was tuned, never its outcome, so this order —
@@ -877,51 +711,78 @@ impl Router {
 
         Ok(ServiceReport {
             epochs,
-            ingested,
-            invalid,
-            dropped: base_dropped + queues.iter().map(BoundedQueue::dropped).sum::<u64>(),
+            ingested: self.state.ingested,
+            invalid: self.state.invalid,
+            dropped: self.state.dropped,
             queue_high_water: queues.iter().map(BoundedQueue::high_water).max().unwrap_or(0),
             checkpoints_written: committer.as_ref().map_or(0, Committer::commits),
-            final_selection: self.merged_selection(),
+            // A cheap read of the arbiter's maintained merge. No group is
+            // re-run: each materializes its selection from its published
+            // construction steps at its maintained allocation.
+            final_selection: self.arbiter.merged_selection(),
         })
-    }
-
-    /// Union the per-group selections under the global memory budget — a
-    /// cheap read of the arbiter's maintained merge. No group is re-run:
-    /// each materializes its selection from its published construction
-    /// steps at its maintained allocation, and groups whose frontier
-    /// never changed since their last publication were never even
-    /// re-merged (the clean-group skip).
-    fn merged_selection(&self) -> Selection {
-        self.arbiter.merged_selection()
     }
 }
 
-/// One shard's consume loop: parse, aggregate per table group, tune on
-/// sealed epochs, serialize shard checkpoints at barriers.
+impl crate::socket::Engine for Router {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+    fn board(&self) -> Arc<StatusBoard> {
+        Arc::clone(&self.board)
+    }
+    fn set_interactive(&mut self, registry: Arc<InteractiveRegistry>) {
+        Router::set_interactive(self, registry);
+    }
+    fn serve<R: BufRead + Send>(
+        &mut self,
+        input: R,
+        checkpoint: Option<&Path>,
+        sinks: &[&dyn TraceSink],
+    ) -> Result<ServiceReport, String> {
+        self.run_reader(input, OverloadPolicy::DropOldest, checkpoint, sinks)
+    }
+}
+
+/// What one shard worker hands back when its queue drains: the epochs it
+/// tuned and its host.
+type GroupOut = (Vec<EpochOutcome>, GroupHost);
+
+/// One shard's consume loop: fold what the router thread hands over
+/// into the shard's [`GroupHost`], deliver sealed epochs to the report
+/// and the arbiter, serialize shard checkpoints at barriers.
 fn shard_worker(
     ctx: WorkerCtx<'_>,
-    mut groups: BTreeMap<u16, GroupState>,
+    mut host: GroupHost,
     queue: &BoundedQueue<ShardItem>,
-) -> Result<WorkerOut, String> {
+) -> Result<GroupOut, String> {
     let tag_sink = ctx.sink.map(|s| ShardTagSink::new(ctx.shard, s));
     let trace = match &tag_sink {
         Some(t) => Trace::to(t),
         None => Trace::disabled(),
     };
+    let cal = Some(&ctx.board.cal);
+    let base_dropped = host.dropped;
     let mut outcomes = Vec::new();
-    let mut ingested = 0u64;
-    let mut invalid = 0u64;
     let mut failure: Option<String> = None;
     // What the status board has been told of the two counters so far:
     // it hears once per hand-off batch (and ahead of every in-band
     // marker, whose answer may be followed by a status read), not once
     // per event.
-    let mut posted = (0u64, 0u64);
-    let post = |ingested: u64, invalid: u64, posted: &mut (u64, u64)| {
-        ctx.board.ingested.fetch_add(ingested - posted.0, Ordering::Relaxed);
-        ctx.board.invalid.fetch_add(invalid - posted.1, Ordering::Relaxed);
-        *posted = (ingested, invalid);
+    let mut posted = (host.ingested, host.invalid);
+    let post = |host: &GroupHost, posted: &mut (u64, u64)| {
+        ctx.board.ingested.fetch_add(host.ingested - posted.0, Ordering::Relaxed);
+        ctx.board.invalid.fetch_add(host.invalid - posted.1, Ordering::Relaxed);
+        *posted = (host.ingested, host.invalid);
+    };
+    let mut deliver = |sealed: Option<Sealed>| {
+        let Some(Sealed { mut outcome, publish }) = sealed else { return };
+        outcome.shard = Some(ctx.shard);
+        outcomes.push(outcome);
+        ctx.board.epochs.fetch_add(1, Ordering::Relaxed);
+        if let Some((key, pf)) = publish {
+            ctx.arbiter.publish(key, pf, trace);
+        }
     };
     // Pre-validated frequency-1 queries indexed by the stream-global
     // template id (dense: the router numbers defines as they arrive).
@@ -929,78 +790,21 @@ fn shard_worker(
     // failed schema validation, so events referencing it count invalid
     // (at their own position, exactly like an invalid JSONL line).
     let mut dict: Vec<Option<Query>> = Vec::new();
-    let ingest = |q: &Query,
-                  groups: &mut BTreeMap<u16, GroupState>,
-                  outcomes: &mut Vec<EpochOutcome>,
-                  ingested: &mut u64| {
-        *ingested += 1;
-        let table = q.table();
-        let group = groups
-            .entry(table.0)
-            .or_insert_with(|| GroupState::fresh(ctx.schema, ctx.config, table));
-        if group.window.push(q) {
-            let snap = group
-                .window
-                .snapshot()
-                .expect("snapshot exists after an epoch seals");
-            let mut out = feedback::tune_group(
-                &mut group.tuner,
-                &mut group.window,
-                &mut group.feedback,
-                &snap,
-                ctx.schema,
-                ctx.config,
-                ctx.par,
-                trace,
-                Some(&ctx.board.cal),
-            );
-            out.shard = Some(ctx.shard);
-            outcomes.push(out);
-            ctx.board.epochs.fetch_add(1, Ordering::Relaxed);
-            // Publish the group's frontier only when re-selection
-            // actually changed it; no-op epochs leave the arbiter's
-            // merge untouched.
-            if group.tuner.take_published_dirty() {
-                if let Some(pf) = group.tuner.published() {
-                    ctx.arbiter.publish(table.0, Arc::clone(pf), trace);
-                }
-            }
-        }
-    };
     let mut batch = VecDeque::new();
     loop {
         let Some(item) = batch.pop_front() else {
             // Batch folded: tell the board, then take whatever has queued
             // up meanwhile.
-            post(ingested, invalid, &mut posted);
+            post(&host, &mut posted);
             if queue.pop_all(&mut batch) {
                 continue;
             }
             break;
         };
         match item {
-            ShardItem::Line(line) => match parse_line(&line, ctx.schema) {
-                Ok(InputLine::Query(q)) => {
-                    ingest(&q, &mut groups, &mut outcomes, &mut ingested);
-                }
-                // Observed-cost probes feed the owning group's ratio
-                // tracker; they never count as ingested events.
-                Ok(InputLine::Observed(o)) => {
-                    let table = o.query.table();
-                    let group = groups
-                        .entry(table.0)
-                        .or_insert_with(|| GroupState::fresh(ctx.schema, ctx.config, table));
-                    group.feedback.observe(ctx.config, &o, Some(&ctx.board.cal), trace);
-                }
-                // A line carrying both a top-level "table" and "control"
-                // key routes as a table line but parses as a control; the
-                // router-level command was never seen by the router, so
-                // it is dropped here rather than half-applied.
-                Ok(InputLine::Control(_)) => {}
-                Err(_) => invalid += 1,
-            },
+            ShardItem::Line(line) => deliver(host.line(ctx.env, &line, trace, cal)),
             ShardItem::Define { id, table, kind, attrs } => {
-                let query = validate_define(ctx.schema, table, &attrs).then(|| {
+                let query = validate_define(ctx.env.schema, table, &attrs).then(|| {
                     Query::with_kind(
                         TableId(table),
                         attrs.iter().map(|&a| isel_workload::AttrId(a)).collect(),
@@ -1018,7 +822,7 @@ fn shard_worker(
                     Some(Some(base)) if frequency == 1 => {
                         // The hot path: borrow the pre-built query, no
                         // allocation per event.
-                        ingest(base, &mut groups, &mut outcomes, &mut ingested);
+                        deliver(host.ingest(ctx.env, base, trace, cal));
                     }
                     Some(Some(base)) if frequency > 1 => {
                         let q = Query::with_kind(
@@ -1027,14 +831,14 @@ fn shard_worker(
                             frequency,
                             base.kind(),
                         );
-                        ingest(&q, &mut groups, &mut outcomes, &mut ingested);
+                        deliver(host.ingest(ctx.env, &q, trace, cal));
                     }
-                    _ => invalid += 1,
+                    _ => host.invalid += 1,
                 }
             }
-            ShardItem::Invalid => invalid += 1,
+            ShardItem::Invalid => host.invalid += 1,
             ShardItem::Query(pq) => {
-                post(ingested, invalid, &mut posted);
+                post(&host, &mut posted);
                 // In-band barrier: everything queued before the query on
                 // this shard has been consumed. The last worker in
                 // answers from the arbiter's maintained state.
@@ -1044,6 +848,10 @@ fn shard_worker(
                         // across shards as they bump; at the barrier
                         // every shard has consumed the preceding events.
                         Control::Calibration => Some(ctx.board.cal.snapshot().render()),
+                        // One whole-schema group has no per-tenant split.
+                        Control::Tenant { .. } if ctx.env.config.shards == 0 => {
+                            Some("{\"error\":\"tenant queries require --shards\"}".to_owned())
+                        }
                         c => ctx.arbiter.answer(c),
                     };
                     if let Some(answer) = answer {
@@ -1052,30 +860,15 @@ fn shard_worker(
                 }
             }
             ShardItem::Barrier(generation) => {
-                post(ingested, invalid, &mut posted);
+                post(&host, &mut posted);
                 if failure.is_some() {
                     continue; // keep draining; the run already failed
                 }
                 let (Some(path), Some(committer)) = (ctx.checkpoint, ctx.committer) else {
                     continue;
                 };
-                let cp = ShardCheckpoint {
-                    version: CHECKPOINT_VERSION,
-                    config: ctx.config.clone(),
-                    shard: ctx.shard,
-                    generation,
-                    ingested: ctx.base_ingested + ingested,
-                    invalid: ctx.base_invalid + invalid,
-                    dropped: ctx.base_dropped + queue.dropped(),
-                    groups: groups
-                        .values_mut()
-                        .map(|g| {
-                            GroupCheckpoint::capture(&mut g.tuner, &g.window).with_feedback(
-                                ctx.config.calibration.enabled.then(|| g.feedback.save()),
-                            )
-                        })
-                        .collect(),
-                };
+                host.dropped = base_dropped + queue.dropped();
+                let cp = host.capture(ctx.env.config, ctx.shard, generation);
                 let file = shard_file(path, ctx.shard, generation);
                 match cp.save(&file).and_then(|()| committer.done(ctx.shard, generation, file)) {
                     Ok(_) => {}
@@ -1084,17 +877,50 @@ fn shard_worker(
             }
         }
     }
+    host.dropped = base_dropped + queue.dropped();
     match failure {
         Some(e) => Err(e),
-        None => Ok(WorkerOut { outcomes, groups, ingested, invalid }),
+        None => Ok((outcomes, host)),
     }
 }
 
-/// Per-table-group epoch snapshots of a recorded log — the pure
-/// single-threaded reference the sharded replay is checked against.
-/// Works on both encodings (and mixtures). Each valid event feeds its
-/// table's own window; invalid records are skipped, `shutdown` stops,
-/// other controls are no-ops.
+/// A [`WireItem`] reduced to the cases an offline replay cares about.
+enum FlatItem {
+    /// A resolved, schema-valid query.
+    Query(Query),
+    /// A raw payload to feed through the line parser.
+    RawLine(String),
+    /// A control command.
+    Control(Control),
+    /// Nothing to replay (a define, or an invalid event).
+    Skip,
+}
+
+/// Resolve one item against the dictionary, unwrapping journal tags.
+fn flatten_item(item: &WireItem, dict: &mut DecodeDict, schema: &Schema) -> FlatItem {
+    match item {
+        WireItem::Define { table, kind, attrs } => {
+            dict.define(schema, *table, *kind, attrs.clone());
+            FlatItem::Skip
+        }
+        WireItem::Event { template, frequency } => match dict.resolve(*template, *frequency) {
+            Some(q) => FlatItem::Query(q.into_owned()),
+            None => FlatItem::Skip,
+        },
+        WireItem::Control(c) => FlatItem::Control(*c),
+        WireItem::Raw(bytes) => FlatItem::RawLine(String::from_utf8_lossy(bytes).into_owned()),
+        WireItem::Tagged { item, .. } => flatten_item(item, dict, schema),
+        WireItem::Sup(_) => FlatItem::Skip,
+    }
+}
+
+/// Per-group epoch snapshots of a recorded log — the pure
+/// single-threaded reference a replay is checked against, keyed like
+/// the service keys its groups: by table under `config.shards >= 1`,
+/// everything under key 0 when the whole workload is one group
+/// (`config.shards == 0`). Works on both encodings (and mixtures). Each
+/// valid event feeds its group's own window; invalid records are
+/// skipped, `shutdown` stops, other controls are no-ops.
 pub fn offline_group_snapshots<R: BufRead>(
     input: R,
     schema: &Schema,
@@ -1107,8 +933,8 @@ pub fn offline_group_snapshots<R: BufRead>(
     let feed = |q: &Query,
                 windows: &mut BTreeMap<u16, EpochWindow>,
                 out: &mut BTreeMap<u16, Vec<Workload>>| {
-        let t = q.table().0;
-        let window = windows.entry(t).or_insert_with(|| {
+        let key = config.group_key(q.table());
+        let window = windows.entry(key).or_insert_with(|| {
             EpochWindow::new(
                 schema.clone(),
                 config.epoch_events,
@@ -1117,7 +943,7 @@ pub fn offline_group_snapshots<R: BufRead>(
             )
         });
         if window.push(q) {
-            out.entry(t)
+            out.entry(key)
                 .or_default()
                 .push(window.snapshot().expect("sealed window has a snapshot"));
         }
@@ -1151,9 +977,10 @@ pub fn offline_group_snapshots<R: BufRead>(
     Ok(out)
 }
 
-/// Offline reference loop for sharded replay: per table group,
-/// `dynamic::adapt` over the group's snapshots at the table's share of
-/// the budget — exactly what a group tuner computes under
+/// Offline reference loop: per group, `dynamic::adapt` over the group's
+/// snapshots at the group's budget — a table's share of Eq. (10), or
+/// the whole-schema budget for the one whole-workload group — exactly
+/// what a group tuner computes under
 /// [`crate::DriftThresholds::always_adapt`].
 pub fn offline_group_adapt(
     snapshots: &BTreeMap<u16, Vec<Workload>>,
@@ -1163,20 +990,23 @@ pub fn offline_group_adapt(
     snapshots
         .iter()
         .filter(|(_, snaps)| !snaps.is_empty())
-        .map(|(&t, snaps)| {
+        .map(|(&key, snaps)| {
             let ests: Vec<CachingWhatIf<AnalyticalWhatIf<'_>>> = snaps
                 .iter()
                 .map(|w| CachingWhatIf::new(AnalyticalWhatIf::new(w)))
                 .collect();
             let refs: Vec<&dyn WhatIfOptimizer> =
                 ests.iter().map(|e| e as &dyn WhatIfOptimizer).collect();
-            let a = budget::table_relative_budget(&ests[0], config.budget_share, TableId(t));
+            let a = match config.group_scope(key) {
+                None => budget::relative_budget(&ests[0], config.budget_share),
+                Some(t) => budget::table_relative_budget(&ests[0], config.budget_share, t),
+            };
             let selections = isel_core::dynamic::adapt(&refs, a, config.transition)
                 .epochs
                 .into_iter()
                 .map(|e| e.selection)
                 .collect();
-            (t, selections)
+            (key, selections)
         })
         .collect()
 }
@@ -1458,5 +1288,126 @@ mod tests {
             }
         }
         assert_eq!(arbiter.merges(), merges);
+    }
+
+    // ----- whole-workload tuning (`shards == 0`): the one-group case
+
+    /// 16-event epochs, whole-schema group.
+    fn whole() -> ServiceConfig {
+        ServiceConfig { epoch_events: 16, ..config(0) }
+    }
+
+    #[test]
+    fn whole_workload_replay_matches_the_offline_reference() {
+        let w = workload();
+        let cfg = whole();
+        let log = sample_log(&w, 80, 5);
+
+        let mut router = Router::new(w.schema().clone(), cfg.clone()).unwrap();
+        let report = router
+            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
+            .unwrap();
+        assert_eq!(report.ingested, 80);
+        assert_eq!(report.invalid, 0);
+        assert_eq!(report.dropped, 0);
+        assert_eq!(report.epochs.len(), 5, "80 events / 16 per epoch");
+        assert!(report.epochs.iter().all(|o| o.table.is_none()), "epochs span the schema");
+
+        let snaps = offline_group_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
+        assert_eq!(snaps.keys().collect::<Vec<_>>(), [&0], "one group, part key 0");
+        assert_eq!(snaps[&0].len(), 5);
+        let offline = &offline_group_adapt(&snaps, &cfg)[&0];
+        for (got, want) in report.epochs.iter().zip(offline) {
+            assert_eq!(&got.selection, want);
+        }
+        assert_eq!(&report.final_selection, offline.last().unwrap());
+    }
+
+    #[test]
+    fn interactive_queries_are_answered_behind_preceding_events() {
+        let w = workload();
+        let mut router = Router::new(w.schema().clone(), whole()).unwrap();
+        let registry = Arc::new(InteractiveRegistry::new());
+        router.set_interactive(Arc::clone(&registry));
+        let budget = router.arbiter().budget();
+        // 16 events seal one epoch, so the tuned frontier is published
+        // before the in-band queries behind them are answered.
+        let mut log = sample_log(&w, 16, 7);
+        let mut ask = |control: String| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let token = registry.register(tx);
+            log.push_str(&format!(
+                "{{\"control\":{control},\"budget\":{budget},\"token\":{token}}}\n"
+            ));
+            rx
+        };
+        let rx = ask("\"whatif\"".into());
+        let tenant_rx = ask("\"tenant\",\"table_group\":0".into());
+        router.run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[]).unwrap();
+
+        let reply = rx.recv().unwrap();
+        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v.get("budget").and_then(|b| b.as_u64()), Some(budget));
+        let total = v.get("total_memory").and_then(|m| m.as_u64()).unwrap();
+        assert!(total <= budget, "merged memory {total} within budget {budget}");
+        assert_eq!(
+            v.get("allocations").and_then(|a| a.as_array()).map(Vec::len),
+            Some(1),
+            "whole-workload tuning is one tenant"
+        );
+        // The same question asked again is answered from maintained
+        // state, byte-identically.
+        assert_eq!(reply, router.arbiter().whatif(budget));
+        assert!(
+            tenant_rx.recv().unwrap().contains("tenant queries require --shards"),
+            "per-tenant splits need table groups"
+        );
+    }
+
+    #[test]
+    fn invalid_lines_are_counted_not_fatal() {
+        let w = workload();
+        let mut router = Router::new(w.schema().clone(), whole()).unwrap();
+        let log = "garbage\n{\"table\":999,\"attrs\":[0]}\n\n";
+        let report = router
+            .run_reader(Cursor::new(log.to_owned()), OverloadPolicy::Block, None, &[])
+            .unwrap();
+        assert_eq!(report.invalid, 2);
+        assert_eq!(report.ingested, 0);
+        assert!(report.epochs.is_empty());
+    }
+
+    #[test]
+    fn shutdown_control_stops_ingestion() {
+        let w = workload();
+        let q = &w.queries()[0];
+        let attrs: Vec<String> = q.attrs().iter().map(|a| a.0.to_string()).collect();
+        let event = format!("{{\"table\":{},\"attrs\":[{}]}}\n", q.table().0, attrs.join(","));
+        let log = format!("{event}{}\n{event}", r#"{"control":"shutdown"}"#);
+        let mut router = Router::new(w.schema().clone(), whole()).unwrap();
+        let report =
+            router.run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[]).unwrap();
+        assert_eq!(report.ingested, 1, "events after shutdown are not read");
+    }
+
+    #[test]
+    fn checkpoint_control_writes_in_stream_order() {
+        let w = workload();
+        let dir = std::env::temp_dir().join(format!("isel-whole-ctl-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ctl.json");
+        let mut log = sample_log(&w, 20, 9);
+        log.push_str("{\"control\":\"checkpoint\"}\n");
+        let mut router = Router::new(w.schema().clone(), whole()).unwrap();
+        let report = router
+            .run_reader(Cursor::new(log), OverloadPolicy::Block, Some(&path), &[])
+            .unwrap();
+        // One from the control line, one final at shutdown.
+        assert_eq!(report.checkpoints_written, 2);
+        let cp = Manifest::load(&path).unwrap().load_shards(&path).unwrap().remove(0);
+        assert_eq!(cp.ingested, 20);
+        assert_eq!(cp.groups.len(), 1, "one whole-schema group");
+        assert_eq!(cp.groups[0].epoch, 1, "16 of 20 events sealed one epoch");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

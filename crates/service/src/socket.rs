@@ -1,12 +1,25 @@
 //! Unix-domain-socket ingestion for live serving.
 //!
-//! [`run_socket`] binds a socket, accepts any number of concurrent
-//! connections, and feeds every line through the same parse/validate
-//! path as the stdin reader — always with the drop-oldest overload
-//! policy (a live daemon must never stall its clients on backpressure;
-//! it sheds load and counts the shed). A `{"control":"shutdown"}` line
-//! on *any* connection stops the accept loop, closes the queue, and the
-//! daemon drains and checkpoints as usual.
+//! [`run_socket_router`] is the one socket front. It binds a socket,
+//! accepts any number of concurrent connections, and turns what they
+//! send into the single ordered record stream an [`Engine`] reads —
+//! the in-process [`crate::Router`] at any `--shards`, or the
+//! multi-process [`crate::Supervisor`] — exactly as it would read stdin or a replayed file.
+//! Live serving sheds load rather than stall its clients: where the
+//! engine queues, overload evicts the oldest queued event and counts
+//! it. A `{"control":"shutdown"}` line on *any* connection stops the
+//! accept loop; the engine then drains, commits a final checkpoint
+//! generation and reports as usual.
+//!
+//! Clients may send JSONL lines or binary frames (even mixed on one
+//! connection, auto-detected per record by the magic byte). Binary
+//! items are rendered back to their canonical line form through a
+//! per-connection template dictionary, so the engine's stream — and the
+//! journal — is encoding-agnostic and definition-free. An item that
+//! cannot be rendered (an event of an undefined template, a corrupt
+//! frame) is forwarded as a line the parser rejects, so it is counted
+//! invalid where every other invalid record is, and counted again when
+//! the journal is replayed.
 //!
 //! # Deterministic cross-client order
 //!
@@ -16,39 +29,32 @@
 //! lines a per-connection sequence number. When a journal path is
 //! given, every line is rewritten as
 //! `{"conn":C,"seq":S,...original fields...}` and appended to the
-//! journal *in the exact order the daemon consumed it* — the journal
-//! lock is held across both the journal write and the queue push, so
-//! journal order is queue order. Replaying the journal through
-//! [`crate::Daemon::run_reader`] (or the sharded
-//! [`crate::Router`](crate::router::Router)) reproduces the live run
-//! bit-for-bit: the event parser ignores the `conn`/`seq` fields, so
-//! the journal parses exactly like the original stream.
+//! journal *in the exact order the engine consumed it* — the journal
+//! lock is held across both the journal write and the hand-over, so
+//! journal order is consumption order. Replaying the journal reproduces
+//! the live run bit-for-bit: the event parser ignores the `conn`/`seq`
+//! fields, so the journal parses exactly like the original stream.
 //!
-//! A `{"control":"status"}` line is answered out of band: the daemon
-//! writes one JSON status line back on the same connection without
-//! queuing anything. Interactive `{"control":"whatif","budget":B}` and
-//! `{"control":"tenant","table_group":T,"budget":B}` lines are answered
-//! *in* band — queued as barrier items so the reply reflects exactly
-//! the events that preceded the query on the stream — from the live
-//! [`crate::Arbiter`], never by re-running selection.
+//! # Replies
 //!
-//! [`run_socket_router`] is the sharded peer: connections feed one
-//! ordered line channel the [`Router`] consumes, with identical journal
-//! and reply semantics plus per-group `tenant` answers.
+//! Interactive `whatif`, `tenant`, `budget`, `calibration` and `status`
+//! lines are stamped with a reply-routing token
+//! ([`InteractiveRegistry`]); the answer — computed from the live
+//! [`crate::Arbiter`] after every event that preceded the query, never
+//! by re-running selection — is written back on the issuing connection
+//! as one JSON line. A reply lost to a client that hung up is counted
+//! on the engine's [`StatusBoard`] (`reply_errors`), never fatal.
 
-use crate::arbiter::{Arbiter, InteractiveRegistry, PendingQuery};
-use crate::daemon::{ingest_one, Daemon, Ingest, OverloadPolicy, ServiceReport, WorkItem};
+use crate::arbiter::InteractiveRegistry;
 use crate::event::{parse_line, Control, InputLine};
 use crate::frame::WireItem;
 use crate::journal::{render_item_line, JournalConfig, JournalWriter};
-use crate::process::Supervisor;
-use crate::queue::BoundedQueue;
 use crate::records::{DecodeDict, Record, RecordIter};
-use crate::router::Router;
-use crate::status::{take_status_signal, StatusBoard};
-use isel_core::{Trace, TraceSink};
+use crate::router::ServiceReport;
+use crate::status::StatusBoard;
+use isel_core::TraceSink;
 use isel_workload::Schema;
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,240 +64,33 @@ use std::time::Duration;
 /// Accept-loop poll interval while waiting for connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// Shared state handed to every connection handler.
-struct ConnCtx<'a> {
-    schema: &'a Schema,
-    queue: &'a BoundedQueue<WorkItem>,
-    stop: &'a AtomicBool,
-    board: &'a StatusBoard,
-    journal: Option<&'a Mutex<JournalWriter>>,
-    base_dropped: u64,
-    arbiter: &'a Arbiter,
+/// What the socket front needs of the engine behind it: threads and
+/// queues ([`crate::Router`]) or processes and pipes
+/// ([`crate::Supervisor`]).
+pub trait Engine {
+    /// The schema control lines are checked against.
+    fn schema(&self) -> &Schema;
+    /// The live counters the engine's status line reads; the front
+    /// counts lost replies on it.
+    fn board(&self) -> Arc<StatusBoard>;
+    /// Route in-stream query answers through `registry`.
+    fn set_interactive(&mut self, registry: Arc<InteractiveRegistry>);
+    /// Serve a live input stream to its end — shedding under overload
+    /// where there is a queue to shed from — then drain, commit a final
+    /// checkpoint generation and report. `sinks` is one trace sink per
+    /// shard thread for the router, one in all for the supervisor, or
+    /// empty.
+    fn serve<R: BufRead + Send>(
+        &mut self,
+        input: R,
+        checkpoint: Option<&Path>,
+        sinks: &[&dyn TraceSink],
+    ) -> Result<ServiceReport, String>;
 }
 
-/// Serve `daemon` on a Unix-domain socket at `path` until a `shutdown`
-/// control arrives, then drain, checkpoint and report. A stale socket
-/// file at `path` is replaced.
-///
-/// When `journal` is given, every accepted event is appended there
-/// tagged with its connection id and per-connection sequence number, in
-/// consumption order (see the module docs for the replay contract). The
-/// journal may be JSONL or binary and may rotate into segments — see
-/// [`JournalConfig`]; both encodings replay identically.
-///
-/// Clients may likewise send either encoding (even mixed on one
-/// connection): binary items are rendered back to their canonical line
-/// form and fed through the same ingest path, so journaling and replay
-/// semantics are identical no matter how an event arrived.
-///
-/// Connection handlers read until their peer disconnects, so the final
-/// drain completes once every client has hung up — clients should close
-/// their end after (or instead of) sending `shutdown`.
-pub fn run_socket(
-    daemon: &mut Daemon,
-    path: &Path,
-    checkpoint: Option<&Path>,
-    journal: Option<&JournalConfig>,
-    trace: Trace<'_>,
-) -> Result<ServiceReport, String> {
-    if path.exists() {
-        std::fs::remove_file(path).map_err(|e| format!("remove stale socket: {e}"))?;
-    }
-    let listener =
-        UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-
-    let journal = match journal {
-        Some(cfg) => Some(Mutex::new(JournalWriter::create(cfg.clone())?)),
-        None => None,
-    };
-    let queue = BoundedQueue::new(daemon.config().queue_capacity);
-    let board = daemon.status_board();
-    let stop = AtomicBool::new(false);
-    let schema = daemon.schema().clone();
-    let base_dropped = daemon.base_dropped();
-    let arbiter = daemon.arbiter_handle();
-    let ctx = ConnCtx {
-        schema: &schema,
-        queue: &queue,
-        stop: &stop,
-        board: &board,
-        journal: journal.as_ref(),
-        base_dropped,
-        arbiter: &arbiter,
-    };
-
-    let result = std::thread::scope(|s| {
-        let ctx_ref = &ctx;
-        s.spawn(move || {
-            let conn_ids = AtomicU64::new(0);
-            while !ctx_ref.stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn = conn_ids.fetch_add(1, Ordering::Relaxed) + 1;
-                        s.spawn(move || serve_connection(ctx_ref, stream, conn));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if take_status_signal() {
-                            eprintln!(
-                                "{}",
-                                ctx_ref.board.line(
-                                    ctx_ref.base_dropped + ctx_ref.queue.dropped(),
-                                    &[ctx_ref.queue.len() as u64],
-                                    &ctx_ref.arbiter.allocations(),
-                                )
-                            );
-                        }
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
-            }
-            ctx_ref.queue.close();
-        });
-        daemon.consume(&queue, &board, checkpoint, trace)
-    });
-    if let Some(j) = journal {
-        let writer = match j.into_inner() {
-            Ok(w) => w,
-            Err(p) => p.into_inner(),
-        };
-        let errors = writer.finish();
-        if errors > 0 {
-            return Err(format!("journal write errors: {errors}"));
-        }
-    }
-    std::fs::remove_file(path).ok();
-    let (outcomes, written) = result?;
-    Ok(daemon.report(outcomes, &queue, &board, written))
-}
-
-/// Per-connection reader: ingest records with the drop-oldest policy
-/// until the peer disconnects or a shutdown control arrives. `conn` is
-/// the monotone connection id used for journal tagging.
-///
-/// Records may be JSONL lines or binary frames (auto-detected per record
-/// by the magic byte). Binary items are rendered to their canonical line
-/// form through a per-connection template dictionary, then flow through
-/// the exact same journal/ingest path as lines — so the journal is
-/// encoding-agnostic and replay matches live behaviour either way.
-fn serve_connection(ctx: &ConnCtx<'_>, stream: UnixStream, conn: u64) {
-    let mut writer = stream.try_clone().ok();
-    let mut dict = DecodeDict::new();
-    let mut seq = 0u64;
-    for record in RecordIter::new(BufReader::new(stream)) {
-        if ctx.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let line = match record {
-            Record::Line(line) => line,
-            Record::Item(item) => {
-                if let WireItem::Define { .. } = item {
-                    // Defines only update the connection's dictionary;
-                    // events re-render as self-contained lines, so the
-                    // journal stays definition-free.
-                    render_item_line(&mut dict, &item);
-                    continue;
-                }
-                match render_item_line(&mut dict, &item) {
-                    Some(line) => line,
-                    None => {
-                        // Undecodable item (e.g. unknown template id):
-                        // counted invalid exactly like a bad line.
-                        ctx.board.invalid.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-            }
-            Record::Corrupt => {
-                ctx.board.invalid.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        seq += 1;
-        let mut pending = None;
-        let verdict = {
-            // Hold the lock across journal-write AND queue-push so the
-            // journal records the exact order events entered the queue —
-            // including the barrier position of interactive queries,
-            // which a replay must answer after the same events.
-            let mut guard = ctx.journal.map(|j| match j.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            });
-            if let Some(g) = guard.as_mut() {
-                g.write_line(conn, seq, &line);
-            }
-            let verdict =
-                ingest_one(&line, ctx.schema, ctx.queue, OverloadPolicy::DropOldest, ctx.board);
-            if let Ingest::Interactive(c) = &verdict {
-                // Interactive items are never shed — a dropped question
-                // is a hung client — so they block instead.
-                let (tx, rx) = std::sync::mpsc::channel();
-                let _ = ctx
-                    .queue
-                    .push_blocking(WorkItem::Interactive(PendingQuery::new(*c, 1, Some(tx))));
-                pending = Some(rx);
-            }
-            verdict
-        };
-        match verdict {
-            Ingest::Continue => {}
-            Ingest::Status => {
-                // A peer that hung up mid-reply is counted, never fatal:
-                // the next read sees the disconnect and ends the handler.
-                let sent = writer.as_mut().is_some_and(|w| {
-                    writeln!(
-                        w,
-                        "{}",
-                        ctx.board.line(
-                            ctx.base_dropped + ctx.queue.dropped(),
-                            &[ctx.queue.len() as u64],
-                            &ctx.arbiter.allocations(),
-                        )
-                    )
-                    .is_ok()
-                });
-                if !sent {
-                    ctx.board.reply_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Ingest::Interactive(_) => {
-                // Block this connection until the consumer reaches the
-                // barrier; a query outliving the run goes unanswered
-                // (the sender is dropped with the queue) and is skipped.
-                if let Some(rx) = pending {
-                    if let Ok(reply) = rx.recv() {
-                        let sent = writer
-                            .as_mut()
-                            .is_some_and(|w| writeln!(w, "{reply}").is_ok());
-                        if !sent {
-                            // The client asked and left: count it, keep
-                            // serving (the daemon's answer already
-                            // reflects the stream — nothing to undo).
-                            ctx.board.reply_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            Ingest::Shutdown => {
-                // Shutdown control: stop accepting and let the daemon drain.
-                ctx.stop.store(true, Ordering::Relaxed);
-                ctx.queue.close();
-                break;
-            }
-        }
-    }
-}
-
-/// A line channel presented as [`std::io::BufRead`] input for
-/// [`Router::run_reader`]: connection handlers send canonical lines in
-/// arrival order, and the channel hanging up reads as EOF.
+/// A line channel presented as [`std::io::BufRead`] input for an
+/// [`Engine`]: connection handlers send canonical lines in arrival
+/// order, and the channel hanging up reads as EOF.
 struct ChannelReader {
     rx: std::sync::mpsc::Receiver<String>,
     buf: Vec<u8>,
@@ -330,24 +129,22 @@ impl std::io::BufRead for ChannelReader {
     }
 }
 
-/// Serve the sharded [`Router`] on a Unix-domain socket at `path` until
-/// a `shutdown` control arrives, then drain every shard, commit a final
-/// checkpoint generation and report — the sharded peer of
-/// [`run_socket`].
+/// Serve `engine` on a Unix-domain socket at `path` until a `shutdown`
+/// control arrives, then drain, commit a final checkpoint generation
+/// and report. A stale socket file at `path` is replaced.
 ///
-/// Connections feed a single ordered line channel the router reads as
-/// its input stream (journal semantics are identical to the unsharded
-/// path: when `journal` is given, every line is tagged with its
-/// connection/sequence ids in consumption order). Interactive `whatif`,
-/// `tenant`, `calibration` and `status` lines are stamped with a
-/// reply-routing token
-/// ([`InteractiveRegistry`]); the answer — computed from the live
-/// [`crate::Arbiter`] after every event that preceded the query, never
-/// by re-running selection — is written back on the issuing connection
-/// as one JSON line. `sinks` carries one trace sink per shard, as in
-/// [`Router::run_reader`].
-pub fn run_socket_router(
-    router: &mut Router,
+/// When `journal` is given, every accepted line is appended there
+/// tagged with its connection id and per-connection sequence number, in
+/// consumption order (see the module docs for the replay contract). The
+/// journal may be JSONL or binary and may rotate into segments — see
+/// [`JournalConfig`]; both encodings replay identically. `sinks` is
+/// passed to [`Engine::serve`].
+///
+/// Connection handlers read until their peer disconnects, so the final
+/// drain completes once every client has hung up — clients should close
+/// their end after (or instead of) sending `shutdown`.
+pub fn run_socket_router<E: Engine>(
+    engine: &mut E,
     path: &Path,
     checkpoint: Option<&Path>,
     journal: Option<&JournalConfig>,
@@ -367,17 +164,17 @@ pub fn run_socket_router(
         None => None,
     };
     let registry = Arc::new(InteractiveRegistry::new());
-    router.set_interactive(Arc::clone(&registry));
-    let schema = router.schema().clone();
+    engine.set_interactive(Arc::clone(&registry));
+    let schema = engine.schema().clone();
+    let board = engine.board();
     let stop = AtomicBool::new(false);
-    let reply_errors = AtomicU64::new(0);
     let (tx, rx) = std::sync::mpsc::channel::<String>();
     let conn_shared = ConnShared {
         schema: &schema,
         registry: &registry,
         journal: journal.as_ref(),
         stop: &stop,
-        reply_errors: &reply_errors,
+        board: &board,
     };
 
     let result = std::thread::scope(|s| {
@@ -390,9 +187,7 @@ pub fn run_socket_router(
                     Ok((stream, _)) => {
                         let conn = conn_ids.fetch_add(1, Ordering::Relaxed) + 1;
                         let tx = tx.clone();
-                        s.spawn(move || {
-                            serve_router_connection(shared_ref, &tx, stream, conn);
-                        });
+                        s.spawn(move || serve_router_connection(shared_ref, &tx, stream, conn));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(ACCEPT_POLL);
@@ -400,15 +195,14 @@ pub fn run_socket_router(
                     Err(_) => break,
                 }
             }
-            // Dropping the accept loop's sender lets the router read EOF
+            // Dropping the accept loop's sender lets the engine read EOF
             // once every connection handler has also hung up.
         });
         let reader = ChannelReader { rx, buf: Vec::new(), pos: 0 };
-        let result =
-            router.run_reader(reader, OverloadPolicy::DropOldest, checkpoint, sinks);
+        let result = engine.serve(reader, checkpoint, sinks);
         stop.store(true, Ordering::Relaxed);
         // Queries still in flight were either answered during the drain
-        // or never reached the router; wake any connection waiting on
+        // or never reached the engine; wake any connection waiting on
         // the latter.
         registry.drain();
         result
@@ -424,94 +218,9 @@ pub fn run_socket_router(
         }
     }
     std::fs::remove_file(path).ok();
-    let dropped_replies = reply_errors.load(Ordering::Relaxed);
-    if dropped_replies > 0 {
-        eprintln!("{dropped_replies} interactive replies lost to disconnected clients");
-    }
-    result
-}
-
-/// Serve the multi-process [`Supervisor`] on a Unix-domain socket at
-/// `path` until a `shutdown` control arrives — the process-topology
-/// peer of [`run_socket_router`], with identical connection, journal
-/// and interactive-reply semantics. The supervisor routes every line to
-/// its worker processes, and `sink` receives the supervisor-side trace
-/// (arbiter merges and failovers).
-pub fn run_socket_supervisor(
-    supervisor: &mut Supervisor,
-    path: &Path,
-    checkpoint: Option<&Path>,
-    journal: Option<&JournalConfig>,
-    sink: Option<&dyn TraceSink>,
-) -> Result<ServiceReport, String> {
-    if path.exists() {
-        std::fs::remove_file(path).map_err(|e| format!("remove stale socket: {e}"))?;
-    }
-    let listener =
-        UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-
-    let journal = match journal {
-        Some(cfg) => Some(Mutex::new(JournalWriter::create(cfg.clone())?)),
-        None => None,
-    };
-    let registry = Arc::new(InteractiveRegistry::new());
-    supervisor.set_interactive(Arc::clone(&registry));
-    let schema = supervisor.schema().clone();
-    let stop = AtomicBool::new(false);
-    let reply_errors = AtomicU64::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<String>();
-    let conn_shared = ConnShared {
-        schema: &schema,
-        registry: &registry,
-        journal: journal.as_ref(),
-        stop: &stop,
-        reply_errors: &reply_errors,
-    };
-
-    let result = std::thread::scope(|s| {
-        let stop_ref = &stop;
-        let shared_ref = &conn_shared;
-        s.spawn(move || {
-            let conn_ids = AtomicU64::new(0);
-            while !stop_ref.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn = conn_ids.fetch_add(1, Ordering::Relaxed) + 1;
-                        let tx = tx.clone();
-                        s.spawn(move || {
-                            serve_router_connection(shared_ref, &tx, stream, conn);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        let reader = ChannelReader { rx, buf: Vec::new(), pos: 0 };
-        let result = supervisor.run_reader(reader, checkpoint, sink);
-        stop.store(true, Ordering::Relaxed);
-        registry.drain();
-        result
-    });
-    if let Some(j) = journal {
-        let writer = match j.into_inner() {
-            Ok(w) => w,
-            Err(p) => p.into_inner(),
-        };
-        let errors = writer.finish();
-        if errors > 0 {
-            return Err(format!("journal write errors: {errors}"));
-        }
-    }
-    std::fs::remove_file(path).ok();
-    let dropped_replies = reply_errors.load(Ordering::Relaxed);
-    if dropped_replies > 0 {
-        eprintln!("{dropped_replies} interactive replies lost to disconnected clients");
+    let lost = board.reply_errors.load(Ordering::Relaxed);
+    if lost > 0 {
+        eprintln!("{lost} interactive replies lost to disconnected clients");
     }
     result
 }
@@ -523,20 +232,21 @@ struct ConnShared<'a> {
     registry: &'a InteractiveRegistry,
     journal: Option<&'a Mutex<JournalWriter>>,
     stop: &'a AtomicBool,
-    reply_errors: &'a AtomicU64,
+    board: &'a StatusBoard,
 }
 
-/// Per-connection reader for the sharded socket: render records to
-/// canonical lines, journal + forward them in one locked step (so
-/// journal order is the router's consumption order), stamp interactive
-/// lines with a reply token and relay the answer back.
+/// Per-connection reader: render records to canonical lines, journal +
+/// forward them in one locked step (so journal order is the engine's
+/// consumption order), stamp interactive lines with a reply token and
+/// relay the answer back. `conn` is the monotone connection id used for
+/// journal tagging.
 fn serve_router_connection(
     shared: &ConnShared<'_>,
     tx: &std::sync::mpsc::Sender<String>,
     stream: UnixStream,
     conn: u64,
 ) {
-    let ConnShared { schema, registry, journal, stop, reply_errors } = *shared;
+    let ConnShared { schema, registry, journal, stop, board } = *shared;
     let mut writer = stream.try_clone().ok();
     let mut dict = DecodeDict::new();
     let mut seq = 0u64;
@@ -548,6 +258,9 @@ fn serve_router_connection(
             Record::Line(line) => line,
             Record::Item(item) => {
                 if let WireItem::Define { .. } = item {
+                    // Defines only update the connection's dictionary;
+                    // events re-render as self-contained lines, so the
+                    // journal stays definition-free.
                     render_item_line(&mut dict, &item);
                     continue;
                 }
@@ -582,8 +295,9 @@ fn serve_router_connection(
         let mut pending = None;
         {
             // Journal-write and channel-send under one lock so journal
-            // order is consumption order — the replay contract of the
-            // unsharded socket path, unchanged.
+            // order is consumption order — including the barrier
+            // position of interactive queries, which a replay must
+            // answer after the same events.
             let mut guard = journal.map(|j| match j.lock() {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),
@@ -601,16 +315,17 @@ fn serve_router_connection(
                 let _ = tx.send(trimmed.to_owned());
             }
         }
-        if let Some(reply_rx) = pending {
-            if let Ok(reply) = reply_rx.recv() {
-                // Count a peer that hung up mid-reply; never abort the
-                // handler (the stream keeps draining until disconnect).
-                let sent = writer
-                    .as_mut()
-                    .is_some_and(|w| writeln!(w, "{reply}").is_ok());
-                if !sent {
-                    reply_errors.fetch_add(1, Ordering::Relaxed);
-                }
+        // Block this connection until the engine answers; a query
+        // outliving the run goes unanswered (its sender is dropped with
+        // the registry) and is skipped.
+        if let Some(reply) = pending.and_then(|rx| rx.recv().ok()) {
+            // A peer that hung up mid-reply is counted, never fatal:
+            // the answer already reflects the stream (nothing to undo),
+            // and the next read sees the disconnect and ends the
+            // handler.
+            let sent = writer.as_mut().is_some_and(|w| writeln!(w, "{reply}").is_ok());
+            if !sent {
+                board.reply_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
         if matches!(control, Some(Control::Shutdown)) {
@@ -624,8 +339,15 @@ fn serve_router_connection(
 mod tests {
     use super::*;
     use crate::config::{DriftThresholds, ServiceConfig};
+    use crate::router::{OverloadPolicy, Router};
     use isel_workload::synthetic::{self, SyntheticConfig};
     use std::io::Read;
+
+    /// Whole-workload tuning (`shards == 0`) behind the socket front.
+    fn whole(w: &isel_workload::Workload, cfg: ServiceConfig) -> Router {
+        assert_eq!(cfg.shards, 0);
+        Router::new(w.schema().clone(), cfg).unwrap()
+    }
 
     fn test_setup() -> (isel_workload::Workload, ServiceConfig, std::path::PathBuf) {
         let w = synthetic::generate(&SyntheticConfig {
@@ -659,11 +381,35 @@ mod tests {
             .collect()
     }
 
+    /// Connect once the listener is up.
+    fn connect(sock: &Path) -> UnixStream {
+        loop {
+            match UnixStream::connect(sock) {
+                Ok(s) => return s,
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        }
+    }
+
+    /// The next reply line on `stream`, read byte by byte so nothing
+    /// behind it is consumed.
+    fn read_reply(stream: &mut UnixStream) -> String {
+        let mut reply = Vec::new();
+        let mut byte = [0u8; 1];
+        loop {
+            stream.read_exact(&mut byte).unwrap();
+            if byte[0] == b'\n' {
+                return String::from_utf8(reply).unwrap();
+            }
+            reply.push(byte[0]);
+        }
+    }
+
     #[test]
     fn socket_round_trip_with_shutdown() {
         let (w, cfg, dir) = test_setup();
         let sock = dir.join(format!("isel-{}.sock", std::process::id()));
-        let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
+        let mut router = whole(&w, cfg);
         let events = event_lines(&w, 8);
 
         let report = std::thread::scope(|s| {
@@ -671,18 +417,13 @@ mod tests {
             let events = &events;
             s.spawn(move || {
                 // Wait for the listener to come up, then stream events.
-                let mut stream = loop {
-                    match UnixStream::connect(&sock_path) {
-                        Ok(s) => break s,
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                };
+                let mut stream = connect(&sock_path);
                 for e in events {
                     writeln!(stream, "{e}").unwrap();
                 }
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
             });
-            run_socket(&mut daemon, &sock, None, None, Trace::disabled()).unwrap()
+            run_socket_router(&mut router, &sock, None, None, &[]).unwrap()
         });
         assert_eq!(report.ingested, 8);
         assert_eq!(report.epochs.len(), 1, "8 events seal one epoch");
@@ -694,7 +435,7 @@ mod tests {
     fn whatif_queries_are_answered_on_the_connection() {
         let (w, cfg, dir) = test_setup();
         let sock = dir.join(format!("isel-whatif-{}.sock", std::process::id()));
-        let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
+        let mut router = whole(&w, cfg);
         let events = event_lines(&w, 8);
         let probe = 1u64 << 20;
 
@@ -702,31 +443,18 @@ mod tests {
             let sock_path = sock.clone();
             let events = &events;
             let client = s.spawn(move || {
-                let mut stream = loop {
-                    match UnixStream::connect(&sock_path) {
-                        Ok(s) => break s,
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                };
+                let mut stream = connect(&sock_path);
                 for e in events {
                     writeln!(stream, "{e}").unwrap();
                 }
                 // The whatif barrier is answered only after the 8 events
                 // before it sealed and tuned an epoch.
                 writeln!(stream, "{{\"control\":\"whatif\",\"budget\":{probe}}}").unwrap();
-                let mut reply = Vec::new();
-                let mut byte = [0u8; 1];
-                loop {
-                    stream.read_exact(&mut byte).unwrap();
-                    if byte[0] == b'\n' {
-                        break;
-                    }
-                    reply.push(byte[0]);
-                }
+                let reply = read_reply(&mut stream);
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
-                String::from_utf8(reply).unwrap()
+                reply
             });
-            let report = run_socket(&mut daemon, &sock, None, None, Trace::disabled()).unwrap();
+            let report = run_socket_router(&mut router, &sock, None, None, &[]).unwrap();
             (report, client.join().unwrap())
         });
         assert_eq!(report.ingested, 8);
@@ -736,7 +464,7 @@ mod tests {
         assert!(v.get("total_memory").and_then(|m| m.as_u64()).unwrap() <= probe);
         // Served answer is byte-identical to an offline read of the same
         // maintained state.
-        assert_eq!(reply, daemon.arbiter_handle().whatif(probe));
+        assert_eq!(reply, router.arbiter().whatif(probe));
     }
 
     #[test]
@@ -781,31 +509,14 @@ mod tests {
             let sock_path = sock.clone();
             let events = &events;
             let client = s.spawn(move || {
-                let mut stream = loop {
-                    match UnixStream::connect(&sock_path) {
-                        Ok(s) => break s,
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                };
+                let mut stream = connect(&sock_path);
                 for e in events {
                     writeln!(stream, "{e}").unwrap();
                 }
                 writeln!(stream, "{{\"control\":\"whatif\",\"budget\":{probe}}}").unwrap();
                 writeln!(stream, "{{\"control\":\"tenant\",\"table_group\":0,\"budget\":{probe}}}")
                     .unwrap();
-                let mut replies = Vec::new();
-                let mut byte = [0u8; 1];
-                for _ in 0..2 {
-                    let mut reply = Vec::new();
-                    loop {
-                        stream.read_exact(&mut byte).unwrap();
-                        if byte[0] == b'\n' {
-                            break;
-                        }
-                        reply.push(byte[0]);
-                    }
-                    replies.push(String::from_utf8(reply).unwrap());
-                }
+                let replies = [read_reply(&mut stream), read_reply(&mut stream)];
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
                 replies
             });
@@ -825,84 +536,39 @@ mod tests {
         assert!(v.get("cost").and_then(|c| c.as_f64()).is_some(), "published group has a cost");
     }
 
-    /// Poll `{"control":"status"}` on `stream` until the reply shows at
-    /// least `n` ingested events. Controls sent on this connection
-    /// afterwards are then ordered after those events — connections are
-    /// served concurrently, so a `shutdown` would otherwise race
-    /// another connection's unread tail.
-    fn await_ingested(stream: &mut UnixStream, n: u64) {
-        use std::io::Read;
+    /// Poll `{"control":"status"}` on `stream` until the reply's
+    /// `counter` reaches `n`. Waiting for `ingested` orders the controls
+    /// sent on this connection afterwards behind those events —
+    /// connections are served concurrently, so a `shutdown` would
+    /// otherwise race another connection's unread tail.
+    fn await_status(stream: &mut UnixStream, counter: &str, n: u64) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
         loop {
             stream.write_all(b"{\"control\":\"status\"}\n").unwrap();
-            let mut reply = Vec::new();
-            let mut byte = [0u8; 1];
-            loop {
-                stream.read_exact(&mut byte).unwrap();
-                if byte[0] == b'\n' {
-                    break;
-                }
-                reply.push(byte[0]);
-            }
-            let reply = String::from_utf8(reply).unwrap();
+            let reply = read_reply(stream);
             let got: u64 = reply
-                .split("\"ingested\":")
+                .split(&format!("\"{counter}\":"))
                 .nth(1)
                 .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-                .expect("status reply carries an ingested counter")
+                .unwrap_or_else(|| panic!("status reply carries no {counter} counter: {reply}"))
                 .parse()
                 .unwrap();
             if got >= n {
                 return;
             }
+            assert!(std::time::Instant::now() < deadline, "{counter} never reached {n}: {reply}");
             std::thread::sleep(Duration::from_millis(5));
         }
     }
 
-    #[test]
-    fn disconnect_mid_query_does_not_abort_serving() {
-        // Regression: a client that asks `whatif` and hangs up before
-        // reading the reply used to risk tearing down the serving loop;
-        // the failed reply write must be absorbed (and counted) while
-        // other connections keep being served.
+    /// A client that asks `whatif` and hangs up before reading the reply
+    /// must not tear down the serving loop: the failed reply write is
+    /// absorbed — and counted where the status line reads it — while
+    /// other connections keep being served.
+    fn survives_disconnect_mid_query(shards: u32, sock: &str) {
         let (w, cfg, dir) = test_setup();
-        let sock = dir.join(format!("isel-gone-{}.sock", std::process::id()));
-        let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
-        let events = event_lines(&w, 8);
-
-        let report = std::thread::scope(|s| {
-            let sock_path = sock.clone();
-            let events = &events;
-            s.spawn(move || {
-                let mut stream = loop {
-                    match UnixStream::connect(&sock_path) {
-                        Ok(s) => break s,
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                };
-                for e in events {
-                    writeln!(stream, "{e}").unwrap();
-                }
-                // Ask, then vanish without reading the answer.
-                writeln!(stream, "{{\"control\":\"whatif\",\"budget\":1048576}}").unwrap();
-                stream.shutdown(std::net::Shutdown::Both).unwrap();
-                drop(stream);
-                // A second client is still served and can end the run —
-                // once everything above has actually been ingested.
-                let mut stream = UnixStream::connect(&sock_path).unwrap();
-                writeln!(stream, "{}", events[0]).unwrap();
-                await_ingested(&mut stream, 9);
-                stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
-            });
-            run_socket(&mut daemon, &sock, None, None, Trace::disabled()).unwrap()
-        });
-        assert_eq!(report.ingested, 9, "both connections fully served");
-    }
-
-    #[test]
-    fn router_survives_disconnect_mid_query() {
-        let (w, cfg, dir) = test_setup();
-        let cfg = ServiceConfig { shards: 2, ..cfg };
-        let sock = dir.join(format!("isel-router-gone-{}.sock", std::process::id()));
+        let cfg = ServiceConfig { shards, ..cfg };
+        let sock = dir.join(format!("{sock}-{}.sock", std::process::id()));
         let mut router = Router::new(w.schema().clone(), cfg).unwrap();
         let events = event_lines(&w, 8);
 
@@ -910,26 +576,37 @@ mod tests {
             let sock_path = sock.clone();
             let events = &events;
             s.spawn(move || {
-                let mut stream = loop {
-                    match UnixStream::connect(&sock_path) {
-                        Ok(s) => break s,
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                };
+                let mut stream = connect(&sock_path);
                 for e in events {
                     writeln!(stream, "{e}").unwrap();
                 }
+                // Ask, then vanish without reading the answer.
                 writeln!(stream, "{{\"control\":\"whatif\",\"budget\":1048576}}").unwrap();
                 stream.shutdown(std::net::Shutdown::Both).unwrap();
                 drop(stream);
+                // A second client is still served, sees the lost reply in
+                // its status line, and can end the run — once everything
+                // above has actually been ingested.
                 let mut stream = UnixStream::connect(&sock_path).unwrap();
                 writeln!(stream, "{}", events[0]).unwrap();
-                await_ingested(&mut stream, 9);
+                await_status(&mut stream, "ingested", 9);
+                await_status(&mut stream, "reply_errors", 1);
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
             });
             run_socket_router(&mut router, &sock, None, None, &[]).unwrap()
         });
         assert_eq!(report.ingested, 9, "both connections fully served");
+        assert_eq!(router.board().reply_errors.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn disconnect_mid_query_does_not_abort_serving() {
+        survives_disconnect_mid_query(0, "isel-gone");
+    }
+
+    #[test]
+    fn router_survives_disconnect_mid_query() {
+        survives_disconnect_mid_query(2, "isel-router-gone");
     }
 
     #[test]
@@ -937,35 +614,27 @@ mod tests {
         let (w, cfg, dir) = test_setup();
         let sock = dir.join(format!("isel-journal-{}.sock", std::process::id()));
         let journal = dir.join(format!("isel-journal-{}.jsonl", std::process::id()));
-        let mut daemon = Daemon::new(w.schema().clone(), cfg.clone()).unwrap();
+        let mut router = whole(&w, cfg.clone());
+        let board = router.board();
         let events = event_lines(&w, 8);
 
         let report = std::thread::scope(|s| {
             let sock_path = sock.clone();
             let events = &events;
             s.spawn(move || {
-                let mut stream = loop {
-                    match UnixStream::connect(&sock_path) {
-                        Ok(s) => break s,
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                };
+                let mut stream = connect(&sock_path);
                 for e in events {
                     writeln!(stream, "{e}").unwrap();
+                }
+                // Status is out of band: it reads what the shard has
+                // folded and posted so far, so let that catch up.
+                while board.ingested.load(Ordering::Relaxed) < 8 {
+                    std::thread::sleep(Duration::from_millis(1));
                 }
                 stream.write_all(b"{\"control\":\"status\"}\n").unwrap();
                 // The status reply comes back on this connection as one
                 // JSON line before anything else is written to it.
-                let mut reply = Vec::new();
-                let mut byte = [0u8; 1];
-                loop {
-                    stream.read_exact(&mut byte).unwrap();
-                    if byte[0] == b'\n' {
-                        break;
-                    }
-                    reply.push(byte[0]);
-                }
-                let reply = String::from_utf8(reply).unwrap();
+                let reply = read_reply(&mut stream);
                 assert!(reply.contains("\"ingested\":8"), "status reply: {reply}");
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
             });
@@ -974,7 +643,7 @@ mod tests {
                 format: crate::journal::WireFormat::Jsonl,
                 max_bytes: None,
             };
-            run_socket(&mut daemon, &sock, None, Some(&jcfg), Trace::disabled()).unwrap()
+            run_socket_router(&mut router, &sock, None, Some(&jcfg), &[]).unwrap()
         });
         assert_eq!(report.ingested, 8);
 
@@ -994,14 +663,8 @@ mod tests {
 
         // Replaying the journal through the deterministic reader
         // reproduces the live outcome: RawLine ignores conn/seq.
-        let mut replay = Daemon::new(w.schema().clone(), cfg).unwrap();
-        let rep = replay
-            .run_reader(
-                std::io::Cursor::new(text),
-                OverloadPolicy::Block,
-                None,
-                Trace::disabled(),
-            )
+        let rep = whole(&w, cfg)
+            .run_reader(std::io::Cursor::new(text), OverloadPolicy::Block, None, &[])
             .unwrap();
         assert_eq!(rep.ingested, report.ingested);
         assert_eq!(rep.epochs.len(), report.epochs.len());
@@ -1009,6 +672,53 @@ mod tests {
             rep.final_selection.indexes(),
             report.final_selection.indexes()
         );
+        std::fs::remove_file(&journal).ok();
+    }
+
+    /// What the live run counted invalid, the journal's replay counts
+    /// invalid too: a binary event of a template nobody defined and a
+    /// corrupt frame are journaled as lines the parser rejects, not
+    /// counted on the side and forgotten.
+    #[test]
+    fn undecodable_records_are_invalid_live_and_on_replay() {
+        use crate::frame::{put_frame, put_item, FrameEncoder, MAGIC};
+        let (w, cfg, dir) = test_setup();
+        let sock = dir.join(format!("isel-invalid-{}.sock", std::process::id()));
+        let journal = dir.join(format!("isel-invalid-{}.jsonl", std::process::id()));
+
+        let q = &w.queries()[0];
+        let attrs: Vec<u32> = q.attrs().iter().map(|a| a.0).collect();
+        let mut bytes = Vec::new();
+        let mut enc = FrameEncoder::new();
+        enc.push_query(q.table().0, &attrs, 1, isel_workload::QueryKind::Select);
+        enc.flush_into(&mut bytes);
+        let mut payload = Vec::new();
+        put_item(&mut payload, &WireItem::Event { template: 99, frequency: 1 });
+        put_frame(&mut bytes, &payload);
+        bytes.extend_from_slice(&[MAGIC, 0x7F, 0xde, 0xad, b'\n']); // no such version
+        bytes.extend_from_slice(b"{\"control\":\"shutdown\"}\n");
+
+        let mut router = whole(&w, cfg.clone());
+        let live = std::thread::scope(|s| {
+            let sock_path = sock.clone();
+            s.spawn(move || {
+                let mut stream = connect(&sock_path);
+                stream.write_all(&bytes).unwrap();
+            });
+            let jcfg = JournalConfig {
+                path: journal.clone(),
+                format: crate::journal::WireFormat::Jsonl,
+                max_bytes: None,
+            };
+            run_socket_router(&mut router, &sock, None, Some(&jcfg), &[]).unwrap()
+        });
+        assert_eq!((live.ingested, live.invalid), (1, 2));
+
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let replayed = whole(&w, cfg)
+            .run_reader(std::io::Cursor::new(text), OverloadPolicy::Block, None, &[])
+            .unwrap();
+        assert_eq!((replayed.ingested, replayed.invalid), (live.ingested, live.invalid));
         std::fs::remove_file(&journal).ok();
     }
 }

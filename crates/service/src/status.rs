@@ -50,12 +50,13 @@ pub struct StatusBoard {
     /// Observed-cost calibration counters (all zero with calibration
     /// disabled; see [`crate::feedback`]).
     pub cal: CalCounters,
-    /// Number of shards serving (0 = unsharded daemon).
+    /// The run's `--shards` (0 = the whole workload as one group, which
+    /// runs on one shard).
     pub shards: u32,
 }
 
 impl StatusBoard {
-    /// Fresh board for an `shards`-way run (0 = unsharded).
+    /// Fresh board for a `--shards shards` run.
     pub fn new(shards: u32) -> Self {
         Self { shards, ..Self::default() }
     }
@@ -63,7 +64,7 @@ impl StatusBoard {
     /// Render the aggregated counters as a single JSON status line.
     /// `dropped` is passed in because queue eviction counts live in the
     /// queues themselves; `queue_depths` (one entry per shard queue, in
-    /// shard order; a single entry for the unsharded daemon) is a
+    /// shard order; a single entry under whole-workload tuning) is a
     /// point-in-time backlog sample — the live observability signal for
     /// a shard falling behind; `allocations` is the arbiter's current
     /// per-group budget split (`[table, bytes]` pairs, sorted by table;

@@ -78,10 +78,10 @@ pub struct EpochOutcome {
     pub reconfig_paid: f64,
     /// Memory budget `A(w)` the run was bounded by.
     pub budget: u64,
-    /// Table group the epoch belongs to (`None` for the unsharded
-    /// daemon, whose epochs span the whole schema).
+    /// Table group the epoch belongs to (`None` under whole-workload
+    /// tuning, whose epochs span the whole schema).
     pub table: Option<TableId>,
-    /// Shard the epoch was tuned on (`None` outside the sharded router).
+    /// Shard the epoch was tuned on.
     pub shard: Option<u32>,
     /// Deployment-gate action taken this epoch (`None` when the
     /// calibration gate is disabled or idle — absent on the wire, so

@@ -12,7 +12,7 @@
 //!    the checkpoint, before consuming a single new event.
 
 use isel_core::{merge_frontiers_weighted, Frontier, FrontierPoint, FrontierSet};
-use isel_service::{Daemon, OverloadPolicy, Router, ServiceConfig};
+use isel_service::{OverloadPolicy, Router, ServiceConfig};
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::Workload;
 use proptest::prelude::*;
@@ -234,12 +234,9 @@ fn restored_daemon_answers_whatif_byte_identically() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("daemon.json");
 
-    let mut writer = Daemon::new(w.schema().clone(), config(0)).unwrap();
-    writer
-        .run_reader(Cursor::new(log), OverloadPolicy::Block, Some(&path), isel_core::Trace::disabled())
-        .unwrap();
-    let cp = isel_service::Checkpoint::load(&path).unwrap();
-    let resumed = Daemon::resume(w.schema().clone(), config(0), &cp).unwrap();
+    let mut writer = Router::new(w.schema().clone(), config(0)).unwrap();
+    writer.run_reader(Cursor::new(log), OverloadPolicy::Block, Some(&path), &[]).unwrap();
+    let resumed = Router::resume(w.schema().clone(), config(0), &path).unwrap();
     for b in [0u64, 4096, 1 << 20, writer.arbiter().budget()] {
         assert_eq!(resumed.arbiter().whatif(b), writer.arbiter().whatif(b));
     }

@@ -3,10 +3,8 @@
 //! contract), and kill-then-restore convergence from a mid-run
 //! checkpoint.
 
-use isel_core::Trace;
 use isel_service::{
-    offline_adapt, offline_snapshots, Checkpoint, Daemon, DriftThresholds, EpochWindow,
-    OverloadPolicy, ServiceConfig,
+    DriftThresholds, EpochWindow, Manifest, OverloadPolicy, ServiceConfig, ShardCheckpoint,
 };
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::{AttrId, Query, Schema, TableId, Workload};
@@ -187,6 +185,22 @@ proptest! {
     }
 }
 
+/// A whole-workload run (`shards: 0`, the `service_config` default):
+/// the router hosting the one whole-schema group.
+fn whole(w: &Workload, cfg: ServiceConfig) -> Router {
+    assert_eq!(cfg.shards, 0);
+    Router::new(w.schema().clone(), cfg).unwrap()
+}
+
+/// The one shard document behind the manifest a whole-workload run
+/// committed at `path`.
+fn whole_checkpoint(path: &std::path::Path) -> ShardCheckpoint {
+    let mut shards = Manifest::load(path).unwrap().load_shards(path).unwrap();
+    assert_eq!(shards.len(), 1, "whole-workload tuning runs on one shard");
+    assert_eq!(shards[0].groups.len(), 1, "as one group");
+    shards.remove(0)
+}
+
 /// Same log + same seed ⇒ bit-identical selection sequence and
 /// checkpoint bytes at 1 and 4 worker threads, both matching the offline
 /// `dynamic::adapt` reference.
@@ -200,19 +214,12 @@ fn replay_is_deterministic_across_thread_counts() {
         let cfg = service_config(threads);
         let cp_path = tmp(&format!("replay_t{threads}.json"));
         std::fs::remove_file(&cp_path).ok();
-        let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
-        let report = daemon
-            .run_reader(
-                Cursor::new(log.clone()),
-                OverloadPolicy::Block,
-                Some(&cp_path),
-                Trace::disabled(),
-            )
+        let report = whole(&w, cfg)
+            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, Some(&cp_path), &[])
             .unwrap();
         assert_eq!(report.dropped, 0, "blocking replay never drops");
-        let cp_bytes = std::fs::read(&cp_path).unwrap();
         let selections: Vec<_> = report.epochs.iter().map(|e| e.selection.clone()).collect();
-        runs.push((selections, cp_bytes));
+        runs.push((selections, whole_checkpoint(&cp_path)));
     }
     let (sel_1, cp_1) = &runs[0];
     let (sel_4, cp_4) = &runs[1];
@@ -220,23 +227,22 @@ fn replay_is_deterministic_across_thread_counts() {
     // The checkpoint embeds its config (whose `threads` field differs by
     // construction); everything else must be byte-identical. Compare via
     // the parsed form with the config normalized.
-    let mut a = Checkpoint::from_json(std::str::from_utf8(cp_1).unwrap()).unwrap();
-    let mut b = Checkpoint::from_json(std::str::from_utf8(cp_4).unwrap()).unwrap();
+    let (mut a, mut b) = (cp_1.clone(), cp_4.clone());
     a.config.threads = 0;
     b.config.threads = 0;
     assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
 
     // Both match the offline dynamic::adapt reference.
     let cfg = service_config(1);
-    let snaps = offline_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
-    let offline = offline_adapt(&snaps, &cfg);
+    let snaps = offline_group_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
+    let offline = &offline_group_adapt(&snaps, &cfg)[&0];
     assert_eq!(sel_1.len(), offline.len());
-    for (got, want) in sel_1.iter().zip(&offline) {
+    for (got, want) in sel_1.iter().zip(offline) {
         assert_eq!(got, want);
     }
 }
 
-/// Kill the daemon mid-run, restore from its checkpoint, feed the rest
+/// Kill the service mid-run, restore from its checkpoint, feed the rest
 /// of the log: the final selection and epoch count equal the
 /// uninterrupted run's.
 #[test]
@@ -247,14 +253,8 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
     let lines: Vec<&str> = log.lines().collect();
 
     // Uninterrupted reference run.
-    let mut reference = Daemon::new(w.schema().clone(), cfg.clone()).unwrap();
-    let ref_report = reference
-        .run_reader(
-            Cursor::new(log.clone()),
-            OverloadPolicy::Block,
-            None,
-            Trace::disabled(),
-        )
+    let ref_report = whole(&w, cfg.clone())
+        .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
         .unwrap();
     assert_eq!(ref_report.epochs.len(), 6, "96 events / 16 per epoch");
 
@@ -263,31 +263,20 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
     let cp_path = tmp("kill_restore.json");
     std::fs::remove_file(&cp_path).ok();
     let head = format!("{}\n", lines[..40].join("\n"));
-    let mut first = Daemon::new(w.schema().clone(), cfg.clone()).unwrap();
+    let mut first = whole(&w, cfg.clone());
     let head_report = first
-        .run_reader(
-            Cursor::new(head),
-            OverloadPolicy::Block,
-            Some(&cp_path),
-            Trace::disabled(),
-        )
+        .run_reader(Cursor::new(head), OverloadPolicy::Block, Some(&cp_path), &[])
         .unwrap();
     assert_eq!(head_report.epochs.len(), 2);
     drop(first); // the "kill"
 
     // Restore and feed the remainder.
-    let cp = Checkpoint::load(&cp_path).unwrap();
-    assert_eq!(cp.ingested, 40);
-    let mut resumed = Daemon::resume(w.schema().clone(), cfg.clone(), &cp).unwrap();
-    assert_eq!(resumed.epoch(), 2);
+    assert_eq!(whole_checkpoint(&cp_path).ingested, 40);
+    let mut resumed = Router::resume(w.schema().clone(), cfg.clone(), &cp_path).unwrap();
+    assert_eq!(resumed.epochs_tuned(), 2);
     let tail = format!("{}\n", lines[40..].join("\n"));
     let tail_report = resumed
-        .run_reader(
-            Cursor::new(tail),
-            OverloadPolicy::Block,
-            Some(&cp_path),
-            Trace::disabled(),
-        )
+        .run_reader(Cursor::new(tail), OverloadPolicy::Block, Some(&cp_path), &[])
         .unwrap();
     assert_eq!(tail_report.epochs.len(), 4, "epochs 2..6 tuned after restore");
     assert_eq!(tail_report.ingested, 96, "lifetime counter spans the restart");
@@ -299,14 +288,13 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
     }
     assert_eq!(tail_report.final_selection, ref_report.final_selection);
 
-    // Restoring the final checkpoint and re-capturing is byte-stable.
-    let final_cp = Checkpoint::load(&cp_path).unwrap();
-    let roundtrip = Daemon::resume(w.schema().clone(), cfg, &final_cp).unwrap();
-    assert_eq!(roundtrip.epoch(), 6);
-    assert_eq!(roundtrip.selection(), &ref_report.final_selection);
+    // Restoring the final checkpoint reads back the final state.
+    let roundtrip = Router::resume(w.schema().clone(), cfg, &cp_path).unwrap();
+    assert_eq!(roundtrip.epochs_tuned(), 6);
+    assert_eq!(roundtrip.arbiter().merged_selection(), ref_report.final_selection);
 }
 
-/// A daemon trace passes `report --check`-grade validation: parseable
+/// A service trace passes `report --check`-grade validation: parseable
 /// JSON lines whose per-run accounting sums hold.
 #[test]
 fn daemon_trace_passes_accounting_checks() {
@@ -315,14 +303,8 @@ fn daemon_trace_passes_accounting_checks() {
     let cfg = service_config(1);
     let log = sample_log(&w, 48, 4);
     let sink = JsonLinesSink::new(Vec::new());
-    let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
-    daemon
-        .run_reader(
-            Cursor::new(log),
-            OverloadPolicy::Block,
-            None,
-            Trace::to(&sink),
-        )
+    whole(&w, cfg)
+        .run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[&sink])
         .unwrap();
     let bytes = sink.finish().unwrap();
     let text = String::from_utf8(bytes).unwrap();
@@ -393,43 +375,52 @@ proptest! {
     /// multi-table log replayed at 1, 2 and 4 shards yields bit-identical
     /// per-group selection sequences and final merged selections, all
     /// matching the pure single-threaded per-group offline reference.
+    /// Whole-workload tuning (`shards: 0`, DESIGN.md §12) is held to the
+    /// same standard across what varies there — 1 and 4 evaluation
+    /// threads — against the whole-workload offline reference.
     #[test]
     fn sharded_replay_is_bit_identical_at_every_shard_count(
         picks in prop::collection::vec((0usize..10_000, 1u64..40), 24..72),
     ) {
         let w = workload();
         let log = render_log(&w, &picks);
-        let reports: Vec<_> = [1u32, 2, 4]
-            .iter()
-            .map(|&shards| {
-                let mut router =
-                    Router::new(w.schema().clone(), sharded_config(shards)).unwrap();
-                router
-                    .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
-                    .unwrap()
-            })
-            .collect();
-        let baseline = &reports[0];
-        for other in &reports[1..] {
-            prop_assert_eq!(baseline.epochs.len(), other.epochs.len());
-            for (a, b) in baseline.epochs.iter().zip(&other.epochs) {
-                prop_assert_eq!(a.table, b.table);
-                prop_assert_eq!(a.epoch, b.epoch);
-                prop_assert_eq!(&a.selection, &b.selection);
-                prop_assert_eq!(a.workload_cost.to_bits(), b.workload_cost.to_bits());
-                prop_assert_eq!(a.reconfig_paid.to_bits(), b.reconfig_paid.to_bits());
+        let sharded = [1u32, 2, 4].map(sharded_config);
+        let whole = [1usize, 4].map(|threads| ServiceConfig { threads, ..sharded_config(0) });
+        for configs in [&sharded[..], &whole[..]] {
+            let reports: Vec<_> = configs
+                .iter()
+                .map(|config| {
+                    let mut router = Router::new(w.schema().clone(), config.clone()).unwrap();
+                    router
+                        .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
+                        .unwrap()
+                })
+                .collect();
+            let baseline = &reports[0];
+            for other in &reports[1..] {
+                prop_assert_eq!(baseline.epochs.len(), other.epochs.len());
+                for (a, b) in baseline.epochs.iter().zip(&other.epochs) {
+                    prop_assert_eq!(a.table, b.table);
+                    prop_assert_eq!(a.epoch, b.epoch);
+                    prop_assert_eq!(&a.selection, &b.selection);
+                    prop_assert_eq!(a.workload_cost.to_bits(), b.workload_cost.to_bits());
+                    prop_assert_eq!(a.reconfig_paid.to_bits(), b.reconfig_paid.to_bits());
+                }
+                prop_assert_eq!(&baseline.final_selection, &other.final_selection);
             }
-            prop_assert_eq!(&baseline.final_selection, &other.final_selection);
-        }
-        // The offline per-group reference agrees epoch by epoch.
-        let cfg = sharded_config(1);
-        let snaps = offline_group_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
-        let offline = offline_group_adapt(&snaps, &cfg);
-        let total: usize = offline.values().map(Vec::len).sum();
-        prop_assert_eq!(baseline.epochs.len(), total);
-        for out in &baseline.epochs {
-            let t = out.table.expect("sharded outcomes are table-scoped").0;
-            prop_assert_eq!(&out.selection, &offline[&t][out.epoch as usize]);
+            // The offline reference agrees epoch by epoch, group by group.
+            let cfg = &configs[0];
+            let snaps =
+                offline_group_snapshots(Cursor::new(log.clone()), w.schema(), cfg).unwrap();
+            let offline = offline_group_adapt(&snaps, cfg);
+            let total: usize = offline.values().map(Vec::len).sum();
+            prop_assert_eq!(baseline.epochs.len(), total);
+            for out in &baseline.epochs {
+                // Only table groups are table-scoped.
+                prop_assert_eq!(out.table.is_some(), cfg.shards > 0);
+                let key = out.table.map_or(0, |t| t.0);
+                prop_assert_eq!(&out.selection, &offline[&key][out.epoch as usize]);
+            }
         }
     }
 
@@ -802,8 +793,8 @@ fn binary_decoder_handles_truncation_and_corruption_deterministically() {
 
 /// The checked-in binary fixture is frozen against its JSONL twin:
 /// `journal convert` regenerates it byte-identically, converts it back
-/// losslessly, it keeps the ≥10x size edge, and the daemon replays both
-/// encodings to bit-identical epoch outcomes.
+/// losslessly, it keeps the ≥10x size edge, and whole-workload tuning
+/// replays both encodings to bit-identical epoch outcomes.
 #[test]
 fn golden_tpcc_fixture_matches_its_jsonl_twin() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../examples");
@@ -826,14 +817,8 @@ fn golden_tpcc_fixture_matches_its_jsonl_twin() {
 
     let w = tpcc::generate(50).0;
     let run = |bytes: &[u8]| {
-        let mut daemon = Daemon::new(w.schema().clone(), service_config(1)).unwrap();
-        daemon
-            .run_reader(
-                Cursor::new(bytes.to_vec()),
-                OverloadPolicy::Block,
-                None,
-                Trace::disabled(),
-            )
+        whole(&w, service_config(1))
+            .run_reader(Cursor::new(bytes.to_vec()), OverloadPolicy::Block, None, &[])
             .unwrap()
     };
     let a = run(&jsonl);
@@ -966,7 +951,7 @@ proptest! {
 /// The observed-cost fixture pair is frozen like the plain TPC-C pair:
 /// `journal convert` regenerates the binary twin byte-identically and
 /// converts it back losslessly (probes ride as raw-framed lines), and a
-/// calibrated daemon replays both encodings to the same learned
+/// calibrated whole-workload run replays both encodings to the same learned
 /// calibration table with every probe counted.
 #[test]
 fn golden_observed_fixture_matches_its_jsonl_twin() {
@@ -992,16 +977,11 @@ fn golden_observed_fixture_matches_its_jsonl_twin() {
     let run = |bytes: &[u8]| {
         let mut config = service_config(1);
         config.calibration.enabled = true;
-        let mut daemon = Daemon::new(w.schema().clone(), config).unwrap();
-        let report = daemon
-            .run_reader(
-                Cursor::new(bytes.to_vec()),
-                OverloadPolicy::Block,
-                None,
-                Trace::disabled(),
-            )
+        let mut router = whole(&w, config);
+        let report = router
+            .run_reader(Cursor::new(bytes.to_vec()), OverloadPolicy::Block, None, &[])
             .unwrap();
-        (report, daemon.calibration())
+        (report, router.calibration())
     };
     let (a, cal_a) = run(&jsonl);
     let (b, cal_b) = run(&bin);
