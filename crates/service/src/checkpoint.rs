@@ -211,8 +211,9 @@ pub struct GroupCheckpoint {
     #[serde(default)]
     pub published: Option<PublishedFrontier>,
     /// Observed-cost feedback state of the group (see
-    /// [`crate::feedback`]); absent with calibration disabled so those
-    /// documents stay byte-identical to earlier releases. Also absent
+    /// [`crate::feedback`]); the key is absent with calibration disabled.
+    /// Documents written before PR 21 carry `"feedback":null` there and
+    /// still restore. Also absent
     /// inside the gate's own last-good snapshots — the rollback target
     /// restores tuning state, never the counters that record the
     /// rollback itself.
@@ -330,7 +331,16 @@ impl ShardCheckpoint {
 
     /// Atomically write to `path` (`<path>.tmp` + rename).
     pub fn save(&self, path: &Path) -> Result<(), String> {
-        atomic_write(path, self.to_json()?.as_bytes())
+        self.save_with(path, &mut String::new())
+    }
+
+    /// [`save`](Self::save), streaming the JSON into `buf` (cleared
+    /// first). A shard worker keeps one `buf` for all its generations, so
+    /// a commit reuses the capacity the last one grew.
+    pub fn save_with(&self, path: &Path, buf: &mut String) -> Result<(), String> {
+        buf.clear();
+        serde::Serialize::write_json(self, buf);
+        atomic_write(path, buf.as_bytes(), None)
     }
 
     /// Load a shard checkpoint from `path`.
@@ -365,14 +375,10 @@ impl Manifest {
     pub fn save(&self, path: &Path) -> Result<(), String> {
         let json =
             serde_json::to_string(self).map_err(|e| format!("serialize manifest: {e}"))?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json.as_bytes())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        // The `.tmp` is on disk, the rename is not — a kill here is the
-        // exact torn-manifest window the crash-safe probe must survive.
-        crate::fault::fire(crate::fault::CHECKPOINT_MANIFEST, self.generation as u32)?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+        // A kill between the write and the rename is the exact
+        // torn-manifest window the crash-safe probe must survive.
+        let fault = (crate::fault::CHECKPOINT_MANIFEST, self.generation as u32);
+        atomic_write(path, json.as_bytes(), Some(fault))
     }
 
     /// Load a manifest from `path`.
@@ -422,10 +428,15 @@ pub fn shard_file(manifest: &Path, shard: u32, generation: u64) -> std::path::Pa
     }
 }
 
-/// Write `bytes` to `path` via `<path>.tmp` + rename.
-fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), String> {
+/// Write `bytes` to `path` via `<path>.tmp` + rename, firing the fault
+/// site `fault` (name, scope), if given, once the `.tmp` is on disk and
+/// before the rename.
+fn atomic_write(path: &Path, bytes: &[u8], fault: Option<(&str, u32)>) -> Result<(), String> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, bytes).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    if let Some((site, scope)) = fault {
+        crate::fault::fire(site, scope)?;
+    }
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
 }

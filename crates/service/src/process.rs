@@ -307,6 +307,8 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
     let mut hosts: BTreeMap<u32, GroupHost> =
         initial_shards.into_iter().map(|k| (k, GroupHost::default())).collect();
     let mut current: Option<u32> = None;
+    // Shard documents' JSON, reused by every generation of every shard.
+    let mut doc = String::new();
 
     // A stdout write fails only when the supervisor died; exit quietly
     // (the replacement supervisor story is "restart the service").
@@ -392,7 +394,7 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
                             // disk) would fail every adopter the same
                             // way — report it so the supervisor aborts
                             // instead of failing over in circles.
-                            if let Err(e) = cp.save(&file) {
+                            if let Err(e) = cp.save_with(&file, &mut doc) {
                                 send_fatal(&mut out, &e);
                                 return Err(e);
                             }

@@ -791,6 +791,8 @@ fn shard_worker(
     // (at their own position, exactly like an invalid JSONL line).
     let mut dict: Vec<Option<Query>> = Vec::new();
     let mut batch = VecDeque::new();
+    // The shard document's JSON, reused by every generation.
+    let mut doc = String::new();
     loop {
         let Some(item) = batch.pop_front() else {
             // Batch folded: tell the board, then take whatever has queued
@@ -870,7 +872,10 @@ fn shard_worker(
                 host.dropped = base_dropped + queue.dropped();
                 let cp = host.capture(ctx.env.config, ctx.shard, generation);
                 let file = shard_file(path, ctx.shard, generation);
-                match cp.save(&file).and_then(|()| committer.done(ctx.shard, generation, file)) {
+                match cp
+                    .save_with(&file, &mut doc)
+                    .and_then(|()| committer.done(ctx.shard, generation, file))
+                {
                     Ok(_) => {}
                     Err(e) => failure = Some(e),
                 }
