@@ -89,7 +89,7 @@ USAGE:
   serve --workers N splits the daemon across processes: a supervisor
   owns the socket, journal, checkpoints and the budget arbiter, and N
   worker child processes host the shards over binary-framed pipes. A
-  killed worker is detected (pipe EOF / SIGCHLD), its shards restore on
+  killed worker is detected (pipe EOF / failed write), its shards restore on
   a survivor (or a respawned replacement with --respawn) from the last
   committed checkpoint generation, and the journal tail since that
   generation replays — the final selection is byte-identical to a

@@ -88,12 +88,12 @@
 //! [`Arbiter`], and routes events over per-worker stdin pipes (binary
 //! frames) to `N` **worker child processes**, each hosting shards with
 //! exactly the in-process group-host tuning machinery. The
-//! supervisor detects a dead worker (pipe EOF, `SIGCHLD`), restores its
-//! shards onto a survivor or respawned replacement from the last
-//! committed checkpoint generation, and replays the journal tail since
-//! that generation — so a `SIGKILL` of any worker at any event position
-//! leaves the final merged selection **byte-identical** to a
-//! failure-free run (DESIGN.md §16).
+//! supervisor detects a dead worker (pipe EOF or a failed write),
+//! restores its shards onto a survivor or respawned replacement from
+//! the last committed checkpoint generation, and replays the journal
+//! tail since that generation — so a `SIGKILL` of any worker at any
+//! event position leaves the final merged selection **byte-identical**
+//! to a failure-free run (DESIGN.md §16).
 //!
 //! [`Workload`]: isel_workload::Workload
 //! [`IndexPool`]: isel_workload::IndexPool

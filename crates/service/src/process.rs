@@ -30,9 +30,9 @@
 //! *before* the pipe write, so a line lost in a dying worker's pipe
 //! buffer is always still in the tail). Worker death is observed as
 //! EOF on the worker's stdout (the collector thread drains every
-//! buffered message first — ordering matters for arbiter publishes),
-//! prompted by `SIGCHLD` ([`crate::status::install_child_signal`]) or
-//! an `EPIPE` on the stdin pipe. Failover then, per dead shard:
+//! buffered message first — ordering matters for arbiter publishes) or
+//! as a failed write (`EPIPE`) to its stdin pipe, whichever comes first.
+//! Failover then, per dead shard:
 //!
 //! 1. restores the shard onto a survivor (or a respawned replacement,
 //!    under [`ServiceConfig::respawn`]) from the last *committed*
@@ -973,7 +973,6 @@ impl Supervisor {
                 board.epochs.store(prior_outcomes.len() as u64, Ordering::Relaxed);
             }
         }
-        crate::status::install_child_signal();
 
         let shared = Shared {
             outcomes: Mutex::new(prior_outcomes),

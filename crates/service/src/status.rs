@@ -12,12 +12,13 @@
 //! * a `{"control":"status"}` line — the socket path writes the line
 //!   back on the requesting connection; stdin paths print to stderr.
 //!
-//! Both handlers ([`install_status_signal`], [`install_child_signal`])
-//! are installed via `sigaction(2)` with `SA_RESTART` — not the legacy
-//! `signal(2)`, whose one-shot/`EINTR` semantics are
-//! implementation-defined — and the handler bodies do exactly one
+//! The handler is installed via `sigaction(2)` with `SA_RESTART` — not
+//! the legacy `signal(2)`, whose one-shot/`EINTR` semantics are
+//! implementation-defined — and its body does exactly one
 //! async-signal-safe thing: store to a static `AtomicBool`. Everything
-//! else (formatting, I/O, `waitpid`) happens on the polling thread.
+//! else (formatting, I/O) happens on the polling thread. A worker
+//! process's death needs no signal: the supervisor sees EOF on its pipe
+//! or a failed write to it (`crate::process`).
 //!
 //! Status is out of band by design: it is never queued with events and
 //! therefore cannot perturb replay determinism.
@@ -168,17 +169,10 @@ impl PersistedStatus {
 /// Set by the `SIGUSR1` handler, consumed by [`take_status_signal`].
 static STATUS_REQUESTED: AtomicBool = AtomicBool::new(false);
 
-/// Set by the `SIGCHLD` handler, consumed by [`take_child_signal`].
-static CHILD_EXITED: AtomicBool = AtomicBool::new(false);
-
 /// `SIGUSR1` on Linux and most Unixes. Kept local instead of pulling in
 /// a libc dependency for one constant.
 #[cfg(unix)]
 const SIGUSR1: i32 = 10;
-
-/// `SIGCHLD` on Linux and most Unixes.
-#[cfg(unix)]
-const SIGCHLD: i32 = 17;
 
 /// Restart interrupted syscalls instead of surfacing `EINTR` to every
 /// blocking read in the service (`SA_RESTART`).
@@ -187,8 +181,8 @@ const SA_RESTART: i32 = 0x1000_0000;
 
 /// Subset of `struct sigaction` (Linux x86-64/aarch64 layout): handler
 /// pointer, blocked-signal mask, flags, legacy restorer slot. The mask
-/// is zeroed — the handlers only store to an atomic, so nothing needs
-/// blocking while they run.
+/// is zeroed — the handler only stores to an atomic, so nothing needs
+/// blocking while it runs.
 #[cfg(unix)]
 #[repr(C)]
 struct SigAction {
@@ -210,12 +204,6 @@ extern "C" {
 extern "C" fn on_sigusr1(_sig: i32) {
     // Only async-signal-safe work here: set the flag, nothing else.
     STATUS_REQUESTED.store(true, Ordering::Relaxed);
-}
-
-#[cfg(unix)]
-extern "C" fn on_sigchld(_sig: i32) {
-    // waitpid happens on the supervisor thread, not here.
-    CHILD_EXITED.store(true, Ordering::Relaxed);
 }
 
 #[cfg(unix)]
@@ -241,26 +229,10 @@ pub fn install_status_signal() {
     install_flag_handler(SIGUSR1, on_sigusr1);
 }
 
-/// Install the `SIGCHLD` child-exit handler the multi-process
-/// supervisor polls via [`take_child_signal`] (idempotent; no-op off
-/// Unix). Flag-only: reaping with `waitpid` happens on the supervisor
-/// thread.
-pub fn install_child_signal() {
-    #[cfg(unix)]
-    install_flag_handler(SIGCHLD, on_sigchld);
-}
-
 /// Consume a pending `SIGUSR1` status request, if one arrived since the
 /// last call.
 pub fn take_status_signal() -> bool {
     STATUS_REQUESTED.swap(false, Ordering::Relaxed)
-}
-
-/// Consume a pending `SIGCHLD` notification, if one arrived since the
-/// last call. Signals coalesce, so a `true` means "at least one child
-/// changed state" — the supervisor sweeps all children.
-pub fn take_child_signal() -> bool {
-    CHILD_EXITED.swap(false, Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -370,24 +342,5 @@ mod tests {
         }
         assert!(take_status_signal());
         assert!(!take_status_signal(), "take consumes the request");
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn sigchld_sets_and_take_clears_the_flag() {
-        install_child_signal();
-        // Drain any notification from an unrelated child of the test
-        // harness before asserting.
-        take_child_signal();
-        // SAFETY: raising a signal at our own process whose handler only
-        // sets an AtomicBool.
-        unsafe {
-            extern "C" {
-                fn raise(sig: i32) -> i32;
-            }
-            raise(SIGCHLD);
-        }
-        assert!(take_child_signal());
-        assert!(!take_child_signal(), "take consumes the notification");
     }
 }

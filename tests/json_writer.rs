@@ -9,6 +9,11 @@
 //! the pre-stream tree writer's rendering of their parse, and parsing
 //! them back into the type must render the same bytes again.
 //!
+//! The read side streams too (`Deserialize::read_json`): each type is
+//! also read back from re-laid-out copies of its text — whitespace,
+//! shuffled keys, an unknown key holding nested containers, a repeated
+//! key — and random trees read back as themselves.
+//!
 //! This file is shim-specific (`Value::U64`, `serde_json::parse_value`,
 //! `Serialize::to_value`); it goes with the shim if the real crates come
 //! back (`vendor/README.md`).
@@ -95,7 +100,8 @@ fn oracle(v: &Value) -> String {
 
 /// The contract for one value: the oracle writer renders the parse of
 /// the streamed bytes as those bytes, and parsing them back into `T`
-/// renders them again. Returns the text.
+/// renders them again — from the canonical text and from re-laid-out
+/// copies of it ([`relaid`]). Returns the text.
 fn same_bytes<T: Serialize + Deserialize>(x: &T) -> String {
     let streamed = serde_json::to_string(x).unwrap();
     let tree = serde_json::parse_value(&streamed).unwrap();
@@ -106,7 +112,108 @@ fn same_bytes<T: Serialize + Deserialize>(x: &T) -> String {
         streamed,
         "parse-render moved a byte"
     );
+    for seed in 0..3 {
+        let moved = relaid(&streamed, seed);
+        let back: T = serde_json::from_str(&moved).unwrap_or_else(|e| panic!("{e}: {moved}"));
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            streamed,
+            "a re-laid-out text read back differently: {moved}"
+        );
+    }
     streamed
+}
+
+/// `text` laid out again: whitespace between tokens, every object's keys
+/// shuffled, and, in the struct the text is (or in the body of the
+/// struct variant it is), an unknown key holding nested containers plus
+/// a second, junk-valued copy of one key after the first. A reader must
+/// take the same value from it: maps sort, the first copy of a key wins
+/// and unknown keys are skipped.
+fn relaid(text: &str, seed: u64) -> String {
+    /// The fields of the struct `v` is, or of the struct variant it is.
+    fn struct_fields(v: &mut Value) -> Option<&mut Vec<(String, Value)>> {
+        let Value::Object(e) = v else { return None };
+        let variant = e.len() == 1 && e[0].0.starts_with(|c: char| c.is_ascii_uppercase());
+        if variant {
+            struct_fields(&mut e[0].1)
+        } else {
+            let fields = e
+                .iter()
+                .all(|(k, _)| k.starts_with(|c: char| c.is_ascii_lowercase()));
+            fields.then_some(e)
+        }
+    }
+    fn shuffle(v: &mut Value, rng: &mut StdRng) {
+        match v {
+            Value::Object(entries) => {
+                for i in (1..entries.len()).rev() {
+                    entries.swap(i, rng.gen_range(0..=i as u64) as usize);
+                }
+                entries.iter_mut().for_each(|(_, v)| shuffle(v, rng));
+            }
+            Value::Array(items) => items.iter_mut().for_each(|v| shuffle(v, rng)),
+            _ => {}
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tree = serde_json::parse_value(text).unwrap();
+    shuffle(&mut tree, &mut rng);
+    if let Some(fields) = struct_fields(&mut tree) {
+        if !fields.is_empty() {
+            let i = rng.gen_range(0..fields.len() as u64) as usize;
+            let at = rng.gen_range(i as u64 + 1..=fields.len() as u64) as usize;
+            let copy = (fields[i].0.clone(), random_value(&mut rng, 2));
+            fields.insert(at, copy);
+        }
+        let nested = Value::Array(vec![
+            Value::Object(vec![("k".into(), random_value(&mut rng, 2))]),
+            random_value(&mut rng, 2),
+        ]);
+        let at = rng.gen_range(0..=fields.len() as u64) as usize;
+        fields.insert(
+            at,
+            (
+                "unknown_key".into(),
+                Value::Object(vec![("x".into(), nested)]),
+            ),
+        );
+    }
+    spaced(&tree, &mut rng)
+}
+
+/// The compact rendering of `v` with random whitespace between tokens.
+fn spaced(v: &Value, rng: &mut StdRng) -> String {
+    fn ws(rng: &mut StdRng) -> &'static str {
+        [" ", "\n  ", "\t", "\r\n", ""][rng.gen_range(0..5) as usize]
+    }
+    let mut out = String::from(ws(rng));
+    match v {
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                out += if i > 0 { "," } else { "" };
+                out += &spaced(item, rng);
+            }
+            out += ws(rng);
+            out.push(']');
+        }
+        Value::Object(entries) => {
+            out.push('{');
+            for (i, (k, item)) in entries.iter().enumerate() {
+                out += if i > 0 { "," } else { "" };
+                out += ws(rng);
+                out += &Value::Str(k.clone()).to_string();
+                out += ws(rng);
+                out.push(':');
+                out += &spaced(item, rng);
+            }
+            out += ws(rng);
+            out.push('}');
+        }
+        scalar => out += &scalar.to_string(),
+    }
+    out + ws(rng)
 }
 
 /// What one replay through the router leaves behind.
@@ -638,6 +745,30 @@ proptest! {
         prop_assert_eq!(&text, &tree.to_string());
         let back: Value = serde_json::from_str(&text).unwrap();
         prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
+    }
+
+    /// A tree's text reads back as the tree — non-finite floats as the
+    /// `null` they render — laid out compactly or with whitespace.
+    #[test]
+    fn random_trees_read_back_as_themselves(seed in 0u64..u64::MAX) {
+        fn finite(v: Value) -> Value {
+            match v {
+                Value::F64(x) if !x.is_finite() => Value::Null,
+                Value::Array(items) => Value::Array(items.into_iter().map(finite).collect()),
+                Value::Object(entries) => {
+                    Value::Object(entries.into_iter().map(|(k, v)| (k, finite(v))).collect())
+                }
+                other => other,
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tree = random_value(&mut rng, 3);
+        let want = finite(tree.clone());
+        let compact: Value = serde_json::from_str(&tree.to_string()).unwrap();
+        prop_assert_eq!(&compact, &want);
+        let text = spaced(&tree, &mut rng);
+        let loose: Value = serde_json::from_str(&text).unwrap();
+        prop_assert_eq!(&loose, &want);
     }
 
     /// A `HashMap` renders in the order of its *rendered* keys, so keys
