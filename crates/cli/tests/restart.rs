@@ -59,6 +59,12 @@ fn setup(name: &str) -> PathBuf {
     let mut rec: Vec<&str> = vec!["record", "--out", ev.to_str().unwrap(), "--events", "96"];
     rec.extend(common);
     assert_ok(&run(&rec, None, &[]));
+    // The same log's binary twin: `Define`/`Event` frames down the pipe.
+    let bin = dir.join("ev.bin");
+    let mut rec: Vec<&str> =
+        vec!["record", "--out", bin.to_str().unwrap(), "--format", "binary", "--events", "96"];
+    rec.extend(common);
+    assert_ok(&run(&rec, None, &[]));
     dir
 }
 
@@ -141,7 +147,12 @@ fn serve_state(
 /// The stream bytes the crashed run's journal had not yet consumed,
 /// written to a file so the restart can read them as stdin.
 fn remainder(dir: &Path, state: &Path, name: &str) -> PathBuf {
-    let full = std::fs::read(dir.join("ev.jsonl")).unwrap();
+    remainder_of(dir, "ev.jsonl", state, name)
+}
+
+/// [`remainder`] of the stream in the file `log` of `dir`.
+fn remainder_of(dir: &Path, log: &str, state: &Path, name: &str) -> PathBuf {
+    let full = std::fs::read(dir.join(log)).unwrap();
     let consumed = std::fs::metadata(state.join("journal.log")).map_or(0, |m| m.len()) as usize;
     assert!(
         consumed <= full.len(),
@@ -234,6 +245,35 @@ fn sweep(dir: &Path, shards: u32, workers: u32) {
             "{site} @ {shards} shards: recovered report differs"
         );
         assert_state_identical(&clean_state, &state, &format!("{site} @ {shards} shards"));
+    }
+
+    // The binary twin, clean and crashed at every site: a restarted
+    // supervisor replays the journal's `Define`s to its fresh workers,
+    // skipped prefix included, and lands on the JSONL run's bytes.
+    let bin = dir.join("ev.bin");
+    let clean_bin = dir.join(format!("clean-bin-{shards}"));
+    let clean = serve_state(dir, &clean_bin, shards, workers, &bin, &[]);
+    assert_ok(&clean);
+    assert_eq!(stdout(&clean), baseline, "binary twin @ {shards} shards: report differs");
+    assert_state_identical(&clean_state, &clean_bin, &format!("binary twin @ {shards} shards"));
+    for site in SWEEP_SITES {
+        let schedule = match *site {
+            // The twin is one frame, read in a handful of consumes: the
+            // kill lands inside it, with a partial frame journaled.
+            "journal.append" => "journal.append:4".to_owned(),
+            _ => sweep_schedule(site, shards, workers),
+        };
+        let tag = format!("bin-{}", site.replace('.', "-"));
+        let ctx = format!("binary twin, {site} @ {shards} shards");
+        let state = dir.join(format!("crash-{shards}-{tag}"));
+        let envs = [("ISEL_FAULT_SCHEDULE", schedule.as_str())];
+        let crashed = serve_state(dir, &state, shards, workers, &bin, &envs);
+        assert!(!crashed.status.success(), "{ctx}: schedule {schedule:?} did not kill");
+        let rest = remainder_of(dir, "ev.bin", &state, &format!("rest-{shards}-{tag}.bin"));
+        let recovered = serve_state(dir, &state, shards, workers, &rest, &[]);
+        assert_ok(&recovered);
+        assert_eq!(stdout(&recovered), baseline, "{ctx}: recovered report differs");
+        assert_state_identical(&clean_state, &state, &ctx);
     }
 }
 

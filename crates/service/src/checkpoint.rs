@@ -431,7 +431,11 @@ pub fn shard_file(manifest: &Path, shard: u32, generation: u64) -> std::path::Pa
 /// Write `bytes` to `path` via `<path>.tmp` + rename, firing the fault
 /// site `fault` (name, scope), if given, once the `.tmp` is on disk and
 /// before the rename.
-fn atomic_write(path: &Path, bytes: &[u8], fault: Option<(&str, u32)>) -> Result<(), String> {
+pub(crate) fn atomic_write(
+    path: &Path,
+    bytes: &[u8],
+    fault: Option<(&str, u32)>,
+) -> Result<(), String> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, bytes).map_err(|e| format!("write {}: {e}", tmp.display()))?;
     if let Some((site, scope)) = fault {

@@ -421,14 +421,6 @@ impl FrameEncoder {
             self.flush_into(out);
         }
     }
-
-    /// Forget every defined template. For writers that start a fresh,
-    /// self-contained output (rotated journals do *not* reset — their
-    /// readers replay segments concatenated under one id space).
-    pub fn reset_dict(&mut self) {
-        self.dict.clear();
-        self.next_template = 0;
-    }
 }
 
 /// A canonically-rendered JSONL line, parsed without a schema. Used by

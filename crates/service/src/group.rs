@@ -17,13 +17,16 @@
 //! Where a host runs — a shard thread behind a queue
 //! ([`crate::router`]) or a worker process behind a pipe
 //! ([`crate::process`]) — decides only how its [`Sealed`] epochs and
-//! checkpoint documents travel.
+//! checkpoint documents travel. Both hand it the same things: text
+//! lines ([`GroupHost::line`]) and binary events resolved through a
+//! [`DecodeDict`] ([`GroupHost::event`]).
 
 use crate::arbiter::PublishedFrontier;
 use crate::checkpoint::{GroupCheckpoint, ShardCheckpoint, CHECKPOINT_VERSION};
 use crate::config::ServiceConfig;
 use crate::event::{parse_line, InputLine};
 use crate::feedback::{self, CalCounters, CalSnapshot, GroupFeedback};
+use crate::records::DecodeDict;
 use crate::tuner::{EpochOutcome, Tuner};
 use crate::window::EpochWindow;
 use isel_core::{Parallelism, Trace};
@@ -168,6 +171,29 @@ impl GroupHost {
             false => None,
         };
         Some(Sealed { outcome, publish })
+    }
+
+    /// Fold one binary event: its template resolves through `dict` and
+    /// is ingested, or — undefined here, schema-invalid, frequency 0 —
+    /// counts invalid here, at its position in this shard's stream,
+    /// exactly like an invalid text line.
+    #[inline]
+    pub(crate) fn event(
+        &mut self,
+        env: &Env<'_>,
+        dict: &DecodeDict,
+        template: u64,
+        frequency: u64,
+        trace: Trace<'_>,
+        cal: Option<&CalCounters>,
+    ) -> Option<Sealed> {
+        match dict.resolve(template, frequency) {
+            Some(q) => self.ingest(env, &q, trace, cal),
+            None => {
+                self.invalid += 1;
+                None
+            }
+        }
     }
 
     /// Parse one routed text line and act on it: a query is ingested, an

@@ -470,7 +470,11 @@ pub fn convert(input: &[u8], to: WireFormat) -> Vec<u8> {
 /// dictionary (render-only, no schema involved) and render nothing;
 /// events referencing unknown templates render nothing (there is no
 /// faithful text form).
-fn render_item(dict: &mut DecodeDict, item: &WireItem, tag: Option<(u64, u64)>) -> Option<String> {
+pub(crate) fn render_item(
+    dict: &mut DecodeDict,
+    item: &WireItem,
+    tag: Option<(u64, u64)>,
+) -> Option<String> {
     match item {
         WireItem::Define { table, kind, attrs } => {
             dict.define_raw(*table, *kind, attrs.clone());
@@ -487,12 +491,6 @@ fn render_item(dict: &mut DecodeDict, item: &WireItem, tag: Option<(u64, u64)>) 
         WireItem::Raw(bytes) => Some(String::from_utf8_lossy(bytes).into_owned()),
         WireItem::Tagged { conn, seq, item } => render_item(dict, item, Some((*conn, *seq))),
     }
-}
-
-/// Render a decoded item for consumers outside this module (the socket
-/// path renders binary input back to canonical lines before ingesting).
-pub fn render_item_line(dict: &mut DecodeDict, item: &WireItem) -> Option<String> {
-    render_item(dict, item, None)
 }
 
 #[cfg(test)]

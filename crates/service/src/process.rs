@@ -15,27 +15,36 @@
 //! The wire between them is the binary frame protocol of
 //! [`crate::frame`]: the supervisor writes frames onto each worker's
 //! stdin pipe, carrying either a [`SupMsg`] (JSON inside a
-//! [`WireItem::Sup`] item) or one event line (a [`WireItem::Raw`]
-//! item); the worker answers with [`WorkerMsg`] JSON lines on stdout.
-//! Events always travel as **canonical JSONL lines** — binary input is
-//! re-rendered by the supervisor through its template dictionary
-//! ([`render_query`]) — so a worker's stream is self-contained: no
-//! dictionary state spans the pipe, which is what makes a journal tail
-//! replayable to a *different* worker after a crash.
+//! [`WireItem::Sup`] item) or the input as it came in — a text line as
+//! a [`WireItem::Raw`] item, a binary template or event as its
+//! [`WireItem::Define`] or [`WireItem::Event`] item; the worker answers
+//! with [`WorkerMsg`] JSON lines on stdout. Nothing is re-rendered on
+//! the way: a worker parses lines and resolves events through the same
+//! `GroupHost` and [`DecodeDict`] a router shard thread uses.
+//!
+//! Events name their template by stream-global id, so one invariant
+//! carries the dictionary across the pipe: **every live worker has seen
+//! every `Define`, in stream order.** The supervisor writes each
+//! `Define` to every live worker as soon as it reads it, and every
+//! `Define` read so far to each newly spawned worker right after its
+//! `Hello`; a worker numbers `Define`s in arrival order, so its ids are
+//! the stream's, and any worker can take over any shard's tail.
 //!
 //! ## Liveness and failover
 //!
-//! The supervisor keeps a per-shard **tail**: every line routed to a
-//! shard since the last committed checkpoint generation (appended
-//! *before* the pipe write, so a line lost in a dying worker's pipe
-//! buffer is always still in the tail). Worker death is observed as
-//! EOF on the worker's stdout (the collector thread drains every
-//! buffered message first — ordering matters for arbiter publishes) or
-//! as a failed write (`EPIPE`) to its stdin pipe, whichever comes first.
+//! The supervisor keeps a per-shard **tail**: the bytes of every frame
+//! routed to a shard since the last committed checkpoint generation
+//! (appended *before* the pipe write, so an event lost in a dying
+//! worker's pipe buffer is always still in the tail). Worker death is
+//! observed as EOF on the worker's stdout (the collector thread drains
+//! every buffered message first — ordering matters for arbiter
+//! publishes) or as a failed write (`EPIPE`) to its stdin pipe,
+//! whichever comes first.
 //! Failover then, per dead shard:
 //!
 //! 1. restores the shard onto a survivor (or a respawned replacement,
-//!    under [`ServiceConfig::respawn`]) from the last *committed*
+//!    which first gets every `Define` so far, under
+//!    [`ServiceConfig::respawn`]) from the last *committed*
 //!    `manifest.shard-{k}.g{g}.json` checkpoint, whose contents ride
 //!    inside the [`SupMsg::Adopt`] itself;
 //! 2. replays the shard's journal tail — checkpoint barriers inside
@@ -64,18 +73,19 @@ use crate::config::ServiceConfig;
 use crate::event::Control;
 use crate::fault;
 use crate::feedback::CalSnapshot;
-use crate::frame::{put_frame, put_item, render_query, WireItem, MAX_PAYLOAD};
+use crate::frame::{put_frame, put_item, WireItem, MAX_PAYLOAD};
 use crate::group::{Env, GroupHost, Sealed};
-use crate::records::{Record, RecordIter};
+use crate::records::{DecodeDict, Record, RecordIter};
 use crate::router::{Committer, ServiceReport};
 use crate::shard::ShardMap;
 use crate::status::{take_status_signal, StatusBoard};
 use crate::stream::{Decision, Stream};
 use crate::tuner::EpochOutcome;
 use isel_core::{Trace, TraceEvent, TraceSink};
-use isel_workload::{QueryKind, Schema};
+use isel_workload::Schema;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -85,8 +95,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Supervisor → worker messages, carried as [`WireItem::Sup`] frames on
-/// the worker's stdin pipe (interleaved with [`WireItem::Raw`] event
-/// lines).
+/// the worker's stdin pipe (interleaved with the input's own
+/// [`WireItem::Raw`] lines and [`WireItem::Define`]/[`WireItem::Event`]
+/// items).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum SupMsg {
     /// First message of every spawn: the schema and configuration the
@@ -105,10 +116,10 @@ pub enum SupMsg {
         /// derives them ([`shard_file`]).
         manifest: Option<String>,
     },
-    /// Switch the *current shard*: subsequent raw event lines ingest
-    /// into this shard until the next `Shard` message.
+    /// Switch the *current shard*: subsequent `Raw` lines and `Event`s
+    /// go to this shard until the next `Shard` message.
     Shard {
-        /// The shard now receiving raw lines.
+        /// The shard now receiving events.
         shard: u32,
     },
     /// Checkpoint barrier: serialize each targeted hosted shard as a
@@ -122,7 +133,7 @@ pub enum SupMsg {
         shards: Option<Vec<u32>>,
     },
     /// In-band interactive-query barrier: acknowledge with
-    /// [`WorkerMsg::Ack`] once every line queued before this point has
+    /// [`WorkerMsg::Ack`] once every event queued before this point has
     /// been consumed. The supervisor answers from the arbiter when all
     /// live workers have acknowledged.
     Query {
@@ -247,10 +258,11 @@ fn send_fatal<W: Write>(out: &mut W, message: &str) {
     }
 }
 
-/// Encode one raw event line as a binary frame.
-fn raw_frame(line: &str) -> Vec<u8> {
+/// Encode one input item — a `Raw` line, a `Define`, an `Event` — as a
+/// binary frame of its own.
+fn item_frame(item: &WireItem) -> Vec<u8> {
     let mut payload = Vec::new();
-    put_item(&mut payload, &WireItem::Raw(line.as_bytes().to_vec()));
+    put_item(&mut payload, item);
     let mut frame = Vec::new();
     put_frame(&mut frame, &payload);
     frame
@@ -307,6 +319,9 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
     let mut hosts: BTreeMap<u32, GroupHost> =
         initial_shards.into_iter().map(|k| (k, GroupHost::default())).collect();
     let mut current: Option<u32> = None;
+    // Every `Define` reaches every worker in stream order, so numbering
+    // them in arrival order gives each template its stream-global id.
+    let mut dict = DecodeDict::new();
     // Shard documents' JSON, reused by every generation of every shard.
     let mut doc = String::new();
 
@@ -328,7 +343,7 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
         if gone {
             return Ok(());
         }
-        match record {
+        let folded = match record {
             Record::Item(WireItem::Sup(json)) => {
                 let msg: SupMsg = std::str::from_utf8(&json)
                     .map_err(|e| format!("worker protocol: bad SupMsg: {e}"))
@@ -413,47 +428,51 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
                     }
                     SupMsg::Shutdown => break,
                 }
+                None
             }
+            Record::Item(WireItem::Define { table, kind, attrs }) => {
+                dict.define(&schema, table, kind, attrs);
+                None
+            }
+            Record::Item(WireItem::Event { template, frequency }) => fold(current, &mut hosts, |h| {
+                h.event(&env, &dict, template, frequency, Trace::disabled(), None)
+            }),
             Record::Item(WireItem::Raw(bytes)) => {
                 let line = String::from_utf8_lossy(&bytes);
                 let trimmed = line.trim();
                 if trimmed.is_empty() {
                     continue;
                 }
-                // Protocol: a line before any Shard message, or for a
-                // shard this worker does not host, has no home; the
-                // supervisor never sends one.
-                let Some(shard) = current else { continue };
-                let Some(host) = hosts.get_mut(&shard) else { continue };
-                let before = host.ingested;
-                let sealed = host.line(&env, trimmed, Trace::disabled(), None);
-                if host.ingested != before {
-                    // One hit per ingested query event, and fresh workers
-                    // count from 0, so the hit count equals the shard's
-                    // ingested count. Nothing about this event has left
-                    // the process yet: a kill here loses it whole, and an
-                    // injected error exits the worker like a crash — no
-                    // Fatal report, so the supervisor fails the shard
-                    // over.
-                    fault::fire(fault::WORKER_INGEST, shard)?;
-                }
-                if let Some(Sealed { mut outcome, publish }) = sealed {
-                    outcome.shard = Some(shard);
-                    send!(WorkerMsg::Outcome {
-                        shard,
-                        outcome,
-                        ingested: host.ingested,
-                        invalid: host.invalid,
-                        dropped: host.dropped,
-                    });
-                    if let Some((table, pf)) = publish {
-                        send!(WorkerMsg::Publish { table, pf: (*pf).clone() });
-                    }
-                }
+                fold(current, &mut hosts, |h| h.line(&env, trimmed, Trace::disabled(), None))
             }
-            // The supervisor sends only Sup and Raw frames; anything
-            // else is a protocol violation worth failing loudly on.
+            // The supervisor sends only Sup frames and the input's own
+            // items; anything else is a protocol violation worth failing
+            // loudly on.
             other => return Err(format!("worker protocol: unexpected record {other:?}")),
+        };
+        let Some((shard, ingested, sealed)) = folded else { continue };
+        if ingested {
+            // One hit per ingested query event, and fresh workers count
+            // from 0, so the hit count equals the shard's ingested count.
+            // Nothing about this event has left the process yet: a kill
+            // here loses it whole, and an injected error exits the
+            // worker like a crash — no Fatal report, so the supervisor
+            // fails the shard over.
+            fault::fire(fault::WORKER_INGEST, shard)?;
+        }
+        if let Some(Sealed { mut outcome, publish }) = sealed {
+            let host = &hosts[&shard];
+            outcome.shard = Some(shard);
+            send!(WorkerMsg::Outcome {
+                shard,
+                outcome,
+                ingested: host.ingested,
+                invalid: host.invalid,
+                dropped: host.dropped,
+            });
+            if let Some((table, pf)) = publish {
+                send!(WorkerMsg::Publish { table, pf: (*pf).clone() });
+            }
         }
     }
     for (k, host) in &hosts {
@@ -470,27 +489,70 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
     Ok(())
 }
 
+/// Hand one event to the current shard's host: the shard, whether the
+/// event was ingested, and the epoch it sealed — or `None` when it has
+/// no home (before any `Shard` message, or for a shard this worker does
+/// not host; the supervisor never sends one).
+fn fold(
+    current: Option<u32>,
+    hosts: &mut BTreeMap<u32, GroupHost>,
+    event: impl FnOnce(&mut GroupHost) -> Option<Sealed>,
+) -> Option<(u32, bool, Option<Sealed>)> {
+    let shard = current?;
+    let host = hosts.get_mut(&shard)?;
+    let before = host.ingested;
+    let sealed = event(host);
+    Some((shard, host.ingested != before, sealed))
+}
+
 // ---------------------------------------------------------------------
 // Supervisor side
 // ---------------------------------------------------------------------
 
-/// One journal-tail entry of a shard: an event line, or a checkpoint
-/// barrier at its exact stream position.
-enum TailEntry {
-    Line(String),
-    Barrier(u64),
+/// One shard's journal tail: the bytes of every frame routed to it since
+/// the last committed checkpoint generation, exactly as they went down
+/// the pipe, with each checkpoint barrier at its stream position as a
+/// frame scoped to this shard — so a failover replays it verbatim.
+#[derive(Default)]
+struct Tail {
+    bytes: Vec<u8>,
+    /// Event frames in `bytes`.
+    events: u64,
+    /// Per barrier in `bytes`: its generation, where its frame ends, and
+    /// how many events precede it.
+    barriers: Vec<(u64, usize, u64)>,
+}
+
+impl Tail {
+    fn push_event(&mut self, frame: &[u8]) {
+        self.bytes.extend_from_slice(frame);
+        self.events += 1;
+    }
+
+    fn push_barrier(&mut self, shard: u32, generation: u64) -> Result<(), String> {
+        self.bytes.extend(sup_frame(&SupMsg::Barrier { generation, shards: Some(vec![shard]) })?);
+        self.barriers.push((generation, self.bytes.len(), self.events));
+        Ok(())
+    }
+
+    /// Drop everything up to and including the barrier of `generation` —
+    /// that prefix is durable once the generation's manifest commits.
+    fn truncate(&mut self, generation: u64) {
+        let Some(i) = self.barriers.iter().position(|b| b.0 == generation) else { return };
+        let (_, end, before) = self.barriers[i];
+        self.bytes.drain(..end);
+        self.events -= before;
+        self.barriers.drain(..=i);
+        for b in &mut self.barriers {
+            b.1 -= end;
+            b.2 -= before;
+        }
+    }
 }
 
 /// One persisted epoch outcome: the `(table, epoch)` dedupe key plus
 /// the outcome the worker reported.
 type OutcomeEntry = (u16, u64, EpochOutcome);
-
-fn save_outcomes(path: &Path, entries: &Vec<OutcomeEntry>) -> Result<(), String> {
-    let json = serde_json::to_string(entries).map_err(|e| e.to_string())?;
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, json).map_err(|e| e.to_string())?;
-    std::fs::rename(&tmp, path).map_err(|e| e.to_string())
-}
 
 /// Load the outcome sidecar; a missing or unreadable file is an empty
 /// history (a fresh state directory, or a crash before the first
@@ -503,17 +565,6 @@ fn load_outcomes(path: &Path) -> BTreeMap<(u16, u64), EpochOutcome> {
         return BTreeMap::new();
     };
     entries.into_iter().map(|(t, e, o)| ((t, e), o)).collect()
-}
-
-/// Drop everything up to and including the barrier of `generation` —
-/// that prefix is durable once the generation's manifest commits.
-fn truncate_tail(tail: &mut VecDeque<TailEntry>, generation: u64) {
-    if let Some(pos) = tail
-        .iter()
-        .position(|e| matches!(e, TailEntry::Barrier(g) if *g == generation))
-    {
-        tail.drain(..=pos);
-    }
 }
 
 /// An interactive query waiting for every live worker to pass its
@@ -539,7 +590,7 @@ struct Shared<'a> {
     /// Outstanding interactive queries by id.
     pending: Mutex<HashMap<u64, PendingInteractive>>,
     /// Per-shard journal tails since the last committed generation.
-    tails: Mutex<BTreeMap<u32, VecDeque<TailEntry>>>,
+    tails: Mutex<BTreeMap<u32, Tail>>,
     /// First hard failure reported by a collector (checkpoint I/O).
     failure: Mutex<Option<String>>,
     board: &'a StatusBoard,
@@ -616,7 +667,9 @@ impl Shared<'_> {
                 let map = self.outcomes.lock().expect("outcomes lock poisoned");
                 map.iter().map(|(&(t, e), o)| (t, e, o.clone())).collect()
             };
-            let _ = save_outcomes(p, &snapshot);
+            if let Ok(json) = serde_json::to_string(&snapshot) {
+                let _ = crate::checkpoint::atomic_write(p, json.as_bytes(), None);
+            }
         }
     }
 
@@ -713,7 +766,7 @@ fn collect(slot: usize, out: ChildStdout, shared: &Shared<'_>, eof: &AtomicBool)
                                 let mut tails =
                                     shared.tails.lock().expect("tails lock poisoned");
                                 for tail in tails.values_mut() {
-                                    truncate_tail(tail, generation);
+                                    tail.truncate(generation);
                                 }
                             }
                             shared.persist_sidecars();
@@ -979,7 +1032,7 @@ impl Supervisor {
             counts: Mutex::new(BTreeMap::new()),
             cal: Mutex::new(BTreeMap::new()),
             pending: Mutex::new(HashMap::new()),
-            tails: Mutex::new((0..shards).map(|k| (k, VecDeque::new())).collect()),
+            tails: Mutex::new((0..shards).map(|k| (k, Tail::default())).collect()),
             failure: Mutex::new(None),
             board,
             committer: committer.as_ref(),
@@ -1017,6 +1070,10 @@ impl Supervisor {
         let skip_gen = self.resume_skip_gen;
         let recovered_bytes = self.recovered_bytes;
         let mut stream = Stream::new(&self.config, self.routed_lines, self.next_generation);
+        // Every `Define` frame read so far, in stream order: what a newly
+        // spawned worker is sent right after its `Hello`, so that every
+        // live worker has seen every `Define` (see the module docs).
+        let defines = RefCell::new(Vec::new());
 
         let scope_result: Result<Option<u64>, String> =
             std::thread::scope(|s| {
@@ -1052,7 +1109,9 @@ impl Supervisor {
                         shards: hello_shards,
                         manifest: checkpoint.map(|p| p.to_string_lossy().into_owned()),
                     };
-                    if stdin.write_all(&sup_frame(&hello)?).is_err() {
+                    let mut greeting = sup_frame(&hello)?;
+                    greeting.extend_from_slice(&defines.borrow());
+                    if stdin.write_all(&greeting).is_err() {
                         return Err("worker died during handshake".into());
                     }
                     Ok(Slot { child, stdin: Some(stdin), eof, current_shard: None, alive: true })
@@ -1170,8 +1229,7 @@ impl Supervisor {
                             for &k in &moved {
                                 let t0 = Instant::now();
                                 fault::fire(fault::SUP_ADOPT, k)?;
-                                let mut replayed = 0u64;
-                                let (generation, bytes) = {
+                                let (generation, replayed, bytes) = {
                                     // The restore snapshot and the tail
                                     // must be read under ONE tails lock:
                                     // a commit completes first and
@@ -1183,37 +1241,19 @@ impl Supervisor {
                                     // committer lock nests inside; its
                                     // callers never hold it while taking
                                     // the tails lock.)
-                                    let tails =
+                                    let mut tails =
                                         shared.tails.lock().expect("tails lock poisoned");
                                     let (generation, data) = restore_source(k)?;
                                     let mut bytes =
                                         sup_frame(&SupMsg::Adopt { shard: k, data })?;
                                     bytes.extend(sup_frame(&SupMsg::Shard { shard: k })?);
-                                    let tail = &tails[&k];
                                     // If that race did hit, generation g's
-                                    // barrier entry is still in the tail;
-                                    // skip through it ourselves.
-                                    let skip = tail
-                                        .iter()
-                                        .position(|e| {
-                                            matches!(e, TailEntry::Barrier(g) if *g == generation)
-                                        })
-                                        .map_or(0, |p| p + 1);
-                                    for entry in tail.iter().skip(skip) {
-                                        match entry {
-                                            TailEntry::Line(l) => {
-                                                bytes.extend(raw_frame(l));
-                                                replayed += 1;
-                                            }
-                                            TailEntry::Barrier(g) => {
-                                                bytes.extend(sup_frame(&SupMsg::Barrier {
-                                                    generation: *g,
-                                                    shards: Some(vec![k]),
-                                                })?);
-                                            }
-                                        }
-                                    }
-                                    (generation, bytes)
+                                    // barrier is still in the tail: what
+                                    // precedes it is durable, drop it now.
+                                    let tail = tails.get_mut(&k).expect("tail for every shard");
+                                    tail.truncate(generation);
+                                    bytes.extend_from_slice(&tail.bytes);
+                                    (generation, tail.events, bytes)
                                 };
                                 if !write_slot(&mut slots[target], &bytes) {
                                     target_down = true;
@@ -1266,6 +1306,20 @@ impl Supervisor {
                     }
                 };
 
+                // Write `bytes` to every live worker, failing over those
+                // whose pipe broke.
+                let broadcast = |slots: &mut Vec<Slot>,
+                                 owners: &mut Vec<usize>,
+                                 bytes: &[u8]|
+                 -> Result<(), String> {
+                    let dead = write_live(slots, bytes);
+                    if dead.is_empty() {
+                        Ok(())
+                    } else {
+                        do_failover(slots, owners, dead)
+                    }
+                };
+
                 let sweep = |slots: &mut Vec<Slot>,
                              owners: &mut Vec<usize>|
                  -> Result<(), String> {
@@ -1282,39 +1336,41 @@ impl Supervisor {
                     }
                 };
 
-                // Route one event line: append to the shard's tail
-                // FIRST (a line lost in a dying pipe is then still
+                // Route one event: append its frame to the shard's tail
+                // FIRST (an event lost in a dying pipe is then still
                 // replayed), switch the worker's current shard if
                 // needed, write, and fail over on a broken pipe.
                 let route = |slots: &mut Vec<Slot>,
                              owners: &mut Vec<usize>,
                              shard: u32,
-                             line: String|
+                             item: &WireItem|
                  -> Result<(), String> {
                     // Fires before the tail append: a kill here loses
                     // nothing, because the input journal already holds
-                    // this line (teed at consume time).
+                    // this event (teed at consume time).
                     fault::fire(fault::SUP_ROUTE, shard)?;
-                    let frame = raw_frame(&line);
+                    let frame = item_frame(item);
                     shared
                         .tails
                         .lock()
                         .expect("tails lock poisoned")
                         .get_mut(&shard)
                         .expect("tail exists for every shard")
-                        .push_back(TailEntry::Line(line));
+                        .push_event(&frame);
                     let idx = owners[shard as usize];
                     let slot = &mut slots[idx];
-                    let mut bytes = Vec::new();
-                    if slot.current_shard != Some(shard) {
-                        bytes.extend(sup_frame(&SupMsg::Shard { shard })?);
+                    let bytes = if slot.current_shard == Some(shard) {
+                        frame
+                    } else {
                         slot.current_shard = Some(shard);
-                    }
-                    bytes.extend(frame);
+                        let mut bytes = sup_frame(&SupMsg::Shard { shard })?;
+                        bytes.extend(frame);
+                        bytes
+                    };
                     if slot.alive && write_slot(slot, &bytes) {
                         Ok(())
                     } else {
-                        // Do NOT retry the write: the line is in the
+                        // Do NOT retry the write: the event is in the
                         // tail, and the failover replay delivers it.
                         do_failover(slots, owners, vec![idx])
                     }
@@ -1330,17 +1386,12 @@ impl Supervisor {
                     c.open(gen, routed);
                     {
                         let mut tails = shared.tails.lock().expect("tails lock poisoned");
-                        for tail in tails.values_mut() {
-                            tail.push_back(TailEntry::Barrier(gen));
+                        for (&k, tail) in tails.iter_mut() {
+                            tail.push_barrier(k, gen)?;
                         }
                     }
                     let frame = sup_frame(&SupMsg::Barrier { generation: gen, shards: None })?;
-                    let dead = write_live(slots, &frame);
-                    if dead.is_empty() {
-                        Ok(())
-                    } else {
-                        do_failover(slots, owners, dead)
-                    }
+                    broadcast(slots, owners, &frame)
                 };
 
                 let enqueue_query = |slots: &mut Vec<Slot>,
@@ -1360,11 +1411,28 @@ impl Supervisor {
                         .lock()
                         .expect("pending lock poisoned")
                         .insert(id, PendingInteractive { control: c, waiting, reply });
-                    let dead = write_live(slots, &sup_frame(&SupMsg::Query { id })?);
-                    if dead.is_empty() {
-                        Ok(())
-                    } else {
-                        do_failover(slots, owners, dead)
+                    broadcast(slots, owners, &sup_frame(&SupMsg::Query { id })?)
+                };
+
+                // Poll until `done`, failing over deaths meanwhile.
+                let wait = |slots: &mut Vec<Slot>,
+                            owners: &mut Vec<usize>,
+                            what: &str,
+                            done: &dyn Fn() -> bool|
+                 -> Result<(), String> {
+                    let deadline = Instant::now() + Duration::from_secs(600);
+                    loop {
+                        if let Some(e) = shared.take_failure() {
+                            return Err(e);
+                        }
+                        if done() {
+                            return Ok(());
+                        }
+                        sweep(slots, owners)?;
+                        if Instant::now() > deadline {
+                            return Err(format!("timed out waiting for {what}"));
+                        }
+                        std::thread::sleep(Duration::from_millis(2));
                     }
                 };
 
@@ -1377,13 +1445,10 @@ impl Supervisor {
                 }
                 let mut owners: Vec<usize> =
                     (0..shards).map(|k| (k as usize) % workers).collect();
-                if let (Some(gen), Some(m)) = (resume_generation, &resume_manifest) {
+                if resume_generation.is_some() {
                     for k in 0..shards {
-                        let path = shard_file(m, k, gen);
-                        let text = std::fs::read_to_string(&path)
-                            .map_err(|e| format!("read {}: {e}", path.display()))?;
-                        let frame =
-                            sup_frame(&SupMsg::Adopt { shard: k, data: Some(text) })?;
+                        let (_, data) = restore_source(k)?;
+                        let frame = sup_frame(&SupMsg::Adopt { shard: k, data })?;
                         let idx = owners[k as usize];
                         if !write_slot(&mut slots[idx], &frame) {
                             do_failover(&mut slots, &mut owners, vec![idx])?;
@@ -1400,11 +1465,6 @@ impl Supervisor {
                 }
 
                 let mut next_query_id = 0u64;
-                // Shape of every binary `Define` seen, by stream-global
-                // template id: events re-render as canonical JSONL
-                // through this dictionary, so worker streams (and
-                // therefore failover tails) carry no dictionary state.
-                let mut templates: Vec<(QueryKind, Vec<u32>)> = Vec::new();
                 let opaque = map.opaque_shard();
 
                 for record in RecordIter::new(input) {
@@ -1424,25 +1484,28 @@ impl Supervisor {
                             )
                         );
                     }
-                    let (shard, line) = match stream.decide(record, schema) {
+                    let (shard, item) = match stream.decide(record, schema) {
                         Decision::Skip => continue,
                         Decision::Shutdown => break,
                         Decision::Line { table, line } => {
-                            (table.map_or(opaque, |t| map.shard_of(t)), line)
+                            (table.map_or(opaque, |t| map.shard_of(t)), WireItem::Raw(line.into()))
                         }
-                        Decision::Define { kind, attrs, .. } => {
-                            // Defines never travel: the dictionary lives
-                            // here, and events re-render through it.
-                            templates.push((kind, attrs));
+                        // To every live worker, now — and to every later
+                        // one after its Hello. A Define is no routed
+                        // record, so recovery's skipped prefix sends it
+                        // too.
+                        Decision::Define { table, kind, attrs, .. } => {
+                            let frame = item_frame(&WireItem::Define { table, kind, attrs });
+                            defines.borrow_mut().extend_from_slice(&frame);
+                            broadcast(&mut slots, &mut owners, &frame)?;
                             continue;
                         }
                         Decision::Event { table, template, frequency } => {
-                            let (kind, attrs) = &templates[template as usize];
-                            let line = render_query(None, table, attrs, frequency, *kind);
-                            (map.shard_of(table), line)
+                            (map.shard_of(table), WireItem::Event { template, frequency })
                         }
                         Decision::Invalid => {
-                            (opaque, "{\"invalid\":\"undecodable binary item\"}".to_owned())
+                            let line = b"{\"invalid\":\"undecodable binary item\"}";
+                            (opaque, WireItem::Raw(line.to_vec()))
                         }
                         Decision::Barrier => {
                             if committer.is_some() {
@@ -1471,7 +1534,7 @@ impl Supervisor {
                     // numbering match the clean run) but re-route and
                     // re-fire neither.
                     if stream.routed >= resume_skip {
-                        route(&mut slots, &mut owners, shard, line)?;
+                        route(&mut slots, &mut owners, shard, &item)?;
                     }
                     if let Some(gen) = stream.count_routed() {
                         if gen > skip_gen {
@@ -1495,27 +1558,10 @@ impl Supervisor {
                     // The last id ever issued — no increment needed.
                     let qid = next_query_id;
                     enqueue_query(&mut slots, &mut owners, qid, Control::Shutdown, None)?;
-                    let deadline = Instant::now() + Duration::from_secs(600);
-                    loop {
-                        if let Some(e) = shared.take_failure() {
-                            return Err(e);
-                        }
-                        let done = !shared
-                            .pending
-                            .lock()
-                            .expect("pending lock poisoned")
-                            .contains_key(&qid);
-                        if done {
-                            break;
-                        }
-                        sweep(&mut slots, &mut owners)?;
-                        if Instant::now() > deadline {
-                            return Err(
-                                "timed out waiting for workers to quiesce at shutdown".into()
-                            );
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
+                    let acked = || {
+                        !shared.pending.lock().expect("pending lock poisoned").contains_key(&qid)
+                    };
+                    wait(&mut slots, &mut owners, "workers to quiesce at shutdown", &acked)?;
                 }
 
                 // --- Shutdown: final generation, then drain the fleet.
@@ -1526,24 +1572,9 @@ impl Supervisor {
                     // Wait out the final commit, absorbing deaths: a
                     // dead worker's tail ends with the scoped final
                     // barrier, so its adopter completes the generation.
-                    let deadline = Instant::now() + Duration::from_secs(600);
-                    loop {
-                        if let Some(e) = shared.take_failure() {
-                            return Err(e);
-                        }
-                        if committer.as_ref().and_then(|c| c.committed()) == Some(final_gen)
-                        {
-                            break;
-                        }
-                        sweep(&mut slots, &mut owners)?;
-                        if Instant::now() > deadline {
-                            return Err(
-                                "timed out waiting for the final checkpoint generation"
-                                    .into(),
-                            );
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
+                    let committed =
+                        || committer.as_ref().and_then(|c| c.committed()) == Some(final_gen);
+                    wait(&mut slots, &mut owners, "the final checkpoint generation", &committed)?;
                     final_committed = Some(final_gen);
                 }
                 // Everything reportable is already in: outcomes and
@@ -1718,19 +1749,26 @@ mod tests {
         assert_eq!(format!("{m:?}"), format!("{back:?}"));
     }
 
+    fn raw_frame(line: &str) -> Vec<u8> {
+        item_frame(&WireItem::Raw(line.into()))
+    }
+
     #[test]
     fn tail_truncates_through_the_committed_barrier() {
-        let mut tail: VecDeque<TailEntry> = VecDeque::new();
-        tail.push_back(TailEntry::Line("a".into()));
-        tail.push_back(TailEntry::Barrier(0));
-        tail.push_back(TailEntry::Line("b".into()));
-        tail.push_back(TailEntry::Barrier(1));
-        tail.push_back(TailEntry::Line("c".into()));
-        truncate_tail(&mut tail, 99); // unknown generation: no-op
-        assert_eq!(tail.len(), 5);
-        truncate_tail(&mut tail, 1);
-        assert_eq!(tail.len(), 1);
-        assert!(matches!(&tail[0], TailEntry::Line(l) if l == "c"));
+        let mut tail = Tail::default();
+        tail.push_event(&raw_frame("a"));
+        tail.push_barrier(3, 0).unwrap();
+        tail.push_event(&raw_frame("b"));
+        tail.push_barrier(3, 1).unwrap();
+        tail.push_event(&raw_frame("c"));
+        let scoped = |g| sup_frame(&SupMsg::Barrier { generation: g, shards: Some(vec![3]) });
+        tail.truncate(99); // unknown generation: no-op
+        assert_eq!(tail.events, 3);
+        tail.truncate(0);
+        assert_eq!(tail.events, 2);
+        assert_eq!(tail.bytes, [raw_frame("b"), scoped(1).unwrap(), raw_frame("c")].concat());
+        tail.truncate(1);
+        assert_eq!((tail.events, tail.bytes), (1, raw_frame("c")));
     }
 
     #[test]
@@ -1768,6 +1806,33 @@ mod tests {
             ),
             "final counters: {msgs:?}"
         );
+    }
+
+    /// `Define`/`Event` frames fold exactly like the lines they encode:
+    /// the same replies, message for message — and an event of a
+    /// schema-invalid template counts invalid like an unparseable line.
+    #[test]
+    fn worker_folds_binary_events_like_their_lines() {
+        let w = workload();
+        let line = table0_lines(&w, 1).remove(0);
+        let q = w.queries().iter().find(|q| q.table().0 == 0 && !q.is_update()).unwrap();
+        let attrs: Vec<u32> = q.attrs().iter().map(|a| a.0).collect();
+        let replies = |events: Vec<Vec<u8>>| {
+            let kind = isel_workload::QueryKind::Select;
+            let mut frames = vec![hello(&w, vec![0], None)];
+            frames.push(item_frame(&WireItem::Define { table: 0, kind, attrs: attrs.clone() }));
+            frames.push(item_frame(&WireItem::Define { table: 0, kind, attrs: vec![u32::MAX] }));
+            frames.push(sup_frame(&SupMsg::Shard { shard: 0 }).unwrap());
+            frames.extend(events);
+            frames.push(sup_frame(&SupMsg::Shutdown).unwrap());
+            let msgs = drive(&frames).unwrap();
+            msgs.iter().map(|m| serde_json::to_string(m).unwrap()).collect::<Vec<_>>()
+        };
+        let event = |template| item_frame(&WireItem::Event { template, frequency: 1 });
+        let lines = replies([vec![raw_frame(&line); 16], vec![raw_frame("garbage")]].concat());
+        let events = replies([vec![event(0); 16], vec![event(1)]].concat());
+        assert_eq!(events, lines);
+        assert!(lines.iter().any(|l| l.contains("\"ingested\":16,\"invalid\":1")), "{lines:?}");
     }
 
     #[test]

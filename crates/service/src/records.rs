@@ -21,7 +21,9 @@
 //! validates [`WireItem::Define`]s against the schema once — the same
 //! checks [`crate::event::parse_line`] applies per line — and
 //! pre-builds a frequency-1 [`Query`] per valid template, so resolving
-//! a frequency-1 event is an array lookup that allocates nothing.
+//! a frequency-1 event is an array lookup that allocates nothing. It is
+//! the one place a binary event becomes a query: offline replay, a
+//! router shard thread and a worker process all resolve through it.
 
 use crate::frame::{get_item, WireItem, FORMAT_VERSION, MAGIC, MAX_PAYLOAD};
 use isel_workload::wire::crc32;
@@ -289,7 +291,8 @@ struct TemplateEntry {
 /// the schema once, then resolves events by id.
 #[derive(Default)]
 pub struct DecodeDict {
-    templates: Vec<TemplateEntry>,
+    /// By template id; `None` is an id this consumer was never sent.
+    templates: Vec<Option<TemplateEntry>>,
 }
 
 impl DecodeDict {
@@ -298,25 +301,36 @@ impl DecodeDict {
         Self::default()
     }
 
-    /// Number of templates defined so far.
-    pub fn len(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// True when no template has been defined.
-    pub fn is_empty(&self) -> bool {
-        self.templates.is_empty()
-    }
-
     /// Register the next template. Returns the assigned id; whether the
     /// definition validated is visible only when an event resolves it
     /// (mirroring how an invalid JSONL line is counted where it occurs,
     /// not where its shape first appeared).
     pub fn define(&mut self, schema: &Schema, table: u16, kind: QueryKind, attrs: Vec<u32>) -> u64 {
-        let query = validate_define(schema, table, &attrs)
-            .then(|| Query::with_kind(TableId(table), attrs.iter().map(|&a| AttrId(a)).collect(), 1, kind));
-        self.templates.push(TemplateEntry { table, kind, attrs, query });
-        (self.templates.len() - 1) as u64
+        let id = self.templates.len();
+        self.define_at(schema, id, table, kind, attrs);
+        id as u64
+    }
+
+    /// Register a template under an id its producer assigned — a router
+    /// hands each shard only the defines of the shard's own tables, and
+    /// may shed one under overload. Ids this dictionary never sees stay
+    /// undefined, so their events resolve to `None`, and no later id
+    /// shifts.
+    pub fn define_at(
+        &mut self,
+        schema: &Schema,
+        id: usize,
+        table: u16,
+        kind: QueryKind,
+        attrs: Vec<u32>,
+    ) {
+        let query = validate_define(schema, table, &attrs).then(|| {
+            Query::with_kind(TableId(table), attrs.iter().map(|&a| AttrId(a)).collect(), 1, kind)
+        });
+        if self.templates.len() <= id {
+            self.templates.resize_with(id + 1, || None);
+        }
+        self.templates[id] = Some(TemplateEntry { table, kind, attrs, query });
     }
 
     /// Register a template without schema validation, for render-only
@@ -326,21 +340,26 @@ impl DecodeDict {
     /// [`raw`]: Self::raw
     /// [`resolve`]: Self::resolve
     pub fn define_raw(&mut self, table: u16, kind: QueryKind, attrs: Vec<u32>) -> u64 {
-        self.templates.push(TemplateEntry { table, kind, attrs, query: None });
+        self.templates.push(Some(TemplateEntry { table, kind, attrs, query: None }));
         (self.templates.len() - 1) as u64
+    }
+
+    fn entry(&self, template: u64) -> Option<&TemplateEntry> {
+        self.templates.get(usize::try_from(template).ok()?)?.as_ref()
     }
 
     /// Table of a defined template (valid or not), for routing.
     pub fn table_of(&self, template: u64) -> Option<u16> {
-        usize::try_from(template).ok().and_then(|t| self.templates.get(t)).map(|e| e.table)
+        self.entry(template).map(|e| e.table)
     }
 
     /// Resolve an event to a validated [`Query`]. Frequency-1 events —
     /// the common case — borrow the pre-built query and allocate
     /// nothing. `None` for unknown or schema-invalid templates and for
     /// zero frequencies.
+    #[inline]
     pub fn resolve(&self, template: u64, frequency: u64) -> Option<Cow<'_, Query>> {
-        let entry = self.templates.get(usize::try_from(template).ok()?)?;
+        let entry = self.entry(template)?;
         let base = entry.query.as_ref()?;
         if frequency == 1 {
             Some(Cow::Borrowed(base))
@@ -360,13 +379,13 @@ impl DecodeDict {
     /// decoded event back to canonical JSONL. Available even for
     /// schema-invalid templates, so conversion needs no schema.
     pub fn raw(&self, template: u64) -> Option<(u16, &[u32], QueryKind)> {
-        let e = self.templates.get(usize::try_from(template).ok()?)?;
+        let e = self.entry(template)?;
         Some((e.table, &e.attrs, e.kind))
     }
 }
 
 /// The schema checks [`crate::event::parse_line`] applies, on raw ids.
-pub(crate) fn validate_define(schema: &Schema, table: u16, attrs: &[u32]) -> bool {
+fn validate_define(schema: &Schema, table: u16, attrs: &[u32]) -> bool {
     if table as usize >= schema.tables().len() || attrs.is_empty() {
         return false;
     }
@@ -582,5 +601,18 @@ mod tests {
         assert!(d.resolve(0, 0).is_none(), "zero frequency");
         assert_eq!(d.table_of(1), Some(9), "invalid templates still route");
         assert_eq!(d.raw(2), Some((0u16, &[2u32][..], QueryKind::Select)));
+    }
+
+    #[test]
+    fn producer_ids_leave_gaps_that_stay_undefined() {
+        let s = schema();
+        let mut d = DecodeDict::new();
+        d.define_at(&s, 3, 1, QueryKind::Update, vec![2]);
+        d.define_at(&s, 1, 0, QueryKind::Select, vec![0]);
+        assert!(d.resolve(0, 1).is_none() && d.resolve(2, 1).is_none(), "never sent");
+        assert_eq!(d.table_of(2), None);
+        assert_eq!(d.resolve(3, 1).unwrap().table(), TableId(1), "no id shifted");
+        assert_eq!(d.resolve(1, 1).unwrap().table(), TableId(0));
+        assert_eq!(d.define(&s, 0, QueryKind::Select, vec![1]), 4, "define appends");
     }
 }

@@ -70,10 +70,9 @@ use crate::arbiter::{global_budget, Arbiter, InteractiveRegistry, PendingQuery};
 use crate::checkpoint::{shard_file, Manifest, CHECKPOINT_VERSION};
 use crate::config::ServiceConfig;
 use crate::event::{parse_line, Control, InputLine};
-use crate::frame::WireItem;
 use crate::group::{Env, GroupHost, Sealed};
 use crate::queue::BoundedQueue;
-use crate::records::{validate_define, DecodeDict, Record, RecordIter};
+use crate::records::{DecodeDict, RecordIter};
 use crate::shard::{ShardMap, ShardTagSink};
 use crate::status::{take_status_signal, StatusBoard};
 use crate::stream::{Decision, Stream};
@@ -81,7 +80,7 @@ use crate::tuner::EpochOutcome;
 use crate::window::EpochWindow;
 use isel_core::{budget, Selection, Trace, TraceSink};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf};
-use isel_workload::{Query, QueryKind, Schema, TableId, Workload};
+use isel_workload::{Query, QueryKind, Schema, Workload};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -123,8 +122,8 @@ enum ShardItem {
     /// A raw input line; the worker parses and validates it.
     Line(String),
     /// A binary template definition, carrying its stream-global id. The
-    /// router sends it to the owning table's shard; the worker validates
-    /// it against the schema once.
+    /// router sends it to the owning table's shard, whose dictionary
+    /// validates it against the schema once.
     Define {
         id: usize,
         table: u16,
@@ -784,12 +783,11 @@ fn shard_worker(
             ctx.arbiter.publish(key, pf, trace);
         }
     };
-    // Pre-validated frequency-1 queries indexed by the stream-global
-    // template id (dense: the router numbers defines as they arrive).
-    // `None` is a template this shard was never sent or whose define
-    // failed schema validation, so events referencing it count invalid
-    // (at their own position, exactly like an invalid JSONL line).
-    let mut dict: Vec<Option<Query>> = Vec::new();
+    // This shard's templates under their stream-global ids: the router
+    // sends a define only to its table's shard, so the ids of other
+    // shards' templates — and of a define shed under drop-oldest — stay
+    // undefined here, and their events count invalid.
+    let mut dict = DecodeDict::new();
     let mut batch = VecDeque::new();
     // The shard document's JSON, reused by every generation.
     let mut doc = String::new();
@@ -806,37 +804,10 @@ fn shard_worker(
         match item {
             ShardItem::Line(line) => deliver(host.line(ctx.env, &line, trace, cal)),
             ShardItem::Define { id, table, kind, attrs } => {
-                let query = validate_define(ctx.env.schema, table, &attrs).then(|| {
-                    Query::with_kind(
-                        TableId(table),
-                        attrs.iter().map(|&a| isel_workload::AttrId(a)).collect(),
-                        1,
-                        kind,
-                    )
-                });
-                if dict.len() <= id {
-                    dict.resize_with(id + 1, || None);
-                }
-                dict[id] = query;
+                dict.define_at(ctx.env.schema, id, table, kind, attrs);
             }
             ShardItem::Event { template, frequency } => {
-                match usize::try_from(template).ok().and_then(|t| dict.get(t)) {
-                    Some(Some(base)) if frequency == 1 => {
-                        // The hot path: borrow the pre-built query, no
-                        // allocation per event.
-                        deliver(host.ingest(ctx.env, base, trace, cal));
-                    }
-                    Some(Some(base)) if frequency > 1 => {
-                        let q = Query::with_kind(
-                            base.table(),
-                            base.attrs().to_vec(),
-                            frequency,
-                            base.kind(),
-                        );
-                        deliver(host.ingest(ctx.env, &q, trace, cal));
-                    }
-                    _ => host.invalid += 1,
-                }
+                deliver(host.event(ctx.env, &dict, template, frequency, trace, cal));
             }
             ShardItem::Invalid => host.invalid += 1,
             ShardItem::Query(pq) => {
@@ -889,43 +860,14 @@ fn shard_worker(
     }
 }
 
-/// A [`WireItem`] reduced to the cases an offline replay cares about.
-enum FlatItem {
-    /// A resolved, schema-valid query.
-    Query(Query),
-    /// A raw payload to feed through the line parser.
-    RawLine(String),
-    /// A control command.
-    Control(Control),
-    /// Nothing to replay (a define, or an invalid event).
-    Skip,
-}
-
-/// Resolve one item against the dictionary, unwrapping journal tags.
-fn flatten_item(item: &WireItem, dict: &mut DecodeDict, schema: &Schema) -> FlatItem {
-    match item {
-        WireItem::Define { table, kind, attrs } => {
-            dict.define(schema, *table, *kind, attrs.clone());
-            FlatItem::Skip
-        }
-        WireItem::Event { template, frequency } => match dict.resolve(*template, *frequency) {
-            Some(q) => FlatItem::Query(q.into_owned()),
-            None => FlatItem::Skip,
-        },
-        WireItem::Control(c) => FlatItem::Control(*c),
-        WireItem::Raw(bytes) => FlatItem::RawLine(String::from_utf8_lossy(bytes).into_owned()),
-        WireItem::Tagged { item, .. } => flatten_item(item, dict, schema),
-        WireItem::Sup(_) => FlatItem::Skip,
-    }
-}
-
 /// Per-group epoch snapshots of a recorded log — the pure
 /// single-threaded reference a replay is checked against, keyed like
 /// the service keys its groups: by table under `config.shards >= 1`,
 /// everything under key 0 when the whole workload is one group
-/// (`config.shards == 0`). Works on both encodings (and mixtures). Each
-/// valid event feeds its group's own window; invalid records are
-/// skipped, `shutdown` stops, other controls are no-ops.
+/// (`config.shards == 0`). Works on both encodings (and mixtures),
+/// read by the engines' own grammar and dictionary. Each valid event
+/// feeds its group's own window; invalid records are skipped,
+/// `shutdown` stops, other controls are no-ops.
 pub fn offline_group_snapshots<R: BufRead>(
     input: R,
     schema: &Schema,
@@ -934,10 +876,9 @@ pub fn offline_group_snapshots<R: BufRead>(
     config.validate()?;
     let mut windows: BTreeMap<u16, EpochWindow> = BTreeMap::new();
     let mut out: BTreeMap<u16, Vec<Workload>> = BTreeMap::new();
+    let mut stream = Stream::new(config, 0, 1);
     let mut dict = DecodeDict::new();
-    let feed = |q: &Query,
-                windows: &mut BTreeMap<u16, EpochWindow>,
-                out: &mut BTreeMap<u16, Vec<Workload>>| {
+    let mut feed = |q: &Query| {
         let key = config.group_key(q.table());
         let window = windows.entry(key).or_insert_with(|| {
             EpochWindow::new(
@@ -954,29 +895,24 @@ pub fn offline_group_snapshots<R: BufRead>(
         }
     };
     for record in RecordIter::new(input) {
-        let flat = match record {
-            Record::Line(line) => FlatItem::RawLine(line),
-            Record::Item(item) => flatten_item(&item, &mut dict, schema),
-            Record::Corrupt => FlatItem::Skip,
-        };
-        match flat {
-            FlatItem::Query(q) => feed(&q, &mut windows, &mut out),
-            FlatItem::RawLine(line) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                match parse_line(trimmed, schema) {
-                    Ok(InputLine::Query(q)) => feed(&q, &mut windows, &mut out),
-                    Ok(InputLine::Control(Control::Shutdown)) => break,
-                    // Observed-cost probes never shape the snapshot
-                    // reference: snapshots are a pure function of the
-                    // query events.
-                    Ok(InputLine::Control(_) | InputLine::Observed(_)) | Err(_) => {}
+        match stream.decide(record, schema) {
+            // Observed-cost probes never shape the snapshot reference:
+            // snapshots are a pure function of the query events.
+            Decision::Line { line, .. } => {
+                if let Ok(InputLine::Query(q)) = parse_line(&line, schema) {
+                    feed(&q);
                 }
             }
-            FlatItem::Control(Control::Shutdown) => break,
-            FlatItem::Control(_) | FlatItem::Skip => {}
+            Decision::Define { id, table, kind, attrs } => {
+                dict.define_at(schema, id, table, kind, attrs);
+            }
+            Decision::Event { template, frequency, .. } => {
+                if let Some(q) = dict.resolve(template, frequency) {
+                    feed(&q);
+                }
+            }
+            Decision::Shutdown => break,
+            Decision::Skip | Decision::Invalid | Decision::Barrier | Decision::Query { .. } => {}
         }
     }
     Ok(out)

@@ -46,12 +46,13 @@
 //! on the engine's [`StatusBoard`] (`reply_errors`), never fatal.
 
 use crate::arbiter::InteractiveRegistry;
-use crate::event::{parse_line, Control, InputLine};
+use crate::event::Control;
 use crate::frame::WireItem;
-use crate::journal::{render_item_line, JournalConfig, JournalWriter};
+use crate::journal::{render_item, JournalConfig, JournalWriter};
 use crate::records::{DecodeDict, Record, RecordIter};
 use crate::router::ServiceReport;
 use crate::status::StatusBoard;
+use crate::stream::line_control;
 use isel_core::TraceSink;
 use isel_workload::Schema;
 use std::io::{BufRead, BufReader, Write};
@@ -261,10 +262,10 @@ fn serve_router_connection(
                     // Defines only update the connection's dictionary;
                     // events re-render as self-contained lines, so the
                     // journal stays definition-free.
-                    render_item_line(&mut dict, &item);
+                    render_item(&mut dict, &item, None);
                     continue;
                 }
-                match render_item_line(&mut dict, &item) {
+                match render_item(&mut dict, &item, None) {
                     Some(line) => line,
                     // Forwarded as a line the parser rejects, so live
                     // and journal-replay invalid counts agree.
@@ -278,20 +279,11 @@ fn serve_router_connection(
             continue;
         }
         seq += 1;
-        let control = match parse_line(trimmed, schema) {
-            Ok(InputLine::Control(c)) => Some(c),
-            _ => None,
-        };
-        let interactive = matches!(
-            control,
-            Some(
-                Control::Status
-                    | Control::Whatif { .. }
-                    | Control::Tenant { .. }
-                    | Control::Budget { .. }
-                    | Control::Calibration
-            )
-        );
+        // The engine's rule, so a line gets a reply token exactly when
+        // the engine will answer it.
+        let control = line_control(trimmed, schema);
+        let interactive =
+            control.is_some_and(|c| !matches!(c, Control::Shutdown | Control::Checkpoint));
         let mut pending = None;
         {
             // Journal-write and channel-send under one lock so journal

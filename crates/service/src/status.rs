@@ -159,10 +159,7 @@ impl PersistedStatus {
     /// best-effort).
     pub fn save(&self, path: &std::path::Path) -> Result<(), String> {
         let json = serde_json::to_string(self).map_err(|e| format!("serialize status: {e}"))?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+        crate::checkpoint::atomic_write(path, json.as_bytes(), None)
     }
 }
 

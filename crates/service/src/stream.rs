@@ -52,6 +52,21 @@ pub(crate) enum Decision {
     Shutdown,
 }
 
+/// The command a (trimmed) text line carries, by the one rule the
+/// engines and the socket front share: the byte classifier decides, and
+/// only a line it classifies [`LineClass::Control`] is parsed — a
+/// top-level `"table"` key makes an event line even where a `"control"`
+/// key rides along.
+pub(crate) fn line_control(line: &str, schema: &Schema) -> Option<Control> {
+    if classify_line(line) != LineClass::Control {
+        return None;
+    }
+    match parse_line(line, schema) {
+        Ok(InputLine::Control(c)) => Some(c),
+        Ok(InputLine::Query(_) | InputLine::Observed(_)) | Err(_) => None,
+    }
+}
+
 /// A driver's position in its input stream: the template dictionary of
 /// the binary encoding and the two counters the checkpoint cadence runs
 /// on.
@@ -118,15 +133,12 @@ impl Stream {
             t if t.len() == line.len() => line,
             t => t.to_owned(),
         };
-        match classify_line(&line) {
-            LineClass::Table(t) => Decision::Line { table: Some(t), line },
-            LineClass::Opaque => Decision::Line { table: None, line },
-            LineClass::Control => match parse_line(&line, schema) {
-                Ok(InputLine::Control(c)) => Self::control(c, Some(&line)),
-                Ok(InputLine::Query(_) | InputLine::Observed(_)) | Err(_) => {
-                    Decision::Line { table: None, line }
-                }
-            },
+        if let LineClass::Table(t) = classify_line(&line) {
+            return Decision::Line { table: Some(t), line };
+        }
+        match line_control(&line, schema) {
+            Some(c) => Self::control(c, Some(&line)),
+            None => Decision::Line { table: None, line },
         }
     }
 

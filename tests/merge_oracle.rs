@@ -492,3 +492,94 @@ fn dp_total_is_the_brute_force_minimum() {
         assert_eq!(implied, got.total_cost, "case {i}: the allocations cost what the DP says");
     }
 }
+
+// ---------------------------------------------------------------------
+// The incremental merge's structural bound
+// ---------------------------------------------------------------------
+
+/// A `points`-point tenant frontier on a memory grid every tenant shares,
+/// spanning the whole budget: every DP node saturates, so a node costs
+/// the same wherever it sits in the tree. `seed` perturbs the costs, so a
+/// republish is never a clean skip.
+fn grid_frontier(points: u64, budget: u64, key: u64, seed: u64) -> Frontier {
+    let grid = (budget / points).max(1);
+    frontier(
+        (0..points)
+            .map(|i| {
+                let jitter = (seed.wrapping_mul(2_654_435_761).wrapping_add(i * 31)) % 997;
+                let fall = 1.0 - (i + 1) as f64 / (points + 1) as f64;
+                ((i + 1) * grid, 2_000.0 * fall + jitter as f64 / 4096.0 + (key % 7) as f64)
+            })
+            .collect(),
+    )
+}
+
+/// One to three points whose memories are index sizes in bytes, the way
+/// the service publishes a tenant: no two memory sums collide.
+fn byte_frontier(key: u64, seed: u64) -> Frontier {
+    let mut rng = StdRng::seed_from_u64(key ^ seed.rotate_left(32));
+    let (mut memory, mut cost) = (0u64, 2_000.0);
+    frontier(
+        (0..rng.gen_range(1..=3))
+            .map(|_| {
+                memory += rng.gen_range(4_096..4_000_000u64);
+                cost *= rng.gen_range(0.3..0.9);
+                (memory, cost)
+            })
+            .collect(),
+    )
+}
+
+/// `n` tenants, `dirty` of them republished each round: the incremental
+/// merge equals a full `merge_frontiers_weighted` bit for bit, and
+/// recombines at most its dirty leaf-to-root paths.
+fn recombines_only_dirty_paths(
+    shape: &str,
+    tenant: impl Fn(u64, u64) -> Frontier,
+    n: usize,
+    budget: u64,
+    dirty: usize,
+) {
+    let mut set = FrontierSet::new(budget);
+    let mut shadow: Vec<(f64, f64, Frontier)> = (0..n)
+        .map(|i| (1.0 + (i % 4) as f64 * 0.5, 2_000.0, tenant(i as u64, i as u64)))
+        .collect();
+    for (i, (w, b, f)) in shadow.iter().enumerate() {
+        set.upsert(i as u64, *w, *b, f.clone());
+    }
+    set.merge();
+    let path_nodes = n.next_power_of_two().trailing_zeros() as u64 + 1;
+    for round in 1..=2u64 {
+        for k in 0..dirty {
+            let key = k * n / dirty;
+            let f = tenant(key as u64, key as u64 + 1_000_000 * round);
+            let (w, b, _) = shadow[key];
+            assert!(set.upsert(key as u64, w, b, f.clone()), "{shape}: republish must dirty");
+            shadow[key].2 = f;
+        }
+        let out = set.merge();
+        assert_eq!(out.dirty as usize, dirty, "{shape} n={n}");
+        assert!(
+            out.recombined <= dirty as u64 * path_nodes,
+            "{shape} n={n}: {dirty} dirty may recombine {dirty} paths of {path_nodes} nodes, \
+             not {} nodes",
+            out.recombined
+        );
+        let parts: Vec<(f64, f64, &Frontier)> =
+            shadow.iter().map(|(w, b, f)| (*w, *b, f)).collect();
+        let full = merge_frontiers_weighted(&parts, budget);
+        assert!(same(&out.merge, &full), "{shape} n={n} round {round}");
+    }
+}
+
+#[test]
+fn incremental_merge_recombines_only_its_dirty_paths() {
+    for n in [64usize, 200] {
+        let budget = n as u64 * 32_768;
+        let grid = |key, seed| grid_frontier(48, budget, key, seed);
+        recombines_only_dirty_paths("grid", grid, n, budget, (n / 100).max(1));
+    }
+    for n in [60usize, 150] {
+        recombines_only_dirty_paths("bytes", byte_frontier, n, n as u64 * 1_000_000, 1);
+    }
+}

@@ -1391,3 +1391,46 @@ fn drop_oldest_accounts_for_every_event() {
     assert!(report.queue_high_water <= 3);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A line with a top-level `"table"` key is an event line to the engine
+/// even when it carries `"control"` too, and the socket front agrees:
+/// were it to wait for a reply the engine never sends, the connection
+/// would stall, and the real `whatif` behind it would go unanswered
+/// until the service stopped.
+#[test]
+fn table_keyed_control_line_does_not_stall_the_connection() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let w = workload();
+    let mut router = whole(&w, service_config(1));
+    let sock = std::env::temp_dir().join(format!("isel-tablectl-{}.sock", std::process::id()));
+    let probe = 1u64 << 20;
+    let (report, reply) = std::thread::scope(|s| {
+        let client = s.spawn(|| {
+            let connect = || loop {
+                match UnixStream::connect(&sock) {
+                    Ok(stream) => break stream,
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                }
+            };
+            let mut stream = connect();
+            stream.write_all(table_events(&w, 0, 16).concat().as_bytes()).unwrap();
+            stream.write_all(b"{\"table\":0,\"control\":\"whatif\",\"budget\":1}\n").unwrap();
+            writeln!(stream, "{{\"control\":\"whatif\",\"budget\":{probe}}}").unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            let (mut reply, mut byte) = (Vec::new(), [0u8; 1]);
+            while stream.read(&mut byte).is_ok_and(|n| n == 1) && byte[0] != b'\n' {
+                reply.push(byte[0]);
+            }
+            // End the run either way, on a connection of its own: a
+            // stalled one would never read a shutdown sent behind it.
+            connect().write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
+            String::from_utf8(reply).unwrap()
+        });
+        let report = run_socket_router(&mut router, &sock, None, None, &[]).unwrap();
+        (report, client.join().unwrap())
+    });
+    assert_eq!(reply, router.arbiter().whatif(probe), "the real whatif, answered within 30 s");
+    assert_eq!(report.ingested, 16);
+}
