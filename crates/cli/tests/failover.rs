@@ -14,6 +14,7 @@
 //!   reporting it — a torn checkpoint attempt.
 
 use isel_service::frame::{parse_canonical, put_frame, CanonicalBody, FrameEncoder, MAGIC};
+use isel_service::Control;
 use isel_workload::QueryKind;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -410,6 +411,99 @@ fn mixed_stream_counts_like_the_in_process_replay() {
                 let (a, b) = (doc(rep_dir.join(&name)), doc(sup_dir.join(&name)));
                 assert!(a == b, "{shards} shards, {fault}: {name:?} differs");
             }
+        }
+    }
+}
+
+/// The in-stream questions a served run answers, with their JSONL
+/// lines: a `whatif`, a `budget` re-anchor (it mutates every later
+/// answer), a `tenant` split and the `calibration` table. No `status`:
+/// its queue depths differ by placement.
+fn questions() -> Vec<(Control, &'static str)> {
+    vec![
+        (Control::Whatif { budget: 1 << 20 }, r#"{"control":"whatif","budget":1048576}"#),
+        (Control::Budget { budget: 3 << 20 }, r#"{"control":"budget","budget":3145728}"#),
+        (
+            Control::Tenant { table: 1, budget: 1 << 20 },
+            r#"{"control":"tenant","table_group":1,"budget":1048576}"#,
+        ),
+        (Control::Calibration, r#"{"control":"calibration"}"#),
+    ]
+}
+
+/// The recorded log and its binary twin with an observed-cost probe and
+/// [`questions`] inserted after each event count in `after` — as text
+/// lines in the one, as `Raw`/`Control` items in the other.
+fn questioned(dir: &Path, name: &str, after: &[usize]) -> [PathBuf; 2] {
+    const PROBE: &str = r#"{"table":0,"attrs":[0,1],"observed_cost":5000.0}"#;
+    let log = std::fs::read_to_string(dir.join("ev.jsonl")).unwrap();
+    let (mut text, mut enc, mut bin) = (String::new(), FrameEncoder::new(), Vec::new());
+    for (i, line) in log.lines().enumerate() {
+        match parse_canonical(line) {
+            Some((None, CanonicalBody::Query { table, attrs, frequency, kind })) => {
+                enc.push_query(table, &attrs, frequency, kind)
+            }
+            _ => enc.push_raw(line.as_bytes()),
+        }
+        text.push_str(line);
+        text.push('\n');
+        if after.contains(&(i + 1)) {
+            enc.push_raw(PROBE.as_bytes());
+            text.push_str(PROBE);
+            text.push('\n');
+            for (control, line) in questions() {
+                enc.push_control(control, None);
+                text.push_str(line);
+                text.push('\n');
+            }
+        }
+        enc.flush_into(&mut bin);
+    }
+    let paths = [dir.join(format!("{name}.jsonl")), dir.join(format!("{name}.bin"))];
+    std::fs::write(&paths[0], text).unwrap();
+    std::fs::write(&paths[1], bin).unwrap();
+    paths
+}
+
+/// What a run says about the stream: its in-band answers (the `{`-lines
+/// of stderr) and its report with the queue high-water mark masked.
+fn answers_and_report(out: &Output) -> (Vec<String>, Vec<String>) {
+    assert_ok(out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let answers = stderr.lines().filter(|l| l.starts_with('{')).map(String::from).collect();
+    (answers, masked(&stdout(out)))
+}
+
+/// In-stream queries through `serve --workers` are answered exactly as
+/// `replay` answers them in process, in both encodings: with questions
+/// mid-stream at one shard, and after the last event at two shards
+/// (mid-stream answers at more than one shard are not deterministic:
+/// the in-band marker is no rendezvous).
+#[test]
+fn supervised_queries_answer_like_the_in_process_replay() {
+    let dir = setup("questions");
+    let w = dir.join("w.json").display().to_string();
+    let args = |verb: &str, shards: &str| -> Vec<String> {
+        [verb, "--workload", &w, "--epoch-events", "16", "--calibrate", "--shards", shards]
+            .into_iter()
+            .map(String::from)
+            .collect()
+    };
+    for (shards, workers, after) in [("1", "1", vec![20, 50, 80, 96]), ("2", "2", vec![96])] {
+        let name = format!("questions-{shards}");
+        for log in questioned(&dir, &name, &after) {
+            let mut rep_args = args("replay", shards);
+            rep_args.extend(["--log".into(), log.display().to_string()]);
+            let rep_args: Vec<&str> = rep_args.iter().map(String::as_str).collect();
+            let (want_answers, want_report) = answers_and_report(&run(&rep_args, None, &[]));
+            assert_eq!(want_answers.len(), 4 * after.len(), "{want_answers:?}");
+
+            let mut sup_args = args("serve", shards);
+            sup_args.extend(["--workers".into(), workers.into()]);
+            let sup_args: Vec<&str> = sup_args.iter().map(String::as_str).collect();
+            let (answers, report) = answers_and_report(&run(&sup_args, Some(&log), &[]));
+            assert_eq!(answers, want_answers, "{}: answers", log.display());
+            assert_eq!(report, want_report, "{}: report", log.display());
         }
     }
 }

@@ -31,6 +31,7 @@
 //! allocations toward high-priority tenants; unlisted groups weigh 1.
 
 use crate::event::Control;
+use crate::status::StatusBoard;
 use isel_core::algorithm1::{selection_at, StepRecord};
 use isel_core::trace::{Trace, TraceEvent};
 use isel_core::{budget, Frontier, FrontierMerge, FrontierSet, Selection};
@@ -265,6 +266,28 @@ impl Arbiter {
             _ => None,
         }
     }
+
+    /// What an in-band query answers once every event before it is in —
+    /// the one rule both placements follow: `status` is the placement's
+    /// status line, `calibration` the board's sums over every shard,
+    /// `tenant` is refused when the whole workload is one group
+    /// (`--shards 0` has no per-tenant split), and the rest is
+    /// [`Arbiter::answer`]. `None` for a control that asks nothing.
+    pub(crate) fn answer_in_band(
+        &self,
+        control: Control,
+        board: &StatusBoard,
+        status: impl FnOnce() -> String,
+    ) -> Option<String> {
+        match control {
+            Control::Status => Some(status()),
+            Control::Calibration => Some(board.cal.snapshot().render()),
+            Control::Tenant { .. } if board.shards == 0 => {
+                Some("{\"error\":\"tenant queries require --shards\"}".to_owned())
+            }
+            c => self.answer(c),
+        }
+    }
 }
 
 /// Render an `f64` exactly as `serde_json` would (shortest round-trip
@@ -328,15 +351,21 @@ impl PendingQuery {
         self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
     }
 
-    /// Deliver the reply line to the issuer (or stderr without one). A
-    /// hung-up issuer is ignored — the service never dies on a client.
+    /// Deliver the reply line to the issuer (or stderr without one).
     pub fn respond(&self, line: String) {
-        match self.reply.lock().expect("reply lock poisoned").take() {
-            Some(tx) => {
-                let _ = tx.send(line);
-            }
-            None => eprintln!("{line}"),
+        respond(self.reply.lock().expect("reply lock poisoned").take(), line);
+    }
+}
+
+/// Deliver a query's answer to the issuing connection, or to stderr
+/// without one. A hung-up issuer is ignored — the service never dies on
+/// a client.
+pub(crate) fn respond(reply: Option<Sender<String>>, line: String) {
+    match reply {
+        Some(tx) => {
+            let _ = tx.send(line);
         }
+        None => eprintln!("{line}"),
     }
 }
 

@@ -1,73 +1,53 @@
-//! Multi-process serving: a router/supervisor process fronting `N`
-//! worker child processes, failure-invariant by construction.
+//! Multi-process serving: a supervisor process fronting `N` worker
+//! child processes, failure-invariant by construction (DESIGN.md §16).
 //!
 //! ## Topology
 //!
 //! The **supervisor** owns everything shared: the input (stdin or the
-//! listening socket), the journal, the [`Arbiter`] and its maintained
-//! global-budget merge, the checkpoint `Committer`, the
-//! [`StatusBoard`] and the trace sink. Each **worker** is a child
-//! process (`isel worker`, spawned from the supervisor's own
-//! executable) hosting one or more *shards* — the same per-table-group
-//! tuning state a [`crate::router::Router`] shard thread holds, behind
-//! the same `GroupHost` (`group.rs`).
+//! listening socket), the journal, the [`Arbiter`], the checkpoint
+//! `Committer`, the [`StatusBoard`] and the trace sink. It runs the
+//! engines' one ingest loop (`stream.rs`) over its placement, the
+//! `Fleet`: the worker children and their pipes, which worker hosts
+//! which shard, the per-shard tails, every `Define` read so far and the
+//! failover budget. Each **worker** (`isel worker`, spawned from the
+//! supervisor's own executable) hosts one or more *shards* behind the
+//! same `GroupHost` (`group.rs`) a [`crate::router::Router`] shard
+//! thread uses.
 //!
-//! The wire between them is the binary frame protocol of
-//! [`crate::frame`]: the supervisor writes frames onto each worker's
-//! stdin pipe, carrying either a [`SupMsg`] (JSON inside a
-//! [`WireItem::Sup`] item) or the input as it came in — a text line as
-//! a [`WireItem::Raw`] item, a binary template or event as its
-//! [`WireItem::Define`] or [`WireItem::Event`] item; the worker answers
-//! with [`WorkerMsg`] JSON lines on stdout. Nothing is re-rendered on
-//! the way: a worker parses lines and resolves events through the same
-//! `GroupHost` and [`DecodeDict`] a router shard thread uses.
-//!
+//! The wire is the binary frame protocol of [`crate::frame`]: down each
+//! worker's stdin go [`SupMsg`]s (JSON inside [`WireItem::Sup`] items)
+//! and the input as it came in — a text line as a [`WireItem::Raw`]
+//! item, a binary template or event as its [`WireItem::Define`] or
+//! [`WireItem::Event`] item, resolved through the same [`DecodeDict`] a
+//! shard thread uses; up its stdout come [`WorkerMsg`] JSON lines.
 //! Events name their template by stream-global id, so one invariant
 //! carries the dictionary across the pipe: **every live worker has seen
-//! every `Define`, in stream order.** The supervisor writes each
-//! `Define` to every live worker as soon as it reads it, and every
-//! `Define` read so far to each newly spawned worker right after its
-//! `Hello`; a worker numbers `Define`s in arrival order, so its ids are
-//! the stream's, and any worker can take over any shard's tail.
+//! every `Define`, in stream order** — each is written to every live
+//! worker as it is read, and all of them to a new worker right after
+//! its `Hello`.
 //!
 //! ## Liveness and failover
 //!
-//! The supervisor keeps a per-shard **tail**: the bytes of every frame
-//! routed to a shard since the last committed checkpoint generation
-//! (appended *before* the pipe write, so an event lost in a dying
-//! worker's pipe buffer is always still in the tail). Worker death is
-//! observed as EOF on the worker's stdout (the collector thread drains
-//! every buffered message first — ordering matters for arbiter
-//! publishes) or as a failed write (`EPIPE`) to its stdin pipe,
-//! whichever comes first.
-//! Failover then, per dead shard:
+//! A shard's **tail** holds the frames routed to it since the last
+//! committed generation, appended *before* the pipe write. A worker's
+//! death shows as EOF on its stdout (flagged only after the collector
+//! drained every buffered message, so no adopter publish overtakes the
+//! dead worker's) or as a failed write to its stdin. Each of its shards
+//! is then restored onto a survivor (or, under
+//! [`ServiceConfig::respawn`], a replacement that first gets every
+//! `Define`) from the last *committed* shard checkpoint, carried inside
+//! the [`SupMsg::Adopt`]; the tail follows, its barriers scoped to that
+//! shard; and one [`TraceEvent::Failover`] is emitted.
 //!
-//! 1. restores the shard onto a survivor (or a respawned replacement,
-//!    which first gets every `Define` so far, under
-//!    [`ServiceConfig::respawn`]) from the last *committed*
-//!    `manifest.shard-{k}.g{g}.json` checkpoint, whose contents ride
-//!    inside the [`SupMsg::Adopt`] itself;
-//! 2. replays the shard's journal tail — checkpoint barriers inside
-//!    the tail are re-sent **scoped to that shard only**, so an
-//!    adopter's other shards never re-checkpoint at advanced state;
-//! 3. emits one [`TraceEvent::Failover`] and bumps the board's
-//!    `failovers` (and `restarts`, when a replacement was spawned).
-//!
-//! ## Why selections are failure-invariant
-//!
-//! Group state is deterministic in the event prefix: a shard restored
-//! from generation `g` and fed the tail since `g` reaches exactly the
-//! state the dead worker had, then continues identically. Re-reported
-//! epoch outcomes are bit-identical, so the supervisor deduplicates
-//! them by `(table, epoch)`; re-published frontiers fold into the
-//! arbiter idempotently (clean republish is skipped, and the tail
-//! replay always ends at the same last-published frontier per table).
-//! The final merged selection depends only on those last publications
-//! and the global budget — hence byte-identical with and without a
-//! `SIGKILL` at *any* event position, the invariant pinned by the CLI
-//! failover tests.
+//! Group state is deterministic in the event prefix, so a restored
+//! shard fed its tail reaches the dead worker's state and continues
+//! identically. Re-reported epoch outcomes dedupe by `(table, epoch)`,
+//! re-published frontiers fold into the arbiter idempotently, and the
+//! final merged selection — which depends only on the last publication
+//! per group and the budget — is byte-identical with and without a
+//! `SIGKILL` at *any* event position, as the CLI failover tests pin.
 
-use crate::arbiter::{global_budget, Arbiter, InteractiveRegistry, PublishedFrontier};
+use crate::arbiter::{global_budget, respond, Arbiter, InteractiveRegistry, PublishedFrontier};
 use crate::checkpoint::{shard_file, Manifest, ShardCheckpoint};
 use crate::config::ServiceConfig;
 use crate::event::Control;
@@ -78,14 +58,13 @@ use crate::group::{Env, GroupHost, Sealed};
 use crate::records::{DecodeDict, Record, RecordIter};
 use crate::router::{Committer, ServiceReport};
 use crate::shard::ShardMap;
-use crate::status::{take_status_signal, StatusBoard};
-use crate::stream::{Decision, Stream};
+use crate::status::StatusBoard;
+use crate::stream::{Placement, Routed, Stream};
 use crate::tuner::EpochOutcome;
 use isel_core::{Trace, TraceEvent, TraceSink};
-use isel_workload::Schema;
+use isel_workload::{QueryKind, Schema};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -571,7 +550,7 @@ fn load_outcomes(path: &Path) -> BTreeMap<(u16, u64), EpochOutcome> {
 /// in-band barrier.
 struct PendingInteractive {
     control: Control,
-    waiting: std::collections::HashSet<usize>,
+    waiting: HashSet<usize>,
     reply: Option<Sender<String>>,
 }
 
@@ -624,15 +603,6 @@ impl Shared<'_> {
         self.board.cal.store(&total);
     }
 
-    fn cal_total(&self) -> CalSnapshot {
-        let cal = self.cal.lock().expect("cal lock poisoned");
-        let mut total = CalSnapshot::default();
-        for s in cal.values() {
-            total.add(s);
-        }
-        total
-    }
-
     fn dropped_total(&self) -> u64 {
         self.counts
             .lock()
@@ -673,10 +643,16 @@ impl Shared<'_> {
         }
     }
 
-    /// All live workers acked query `id`? Then answer — status from the
-    /// board (the acks just refreshed its counters, so the reply covers
-    /// exactly the events routed before the query), everything else
-    /// from the arbiter.
+    /// The status line: the board's counters as the workers last
+    /// reported them. Pipes have no queue to sample.
+    fn status_line(&self) -> String {
+        let depths = vec![0; self.board.shards as usize];
+        self.board.line(self.dropped_total(), &depths, &self.arbiter.allocations())
+    }
+
+    /// All live workers acked query `id`? Then answer it — the acks that
+    /// released it refreshed the board's counters and calibration sums,
+    /// so the answer covers exactly the events routed before the query.
     fn ack(&self, slot: usize, id: u64) {
         let mut pending = self.pending.lock().expect("pending lock poisoned");
         let Some(p) = pending.get_mut(&id) else { return };
@@ -686,28 +662,9 @@ impl Shared<'_> {
         }
         let p = pending.remove(&id).expect("entry just seen");
         drop(pending);
-        let answer = match p.control {
-            Control::Status => {
-                let shards = self.tails.lock().expect("tails lock poisoned").len();
-                Some(self.board.line(
-                    self.dropped_total(),
-                    &vec![0; shards],
-                    &self.arbiter.allocations(),
-                ))
-            }
-            // The acks that released this answer carried each shard's
-            // calibration sums, so the total reflects exactly the
-            // events preceding the query.
-            Control::Calibration => Some(self.cal_total().render()),
-            c => self.arbiter.answer(c),
-        };
-        if let Some(answer) = answer {
-            match p.reply {
-                Some(tx) => {
-                    let _ = tx.send(answer);
-                }
-                None => eprintln!("{answer}"),
-            }
+        let status = || self.status_line();
+        if let Some(answer) = self.arbiter.answer_in_band(p.control, self.board, status) {
+            respond(p.reply, answer);
         }
     }
 }
@@ -814,13 +771,484 @@ fn write_slot(slot: &mut Slot, bytes: &[u8]) -> bool {
     }
 }
 
-/// Write `bytes` to every live slot; returns the slots whose pipe broke.
-fn write_live(slots: &mut [Slot], bytes: &[u8]) -> Vec<usize> {
-    slots
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(i, slot)| (slot.alive && !write_slot(slot, bytes)).then_some(i))
-        .collect()
+/// The process placement: the worker fleet one supervisor run routes
+/// to. It owns the children and their pipes (`slots`), which slot hosts
+/// each shard (`owners`), every `Define` frame read so far, the failover
+/// budget and the thread scope its collectors run in. The per-shard
+/// tails live in [`Shared`], because a collector truncates them when a
+/// generation commits.
+struct Fleet<'scope, 'env> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    shared: &'env Shared<'env>,
+    schema: &'env Schema,
+    config: &'env ServiceConfig,
+    checkpoint: Option<&'env Path>,
+    /// A resumed run's manifest and generation: where a shard restores
+    /// from until this run commits one of its own.
+    resumed: Option<(&'env Path, u64)>,
+    slots: Vec<Slot>,
+    owners: Vec<usize>,
+    /// Every `Define` frame read so far, in stream order: what a newly
+    /// spawned worker is sent right after its `Hello`, so that every
+    /// live worker has seen every `Define` (see the module docs).
+    defines: Vec<u8>,
+    /// The progress count the current run of worker deaths started at,
+    /// and its length.
+    death_streak: (u64, usize),
+    next_query: u64,
+}
+
+impl<'scope, 'env> Fleet<'scope, 'env> {
+    /// Spawn the fleet — shard `k` on worker `k mod N` — and restore a
+    /// resumed run's shards onto it.
+    fn start(
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        shared: &'env Shared<'env>,
+        schema: &'env Schema,
+        config: &'env ServiceConfig,
+        checkpoint: Option<&'env Path>,
+        resumed: Option<(&'env Path, u64)>,
+    ) -> Result<Self, String> {
+        let (workers, shards) = (config.workers as usize, config.shards);
+        let mut fleet = Fleet {
+            scope,
+            shared,
+            schema,
+            config,
+            checkpoint,
+            resumed,
+            slots: Vec::with_capacity(workers),
+            owners: (0..shards).map(|k| k as usize % workers).collect(),
+            defines: Vec::new(),
+            death_streak: (0, 0),
+            next_query: 0,
+        };
+        fleet.death_streak = (fleet.progress(), 0);
+        for w in 0..workers {
+            let hosted: Vec<u32> = (0..shards).filter(|k| *k as usize % workers == w).collect();
+            let slot = fleet.spawn(w, hosted, true)?;
+            fleet.slots.push(slot);
+        }
+        if fleet.resumed.is_some() {
+            for k in 0..shards {
+                let (_, data) = fleet.restore_source(k)?;
+                let frame = sup_frame(&SupMsg::Adopt { shard: k, data })?;
+                let idx = fleet.owners[k as usize];
+                if !write_slot(&mut fleet.slots[idx], &frame) {
+                    fleet.failover(vec![idx])?;
+                }
+            }
+        }
+        Ok(fleet)
+    }
+
+    /// Spawn one worker child into slot `slot_idx` with its collector,
+    /// and greet it: the `Hello`, then every `Define` read so far.
+    fn spawn(
+        &self,
+        slot_idx: usize,
+        hello_shards: Vec<u32>,
+        initial: bool,
+    ) -> Result<Slot, String> {
+        let exe = std::env::current_exe().map_err(|e| format!("locate worker executable: {e}"))?;
+        let mut cmd = Command::new(exe);
+        cmd.arg("worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .env_remove(fault::ENV_SCHEDULE);
+        // Fault-injection scoping: the supervisor fires the sup.* sites
+        // itself and hands each worker.* entry to exactly ONE child —
+        // the initial owner slot of the entry's scope shard. A
+        // respawned replacement gets none, otherwise it would inherit
+        // the fault and die in a loop. A malformed schedule disables
+        // injection (fault::fire warns once).
+        let spec = std::env::var(fault::ENV_SCHEDULE)
+            .ok()
+            .filter(|_| initial)
+            .and_then(|spec| fault::Schedule::parse(&spec).ok())
+            .and_then(|sched| sched.worker_spec(slot_idx as u32, self.config.workers));
+        if let Some(spec) = spec {
+            cmd.env(fault::ENV_SCHEDULE, spec);
+        }
+        let mut child = cmd.spawn().map_err(|e| format!("spawn worker: {e}"))?;
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        let stdout = child.stdout.take().expect("piped stdout");
+        let eof = Arc::new(AtomicBool::new(false));
+        {
+            let eof = Arc::clone(&eof);
+            let shared = self.shared;
+            self.scope.spawn(move || collect(slot_idx, stdout, shared, &eof));
+        }
+        let hello = SupMsg::Hello {
+            schema: Box::new(self.schema.clone()),
+            config: Box::new(self.config.clone()),
+            shards: hello_shards,
+            manifest: self.checkpoint.map(|p| p.to_string_lossy().into_owned()),
+        };
+        let mut greeting = sup_frame(&hello)?;
+        greeting.extend_from_slice(&self.defines);
+        if stdin.write_all(&greeting).is_err() {
+            return Err("worker died during handshake".into());
+        }
+        Ok(Slot { child, stdin: Some(stdin), eof, current_shard: None, alive: true })
+    }
+
+    /// Where a failed-over shard restores from: the last generation
+    /// committed THIS run, else the resumed one. Returns the checkpoint
+    /// *document*, not a path — [`Committer::read_committed`] snapshots
+    /// generation and contents under one lock, because the file behind
+    /// any path handed out here can be garbage-collected by a later
+    /// commit before the adopter opens it.
+    fn restore_source(&self, k: u32) -> Result<(u64, Option<String>), String> {
+        if let (Some(c), Some(m)) = (self.shared.committer, self.checkpoint) {
+            if let Some((g, text)) = c.read_committed(|g| shard_file(m, k, g))? {
+                return Ok((g, Some(text)));
+            }
+        }
+        if let Some((m, g)) = self.resumed {
+            // Resumed files predate this run; its committer never
+            // deletes them, so a plain read is safe.
+            let path = shard_file(m, k, g);
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("read {}: {e}", path.display()))?;
+            return Ok((g, Some(text)));
+        }
+        Ok((0, None))
+    }
+
+    /// Real progress: fresh epoch outcomes plus committed generations.
+    fn progress(&self) -> u64 {
+        self.shared.board.epochs.load(Ordering::Relaxed)
+            + self.shared.committer.map_or(0, Committer::commits)
+    }
+
+    /// Restore every shard owned by a dead slot onto a survivor (or
+    /// respawned replacement), replay its tail, then re-arm pending
+    /// interactive queries. Loops until the topology is quiet; nested
+    /// deaths re-enter the worklist, bounded by the attempt budget.
+    ///
+    /// The budget is shared across *every* call and resets only on real
+    /// progress. A per-call counter would let a persistent fault — a
+    /// worker that dies the same way every time it adopts a shard —
+    /// cycle adopt → die forever, one death per call; consecutive deaths
+    /// with nothing committed in between must instead exhaust the budget
+    /// and abort.
+    fn failover(&mut self, mut dead: Vec<usize>) -> Result<(), String> {
+        if dead.is_empty() {
+            return Ok(());
+        }
+        let board = self.shared.board;
+        loop {
+            while let Some(d) = dead.pop() {
+                let now = self.progress();
+                let (seen, n) = self.death_streak;
+                let n = if now != seen { 1 } else { n + 1 };
+                self.death_streak = (now, n);
+                if n > 3 * self.slots.len() + 3 {
+                    return Err(
+                        "giving up after repeated worker deaths without progress during failover"
+                            .into(),
+                    );
+                }
+                if !self.slots[d].alive && !self.owners.contains(&d) {
+                    continue;
+                }
+                let slot = &mut self.slots[d];
+                slot.alive = false;
+                slot.stdin = None;
+                slot.child.kill().ok();
+                // Let the collector drain every buffered message first:
+                // adopter publishes must not overtake the dead worker's.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !slot.eof.load(Ordering::Acquire) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                slot.child.wait().ok();
+
+                let moved: Vec<u32> = self
+                    .owners
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &o)| o == d)
+                    .map(|(k, _)| k as u32)
+                    .collect();
+                if moved.is_empty() {
+                    continue;
+                }
+                fault::fire(fault::SUP_FAILOVER, d as u32)?;
+                let survivor = self.slots.iter().position(|s| s.alive);
+                let target = match survivor {
+                    Some(t) if !self.config.respawn => t,
+                    _ => match self.spawn(d, Vec::new(), false) {
+                        Ok(slot) => {
+                            self.slots[d] = slot;
+                            board.restarts.fetch_add(1, Ordering::Relaxed);
+                            d
+                        }
+                        Err(e) => survivor.ok_or(e)?,
+                    },
+                };
+                // Reassign ownership up front: if the target dies
+                // mid-restore, its own failover re-moves every shard,
+                // including not-yet-restored ones.
+                for &k in &moved {
+                    self.owners[k as usize] = target;
+                }
+                for &k in &moved {
+                    let t0 = Instant::now();
+                    fault::fire(fault::SUP_ADOPT, k)?;
+                    let (generation, replayed, bytes) = {
+                        // The restore snapshot and the tail must be read
+                        // under ONE tails lock: a commit completes first
+                        // and truncates the tails second, and landing
+                        // between the two would pair a generation-g
+                        // checkpoint with a pre-g tail — replaying events
+                        // the checkpoint already contains. (The committer
+                        // lock nests inside; its callers never hold it
+                        // while taking the tails lock.)
+                        let mut tails = self.shared.tails.lock().expect("tails lock poisoned");
+                        let (generation, data) = self.restore_source(k)?;
+                        let mut bytes = sup_frame(&SupMsg::Adopt { shard: k, data })?;
+                        bytes.extend(sup_frame(&SupMsg::Shard { shard: k })?);
+                        // If that race did hit, generation g's barrier is
+                        // still in the tail: what precedes it is durable,
+                        // drop it now.
+                        let tail = tails.get_mut(&k).expect("tail for every shard");
+                        tail.truncate(generation);
+                        bytes.extend_from_slice(&tail.bytes);
+                        (generation, tail.events, bytes)
+                    };
+                    if !write_slot(&mut self.slots[target], &bytes) {
+                        dead.push(target);
+                        break;
+                    }
+                    self.slots[target].current_shard = Some(k);
+                    board.failovers.fetch_add(1, Ordering::Relaxed);
+                    if let Some(sink) = self.shared.sink {
+                        sink.record(TraceEvent::Failover {
+                            shard: k,
+                            generation,
+                            replayed,
+                            adopted_by: target as u32,
+                            micros: t0.elapsed().as_micros() as u64,
+                        });
+                    }
+                }
+            }
+            // Re-arm pending interactive queries under the new topology:
+            // every live worker must ack again (workers ack every Query
+            // they see, so the at-least-once re-send is safe).
+            let live = self.live();
+            let ids: Vec<u64> = {
+                let mut pending = self.shared.pending.lock().expect("pending lock poisoned");
+                for p in pending.values_mut() {
+                    p.waiting.clone_from(&live);
+                }
+                pending.keys().copied().collect()
+            };
+            for id in ids {
+                dead.extend(self.write_live(&sup_frame(&SupMsg::Query { id })?));
+            }
+            if dead.is_empty() {
+                // The failover/restart counters just moved; make them
+                // durable for the next incarnation.
+                self.shared.persist_sidecars();
+                return Ok(());
+            }
+        }
+    }
+
+    /// The live slots.
+    fn live(&self) -> HashSet<usize> {
+        (0..self.slots.len()).filter(|&i| self.slots[i].alive).collect()
+    }
+
+    /// Write `bytes` to every live slot; returns the slots whose pipe
+    /// broke.
+    fn write_live(&mut self, bytes: &[u8]) -> Vec<usize> {
+        (0..self.slots.len())
+            .filter(|&i| self.slots[i].alive && !write_slot(&mut self.slots[i], bytes))
+            .collect()
+    }
+
+    /// Write `bytes` to every live worker, failing over those whose
+    /// pipe broke.
+    fn broadcast(&mut self, bytes: &[u8]) -> Result<(), String> {
+        let dead = self.write_live(bytes);
+        self.failover(dead)
+    }
+
+    /// Fail over every live slot whose collector hit EOF; reaping
+    /// happens inside the failover.
+    fn sweep(&mut self) -> Result<(), String> {
+        let dead = (0..self.slots.len())
+            .filter(|&i| self.slots[i].alive && self.slots[i].eof.load(Ordering::Acquire))
+            .collect();
+        self.failover(dead)
+    }
+
+    /// Put query `control` in band on every live worker; the collector
+    /// that takes the last ack answers it. Returns the query's id.
+    fn enqueue_query(
+        &mut self,
+        control: Control,
+        reply: Option<Sender<String>>,
+    ) -> Result<u64, String> {
+        let id = self.next_query;
+        self.next_query += 1;
+        let waiting = self.live();
+        self.shared
+            .pending
+            .lock()
+            .expect("pending lock poisoned")
+            .insert(id, PendingInteractive { control, waiting, reply });
+        self.broadcast(&sup_frame(&SupMsg::Query { id })?)?;
+        Ok(id)
+    }
+
+    /// Poll until `done`, failing over deaths meanwhile.
+    fn wait(&mut self, what: &str, done: impl Fn() -> bool) -> Result<(), String> {
+        let deadline = Instant::now() + Duration::from_secs(600);
+        loop {
+            if let Some(e) = self.shared.take_failure() {
+                return Err(e);
+            }
+            if done() {
+                return Ok(());
+            }
+            self.sweep()?;
+            if Instant::now() > deadline {
+                return Err(format!("timed out waiting for {what}"));
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Quiesce: an in-band liveness barrier. The ingest loop only
+    /// notices a death while it still has bytes to write, and a small
+    /// stream fits whole into the pipe buffers — so a worker can die
+    /// holding routed events it never ingested, strictly *after* routing
+    /// ends. Every live worker must ack a final query (acks are in-band,
+    /// so an ack proves everything routed before it was consumed) before
+    /// the fleet may retire; a worker that dies instead is failed over
+    /// here, and its tail replay re-feeds exactly the unacked events.
+    /// `Shutdown` is the sentinel control no one answers.
+    fn quiesce(&mut self) -> Result<(), String> {
+        let id = self.enqueue_query(Control::Shutdown, None)?;
+        let shared = self.shared;
+        self.wait("workers to quiesce at shutdown", || {
+            !shared.pending.lock().expect("pending lock poisoned").contains_key(&id)
+        })
+    }
+
+    /// Retire the fleet: best-effort `Shutdown`, close every pipe, reap
+    /// every child. Everything reportable is already in — outcomes and
+    /// publishes stream ahead of the final barrier, and with
+    /// checkpointing the final shard files carry exact counters.
+    fn retire(&mut self) -> Result<(), String> {
+        let bye = sup_frame(&SupMsg::Shutdown)?;
+        for slot in &mut self.slots {
+            if slot.alive {
+                let _ = write_slot(slot, &bye);
+            }
+            slot.stdin = None;
+        }
+        for slot in &mut self.slots {
+            slot.child.wait().ok();
+        }
+        Ok(())
+    }
+}
+
+impl Placement for Fleet<'_, '_> {
+    /// Append the event's frame to the shard's tail FIRST (an event lost
+    /// in a dying pipe is then still replayed), switch the worker's
+    /// current shard if needed, write, and fail over on a broken pipe.
+    fn route(&mut self, shard: u32, item: Routed) -> Result<(), String> {
+        // Fires before the tail append: a kill here loses nothing,
+        // because the input journal already holds this event (teed at
+        // consume time).
+        fault::fire(fault::SUP_ROUTE, shard)?;
+        let frame = item_frame(&match item {
+            Routed::Line(line) => WireItem::Raw(line.into()),
+            Routed::Event { template, frequency } => WireItem::Event { template, frequency },
+            Routed::Invalid => WireItem::Raw(b"{\"invalid\":\"undecodable binary item\"}".to_vec()),
+        });
+        self.shared
+            .tails
+            .lock()
+            .expect("tails lock poisoned")
+            .get_mut(&shard)
+            .expect("tail exists for every shard")
+            .push_event(&frame);
+        let idx = self.owners[shard as usize];
+        let slot = &mut self.slots[idx];
+        let bytes = if slot.current_shard == Some(shard) {
+            frame
+        } else {
+            slot.current_shard = Some(shard);
+            let mut bytes = sup_frame(&SupMsg::Shard { shard })?;
+            bytes.extend(frame);
+            bytes
+        };
+        if slot.alive && write_slot(slot, &bytes) {
+            Ok(())
+        } else {
+            // Do NOT retry the write: the event is in the tail, and the
+            // failover replay delivers it.
+            self.failover(vec![idx])
+        }
+    }
+
+    /// To every live worker, now — and to every later one after its
+    /// `Hello`.
+    fn define(
+        &mut self,
+        _shard: u32,
+        _id: usize,
+        table: u16,
+        kind: QueryKind,
+        attrs: Vec<u32>,
+    ) -> Result<(), String> {
+        let frame = item_frame(&WireItem::Define { table, kind, attrs });
+        self.defines.extend_from_slice(&frame);
+        self.broadcast(&frame)
+    }
+
+    fn barrier(&mut self, generation: u64, routed: u64) -> Result<(), String> {
+        let Some(c) = self.shared.committer else { return Ok(()) };
+        fault::fire(fault::SUP_BARRIER_OPEN, generation as u32)?;
+        c.open(generation, routed);
+        {
+            let mut tails = self.shared.tails.lock().expect("tails lock poisoned");
+            for (&k, tail) in tails.iter_mut() {
+                tail.push_barrier(k, generation)?;
+            }
+        }
+        self.broadcast(&sup_frame(&SupMsg::Barrier { generation, shards: None })?)
+    }
+
+    /// `status` is in band here like every query: the counters live in
+    /// the workers, and the acks that release the answer carry them.
+    fn query(&mut self, control: Control, reply: Option<Sender<String>>) -> Result<(), String> {
+        self.enqueue_query(control, reply).map(drop)
+    }
+
+    /// Nothing is buffered: every frame is written as it is routed.
+    fn flush(&mut self) {}
+
+    /// Fail the run on a collector's hard failure; fail over every
+    /// worker whose collector hit EOF.
+    fn poll(&mut self) -> Result<(), String> {
+        if let Some(e) = self.shared.take_failure() {
+            return Err(e);
+        }
+        self.sweep()
+    }
+
+    fn status_line(&self) -> String {
+        self.shared.status_line()
+    }
 }
 
 /// The multi-process supervisor: routes events to worker processes,
@@ -833,17 +1261,11 @@ pub struct Supervisor {
     arbiter: Arbiter,
     board: Arc<StatusBoard>,
     interactive: Option<Arc<InteractiveRegistry>>,
-    routed_lines: u64,
-    next_generation: u64,
-    resume_generation: Option<u64>,
-    resume_manifest: Option<PathBuf>,
-    /// Journal-replay recovery (set by [`Supervisor::set_recovery`]):
-    /// route-able records at positions below this are already inside
-    /// the restored checkpoint state and replay without routing.
-    resume_skip: u64,
-    /// Barrier generations at or below this already committed in the
-    /// prior incarnation and replay without firing.
-    resume_skip_gen: u64,
+    /// Where the next run continues the stream — and, on journal-replay
+    /// recovery ([`Supervisor::set_recovery`]), what of it is done.
+    stream: Stream,
+    /// A resumed manifest and its generation.
+    resumed: Option<(PathBuf, u64)>,
     /// Prior-incarnation journal size, when recovering (drives the
     /// [`TraceEvent::Recovery`] emission).
     recovered_bytes: Option<u64>,
@@ -876,18 +1298,14 @@ impl Supervisor {
         );
         let board = Arc::new(StatusBoard::new(config.shards));
         Ok(Self {
+            stream: Stream::new(&config),
             schema,
             config,
             map,
             arbiter,
             board,
             interactive: None,
-            routed_lines: 0,
-            next_generation: 1,
-            resume_generation: None,
-            resume_manifest: None,
-            resume_skip: 0,
-            resume_skip_gen: 0,
+            resumed: None,
             recovered_bytes: None,
             state_dir: None,
         })
@@ -922,10 +1340,9 @@ impl Supervisor {
         for cp in manifest.load_shards(manifest_path)? {
             sup.config.check_resume(&cp.config)?;
         }
-        sup.routed_lines = manifest.routed_lines;
-        sup.next_generation = manifest.generation + 1;
-        sup.resume_generation = Some(manifest.generation);
-        sup.resume_manifest = Some(manifest_path.to_path_buf());
+        sup.stream.routed = manifest.routed_lines;
+        sup.stream.next_gen = manifest.generation + 1;
+        sup.resumed = Some((manifest_path.to_path_buf(), manifest.generation));
         Ok(sup)
     }
 
@@ -940,10 +1357,7 @@ impl Supervisor {
     /// what makes the final merged selection and the checkpoint
     /// documents byte-identical to that run (DESIGN.md §18).
     pub fn set_recovery(&mut self, journal_bytes: u64) {
-        self.resume_skip = self.routed_lines;
-        self.resume_skip_gen = self.next_generation - 1;
-        self.routed_lines = 0;
-        self.next_generation = 1;
+        self.stream.recover();
         self.recovered_bytes = Some(journal_bytes);
     }
 
@@ -1005,7 +1419,6 @@ impl Supervisor {
     ) -> Result<ServiceReport, String> {
         let t_start = Instant::now();
         let shards = self.map.shards();
-        let workers = self.config.workers as usize;
         let board = &*self.board;
         let status_path = self.state_dir.as_ref().map(|d| d.join("status.json"));
         let outcomes_path = self.state_dir.as_ref().map(|d| d.join("outcomes.json"));
@@ -1013,13 +1426,14 @@ impl Supervisor {
             crate::status::PersistedStatus::load(p).apply(board);
         }
         let committer = checkpoint.map(|p| Committer::new(p, shards, board));
+        let (skipped, prior_gen) = self.stream.skipped();
         // Epoch outcomes folded into committed generations by prior
         // incarnations replay without re-tuning, so their report lines
         // come from the sidecar, not from the workers.
         let mut prior_outcomes: BTreeMap<(u16, u64), EpochOutcome> = BTreeMap::new();
         if self.recovered_bytes.is_some() {
             if let Some(c) = &committer {
-                c.prime(self.resume_skip_gen);
+                c.prime(prior_gen);
             }
             if let Some(p) = &outcomes_path {
                 prior_outcomes = load_outcomes(p);
@@ -1042,561 +1456,39 @@ impl Supervisor {
             outcomes_path,
         };
 
-        // Fault-injection scoping: the supervisor parses the schedule
-        // itself (firing the sup.* sites in-process) and re-serializes
-        // each worker.* entry into the environment of exactly ONE
-        // child — the initial owner slot of the entry's scope shard.
-        // Every other child and every respawned replacement gets the
-        // variable stripped, otherwise the adopting survivor would
-        // inherit the fault and die in a loop. A malformed schedule
-        // disables injection (fault::fire warns once).
-        let worker_faults: Vec<Option<String>> = {
-            let sched = std::env::var(fault::ENV_SCHEDULE)
-                .ok()
-                .and_then(|spec| fault::Schedule::parse(&spec).ok())
-                .unwrap_or_default();
-            (0..workers).map(|w| sched.worker_spec(w as u32, workers as u32)).collect()
-        };
-
-        let schema = &self.schema;
-        let config = &self.config;
-        let map = &self.map;
-        let arbiter = &self.arbiter;
-        let interactive = self.interactive.clone();
-        let respawn = self.config.respawn;
-        let resume_generation = self.resume_generation;
-        let resume_manifest = self.resume_manifest.clone();
-        let resume_skip = self.resume_skip;
-        let skip_gen = self.resume_skip_gen;
+        let (schema, config, map) = (&self.schema, &self.config, &self.map);
+        let resumed = self.resumed.as_ref().map(|(m, g)| (m.as_path(), *g));
+        let interactive = self.interactive.as_deref();
         let recovered_bytes = self.recovered_bytes;
-        let mut stream = Stream::new(&self.config, self.routed_lines, self.next_generation);
-        // Every `Define` frame read so far, in stream order: what a newly
-        // spawned worker is sent right after its `Hello`, so that every
-        // live worker has seen every `Define` (see the module docs).
-        let defines = RefCell::new(Vec::new());
+        let stream = &mut self.stream;
+        let final_committed = std::thread::scope(|scope| -> Result<Option<u64>, String> {
+            let mut fleet = Fleet::start(scope, &shared, schema, config, checkpoint, resumed)?;
+            if let (Some(journal_bytes), Some(sink)) = (recovered_bytes, sink) {
+                sink.record(TraceEvent::Recovery {
+                    generation: prior_gen,
+                    skipped,
+                    journal_bytes,
+                    micros: t_start.elapsed().as_micros() as u64,
+                });
+            }
+            stream.run(input, schema, map, interactive, checkpoint.is_some(), &mut fleet)?;
+            fleet.quiesce()?;
+            // Final generation, then drain the fleet.
+            let mut final_committed = None;
+            if let Some(c) = shared.committer {
+                let final_gen = stream.take_generation();
+                fleet.barrier(final_gen, stream.routed)?;
+                // Wait out the final commit, absorbing deaths: a dead
+                // worker's tail ends with the scoped final barrier, so
+                // its adopter completes the generation.
+                let committed = || c.committed() == Some(final_gen);
+                fleet.wait("the final checkpoint generation", committed)?;
+                final_committed = Some(final_gen);
+            }
+            fleet.retire()?;
+            Ok(final_committed)
+        })?;
 
-        let scope_result: Result<Option<u64>, String> =
-            std::thread::scope(|s| {
-                let spawn_worker = |slot_idx: usize,
-                                   hello_shards: Vec<u32>,
-                                   initial: bool|
-                 -> Result<Slot, String> {
-                    let exe = std::env::current_exe()
-                        .map_err(|e| format!("locate worker executable: {e}"))?;
-                    let mut cmd = Command::new(exe);
-                    cmd.arg("worker")
-                        .stdin(Stdio::piped())
-                        .stdout(Stdio::piped())
-                        .env_remove(fault::ENV_SCHEDULE);
-                    if initial {
-                        if let Some(spec) = &worker_faults[slot_idx] {
-                            cmd.env(fault::ENV_SCHEDULE, spec);
-                        }
-                    }
-                    let mut child =
-                        cmd.spawn().map_err(|e| format!("spawn worker: {e}"))?;
-                    let mut stdin = child.stdin.take().expect("piped stdin");
-                    let stdout = child.stdout.take().expect("piped stdout");
-                    let eof = Arc::new(AtomicBool::new(false));
-                    {
-                        let eof = Arc::clone(&eof);
-                        let shared = &shared;
-                        s.spawn(move || collect(slot_idx, stdout, shared, &eof));
-                    }
-                    let hello = SupMsg::Hello {
-                        schema: Box::new(schema.clone()),
-                        config: Box::new(config.clone()),
-                        shards: hello_shards,
-                        manifest: checkpoint.map(|p| p.to_string_lossy().into_owned()),
-                    };
-                    let mut greeting = sup_frame(&hello)?;
-                    greeting.extend_from_slice(&defines.borrow());
-                    if stdin.write_all(&greeting).is_err() {
-                        return Err("worker died during handshake".into());
-                    }
-                    Ok(Slot { child, stdin: Some(stdin), eof, current_shard: None, alive: true })
-                };
-
-                // Where a failed-over shard restores from: the last
-                // generation committed THIS run, else the resumed one.
-                // Returns the checkpoint *document*, not a path —
-                // [`Committer::read_committed`] snapshots generation
-                // and contents under one lock, because the file behind
-                // any path handed out here can be garbage-collected by
-                // a later commit before the adopter opens it.
-                let restore_source = |k: u32| -> Result<(u64, Option<String>), String> {
-                    if let (Some(c), Some(m)) = (committer.as_ref(), checkpoint) {
-                        if let Some((g, text)) = c.read_committed(|g| shard_file(m, k, g))? {
-                            return Ok((g, Some(text)));
-                        }
-                    }
-                    if let (Some(g), Some(m)) = (resume_generation, &resume_manifest) {
-                        // Resumed files predate this run; its committer
-                        // never deletes them, so a plain read is safe.
-                        let path = shard_file(m, k, g);
-                        let text = std::fs::read_to_string(&path)
-                            .map_err(|e| format!("read {}: {e}", path.display()))?;
-                        return Ok((g, Some(text)));
-                    }
-                    Ok((0, None))
-                };
-
-                // The failover budget is shared across *every*
-                // `do_failover` call and resets only on real progress
-                // (a fresh epoch outcome or a committed generation).
-                // A per-call counter would let a persistent fault — a
-                // worker that dies the same way every time it adopts a
-                // shard — cycle adopt → die forever, one death per
-                // call; consecutive deaths with nothing committed in
-                // between must instead exhaust the budget and abort.
-                let progress = || {
-                    board.epochs.load(Ordering::Relaxed)
-                        + committer.as_ref().map_or(0, |c| c.commits())
-                };
-                let death_streak = std::cell::Cell::new((progress(), 0usize));
-
-                // Restore every shard owned by a dead slot onto a
-                // survivor (or respawned replacement), replay its tail,
-                // then re-arm pending interactive queries. Loops until
-                // the topology is quiet; nested deaths re-enter the
-                // worklist, bounded by the attempt budget.
-                let do_failover = |slots: &mut Vec<Slot>,
-                                   owners: &mut Vec<usize>,
-                                   mut dead: Vec<usize>|
-                 -> Result<(), String> {
-                    loop {
-                        while let Some(d) = dead.pop() {
-                            let now = progress();
-                            let (seen, n) = death_streak.get();
-                            let n = if now != seen { 1 } else { n + 1 };
-                            death_streak.set((now, n));
-                            if n > 3 * slots.len() + 3 {
-                                return Err(
-                                    "giving up after repeated worker deaths without progress \
-                                     during failover"
-                                        .into(),
-                                );
-                            }
-                            if !slots[d].alive && !owners.contains(&d) {
-                                continue;
-                            }
-                            slots[d].alive = false;
-                            slots[d].stdin = None;
-                            slots[d].child.kill().ok();
-                            // Let the collector drain every buffered
-                            // message first: adopter publishes must not
-                            // overtake the dead worker's.
-                            let deadline = Instant::now() + Duration::from_secs(10);
-                            while !slots[d].eof.load(Ordering::Acquire)
-                                && Instant::now() < deadline
-                            {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            slots[d].child.wait().ok();
-
-                            let moved: Vec<u32> = owners
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &o)| o == d)
-                                .map(|(k, _)| k as u32)
-                                .collect();
-                            if moved.is_empty() {
-                                continue;
-                            }
-                            fault::fire(fault::SUP_FAILOVER, d as u32)?;
-                            let survivor = slots.iter().position(|s| s.alive);
-                            let target = match survivor {
-                                Some(t) if !respawn => t,
-                                _ => match spawn_worker(d, Vec::new(), false) {
-                                    Ok(slot) => {
-                                        slots[d] = slot;
-                                        board.restarts.fetch_add(1, Ordering::Relaxed);
-                                        d
-                                    }
-                                    Err(e) => match survivor {
-                                        Some(t) => t,
-                                        None => return Err(e),
-                                    },
-                                },
-                            };
-                            // Reassign ownership up front: if the target
-                            // dies mid-restore, its own failover re-moves
-                            // every shard, including not-yet-restored ones.
-                            for &k in &moved {
-                                owners[k as usize] = target;
-                            }
-                            let mut target_down = false;
-                            for &k in &moved {
-                                let t0 = Instant::now();
-                                fault::fire(fault::SUP_ADOPT, k)?;
-                                let (generation, replayed, bytes) = {
-                                    // The restore snapshot and the tail
-                                    // must be read under ONE tails lock:
-                                    // a commit completes first and
-                                    // truncates the tails second, and
-                                    // landing between the two would pair
-                                    // a generation-g checkpoint with a
-                                    // pre-g tail — replaying events the
-                                    // checkpoint already contains. (The
-                                    // committer lock nests inside; its
-                                    // callers never hold it while taking
-                                    // the tails lock.)
-                                    let mut tails =
-                                        shared.tails.lock().expect("tails lock poisoned");
-                                    let (generation, data) = restore_source(k)?;
-                                    let mut bytes =
-                                        sup_frame(&SupMsg::Adopt { shard: k, data })?;
-                                    bytes.extend(sup_frame(&SupMsg::Shard { shard: k })?);
-                                    // If that race did hit, generation g's
-                                    // barrier is still in the tail: what
-                                    // precedes it is durable, drop it now.
-                                    let tail = tails.get_mut(&k).expect("tail for every shard");
-                                    tail.truncate(generation);
-                                    bytes.extend_from_slice(&tail.bytes);
-                                    (generation, tail.events, bytes)
-                                };
-                                if !write_slot(&mut slots[target], &bytes) {
-                                    target_down = true;
-                                    break;
-                                }
-                                slots[target].current_shard = Some(k);
-                                board.failovers.fetch_add(1, Ordering::Relaxed);
-                                if let Some(sink) = sink {
-                                    sink.record(TraceEvent::Failover {
-                                        shard: k,
-                                        generation,
-                                        replayed,
-                                        adopted_by: target as u32,
-                                        micros: t0.elapsed().as_micros() as u64,
-                                    });
-                                }
-                            }
-                            if target_down {
-                                dead.push(target);
-                            }
-                        }
-                        // Re-arm pending interactive queries under the
-                        // new topology: every live worker must ack again
-                        // (workers ack every Query they see, so the
-                        // at-least-once re-send is safe).
-                        let live: std::collections::HashSet<usize> = slots
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.alive)
-                            .map(|(i, _)| i)
-                            .collect();
-                        let ids: Vec<u64> = {
-                            let mut pending =
-                                shared.pending.lock().expect("pending lock poisoned");
-                            for p in pending.values_mut() {
-                                p.waiting.clone_from(&live);
-                            }
-                            pending.keys().copied().collect()
-                        };
-                        for id in &ids {
-                            let frame = sup_frame(&SupMsg::Query { id: *id })?;
-                            dead.extend(write_live(slots, &frame));
-                        }
-                        if dead.is_empty() {
-                            // The failover/restart counters just moved;
-                            // make them durable for the next incarnation.
-                            shared.persist_sidecars();
-                            return Ok(());
-                        }
-                    }
-                };
-
-                // Write `bytes` to every live worker, failing over those
-                // whose pipe broke.
-                let broadcast = |slots: &mut Vec<Slot>,
-                                 owners: &mut Vec<usize>,
-                                 bytes: &[u8]|
-                 -> Result<(), String> {
-                    let dead = write_live(slots, bytes);
-                    if dead.is_empty() {
-                        Ok(())
-                    } else {
-                        do_failover(slots, owners, dead)
-                    }
-                };
-
-                let sweep = |slots: &mut Vec<Slot>,
-                             owners: &mut Vec<usize>|
-                 -> Result<(), String> {
-                    let dead: Vec<usize> = slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, sl)| sl.alive && sl.eof.load(Ordering::Acquire))
-                        .map(|(i, _)| i)
-                        .collect();
-                    if dead.is_empty() {
-                        Ok(())
-                    } else {
-                        do_failover(slots, owners, dead)
-                    }
-                };
-
-                // Route one event: append its frame to the shard's tail
-                // FIRST (an event lost in a dying pipe is then still
-                // replayed), switch the worker's current shard if
-                // needed, write, and fail over on a broken pipe.
-                let route = |slots: &mut Vec<Slot>,
-                             owners: &mut Vec<usize>,
-                             shard: u32,
-                             item: &WireItem|
-                 -> Result<(), String> {
-                    // Fires before the tail append: a kill here loses
-                    // nothing, because the input journal already holds
-                    // this event (teed at consume time).
-                    fault::fire(fault::SUP_ROUTE, shard)?;
-                    let frame = item_frame(item);
-                    shared
-                        .tails
-                        .lock()
-                        .expect("tails lock poisoned")
-                        .get_mut(&shard)
-                        .expect("tail exists for every shard")
-                        .push_event(&frame);
-                    let idx = owners[shard as usize];
-                    let slot = &mut slots[idx];
-                    let bytes = if slot.current_shard == Some(shard) {
-                        frame
-                    } else {
-                        slot.current_shard = Some(shard);
-                        let mut bytes = sup_frame(&SupMsg::Shard { shard })?;
-                        bytes.extend(frame);
-                        bytes
-                    };
-                    if slot.alive && write_slot(slot, &bytes) {
-                        Ok(())
-                    } else {
-                        // Do NOT retry the write: the event is in the
-                        // tail, and the failover replay delivers it.
-                        do_failover(slots, owners, vec![idx])
-                    }
-                };
-
-                let barrier = |slots: &mut Vec<Slot>,
-                               owners: &mut Vec<usize>,
-                               gen: u64,
-                               routed: u64|
-                 -> Result<(), String> {
-                    let Some(c) = committer.as_ref() else { return Ok(()) };
-                    fault::fire(fault::SUP_BARRIER_OPEN, gen as u32)?;
-                    c.open(gen, routed);
-                    {
-                        let mut tails = shared.tails.lock().expect("tails lock poisoned");
-                        for (&k, tail) in tails.iter_mut() {
-                            tail.push_barrier(k, gen)?;
-                        }
-                    }
-                    let frame = sup_frame(&SupMsg::Barrier { generation: gen, shards: None })?;
-                    broadcast(slots, owners, &frame)
-                };
-
-                let enqueue_query = |slots: &mut Vec<Slot>,
-                                     owners: &mut Vec<usize>,
-                                     id: u64,
-                                     c: Control,
-                                     reply: Option<Sender<String>>|
-                 -> Result<(), String> {
-                    let waiting: std::collections::HashSet<usize> = slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, sl)| sl.alive)
-                        .map(|(i, _)| i)
-                        .collect();
-                    shared
-                        .pending
-                        .lock()
-                        .expect("pending lock poisoned")
-                        .insert(id, PendingInteractive { control: c, waiting, reply });
-                    broadcast(slots, owners, &sup_frame(&SupMsg::Query { id })?)
-                };
-
-                // Poll until `done`, failing over deaths meanwhile.
-                let wait = |slots: &mut Vec<Slot>,
-                            owners: &mut Vec<usize>,
-                            what: &str,
-                            done: &dyn Fn() -> bool|
-                 -> Result<(), String> {
-                    let deadline = Instant::now() + Duration::from_secs(600);
-                    loop {
-                        if let Some(e) = shared.take_failure() {
-                            return Err(e);
-                        }
-                        if done() {
-                            return Ok(());
-                        }
-                        sweep(slots, owners)?;
-                        if Instant::now() > deadline {
-                            return Err(format!("timed out waiting for {what}"));
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                };
-
-                // --- Spawn the fleet and restore resumed state.
-                let mut slots: Vec<Slot> = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let hosted: Vec<u32> =
-                        (0..shards).filter(|k| (*k as usize) % workers == w).collect();
-                    slots.push(spawn_worker(w, hosted, true)?);
-                }
-                let mut owners: Vec<usize> =
-                    (0..shards).map(|k| (k as usize) % workers).collect();
-                if resume_generation.is_some() {
-                    for k in 0..shards {
-                        let (_, data) = restore_source(k)?;
-                        let frame = sup_frame(&SupMsg::Adopt { shard: k, data })?;
-                        let idx = owners[k as usize];
-                        if !write_slot(&mut slots[idx], &frame) {
-                            do_failover(&mut slots, &mut owners, vec![idx])?;
-                        }
-                    }
-                }
-                if let (Some(journal_bytes), Some(sink)) = (recovered_bytes, sink) {
-                    sink.record(TraceEvent::Recovery {
-                        generation: skip_gen,
-                        skipped: resume_skip,
-                        journal_bytes,
-                        micros: t_start.elapsed().as_micros() as u64,
-                    });
-                }
-
-                let mut next_query_id = 0u64;
-                let opaque = map.opaque_shard();
-
-                for record in RecordIter::new(input) {
-                    if let Some(e) = shared.take_failure() {
-                        return Err(e);
-                    }
-                    // Every record sweeps for collectors at EOF; reaping
-                    // happens inside the failover.
-                    sweep(&mut slots, &mut owners)?;
-                    if take_status_signal() {
-                        eprintln!(
-                            "{}",
-                            board.line(
-                                shared.dropped_total(),
-                                &vec![0; shards as usize],
-                                &arbiter.allocations()
-                            )
-                        );
-                    }
-                    let (shard, item) = match stream.decide(record, schema) {
-                        Decision::Skip => continue,
-                        Decision::Shutdown => break,
-                        Decision::Line { table, line } => {
-                            (table.map_or(opaque, |t| map.shard_of(t)), WireItem::Raw(line.into()))
-                        }
-                        // To every live worker, now — and to every later
-                        // one after its Hello. A Define is no routed
-                        // record, so recovery's skipped prefix sends it
-                        // too.
-                        Decision::Define { table, kind, attrs, .. } => {
-                            let frame = item_frame(&WireItem::Define { table, kind, attrs });
-                            defines.borrow_mut().extend_from_slice(&frame);
-                            broadcast(&mut slots, &mut owners, &frame)?;
-                            continue;
-                        }
-                        Decision::Event { table, template, frequency } => {
-                            (map.shard_of(table), WireItem::Event { template, frequency })
-                        }
-                        Decision::Invalid => {
-                            let line = b"{\"invalid\":\"undecodable binary item\"}";
-                            (opaque, WireItem::Raw(line.to_vec()))
-                        }
-                        Decision::Barrier => {
-                            if committer.is_some() {
-                                let gen = stream.take_generation();
-                                if gen > skip_gen {
-                                    barrier(&mut slots, &mut owners, gen, stream.routed)?;
-                                }
-                            }
-                            continue;
-                        }
-                        // `status` is in band here like every query: the
-                        // counters live in the workers, and the acks that
-                        // release the answer carry them.
-                        Decision::Query { control, token } => {
-                            let reply = interactive.as_ref().and_then(|reg| reg.take(token?));
-                            let id = next_query_id;
-                            next_query_id += 1;
-                            enqueue_query(&mut slots, &mut owners, id, control, reply)?;
-                            continue;
-                        }
-                    };
-                    // Recovery: records below resume_skip are already
-                    // inside the restored checkpoint state, and the prior
-                    // incarnation already committed generations ≤
-                    // skip_gen — count both (so cadence positions and
-                    // numbering match the clean run) but re-route and
-                    // re-fire neither.
-                    if stream.routed >= resume_skip {
-                        route(&mut slots, &mut owners, shard, &item)?;
-                    }
-                    if let Some(gen) = stream.count_routed() {
-                        if gen > skip_gen {
-                            barrier(&mut slots, &mut owners, gen, stream.routed)?;
-                        }
-                    }
-                }
-
-                // --- Quiesce: an in-band liveness barrier. The routing
-                // loop only notices a death while it still has bytes to
-                // write, and a small stream fits whole into the pipe
-                // buffers — so a worker can die holding routed events it
-                // never ingested, strictly *after* routing ends. Every
-                // live worker must ack a final Query (acks are in-band,
-                // so an ack proves everything routed before it was
-                // consumed) before the fleet may retire; a worker that
-                // dies instead is failed over here, and its tail replay
-                // re-feeds exactly the unacked events. `Shutdown` is the
-                // sentinel control the arbiter answers with silence.
-                {
-                    // The last id ever issued — no increment needed.
-                    let qid = next_query_id;
-                    enqueue_query(&mut slots, &mut owners, qid, Control::Shutdown, None)?;
-                    let acked = || {
-                        !shared.pending.lock().expect("pending lock poisoned").contains_key(&qid)
-                    };
-                    wait(&mut slots, &mut owners, "workers to quiesce at shutdown", &acked)?;
-                }
-
-                // --- Shutdown: final generation, then drain the fleet.
-                let mut final_committed = None;
-                if committer.is_some() {
-                    let final_gen = stream.take_generation();
-                    barrier(&mut slots, &mut owners, final_gen, stream.routed)?;
-                    // Wait out the final commit, absorbing deaths: a
-                    // dead worker's tail ends with the scoped final
-                    // barrier, so its adopter completes the generation.
-                    let committed =
-                        || committer.as_ref().and_then(|c| c.committed()) == Some(final_gen);
-                    wait(&mut slots, &mut owners, "the final checkpoint generation", &committed)?;
-                    final_committed = Some(final_gen);
-                }
-                // Everything reportable is already in: outcomes and
-                // publishes stream ahead of the final barrier, and with
-                // checkpointing the final shard files carry exact
-                // counters. Shutdown is therefore best-effort.
-                let bye = sup_frame(&SupMsg::Shutdown)?;
-                for slot in &mut slots {
-                    if slot.alive {
-                        let _ = write_slot(slot, &bye);
-                    }
-                    slot.stdin = None;
-                }
-                for slot in &mut slots {
-                    slot.child.wait().ok();
-                }
-                Ok(final_committed)
-            });
-
-        let final_committed = scope_result?;
-        self.routed_lines = stream.routed;
-        self.next_generation = stream.next_gen;
         shared.persist_sidecars();
         if let Some(e) = shared.take_failure() {
             return Err(e);

@@ -1,72 +1,54 @@
 //! The tuning router — the in-process serving engine under every
-//! `--shards`: one ingest loop fanning records out to per-shard
-//! workers, each hosting its own groups.
+//! `--shards`: the one ingest loop (`stream.rs`) fanning records out to
+//! per-shard worker threads, each hosting its own groups (DESIGN.md §13).
 //!
 //! ## Architecture
 //!
 //! The **unit of tuning state is the group** (`group.rs`). Under
 //! `shards >= 1` a group is a table — one [`EpochWindow`] plus one
-//! table-scoped tuner per table, sealing epochs on the group's *own*
-//! valid-event count and budgeting with the table-separable split of
-//! Eq. (10) ([`isel_core::budget::table_relative_budget`]). Shards
-//! merely pack groups onto worker threads via the [`ShardMap`]; because
-//! no tuning state spans shards, the selection sequence is
-//! **bit-identical at every shard count** by construction — the
-//! router's headline determinism guarantee, pinned by
-//! `tests/service.rs`. `shards == 0` is the one-group case: the whole
-//! workload tuned as a single whole-schema group on one shard, which is
-//! Section VII's `dynamic::adapt` loop run continuously (DESIGN.md §12)
-//! — a different product (one budget, one drift baseline, epochs sealed
-//! on the global event count), not a different engine.
+//! table-scoped tuner, sealing epochs on the group's *own* valid-event
+//! count and budgeting with the table-separable split of Eq. (10)
+//! ([`isel_core::budget::table_relative_budget`]). Shards merely pack
+//! groups onto threads via the [`ShardMap`]; no tuning state spans
+//! shards, so the selection sequence is **bit-identical at every shard
+//! count** by construction (pinned by `tests/service.rs`). `shards == 0`
+//! is the one-group case: the whole workload as a single whole-schema
+//! group on one shard — Section VII's `dynamic::adapt` loop run
+//! continuously (DESIGN.md §12), a different product, not a different
+//! engine.
 //!
-//! The router thread owns the input and follows the stream grammar
-//! (`stream.rs`): a text line is classified with a cheap byte
-//! scan (no JSON parse) and appended to the owning shard's hand-off
-//! batch; a batch crosses the shard's bounded queue under one lock and
-//! one wake-up when it is full and — so that nothing waits on an idle
-//! input — before every read that may block ([`RecordIter::next_with`];
-//! DESIGN.md §13). Workers take whatever is queued in one swap and do
-//! the full parse/validate/aggregate/tune work. Control lines are
-//! parsed by the router itself: `shutdown` stops ingestion,
-//! `checkpoint` injects a barrier into *every* queue at the same stream
-//! position, `status` prints the [`StatusBoard`] line (out of band —
-//! never queued).
+//! The router thread runs the loop over the thread placement,
+//! `Handoff`: a text line is classified by a byte scan (no JSON parse)
+//! and appended to its shard's hand-off batch, which crosses the
+//! shard's bounded queue under one lock and one wake-up when it is full
+//! and before every read that may block ([`RecordIter::next_with`]).
+//! Workers take whatever is queued in one swap and parse, validate,
+//! fold and tune. `checkpoint` and the cadence put a barrier on *every*
+//! queue at the same stream position; `status` is answered by the
+//! router thread from the [`StatusBoard`], out of band.
 //!
 //! ## Checkpointing
 //!
-//! A checkpoint barrier carries a monotonically increasing *generation*.
-//! Each worker, on seeing `Barrier(g)`, serializes its groups as a
-//! [`crate::ShardCheckpoint`] into `<stem>.shard-{k}.g{g}.json`; when every
-//! shard has committed generation `g`, the committer atomically writes
-//! the [`Manifest`] at the user's checkpoint path and deletes
-//! older-generation files. A kill at any moment leaves either the
-//! previous complete generation or the new one — never a mix. Group
-//! state is placement-independent, so a manifest may be resumed at a
-//! **different** shard count ([`Router::resume`] re-packs groups under
-//! the current map).
+//! On `Barrier(g)` each worker writes its groups as a
+//! [`crate::ShardCheckpoint`] to `<stem>.shard-{k}.g{g}.json`; when
+//! every shard has, the [`Committer`] atomically writes the
+//! [`Manifest`] and deletes older generations' files, so a kill leaves
+//! the previous complete generation or the new one — never a mix. A
+//! manifest may be resumed at a **different** shard count
+//! ([`Router::resume`] re-packs groups under the current map).
 //!
 //! ## Arbitration
 //!
-//! The global-budget merge is *live* ([`crate::arbiter::Arbiter`]):
-//! whenever a group's epoch actually re-selects, the worker publishes
-//! the group's new frontier (plus the construction steps needed to
-//! materialize a selection at any allocation) and the arbiter folds it
-//! incrementally into a maintained [`isel_core::FrontierSet`] — only
-//! the changed group's DP path is recombined, and republished
-//! identical frontiers are skipped outright. The
-//! [`ServiceReport::final_selection`] is then a cheap read of that
-//! state: no group is ever re-run at shutdown. Interactive
-//! `{"control":"whatif","budget":B}` and
-//! `{"control":"tenant","table_group":T,"budget":B}` lines ride every
-//! shard queue as an in-band barrier; the last worker to reach the
-//! query answers from the arbiter, so the reply deterministically
-//! reflects exactly the events preceding the query — again without
-//! re-running selection (asserted via trace events in the tests).
-//! `{"control":"budget","budget":B}` rides the same barrier but
-//! *mutates*: it re-anchors the maintained merge at the new global
-//! budget, so every later publish folds into allocations under `B`.
+//! Whenever a group's epoch re-selects, its worker publishes the new
+//! frontier to the live [`crate::arbiter::Arbiter`], which folds it
+//! into the maintained global-budget merge; the
+//! [`ServiceReport::final_selection`] is a cheap read of that state.
+//! `whatif`, `tenant`, `budget` and `calibration` controls ride every
+//! queue as an in-band marker, and the last worker to reach one answers
+//! it — behind exactly the events that preceded it, without re-running
+//! selection.
 
-use crate::arbiter::{global_budget, Arbiter, InteractiveRegistry, PendingQuery};
+use crate::arbiter::{global_budget, respond, Arbiter, InteractiveRegistry, PendingQuery};
 use crate::checkpoint::{shard_file, Manifest, CHECKPOINT_VERSION};
 use crate::config::ServiceConfig;
 use crate::event::{parse_line, Control, InputLine};
@@ -74,8 +56,8 @@ use crate::group::{Env, GroupHost, Sealed};
 use crate::queue::BoundedQueue;
 use crate::records::{DecodeDict, RecordIter};
 use crate::shard::{ShardMap, ShardTagSink};
-use crate::status::{take_status_signal, StatusBoard};
-use crate::stream::{Decision, Stream};
+use crate::status::StatusBoard;
+use crate::stream::{Decision, Placement, Routed, Stream};
 use crate::tuner::EpochOutcome;
 use crate::window::EpochWindow;
 use isel_core::{budget, Selection, Trace, TraceSink};
@@ -85,6 +67,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
 /// What happens when a shard queue is full.
@@ -119,8 +102,10 @@ pub struct ServiceReport {
 
 /// Items flowing through one shard's queue.
 enum ShardItem {
-    /// A raw input line; the worker parses and validates it.
-    Line(String),
+    /// A routed record: a raw line the worker parses and validates, a
+    /// binary event of a previously routed `Define`, or an invalid
+    /// record the worker counts at its position in the shard's stream.
+    Routed(Routed),
     /// A binary template definition, carrying its stream-global id. The
     /// router sends it to the owning table's shard, whose dictionary
     /// validates it against the schema once.
@@ -130,13 +115,6 @@ enum ShardItem {
         kind: QueryKind,
         attrs: Vec<u32>,
     },
-    /// A decoded binary event referencing a previously routed `Define`.
-    Event { template: u64, frequency: u64 },
-    /// A record with no valid interpretation (corrupt frame region or an
-    /// event whose template the router never saw); counted invalid by
-    /// the receiving worker so the count lands at a deterministic
-    /// position in that shard's stream.
-    Invalid,
     /// Checkpoint barrier of one generation.
     Barrier(u64),
     /// An interactive arbitration query riding every queue as an in-band
@@ -151,8 +129,10 @@ enum ShardItem {
 /// input that is already buffered (see [`Handoff`]).
 const HANDOFF_BATCH: usize = 512;
 
-/// The router thread's end of the shard queues: one batch per shard,
-/// pushed with one lock and one wake-up.
+/// The thread placement: the router thread's end of the shard queues,
+/// one batch per shard pushed with one lock and one wake-up, plus what
+/// the router thread answers itself — barrier openings at the
+/// committer, and `status`, out of band.
 ///
 /// A batch is handed over when it reaches [`HANDOFF_BATCH`] items (or
 /// the queue's capacity, if that is smaller — a batch never evicts its
@@ -173,6 +153,11 @@ struct Handoff<'a> {
     policy: OverloadPolicy,
     batches: Vec<Vec<ShardItem>>,
     batch_items: usize,
+    committer: Option<&'a Committer<'a>>,
+    board: &'a StatusBoard,
+    arbiter: &'a Arbiter,
+    /// Drops restored from a checkpoint, before this run's queues.
+    base_dropped: u64,
 }
 
 impl<'a> Handoff<'a> {
@@ -180,10 +165,14 @@ impl<'a> Handoff<'a> {
         queues: &'a [BoundedQueue<ShardItem>],
         policy: OverloadPolicy,
         capacity: usize,
+        committer: Option<&'a Committer<'a>>,
+        board: &'a StatusBoard,
+        arbiter: &'a Arbiter,
+        base_dropped: u64,
     ) -> Self {
         let batch_items = HANDOFF_BATCH.min(capacity);
         let batches = queues.iter().map(|_| Vec::with_capacity(batch_items)).collect();
-        Self { queues, policy, batches, batch_items }
+        Self { queues, policy, batches, batch_items, committer, board, arbiter, base_dropped }
     }
 
     fn push(&mut self, shard: u32, item: ShardItem) {
@@ -191,12 +180,6 @@ impl<'a> Handoff<'a> {
         batch.push(item);
         if batch.len() >= self.batch_items {
             Self::hand_over(&self.queues[shard as usize], self.policy, batch);
-        }
-    }
-
-    fn flush(&mut self) {
-        for (queue, batch) in self.queues.iter().zip(&mut self.batches) {
-            Self::hand_over(queue, self.policy, batch);
         }
     }
 
@@ -221,6 +204,68 @@ impl<'a> Handoff<'a> {
         for queue in self.queues {
             queue.push_blocking(marker());
         }
+    }
+}
+
+impl Placement for Handoff<'_> {
+    #[inline]
+    fn route(&mut self, shard: u32, item: Routed) -> Result<(), String> {
+        self.push(shard, ShardItem::Routed(item));
+        Ok(())
+    }
+
+    /// Only to the table's shard: the worker validates it against the
+    /// schema once.
+    fn define(
+        &mut self,
+        shard: u32,
+        id: usize,
+        table: u16,
+        kind: QueryKind,
+        attrs: Vec<u32>,
+    ) -> Result<(), String> {
+        self.push(shard, ShardItem::Define { id, table, kind, attrs });
+        Ok(())
+    }
+
+    fn barrier(&mut self, generation: u64, routed: u64) -> Result<(), String> {
+        if let Some(c) = self.committer {
+            c.open(generation, routed);
+            self.broadcast(|| ShardItem::Barrier(generation));
+        }
+        Ok(())
+    }
+
+    /// `status` is answered now, from the board as it stands — out of
+    /// band, never queued. Every other query rides every queue as an
+    /// in-band marker, so the answer reflects exactly the events before
+    /// it.
+    fn query(&mut self, control: Control, reply: Option<Sender<String>>) -> Result<(), String> {
+        if control == Control::Status {
+            respond(reply, self.status_line());
+        } else {
+            let pq = PendingQuery::new(control, self.queues.len() as u32, reply);
+            self.broadcast(|| ShardItem::Query(Arc::clone(&pq)));
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) {
+        for (queue, batch) in self.queues.iter().zip(&mut self.batches) {
+            Self::hand_over(queue, self.policy, batch);
+        }
+    }
+
+    #[inline]
+    fn poll(&mut self) -> Result<(), String> {
+        Ok(())
+    }
+
+    fn status_line(&self) -> String {
+        let dropped =
+            self.base_dropped + self.queues.iter().map(BoundedQueue::dropped).sum::<u64>();
+        let depths: Vec<u64> = self.queues.iter().map(|q| q.len() as u64).collect();
+        self.board.line(dropped, &depths, &self.arbiter.allocations())
     }
 }
 
@@ -410,8 +455,9 @@ pub struct Router {
     /// checkpoint (zero for a fresh router); a run deals the groups out
     /// to its shards and collects them again.
     state: GroupHost,
-    routed_lines: u64,
-    next_generation: u64,
+    /// Where the next run continues the stream (a resumed router
+    /// continues the manifest's count and generations).
+    stream: Stream,
     arbiter: Arbiter,
     board: Arc<StatusBoard>,
     interactive: Option<Arc<InteractiveRegistry>>,
@@ -435,12 +481,11 @@ impl Router {
         );
         let board = Arc::new(StatusBoard::new(config.shards));
         Ok(Self {
+            stream: Stream::new(&config),
             schema,
             config,
             map,
             state: GroupHost::default(),
-            routed_lines: 0,
-            next_generation: 1,
             arbiter,
             board,
             interactive: None,
@@ -463,8 +508,8 @@ impl Router {
             router.config.check_resume(&cp.config)?;
             router.state.absorb(GroupHost::adopt(cp, &router.schema, &router.config)?)?;
         }
-        router.routed_lines = manifest.routed_lines;
-        router.next_generation = manifest.generation + 1;
+        router.stream.routed = manifest.routed_lines;
+        router.stream.next_gen = manifest.generation + 1;
         // Re-publish the checkpointed frontiers so the resumed arbiter
         // answers queries — and computes the merged selection — without
         // any group having to re-run from scratch.
@@ -557,104 +602,36 @@ impl Router {
         }
 
         let env = Env::new(&self.schema, &self.config);
-        let mut stream = Stream::new(&self.config, self.routed_lines, self.next_generation);
-        let interactive = self.interactive.clone();
+        let interactive = self.interactive.as_deref();
+        let (schema, config, map) = (&self.schema, &self.config, &self.map);
+        let (stream, arbiter_ref) = (&mut self.stream, &self.arbiter);
+        let committer_ref = committer.as_ref();
+        let queues_ref = &queues;
 
         let result: Result<Vec<GroupOut>, String> = std::thread::scope(|s| {
-            let queues_ref = &queues;
-            let map_ref = &self.map;
-            let schema_ref = &self.schema;
-            let config_ref = &self.config;
-            let committer_ref = committer.as_ref();
-            let arbiter_ref = &self.arbiter;
-            let stream = &mut stream;
-
             let router_thread = s.spawn(move || {
-                let status_line = || {
-                    let dropped =
-                        base_dropped + queues_ref.iter().map(BoundedQueue::dropped).sum::<u64>();
-                    let depths: Vec<u64> = queues_ref.iter().map(|q| q.len() as u64).collect();
-                    board.line(dropped, &depths, &arbiter_ref.allocations())
-                };
-                let reply_to = |token: Option<u64>| {
-                    interactive.as_ref().and_then(|reg| reg.take(token?))
-                };
-                let mut handoff = Handoff::new(queues_ref, policy, config_ref.queue_capacity);
-                let barrier = |handoff: &mut Handoff<'_>, gen: u64, routed: u64| {
-                    if let Some(c) = committer_ref {
-                        c.open(gen, routed);
-                        handoff.broadcast(|| ShardItem::Barrier(gen));
-                    }
-                };
-                let opaque = map_ref.opaque_shard();
-                let mut records = RecordIter::new(input);
-                while let Some(record) = records.next_with(|| handoff.flush()) {
-                    if take_status_signal() {
-                        eprintln!("{}", status_line());
-                    }
-                    let (shard, item) = match stream.decide(record, schema_ref) {
-                        Decision::Skip => continue,
-                        Decision::Shutdown => break,
-                        Decision::Line { table, line } => {
-                            (table.map_or(opaque, |t| map_ref.shard_of(t)), ShardItem::Line(line))
-                        }
-                        Decision::Define { id, table, kind, attrs } => {
-                            // The worker validates it against the schema once.
-                            handoff.push(
-                                map_ref.shard_of(table),
-                                ShardItem::Define { id, table, kind, attrs },
-                            );
-                            continue;
-                        }
-                        Decision::Event { table, template, frequency } => {
-                            (map_ref.shard_of(table), ShardItem::Event { template, frequency })
-                        }
-                        Decision::Invalid => (opaque, ShardItem::Invalid),
-                        Decision::Barrier => {
-                            if committer_ref.is_some() {
-                                let gen = stream.take_generation();
-                                barrier(&mut handoff, gen, stream.routed);
-                            }
-                            continue;
-                        }
-                        // Out of band: answered from the board as it
-                        // stands, never queued.
-                        Decision::Query { control: Control::Status, token } => {
-                            match reply_to(token) {
-                                Some(tx) => {
-                                    let _ = tx.send(status_line());
-                                }
-                                None => eprintln!("{}", status_line()),
-                            }
-                            continue;
-                        }
-                        // Interactive queries barrier every queue so the
-                        // answer reflects exactly the events preceding
-                        // the query. They never count as routed:
-                        // barrier cadence stays identical with and
-                        // without queries in the stream.
-                        Decision::Query { control, token } => {
-                            let shards = queues_ref.len() as u32;
-                            let pq = PendingQuery::new(control, shards, reply_to(token));
-                            handoff.broadcast(|| ShardItem::Query(Arc::clone(&pq)));
-                            continue;
-                        }
-                    };
-                    handoff.push(shard, item);
-                    if let Some(gen) = stream.count_routed() {
-                        barrier(&mut handoff, gen, stream.routed);
-                    }
-                }
-                // Hand over what is left (the barrier does, but only a
-                // checkpointing run has one). Final generation: every
-                // run with checkpointing ends on a complete committed
-                // generation.
-                handoff.flush();
-                let gen = stream.take_generation();
-                barrier(&mut handoff, gen, stream.routed);
+                let mut threads = Handoff::new(
+                    queues_ref,
+                    policy,
+                    config.queue_capacity,
+                    committer_ref,
+                    board,
+                    arbiter_ref,
+                    base_dropped,
+                );
+                let checkpointing = committer_ref.is_some();
+                let ran = stream
+                    .run(input, schema, map, interactive, checkpointing, &mut threads)
+                    .and_then(|()| {
+                        // Final generation: every run with checkpointing
+                        // ends on a complete committed generation.
+                        let generation = stream.take_generation();
+                        threads.barrier(generation, stream.routed)
+                    });
                 for q in queues_ref {
                     q.close();
                 }
+                ran
             });
 
             let workers: Vec<_> = hosts
@@ -688,15 +665,13 @@ impl Router {
                     }
                 }
             }
-            router_thread.join().map_err(|_| "the router thread panicked".to_owned())?;
+            router_thread.join().map_err(|_| "the router thread panicked".to_owned())??;
             match first_err {
                 Some(e) => Err(e),
                 None => Ok(outs),
             }
         });
         let outs = result?;
-        self.routed_lines = stream.routed;
-        self.next_generation = stream.next_gen;
 
         let mut epochs = Vec::new();
         for (outcomes, host) in outs {
@@ -802,31 +777,23 @@ fn shard_worker(
             break;
         };
         match item {
-            ShardItem::Line(line) => deliver(host.line(ctx.env, &line, trace, cal)),
+            ShardItem::Routed(Routed::Line(line)) => deliver(host.line(ctx.env, &line, trace, cal)),
+            ShardItem::Routed(Routed::Event { template, frequency }) => {
+                deliver(host.event(ctx.env, &dict, template, frequency, trace, cal));
+            }
+            ShardItem::Routed(Routed::Invalid) => host.invalid += 1,
             ShardItem::Define { id, table, kind, attrs } => {
                 dict.define_at(ctx.env.schema, id, table, kind, attrs);
             }
-            ShardItem::Event { template, frequency } => {
-                deliver(host.event(ctx.env, &dict, template, frequency, trace, cal));
-            }
-            ShardItem::Invalid => host.invalid += 1,
             ShardItem::Query(pq) => {
                 post(&host, &mut posted);
                 // In-band barrier: everything queued before the query on
-                // this shard has been consumed. The last worker in
-                // answers from the arbiter's maintained state.
+                // this shard has been consumed, and the board's
+                // calibration sums — bumped by every shard as it folds —
+                // cover it here. The last worker in answers.
                 if pq.arrive() {
-                    let answer = match pq.control() {
-                        // The board's calibration counters are summed
-                        // across shards as they bump; at the barrier
-                        // every shard has consumed the preceding events.
-                        Control::Calibration => Some(ctx.board.cal.snapshot().render()),
-                        // One whole-schema group has no per-tenant split.
-                        Control::Tenant { .. } if ctx.env.config.shards == 0 => {
-                            Some("{\"error\":\"tenant queries require --shards\"}".to_owned())
-                        }
-                        c => ctx.arbiter.answer(c),
-                    };
+                    let status = || unreachable!("the router answers status out of band");
+                    let answer = ctx.arbiter.answer_in_band(pq.control(), ctx.board, status);
                     if let Some(answer) = answer {
                         pq.respond(answer);
                     }
@@ -876,7 +843,7 @@ pub fn offline_group_snapshots<R: BufRead>(
     config.validate()?;
     let mut windows: BTreeMap<u16, EpochWindow> = BTreeMap::new();
     let mut out: BTreeMap<u16, Vec<Workload>> = BTreeMap::new();
-    let mut stream = Stream::new(config, 0, 1);
+    let mut stream = Stream::new(config);
     let mut dict = DecodeDict::new();
     let mut feed = |q: &Query| {
         let key = config.group_key(q.table());
@@ -898,7 +865,7 @@ pub fn offline_group_snapshots<R: BufRead>(
         match stream.decide(record, schema) {
             // Observed-cost probes never shape the snapshot reference:
             // snapshots are a pure function of the query events.
-            Decision::Line { line, .. } => {
+            Decision::Route { item: Routed::Line(line), .. } => {
                 if let Ok(InputLine::Query(q)) = parse_line(&line, schema) {
                     feed(&q);
                 }
@@ -906,13 +873,16 @@ pub fn offline_group_snapshots<R: BufRead>(
             Decision::Define { id, table, kind, attrs } => {
                 dict.define_at(schema, id, table, kind, attrs);
             }
-            Decision::Event { template, frequency, .. } => {
+            Decision::Route { item: Routed::Event { template, frequency }, .. } => {
                 if let Some(q) = dict.resolve(template, frequency) {
                     feed(&q);
                 }
             }
             Decision::Shutdown => break,
-            Decision::Skip | Decision::Invalid | Decision::Barrier | Decision::Query { .. } => {}
+            Decision::Route { item: Routed::Invalid, .. }
+            | Decision::Skip
+            | Decision::Barrier
+            | Decision::Query { .. } => {}
         }
     }
     Ok(out)
