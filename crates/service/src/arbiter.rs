@@ -269,7 +269,7 @@ impl Arbiter {
 
     /// What an in-band query answers once every event before it is in —
     /// the one rule both placements follow: `status` is the placement's
-    /// status line, `calibration` the board's sums over every shard,
+    /// status line, `calibration` the sum of what every shard posted,
     /// `tenant` is refused when the whole workload is one group
     /// (`--shards 0` has no per-tenant split), and the rest is
     /// [`Arbiter::answer`]. `None` for a control that asks nothing.
@@ -281,7 +281,7 @@ impl Arbiter {
     ) -> Option<String> {
         match control {
             Control::Status => Some(status()),
-            Control::Calibration => Some(board.cal.snapshot().render()),
+            Control::Calibration => Some(board.totals().cal.render()),
             Control::Tenant { .. } if board.shards == 0 => {
                 Some("{\"error\":\"tenant queries require --shards\"}".to_owned())
             }

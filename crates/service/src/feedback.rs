@@ -43,7 +43,6 @@ use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, CalibratedWhatIf, RatioTab
 use isel_workload::{Index, Schema, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of ratio-histogram buckets: bucket `i` counts applied ratios
 /// in `[2^(i-4), 2^(i-3))`, so bucket 3 is `[1/2, 1)`, bucket 4 is
@@ -190,24 +189,15 @@ impl GroupFeedback {
     }
 
     /// Fold one observed-cost probe in, emitting the
-    /// [`TraceEvent::ObservedCost`] record and mirroring the counters
-    /// into `cal` when attached. Returns whether the probe was
-    /// accepted.
+    /// [`TraceEvent::ObservedCost`] record. Returns whether the probe
+    /// was accepted.
     pub fn observe(
         &mut self,
         config: &ServiceConfig,
         event: &ObservedEvent,
-        cal: Option<&CalCounters>,
         trace: Trace<'_>,
     ) -> bool {
         let accepted = self.tracker_mut(config).observe(event);
-        if let Some(c) = cal {
-            if accepted {
-                c.probes.fetch_add(1, Ordering::Relaxed);
-            } else {
-                c.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let table = event.query.table().0;
         let cost = event.cost;
         trace.emit(|| TraceEvent::ObservedCost { table, cost, accepted });
@@ -387,63 +377,9 @@ pub struct SavedProbation {
     pub survived: u64,
 }
 
-/// Live calibration counters on the status board — the atomics behind
-/// the status line's `calibration` section.
-#[derive(Debug, Default)]
-pub struct CalCounters {
-    /// Accepted probes.
-    pub probes: AtomicU64,
-    /// Rejected probes.
-    pub rejected: AtomicU64,
-    /// Ratios applied at tune time.
-    pub applied: AtomicU64,
-    /// Applied-ratio histogram buckets.
-    pub hist: [AtomicU64; HIST_BUCKETS],
-    /// Candidates opened.
-    pub opened: AtomicU64,
-    /// Candidates promoted.
-    pub promoted: AtomicU64,
-    /// Candidates rolled back.
-    pub rolled_back: AtomicU64,
-}
-
-impl CalCounters {
-    /// Read every counter into a plain snapshot.
-    pub fn snapshot(&self) -> CalSnapshot {
-        let mut hist = [0u64; HIST_BUCKETS];
-        for (dst, src) in hist.iter_mut().zip(&self.hist) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        CalSnapshot {
-            probes: self.probes.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            applied: self.applied.load(Ordering::Relaxed),
-            hist: hist.to_vec(),
-            opened: self.opened.load(Ordering::Relaxed),
-            promoted: self.promoted.load(Ordering::Relaxed),
-            rolled_back: self.rolled_back.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Overwrite every counter from a snapshot — the multi-process
-    /// supervisor mirrors the summed per-shard snapshots its workers
-    /// report into the board this way.
-    pub fn store(&self, snap: &CalSnapshot) {
-        self.probes.store(snap.probes, Ordering::Relaxed);
-        self.rejected.store(snap.rejected, Ordering::Relaxed);
-        self.applied.store(snap.applied, Ordering::Relaxed);
-        for (dst, src) in self.hist.iter().zip(&snap.hist) {
-            dst.store(*src, Ordering::Relaxed);
-        }
-        self.opened.store(snap.opened, Ordering::Relaxed);
-        self.promoted.store(snap.promoted, Ordering::Relaxed);
-        self.rolled_back.store(snap.rolled_back, Ordering::Relaxed);
-    }
-}
-
-/// Plain-value calibration counters: the payload of the
-/// `{"control":"calibration"}` answer, the `calibration` status-line
-/// section, and the per-shard sums a worker reports in its acks.
+/// Calibration counters: the payload of the `{"control":"calibration"}`
+/// answer and the `calibration` status-line section, summed over groups
+/// (and, for both of those, over shards).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CalSnapshot {
     /// Accepted probes.
@@ -527,12 +463,6 @@ impl CalSnapshot {
     }
 }
 
-fn bump(cal: Option<&CalCounters>, f: impl FnOnce(&CalCounters)) {
-    if let Some(c) = cal {
-        f(c);
-    }
-}
-
 /// Tune one sealed epoch through the calibration-and-deployment
 /// pipeline. With calibration disabled this is exactly
 /// [`Tuner::tune`]; enabled, the tuner plans through a
@@ -550,7 +480,6 @@ pub(crate) fn tune_group(
     config: &ServiceConfig,
     par: Parallelism,
     trace: Trace<'_>,
-    cal: Option<&CalCounters>,
 ) -> EpochOutcome {
     if !config.calibration.enabled {
         return tuner.tune(snapshot, par, trace);
@@ -561,15 +490,8 @@ pub(crate) fn tune_group(
     if !table.is_empty() {
         let ratios = table.all_ratios();
         feedback.applied += ratios.len() as u64;
-        bump(cal, |c| {
-            c.applied.fetch_add(ratios.len() as u64, Ordering::Relaxed);
-        });
         for r in &ratios {
-            let b = ratio_bucket(*r);
-            feedback.hist[b] += 1;
-            bump(cal, |c| {
-                c.hist[b].fetch_add(1, Ordering::Relaxed);
-            });
+            feedback.hist[ratio_bucket(*r)] += 1;
         }
         let tracker = feedback.tracker.as_ref().expect("tracker initialized above");
         let (p, rj, n) = (tracker.probes(), tracker.rejected(), ratios.len() as u64);
@@ -589,9 +511,6 @@ pub(crate) fn tune_group(
                 // A re-selection under calibrated costs: deploy it as a
                 // candidate, on probation against the incumbent.
                 feedback.opened += 1;
-                bump(cal, |c| {
-                    c.opened.fetch_add(1, Ordering::Relaxed);
-                });
                 let incumbent_cost = prev_selection.cost(&est);
                 let candidate_cost = out.workload_cost;
                 feedback.probation = Some(Probation {
@@ -628,9 +547,6 @@ pub(crate) fn tune_group(
                 match rollback(tuner, window, feedback, schema, config) {
                     Ok(()) => {
                         feedback.rolled_back += 1;
-                        bump(cal, |c| {
-                            c.rolled_back.fetch_add(1, Ordering::Relaxed);
-                        });
                         // The restored selection replaces the epoch's
                         // output; the epoch counter stays monotonic so
                         // downstream outcome streams never rewind.
@@ -657,14 +573,14 @@ pub(crate) fn tune_group(
                         // reachable through external corruption). Keep
                         // the candidate — counted as a promotion so the
                         // gate accounting stays balanced.
-                        promote(feedback, &mut out, cal, trace, group_table, incumbent_cost);
+                        promote(feedback, &mut out, trace, group_table, incumbent_cost);
                         capture_last_good(tuner, window, feedback);
                     }
                 }
             } else {
                 probation.survived += 1;
                 if probation.survived >= config.calibration.probation_epochs {
-                    promote(feedback, &mut out, cal, trace, group_table, incumbent_cost);
+                    promote(feedback, &mut out, trace, group_table, incumbent_cost);
                     capture_last_good(tuner, window, feedback);
                 } else {
                     feedback.probation = Some(probation);
@@ -681,15 +597,11 @@ pub(crate) fn tune_group(
 fn promote(
     feedback: &mut GroupFeedback,
     out: &mut EpochOutcome,
-    cal: Option<&CalCounters>,
     trace: Trace<'_>,
     table: u16,
     incumbent_cost: f64,
 ) {
     feedback.promoted += 1;
-    bump(cal, |c| {
-        c.promoted.fetch_add(1, Ordering::Relaxed);
-    });
     let candidate_cost = out.workload_cost;
     out.deploy = Some(DeployNote { action: "promote".into(), incumbent_cost, candidate_cost });
     let epoch = out.epoch;
@@ -796,7 +708,6 @@ mod tests {
                         config,
                         Parallelism::serial(),
                         Trace::disabled(),
-                        None,
                     ));
                 }
             }
@@ -852,7 +763,7 @@ mod tests {
         let est = AnalyticalWhatIf::new(&w);
         for (qid, q) in w.iter() {
             let base = isel_costmodel::WhatIfOptimizer::unindexed_cost(&est, qid);
-            feedback.observe(&config, &observed(q, base * 1000.0), None, Trace::disabled());
+            feedback.observe(&config, &observed(q, base * 1000.0), Trace::disabled());
         }
         drop(est);
         let outs = drive(&mut tuner, &mut window, &mut feedback, &w, &config, 4);
@@ -893,7 +804,7 @@ mod tests {
         let mut feedback = GroupFeedback::new(&config);
         drive(&mut tuner, &mut window, &mut feedback, &w, &config, 1);
         for (_, q) in w.iter() {
-            feedback.observe(&config, &observed(q, 1e7), None, Trace::disabled());
+            feedback.observe(&config, &observed(q, 1e7), Trace::disabled());
         }
         let outs = drive(&mut tuner, &mut window, &mut feedback, &w, &config, 5);
         let snap = feedback.snapshot();
@@ -916,14 +827,10 @@ mod tests {
         let config = cal_config(true);
         let mut feedback = GroupFeedback::new(&config);
         for (i, (_, q)) in w.iter().enumerate() {
-            feedback.observe(&config, &observed(q, (i + 1) as f64), None, Trace::disabled());
+            feedback.observe(&config, &observed(q, (i + 1) as f64), Trace::disabled());
         }
-        feedback.observe(
-            &config,
-            &observed(w.iter().next().unwrap().1, f64::NAN),
-            None,
-            Trace::disabled(),
-        );
+        let nan = observed(w.iter().next().unwrap().1, f64::NAN);
+        feedback.observe(&config, &nan, Trace::disabled());
         feedback.applied = 7;
         feedback.hist[4] = 7;
         feedback.opened = 2;
@@ -1045,7 +952,6 @@ mod tests {
             feedback.observe(
                 &config,
                 &ObservedEvent { query: alien, index: None, cost },
-                None,
                 Trace::disabled(),
             );
             let inner = AnalyticalWhatIf::new(&w);

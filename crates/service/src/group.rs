@@ -16,22 +16,26 @@
 //!
 //! Where a host runs — a shard thread behind a queue
 //! ([`crate::router`]) or a worker process behind a pipe
-//! ([`crate::process`]) — decides only how its [`Sealed`] epochs and
-//! checkpoint documents travel. Both hand it the same things: text
-//! lines ([`GroupHost::line`]) and binary events resolved through a
-//! [`DecodeDict`] ([`GroupHost::event`]).
+//! ([`crate::process`]) — decides only how its [`Sealed`] epochs,
+//! checkpoint documents and [`ShardCounters`] travel. Both hand it the
+//! same thing, a [`Routed`] record, through the one door
+//! [`GroupHost::fold`], and both checkpoint it through
+//! [`GroupHost::checkpoint`].
 
 use crate::arbiter::PublishedFrontier;
-use crate::checkpoint::{GroupCheckpoint, ShardCheckpoint, CHECKPOINT_VERSION};
+use crate::checkpoint::{shard_file, GroupCheckpoint, ShardCheckpoint, CHECKPOINT_VERSION};
 use crate::config::ServiceConfig;
 use crate::event::{parse_line, InputLine};
-use crate::feedback::{self, CalCounters, CalSnapshot, GroupFeedback};
+use crate::feedback::{self, CalSnapshot, GroupFeedback};
 use crate::records::DecodeDict;
+use crate::stream::Routed;
 use crate::tuner::{EpochOutcome, Tuner};
 use crate::window::EpochWindow;
 use isel_core::{Parallelism, Trace};
 use isel_workload::{Query, Schema, TableId};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// What every group of one run tunes under.
@@ -103,6 +107,34 @@ pub(crate) struct Sealed {
     pub(crate) publish: Option<(u16, Arc<PublishedFrontier>)>,
 }
 
+/// One shard's absolute lifetime counters: what every placement reports
+/// for the shard it hosts, whichever thread or process that is. Posting
+/// the whole value, never a delta, is what lets a report be replaced —
+/// by a later one, or by a failed-over shard's adopter — without
+/// counting anything twice.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardCounters {
+    /// Valid query events ingested.
+    pub ingested: u64,
+    /// Invalid records counted.
+    pub invalid: u64,
+    /// Events dropped under overload (carried from a checkpoint; the
+    /// router's live drops are counted by its queues).
+    pub dropped: u64,
+    /// Calibration counters summed over the shard's groups.
+    pub cal: CalSnapshot,
+}
+
+impl ShardCounters {
+    /// Element-wise sum, for aggregating shards.
+    pub(crate) fn add(&mut self, other: &ShardCounters) {
+        self.ingested += other.ingested;
+        self.invalid += other.invalid;
+        self.dropped += other.dropped;
+        self.cal.add(&other.cal);
+    }
+}
+
 /// The groups one shard hosts plus the shard's absolute lifetime
 /// counters (checkpoint-exact: they restore from and serialize into
 /// every [`ShardCheckpoint`]).
@@ -138,17 +170,47 @@ impl GroupHost {
         (key, self.groups.entry(key).or_insert_with(|| GroupState::fresh(env, key)))
     }
 
-    /// Fold one valid query event into its group's window; when that
-    /// seals an epoch, tune it. `cal` mirrors calibration counters onto
-    /// a status board, where the placement has one.
+    /// Act on one routed record, at its position in this shard's stream:
+    /// a query — a text line, or a binary event whose template resolves
+    /// through `dict` — folds into its group's window and, when that
+    /// seals an epoch, the group is tuned; an observed-cost probe feeds
+    /// its group's ratio tracker (and never counts as ingested);
+    /// anything else — unparseable, schema-invalid, an undefined
+    /// template, frequency 0 — counts invalid. A line carrying both a
+    /// top-level `"table"` and `"control"` key routes as a table line but
+    /// parses as a control; the ingest loop never saw the command, so it is
+    /// dropped rather than half-applied.
     #[inline]
-    pub(crate) fn ingest(
+    pub(crate) fn fold(
         &mut self,
         env: &Env<'_>,
-        q: &Query,
+        dict: &DecodeDict,
+        item: Routed,
         trace: Trace<'_>,
-        cal: Option<&CalCounters>,
     ) -> Option<Sealed> {
+        match item {
+            Routed::Event { template, frequency } => match dict.resolve(template, frequency) {
+                Some(q) => return self.ingest(env, &q, trace),
+                None => self.invalid += 1,
+            },
+            Routed::Line(line) => match parse_line(&line, env.schema) {
+                Ok(InputLine::Query(q)) => return self.ingest(env, &q, trace),
+                Ok(InputLine::Observed(o)) => {
+                    let (_, group) = self.group(env, o.query.table());
+                    group.feedback.observe(env.config, &o, trace);
+                }
+                Ok(InputLine::Control(_)) => {}
+                Err(_) => self.invalid += 1,
+            },
+            Routed::Invalid => self.invalid += 1,
+        }
+        None
+    }
+
+    /// Fold one valid query event into its group's window; when that
+    /// seals an epoch, tune it.
+    #[inline]
+    fn ingest(&mut self, env: &Env<'_>, q: &Query, trace: Trace<'_>) -> Option<Sealed> {
         self.ingested += 1;
         let (key, group) = self.group(env, q.table());
         if !group.window.push(q) {
@@ -164,7 +226,6 @@ impl GroupHost {
             env.config,
             env.par,
             trace,
-            cal,
         );
         let publish = match group.tuner.take_published_dirty() {
             true => group.tuner.published().map(|pf| (key, Arc::clone(pf))),
@@ -173,63 +234,26 @@ impl GroupHost {
         Some(Sealed { outcome, publish })
     }
 
-    /// Fold one binary event: its template resolves through `dict` and
-    /// is ingested, or — undefined here, schema-invalid, frequency 0 —
-    /// counts invalid here, at its position in this shard's stream,
-    /// exactly like an invalid text line.
-    #[inline]
-    pub(crate) fn event(
+    /// Write this shard's checkpoint document for barrier `generation`
+    /// next to the manifest at `manifest`, serializing through the
+    /// reused buffer `doc`; returns the file written.
+    pub(crate) fn checkpoint(
         &mut self,
-        env: &Env<'_>,
-        dict: &DecodeDict,
-        template: u64,
-        frequency: u64,
-        trace: Trace<'_>,
-        cal: Option<&CalCounters>,
-    ) -> Option<Sealed> {
-        match dict.resolve(template, frequency) {
-            Some(q) => self.ingest(env, &q, trace, cal),
-            None => {
-                self.invalid += 1;
-                None
-            }
-        }
-    }
-
-    /// Parse one routed text line and act on it: a query is ingested, an
-    /// observed-cost probe feeds its group's ratio tracker (and never
-    /// counts as an ingested event), anything unparseable counts
-    /// invalid — here, at its position in this shard's stream. A line
-    /// carrying both a top-level `"table"` and `"control"` key routes as
-    /// a table line but parses as a control; the driver never saw the
-    /// command, so it is dropped rather than half-applied.
-    pub(crate) fn line(
-        &mut self,
-        env: &Env<'_>,
-        line: &str,
-        trace: Trace<'_>,
-        cal: Option<&CalCounters>,
-    ) -> Option<Sealed> {
-        match parse_line(line, env.schema) {
-            Ok(InputLine::Query(q)) => return self.ingest(env, &q, trace, cal),
-            Ok(InputLine::Observed(o)) => {
-                let (_, group) = self.group(env, o.query.table());
-                group.feedback.observe(env.config, &o, cal, trace);
-            }
-            Ok(InputLine::Control(_)) => {}
-            Err(_) => self.invalid += 1,
-        }
-        None
+        config: &ServiceConfig,
+        manifest: &Path,
+        shard: u32,
+        generation: u64,
+        doc: &mut String,
+    ) -> Result<PathBuf, String> {
+        let cp = self.capture(config, shard, generation);
+        let file = shard_file(manifest, shard, generation);
+        cp.save_with(&file, doc)?;
+        Ok(file)
     }
 
     /// Capture every group at a checkpoint barrier (compacting each
     /// group's pool in place, which is why this takes `&mut self`).
-    pub(crate) fn capture(
-        &mut self,
-        config: &ServiceConfig,
-        shard: u32,
-        generation: u64,
-    ) -> ShardCheckpoint {
+    fn capture(&mut self, config: &ServiceConfig, shard: u32, generation: u64) -> ShardCheckpoint {
         ShardCheckpoint {
             version: CHECKPOINT_VERSION,
             config: config.clone(),
@@ -272,6 +296,16 @@ impl GroupHost {
     /// (and the merged selection computable) before any group re-tunes.
     pub(crate) fn published(&self) -> impl Iterator<Item = (u16, &Arc<PublishedFrontier>)> {
         self.groups.iter().filter_map(|(&key, g)| Some((key, g.tuner.published()?)))
+    }
+
+    /// The shard's counters as they stand.
+    pub(crate) fn counters(&self) -> ShardCounters {
+        ShardCounters {
+            ingested: self.ingested,
+            invalid: self.invalid,
+            dropped: self.dropped,
+            cal: self.calibration(),
+        }
     }
 
     /// Calibration counters summed over the hosted groups.

@@ -66,7 +66,7 @@
 //! Per-shard checkpoints commit all-or-nothing across shards, and the
 //! final per-group selections are merged under the *global* memory
 //! budget with the MCKP frontier merge from `isel_core`. [`StatusBoard`]
-//! aggregates live counters across shards; `SIGUSR1` or a
+//! sums the counters each shard posts; `SIGUSR1` or a
 //! `{"control":"status"}` line renders them as one JSON status line.
 //!
 //! # Frontier arbitration
@@ -131,8 +131,9 @@ pub use checkpoint::{
 pub use config::{CalibrationConfig, DriftThresholds, ServiceConfig};
 pub use event::{parse_line, parse_token, Control, InputLine};
 pub use fault::{Schedule as FaultSchedule, ENV_SCHEDULE as ENV_FAULT_SCHEDULE};
-pub use feedback::{CalCounters, CalSnapshot, FeedbackCheckpoint, GroupFeedback, RatioTracker};
+pub use feedback::{CalSnapshot, FeedbackCheckpoint, GroupFeedback, RatioTracker};
 pub use frame::{FrameEncoder, WireItem, FORMAT_VERSION, MAGIC, MAX_PAYLOAD};
+pub use group::ShardCounters;
 pub use journal::{convert, read_journal_bytes, JournalConfig, JournalWriter, TeeReader, WireFormat};
 pub use mmap::MappedFile;
 pub use process::{run_worker, SupMsg, Supervisor, WorkerMsg};

@@ -19,7 +19,12 @@
 //! and the input as it came in — a text line as a [`WireItem::Raw`]
 //! item, a binary template or event as its [`WireItem::Define`] or
 //! [`WireItem::Event`] item, resolved through the same [`DecodeDict`] a
-//! shard thread uses; up its stdout come [`WorkerMsg`] JSON lines.
+//! shard thread uses; up its stdout come [`WorkerMsg`] JSON lines. A
+//! record the receiving host must count invalid (an event of a template
+//! the stream never defined, a corrupt frame region) goes down as an
+//! *empty* `Raw` item: routed lines are trimmed and never empty, so the
+//! worker maps an empty `Raw` straight to an invalid record, with no
+//! parse.
 //! Events name their template by stream-global id, so one invariant
 //! carries the dictionary across the pipe: **every live worker has seen
 //! every `Define`, in stream order** — each is written to every live
@@ -46,15 +51,19 @@
 //! final merged selection — which depends only on the last publication
 //! per group and the budget — is byte-identical with and without a
 //! `SIGKILL` at *any* event position, as the CLI failover tests pin.
+//! Counters need no dedupe: workers report each shard's absolute
+//! [`ShardCounters`] on every `Outcome`, `Ack` and `Final`, and the
+//! collectors post them to the shard's slot on the [`StatusBoard`] — as
+//! a shard thread posts its own — so an adopter's reports replace the
+//! dead worker's.
 
 use crate::arbiter::{global_budget, respond, Arbiter, InteractiveRegistry, PublishedFrontier};
 use crate::checkpoint::{shard_file, Manifest, ShardCheckpoint};
 use crate::config::ServiceConfig;
 use crate::event::Control;
 use crate::fault;
-use crate::feedback::CalSnapshot;
 use crate::frame::{put_frame, put_item, WireItem, MAX_PAYLOAD};
-use crate::group::{Env, GroupHost, Sealed};
+use crate::group::{Env, GroupHost, Sealed, ShardCounters};
 use crate::records::{DecodeDict, Record, RecordIter};
 use crate::router::{Committer, ServiceReport};
 use crate::shard::ShardMap;
@@ -140,9 +149,8 @@ pub enum SupMsg {
 pub enum WorkerMsg {
     /// The worker is up and parsed its [`SupMsg::Hello`].
     Ready,
-    /// A sealed epoch was tuned. Carries the shard's cumulative
-    /// absolute counters so the supervisor's status line stays fresh
-    /// without extra round trips.
+    /// A sealed epoch was tuned. Carries the shard's counters so the
+    /// supervisor's status line stays fresh without extra round trips.
     Outcome {
         /// Shard the epoch sealed on.
         shard: u32,
@@ -150,13 +158,8 @@ pub enum WorkerMsg {
         /// failover replay; the supervisor deduplicates by
         /// `(table, epoch)`).
         outcome: EpochOutcome,
-        /// Valid events ingested by this shard so far (absolute).
-        ingested: u64,
-        /// Invalid lines counted by this shard so far (absolute).
-        invalid: u64,
-        /// Dropped-event count carried by this shard (absolute; only
-        /// non-zero when restored from a checkpoint that had drops).
-        dropped: u64,
+        /// The shard's counters so far.
+        counters: ShardCounters,
     },
     /// A group re-selected and published a new frontier for the
     /// supervisor's arbiter to fold into the global-budget merge.
@@ -179,28 +182,19 @@ pub enum WorkerMsg {
     Ack {
         /// The acknowledged query id.
         id: u64,
-        /// Cumulative `(shard, ingested, invalid, dropped)` counters
-        /// for every hosted shard at the barrier point. Ingest counters
+        /// Every hosted shard's counters at the barrier point. They
         /// otherwise refresh only when an epoch seals; riding them on
-        /// the ack keeps the in-band contract — an interactive status
-        /// reply reflects exactly the events that precede the query.
-        counts: Vec<(u32, u64, u64, u64)>,
-        /// Per-shard absolute calibration counter sums at the barrier
-        /// point, summed over the shard's groups. Defaulted so streams
-        /// recorded before the feedback subsystem still parse.
-        #[serde(default)]
-        cal: Vec<(u32, CalSnapshot)>,
+        /// the ack keeps the in-band contract — a `status` or
+        /// `calibration` answer reflects exactly the events that
+        /// precede the query.
+        counters: Vec<(u32, ShardCounters)>,
     },
-    /// Final absolute counters for one hosted shard, sent at shutdown.
+    /// Final counters for one hosted shard, sent at shutdown.
     Final {
         /// The shard reported on.
         shard: u32,
-        /// Valid events ingested (absolute).
-        ingested: u64,
-        /// Invalid lines counted (absolute).
-        invalid: u64,
-        /// Dropped-event count carried (absolute).
-        dropped: u64,
+        /// Its counters.
+        counters: ShardCounters,
     },
     /// The worker hit an unrecoverable error (checkpoint I/O, restore
     /// failure) and is about to exit. The supervisor fails the whole
@@ -322,7 +316,7 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
         if gone {
             return Ok(());
         }
-        let folded = match record {
+        let item = match record {
             Record::Item(WireItem::Sup(json)) => {
                 let msg: SupMsg = std::str::from_utf8(&json)
                     .map_err(|e| format!("worker protocol: bad SupMsg: {e}"))
@@ -336,12 +330,8 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
                     }
                     SupMsg::Shard { shard } => current = Some(shard),
                     SupMsg::Query { id } => {
-                        let counts = hosts
-                            .iter()
-                            .map(|(k, h)| (*k, h.ingested, h.invalid, h.dropped))
-                            .collect();
-                        let cal = hosts.iter().map(|(k, h)| (*k, h.calibration())).collect();
-                        send!(WorkerMsg::Ack { id, counts, cal });
+                        let counters = hosts.iter().map(|(k, h)| (*k, h.counters())).collect();
+                        send!(WorkerMsg::Ack { id, counters });
                     }
                     SupMsg::Adopt { shard, data } => {
                         let restore = || match &data {
@@ -382,16 +372,18 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
                         };
                         for k in targets {
                             let Some(host) = hosts.get_mut(&k) else { continue };
-                            let cp = host.capture(&config, k, generation);
-                            let file = shard_file(manifest, k, generation);
                             // A failed save (unwritable directory, full
                             // disk) would fail every adopter the same
                             // way — report it so the supervisor aborts
                             // instead of failing over in circles.
-                            if let Err(e) = cp.save_with(&file, &mut doc) {
-                                send_fatal(&mut out, &e);
-                                return Err(e);
-                            }
+                            let saved = host.checkpoint(&config, manifest, k, generation, &mut doc);
+                            let file = match saved {
+                                Ok(file) => file,
+                                Err(e) => {
+                                    send_fatal(&mut out, &e);
+                                    return Err(e);
+                                }
+                            };
                             // The file is written but CheckpointDone is
                             // not sent — a kill here is a torn
                             // checkpoint attempt. Saves are sequential
@@ -407,30 +399,33 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
                     }
                     SupMsg::Shutdown => break,
                 }
-                None
+                continue;
             }
             Record::Item(WireItem::Define { table, kind, attrs }) => {
                 dict.define(&schema, table, kind, attrs);
-                None
+                continue;
             }
-            Record::Item(WireItem::Event { template, frequency }) => fold(current, &mut hosts, |h| {
-                h.event(&env, &dict, template, frequency, Trace::disabled(), None)
-            }),
-            Record::Item(WireItem::Raw(bytes)) => {
-                let line = String::from_utf8_lossy(&bytes);
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                fold(current, &mut hosts, |h| h.line(&env, trimmed, Trace::disabled(), None))
+            Record::Item(WireItem::Event { template, frequency }) => {
+                Routed::Event { template, frequency }
             }
+            Record::Item(WireItem::Raw(bytes)) if bytes.is_empty() => Routed::Invalid,
+            Record::Item(WireItem::Raw(bytes)) => Routed::Line(
+                String::from_utf8(bytes)
+                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+            ),
             // The supervisor sends only Sup frames and the input's own
             // items; anything else is a protocol violation worth failing
             // loudly on.
             other => return Err(format!("worker protocol: unexpected record {other:?}")),
         };
-        let Some((shard, ingested, sealed)) = folded else { continue };
-        if ingested {
+        // An item with no home — before any `Shard` message, or for a
+        // shard this worker does not host — is dropped; the supervisor
+        // never sends one.
+        let Some(shard) = current else { continue };
+        let Some(host) = hosts.get_mut(&shard) else { continue };
+        let before = host.ingested;
+        let sealed = host.fold(&env, &dict, item, Trace::disabled());
+        if host.ingested != before {
             // One hit per ingested query event, and fresh workers count
             // from 0, so the hit count equals the shard's ingested count.
             // Nothing about this event has left the process yet: a kill
@@ -440,15 +435,8 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
             fault::fire(fault::WORKER_INGEST, shard)?;
         }
         if let Some(Sealed { mut outcome, publish }) = sealed {
-            let host = &hosts[&shard];
             outcome.shard = Some(shard);
-            send!(WorkerMsg::Outcome {
-                shard,
-                outcome,
-                ingested: host.ingested,
-                invalid: host.invalid,
-                dropped: host.dropped,
-            });
+            send!(WorkerMsg::Outcome { shard, outcome, counters: host.counters() });
             if let Some((table, pf)) = publish {
                 send!(WorkerMsg::Publish { table, pf: (*pf).clone() });
             }
@@ -458,30 +446,9 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
         if gone {
             break;
         }
-        send!(WorkerMsg::Final {
-            shard: *k,
-            ingested: host.ingested,
-            invalid: host.invalid,
-            dropped: host.dropped,
-        });
+        send!(WorkerMsg::Final { shard: *k, counters: host.counters() });
     }
     Ok(())
-}
-
-/// Hand one event to the current shard's host: the shard, whether the
-/// event was ingested, and the epoch it sealed — or `None` when it has
-/// no home (before any `Shard` message, or for a shard this worker does
-/// not host; the supervisor never sends one).
-fn fold(
-    current: Option<u32>,
-    hosts: &mut BTreeMap<u32, GroupHost>,
-    event: impl FnOnce(&mut GroupHost) -> Option<Sealed>,
-) -> Option<(u32, bool, Option<Sealed>)> {
-    let shard = current?;
-    let host = hosts.get_mut(&shard)?;
-    let before = host.ingested;
-    let sealed = event(host);
-    Some((shard, host.ingested != before, sealed))
 }
 
 // ---------------------------------------------------------------------
@@ -560,12 +527,6 @@ struct Shared<'a> {
     /// Epoch outcomes keyed by `(table, epoch)` — the key under which a
     /// failover replay's re-reported (bit-identical) outcomes dedupe.
     outcomes: Mutex<BTreeMap<(u16, u64), EpochOutcome>>,
-    /// Per-shard absolute counters `(ingested, invalid, dropped)` as
-    /// last reported by the hosting worker.
-    counts: Mutex<BTreeMap<u32, (u64, u64, u64)>>,
-    /// Per-shard absolute calibration counter sums, as last reported on
-    /// a worker ack.
-    cal: Mutex<BTreeMap<u32, CalSnapshot>>,
     /// Outstanding interactive queries by id.
     pending: Mutex<HashMap<u64, PendingInteractive>>,
     /// Per-shard journal tails since the last committed generation.
@@ -583,35 +544,6 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    fn set_counts(&self, shard: u32, ingested: u64, invalid: u64, dropped: u64) {
-        let mut c = self.counts.lock().expect("counts lock poisoned");
-        c.insert(shard, (ingested, invalid, dropped));
-        let (i, v) = c
-            .values()
-            .fold((0u64, 0u64), |(i, v), &(ci, cv, _)| (i + ci, v + cv));
-        self.board.ingested.store(i, Ordering::Relaxed);
-        self.board.invalid.store(v, Ordering::Relaxed);
-    }
-
-    fn set_cal(&self, shard: u32, snap: CalSnapshot) {
-        let mut cal = self.cal.lock().expect("cal lock poisoned");
-        cal.insert(shard, snap);
-        let mut total = CalSnapshot::default();
-        for s in cal.values() {
-            total.add(s);
-        }
-        self.board.cal.store(&total);
-    }
-
-    fn dropped_total(&self) -> u64 {
-        self.counts
-            .lock()
-            .expect("counts lock poisoned")
-            .values()
-            .map(|c| c.2)
-            .sum()
-    }
-
     fn fail(&self, e: String) {
         self.failure
             .lock()
@@ -647,12 +579,12 @@ impl Shared<'_> {
     /// reported them. Pipes have no queue to sample.
     fn status_line(&self) -> String {
         let depths = vec![0; self.board.shards as usize];
-        self.board.line(self.dropped_total(), &depths, &self.arbiter.allocations())
+        self.board.line(self.board.totals().dropped, &depths, &self.arbiter.allocations())
     }
 
     /// All live workers acked query `id`? Then answer it — the acks that
-    /// released it refreshed the board's counters and calibration sums,
-    /// so the answer covers exactly the events routed before the query.
+    /// released it posted every shard's counters, so the answer covers
+    /// exactly the events routed before the query.
     fn ack(&self, slot: usize, id: u64) {
         let mut pending = self.pending.lock().expect("pending lock poisoned");
         let Some(p) = pending.get_mut(&id) else { return };
@@ -666,6 +598,25 @@ impl Shared<'_> {
         if let Some(answer) = self.arbiter.answer_in_band(p.control, self.board, status) {
             respond(p.reply, answer);
         }
+    }
+
+    /// Re-arm every pending query for the slots `live` after a failover,
+    /// under fresh ids from `next_id`, in stream order; returns the ids
+    /// to send again. An ack of an old id still in flight from a
+    /// survivor predates the shards it just adopted: it finds nothing
+    /// to release.
+    fn rearm(&self, live: &HashSet<usize>, next_id: &mut u64) -> Vec<u64> {
+        let mut pending = self.pending.lock().expect("pending lock poisoned");
+        let mut queries: Vec<(u64, PendingInteractive)> = pending.drain().collect();
+        queries.sort_unstable_by_key(|(id, _)| *id);
+        let mut ids = Vec::with_capacity(queries.len());
+        for (_, mut p) in queries {
+            p.waiting.clone_from(live);
+            pending.insert(*next_id, p);
+            ids.push(*next_id);
+            *next_id += 1;
+        }
+        ids
     }
 }
 
@@ -681,7 +632,7 @@ fn collect(slot: usize, out: ChildStdout, shared: &Shared<'_>, eof: &AtomicBool)
         let Ok(msg) = serde_json::from_str::<WorkerMsg>(&line) else { continue };
         match msg {
             WorkerMsg::Ready => {}
-            WorkerMsg::Outcome { shard, outcome, ingested, invalid, dropped } => {
+            WorkerMsg::Outcome { shard, outcome, counters } => {
                 let key = (outcome.table.map_or(u16::MAX, |t| t.0), outcome.epoch);
                 {
                     let mut map = shared.outcomes.lock().expect("outcomes lock poisoned");
@@ -702,7 +653,7 @@ fn collect(slot: usize, out: ChildStdout, shared: &Shared<'_>, eof: &AtomicBool)
                         shared.board.epochs.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                shared.set_counts(shard, ingested, invalid, dropped);
+                shared.board.post(shard, counters);
             }
             WorkerMsg::Publish { table, pf } => {
                 let trace = shared.sink.map_or(Trace::disabled(), Trace::to);
@@ -733,18 +684,13 @@ fn collect(slot: usize, out: ChildStdout, shared: &Shared<'_>, eof: &AtomicBool)
                     }
                 }
             }
-            WorkerMsg::Ack { id, counts, cal } => {
-                for (shard, ingested, invalid, dropped) in counts {
-                    shared.set_counts(shard, ingested, invalid, dropped);
-                }
-                for (shard, snap) in cal {
-                    shared.set_cal(shard, snap);
+            WorkerMsg::Ack { id, counters } => {
+                for (shard, c) in counters {
+                    shared.board.post(shard, c);
                 }
                 shared.ack(slot, id);
             }
-            WorkerMsg::Final { shard, ingested, invalid, dropped } => {
-                shared.set_counts(shard, ingested, invalid, dropped);
-            }
+            WorkerMsg::Final { shard, counters } => shared.board.post(shard, counters),
             WorkerMsg::Fatal { message } => {
                 shared.fail(format!("worker {slot}: {message}"));
             }
@@ -1038,14 +984,7 @@ impl<'scope, 'env> Fleet<'scope, 'env> {
             // Re-arm pending interactive queries under the new topology:
             // every live worker must ack again (workers ack every Query
             // they see, so the at-least-once re-send is safe).
-            let live = self.live();
-            let ids: Vec<u64> = {
-                let mut pending = self.shared.pending.lock().expect("pending lock poisoned");
-                for p in pending.values_mut() {
-                    p.waiting.clone_from(&live);
-                }
-                pending.keys().copied().collect()
-            };
+            let ids = self.shared.rearm(&self.live(), &mut self.next_query);
             for id in ids {
                 dead.extend(self.write_live(&sup_frame(&SupMsg::Query { id })?));
             }
@@ -1088,12 +1027,12 @@ impl<'scope, 'env> Fleet<'scope, 'env> {
     }
 
     /// Put query `control` in band on every live worker; the collector
-    /// that takes the last ack answers it. Returns the query's id.
+    /// that takes the last ack answers it.
     fn enqueue_query(
         &mut self,
         control: Control,
         reply: Option<Sender<String>>,
-    ) -> Result<u64, String> {
+    ) -> Result<(), String> {
         let id = self.next_query;
         self.next_query += 1;
         let waiting = self.live();
@@ -1102,8 +1041,7 @@ impl<'scope, 'env> Fleet<'scope, 'env> {
             .lock()
             .expect("pending lock poisoned")
             .insert(id, PendingInteractive { control, waiting, reply });
-        self.broadcast(&sup_frame(&SupMsg::Query { id })?)?;
-        Ok(id)
+        self.broadcast(&sup_frame(&SupMsg::Query { id })?)
     }
 
     /// Poll until `done`, failing over deaths meanwhile.
@@ -1134,10 +1072,11 @@ impl<'scope, 'env> Fleet<'scope, 'env> {
     /// here, and its tail replay re-feeds exactly the unacked events.
     /// `Shutdown` is the sentinel control no one answers.
     fn quiesce(&mut self) -> Result<(), String> {
-        let id = self.enqueue_query(Control::Shutdown, None)?;
+        self.enqueue_query(Control::Shutdown, None)?;
         let shared = self.shared;
         self.wait("workers to quiesce at shutdown", || {
-            !shared.pending.lock().expect("pending lock poisoned").contains_key(&id)
+            let pending = shared.pending.lock().expect("pending lock poisoned");
+            !pending.values().any(|p| p.control == Control::Shutdown)
         })
     }
 
@@ -1172,7 +1111,8 @@ impl Placement for Fleet<'_, '_> {
         let frame = item_frame(&match item {
             Routed::Line(line) => WireItem::Raw(line.into()),
             Routed::Event { template, frequency } => WireItem::Event { template, frequency },
-            Routed::Invalid => WireItem::Raw(b"{\"invalid\":\"undecodable binary item\"}".to_vec()),
+            // The one encoding of an invalid record (see the module docs).
+            Routed::Invalid => WireItem::Raw(Vec::new()),
         });
         self.shared
             .tails
@@ -1231,7 +1171,7 @@ impl Placement for Fleet<'_, '_> {
     /// `status` is in band here like every query: the counters live in
     /// the workers, and the acks that release the answer carry them.
     fn query(&mut self, control: Control, reply: Option<Sender<String>>) -> Result<(), String> {
-        self.enqueue_query(control, reply).map(drop)
+        self.enqueue_query(control, reply)
     }
 
     /// Nothing is buffered: every frame is written as it is routed.
@@ -1443,8 +1383,6 @@ impl Supervisor {
 
         let shared = Shared {
             outcomes: Mutex::new(prior_outcomes),
-            counts: Mutex::new(BTreeMap::new()),
-            cal: Mutex::new(BTreeMap::new()),
             pending: Mutex::new(HashMap::new()),
             tails: Mutex::new((0..shards).map(|k| (k, Tail::default())).collect()),
             failure: Mutex::new(None),
@@ -1498,8 +1436,10 @@ impl Supervisor {
         // the commit and its Final report.
         if let (Some(gen), Some(m)) = (final_committed, checkpoint) {
             for k in 0..shards {
-                if let Ok(cp) = ShardCheckpoint::load(&shard_file(m, k, gen)) {
-                    shared.set_counts(k, cp.ingested, cp.invalid, cp.dropped);
+                let host = ShardCheckpoint::load(&shard_file(m, k, gen))
+                    .and_then(|cp| GroupHost::adopt(&cp, &self.schema, &self.config));
+                if let Ok(host) = host {
+                    board.post(k, host.counters());
                 }
             }
         }
@@ -1509,12 +1449,7 @@ impl Supervisor {
             .expect("outcomes lock poisoned")
             .into_values()
             .collect();
-        let counts = shared.counts.into_inner().expect("counts lock poisoned");
-        let (ingested, invalid, dropped) = counts
-            .values()
-            .fold((0u64, 0u64, 0u64), |(i, v, d), &(ci, cv, cd)| {
-                (i + ci, v + cv, d + cd)
-            });
+        let ShardCounters { ingested, invalid, dropped, .. } = board.totals();
         Ok(ServiceReport {
             epochs,
             ingested,
@@ -1635,7 +1570,8 @@ mod tests {
             let back: SupMsg = serde_json::from_str(&json).unwrap();
             assert_eq!(format!("{m:?}"), format!("{back:?}"));
         }
-        let m = WorkerMsg::Final { shard: 2, ingested: 5, invalid: 1, dropped: 0 };
+        let counters = ShardCounters { ingested: 5, invalid: 1, ..ShardCounters::default() };
+        let m = WorkerMsg::Final { shard: 2, counters };
         let json = serde_json::to_string(&m).unwrap();
         let back: WorkerMsg = serde_json::from_str(&json).unwrap();
         assert_eq!(format!("{m:?}"), format!("{back:?}"));
@@ -1643,6 +1579,43 @@ mod tests {
 
     fn raw_frame(line: &str) -> Vec<u8> {
         item_frame(&WireItem::Raw(line.into()))
+    }
+
+    /// After a failover a pending query waits on the new live set under
+    /// a fresh id: the survivor's ack of the old id, still in flight
+    /// from before it adopted the dead worker's shards, releases
+    /// nothing; its ack of the re-sent copy answers.
+    #[test]
+    fn a_rearmed_query_ignores_acks_sent_before_the_failover() {
+        let board = StatusBoard::new(2);
+        let arbiter = Arbiter::new(1 << 20, BTreeMap::new());
+        let shared = Shared {
+            outcomes: Mutex::new(BTreeMap::new()),
+            pending: Mutex::new(HashMap::new()),
+            tails: Mutex::new(BTreeMap::new()),
+            failure: Mutex::new(None),
+            board: &board,
+            committer: None,
+            arbiter: &arbiter,
+            sink: None,
+            status_path: None,
+            outcomes_path: None,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let query = PendingInteractive {
+            control: Control::Calibration,
+            waiting: HashSet::from([0, 1]),
+            reply: Some(tx),
+        };
+        shared.pending.lock().unwrap().insert(4, query);
+        // Worker 0 dies; worker 1 is left and gets the query again.
+        let mut next_id = 5;
+        assert_eq!(shared.rearm(&HashSet::from([1]), &mut next_id), [5]);
+        assert_eq!(next_id, 6);
+        shared.ack(1, 4);
+        assert!(rx.try_recv().is_err(), "a pre-failover ack released the query");
+        shared.ack(1, 5);
+        assert_eq!(rx.try_recv().unwrap(), crate::CalSnapshot::default().render());
     }
 
     #[test]
@@ -1679,6 +1652,8 @@ mod tests {
             frames.push(raw_frame(&line));
         }
         frames.push(raw_frame("garbage"));
+        // How the supervisor sends a record to be counted invalid.
+        frames.push(raw_frame(""));
         frames.push(sup_frame(&SupMsg::Query { id: 4 }).unwrap());
         frames.push(sup_frame(&SupMsg::Shutdown).unwrap());
         let msgs = drive(&frames).unwrap();
@@ -1693,9 +1668,10 @@ mod tests {
             "query barrier acknowledged"
         );
         assert!(
-            msgs.iter().any(
-                |m| matches!(m, WorkerMsg::Final { shard: 0, ingested: 16, invalid: 1, .. })
-            ),
+            msgs.iter().any(|m| matches!(
+                m,
+                WorkerMsg::Final { shard: 0, counters: c } if (c.ingested, c.invalid) == (16, 2)
+            )),
             "final counters: {msgs:?}"
         );
     }
@@ -1763,9 +1739,10 @@ mod tests {
         frames.push(sup_frame(&SupMsg::Shutdown).unwrap());
         let msgs = drive(&frames).unwrap();
         assert!(
-            msgs.iter().any(
-                |m| matches!(m, WorkerMsg::Final { shard: 0, ingested: 16, invalid: 0, .. })
-            ),
+            msgs.iter().any(|m| matches!(
+                m,
+                WorkerMsg::Final { shard: 0, counters: c } if (c.ingested, c.invalid) == (16, 0)
+            )),
             "adopted shard continued the count: {msgs:?}"
         );
         let outcomes: Vec<_> = msgs

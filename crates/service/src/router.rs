@@ -49,7 +49,7 @@
 //! selection.
 
 use crate::arbiter::{global_budget, respond, Arbiter, InteractiveRegistry, PendingQuery};
-use crate::checkpoint::{shard_file, Manifest, CHECKPOINT_VERSION};
+use crate::checkpoint::{Manifest, CHECKPOINT_VERSION};
 use crate::config::ServiceConfig;
 use crate::event::{parse_line, Control, InputLine};
 use crate::group::{Env, GroupHost, Sealed};
@@ -579,19 +579,15 @@ impl Router {
             ));
         }
         let board = &*self.board;
-        board.ingested.store(self.state.ingested, Ordering::Relaxed);
-        board.invalid.store(self.state.invalid, Ordering::Relaxed);
-        // Restored groups bring their calibration history with them, so
-        // the in-band `calibration` answer is the lifetime table at
-        // every placement.
-        board.cal.store(&self.state.calibration());
         let queues: Vec<BoundedQueue<ShardItem>> = (0..shards)
             .map(|_| BoundedQueue::new(self.config.queue_capacity))
             .collect();
         let committer = checkpoint.map(|p| Committer::new(p, self.map.shards(), board));
 
         // Deal the groups out to the shards under the current map; shard
-        // 0 carries the restored counter history.
+        // 0 carries the restored counter history. Restored groups bring
+        // their calibration history with them, so every count a shard
+        // posts is a lifetime one.
         let base_dropped = self.state.dropped;
         let mut hosts: Vec<GroupHost> = (0..shards).map(|_| GroupHost::default()).collect();
         let state = std::mem::take(&mut self.state);
@@ -735,20 +731,15 @@ fn shard_worker(
         Some(t) => Trace::to(t),
         None => Trace::disabled(),
     };
-    let cal = Some(&ctx.board.cal);
     let base_dropped = host.dropped;
     let mut outcomes = Vec::new();
     let mut failure: Option<String> = None;
-    // What the status board has been told of the two counters so far:
-    // it hears once per hand-off batch (and ahead of every in-band
-    // marker, whose answer may be followed by a status read), not once
+    // The status board hears this shard's counters once per hand-off
+    // batch — the first time before the first batch, so restored
+    // lifetime counters show at once — and ahead of every in-band
+    // marker, whose answer may be followed by a status read; never once
     // per event.
-    let mut posted = (host.ingested, host.invalid);
-    let post = |host: &GroupHost, posted: &mut (u64, u64)| {
-        ctx.board.ingested.fetch_add(host.ingested - posted.0, Ordering::Relaxed);
-        ctx.board.invalid.fetch_add(host.invalid - posted.1, Ordering::Relaxed);
-        *posted = (host.ingested, host.invalid);
-    };
+    let post = |host: &GroupHost| ctx.board.post(ctx.shard, host.counters());
     let mut deliver = |sealed: Option<Sealed>| {
         let Some(Sealed { mut outcome, publish }) = sealed else { return };
         outcome.shard = Some(ctx.shard);
@@ -770,27 +761,23 @@ fn shard_worker(
         let Some(item) = batch.pop_front() else {
             // Batch folded: tell the board, then take whatever has queued
             // up meanwhile.
-            post(&host, &mut posted);
+            post(&host);
             if queue.pop_all(&mut batch) {
                 continue;
             }
             break;
         };
         match item {
-            ShardItem::Routed(Routed::Line(line)) => deliver(host.line(ctx.env, &line, trace, cal)),
-            ShardItem::Routed(Routed::Event { template, frequency }) => {
-                deliver(host.event(ctx.env, &dict, template, frequency, trace, cal));
-            }
-            ShardItem::Routed(Routed::Invalid) => host.invalid += 1,
+            ShardItem::Routed(item) => deliver(host.fold(ctx.env, &dict, item, trace)),
             ShardItem::Define { id, table, kind, attrs } => {
                 dict.define_at(ctx.env.schema, id, table, kind, attrs);
             }
             ShardItem::Query(pq) => {
-                post(&host, &mut posted);
+                post(&host);
                 // In-band barrier: everything queued before the query on
-                // this shard has been consumed, and the board's
-                // calibration sums — bumped by every shard as it folds —
-                // cover it here. The last worker in answers.
+                // this shard has been consumed and posted, as every shard
+                // posted before arriving here. The last worker in
+                // answers.
                 if pq.arrive() {
                     let status = || unreachable!("the router answers status out of band");
                     let answer = ctx.arbiter.answer_in_band(pq.control(), ctx.board, status);
@@ -800,7 +787,7 @@ fn shard_worker(
                 }
             }
             ShardItem::Barrier(generation) => {
-                post(&host, &mut posted);
+                post(&host);
                 if failure.is_some() {
                     continue; // keep draining; the run already failed
                 }
@@ -808,11 +795,9 @@ fn shard_worker(
                     continue;
                 };
                 host.dropped = base_dropped + queue.dropped();
-                let cp = host.capture(ctx.env.config, ctx.shard, generation);
-                let file = shard_file(path, ctx.shard, generation);
-                match cp
-                    .save_with(&file, &mut doc)
-                    .and_then(|()| committer.done(ctx.shard, generation, file))
+                match host
+                    .checkpoint(ctx.env.config, path, ctx.shard, generation, &mut doc)
+                    .and_then(|file| committer.done(ctx.shard, generation, file))
                 {
                     Ok(_) => {}
                     Err(e) => failure = Some(e),

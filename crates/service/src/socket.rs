@@ -300,8 +300,10 @@ fn serve_router_connection(
             if interactive {
                 let (reply_tx, reply_rx) = std::sync::mpsc::channel();
                 let token = registry.register(reply_tx);
-                let body = &trimmed[..trimmed.len() - 1];
-                let _ = tx.send(format!("{body},\"token\":{token}}}"));
+                // The token goes in as the object's first key: the
+                // parser keeps the first of duplicate keys, so a token
+                // the client sent cannot redirect the reply.
+                let _ = tx.send(format!("{{\"token\":{token},{}", &trimmed[1..]));
                 pending = Some(reply_rx);
             } else {
                 let _ = tx.send(trimmed.to_owned());
@@ -528,6 +530,44 @@ mod tests {
         assert!(v.get("cost").and_then(|c| c.as_f64()).is_some(), "published group has a cost");
     }
 
+    /// A client line that already carries a `"token"` cannot redirect
+    /// the reply: the engine reads the token the front stamped, so the
+    /// answer comes back on the asking connection — not to stderr or to
+    /// another connection's pending query, with the sender blocked until
+    /// the run ends.
+    #[test]
+    fn a_client_token_cannot_redirect_the_reply() {
+        let (w, cfg, dir) = test_setup();
+        let sock = dir.join(format!("isel-forged-{}.sock", std::process::id()));
+        let mut router = whole(&w, cfg);
+        let events = event_lines(&w, 8);
+        let probe = 1u64 << 20;
+
+        let reply = std::thread::scope(|s| {
+            let sock_path = sock.clone();
+            let events = &events;
+            let client = s.spawn(move || {
+                let mut stream = connect(&sock_path);
+                stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                for e in events {
+                    writeln!(stream, "{e}").unwrap();
+                }
+                writeln!(stream, "{{\"control\":\"whatif\",\"budget\":{probe},\"token\":7}}")
+                    .unwrap();
+                let mut reply = String::new();
+                let read = BufReader::new(stream.try_clone().unwrap()).read_line(&mut reply);
+                // End the run from a fresh connection: after a timeout
+                // this one is still waiting on the engine.
+                connect(&sock_path).write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
+                read.map(|_| reply.trim_end().to_owned())
+            });
+            run_socket_router(&mut router, &sock, None, None, &[]).unwrap();
+            client.join().unwrap()
+        });
+        let reply = reply.expect("the reply arrives on the asking connection");
+        assert_eq!(reply, router.arbiter().whatif(probe));
+    }
+
     /// Poll `{"control":"status"}` on `stream` until the reply's
     /// `counter` reaches `n`. Waiting for `ingested` orders the controls
     /// sent on this connection afterwards behind those events —
@@ -620,7 +660,7 @@ mod tests {
                 }
                 // Status is out of band: it reads what the shard has
                 // folded and posted so far, so let that catch up.
-                while board.ingested.load(Ordering::Relaxed) < 8 {
+                while board.totals().ingested < 8 {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 stream.write_all(b"{\"control\":\"status\"}\n").unwrap();

@@ -1,10 +1,16 @@
 //! Live service status: shared counters plus a single-JSON-line
 //! rendering for scraping.
 //!
-//! A [`StatusBoard`] is a set of relaxed atomics the ingestion and
-//! tuning paths bump as they go; [`StatusBoard::line`] renders the
-//! aggregated [`crate::ServiceReport`]-style counters as one JSON
-//! object. Two triggers emit the line while the service runs:
+//! A [`StatusBoard`] holds one slot per shard. Whoever hosts a shard —
+//! a router shard thread, or the supervisor's collector for the worker
+//! process hosting it — posts the shard's absolute [`ShardCounters`],
+//! taken from its group host, into that slot with
+//! [`StatusBoard::post`], replacing what was there; the board sums the
+//! slots when asked ([`StatusBoard::totals`]). A few run-wide events
+//! (epochs, checkpoints, failovers, restarts, lost replies) are relaxed
+//! atomics. [`StatusBoard::line`] renders the aggregated
+//! [`crate::ServiceReport`]-style counters as one JSON object. Two
+//! triggers emit the line while the service runs:
 //!
 //! * `SIGUSR1` — [`install_status_signal`] registers an
 //!   async-signal-safe handler that only sets a flag; the consume loops
@@ -23,16 +29,15 @@
 //! Status is out of band by design: it is never queued with events and
 //! therefore cannot perturb replay determinism.
 
-use crate::feedback::CalCounters;
+use crate::group::ShardCounters;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Shared live counters of one service run.
 #[derive(Debug, Default)]
 pub struct StatusBoard {
-    /// Valid query events ingested (this run).
-    pub ingested: AtomicU64,
-    /// Invalid lines skipped (this run).
-    pub invalid: AtomicU64,
+    /// Each shard's counters as last posted, by shard.
+    slots: Mutex<Vec<ShardCounters>>,
     /// Epochs sealed and tuned (this run).
     pub epochs: AtomicU64,
     /// Checkpoints committed (this run).
@@ -48,18 +53,32 @@ pub struct StatusBoard {
     /// (EPIPE/partial write on a whatif/tenant/status response; the
     /// serving loop keeps going).
     pub reply_errors: AtomicU64,
-    /// Observed-cost calibration counters (all zero with calibration
-    /// disabled; see [`crate::feedback`]).
-    pub cal: CalCounters,
     /// The run's `--shards` (0 = the whole workload as one group, which
     /// runs on one shard).
     pub shards: u32,
 }
 
 impl StatusBoard {
-    /// Fresh board for a `--shards shards` run.
+    /// Fresh board for a `--shards shards` run: one slot per shard
+    /// (one for the whole workload as one group).
     pub fn new(shards: u32) -> Self {
-        Self { shards, ..Self::default() }
+        let slots = Mutex::new(vec![ShardCounters::default(); shards.max(1) as usize]);
+        Self { slots, shards, ..Self::default() }
+    }
+
+    /// Replace shard `shard`'s slot with its absolute counters. Panics
+    /// on a shard the run does not have: only its placements post.
+    pub(crate) fn post(&self, shard: u32, counters: ShardCounters) {
+        self.slots.lock().expect("status slots lock poisoned")[shard as usize] = counters;
+    }
+
+    /// Every shard's counters summed.
+    pub fn totals(&self) -> ShardCounters {
+        let mut sum = ShardCounters::default();
+        for slot in self.slots.lock().expect("status slots lock poisoned").iter() {
+            sum.add(slot);
+        }
+        sum
     }
 
     /// Render the aggregated counters as a single JSON status line.
@@ -86,21 +105,22 @@ impl StatusBoard {
             }
             let _ = write!(allocs, "[{t},{a}]");
         }
+        let totals = self.totals();
         format!(
             "{{\"status\":{{\"shards\":{},\"ingested\":{},\"invalid\":{},\"dropped\":{},\
              \"epochs\":{},\"checkpoints\":{},\"failovers\":{},\"restarts\":{},\
              \"reply_errors\":{},\"queues\":[{queues}],\
              \"allocations\":[{allocs}],\"calibration\":{}}}}}",
             self.shards,
-            self.ingested.load(Ordering::Relaxed),
-            self.invalid.load(Ordering::Relaxed),
+            totals.ingested,
+            totals.invalid,
             dropped,
             self.epochs.load(Ordering::Relaxed),
             self.checkpoints.load(Ordering::Relaxed),
             self.failovers.load(Ordering::Relaxed),
             self.restarts.load(Ordering::Relaxed),
             self.reply_errors.load(Ordering::Relaxed),
-            self.cal.snapshot().render_inner(),
+            totals.cal.render_inner(),
         )
     }
 }
@@ -239,8 +259,7 @@ mod tests {
     #[test]
     fn line_is_valid_json_with_all_counters() {
         let board = StatusBoard::new(4);
-        board.ingested.store(10, Ordering::Relaxed);
-        board.invalid.store(2, Ordering::Relaxed);
+        board.post(1, ShardCounters { ingested: 10, invalid: 2, ..ShardCounters::default() });
         board.epochs.store(3, Ordering::Relaxed);
         board.checkpoints.store(1, Ordering::Relaxed);
         let line = board.line(7, &[5, 0, 12, 3], &[(0, 4096), (2, 1024)]);
@@ -281,10 +300,10 @@ mod tests {
             })
             .collect();
         assert_eq!(allocs, vec![vec![0, 4096], vec![2, 1024]], "per-group budget split");
-        board.cal.probes.store(9, Ordering::Relaxed);
-        board.cal.opened.store(2, Ordering::Relaxed);
-        board.cal.promoted.store(1, Ordering::Relaxed);
-        board.cal.hist[4].store(5, Ordering::Relaxed);
+        let mut cal =
+            crate::CalSnapshot { probes: 9, opened: 2, promoted: 1, ..Default::default() };
+        cal.hist[4] = 5;
+        board.post(3, ShardCounters { cal, ..ShardCounters::default() });
         let line3 = board.line(0, &[0], &[]);
         let v3: serde_json::Value = serde_json::from_str(&line3).unwrap();
         let cal = v3
@@ -298,6 +317,35 @@ mod tests {
         assert_eq!(cfield("in_flight"), Some(1), "opened - promoted - rolled_back");
         assert_eq!(cal.get("hist").and_then(|h| h.as_array()).unwrap().len(), 8);
         assert!(!line.contains('\n'), "one line, scrape-friendly");
+    }
+
+    /// A post replaces its shard's slot, the totals cover every slot,
+    /// and re-posting a shard from a lower count — a failed-over shard
+    /// restored from its checkpoint, then caught up by its adopter —
+    /// never counts anything twice.
+    #[test]
+    fn posts_replace_their_slot_and_totals_sum_every_slot() {
+        let counters = |ingested, probes| ShardCounters {
+            ingested,
+            invalid: 1,
+            cal: crate::CalSnapshot { probes, ..Default::default() },
+            ..ShardCounters::default()
+        };
+        let board = StatusBoard::new(3);
+        assert_eq!(board.totals(), ShardCounters::default());
+        board.post(0, counters(5, 1));
+        board.post(0, counters(8, 2));
+        assert_eq!(board.totals(), counters(8, 2), "a second post replaces the first");
+        board.post(2, counters(4, 3));
+        let want = |t: ShardCounters| (t.ingested, t.invalid, t.cal.probes);
+        assert_eq!(want(board.totals()), (12, 2, 5), "the totals cover every slot");
+        // Shard 2 fails over: its adopter reports the checkpoint's
+        // counts, then replays the tail back up to where it was.
+        board.post(2, counters(1, 0));
+        assert_eq!(want(board.totals()), (9, 2, 2));
+        board.post(2, counters(4, 3));
+        assert_eq!(want(board.totals()), (12, 2, 5), "no double count after the re-post");
+        assert_eq!(StatusBoard::new(0).slots.lock().unwrap().len(), 1, "one slot at --shards 0");
     }
 
     #[test]

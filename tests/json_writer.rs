@@ -23,7 +23,7 @@ use isel_core::trace::StepKind;
 use isel_core::{TraceEvent, TraceSink, VecSink};
 use isel_service::{
     CalSnapshot, CalibrationConfig, DriftThresholds, EpochOutcome, Manifest, OverloadPolicy,
-    Router, ServiceConfig, ShardCheckpoint, SupMsg, WorkerMsg,
+    Router, ServiceConfig, ShardCheckpoint, ShardCounters, SupMsg, WorkerMsg,
 };
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::Workload;
@@ -646,9 +646,7 @@ fn configs_and_pipe_messages_keep_their_bytes() {
         WorkerMsg::Outcome {
             shard: 1,
             outcome: run.epochs[0].clone(),
-            ingested: 16,
-            invalid: 0,
-            dropped: 2,
+            counters: ShardCounters { ingested: 16, dropped: 2, ..ShardCounters::default() },
         },
         WorkerMsg::Publish { table: 1, pf },
         WorkerMsg::CheckpointDone {
@@ -658,14 +656,14 @@ fn configs_and_pipe_messages_keep_their_bytes() {
         },
         WorkerMsg::Ack {
             id: 4,
-            counts: vec![(0, 1, 2, 3), (1, 0, 0, 0)],
-            cal: vec![(0, cal)],
+            counters: vec![
+                (0, ShardCounters { ingested: 1, invalid: 2, dropped: 3, cal }),
+                (1, ShardCounters::default()),
+            ],
         },
         WorkerMsg::Final {
             shard: 0,
-            ingested: 160,
-            invalid: 1,
-            dropped: 0,
+            counters: ShardCounters { ingested: 160, invalid: 1, ..ShardCounters::default() },
         },
         WorkerMsg::Fatal {
             message: "write /x: No space left\non device\t\u{1}".into(),

@@ -1000,6 +1000,59 @@ fn golden_observed_fixture_matches_its_jsonl_twin() {
     assert_eq!(a.final_selection, b.final_selection);
 }
 
+/// The in-band `calibration` answer is the groups' own sums, wherever
+/// the groups run: a `{"control":"calibration"}` behind the last event
+/// of the observed-cost fixture (both encodings) answers exactly what
+/// `Router::calibration()` reads after the run, at `--shards 0|1|2|4`;
+/// and at one shard a query in the middle of the stream answers what a
+/// replay of the prefix before it ends on. (The answers are taken
+/// through reply tokens; without one they print to stderr unchanged.)
+#[test]
+fn in_band_calibration_answer_is_the_groups_sums() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../examples");
+    let jsonl = std::fs::read(dir.join("tpcc_observed.jsonl")).unwrap();
+    let bin = std::fs::read(dir.join("tpcc_observed.bin")).unwrap();
+    let w = tpcc::generate(50).0;
+    // Replay `log`, whose queries carry tokens 0..queries, and return
+    // their answers plus the calibration table after the run.
+    let run = |shards: u32, log: &[u8], queries: u64| {
+        let mut config = ServiceConfig { shards, ..service_config(1) };
+        config.calibration.enabled = true;
+        let registry = Arc::new(InteractiveRegistry::new());
+        let replies: Vec<_> = (0..queries)
+            .map(|i| {
+                let (tx, rx) = channel();
+                assert_eq!(registry.register(tx), i);
+                rx
+            })
+            .collect();
+        let mut router = Router::new(w.schema().clone(), config).unwrap();
+        router.set_interactive(registry);
+        router.run_reader(Cursor::new(log.to_vec()), OverloadPolicy::Block, None, &[]).unwrap();
+        let answers: Vec<String> = replies.iter().map(|rx| rx.recv().unwrap()).collect();
+        (answers, router.calibration())
+    };
+    let query = |token: u64| format!("{{\"control\":\"calibration\",\"token\":{token}}}\n");
+    for (label, log) in [("jsonl", &jsonl), ("binary", &bin)] {
+        for shards in [0, 1, 2, 4] {
+            let log = [log.as_slice(), query(0).as_bytes()].concat();
+            let (answers, after) = run(shards, &log, 1);
+            assert_eq!(answers[0], after, "{label}, --shards {shards}");
+            assert!(after.contains("\"probes\":80"), "{label}, --shards {shards}: {after}");
+        }
+    }
+
+    let lines: Vec<&str> = std::str::from_utf8(&jsonl).unwrap().lines().collect();
+    let cut = lines.len() / 2;
+    let prefix: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
+    let rest: String = lines[cut..].iter().map(|l| format!("{l}\n")).collect();
+    let (answers, after) =
+        run(1, format!("{prefix}{}{rest}{}", query(0), query(1)).as_bytes(), 2);
+    let (_, at_cut) = run(1, prefix.as_bytes(), 0);
+    assert_eq!(answers, [at_cut.clone(), after.clone()]);
+    assert_ne!(at_cut, after, "the mid-stream answer sees only the prefix");
+}
+
 // ------------------------------------------------- batched hand-off
 
 use isel_core::{TraceEvent, VecSink};
