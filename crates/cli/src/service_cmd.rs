@@ -753,7 +753,7 @@ pub fn budget(args: &Args) -> Result<(), String> {
     let router = replay_offline(args, config)?;
     let arbiter = router.arbiter();
     if let Some(b) = set {
-        println!("{}", arbiter.set_budget(b));
+        println!("{}", arbiter.set_budget(b, isel_core::Trace::disabled()));
     }
     for &b in &budgets {
         println!(

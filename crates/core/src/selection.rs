@@ -602,7 +602,7 @@ pub struct MergeOutcome {
 /// parts (pinned by proptest in the workspace test suite).
 ///
 /// Key-set changes (insert/remove) change the tree shape and trigger a
-/// full rebuild on the next merge; republshing an *identical* part is
+/// full rebuild on the next merge; republishing an *identical* part is
 /// detected and skipped entirely, keeping clean parts out of the dirty
 /// ledger.
 #[derive(Clone, Debug, Default)]

@@ -4,14 +4,25 @@
 //! shutdown computation into a maintained subsystem: every table group
 //! *publishes* its tuned frontier (plus the construction steps needed to
 //! materialize a selection at any allocation) whenever an epoch actually
-//! re-selects, and the arbiter folds the publication into an incremental
-//! [`FrontierSet`]. Re-publishing an unchanged frontier is skipped
-//! outright, and a changed one re-merges only the `O(log n)` DP nodes on
-//! its leaf-to-root path — bit-identical to a full
-//! [`isel_core::merge_frontiers_weighted`] over the current parts.
+//! re-selects, and the arbiter upserts the publication into an
+//! incremental [`FrontierSet`]. Re-publishing an unchanged frontier is
+//! skipped outright; a changed one only marks its leaf-to-root path
+//! stale.
 //!
-//! Because the merged state is maintained continuously, interactive
-//! questions are cheap reads answered **without re-running selection**:
+//! **Merge on read.** A publication never merges. The first read of
+//! maintained state — [`Arbiter::allocations`],
+//! [`Arbiter::merged_selection`], the status line built from them, or
+//! [`Arbiter::set_budget`] — settles every publication since the last
+//! merge with one [`FrontierSet::merge`], re-merging only the `O(log n)`
+//! DP nodes on the dirty paths — bit-identical to a full
+//! [`isel_core::merge_frontiers_weighted`] over the current parts. So k
+//! groups re-selecting between two reads cost one merge, not k, and a
+//! run that reads only at its end merges once. Each merge emits one
+//! [`TraceEvent::Merge`] into the trace of the read that settled it,
+//! with `dirty` = the groups published since the previous merge.
+//!
+//! Interactive questions are answered **without re-running selection**
+//! and without settling anything:
 //!
 //! * `{"control":"whatif","budget":B}` — the per-group allocation split
 //!   at a hypothetical global budget `B`,
@@ -21,10 +32,11 @@
 //!   the *maintained* merge at `B` ([`FrontierSet::set_budget`]), so
 //!   selections re-materialize live under the new budget.
 //!
-//! Both are answered from the published frontiers via
-//! [`FrontierSet::merge_at`]; the canonical reply lines are rendered
-//! here so a served socket reply and an offline replay
-//! (`isel budget`) produce byte-identical output.
+//! The first two are answered from the published frontiers via
+//! [`FrontierSet::merge_at`], so their reply latency never includes a
+//! settle; the canonical reply lines are rendered here so a served
+//! socket reply and an offline replay (`isel budget`) produce
+//! byte-identical output.
 //!
 //! Per-tenant weights ([`crate::config::ServiceConfig::tenant_weights`])
 //! scale each group's cost axis in the merge, deterministically biasing
@@ -64,14 +76,58 @@ struct ArbiterInner {
     set: FrontierSet,
     /// Latest publication per table group, keyed like `set`.
     parts: BTreeMap<u16, Arc<PublishedFrontier>>,
-    /// Current allocation per group at the maintained budget.
+    /// Allocation per group at the maintained budget, as of the last
+    /// merge.
     allocations: BTreeMap<u16, u64>,
     merges: u64,
 }
 
+impl ArbiterInner {
+    /// Merge whatever was published since the last merge; a no-op when
+    /// nothing was.
+    fn settle(&mut self, trace: Trace<'_>) {
+        if self.set.dirty_len() > 0 {
+            self.merge(trace);
+        }
+    }
+
+    /// One [`FrontierSet::merge`]: refresh the allocations and emit the
+    /// merge's [`TraceEvent::Merge`] into `trace`.
+    fn merge(&mut self, trace: Trace<'_>) -> FrontierMerge {
+        let start = trace.is_enabled().then(Instant::now);
+        let outcome = self.set.merge();
+        let allocations: BTreeMap<u16, u64> = self
+            .set
+            .keys()
+            .iter()
+            .zip(&outcome.merge.allocations)
+            .map(|(&k, &a)| (k as u16, a))
+            .collect();
+        let reallocated = allocations
+            .iter()
+            .filter(|(t, a)| self.allocations.get(t) != Some(a))
+            .count() as u64
+            + self.allocations.keys().filter(|t| !allocations.contains_key(t)).count() as u64;
+        self.allocations = allocations;
+        self.merges += 1;
+        trace.emit(|| TraceEvent::Merge {
+            parts: outcome.parts,
+            dirty: outcome.dirty,
+            recombined: outcome.recombined,
+            budget: self.set.budget(),
+            total_memory: outcome.merge.total_memory,
+            total_cost: outcome.merge.total_cost,
+            reallocated,
+            micros: start.map_or(0, |t| t.elapsed().as_micros() as u64),
+        });
+        outcome.merge
+    }
+}
+
 /// The shared frontier-arbitration engine: an incrementally maintained
 /// [`FrontierSet`] over the latest publication of every table group,
-/// answering merge and interactive-query reads from precomputed state.
+/// merged on read, answering interactive queries from the published
+/// frontiers.
 pub struct Arbiter {
     weights: BTreeMap<u16, f64>,
     inner: Mutex<ArbiterInner>,
@@ -107,13 +163,20 @@ impl Arbiter {
         self.inner.lock().expect("arbiter lock poisoned")
     }
 
+    /// The lock, with every publication merged in.
+    fn settled(&self, trace: Trace<'_>) -> std::sync::MutexGuard<'_, ArbiterInner> {
+        let mut g = self.lock();
+        g.settle(trace);
+        g
+    }
+
     /// The maintained global budget.
     pub fn budget(&self) -> u64 {
         self.lock().set.budget()
     }
 
-    /// Incremental re-merges performed so far (clean republishes are
-    /// skipped and do not count).
+    /// Merges performed so far: one per read that found publications
+    /// unmerged, plus one per [`set_budget`](Self::set_budget).
     pub fn merges(&self) -> u64 {
         self.lock().merges
     }
@@ -123,56 +186,29 @@ impl Arbiter {
         self.lock().parts.len()
     }
 
-    /// Fold `table`'s publication into the maintained merge. Returns
-    /// whether anything changed: republishing a bit-identical frontier
-    /// is a no-op (the clean-group skip) and triggers no re-merge.
+    /// Upsert `table`'s publication; the next read of maintained state
+    /// merges it. Returns whether anything changed: republishing a
+    /// bit-identical frontier is a no-op (the clean-group skip).
     ///
-    /// Emits one [`TraceEvent::Merge`] per actual re-merge, carrying the
-    /// dirty count, recombined-node count, allocation-change count and
-    /// latency.
-    pub fn publish(&self, table: u16, pf: Arc<PublishedFrontier>, trace: Trace<'_>) -> bool {
+    /// A publication emits no trace event — the read that settles it
+    /// traces the merge — so `_trace` is unused; it stays in the
+    /// signature for callers written against the eager merge.
+    pub fn publish(&self, table: u16, pf: Arc<PublishedFrontier>, _trace: Trace<'_>) -> bool {
         let weight = self.weights.get(&table).copied().unwrap_or(1.0);
         let mut g = self.lock();
-        let start = trace.is_enabled().then(Instant::now);
         // Compare before copying: a clean republish pays no clone.
         if g.set.is_current(u64::from(table), weight, pf.initial_cost, &pf.frontier) {
             return false;
         }
         g.set.upsert(u64::from(table), weight, pf.initial_cost, pf.frontier.clone());
         g.parts.insert(table, pf);
-        let outcome = g.set.merge();
-        let keys = g.set.keys();
-        let new_allocations: BTreeMap<u16, u64> = keys
-            .iter()
-            .zip(&outcome.merge.allocations)
-            .map(|(&k, &a)| (k as u16, a))
-            .collect();
-        let reallocated = new_allocations
-            .iter()
-            .filter(|(t, a)| g.allocations.get(t) != Some(a))
-            .count() as u64
-            + g.allocations.keys().filter(|t| !new_allocations.contains_key(t)).count() as u64;
-        g.allocations = new_allocations;
-        g.merges += 1;
-        let budget = g.set.budget();
-        drop(g);
-        trace.emit(|| TraceEvent::Merge {
-            parts: outcome.parts,
-            dirty: outcome.dirty,
-            recombined: outcome.recombined,
-            budget,
-            total_memory: outcome.merge.total_memory,
-            total_cost: outcome.merge.total_cost,
-            reallocated,
-            micros: start.map_or(0, |t| t.elapsed().as_micros() as u64),
-        });
         true
     }
 
     /// Current per-group allocations at the maintained budget, sorted by
-    /// table id.
-    pub fn allocations(&self) -> Vec<(u16, u64)> {
-        self.lock().allocations.iter().map(|(&t, &a)| (t, a)).collect()
+    /// table id. Settles pending publications into `trace`.
+    pub fn allocations(&self, trace: Trace<'_>) -> Vec<(u16, u64)> {
+        self.settled(trace).allocations.iter().map(|(&t, &a)| (t, a)).collect()
     }
 
     /// Latest publication of `table`, if any.
@@ -181,9 +217,10 @@ impl Arbiter {
     }
 
     /// Union of every group's selection materialized at its maintained
-    /// allocation — a cheap read of maintained state, no selection run.
-    pub fn merged_selection(&self) -> Selection {
-        let g = self.lock();
+    /// allocation — no selection run. Settles pending publications into
+    /// `trace`.
+    pub fn merged_selection(&self, trace: Trace<'_>) -> Selection {
+        let g = self.settled(trace);
         let mut union = Vec::new();
         for (t, pf) in &g.parts {
             let alloc = g.allocations.get(t).copied().unwrap_or(0);
@@ -194,7 +231,7 @@ impl Arbiter {
 
     /// Answer a `whatif` query: the allocation split over the published
     /// frontiers at a hypothetical global `budget`, rendered as the
-    /// canonical reply line. Never re-runs selection.
+    /// canonical reply line. Never re-runs selection, never settles.
     pub fn whatif(&self, budget: u64) -> String {
         let g = self.lock();
         let merge = g.set.merge_at(budget);
@@ -210,7 +247,7 @@ impl Arbiter {
 
     /// Answer a `tenant` query: `table`'s allocation and resulting cost
     /// at a hypothetical global `budget`, rendered as the canonical
-    /// reply line. Never re-runs selection.
+    /// reply line. Never re-runs selection, never settles.
     pub fn tenant(&self, table: u16, budget: u64) -> String {
         let g = self.lock();
         let Some(pf) = g.parts.get(&table) else {
@@ -237,32 +274,26 @@ impl Arbiter {
     /// mutating `{"control":"budget",...}` line): every published
     /// group's selection re-materializes under the new budget and all
     /// later answers, status allocations and `merged_selection` reads
-    /// use it. Returns the canonical reply line — the allocation split
-    /// at the new budget, same shape as a `whatif` answer.
-    pub fn set_budget(&self, budget: u64) -> String {
+    /// use it. Always one merge, traced into `trace`, which also settles
+    /// pending publications. Returns the canonical reply line — the
+    /// allocation split at the new budget, same shape as a `whatif`
+    /// answer.
+    pub fn set_budget(&self, budget: u64, trace: Trace<'_>) -> String {
         let mut g = self.lock();
         g.set.set_budget(budget);
-        let outcome = g.set.merge();
-        let new_allocations: BTreeMap<u16, u64> = g
-            .set
-            .keys()
-            .iter()
-            .zip(&outcome.merge.allocations)
-            .map(|(&k, &a)| (k as u16, a))
-            .collect();
-        g.allocations = new_allocations;
-        g.merges += 1;
+        let merge = g.merge(trace);
         let allocations: Vec<(u16, u64)> = g.allocations.iter().map(|(&t, &a)| (t, a)).collect();
-        render_whatif_line(budget, &outcome.merge, &allocations)
+        render_whatif_line(budget, &merge, &allocations)
     }
 
-    /// Answer an interactive control from maintained state, or `None`
-    /// for non-interactive controls.
-    pub fn answer(&self, control: Control) -> Option<String> {
+    /// Answer an interactive control, or `None` for non-interactive
+    /// controls. Only `budget` reads maintained state, settling into
+    /// `trace`.
+    pub fn answer(&self, control: Control, trace: Trace<'_>) -> Option<String> {
         match control {
             Control::Whatif { budget } => Some(self.whatif(budget)),
             Control::Tenant { table, budget } => Some(self.tenant(table, budget)),
-            Control::Budget { budget } => Some(self.set_budget(budget)),
+            Control::Budget { budget } => Some(self.set_budget(budget, trace)),
             _ => None,
         }
     }
@@ -278,6 +309,7 @@ impl Arbiter {
         control: Control,
         board: &StatusBoard,
         status: impl FnOnce() -> String,
+        trace: Trace<'_>,
     ) -> Option<String> {
         match control {
             Control::Status => Some(status()),
@@ -285,7 +317,7 @@ impl Arbiter {
             Control::Tenant { .. } if board.shards == 0 => {
                 Some("{\"error\":\"tenant queries require --shards\"}".to_owned())
             }
-            c => self.answer(c),
+            c => self.answer(c, trace),
         }
     }
 }
@@ -445,6 +477,10 @@ mod tests {
         })
     }
 
+    fn merge_events(sink: &VecSink) -> Vec<TraceEvent> {
+        sink.events().into_iter().filter(|e| matches!(e, TraceEvent::Merge { .. })).collect()
+    }
+
     #[test]
     fn publish_maintains_allocations_and_skips_clean_republish() {
         let w = workload();
@@ -455,21 +491,63 @@ mod tests {
             let pf = publication(&w, t, global / 3);
             assert!(arbiter.publish(t, pf, Trace::to(&sink)));
         }
-        assert_eq!(arbiter.merges(), 3);
-        let allocs = arbiter.allocations();
+        assert_eq!(arbiter.merges(), 0, "publications merge on read");
+        let allocs = arbiter.allocations(Trace::to(&sink));
+        assert_eq!(arbiter.merges(), 1, "one read settles all three publications");
         assert_eq!(allocs.len(), 3);
         assert!(allocs.iter().map(|&(_, a)| a).sum::<u64>() <= global);
 
-        // A bit-identical republish is skipped: no merge, no trace event.
+        // A bit-identical republish is skipped: nothing to settle, no
+        // merge, no trace event.
         let pf = publication(&w, 1, global / 3);
         assert!(!arbiter.publish(1, pf, Trace::to(&sink)));
-        assert_eq!(arbiter.merges(), 3);
-        let merge_events = sink
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Merge { .. }))
-            .count();
-        assert_eq!(merge_events, 3);
+        assert_eq!(arbiter.allocations(Trace::to(&sink)), allocs);
+        assert_eq!(arbiter.merges(), 1);
+        assert_eq!(merge_events(&sink).len(), 1);
+    }
+
+    #[test]
+    fn reads_merge_what_was_published_once() {
+        let w = workload();
+        let global = global_budget(w.schema(), 0.3);
+        let arbiter = Arbiter::new(global, BTreeMap::new());
+        let sink = VecSink::new();
+        let parts: Vec<_> = (0..3u16).map(|t| publication(&w, t, global / 3)).collect();
+        for (t, pf) in parts.iter().enumerate() {
+            arbiter.publish(t as u16, Arc::clone(pf), Trace::to(&sink));
+        }
+        assert_eq!(arbiter.merges(), 0, "k publishes merge nothing");
+        assert!(merge_events(&sink).is_empty(), "and trace no merge");
+
+        // Interactive answers read the published frontiers and settle
+        // nothing, before a settle and after it.
+        let asks = || (arbiter.whatif(global / 2), arbiter.tenant(1, global / 2));
+        let unsettled = asks();
+        assert_eq!(arbiter.merges(), 0, "whatif/tenant never settle");
+
+        let allocs = arbiter.allocations(Trace::to(&sink));
+        assert_eq!(arbiter.merges(), 1, "the first read settles with one merge");
+        let events = merge_events(&sink);
+        assert_eq!(events.len(), 1);
+        let TraceEvent::Merge { parts: n, dirty, budget, .. } = events[0] else { unreachable!() };
+        assert_eq!((n, dirty, budget), (3, 3, global), "dirty counts every publication");
+
+        assert_eq!(arbiter.allocations(Trace::to(&sink)), allocs);
+        let _ = arbiter.merged_selection(Trace::to(&sink));
+        assert_eq!(asks(), unsettled, "answers do not depend on when the merge ran");
+        assert_eq!(arbiter.merges(), 1, "later reads find nothing to settle");
+        assert_eq!(merge_events(&sink).len(), 1);
+
+        // One changed group: the next read re-merges that one path.
+        let moved = Arc::new(PublishedFrontier {
+            initial_cost: parts[2].initial_cost * 2.0,
+            ..(*parts[2]).clone()
+        });
+        assert!(arbiter.publish(2, moved, Trace::to(&sink)));
+        let _ = arbiter.merged_selection(Trace::to(&sink));
+        assert_eq!(arbiter.merges(), 2);
+        let events = merge_events(&sink);
+        assert!(matches!(events[1], TraceEvent::Merge { dirty: 1, .. }), "{:?}", events[1]);
     }
 
     #[test]
@@ -493,7 +571,7 @@ mod tests {
             .map(|(t, &a)| (t as u16, a))
             .collect();
         assert_eq!(
-            arbiter.answer(Control::Whatif { budget: probe }).unwrap(),
+            arbiter.answer(Control::Whatif { budget: probe }, Trace::disabled()).unwrap(),
             render_whatif_line(probe, &offline, &allocations)
         );
     }
@@ -506,10 +584,11 @@ mod tests {
         for t in 0..3u16 {
             arbiter.publish(t, publication(&w, t, global / 3), Trace::disabled());
         }
-        let before = arbiter.allocations();
+        let before = arbiter.allocations(Trace::disabled());
         let merges_before = arbiter.merges();
         // Re-anchoring answers like a whatif at the new budget...
-        let reply = arbiter.answer(Control::Budget { budget: global / 2 }).unwrap();
+        let reply =
+            arbiter.answer(Control::Budget { budget: global / 2 }, Trace::disabled()).unwrap();
         assert_eq!(reply, {
             // ...and the whatif at the same figure agrees byte-for-byte.
             let fresh = Arbiter::new(global, BTreeMap::new());
@@ -522,12 +601,12 @@ mod tests {
         // merge counter all move.
         assert_eq!(arbiter.budget(), global / 2);
         assert_eq!(arbiter.merges(), merges_before + 1);
-        let after = arbiter.allocations();
+        let after = arbiter.allocations(Trace::disabled());
         assert!(after.iter().map(|&(_, a)| a).sum::<u64>() <= global / 2);
         assert_ne!(before, after, "halving the budget must move allocations");
         // Restoring the original budget restores the original split.
-        arbiter.set_budget(global);
-        assert_eq!(arbiter.allocations(), before);
+        arbiter.set_budget(global, Trace::disabled());
+        assert_eq!(arbiter.allocations(Trace::disabled()), before);
     }
 
     #[test]
@@ -558,8 +637,8 @@ mod tests {
             flat.publish(t, pf.clone(), Trace::disabled());
             biased.publish(t, pf, Trace::disabled());
         }
-        let fa = flat.allocations();
-        let ba = biased.allocations();
+        let fa = flat.allocations(Trace::disabled());
+        let ba = biased.allocations(Trace::disabled());
         assert!(
             ba[2].1 >= fa[2].1,
             "a 1000x weight must not shrink t2's allocation ({} -> {})",

@@ -331,16 +331,31 @@ impl ShardCheckpoint {
 
     /// Atomically write to `path` (`<path>.tmp` + rename).
     pub fn save(&self, path: &Path) -> Result<(), String> {
-        self.save_with(path, &mut String::new())
+        atomic_write(path, self.to_json()?.as_bytes(), None)
     }
 
-    /// [`save`](Self::save), streaming the JSON into `buf` (cleared
-    /// first). A shard worker keeps one `buf` for all its generations, so
-    /// a commit reuses the capacity the last one grew.
-    pub fn save_with(&self, path: &Path, buf: &mut String) -> Result<(), String> {
-        buf.clear();
-        serde::Serialize::write_json(self, buf);
-        atomic_write(path, buf.as_bytes(), None)
+    /// Render the document into `out` (cleared first) with `groups`,
+    /// each a [`GroupCheckpoint`]'s JSON, as its groups — the bytes
+    /// [`Self::to_json`] gives with those groups in place of
+    /// `self.groups`, which must be empty. `groups` is the document's
+    /// last field, so their texts splice in after everything else.
+    pub(crate) fn write_spliced<'a>(
+        &self,
+        groups: impl IntoIterator<Item = &'a str>,
+        out: &mut String,
+    ) {
+        debug_assert!(self.groups.is_empty(), "the spliced groups are the only ones");
+        out.clear();
+        serde::Serialize::write_json(self, out);
+        debug_assert!(out.ends_with("[]}"), "groups must stay the last field");
+        out.truncate(out.len() - "]}".len());
+        for (i, group) in groups.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(group);
+        }
+        out.push_str("]}");
     }
 
     /// Load a shard checkpoint from `path`.

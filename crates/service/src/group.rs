@@ -14,6 +14,13 @@
 //! observed-cost probe feeds its tracker; a barrier captures it into a
 //! [`ShardCheckpoint`]; a document restores it.
 //!
+//! A checkpoint pays only for groups that changed. Each group keeps the
+//! JSON its last capture rendered, and any record folded into it drops
+//! that rendering; a barrier re-captures and re-renders only the groups
+//! without one and splices the rest into the shard document verbatim.
+//! The document is byte-identical to a full capture's, whatever the
+//! group's history or shard placement.
+//!
 //! Where a host runs — a shard thread behind a queue
 //! ([`crate::router`]) or a worker process behind a pipe
 //! ([`crate::process`]) — decides only how its [`Sealed`] epochs,
@@ -23,7 +30,9 @@
 //! [`GroupHost::checkpoint`].
 
 use crate::arbiter::PublishedFrontier;
-use crate::checkpoint::{shard_file, GroupCheckpoint, ShardCheckpoint, CHECKPOINT_VERSION};
+use crate::checkpoint::{
+    atomic_write, shard_file, GroupCheckpoint, ShardCheckpoint, CHECKPOINT_VERSION,
+};
 use crate::config::ServiceConfig;
 use crate::event::{parse_line, InputLine};
 use crate::feedback::{self, CalSnapshot, GroupFeedback};
@@ -60,6 +69,10 @@ pub(crate) struct GroupState {
     pub(crate) tuner: Tuner,
     pub(crate) window: EpochWindow,
     pub(crate) feedback: GroupFeedback,
+    /// The group's document as its last capture rendered it; `None`
+    /// once anything has folded into the group since (or before the
+    /// first capture).
+    rendered: Option<String>,
 }
 
 impl GroupState {
@@ -79,6 +92,7 @@ impl GroupState {
                 env.config.max_templates,
             ),
             feedback: GroupFeedback::new(env.config),
+            rendered: None,
         }
     }
 
@@ -94,7 +108,25 @@ impl GroupState {
             Some(saved) => GroupFeedback::load(saved, config)?,
             None => GroupFeedback::new(config),
         };
-        Ok(Self { tuner, window, feedback })
+        Ok(Self { tuner, window, feedback, rendered: None })
+    }
+
+    /// Capture the group (compacting its pool, which is why this takes
+    /// `&mut self`).
+    fn capture(&mut self, config: &ServiceConfig) -> GroupCheckpoint {
+        GroupCheckpoint::capture(&mut self.tuner, &self.window)
+            .with_feedback(config.calibration.enabled.then(|| self.feedback.save()))
+    }
+
+    /// The group's document: rendered now if anything folded into the
+    /// group since its last capture, else that capture's JSON.
+    fn rendering(&mut self, config: &ServiceConfig) -> &str {
+        if self.rendered.is_none() {
+            let mut json = String::new();
+            self.capture(config).write_json(&mut json);
+            self.rendered = Some(json);
+        }
+        self.rendered.as_deref().expect("rendered just above")
     }
 }
 
@@ -197,6 +229,7 @@ impl GroupHost {
                 Ok(InputLine::Query(q)) => return self.ingest(env, &q, trace),
                 Ok(InputLine::Observed(o)) => {
                     let (_, group) = self.group(env, o.query.table());
+                    group.rendered = None;
                     group.feedback.observe(env.config, &o, trace);
                 }
                 Ok(InputLine::Control(_)) => {}
@@ -213,6 +246,7 @@ impl GroupHost {
     fn ingest(&mut self, env: &Env<'_>, q: &Query, trace: Trace<'_>) -> Option<Sealed> {
         self.ingested += 1;
         let (key, group) = self.group(env, q.table());
+        group.rendered = None;
         if !group.window.push(q) {
             return None;
         }
@@ -235,8 +269,8 @@ impl GroupHost {
     }
 
     /// Write this shard's checkpoint document for barrier `generation`
-    /// next to the manifest at `manifest`, serializing through the
-    /// reused buffer `doc`; returns the file written.
+    /// next to the manifest at `manifest`, rendering it into the reused
+    /// buffer `doc`; returns the file written.
     pub(crate) fn checkpoint(
         &mut self,
         config: &ServiceConfig,
@@ -245,15 +279,21 @@ impl GroupHost {
         generation: u64,
         doc: &mut String,
     ) -> Result<PathBuf, String> {
-        let cp = self.capture(config, shard, generation);
+        let header = self.document(config, shard, generation, Vec::new());
+        header.write_spliced(self.groups.values_mut().map(|g| g.rendering(config)), doc);
         let file = shard_file(manifest, shard, generation);
-        cp.save_with(&file, doc)?;
+        atomic_write(&file, doc.as_bytes(), None)?;
         Ok(file)
     }
 
-    /// Capture every group at a checkpoint barrier (compacting each
-    /// group's pool in place, which is why this takes `&mut self`).
-    fn capture(&mut self, config: &ServiceConfig, shard: u32, generation: u64) -> ShardCheckpoint {
+    /// This shard's document around `groups`.
+    fn document(
+        &self,
+        config: &ServiceConfig,
+        shard: u32,
+        generation: u64,
+        groups: Vec<GroupCheckpoint>,
+    ) -> ShardCheckpoint {
         ShardCheckpoint {
             version: CHECKPOINT_VERSION,
             config: config.clone(),
@@ -262,15 +302,16 @@ impl GroupHost {
             ingested: self.ingested,
             invalid: self.invalid,
             dropped: self.dropped,
-            groups: self
-                .groups
-                .values_mut()
-                .map(|g| {
-                    GroupCheckpoint::capture(&mut g.tuner, &g.window)
-                        .with_feedback(config.calibration.enabled.then(|| g.feedback.save()))
-                })
-                .collect(),
+            groups,
         }
+    }
+
+    /// Capture every group afresh: the document [`Self::checkpoint`]
+    /// must splice byte for byte.
+    #[cfg(test)]
+    fn capture(&mut self, config: &ServiceConfig, shard: u32, generation: u64) -> ShardCheckpoint {
+        let groups = self.groups.values_mut().map(|g| g.capture(config)).collect();
+        self.document(config, shard, generation, groups)
     }
 
     /// Take over `other`'s groups and add its counters — the shards of
@@ -315,5 +356,165 @@ impl GroupHost {
             sum.add(&g.feedback.snapshot());
         }
         sum
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use isel_workload::synthetic::{self, SyntheticConfig};
+    use isel_workload::Workload;
+    use std::collections::BTreeSet;
+
+    fn workload() -> Workload {
+        synthetic::generate(&SyntheticConfig {
+            tables: 3,
+            attrs_per_table: 8,
+            queries_per_table: 10,
+            rows_base: 40_000,
+            max_query_width: 3,
+            update_fraction: 0.1,
+            seed: 77,
+        })
+    }
+
+    /// Per-table groups with calibration on, so probes move feedback
+    /// state and the deployment gate runs.
+    fn calibrated() -> ServiceConfig {
+        let mut config = ServiceConfig {
+            epoch_events: 8,
+            window_epochs: 2,
+            max_templates: 64,
+            shards: 1,
+            ..ServiceConfig::default()
+        };
+        config.calibration.enabled = true;
+        config.calibration.min_probes = 1;
+        config
+    }
+
+    /// The lines between barriers `generation - 1` and `generation`: a
+    /// burst on one table, so the other groups stay clean, with an
+    /// observed-cost probe after every third event; every fifth burst
+    /// is probes alone.
+    fn burst(w: &Workload, generation: usize) -> Vec<(u16, String)> {
+        let table = (generation * 7 % 3) as u16;
+        let qs: Vec<&Query> = w.queries().iter().filter(|q| q.table().0 == table).collect();
+        let mut lines = Vec::new();
+        for i in 0..5 + generation % 7 {
+            let q = qs[(generation * 7 + i * 3) % qs.len()];
+            let attrs: Vec<String> = q.attrs().iter().map(|a| a.0.to_string()).collect();
+            let attrs = attrs.join(",");
+            if !generation.is_multiple_of(5) {
+                let kind = if q.is_update() { r#","kind":"Update""# } else { "" };
+                lines.push((table, format!("{{\"table\":{table},\"attrs\":[{attrs}]{kind}}}")));
+            }
+            if i % 3 == 2 || generation.is_multiple_of(5) {
+                let cost = (generation + i) as f64 * 1.5 + 1.0;
+                lines.push((
+                    table,
+                    format!("{{\"table\":{table},\"attrs\":[{attrs}],\"observed_cost\":{cost}}}"),
+                ));
+            }
+        }
+        lines
+    }
+
+    /// `host` and its twin hosting the same groups, checkpointed alike.
+    struct Pair {
+        host: GroupHost,
+        twin: GroupHost,
+    }
+
+    /// Spliced checkpoints: at every barrier the document a host writes
+    /// equals a full capture of a twin that saw the same records —
+    /// through adoption from a written document, and after the groups
+    /// are re-packed onto two shards.
+    #[test]
+    fn spliced_documents_equal_full_captures() {
+        let w = workload();
+        let config = calibrated();
+        let env = Env::new(w.schema(), &config);
+        let dict = DecodeDict::new();
+        let dir = std::env::temp_dir().join(format!("isel-splice-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("m.json");
+        let mut doc = String::new();
+        // Groups hosted but untouched since the previous barrier: the
+        // ones a document splices.
+        let mut clean = 0usize;
+
+        let mut check = |pairs: &mut [Pair], generation: u64, touched: &BTreeSet<u16>| -> String {
+            let mut last = String::new();
+            for (shard, p) in pairs.iter_mut().enumerate() {
+                let shard = shard as u32;
+                clean += p.host.groups.keys().filter(|k| !touched.contains(k)).count();
+                let file =
+                    p.host.checkpoint(&config, &manifest, shard, generation, &mut doc).unwrap();
+                let written = std::fs::read_to_string(&file).unwrap();
+                let full = p.twin.capture(&config, shard, generation).to_json().unwrap();
+                assert_eq!(written, full, "generation {generation}, shard {shard}");
+                std::fs::remove_file(&file).unwrap();
+                last = written;
+            }
+            last
+        };
+        let feed = |pairs: &mut [Pair], generation: usize| -> BTreeSet<u16> {
+            let mut touched = BTreeSet::new();
+            for (table, line) in burst(&w, generation) {
+                let p = &mut pairs[table as usize % pairs.len()];
+                for h in [&mut p.host, &mut p.twin] {
+                    h.fold(&env, &dict, Routed::Line(line.clone()), Trace::disabled());
+                }
+                touched.insert(table);
+            }
+            touched
+        };
+
+        let mut one = [Pair { host: GroupHost::default(), twin: GroupHost::default() }];
+        let mut written = String::new();
+        for generation in 1..=12 {
+            let touched = feed(&mut one, generation);
+            written = check(&mut one, generation as u64, &touched);
+        }
+
+        // Adopted from the written document: the first barrier after
+        // adoption has touched nothing.
+        let cp = ShardCheckpoint::from_json(&written).unwrap();
+        let adopt = || GroupHost::adopt(&cp, w.schema(), &config).unwrap();
+        let mut one = [Pair { host: adopt(), twin: adopt() }];
+        check(&mut one, 13, &BTreeSet::new());
+        for generation in 14..=20 {
+            let touched = feed(&mut one, generation);
+            check(&mut one, generation as u64, &touched);
+        }
+
+        // Re-packed onto two shards by table parity, counters on shard 0
+        // — the way a run deals a restored state out.
+        let [Pair { host, twin }] = one;
+        let mut two = [
+            Pair { host: GroupHost::default(), twin: GroupHost::default() },
+            Pair { host: GroupHost::default(), twin: GroupHost::default() },
+        ];
+        for (from, side) in [(host, 0), (twin, 1)] {
+            let [a, b] = &mut two;
+            let (first, second) = match side {
+                0 => (&mut a.host, &mut b.host),
+                _ => (&mut a.twin, &mut b.twin),
+            };
+            (first.ingested, first.invalid, first.dropped) =
+                (from.ingested, from.invalid, from.dropped);
+            for (key, group) in from.groups {
+                let to = if key % 2 == 0 { &mut *first } else { &mut *second };
+                to.groups.insert(key, group);
+            }
+        }
+        check(&mut two, 21, &BTreeSet::new());
+        for generation in 22..=32 {
+            let touched = feed(&mut two, generation);
+            check(&mut two, generation as u64, &touched);
+        }
+        assert!(clean >= 30, "only {clean} clean group documents: the log must leave groups idle");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

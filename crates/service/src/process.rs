@@ -555,6 +555,11 @@ impl Shared<'_> {
         self.failure.lock().expect("failure lock poisoned").take()
     }
 
+    /// The supervisor-side trace.
+    fn trace(&self) -> Trace<'_> {
+        self.sink.map_or(Trace::disabled(), Trace::to)
+    }
+
     /// Rewrite the restart sidecars (tmp + rename, best-effort). Called
     /// on every commit edge — the exact point journal replay resumes
     /// from — plus after each failover and at end of run, so a
@@ -579,7 +584,8 @@ impl Shared<'_> {
     /// reported them. Pipes have no queue to sample.
     fn status_line(&self) -> String {
         let depths = vec![0; self.board.shards as usize];
-        self.board.line(self.board.totals().dropped, &depths, &self.arbiter.allocations())
+        let allocations = self.arbiter.allocations(self.trace());
+        self.board.line(self.board.totals().dropped, &depths, &allocations)
     }
 
     /// All live workers acked query `id`? Then answer it — the acks that
@@ -595,7 +601,8 @@ impl Shared<'_> {
         let p = pending.remove(&id).expect("entry just seen");
         drop(pending);
         let status = || self.status_line();
-        if let Some(answer) = self.arbiter.answer_in_band(p.control, self.board, status) {
+        let answer = self.arbiter.answer_in_band(p.control, self.board, status, self.trace());
+        if let Some(answer) = answer {
             respond(p.reply, answer);
         }
     }
@@ -656,8 +663,7 @@ fn collect(slot: usize, out: ChildStdout, shared: &Shared<'_>, eof: &AtomicBool)
                 shared.board.post(shard, counters);
             }
             WorkerMsg::Publish { table, pf } => {
-                let trace = shared.sink.map_or(Trace::disabled(), Trace::to);
-                shared.arbiter.publish(table, Arc::new(pf), trace);
+                shared.arbiter.publish(table, Arc::new(pf), Trace::disabled());
             }
             WorkerMsg::CheckpointDone { shard, generation, file } => {
                 if let Some(c) = shared.committer {
@@ -1457,7 +1463,9 @@ impl Supervisor {
             dropped,
             queue_high_water: 0,
             checkpoints_written: committer.as_ref().map_or(0, Committer::commits),
-            final_selection: self.arbiter.merged_selection(),
+            final_selection: self
+                .arbiter
+                .merged_selection(sink.map_or(Trace::disabled(), Trace::to)),
         })
     }
 }

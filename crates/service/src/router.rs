@@ -265,7 +265,9 @@ impl Placement for Handoff<'_> {
         let dropped =
             self.base_dropped + self.queues.iter().map(BoundedQueue::dropped).sum::<u64>();
         let depths: Vec<u64> = self.queues.iter().map(|q| q.len() as u64).collect();
-        self.board.line(dropped, &depths, &self.arbiter.allocations())
+        // The router thread writes no trace: a merge this read settles
+        // is counted in `Arbiter::merges`, not traced.
+        self.board.line(dropped, &depths, &self.arbiter.allocations(Trace::disabled()))
     }
 }
 
@@ -686,10 +688,13 @@ impl Router {
             dropped: self.state.dropped,
             queue_high_water: queues.iter().map(BoundedQueue::high_water).max().unwrap_or(0),
             checkpoints_written: committer.as_ref().map_or(0, Committer::commits),
-            // A cheap read of the arbiter's maintained merge. No group is
+            // A read of the arbiter's maintained merge, settling what the
+            // run published into the first shard's trace. No group is
             // re-run: each materializes its selection from its published
             // construction steps at its maintained allocation.
-            final_selection: self.arbiter.merged_selection(),
+            final_selection: self
+                .arbiter
+                .merged_selection(sinks.first().map_or(Trace::disabled(), |s| Trace::to(*s))),
         })
     }
 }
@@ -780,7 +785,8 @@ fn shard_worker(
                 // answers.
                 if pq.arrive() {
                     let status = || unreachable!("the router answers status out of band");
-                    let answer = ctx.arbiter.answer_in_band(pq.control(), ctx.board, status);
+                    let answer =
+                        ctx.arbiter.answer_in_band(pq.control(), ctx.board, status, trace);
                     if let Some(answer) = answer {
                         pq.respond(answer);
                     }
@@ -1155,7 +1161,7 @@ mod tests {
             "interactive queries must not trigger selection runs"
         );
         assert_eq!(asked_merges, plain_merges, "queries read, never re-merge");
-        assert!(asked_merges > 0, "epoch publishes re-merge incrementally");
+        assert_eq!(asked_merges, 1, "publishes merge once, when the final selection reads them");
         assert_eq!(asked.final_selection, plain.final_selection);
     }
 
@@ -1171,7 +1177,7 @@ mod tests {
         let merges = arbiter.merges();
         assert!(merges > 0, "epoch publishes were merged during the run");
         // The final selection is a cheap read of the maintained state.
-        assert_eq!(arbiter.merged_selection(), report.final_selection);
+        assert_eq!(arbiter.merged_selection(isel_core::Trace::disabled()), report.final_selection);
         assert_eq!(arbiter.merges(), merges, "reads never re-merge");
         // Republishing an unchanged frontier (a group that saw no events
         // since its last epoch) is a clean skip, not a re-merge.

@@ -6,6 +6,7 @@
 
 use crate::ids::{AttrId, TableId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A single attribute (column) of a table.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -58,10 +59,14 @@ impl Table {
 /// Attributes are stored densely so that `schema.attribute(id)` is an array
 /// lookup; the invariant that attribute `i` lives at slot `i` is enforced by
 /// [`SchemaBuilder`].
+///
+/// A schema is immutable once built, so both slices are shared: a clone —
+/// every workload snapshot, window and tuner holds one — bumps two
+/// reference counts and copies no table or attribute.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Schema {
-    tables: Vec<Table>,
-    attributes: Vec<Attribute>,
+    tables: Arc<[Table]>,
+    attributes: Arc<[Attribute]>,
 }
 
 impl Schema {
@@ -182,8 +187,8 @@ impl SchemaBuilder {
     /// Finalize the schema.
     pub fn finish(self) -> Schema {
         Schema {
-            tables: self.tables,
-            attributes: self.attributes,
+            tables: self.tables.into(),
+            attributes: self.attributes.into(),
         }
     }
 }
@@ -225,6 +230,16 @@ mod tests {
         let s = two_table_schema();
         assert_eq!(s.selectivity(AttrId(0)), 0.1);
         assert_eq!(s.selectivity(AttrId(2)), 0.5);
+    }
+
+    #[test]
+    fn clones_share_the_tables_and_attributes() {
+        let s = two_table_schema();
+        let c = s.clone();
+        assert!(std::ptr::eq(s.tables(), c.tables()));
+        assert!(std::ptr::eq(s.attributes(), c.attributes()));
+        let back: Schema = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
+        assert_eq!(back, s);
     }
 
     #[test]

@@ -291,7 +291,10 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
     // Restoring the final checkpoint reads back the final state.
     let roundtrip = Router::resume(w.schema().clone(), cfg, &cp_path).unwrap();
     assert_eq!(roundtrip.epochs_tuned(), 6);
-    assert_eq!(roundtrip.arbiter().merged_selection(), ref_report.final_selection);
+    assert_eq!(
+        roundtrip.arbiter().merged_selection(isel_core::Trace::disabled()),
+        ref_report.final_selection
+    );
 }
 
 /// A service trace passes `report --check`-grade validation: parseable
@@ -1051,6 +1054,126 @@ fn in_band_calibration_answer_is_the_groups_sums() {
     let (_, at_cut) = run(1, prefix.as_bytes(), 0);
     assert_eq!(answers, [at_cut.clone(), after.clone()]);
     assert_ne!(at_cut, after, "the mid-stream answer sees only the prefix");
+}
+
+/// `n` round-robin query events with an observed-cost probe for the
+/// same template after every eighth one; returns the log and its probe
+/// count.
+fn probed_log(w: &Workload, n: usize) -> (String, usize) {
+    let mut out = String::new();
+    let mut probes = 0;
+    for i in 0..n {
+        let q = &w.queries()[i % w.query_count()];
+        let attrs: Vec<String> = q.attrs().iter().map(|a| a.0.to_string()).collect();
+        let attrs = attrs.join(",");
+        let table = q.table().0;
+        out.push_str(&format!("{{\"table\":{table},\"attrs\":[{attrs}]}}\n"));
+        if (i + 1).is_multiple_of(8) {
+            let cost = ((i % 13) as f64 + 1.0) * 1000.0;
+            out.push_str(&format!(
+                "{{\"table\":{table},\"attrs\":[{attrs}],\"observed_cost\":{cost}}}\n"
+            ));
+            probes += 1;
+        }
+    }
+    (out, probes)
+}
+
+/// An open-loop source: the log's lines released at `rate` lines per
+/// second in 1 ms ticks, sleeping between ticks so the consumer keeps
+/// a CPU.
+struct Paced {
+    bytes: Vec<u8>,
+    /// Offset just past each line.
+    ends: Vec<usize>,
+    pos: usize,
+    rate: u64,
+    start: std::time::Instant,
+}
+
+impl Paced {
+    fn new(log: &str, rate: u64) -> Self {
+        let ends = log.match_indices('\n').map(|(i, _)| i + 1).collect();
+        let start = std::time::Instant::now();
+        Self { bytes: log.as_bytes().to_vec(), ends, pos: 0, rate, start }
+    }
+}
+
+impl std::io::Read for Paced {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        use std::io::BufRead;
+        let buf = self.fill_buf()?;
+        let n = buf.len().min(out.len());
+        out[..n].copy_from_slice(&buf[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl std::io::BufRead for Paced {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        while self.pos < self.bytes.len() {
+            let ticks = self.start.elapsed().as_millis() as u64 + 1;
+            let due = ((ticks * self.rate / 1000) as usize).min(self.ends.len());
+            let end = due.checked_sub(1).map_or(0, |i| self.ends[i]);
+            if end > self.pos {
+                return Ok(&self.bytes[self.pos..end]);
+            }
+            std::thread::sleep(std::time::Duration::from_micros(500));
+        }
+        Ok(&[])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.pos += amt;
+    }
+}
+
+/// Observed-cost probes ride the stream without becoming events: with
+/// calibration off or on, 20 000 queries and their 2 500 probes ingest
+/// as 20 000 events, nothing is dropped, and the calibration counters
+/// count every probe — also paced open-loop at 50 000 lines/s under
+/// drop-oldest, where the calibrated service must shed nothing.
+#[test]
+fn observed_probes_are_counted_never_ingested_or_shed() {
+    const EVENTS: usize = 20_000;
+    let w = synthetic::generate(&SyntheticConfig {
+        tables: 5,
+        attrs_per_table: 20,
+        queries_per_table: 20,
+        rows_base: 500_000,
+        ..SyntheticConfig::default()
+    });
+    let (log, probes) = probed_log(&w, EVENTS);
+    assert_eq!(probes, EVENTS / 8);
+    // Epochs never seal: the streaming path alone.
+    let config = |calibrate: bool| {
+        let mut config =
+            ServiceConfig { epoch_events: (EVENTS + 1) as u64, ..ServiceConfig::default() };
+        config.calibration.enabled = calibrate;
+        config
+    };
+    let counted = format!("\"probes\":{probes}");
+    for calibrate in [false, true] {
+        let mut router = Router::new(w.schema().clone(), config(calibrate)).unwrap();
+        let report = router
+            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
+            .unwrap();
+        assert_eq!(report.ingested as usize, EVENTS, "probes must not count as ingested");
+        assert_eq!(report.invalid, 0);
+        assert_eq!(report.dropped, 0);
+        let snap = router.calibration();
+        assert!(snap.contains(&counted), "calibrate {calibrate}: {snap}");
+    }
+
+    let mut router = Router::new(w.schema().clone(), config(true)).unwrap();
+    let report = router
+        .run_reader(Paced::new(&log, 50_000), OverloadPolicy::DropOldest, None, &[])
+        .unwrap();
+    assert_eq!(report.ingested as usize, EVENTS);
+    assert_eq!(report.dropped, 0, "the calibrated service shed events at 50 000 lines/s");
+    let snap = router.calibration();
+    assert!(snap.contains(&counted), "the paced run lost probes: {snap}");
 }
 
 // ------------------------------------------------- batched hand-off
