@@ -13,7 +13,7 @@
 //! as transitions get expensive, scratch's churn bill explodes while
 //! adaptive degrades gracefully toward static.
 
-use isel_bench::{header, report_written, ResultSink};
+use isel_bench::{accept_args, header, report_written, ResultSink};
 use isel_core::dynamic::{self, TransitionCosts};
 use isel_core::budget;
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
@@ -31,6 +31,7 @@ struct Row {
 }
 
 fn main() {
+    accept_args(&[]);
     let scenario = drift::generate(&DriftConfig {
         base: SyntheticConfig {
             tables: 4,

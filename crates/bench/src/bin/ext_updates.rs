@@ -13,7 +13,7 @@
 //! the update share (it overbuilds indexes whose upkeep exceeds their
 //! benefit), H6 and CoPhy track each other.
 
-use isel_bench::{header, report_written, ResultSink};
+use isel_bench::{accept_args, header, report_written, ResultSink};
 use isel_core::{algorithm1, budget, candidates, cophy};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer, WhatIfStats};
 use isel_solver::cophy::CophyOptions;
@@ -59,6 +59,7 @@ struct Row {
 }
 
 fn main() {
+    accept_args(&[]);
     let mut sink = ResultSink::new("ext_updates");
     header(
         "Extension: update-aware selection (true cost, w = 0.3)",

@@ -11,26 +11,17 @@
 //! candidate heuristic.
 
 use isel_bench::{
-    cophy_budget_sweep, h6_frontier_profiled, header, print_scan_histogram, report_written,
-    ResultSink,
+    accept_args, cophy_budget_sweep, h6_frontier_profiled, print_scan_histogram, report_written,
+    FrontierWriter,
 };
 use isel_core::{budget, candidates};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::synthetic::{self, SyntheticConfig};
-use serde::Serialize;
 use std::time::Duration;
 
-#[derive(Serialize)]
-struct Row {
-    series: String,
-    w: f64,
-    cost: f64,
-    relative_cost: f64,
-    status: String,
-}
-
 fn main() {
+    accept_args(&[]);
     let cfg = SyntheticConfig {
         queries_per_table: 100, // Q = 1 000 over 10 tables
         ..SyntheticConfig::default()
@@ -45,21 +36,12 @@ fn main() {
         max_nodes: usize::MAX,
     };
 
-    let mut sink = ResultSink::new("fig2");
-    header(
+    let mut out = FrontierWriter::new(
+        "fig2",
         "Figure 2: cost vs A(w), H6 vs CoPhy with candidate heuristics",
-        &["series", "w", "cost", "relative"],
+        base_cost,
+        2,
     );
-    let emit = |sink: &mut ResultSink, series: &str, w: f64, cost: f64, status: &str| {
-        println!("{series}\t{w:.2}\t{cost:.3e}\t{:.4}", cost / base_cost);
-        sink.emit(&Row {
-            series: series.to_owned(),
-            w,
-            cost,
-            relative_cost: cost / base_cost,
-            status: status.to_owned(),
-        });
-    };
 
     // H6: a single run covers every budget.
     let max_budget = budget::relative_budget(&est, *ws.last().unwrap());
@@ -67,7 +49,7 @@ fn main() {
     for &w in &ws {
         let a = budget::relative_budget(&est, w);
         let cost = frontier.cost_at(a).unwrap_or(base_cost);
-        emit(&mut sink, "H6", w, cost, "Frontier");
+        out.emit("H6", w, cost, "Frontier");
     }
     println!("(H6 single-run time: {:.3}s)", h6_time.as_secs_f64());
     print_scan_histogram("H6 candidate scans", &h6_report);
@@ -82,14 +64,14 @@ fn main() {
     ] {
         let cands = candidates::select_candidates(&pool, 500, 4, ranking);
         for (w, cost, status) in cophy_budget_sweep(&est, &cands, &ws, &opts) {
-            emit(&mut sink, name, w, cost, &status);
+            out.emit(name, w, cost, &status);
         }
     }
 
     let all = pool.indexes();
     for (w, cost, status) in cophy_budget_sweep(&est, &all, &ws, &opts) {
-        emit(&mut sink, "CoPhy-Imax", w, cost, &status);
+        out.emit("CoPhy-Imax", w, cost, &status);
     }
 
-    report_written(&sink.finish());
+    report_written(&out.finish());
 }

@@ -6,24 +6,15 @@
 //! CoPhy(I_max) curve; H6 tracks the optimal curve without any candidate
 //! set.
 
-use isel_bench::{cophy_budget_sweep, h6_frontier, header, report_written, ResultSink};
+use isel_bench::{accept_args, cophy_budget_sweep, h6_frontier, report_written, FrontierWriter};
 use isel_core::{budget, candidates};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::synthetic::{self, SyntheticConfig};
-use serde::Serialize;
 use std::time::Duration;
 
-#[derive(Serialize)]
-struct Row {
-    series: String,
-    w: f64,
-    cost: f64,
-    relative_cost: f64,
-    status: String,
-}
-
 fn main() {
+    accept_args(&[]);
     let cfg = SyntheticConfig {
         queries_per_table: 100,
         ..SyntheticConfig::default()
@@ -38,27 +29,18 @@ fn main() {
         max_nodes: usize::MAX,
     };
 
-    let mut sink = ResultSink::new("fig3");
-    header(
+    let mut out = FrontierWriter::new(
+        "fig3",
         "Figure 3: cost vs A(w), H6 vs CoPhy with |I| = 100 / 1000 / I_max (H1-M)",
-        &["series", "w", "cost", "relative"],
+        base_cost,
+        2,
     );
-    let emit = |sink: &mut ResultSink, series: &str, w: f64, cost: f64, status: &str| {
-        println!("{series}\t{w:.2}\t{cost:.3e}\t{:.4}", cost / base_cost);
-        sink.emit(&Row {
-            series: series.to_owned(),
-            w,
-            cost,
-            relative_cost: cost / base_cost,
-            status: status.to_owned(),
-        });
-    };
 
     let max_budget = budget::relative_budget(&est, *ws.last().unwrap());
     let (frontier, _) = h6_frontier(&est, max_budget);
     for &w in &ws {
         let a = budget::relative_budget(&est, w);
-        emit(&mut sink, "H6", w, frontier.cost_at(a).unwrap_or(base_cost), "Frontier");
+        out.emit("H6", w, frontier.cost_at(a).unwrap_or(base_cost), "Frontier");
     }
 
     let pool = candidates::enumerate_imax(&workload, 4);
@@ -68,13 +50,13 @@ fn main() {
             candidates::select_candidates(&pool, size, 4, candidates::CandidateRanking::Frequency);
         let name = format!("CoPhy-H1M-{size}");
         for (w, cost, status) in cophy_budget_sweep(&est, &cands, &ws, &opts) {
-            emit(&mut sink, &name, w, cost, &status);
+            out.emit(&name, w, cost, &status);
         }
     }
     let all = pool.indexes();
     for (w, cost, status) in cophy_budget_sweep(&est, &all, &ws, &opts) {
-        emit(&mut sink, "CoPhy-Imax", w, cost, &status);
+        out.emit("CoPhy-Imax", w, cost, &status);
     }
 
-    report_written(&sink.finish());
+    report_written(&out.finish());
 }

@@ -12,27 +12,18 @@
 //! candidates needs minutes.
 
 use isel_bench::{
-    cophy_budget_sweep, h6_frontier_profiled, header, print_scan_histogram, report_written, secs,
-    ResultSink,
+    accept_args, cophy_budget_sweep, h6_frontier_profiled, has_flag, print_scan_histogram,
+    report_written, secs, FrontierWriter,
 };
 use isel_core::{budget, candidates};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::erp::{self, ErpConfig};
-use serde::Serialize;
 use std::time::Duration;
 
-#[derive(Serialize)]
-struct Row {
-    series: String,
-    w: f64,
-    cost: f64,
-    relative_cost: f64,
-    status: String,
-}
-
 fn main() {
-    let quick = isel_bench::has_flag("--quick");
+    accept_args(&["--quick"]);
+    let quick = has_flag("--quick");
     let cfg = if quick {
         ErpConfig {
             tables: 100,
@@ -60,21 +51,7 @@ fn main() {
         max_nodes: usize::MAX,
     };
 
-    let mut sink = ResultSink::new("fig4");
-    header(
-        "Figure 4: ERP workload, cost vs A(w)",
-        &["series", "w", "cost", "relative"],
-    );
-    let emit = |sink: &mut ResultSink, series: &str, w: f64, cost: f64, status: &str| {
-        println!("{series}\t{w:.4}\t{cost:.3e}\t{:.4}", cost / base_cost);
-        sink.emit(&Row {
-            series: series.to_owned(),
-            w,
-            cost,
-            relative_cost: cost / base_cost,
-            status: status.to_owned(),
-        });
-    };
+    let mut out = FrontierWriter::new("fig4", "Figure 4: ERP workload, cost vs A(w)", base_cost, 4);
 
     let max_budget = budget::relative_budget(&est, *ws.last().unwrap());
     let (frontier, h6_time, h6_report) = h6_frontier_profiled(&est, max_budget);
@@ -82,7 +59,7 @@ fn main() {
     print_scan_histogram("H6 candidate scans", &h6_report);
     for &w in &ws {
         let a = budget::relative_budget(&est, w);
-        emit(&mut sink, "H6", w, frontier.cost_at(a).unwrap_or(base_cost), "Frontier");
+        out.emit("H6", w, frontier.cost_at(a).unwrap_or(base_cost), "Frontier");
     }
 
     // Wide analytical templates are capped to their 8 hottest attributes
@@ -95,15 +72,15 @@ fn main() {
             candidates::select_candidates(&pool, size, 4, candidates::CandidateRanking::Frequency);
         let name = format!("CoPhy-H1M-{size}");
         for (w, cost, status) in cophy_budget_sweep(&est, &cands, &ws, &opts) {
-            emit(&mut sink, &name, w, cost, &status);
+            out.emit(&name, w, cost, &status);
         }
     }
     let all = pool.indexes();
     let (rows, cophy_time) = isel_bench::timed(|| cophy_budget_sweep(&est, &all, &ws, &opts));
     for (w, cost, status) in rows {
-        emit(&mut sink, "CoPhy-Imax", w, cost, &status);
+        out.emit("CoPhy-Imax", w, cost, &status);
     }
     println!("(CoPhy-Imax total sweep time: {}s)", secs(cophy_time));
 
-    report_written(&sink.finish());
+    report_written(&out.finish());
 }

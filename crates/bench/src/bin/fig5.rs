@@ -16,7 +16,7 @@
 //! Expected shape: H6 within a few percent of CoPhy-all; H1 and H4 far
 //! off; H5-all good; CoPhy-10 % clearly below CoPhy-all.
 
-use isel_bench::{arg_value, has_flag, header, report_written, ResultSink};
+use isel_bench::{accept_args, arg_value, has_flag, header, report_written, ResultSink};
 use isel_core::{algorithm1, budget, candidates, cophy, heuristics, Selection};
 use isel_costmodel::{CachingWhatIf, WhatIfOptimizer};
 use isel_dbsim::{measure_workload, CostMetric, Database, MeasureConfig};
@@ -63,6 +63,7 @@ fn evaluate(db: &mut Database, workload: &Workload, sel: &Selection, seed: u64) 
 }
 
 fn main() {
+    accept_args(&["--rows=N", "--wall"]);
     let rows: u64 = arg_value("--rows").map(|v| v.parse().expect("numeric rows")).unwrap_or(20_000);
     let metric = if has_flag("--wall") { CostMetric::WallTime } else { CostMetric::WorkUnits };
     let data_seed = 0xF1E5;

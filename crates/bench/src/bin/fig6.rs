@@ -5,7 +5,7 @@
 //! |I_max| = 2 937); both counts grow linearly to ≈ 20 000 at 100 % of the
 //! candidates.
 
-use isel_bench::{header, report_written, ResultSink};
+use isel_bench::{accept_args, header, report_written, ResultSink};
 use isel_core::{budget, candidates, cophy};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -20,6 +20,7 @@ struct Row {
 }
 
 fn main() {
+    accept_args(&[]);
     let cfg = SyntheticConfig::end_to_end(0xE2E);
     let workload = synthetic::generate(&cfg);
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&workload));

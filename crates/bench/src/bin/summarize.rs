@@ -52,17 +52,25 @@ fn summarize_table1() {
 }
 
 /// Frontier figures share one shape: series × budget → relative cost.
-fn summarize_frontier(name: &str, title: &str) {
+/// `w_decimals` is the precision the figure's binary prints `w` at (for
+/// Figs. 2–4 its `FrontierWriter::new` argument), so each column is keyed
+/// and labelled as that binary labels it.
+fn summarize_frontier(name: &str, title: &str, w_decimals: usize) {
     println!("\n## {title} (relative workload cost; 1.0 = unindexed)");
-    let rows = rows(name);
-    if rows.is_empty() {
-        return;
+    for line in frontier_table(&rows(name), w_decimals) {
+        println!("{line}");
     }
-    // Collect budgets and series.
+}
+
+/// The header and series lines of one frontier table; empty without rows.
+fn frontier_table(rows: &[Value], w_decimals: usize) -> Vec<String> {
+    if rows.is_empty() {
+        return Vec::new();
+    }
     let mut budgets: Vec<String> = Vec::new();
     let mut table: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
-    for r in &rows {
-        let w = format!("{:.2}", f(r, "w"));
+    for r in rows {
+        let w = format!("{:.w_decimals$}", f(r, "w"));
         if !budgets.contains(&w) {
             budgets.push(w.clone());
         }
@@ -71,14 +79,15 @@ fn summarize_frontier(name: &str, title: &str) {
             .or_default()
             .insert(w, f(r, "relative_cost"));
     }
-    println!("series\t{}", budgets.join("\t"));
+    let mut lines = vec![format!("series\t{}", budgets.join("\t"))];
     for (series, by_w) in table {
         let cells: Vec<String> = budgets
             .iter()
             .map(|w| by_w.get(w).map_or("-".to_owned(), |v| format!("{v:.4}")))
             .collect();
-        println!("{series}\t{}", cells.join("\t"));
+        lines.push(format!("{series}\t{}", cells.join("\t")));
     }
+    lines
 }
 
 fn summarize_fig6() {
@@ -124,12 +133,37 @@ fn summarize_ext_updates() {
 }
 
 fn main() {
+    isel_bench::accept_args(&[]);
     summarize_table1();
-    summarize_frontier("fig2", "Figure 2 — candidate heuristics");
-    summarize_frontier("fig3", "Figure 3 — candidate-set sizes");
-    summarize_frontier("fig4", "Figure 4 — ERP workload");
-    summarize_frontier("fig5", "Figure 5 — end-to-end (measured)");
+    summarize_frontier("fig2", "Figure 2 — candidate heuristics", 2);
+    summarize_frontier("fig3", "Figure 3 — candidate-set sizes", 2);
+    summarize_frontier("fig4", "Figure 4 — ERP workload", 4);
+    summarize_frontier("fig5", "Figure 5 — end-to-end (measured)", 1);
     summarize_fig6();
     summarize_ext_updates();
     summarize_ext_dynamic();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig4_grid_keeps_every_budget_at_the_printed_precision() {
+        // fig4's grid: w = 0, 0.0125, …, 0.1. Two decimals would label
+        // 0.0125 "0.01" and 0.0375 "0.04", which are not its budgets.
+        let rows: Vec<Value> = (0..=8)
+            .map(|i| {
+                let w = i as f64 * 0.0125;
+                serde_json::json!({ "series": "H6", "w": w, "relative_cost": 1.0 - w })
+            })
+            .collect();
+        let lines = frontier_table(&rows, 4);
+        assert_eq!(
+            lines[0],
+            "series\t0.0000\t0.0125\t0.0250\t0.0375\t0.0500\t0.0625\t0.0750\t0.0875\t0.1000"
+        );
+        assert_eq!(lines[1].split('\t').count(), 10, "one cell per budget: {}", lines[1]);
+        assert!(lines[1].starts_with("H6\t1.0000\t0.9875\t"), "{}", lines[1]);
+    }
 }

@@ -12,7 +12,8 @@
 //! seconds) is the reproduction target, not the cutoff constant.
 
 use isel_bench::{
-    arg_value, has_flag, header, print_scan_histogram, report_written, secs, timed, ResultSink,
+    accept_args, arg_value, has_flag, header, print_scan_histogram, report_written, secs, timed,
+    ResultSink,
 };
 use isel_core::{algorithm1, budget, candidates, RunReport, Trace, VecSink};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, PrefixAwareWhatIf, WhatIfOptimizer};
@@ -36,6 +37,7 @@ struct Row {
 }
 
 fn main() {
+    accept_args(&["--full", "--cutoff=SECS"]);
     let full = has_flag("--full");
     let cutoff = Duration::from_secs_f64(
         arg_value("--cutoff")

@@ -50,6 +50,53 @@ impl ResultSink {
     }
 }
 
+/// One point of a cost-vs-budget frontier figure (Figs. 2–4).
+#[derive(Serialize)]
+struct FrontierRow {
+    series: String,
+    w: f64,
+    cost: f64,
+    relative_cost: f64,
+    status: String,
+}
+
+/// Row writer shared by the frontier figures: prints each point as a
+/// stdout table row and appends it to the figure's JSONL. Figures differ
+/// only in how many decimals of `w` they print.
+pub struct FrontierWriter {
+    sink: ResultSink,
+    base_cost: f64,
+    w_decimals: usize,
+}
+
+impl FrontierWriter {
+    /// Open `results/<name>.jsonl` and print the table header.
+    pub fn new(name: &str, title: &str, base_cost: f64, w_decimals: usize) -> Self {
+        let sink = ResultSink::new(name);
+        header(title, &["series", "w", "cost", "relative"]);
+        Self { sink, base_cost, w_decimals }
+    }
+
+    /// Print and record one point; `relative_cost` is against the
+    /// unindexed workload.
+    pub fn emit(&mut self, series: &str, w: f64, cost: f64, status: &str) {
+        let relative_cost = cost / self.base_cost;
+        println!("{series}\t{w:.prec$}\t{cost:.3e}\t{relative_cost:.4}", prec = self.w_decimals);
+        self.sink.emit(&FrontierRow {
+            series: series.to_owned(),
+            w,
+            cost,
+            relative_cost,
+            status: status.to_owned(),
+        });
+    }
+
+    /// Flush and report the path.
+    pub fn finish(self) -> PathBuf {
+        self.sink.finish()
+    }
+}
+
 /// Wall-time of a closure.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
@@ -130,6 +177,27 @@ pub fn cophy_budget_sweep(
 /// Pretty seconds.
 pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
+}
+
+/// Reject arguments the binary does not know. `accepted` lists its
+/// boolean flags (`--quick`) and valued keys (`--rows=N`); anything else
+/// prints a usage line and exits with status 2, so a typo cannot silently
+/// run the default experiment.
+pub fn accept_args(accepted: &[&str]) {
+    let known = |arg: &str| {
+        accepted.iter().any(|spec| match spec.split_once('=') {
+            Some((key, _)) => arg.strip_prefix(key).is_some_and(|v| v.starts_with('=')),
+            None => arg == *spec,
+        })
+    };
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    if let Some(bad) = args.find(|a| !known(a)) {
+        let name = Path::new(&bin).file_name().and_then(|n| n.to_str()).unwrap_or(&bin);
+        let usage: String = accepted.iter().map(|spec| format!(" [{spec}]")).collect();
+        eprintln!("{name}: unknown argument `{bad}`\nusage: {name}{usage}");
+        std::process::exit(2);
+    }
 }
 
 /// Quick flag lookup: `--full` style booleans.
