@@ -415,6 +415,36 @@ fn mixed_stream_counts_like_the_in_process_replay() {
     }
 }
 
+/// Two events of one template whose frequencies sum past `u64::MAX`
+/// saturate the template's weight instead of wrapping it to 0: in
+/// either encoding, the whole-workload group, a per-table shard and a
+/// worker process each ingest both and exit cleanly.
+#[test]
+fn frequency_mass_past_u64_max_saturates() {
+    let dir = setup("overflow");
+    let line = r#"{"table":0,"attrs":[0],"frequency":9223372036854775808}"#;
+    let jsonl = dir.join("two.jsonl");
+    std::fs::write(&jsonl, format!("{line}\n{line}\n")).unwrap();
+    let bin = dir.join("two.bin");
+    let (j, b) = (jsonl.display().to_string(), bin.display().to_string());
+    assert_ok(&run(&["journal", "convert", "--log", &j, "--to", "binary", "--out", &b], None, &[]));
+    let w = dir.join("w.json").display().to_string();
+    for log in [&jsonl, &bin] {
+        let l = log.display().to_string();
+        for shards in ["0", "1"] {
+            let args = ["replay", "--workload", &w, "--log", &l, "--epoch-events", "2"];
+            let args = [&args[..], &["--offline-check", "--shards", shards]].concat();
+            let out = run(&args, None, &[]);
+            assert_ok(&out);
+            assert!(stdout(&out).contains("ingested 2\t"), "{l} at --shards {shards}");
+        }
+        let args = ["serve", "--workload", &w, "--epoch-events", "2", "--shards", "1"];
+        let out = run(&[&args[..], &["--workers", "1"]].concat(), Some(log), &[]);
+        assert_ok(&out);
+        assert!(stdout(&out).contains("ingested 2\t"), "{l} under one worker");
+    }
+}
+
 /// The in-stream questions a served run answers, with their JSONL
 /// lines: a `whatif`, a `budget` re-anchor (it mutates every later
 /// answer), a `tenant` split and the `calibration` table. No `status`:

@@ -79,11 +79,13 @@ pub struct ObservedEvent {
     pub cost: f64,
 }
 
-/// One successfully parsed input line.
+/// One successfully parsed input line. `Q` is how the query is held:
+/// owned as [`parse_line`] builds it, or borrowed from the
+/// [`crate::records::DecodeDict`] that remembers the line.
 #[derive(Clone, Debug, PartialEq)]
-pub enum InputLine {
+pub enum InputLine<Q = Query> {
     /// A validated query event.
-    Query(Query),
+    Query(Q),
     /// A validated observed-cost probe.
     Observed(ObservedEvent),
     /// A control command.

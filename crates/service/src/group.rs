@@ -34,7 +34,7 @@ use crate::checkpoint::{
     atomic_write, shard_file, GroupCheckpoint, ShardCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::config::ServiceConfig;
-use crate::event::{parse_line, InputLine};
+use crate::event::InputLine;
 use crate::feedback::{self, CalSnapshot, GroupFeedback};
 use crate::records::DecodeDict;
 use crate::stream::Routed;
@@ -203,8 +203,8 @@ impl GroupHost {
     }
 
     /// Act on one routed record, at its position in this shard's stream:
-    /// a query — a text line, or a binary event whose template resolves
-    /// through `dict` — folds into its group's window and, when that
+    /// a query — a text line or a binary event, either resolved through
+    /// `dict` — folds into its group's window and, when that
     /// seals an epoch, the group is tuned; an observed-cost probe feeds
     /// its group's ratio tracker (and never counts as ingested);
     /// anything else — unparseable, schema-invalid, an undefined
@@ -216,7 +216,7 @@ impl GroupHost {
     pub(crate) fn fold(
         &mut self,
         env: &Env<'_>,
-        dict: &DecodeDict,
+        dict: &mut DecodeDict,
         item: Routed,
         trace: Trace<'_>,
     ) -> Option<Sealed> {
@@ -225,7 +225,7 @@ impl GroupHost {
                 Some(q) => return self.ingest(env, &q, trace),
                 None => self.invalid += 1,
             },
-            Routed::Line(line) => match parse_line(&line, env.schema) {
+            Routed::Line(line) => match dict.resolve_line(line, env.schema) {
                 Ok(InputLine::Query(q)) => return self.ingest(env, &q, trace),
                 Ok(InputLine::Observed(o)) => {
                     let (_, group) = self.group(env, o.query.table());
@@ -362,6 +362,7 @@ impl GroupHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::records::LINE_CAP;
     use isel_workload::synthetic::{self, SyntheticConfig};
     use isel_workload::Workload;
     use std::collections::BTreeSet;
@@ -435,7 +436,7 @@ mod tests {
         let w = workload();
         let config = calibrated();
         let env = Env::new(w.schema(), &config);
-        let dict = DecodeDict::new();
+        let mut dict = DecodeDict::new();
         let dir = std::env::temp_dir().join(format!("isel-splice-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let manifest = dir.join("m.json");
@@ -459,12 +460,12 @@ mod tests {
             }
             last
         };
-        let feed = |pairs: &mut [Pair], generation: usize| -> BTreeSet<u16> {
+        let mut feed = |pairs: &mut [Pair], generation: usize| -> BTreeSet<u16> {
             let mut touched = BTreeSet::new();
             for (table, line) in burst(&w, generation) {
                 let p = &mut pairs[table as usize % pairs.len()];
                 for h in [&mut p.host, &mut p.twin] {
-                    h.fold(&env, &dict, Routed::Line(line.clone()), Trace::disabled());
+                    h.fold(&env, &mut dict, Routed::Line(line.clone()), Trace::disabled());
                 }
                 touched.insert(table);
             }
@@ -516,5 +517,89 @@ mod tests {
         }
         assert!(clean >= 30, "only {clean} clean group documents: the log must leave groups idle");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every shape of text line the line table must tell apart, in a
+    /// fixed shuffled order, with more distinct repeated valid lines than
+    /// [`LINE_CAP`] in the middle so the table starts over mid-stream.
+    fn memo_corpus(w: &Workload) -> Vec<String> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(28);
+        let shapes: Vec<(u16, String, &str)> = w
+            .queries()
+            .iter()
+            .map(|q| {
+                let attrs: Vec<String> = q.attrs().iter().map(|a| a.0.to_string()).collect();
+                let kind = if q.is_update() { r#","kind":"Update""# } else { "" };
+                (q.table().0, attrs.join(","), kind)
+            })
+            .collect();
+        let line = |rng: &mut StdRng| -> String {
+            let (t, attrs, kind) = &shapes[rng.gen_range(0..shapes.len())];
+            match rng.gen_range(0..16) {
+                0..=5 => format!(r#"{{"table":{t},"attrs":[{attrs}]{kind}}}"#),
+                6 => format!(r#"{{"table":{t},"attrs":[{attrs}],"frequency":3{kind}}}"#),
+                7 => format!(r#"{{"table":{t},"attrs":[{attrs}],"frequency":40{kind}}}"#),
+                8 => format!(r#"{{"attrs":[{attrs}]{kind},"table":{t}}}"#),
+                9 => format!(r#"{{"table": {t}, "attrs": [{}]{kind}}}"#, attrs.replace(',', ", ")),
+                10 => format!(r#"{{"table":{t},"attrs":[{attrs}],"observed_cost":{}.5}}"#, t + 2),
+                11 => format!(r#"{{"table":{t},"attrs":[{attrs}],"control":"checkpoint"}}"#),
+                12 => format!(r#"{{"table":{t},"attrs":[{attrs}],"frequency":0}}"#),
+                13 => format!(r#"{{"table":{},"attrs":[{attrs}]}}"#, (t + 1) % 3),
+                14 => format!(r#"{{"table":7,"attrs":[{attrs}]}}"#),
+                _ => format!(r#"{{"table":{t},"attrs":[{attrs}"#),
+            }
+        };
+        let mut corpus: Vec<String> = (0..2_000).map(|_| line(&mut rng)).collect();
+        // Each twice in a row, so the table remembers it.
+        for n in 1..=LINE_CAP as u64 + 600 {
+            let (t, attrs, kind) = &shapes[n as usize % shapes.len()];
+            let distinct = format!(r#"{{"table":{t},"attrs":[{attrs}],"frequency":{n}{kind}}}"#);
+            corpus.push(distinct.clone());
+            corpus.push(distinct);
+            if n % 3 == 0 {
+                corpus.push(line(&mut rng));
+            }
+        }
+        corpus.extend((0..2_000).map(|_| line(&mut rng)));
+        corpus
+    }
+
+    /// The line table is invisible: a host whose dictionary remembers
+    /// lines and a twin whose dictionary is new for every record count
+    /// the same, seal and publish the same epochs, and capture the same
+    /// documents at every barrier.
+    #[test]
+    fn remembered_lines_fold_like_fresh_parses() {
+        let w = workload();
+        let config = ServiceConfig { epoch_events: 64, ..calibrated() };
+        let env = Env::new(w.schema(), &config);
+        let corpus = memo_corpus(&w);
+        let (mut host, mut twin) = (GroupHost::default(), GroupHost::default());
+        let mut dict = DecodeDict::new();
+        let render = |sealed: Option<Sealed>| {
+            sealed.map(|s| {
+                let publish = s.publish.map(|(key, pf)| (key, (*pf).clone()));
+                (serde_json::to_string(&s.outcome).unwrap(), publish)
+            })
+        };
+        let mut sealed = 0usize;
+        for (i, line) in corpus.iter().enumerate() {
+            let line = || Routed::Line(line.clone());
+            let a = render(host.fold(&env, &mut dict, line(), Trace::disabled()));
+            let b = render(twin.fold(&env, &mut DecodeDict::new(), line(), Trace::disabled()));
+            assert_eq!(a, b, "record {i}");
+            sealed += usize::from(a.is_some());
+            assert_eq!(host.counters(), twin.counters(), "record {i}");
+            if i % 512 == 511 {
+                let generation = (i / 512) as u64;
+                let doc = |h: &mut GroupHost| h.capture(&config, 0, generation).to_json().unwrap();
+                assert_eq!(doc(&mut host), doc(&mut twin), "barrier after record {i}");
+            }
+        }
+        let c = host.counters();
+        assert!(c.invalid >= 1_000 && c.ingested >= 10_000, "{c:?}");
+        assert!(c.cal.probes + c.cal.rejected >= 100, "{c:?}");
+        assert!(sealed >= 60, "only {sealed} epochs sealed");
     }
 }

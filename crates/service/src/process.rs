@@ -424,7 +424,7 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
         let Some(shard) = current else { continue };
         let Some(host) = hosts.get_mut(&shard) else { continue };
         let before = host.ingested;
-        let sealed = host.fold(&env, &dict, item, Trace::disabled());
+        let sealed = host.fold(&env, &mut dict, item, Trace::disabled());
         if host.ingested != before {
             // One hit per ingested query event, and fresh workers count
             // from 0, so the hit count equals the shard's ingested count.

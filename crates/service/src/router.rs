@@ -773,7 +773,7 @@ fn shard_worker(
             break;
         };
         match item {
-            ShardItem::Routed(item) => deliver(host.fold(ctx.env, &dict, item, trace)),
+            ShardItem::Routed(item) => deliver(host.fold(ctx.env, &mut dict, item, trace)),
             ShardItem::Define { id, table, kind, attrs } => {
                 dict.define_at(ctx.env.schema, id, table, kind, attrs);
             }

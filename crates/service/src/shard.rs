@@ -5,9 +5,11 @@
 //! problem decomposes by *table group*. The router exploits that: a
 //! [`ShardMap`] places every table group on one of `N` shards, and
 //! [`classify_line`] extracts the routing key from a raw JSONL line with
-//! a single byte scan, leaving the full parse/validate work to the shard
+//! a single byte scan, leaving the parse/validate work to the shard
 //! workers (which is what makes routing cheaper than ingesting and the
-//! fan-out a throughput win).
+//! fan-out a throughput win). A shard does that work for a repeated
+//! query line only until its [`crate::records::DecodeDict`] remembers
+//! the line; after that the line resolves by a hash lookup.
 //!
 //! Placement never affects results: the unit of tuning state is the
 //! table group at every shard count, so moving a group between shards

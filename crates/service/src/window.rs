@@ -13,7 +13,9 @@
 //! heaviest templates via `compress::top_k_by_weight` — producing the
 //! [`Workload`] the tuner optimizes for. Eviction removes exactly the
 //! oldest batch; no weight mass is ever lost inside the window
-//! (also property-tested).
+//! (also property-tested). Frequency sums saturate at `u64::MAX`
+//! instead of wrapping, so events whose frequencies add past it pin
+//! their template at the maximum weight rather than zeroing it.
 
 use isel_workload::compress;
 use isel_workload::{AttrId, Query, QueryKind, Schema, TableId, Workload};
@@ -48,9 +50,10 @@ pub(crate) struct EpochBatch {
 }
 
 impl EpochBatch {
-    /// Total frequency mass of the batch.
+    /// Total frequency mass of the batch (saturating, like every
+    /// frequency sum here).
     pub(crate) fn mass(&self) -> u64 {
-        self.templates.values().sum()
+        self.templates.values().fold(0, |sum, f| sum.saturating_add(*f))
     }
 }
 
@@ -106,7 +109,7 @@ impl EpochWindow {
         self.probe.2.clear();
         self.probe.2.extend_from_slice(query.attrs());
         match self.current.templates.get_mut(&self.probe) {
-            Some(frequency) => *frequency += query.frequency(),
+            Some(frequency) => *frequency = frequency.saturating_add(query.frequency()),
             None => {
                 self.current.templates.insert(self.probe.clone(), query.frequency());
             }
@@ -131,7 +134,8 @@ impl EpochWindow {
         let mut merged: BTreeMap<&TemplateKey, u64> = BTreeMap::new();
         for batch in &self.window {
             for (key, freq) in &batch.templates {
-                *merged.entry(key).or_insert(0) += freq;
+                let sum = merged.entry(key).or_insert(0);
+                *sum = sum.saturating_add(*freq);
             }
         }
         let queries: Vec<Query> = merged
@@ -171,7 +175,7 @@ impl EpochWindow {
     /// Total frequency mass across the sealed window plus the current
     /// partial epoch.
     pub fn total_mass(&self) -> u64 {
-        self.window.iter().map(EpochBatch::mass).sum::<u64>() + self.current.mass()
+        self.window.iter().chain([&self.current]).fold(0, |sum, b| sum.saturating_add(b.mass()))
     }
 }
 
@@ -265,5 +269,19 @@ mod tests {
         assert_eq!(snap.query_count(), 2);
         assert!(!snap.queries()[0].is_update());
         assert!(snap.queries()[1].is_update());
+    }
+
+    #[test]
+    fn frequency_sums_saturate() {
+        let half = 1u64 << 63;
+        let mut w = EpochWindow::new(schema(), 2, 2, 16);
+        w.push(&q(&[0], half));
+        w.push(&q(&[0], half));
+        w.push(&q(&[0], half));
+        w.push(&q(&[1], half));
+        assert_eq!(w.sealed_masses(), vec![u64::MAX, u64::MAX]);
+        assert_eq!(w.total_mass(), u64::MAX);
+        let snap = w.snapshot().unwrap();
+        assert_eq!(snap.queries()[0].frequency(), u64::MAX, "merged across epochs");
     }
 }
