@@ -65,7 +65,7 @@ pub struct SavedBatch {
     pub templates: Vec<SavedTemplate>,
 }
 
-fn save_batch(batch: &EpochBatch) -> SavedBatch {
+pub(crate) fn save_batch(batch: &EpochBatch) -> SavedBatch {
     SavedBatch {
         events: batch.events,
         templates: batch
@@ -445,13 +445,17 @@ pub fn shard_file(manifest: &Path, shard: u32, generation: u64) -> std::path::Pa
 
 /// Write `bytes` to `path` via `<path>.tmp` + rename, firing the fault
 /// site `fault` (name, scope), if given, once the `.tmp` is on disk and
-/// before the rename.
+/// before the rename. The suffix is appended, never swapped for the
+/// extension: a `path` that already ends in `.tmp` gets a temporary
+/// file of its own.
 pub(crate) fn atomic_write(
     path: &Path,
     bytes: &[u8],
     fault: Option<(&str, u32)>,
 ) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
     std::fs::write(&tmp, bytes).map_err(|e| format!("write {}: {e}", tmp.display()))?;
     if let Some((site, scope)) = fault {
         crate::fault::fire(site, scope)?;
@@ -548,7 +552,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.json");
         cp.save(&path).unwrap();
-        assert!(!path.with_extension("tmp").exists(), "tmp file renamed away");
+        assert!(!dir.join("state.json.tmp").exists(), "tmp file renamed away");
         assert_eq!(ShardCheckpoint::load(&path).unwrap(), cp);
         std::fs::remove_file(&path).ok();
     }

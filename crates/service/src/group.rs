@@ -14,12 +14,15 @@
 //! observed-cost probe feeds its tracker; a barrier captures it into a
 //! [`ShardCheckpoint`]; a document restores it.
 //!
-//! A checkpoint pays only for groups that changed. Each group keeps the
-//! JSON its last capture rendered, and any record folded into it drops
-//! that rendering; a barrier re-captures and re-renders only the groups
-//! without one and splices the rest into the shard document verbatim.
-//! The document is byte-identical to a full capture's, whatever the
-//! group's history or shard placement.
+//! A checkpoint pays only for what changed. Each group keeps the JSON
+//! its last capture rendered, with the byte range of its `"current"`
+//! value, and every record folded into it marks how much of that went
+//! stale ([`Stale`]). At a barrier a clean group splices its rendering
+//! into the shard document verbatim; a group that only took query
+//! events since — nothing sealed, nothing probed — re-renders just its
+//! partial epoch in place; any other group is re-captured and
+//! re-rendered whole. The document is byte-identical to a full
+//! capture's, whatever the group's history or shard placement.
 //!
 //! Where a host runs — a shard thread behind a queue
 //! ([`crate::router`]) or a worker process behind a pipe
@@ -31,7 +34,7 @@
 
 use crate::arbiter::PublishedFrontier;
 use crate::checkpoint::{
-    atomic_write, shard_file, GroupCheckpoint, ShardCheckpoint, CHECKPOINT_VERSION,
+    atomic_write, save_batch, shard_file, GroupCheckpoint, ShardCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::config::ServiceConfig;
 use crate::event::InputLine;
@@ -44,6 +47,7 @@ use isel_core::{Parallelism, Trace};
 use isel_workload::{Query, Schema, TableId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -64,36 +68,56 @@ impl<'a> Env<'a> {
     }
 }
 
+/// How much of a group's last rendering the records folded into it
+/// since have made stale, least first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Stale {
+    /// Nothing: the rendering is the group's document.
+    Clean,
+    /// Only the `"current"` value: query events folded in without
+    /// sealing an epoch.
+    Current,
+    /// Everything: an epoch sealed (and was tuned, perhaps rolled
+    /// back), a probe fed the feedback state, or the group is fresh,
+    /// restored or adopted and was never rendered.
+    All,
+}
+
 /// One group's live tuning state.
 pub(crate) struct GroupState {
     pub(crate) tuner: Tuner,
     pub(crate) window: EpochWindow,
     pub(crate) feedback: GroupFeedback,
-    /// The group's document as its last capture rendered it; `None`
-    /// once anything has folded into the group since (or before the
-    /// first capture).
-    rendered: Option<String>,
+    /// The group's document as last rendered.
+    rendered: String,
+    /// Where in `rendered` the `"current"` value sits.
+    current: Range<usize>,
+    stale: Stale,
 }
 
 impl GroupState {
+    /// A group in this state, not rendered yet.
+    fn new(tuner: Tuner, window: EpochWindow, feedback: GroupFeedback) -> Self {
+        Self { tuner, window, feedback, rendered: String::new(), current: 0..0, stale: Stale::All }
+    }
+
     /// Empty state for the group under `key`: table `key`'s group, or —
     /// whole-workload tuning — the one whole-schema group.
     fn fresh(env: &Env<'_>, key: u16) -> Self {
         let config = env.config.clone();
-        Self {
-            tuner: match config.group_scope(key) {
+        Self::new(
+            match config.group_scope(key) {
                 None => Tuner::new(env.schema, config),
                 Some(table) => Tuner::for_table(env.schema, config, table),
             },
-            window: EpochWindow::new(
+            EpochWindow::new(
                 env.schema.clone(),
                 env.config.epoch_events,
                 env.config.window_epochs,
                 env.config.max_templates,
             ),
-            feedback: GroupFeedback::new(env.config),
-            rendered: None,
-        }
+            GroupFeedback::new(env.config),
+        )
     }
 
     /// Restore a group — tuning state and feedback state — from a
@@ -108,7 +132,7 @@ impl GroupState {
             Some(saved) => GroupFeedback::load(saved, config)?,
             None => GroupFeedback::new(config),
         };
-        Ok(Self { tuner, window, feedback, rendered: None })
+        Ok(Self::new(tuner, window, feedback))
     }
 
     /// Capture the group (compacting its pool, which is why this takes
@@ -118,15 +142,38 @@ impl GroupState {
             .with_feedback(config.calibration.enabled.then(|| self.feedback.save()))
     }
 
-    /// The group's document: rendered now if anything folded into the
-    /// group since its last capture, else that capture's JSON.
+    /// The group's document, brought up to date by as much rendering
+    /// as its staleness asks for.
     fn rendering(&mut self, config: &ServiceConfig) -> &str {
-        if self.rendered.is_none() {
-            let mut json = String::new();
-            self.capture(config).write_json(&mut json);
-            self.rendered = Some(json);
+        match self.stale {
+            Stale::Clean => {}
+            // Only the window's partial epoch changed: the pool, whose
+            // compaction is canonical, interned nothing since.
+            Stale::Current => {
+                let mut json = String::new();
+                save_batch(&self.window.current).write_json(&mut json);
+                self.rendered.replace_range(self.current.clone(), &json);
+                self.current.end = self.current.start + json.len();
+            }
+            // Every value before `"current"` is numeric, so its key's
+            // first occurrence is the key, and the value is numeric too.
+            Stale::All => {
+                self.rendered.clear();
+                self.capture(config).write_json(&mut self.rendered);
+                let key = r#""current":"#;
+                let start = self.rendered.find(key).expect("a group has a current epoch");
+                let start = start + key.len();
+                let len = self.rendered[start..].find(r#","published":"#);
+                self.current = start..start + len.expect("the frontier follows the epoch");
+            }
         }
-        self.rendered.as_deref().expect("rendered just above")
+        self.stale = Stale::Clean;
+        debug_assert_eq!(
+            self.rendered[self.current.clone()],
+            serde_json::to_string(&save_batch(&self.window.current)).expect("batches render"),
+            "the recorded range holds the current epoch"
+        );
+        &self.rendered
     }
 }
 
@@ -229,7 +276,7 @@ impl GroupHost {
                 Ok(InputLine::Query(q)) => return self.ingest(env, &q, trace),
                 Ok(InputLine::Observed(o)) => {
                     let (_, group) = self.group(env, o.query.table());
-                    group.rendered = None;
+                    group.stale = Stale::All;
                     group.feedback.observe(env.config, &o, trace);
                 }
                 Ok(InputLine::Control(_)) => {}
@@ -246,10 +293,11 @@ impl GroupHost {
     fn ingest(&mut self, env: &Env<'_>, q: &Query, trace: Trace<'_>) -> Option<Sealed> {
         self.ingested += 1;
         let (key, group) = self.group(env, q.table());
-        group.rendered = None;
         if !group.window.push(q) {
+            group.stale = group.stale.max(Stale::Current);
             return None;
         }
+        group.stale = Stale::All;
         let snap = group.window.snapshot().expect("snapshot exists after an epoch seals");
         let outcome = feedback::tune_group(
             &mut group.tuner,
@@ -363,6 +411,7 @@ impl GroupHost {
 mod tests {
     use super::*;
     use crate::records::LINE_CAP;
+    use crate::tuner::TunePolicy;
     use isel_workload::synthetic::{self, SyntheticConfig};
     use isel_workload::Workload;
     use std::collections::BTreeSet;
@@ -516,6 +565,86 @@ mod tests {
             check(&mut two, generation as u64, &touched);
         }
         assert!(clean >= 30, "only {clean} clean group documents: the log must leave groups idle");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every staleness level renders what a full capture does, and each
+    /// kind of record marks the level it must. The stream is the CLI
+    /// calibration tests' contradiction stream cut at barriers: a hot
+    /// template `A` sealed twice, a shift to `B` that opens a deployment
+    /// candidate, probes claiming `A` costs far more than estimated, and
+    /// the shift again, whose seal rolls the group back. The host is
+    /// then adopted from its last document and takes events alone.
+    #[test]
+    fn every_staleness_level_renders_like_a_full_capture() {
+        let w = synthetic::generate(&SyntheticConfig {
+            tables: 1,
+            attrs_per_table: 8,
+            queries_per_table: 8,
+            rows_base: 50_000,
+            seed: 9,
+            ..SyntheticConfig::default()
+        });
+        let mut config = ServiceConfig { budget_share: 0.14, window_epochs: 1, ..calibrated() };
+        config.calibration.envelope_ratio = 1.0;
+        config.calibration.min_probes = 2;
+        let env = Env::new(w.schema(), &config);
+        let dir = std::env::temp_dir().join(format!("isel-stale-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("m.json");
+        let a = r#"{"table":0,"attrs":[0,1],"frequency":10}"#;
+        let a6 = r#"{"table":0,"attrs":[0,1],"frequency":6}"#;
+        let b = r#"{"table":0,"attrs":[2,3],"frequency":20}"#;
+        let probe = r#"{"table":0,"attrs":[0,1],"observed_cost":500000000}"#;
+        // Each step: what it is, its lines, the level they leave.
+        let steps: [(&str, Vec<&str>, Stale); 12] = [
+            ("a fresh group's events", vec![a; 3], Stale::All),
+            ("events only", vec![a; 4], Stale::Current),
+            ("nothing", vec![], Stale::Clean),
+            ("the first seal", vec![a], Stale::All),
+            ("a no-op seal", vec![a; 8], Stale::All),
+            ("events only", vec![b; 7], Stale::Current),
+            ("an adapting seal", vec![a6], Stale::All),
+            ("probes only", vec![probe; 4], Stale::All),
+            ("events only", vec![b; 3], Stale::Current),
+            ("a gate rollback", [vec![b; 4], vec![a6]].concat(), Stale::All),
+            ("an adopted group's events", vec![a; 2], Stale::All),
+            ("events only", vec![a; 2], Stale::Current),
+        ];
+        let (mut host, mut twin) = (GroupHost::default(), GroupHost::default());
+        let mut dict = DecodeDict::new();
+        let mut doc = String::new();
+        let mut levels = [0usize; 3];
+        let (mut noops, mut adapts, mut rollbacks) = (0, 0, 0);
+        let mut written = String::new();
+        for (generation, (what, lines, level)) in (1u64..).zip(steps) {
+            if what.starts_with("an adopted") {
+                let cp = ShardCheckpoint::from_json(&written).unwrap();
+                host = GroupHost::adopt(&cp, w.schema(), &config).unwrap();
+                twin = GroupHost::adopt(&cp, w.schema(), &config).unwrap();
+            }
+            for line in lines {
+                let line = || Routed::Line(line.to_owned());
+                twin.fold(&env, &mut dict, line(), Trace::disabled());
+                let Some(sealed) = host.fold(&env, &mut dict, line(), Trace::disabled()) else {
+                    continue;
+                };
+                match (sealed.outcome.deploy, sealed.outcome.policy) {
+                    (Some(d), _) if d.action == "rollback" => rollbacks += 1,
+                    (_, TunePolicy::NoOp) => noops += 1,
+                    _ => adapts += 1,
+                }
+            }
+            assert_eq!(host.groups[&0].stale, level, "{what}: the level it leaves");
+            levels[level as usize] += 1;
+            let file = host.checkpoint(&config, &manifest, 0, generation, &mut doc).unwrap();
+            written = std::fs::read_to_string(&file).unwrap();
+            let full = twin.capture(&config, 0, generation).to_json().unwrap();
+            assert_eq!(written, full, "{what}, generation {generation}");
+            std::fs::remove_file(&file).unwrap();
+        }
+        assert!(noops > 0 && adapts > 0 && rollbacks == 1, "{noops} {adapts} {rollbacks}");
+        assert!(levels.iter().all(|&n| n > 0), "levels clean/current/all: {levels:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

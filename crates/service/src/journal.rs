@@ -357,10 +357,7 @@ impl<R: BufRead> BufRead for TeeReader<R> {
 }
 
 fn write_manifest(path: &Path, format: WireFormat, segments: usize) -> Result<(), String> {
-    let tmp = path.with_extension("manifest.tmp");
-    std::fs::write(&tmp, manifest_json(format, segments))
-        .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot commit {}: {e}", path.display()))
+    crate::checkpoint::atomic_write(path, manifest_json(format, segments).as_bytes(), None)
 }
 
 #[derive(serde::Deserialize)]

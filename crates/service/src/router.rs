@@ -31,7 +31,7 @@
 //!
 //! On `Barrier(g)` each worker writes its groups as a
 //! [`crate::ShardCheckpoint`] to `<stem>.shard-{k}.g{g}.json`; when
-//! every shard has, the [`Committer`] atomically writes the
+//! every shard has, the `Committer` atomically writes the
 //! [`Manifest`] and deletes older generations' files, so a kill leaves
 //! the previous complete generation or the new one — never a mix. A
 //! manifest may be resumed at a **different** shard count

@@ -5,7 +5,7 @@
 //! a router shard thread, or the supervisor's collector for the worker
 //! process hosting it — posts the shard's absolute [`ShardCounters`],
 //! taken from its group host, into that slot with
-//! [`StatusBoard::post`], replacing what was there; the board sums the
+//! `StatusBoard::post`, replacing what was there; the board sums the
 //! slots when asked ([`StatusBoard::totals`]). A few run-wide events
 //! (epochs, checkpoints, failovers, restarts, lost replies) are relaxed
 //! atomics. [`StatusBoard::line`] renders the aggregated
