@@ -14,17 +14,18 @@
 //! as one group under the whole-schema budget; `--shards N` (N >= 1)
 //! classifies events by table group and tunes the groups on N
 //! independent worker threads — the selection sequence is
-//! bit-identical at every N >= 1. Checkpoints commit per shard,
-//! atomically through a manifest, in both modes.
+//! bit-identical at every N >= 1. `serve --workers N` places those
+//! shards in N worker processes instead (DESIGN.md §16); no other
+//! command takes it. Checkpoints commit per shard, atomically through a
+//! manifest, in every mode.
 
 use crate::args::Args;
 use crate::commands::{create_trace_sink, finish_trace, load_workload, FileSink};
 use isel_core::TraceSink;
 use isel_service::{
     install_status_signal, journal::is_manifest, offline_group_adapt, offline_group_snapshots,
-    read_journal_bytes, run_socket_router, Engine, EpochOutcome, FrameEncoder, JournalConfig,
-    MappedFile, OverloadPolicy, Router, ServiceConfig, ServiceReport, Supervisor, TeeReader,
-    WireFormat, MAGIC,
+    read_journal_bytes, run_socket_router, EpochOutcome, FrameEncoder, JournalConfig, MappedFile,
+    OverloadPolicy, Router, ServiceConfig, ServiceReport, TeeReader, WireFormat, MAGIC,
 };
 use isel_workload::erp::{self, ErpConfig};
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -103,8 +104,21 @@ where
 /// `--checkpoint-every`, `--shards`, `--shard-map`, `--weights`,
 /// `--workers`, `--respawn`, `--calibrate`, `--cal-decay`,
 /// `--cal-min-probes`, `--cal-envelope` and `--cal-probation` options,
-/// defaulting to [`ServiceConfig::default`].
+/// defaulting to [`ServiceConfig::default`]. Only `serve` places shards
+/// in worker processes: `replay`, `budget` and `calibrate` refuse
+/// `--workers`, `--respawn` and `--state-dir` rather than ignore them.
 fn service_config(args: &Args) -> Result<ServiceConfig, String> {
+    let command = args.command.as_deref().unwrap_or_default();
+    if command != "serve" {
+        let placed = ["workers", "respawn", "state-dir"]
+            .into_iter()
+            .find(|f| args.get(f).is_some() || args.flag(f));
+        if let Some(flag) = placed {
+            return Err(format!(
+                "--{flag} is a `serve` option; `{command}` runs in this process"
+            ));
+        }
+    }
     let d = ServiceConfig::default();
     let cfg = ServiceConfig {
         epoch_events: args.get_parsed("epoch-events", d.epoch_events)?,
@@ -148,10 +162,11 @@ fn service_config(args: &Args) -> Result<ServiceConfig, String> {
     Ok(cfg)
 }
 
-/// Build the router: fresh, or resumed from the checkpoint manifest at
-/// `--checkpoint FILE` when `--resume` is set and the manifest exists.
-/// Resuming at a different `--shards N` (N >= 1) is fine — table groups
-/// are repacked onto the new shard layout.
+/// Build the router at either placement: fresh, or resumed from the
+/// checkpoint manifest at `checkpoint` when `resume` is set and the
+/// manifest exists. In process, resuming at a different `--shards N`
+/// (N >= 1) is fine — table groups are repacked onto the new shard
+/// layout; worker processes need the manifest's shard count.
 fn make_router(
     workload: &Workload,
     config: ServiceConfig,
@@ -161,158 +176,27 @@ fn make_router(
     if resume {
         let path = checkpoint.ok_or("--resume requires --checkpoint FILE")?;
         if path.exists() {
+            let workers = config.workers;
             let router = Router::resume(workload.schema().clone(), config, path)?;
-            eprintln!(
-                "resumed {} groups at {} tuned epochs across {} shards from {}",
-                router.group_count(),
-                router.epochs_tuned(),
-                router.shards(),
-                path.display()
-            );
+            match workers {
+                0 => eprintln!(
+                    "resumed {} groups at {} tuned epochs across {} shards from {}",
+                    router.group_count(),
+                    router.epochs_tuned(),
+                    router.shards(),
+                    path.display()
+                ),
+                n => eprintln!(
+                    "resuming {} shards across {n} worker processes from {}",
+                    router.shards(),
+                    path.display()
+                ),
+            }
             return Ok(router);
         }
         eprintln!("no checkpoint manifest at {}; starting fresh", path.display());
     }
     Router::new(workload.schema().clone(), config)
-}
-
-/// Build the multi-process supervisor: fresh, or resumed from the
-/// checkpoint manifest at `--checkpoint FILE` when `--resume` is set and
-/// the manifest exists (the shard count must match the manifest —
-/// re-packing shard files is an in-process `replay --resume` feature).
-fn make_supervisor(
-    workload: &Workload,
-    config: ServiceConfig,
-    checkpoint: Option<&Path>,
-    resume: bool,
-) -> Result<Supervisor, String> {
-    if resume {
-        let path = checkpoint.ok_or("--resume requires --checkpoint FILE")?;
-        if path.exists() {
-            let sup = Supervisor::resume(workload.schema().clone(), config, path)?;
-            eprintln!(
-                "resuming {} shards across {} worker processes from {}",
-                sup.shards(),
-                sup.workers(),
-                path.display()
-            );
-            return Ok(sup);
-        }
-        eprintln!("no checkpoint manifest at {}; starting fresh", path.display());
-    }
-    Supervisor::new(workload.schema().clone(), config)
-}
-
-/// Serve through the multi-process supervisor (`--workers N`): stdin or
-/// `--socket PATH`, with the single supervisor-side `--trace` sink
-/// carrying arbiter merges and failover events.
-fn serve_supervised(
-    args: &Args,
-    workload: &Workload,
-    config: ServiceConfig,
-    checkpoint: Option<&Path>,
-    journal: Option<&JournalConfig>,
-) -> Result<(), String> {
-    if let Some(dir) = args.get("state-dir") {
-        if args.get("socket").is_some() {
-            return Err(
-                "--state-dir serves on stdin (socket serving records with --journal instead)"
-                    .into(),
-            );
-        }
-        return serve_recoverable(args, workload, config, checkpoint, Path::new(dir));
-    }
-    let mut sup = make_supervisor(workload, config, checkpoint, args.flag("resume"))?;
-    let report = traced(args, 0, |sinks| serve_live(args, &mut sup, checkpoint, journal, sinks))?;
-    print_report(&report, workload);
-    Ok(())
-}
-
-/// Serve `engine` live — on `--socket PATH`, else on stdin — until EOF
-/// or a `{"control":"shutdown"}` line.
-fn serve_live<E: Engine>(
-    args: &Args,
-    engine: &mut E,
-    checkpoint: Option<&Path>,
-    journal: Option<&JournalConfig>,
-    sinks: &[&dyn TraceSink],
-) -> Result<ServiceReport, String> {
-    match args.get("socket") {
-        Some(path) => run_socket_router(engine, Path::new(path), checkpoint, journal, sinks),
-        None => engine.serve(BufReader::new(std::io::stdin()), checkpoint, sinks),
-    }
-}
-
-/// `serve --workers N --state-dir DIR`: stdin serving with supervisor
-/// crash recovery (DESIGN.md §18). Every consumed input byte is teed
-/// into `DIR/journal.log` *before* it is acted on; checkpoints commit
-/// through `DIR/checkpoint.json` (unless `--checkpoint` overrides it),
-/// the failover/restart counters persist in `DIR/status.json`, and the
-/// committed epoch-outcome history in `DIR/outcomes.json`. On
-/// startup a prior incarnation is detected from those files: the
-/// committed manifest restores every shard, the whole journal replays
-/// (records the checkpoint already covers are counted but not
-/// re-routed, committed generations are counted but not re-fired), and
-/// serving resumes on live stdin — with the final merged selection and
-/// checkpoint documents byte-identical to an uninterrupted run over
-/// the same stream.
-fn serve_recoverable(
-    args: &Args,
-    workload: &Workload,
-    config: ServiceConfig,
-    checkpoint: Option<&Path>,
-    dir: &Path,
-) -> Result<(), String> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
-    let manifest_path =
-        checkpoint.map_or_else(|| dir.join("checkpoint.json"), Path::to_path_buf);
-    let journal_path = dir.join("journal.log");
-    let prior = match std::fs::read(&journal_path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(format!("cannot read {}: {e}", journal_path.display())),
-    };
-    let mut sup = if manifest_path.exists() {
-        if prior.is_empty() {
-            // The journal must span the stream from byte 0 for replay
-            // positions to line up with the manifest's routed_lines; a
-            // manifest without its journal cannot be recovered from.
-            return Err(format!(
-                "state dir {} holds a checkpoint manifest but no journal; recovery needs \
-                 both (to adopt a foreign checkpoint, resume once with --resume \
-                 --checkpoint and a fresh state dir)",
-                dir.display()
-            ));
-        }
-        let sup = Supervisor::resume(workload.schema().clone(), config, &manifest_path)?;
-        eprintln!(
-            "recovering {} shards across {} workers from {}",
-            sup.shards(),
-            sup.workers(),
-            manifest_path.display()
-        );
-        sup
-    } else {
-        Supervisor::new(workload.schema().clone(), config)?
-    };
-    if !prior.is_empty() {
-        eprintln!(
-            "replaying {} journal bytes from {}",
-            prior.len(),
-            journal_path.display()
-        );
-        sup.set_recovery(prior.len() as u64);
-    }
-    sup.set_state_dir(dir.to_path_buf());
-    let report = traced(args, 0, |sinks| {
-        let stdin = std::io::stdin();
-        let tee = TeeReader::create(BufReader::new(stdin.lock()), &journal_path)?;
-        let input = Cursor::new(prior).chain(tee);
-        sup.run_reader(input, Some(manifest_path.as_path()), sinks.first().copied())
-    })?;
-    print_report(&report, workload);
-    Ok(())
 }
 
 /// `isel worker` — the hidden multi-process worker entrypoint. Spawned
@@ -326,7 +210,7 @@ pub fn worker(_args: &Args) -> Result<(), String> {
 /// flush them. Under `--shards N` (N >= 1) that is one trace file per
 /// shard, named `FILE.shard-{k}` — each a complete, checkable event
 /// stream for the runs that executed on that shard; a run with one
-/// tracing thread (`shards` 0: whole-workload tuning, the supervisor)
+/// tracing thread (`shards` 0: whole-workload tuning, worker processes)
 /// writes `FILE` itself. All in the `--trace-format` encoding.
 fn traced<T>(
     args: &Args,
@@ -424,38 +308,106 @@ fn journal_config(args: &Args) -> Result<Option<JournalConfig>, String> {
 /// connection/sequence tags for deterministic replay. `SIGUSR1` or a
 /// `{"control":"status"}` line renders a live JSON status line, and
 /// `whatif`/`tenant` control lines are answered from the live arbiter
-/// on the issuing connection. `--workers N --state-dir DIR` adds
-/// supervisor crash recovery: the input stream journals into DIR and a
-/// restarted supervisor replays it to a byte-identical state.
+/// on the issuing connection.
+///
+/// `--workers N --state-dir DIR` adds crash recovery on stdin
+/// (DESIGN.md §18). Every consumed input byte is teed into
+/// `DIR/journal.log` *before* it is acted on; checkpoints commit
+/// through `DIR/checkpoint.json` (unless `--checkpoint` overrides it),
+/// the failover/restart counters persist in `DIR/status.json`, and the
+/// committed epoch-outcome history in `DIR/outcomes.json`. On startup a
+/// prior incarnation is detected from those files: the committed
+/// manifest restores every shard, the whole journal replays (records
+/// the checkpoint already covers are counted but not re-routed,
+/// committed generations are counted but not re-fired), and serving
+/// resumes on live stdin — with the final merged selection and
+/// checkpoint documents byte-identical to an uninterrupted run over the
+/// same stream.
 pub fn serve(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
     let config = service_config(args)?;
     let checkpoint = args.get("checkpoint").map(PathBuf::from);
     install_status_signal();
     let journal = journal_config(args)?;
-    if journal.is_some() && args.get("socket").is_none() {
+    let socket = args.get("socket");
+    if journal.is_some() && socket.is_none() {
         return Err("--journal requires --socket (stdin input is already a replayable log)".into());
     }
-    if args.get("state-dir").is_some() && config.workers == 0 {
-        return Err(
-            "--state-dir requires --workers N (supervisor crash recovery; single-process \
-             restart is --resume --checkpoint)"
-                .into(),
-        );
+    if config.workers == 0 {
+        if args.get("state-dir").is_some() {
+            return Err(
+                "--state-dir requires --workers N (crash recovery of the worker-process \
+                 placement; single-process restart is --resume --checkpoint)"
+                    .into(),
+            );
+        }
+        if config.respawn {
+            return Err("--respawn requires --workers N (it respawns worker processes)".into());
+        }
     }
-    if config.workers > 0 {
-        return serve_supervised(
-            args,
-            &workload,
-            config,
-            checkpoint.as_deref(),
-            journal.as_ref(),
-        );
-    }
-    let shards = config.shards;
-    let mut router = make_router(&workload, config, checkpoint.as_deref(), args.flag("resume"))?;
-    let report = traced(args, shards, |sinks| {
-        serve_live(args, &mut router, checkpoint.as_deref(), journal.as_ref(), sinks)
+    // One trace file per shard thread; one under worker processes.
+    let trace_shards = if config.workers > 0 { 0 } else { config.shards };
+    let (mut router, checkpoint, recovery) = match args.get("state-dir") {
+        None => {
+            let router =
+                make_router(&workload, config, checkpoint.as_deref(), args.flag("resume"))?;
+            (router, checkpoint, None)
+        }
+        Some(_) if socket.is_some() => {
+            return Err(
+                "--state-dir serves on stdin (socket serving records with --journal instead)"
+                    .into(),
+            )
+        }
+        Some(dir) => {
+            let dir = Path::new(dir);
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
+            let manifest = checkpoint.unwrap_or_else(|| dir.join("checkpoint.json"));
+            let journal_path = dir.join("journal.log");
+            let prior = match std::fs::read(&journal_path) {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+                Err(e) => return Err(format!("cannot read {}: {e}", journal_path.display())),
+            };
+            if manifest.exists() && prior.is_empty() {
+                // The journal must span the stream from byte 0 for replay
+                // positions to line up with the manifest's routed_lines; a
+                // manifest without its journal cannot be recovered from.
+                return Err(format!(
+                    "state dir {} holds a checkpoint manifest but no journal; recovery needs \
+                     both (to adopt a foreign checkpoint, resume once with --resume \
+                     --checkpoint and a fresh state dir)",
+                    dir.display()
+                ));
+            }
+            let mut router = make_router(&workload, config, Some(&manifest), true)?;
+            if !prior.is_empty() {
+                eprintln!(
+                    "replaying {} journal bytes from {}",
+                    prior.len(),
+                    journal_path.display()
+                );
+                router.set_recovery(prior.len() as u64);
+            }
+            router.set_state_dir(dir.to_path_buf());
+            (router, Some(manifest), Some((prior, journal_path)))
+        }
+    };
+    let checkpoint = checkpoint.as_deref();
+    let report = traced(args, trace_shards, |sinks| {
+        let stdin = BufReader::new(std::io::stdin());
+        let policy = OverloadPolicy::DropOldest;
+        match (socket, recovery) {
+            (Some(path), _) => {
+                run_socket_router(&mut router, Path::new(path), checkpoint, journal.as_ref(), sinks)
+            }
+            (None, None) => router.run_reader(stdin, policy, checkpoint, sinks),
+            (None, Some((prior, journal_path))) => {
+                let input = Cursor::new(prior).chain(TeeReader::create(stdin, &journal_path)?);
+                router.run_reader(input, policy, checkpoint, sinks)
+            }
+        }
     })?;
     print_report(&report, &workload);
     Ok(())
@@ -773,7 +725,7 @@ fn replay_offline(args: &Args, config: ServiceConfig) -> Result<Router, String> 
     let workload = load_workload(args)?;
     let log = args.get("log").ok_or("missing --log FILE (or --socket PATH)")?;
     let data = open_log(log)?;
-    let mut router = make_router(&workload, config, None, false)?;
+    let mut router = Router::new(workload.schema().clone(), config)?;
     router.run_reader(Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
     Ok(router)
 }

@@ -188,7 +188,7 @@ fn envelope_violation_rolls_back_byte_identically_across_shards() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn serve_supervised(dir: &Path, extra: &[&str], envs: &[(&str, &str)]) -> Output {
+fn serve_workers(dir: &Path, extra: &[&str], envs: &[(&str, &str)]) -> Output {
     let workload = dir.join("w.json");
     let mut args = vec![
         "serve",
@@ -213,14 +213,14 @@ fn serve_supervised(dir: &Path, extra: &[&str], envs: &[(&str, &str)]) -> Output
 #[test]
 fn supervised_rollback_survives_sigkill_in_the_rollback_window() {
     let dir = setup("workers");
-    let clean = serve_supervised(&dir, &[], &[]);
+    let clean = serve_workers(&dir, &[], &[]);
     assert_ok(&clean);
     let baseline = stdout(&clean);
     assert!(baseline.contains("final selection"), "baseline report:\n{baseline}");
 
     for fault in ["0:25", "0:28", "0:31"] {
         let schedule = format!("worker.ingest@{fault}");
-        let out = serve_supervised(&dir, &[], &[("ISEL_FAULT_SCHEDULE", &schedule)]);
+        let out = serve_workers(&dir, &[], &[("ISEL_FAULT_SCHEDULE", &schedule)]);
         assert_ok(&out);
         assert_eq!(stdout(&out), baseline, "kill at {schedule} changed the report");
     }
@@ -231,7 +231,7 @@ fn supervised_rollback_survives_sigkill_in_the_rollback_window() {
     assert_eq!(final_selection(&baseline), final_selection(&stdout(&rep)));
 
     let trace = dir.join("sup.jsonl");
-    let traced_run = serve_supervised(
+    let traced_run = serve_workers(
         &dir,
         &["--trace", trace.to_str().unwrap()],
         &[("ISEL_FAULT_SCHEDULE", "worker.ingest@0:28")],

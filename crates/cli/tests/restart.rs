@@ -448,6 +448,37 @@ fn state_dir_validation_fails_fast() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Placement flags a command cannot honour fail fast instead of being
+/// ignored: only `serve` runs worker processes, so `replay`, `budget`
+/// and `calibrate` refuse `--workers`, `--respawn` and `--state-dir`
+/// with an error naming `serve`; and `serve --respawn` without
+/// `--workers` has no worker to respawn.
+#[test]
+fn placement_flags_only_serve_can_honour_fail_fast() {
+    let dir = setup("placement");
+    let (w, ev, state) = (dir.join("w.json"), dir.join("ev.jsonl"), dir.join("state"));
+    let (w, ev, state) = (w.to_str().unwrap(), ev.to_str().unwrap(), state.to_str().unwrap());
+    let offline = [
+        vec!["replay", "--workload", w, "--log", ev, "--shards", "2", "--workers", "2"],
+        vec!["replay", "--workload", w, "--log", ev, "--state-dir", state],
+        vec!["replay", "--workload", w, "--log", ev, "--respawn"],
+        vec!["budget", "--workload", w, "--log", ev, "--at", "4096", "--workers", "1"],
+        vec!["calibrate", "--workload", w, "--log", ev, "--shards", "1", "--workers", "1"],
+    ];
+    for args in &offline {
+        let out = run(args, None, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded:\n{}", stdout(&out));
+        assert!(stderr.contains("`serve` option"), "{args:?} stderr:\n{stderr}");
+    }
+    let serve = ["serve", "--workload", w, "--shards", "2", "--respawn"];
+    let out = run(&serve, Some(&dir.join("ev.jsonl")), &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "serve --respawn without --workers succeeded");
+    assert!(stderr.contains("--respawn requires --workers"), "stderr:\n{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Property: random fault schedules always converge.
 // ---------------------------------------------------------------------------

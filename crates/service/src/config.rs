@@ -111,13 +111,13 @@ pub struct ServiceConfig {
     /// rendezvous hash; see [`crate::shard::ShardMap`]).
     #[serde(default)]
     pub shard_map: BTreeMap<u16, u32>,
-    /// Worker *processes* under the multi-process supervisor (0 = run
-    /// in-process; see [`crate::process`]). Like shards, worker count
-    /// never changes selections — workers only decide which process
-    /// hosts which shard.
+    /// Worker *processes* hosting the shards (0 = shard threads in this
+    /// process; see [`crate::process`]); requires `shards >= 1`. Like
+    /// shards, worker count never changes selections — workers only
+    /// decide which process hosts which shard.
     #[serde(default)]
     pub workers: u32,
-    /// Respawn a crashed worker process in place (supervisor mode).
+    /// Respawn a crashed worker process in place (process placement).
     /// When false, a dead worker's shards are adopted by a survivor.
     #[serde(default)]
     pub respawn: bool,
@@ -196,6 +196,13 @@ impl ServiceConfig {
         }
         if cal.probation_epochs == 0 {
             return Err("calibration probation_epochs must be at least 1".into());
+        }
+        if self.workers > 0 && self.shards == 0 {
+            return Err(
+                "workers >= 1 requires shards >= 1 (worker processes host shards of table \
+                 groups; 0 workers serves in process)"
+                    .into(),
+            );
         }
         for (&table, &shard) in &self.shard_map {
             if self.shards == 0 {

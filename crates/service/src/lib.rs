@@ -45,10 +45,11 @@
 //! The [`Router`] is the serving engine at every setting: one thread
 //! owns the input, classifies raw JSONL lines with a byte-scanning fast
 //! path (binary events route by their template's table without any
-//! parse at all), and fans them out over per-shard bounded queues to
-//! worker threads that host tuning *groups* — per-group windows, drift
-//! baselines and index pools. What `ServiceConfig::shards` chooses is
-//! the product:
+//! parse at all), and fans them out to shards that host tuning *groups*
+//! — per-group windows, drift baselines and index pools — over
+//! per-shard bounded queues to worker threads or, at
+//! `ServiceConfig::workers > 0`, over pipes to worker processes. What
+//! `ServiceConfig::shards` chooses is the product:
 //!
 //! * `shards == 0` — the **whole workload as one group** on one shard,
 //!   under the whole-schema budget. **Determinism contract**
@@ -82,12 +83,12 @@
 //!
 //! # Multi-process serving
 //!
-//! Past one process, the same topology splits across process
-//! boundaries ([`process`]): a **supervisor** owns the listening
-//! socket, the journal, the checkpoint [`Manifest`] and the live
-//! [`Arbiter`], and routes events over per-worker stdin pipes (binary
-//! frames) to `N` **worker child processes**, each hosting shards with
-//! exactly the in-process group-host tuning machinery. The
+//! Past one process, the same router places its shards across process
+//! boundaries ([`process`]): its own process, the **supervisor**, keeps
+//! the listening socket, the journal, the checkpoint [`Manifest`] and
+//! the live [`Arbiter`], and routes events over per-worker stdin pipes
+//! (binary frames) to `N` **worker child processes**, each hosting
+//! shards with exactly the in-process group-host tuning machinery. The
 //! supervisor detects a dead worker (pipe EOF or a failed write),
 //! restores its shards onto a survivor or respawned replacement from
 //! the last committed checkpoint generation, and replays the journal
@@ -136,14 +137,14 @@ pub use frame::{FrameEncoder, WireItem, FORMAT_VERSION, MAGIC, MAX_PAYLOAD};
 pub use group::ShardCounters;
 pub use journal::{convert, read_journal_bytes, JournalConfig, JournalWriter, TeeReader, WireFormat};
 pub use mmap::MappedFile;
-pub use process::{run_worker, SupMsg, Supervisor, WorkerMsg};
+pub use process::{run_worker, SupMsg, WorkerMsg};
 pub use records::{DecodeDict, Record, RecordIter};
 pub use queue::BoundedQueue;
 pub use router::{
     offline_group_adapt, offline_group_snapshots, OverloadPolicy, Router, ServiceReport,
 };
 pub use shard::{classify_line, LineClass, ShardMap, ShardTagSink};
-pub use socket::{run_socket_router, Engine};
+pub use socket::run_socket_router;
 pub use status::{install_status_signal, take_status_signal, PersistedStatus, StatusBoard};
 pub use tuner::{EpochOutcome, TunePolicy, Tuner};
 pub use window::EpochWindow;

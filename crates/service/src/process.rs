@@ -1,18 +1,19 @@
-//! Multi-process serving: a supervisor process fronting `N` worker
-//! child processes, failure-invariant by construction (DESIGN.md §16).
+//! The process placement: the [`Router`] at `config.workers = N > 0`,
+//! its shards hosted by `N` worker child processes, failure-invariant
+//! by construction (DESIGN.md §16).
 //!
 //! ## Topology
 //!
-//! The **supervisor** owns everything shared: the input (stdin or the
-//! listening socket), the journal, the [`Arbiter`], the checkpoint
-//! `Committer`, the [`StatusBoard`] and the trace sink. It runs the
-//! engines' one ingest loop (`stream.rs`) over its placement, the
-//! `Fleet`: the worker children and their pipes, which worker hosts
-//! which shard, the per-shard tails, every `Define` read so far and the
-//! failover budget. Each **worker** (`isel worker`, spawned from the
-//! supervisor's own executable) hosts one or more *shards* behind the
-//! same `GroupHost` (`group.rs`) a [`crate::router::Router`] shard
-//! thread uses.
+//! The router's own process, the **supervisor**, owns everything
+//! shared: the input (stdin or the listening socket), the journal, the
+//! [`Arbiter`], the checkpoint `Committer`, the [`StatusBoard`] and the
+//! trace sink. [`Router::run_reader`] runs the one ingest loop
+//! (`stream.rs`) there over the `Fleet`: the worker children and their
+//! pipes, which worker hosts which shard, the per-shard tails, every
+//! `Define` read so far and the failover budget. Each **worker**
+//! (`isel worker`, spawned from the supervisor's own executable) hosts
+//! one or more *shards* behind the same `GroupHost` (`group.rs`) a
+//! shard thread uses.
 //!
 //! The wire is the binary frame protocol of [`crate::frame`]: down each
 //! worker's stdin go [`SupMsg`]s (JSON inside [`WireItem::Sup`] items)
@@ -57,18 +58,17 @@
 //! a shard thread posts its own — so an adopter's reports replace the
 //! dead worker's.
 
-use crate::arbiter::{global_budget, respond, Arbiter, InteractiveRegistry, PublishedFrontier};
-use crate::checkpoint::{shard_file, Manifest, ShardCheckpoint};
+use crate::arbiter::{respond, Arbiter, PublishedFrontier};
+use crate::checkpoint::{shard_file, ShardCheckpoint};
 use crate::config::ServiceConfig;
 use crate::event::Control;
 use crate::fault;
 use crate::frame::{put_frame, put_item, WireItem, MAX_PAYLOAD};
 use crate::group::{Env, GroupHost, Sealed, ShardCounters};
 use crate::records::{DecodeDict, Record, RecordIter};
-use crate::router::{Committer, ServiceReport};
-use crate::shard::ShardMap;
+use crate::router::{Committer, Ran, Router};
 use crate::status::StatusBoard;
-use crate::stream::{Placement, Routed, Stream};
+use crate::stream::{Placement, Routed};
 use crate::tuner::EpochOutcome;
 use isel_core::{Trace, TraceEvent, TraceSink};
 use isel_workload::{QueryKind, Schema};
@@ -1197,172 +1197,24 @@ impl Placement for Fleet<'_, '_> {
     }
 }
 
-/// The multi-process supervisor: routes events to worker processes,
-/// arbitrates budgets, commits checkpoints, and absorbs worker crashes
-/// without changing any selection (see the module docs).
-pub struct Supervisor {
-    schema: Schema,
-    config: ServiceConfig,
-    map: ShardMap,
-    arbiter: Arbiter,
-    board: Arc<StatusBoard>,
-    interactive: Option<Arc<InteractiveRegistry>>,
-    /// Where the next run continues the stream — and, on journal-replay
-    /// recovery ([`Supervisor::set_recovery`]), what of it is done.
-    stream: Stream,
-    /// A resumed manifest and its generation.
-    resumed: Option<(PathBuf, u64)>,
-    /// Prior-incarnation journal size, when recovering (drives the
-    /// [`TraceEvent::Recovery`] emission).
-    recovered_bytes: Option<u64>,
-    /// State directory holding the restart sidecars (`status.json`
-    /// counters, `outcomes.json` epoch history).
-    state_dir: Option<PathBuf>,
-}
-
-impl Supervisor {
-    /// Fresh supervisor. Requires `config.shards >= 1` and
-    /// `config.workers >= 1`.
+impl Router {
+    /// The process placement's run: spawn the workers, route every
+    /// event to its shard's hosting process, commit checkpoint
+    /// generations, fail over dead workers, and at the end drain the
+    /// children — with a `final_selection` byte-identical to the thread
+    /// placement's over the same events, crashes or not.
     ///
-    /// # Errors
-    ///
-    /// Returns the first configuration problem, if any.
-    pub fn new(schema: Schema, config: ServiceConfig) -> Result<Self, String> {
-        config.validate()?;
-        if config.shards == 0 {
-            return Err("the supervisor requires shards >= 1".into());
-        }
-        if config.workers == 0 {
-            return Err(
-                "the supervisor requires workers >= 1 (0 selects in-process serving)".into()
-            );
-        }
-        let map = ShardMap::new(config.shards, config.shard_map.clone(), schema.tables().len())?;
-        let arbiter = Arbiter::new(
-            global_budget(&schema, config.budget_share),
-            config.tenant_weights.clone(),
-        );
-        let board = Arc::new(StatusBoard::new(config.shards));
-        Ok(Self {
-            stream: Stream::new(&config),
-            schema,
-            config,
-            map,
-            arbiter,
-            board,
-            interactive: None,
-            resumed: None,
-            recovered_bytes: None,
-            state_dir: None,
-        })
-    }
-
-    /// Resume from a checkpoint manifest: each worker restores its
-    /// shards from the committed shard files (via [`SupMsg::Adopt`])
-    /// when the run starts. Unlike [`crate::router::Router::resume`],
-    /// the shard count must match the manifest — shard state lives in
-    /// child processes, and re-packing table groups across shard files
-    /// is an in-process feature (resume there once, checkpoint, then
-    /// serve multi-process).
-    ///
-    /// # Errors
-    ///
-    /// Returns manifest/shard-file problems and config mismatches.
-    pub fn resume(
-        schema: Schema,
-        config: ServiceConfig,
-        manifest_path: &Path,
-    ) -> Result<Self, String> {
-        let mut sup = Self::new(schema, config)?;
-        let manifest = Manifest::load(manifest_path)?;
-        if manifest.shards != sup.config.shards {
-            return Err(format!(
-                "manifest was written at {} shards but --shards is {}; the multi-process \
-                 supervisor cannot re-pack shard files (resume in-process at the new count, \
-                 checkpoint, then serve with --workers)",
-                manifest.shards, sup.config.shards
-            ));
-        }
-        for cp in manifest.load_shards(manifest_path)? {
-            sup.config.check_resume(&cp.config)?;
-        }
-        sup.stream.routed = manifest.routed_lines;
-        sup.stream.next_gen = manifest.generation + 1;
-        sup.resumed = Some((manifest_path.to_path_buf(), manifest.generation));
-        Ok(sup)
-    }
-
-    /// Switch a (fresh or resumed) supervisor into **journal-replay
-    /// recovery**: the run's input opens with the prior incarnation's
-    /// complete journal (`journal_bytes` long), so `routed` and the
-    /// generation counter restart from zero and count through the
-    /// replay — but records the restored checkpoint already contains
-    /// are not re-routed, and generations it already committed are not
-    /// re-fired. Cadence positions and generation numbering therefore
-    /// land exactly where an uninterrupted run would put them, which is
-    /// what makes the final merged selection and the checkpoint
-    /// documents byte-identical to that run (DESIGN.md §18).
-    pub fn set_recovery(&mut self, journal_bytes: u64) {
-        self.stream.recover();
-        self.recovered_bytes = Some(journal_bytes);
-    }
-
-    /// Persist restart sidecars into this state directory and restore
-    /// them at run start: `status.json` carries the
-    /// `failovers`/`restarts`/`reply_errors` counters (so a recovered
-    /// supervisor's `{"control":"status"}` reports lifetime history,
-    /// not just the current incarnation's), and `outcomes.json` carries
-    /// the epoch-outcome history already folded into committed
-    /// generations (so the recovered report's epoch lines match the
-    /// uninterrupted run's). Both rewrite on every commit edge.
-    pub fn set_state_dir(&mut self, dir: PathBuf) {
-        self.state_dir = Some(dir);
-    }
-
-    /// The live frontier arbiter (maintained allocations, interactive
-    /// answers, merged selection).
-    pub fn arbiter(&self) -> &Arbiter {
-        &self.arbiter
-    }
-
-    /// Attach the reply registry interactive socket queries route
-    /// through; without one, in-stream query answers print to stderr.
-    pub fn set_interactive(&mut self, registry: Arc<InteractiveRegistry>) {
-        self.interactive = Some(registry);
-    }
-
-    /// Number of shards routed across the worker processes.
-    pub fn shards(&self) -> u32 {
-        self.map.shards()
-    }
-
-    /// Number of worker processes spawned per run.
-    pub fn workers(&self) -> u32 {
-        self.config.workers
-    }
-
-    /// Run the supervisor over a line-based input until EOF or a
-    /// `shutdown` control: spawn the workers, route every event to its
-    /// shard's hosting process, commit checkpoint generations, fail
-    /// over dead workers, and at the end drain the children and report
-    /// — with a `final_selection` byte-identical to the in-process
-    /// router's over the same events, crashes or not.
-    ///
-    /// `sink` receives the supervisor-side trace:
-    /// [`TraceEvent::Merge`] per arbiter fold and one
-    /// [`TraceEvent::Failover`] per restored shard. (Workers do not
-    /// trace their tuning runs — see [`run_worker`].)
-    ///
-    /// # Errors
-    ///
-    /// Returns spawn/protocol/checkpoint failures, and gives up when
-    /// repeated worker deaths exhaust the failover attempt budget.
-    pub fn run_reader<R: BufRead>(
+    /// `sink` receives the supervisor-side trace: deploy actions at the
+    /// outcome dedupe point, one [`TraceEvent::Failover`] per restored
+    /// shard and the [`TraceEvent::Recovery`] of a recovering run.
+    /// (Workers do not trace their tuning runs — see [`run_worker`].)
+    pub(crate) fn run_processes<R: BufRead>(
         &mut self,
         input: R,
         checkpoint: Option<&Path>,
+        committer: Option<&Committer<'_>>,
         sink: Option<&dyn TraceSink>,
-    ) -> Result<ServiceReport, String> {
+    ) -> Result<Ran, String> {
         let t_start = Instant::now();
         let shards = self.map.shards();
         let board = &*self.board;
@@ -1371,14 +1223,13 @@ impl Supervisor {
         if let Some(p) = &status_path {
             crate::status::PersistedStatus::load(p).apply(board);
         }
-        let committer = checkpoint.map(|p| Committer::new(p, shards, board));
         let (skipped, prior_gen) = self.stream.skipped();
         // Epoch outcomes folded into committed generations by prior
         // incarnations replay without re-tuning, so their report lines
         // come from the sidecar, not from the workers.
         let mut prior_outcomes: BTreeMap<(u16, u64), EpochOutcome> = BTreeMap::new();
         if self.recovered_bytes.is_some() {
-            if let Some(c) = &committer {
+            if let Some(c) = committer {
                 c.prime(prior_gen);
             }
             if let Some(p) = &outcomes_path {
@@ -1393,7 +1244,7 @@ impl Supervisor {
             tails: Mutex::new((0..shards).map(|k| (k, Tail::default())).collect()),
             failure: Mutex::new(None),
             board,
-            committer: committer.as_ref(),
+            committer,
             arbiter: &self.arbiter,
             sink,
             status_path,
@@ -1449,44 +1300,9 @@ impl Supervisor {
                 }
             }
         }
-        let epochs: Vec<EpochOutcome> = shared
-            .outcomes
-            .into_inner()
-            .expect("outcomes lock poisoned")
-            .into_values()
-            .collect();
-        let ShardCounters { ingested, invalid, dropped, .. } = board.totals();
-        Ok(ServiceReport {
-            epochs,
-            ingested,
-            invalid,
-            dropped,
-            queue_high_water: 0,
-            checkpoints_written: committer.as_ref().map_or(0, Committer::commits),
-            final_selection: self
-                .arbiter
-                .merged_selection(sink.map_or(Trace::disabled(), Trace::to)),
-        })
-    }
-}
-
-impl crate::socket::Engine for Supervisor {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-    fn board(&self) -> Arc<StatusBoard> {
-        Arc::clone(&self.board)
-    }
-    fn set_interactive(&mut self, registry: Arc<InteractiveRegistry>) {
-        Supervisor::set_interactive(self, registry);
-    }
-    fn serve<R: BufRead + Send>(
-        &mut self,
-        input: R,
-        checkpoint: Option<&Path>,
-        sinks: &[&dyn TraceSink],
-    ) -> Result<ServiceReport, String> {
-        self.run_reader(input, checkpoint, sinks.first().copied())
+        let epochs = shared.outcomes.into_inner().expect("outcomes lock poisoned");
+        // Pipes have no queue to fill.
+        Ok((epochs.into_values().collect(), board.totals(), 0))
     }
 }
 

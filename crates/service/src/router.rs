@@ -1,6 +1,8 @@
-//! The tuning router — the in-process serving engine under every
-//! `--shards`: the one ingest loop (`stream.rs`) fanning records out to
-//! per-shard worker threads, each hosting its own groups (DESIGN.md §13).
+//! The tuning router — the one serving engine, under every `--shards`
+//! and at both placements: the one ingest loop (`stream.rs`) fanning
+//! records out to shards, each hosting its own groups (DESIGN.md §13).
+//! The shards live on threads of this process, or — at
+//! `config.workers > 0` — in worker processes ([`crate::process`]).
 //!
 //! ## Architecture
 //!
@@ -17,11 +19,11 @@
 //! continuously (DESIGN.md §12), a different product, not a different
 //! engine.
 //!
-//! The router thread runs the loop over the thread placement,
-//! `Handoff`: a text line is classified by a byte scan (no JSON parse)
-//! and appended to its shard's hand-off batch, which crosses the
-//! shard's bounded queue under one lock and one wake-up when it is full
-//! and before every read that may block ([`RecordIter::next_with`]).
+//! In process, the router thread runs the loop over the thread
+//! placement, `Handoff`: a text line is classified by a byte scan (no
+//! JSON parse) and appended to its shard's hand-off batch, which crosses
+//! the shard's bounded queue under one lock and one wake-up when it is
+//! full and before every read that may block ([`RecordIter::next_with`]).
 //! Workers take whatever is queued in one swap and parse, validate,
 //! fold and tune. `checkpoint` and the cadence put a barrier on *every*
 //! queue at the same stream position; `status` is answered by the
@@ -52,7 +54,7 @@ use crate::arbiter::{global_budget, respond, Arbiter, InteractiveRegistry, Pendi
 use crate::checkpoint::{Manifest, CHECKPOINT_VERSION};
 use crate::config::ServiceConfig;
 use crate::event::{parse_line, Control, InputLine};
-use crate::group::{Env, GroupHost, Sealed};
+use crate::group::{Env, GroupHost, Sealed, ShardCounters};
 use crate::queue::BoundedQueue;
 use crate::records::{DecodeDict, RecordIter};
 use crate::shard::{ShardMap, ShardTagSink};
@@ -288,9 +290,9 @@ struct CommitterInner {
 }
 
 /// Counts per-generation shard-file completions and commits the
-/// manifest once a generation is complete on every shard. Also used by
-/// the multi-process supervisor ([`crate::process`]), which reports
-/// `done` on behalf of worker processes.
+/// manifest once a generation is complete on every shard. At the
+/// process placement ([`crate::process`]) the collectors report `done`
+/// on behalf of the worker processes.
 pub(crate) struct Committer<'a> {
     manifest_path: &'a Path,
     shards: u32,
@@ -314,7 +316,7 @@ impl<'a> Committer<'a> {
     }
 
     /// Credit `commits` manifests written by prior incarnations, so a
-    /// recovered supervisor's report counts commits across the whole
+    /// recovered run's report counts commits across the whole
     /// logical run — byte-identical to the uninterrupted one. Every
     /// generation 1..=G commits exactly one manifest, so the committed
     /// generation *is* the prior commit count.
@@ -335,9 +337,9 @@ impl<'a> Committer<'a> {
 
     /// A worker finished writing its shard file for `generation`. The
     /// last worker in triggers the manifest commit; returns `true` iff
-    /// this call committed the generation's manifest (the supervisor
-    /// truncates journal tails on that edge). Idempotent for unknown
-    /// and superseded generations.
+    /// this call committed the generation's manifest (the process
+    /// placement truncates journal tails on that edge). Idempotent for
+    /// unknown and superseded generations.
     pub(crate) fn done(
         &self,
         shard: u32,
@@ -416,7 +418,7 @@ impl<'a> Committer<'a> {
     /// generation: both the generation and the file contents are read
     /// under the committer lock, so a concurrent [`Committer::done`]
     /// cannot delete the file between choosing it and reading it. The
-    /// multi-process supervisor restores failed-over shards from this
+    /// process placement restores failed-over shards from this
     /// snapshot — a dead worker may have pre-reported enough future
     /// generations for *several* commits to land while an adoption is
     /// in flight, so any path handed out here could be garbage by the
@@ -446,24 +448,44 @@ struct WorkerCtx<'a> {
     arbiter: &'a Arbiter,
 }
 
-/// The tuning service: table groups packed onto shard threads by a
+/// The tuning service: table groups packed onto shards by a
 /// [`ShardMap`] — or, at `config.shards == 0`, the whole workload tuned
-/// as one group on one shard — driven by [`Router::run_reader`].
+/// as one group on one shard — driven by [`Router::run_reader`]. Where
+/// the shards live is the run's placement, chosen by `config.workers`:
+/// threads of this process at 0 (`Handoff`), worker processes above
+/// ([`crate::process`]'s `Fleet`).
 pub struct Router {
-    schema: Schema,
-    config: ServiceConfig,
-    map: ShardMap,
+    pub(crate) schema: Schema,
+    pub(crate) config: ServiceConfig,
+    pub(crate) map: ShardMap,
     /// Every group, with the lifetime counters restored from a
     /// checkpoint (zero for a fresh router); a run deals the groups out
-    /// to its shards and collects them again.
+    /// to its shard threads and collects them again. Empty under worker
+    /// processes, which hold the groups themselves.
     state: GroupHost,
     /// Where the next run continues the stream (a resumed router
-    /// continues the manifest's count and generations).
-    stream: Stream,
-    arbiter: Arbiter,
-    board: Arc<StatusBoard>,
-    interactive: Option<Arc<InteractiveRegistry>>,
+    /// continues the manifest's count and generations) — and, on
+    /// journal-replay recovery ([`Router::set_recovery`]), what of it
+    /// is done.
+    pub(crate) stream: Stream,
+    pub(crate) arbiter: Arbiter,
+    pub(crate) board: Arc<StatusBoard>,
+    pub(crate) interactive: Option<Arc<InteractiveRegistry>>,
+    /// Worker processes: a resumed manifest and its generation, which
+    /// the workers restore their shards from.
+    pub(crate) resumed: Option<(PathBuf, u64)>,
+    /// Prior-incarnation journal size, when recovering (drives the
+    /// [`isel_core::TraceEvent::Recovery`] emission).
+    pub(crate) recovered_bytes: Option<u64>,
+    /// State directory holding the restart sidecars (`status.json`
+    /// counters, `outcomes.json` epoch history).
+    pub(crate) state_dir: Option<PathBuf>,
 }
+
+/// What a placement hands back from a run: the epochs tuned, in
+/// canonical `(group, epoch)` order, the lifetime counters and the
+/// highest queue fill level.
+pub(crate) type Ran = (Vec<EpochOutcome>, ShardCounters, u64);
 
 impl Router {
     /// Fresh router with no tuned state. `config.shards == 0` selects
@@ -491,14 +513,23 @@ impl Router {
             arbiter,
             board,
             interactive: None,
+            resumed: None,
+            recovered_bytes: None,
+            state_dir: None,
         })
     }
 
-    /// Resume from a checkpoint manifest. The manifest may have been
-    /// written at a different shard count — groups are re-packed under
-    /// the current [`ShardMap`] (placement never affects results) — but
-    /// not in the other tuning mode: a whole-workload document does not
-    /// split into table groups, nor the reverse.
+    /// Resume from a checkpoint manifest, not in the other tuning mode:
+    /// a whole-workload document does not split into table groups, nor
+    /// the reverse. In process, the manifest may have been written at a
+    /// different shard count — groups are re-packed under the current
+    /// [`ShardMap`] (placement never affects results). Worker processes
+    /// restore their shards from the committed shard files when the run
+    /// starts, so there the shard count must match the manifest.
+    ///
+    /// # Errors
+    ///
+    /// Returns manifest/shard-file problems and config mismatches.
     pub fn resume(
         schema: Schema,
         config: ServiceConfig,
@@ -506,25 +537,77 @@ impl Router {
     ) -> Result<Self, String> {
         let mut router = Self::new(schema, config)?;
         let manifest = Manifest::load(manifest_path)?;
+        let in_process = router.config.workers == 0;
+        if !in_process && manifest.shards != router.config.shards {
+            return Err(format!(
+                "manifest was written at {} shards but --shards is {}; worker processes \
+                 cannot re-pack shard files (resume in-process at the new count, \
+                 checkpoint, then serve with --workers)",
+                manifest.shards, router.config.shards
+            ));
+        }
         for cp in &manifest.load_shards(manifest_path)? {
             router.config.check_resume(&cp.config)?;
-            router.state.absorb(GroupHost::adopt(cp, &router.schema, &router.config)?)?;
+            if in_process {
+                router.state.absorb(GroupHost::adopt(cp, &router.schema, &router.config)?)?;
+            }
         }
         router.stream.routed = manifest.routed_lines;
         router.stream.next_gen = manifest.generation + 1;
+        if !in_process {
+            router.resumed = Some((manifest_path.to_path_buf(), manifest.generation));
+        }
         // Re-publish the checkpointed frontiers so the resumed arbiter
         // answers queries — and computes the merged selection — without
-        // any group having to re-run from scratch.
+        // any group having to re-run from scratch. (Adopting workers
+        // re-publish their own.)
         for (key, pf) in router.state.published() {
             router.arbiter.publish(key, Arc::clone(pf), Trace::disabled());
         }
         Ok(router)
     }
 
+    /// Switch a (fresh or resumed) router into **journal-replay
+    /// recovery**: the run's input opens with the prior incarnation's
+    /// complete journal (`journal_bytes` long), so `routed` and the
+    /// generation counter restart from zero and count through the
+    /// replay — but records the restored checkpoint already contains
+    /// are not re-routed, and generations it already committed are not
+    /// re-fired. Cadence positions and generation numbering therefore
+    /// land exactly where an uninterrupted run would put them, which is
+    /// what makes the final merged selection and the checkpoint
+    /// documents byte-identical to that run (DESIGN.md §18).
+    pub fn set_recovery(&mut self, journal_bytes: u64) {
+        self.stream.recover();
+        self.recovered_bytes = Some(journal_bytes);
+    }
+
+    /// Persist restart sidecars into this state directory and restore
+    /// them at run start (worker processes): `status.json` carries the
+    /// `failovers`/`restarts`/`reply_errors` counters (so a recovered
+    /// run's `{"control":"status"}` reports lifetime history, not just
+    /// the current incarnation's), and `outcomes.json` carries the
+    /// epoch-outcome history already folded into committed generations
+    /// (so the recovered report's epoch lines match the uninterrupted
+    /// run's). Both rewrite on every commit edge.
+    pub fn set_state_dir(&mut self, dir: PathBuf) {
+        self.state_dir = Some(dir);
+    }
+
     /// The live frontier arbiter: maintained allocations, interactive
     /// `whatif`/`tenant` answers, and the merged selection.
     pub fn arbiter(&self) -> &Arbiter {
         &self.arbiter
+    }
+
+    /// The schema events and control lines are checked against.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The live counters the status line reads.
+    pub fn board(&self) -> Arc<StatusBoard> {
+        Arc::clone(&self.board)
     }
 
     /// Attach the reply registry interactive socket queries route
@@ -534,25 +617,25 @@ impl Router {
         self.interactive = Some(registry);
     }
 
-    /// Number of shard threads a run fans out to (1 under
-    /// whole-workload tuning).
+    /// Number of shards a run fans out to (1 under whole-workload
+    /// tuning).
     pub fn shards(&self) -> u32 {
         self.map.shards()
     }
 
-    /// Number of groups holding state.
+    /// Number of groups holding state in this process.
     pub fn group_count(&self) -> usize {
         self.state.groups.len()
     }
 
-    /// Sealed epochs tuned across all groups (lifetime).
+    /// Sealed epochs tuned across the groups in this process (lifetime).
     pub fn epochs_tuned(&self) -> u64 {
         self.state.groups.values().map(|g| g.tuner.epoch()).sum()
     }
 
-    /// Canonical calibration snapshot line summed over every group —
-    /// byte-identical to the in-band `{"control":"calibration"}` answer
-    /// at this point in the stream.
+    /// Canonical calibration snapshot line summed over every group in
+    /// this process — byte-identical to the in-band
+    /// `{"control":"calibration"}` answer at this point in the stream.
     pub fn calibration(&self) -> String {
         self.state.calibration().render()
     }
@@ -560,12 +643,25 @@ impl Router {
     /// Run the router over a line-based input until EOF or a `shutdown`
     /// control, then drain every shard, commit a final checkpoint
     /// generation (if `checkpoint` is set), merge the per-group
-    /// selections under the global budget, and report.
+    /// selections under the global budget, and report — the same report
+    /// at every placement, but for the queue high-water mark (pipes have
+    /// no queue).
     ///
-    /// `sinks` carries one trace sink per shard (or is empty for no
-    /// tracing); each worker's run events are stamped with its shard id
-    /// via [`ShardTagSink`], so every per-shard trace file is an
-    /// internally consistent run stream.
+    /// `policy` is what a full shard queue does; worker processes have
+    /// pipes, which always block. `sinks` carries one trace sink per
+    /// shard thread, exactly one under worker processes, or none. A
+    /// shard thread's run events are stamped with its shard id via
+    /// [`ShardTagSink`], so every per-shard trace file is an internally
+    /// consistent run stream; under worker processes the one sink gets
+    /// the supervisor-side trace (merges, deploy actions, failovers,
+    /// the recovery — workers trace no runs).
+    ///
+    /// # Errors
+    ///
+    /// Returns a sink count that fits no placement, checkpoint I/O
+    /// failures, and — under worker processes — spawn/protocol
+    /// failures, or repeated worker deaths exhausting the failover
+    /// budget.
     pub fn run_reader<R: BufRead + Send>(
         &mut self,
         input: R,
@@ -573,18 +669,55 @@ impl Router {
         checkpoint: Option<&Path>,
         sinks: &[&dyn TraceSink],
     ) -> Result<ServiceReport, String> {
-        let shards = self.map.shards() as usize;
-        if !sinks.is_empty() && sinks.len() != shards {
+        let threads = self.config.workers == 0;
+        let want = if threads { self.map.shards() as usize } else { 1 };
+        if !sinks.is_empty() && sinks.len() != want {
+            let placement = if threads { "shard threads" } else { "worker processes" };
             return Err(format!(
-                "got {} trace sinks for {shards} shards (pass one per shard or none)",
+                "got {} trace sinks for {want} {placement} (pass {want} or none)",
                 sinks.len()
             ));
         }
+        let board = Arc::clone(&self.board);
+        let committer = checkpoint.map(|p| Committer::new(p, self.map.shards(), &board));
+        let (epochs, counters, queue_high_water) = if threads {
+            self.run_threads(input, policy, checkpoint, committer.as_ref(), sinks)?
+        } else {
+            self.run_processes(input, checkpoint, committer.as_ref(), sinks.first().copied())?
+        };
+        Ok(ServiceReport {
+            epochs,
+            ingested: counters.ingested,
+            invalid: counters.invalid,
+            dropped: counters.dropped,
+            queue_high_water,
+            checkpoints_written: committer.as_ref().map_or(0, Committer::commits),
+            // A read of the arbiter's maintained merge, settling what the
+            // run published into the first sink. No group is re-run: each
+            // materializes its selection from its published construction
+            // steps at its maintained allocation.
+            final_selection: self
+                .arbiter
+                .merged_selection(sinks.first().map_or(Trace::disabled(), |s| Trace::to(*s))),
+        })
+    }
+
+    /// The thread placement's run: deal the groups out to one thread per
+    /// shard, run the ingest loop on a router thread over [`Handoff`],
+    /// and collect the groups again.
+    fn run_threads<R: BufRead + Send>(
+        &mut self,
+        input: R,
+        policy: OverloadPolicy,
+        checkpoint: Option<&Path>,
+        committer: Option<&Committer<'_>>,
+        sinks: &[&dyn TraceSink],
+    ) -> Result<Ran, String> {
+        let shards = self.map.shards() as usize;
         let board = &*self.board;
         let queues: Vec<BoundedQueue<ShardItem>> = (0..shards)
             .map(|_| BoundedQueue::new(self.config.queue_capacity))
             .collect();
-        let committer = checkpoint.map(|p| Committer::new(p, self.map.shards(), board));
 
         // Deal the groups out to the shards under the current map; shard
         // 0 carries the restored counter history. Restored groups bring
@@ -603,7 +736,6 @@ impl Router {
         let interactive = self.interactive.as_deref();
         let (schema, config, map) = (&self.schema, &self.config, &self.map);
         let (stream, arbiter_ref) = (&mut self.stream, &self.arbiter);
-        let committer_ref = committer.as_ref();
         let queues_ref = &queues;
 
         let result: Result<Vec<GroupOut>, String> = std::thread::scope(|s| {
@@ -612,12 +744,12 @@ impl Router {
                     queues_ref,
                     policy,
                     config.queue_capacity,
-                    committer_ref,
+                    committer,
                     board,
                     arbiter_ref,
                     base_dropped,
                 );
-                let checkpointing = committer_ref.is_some();
+                let checkpointing = committer.is_some();
                 let ran = stream
                     .run(input, schema, map, interactive, checkpointing, &mut threads)
                     .and_then(|()| {
@@ -641,7 +773,7 @@ impl Router {
                         shard: k as u32,
                         env: &env,
                         board,
-                        committer: committer_ref,
+                        committer,
                         checkpoint,
                         sink: sinks.get(k).copied(),
                         arbiter: arbiter_ref,
@@ -680,42 +812,8 @@ impl Router {
         // *where* an epoch was tuned, never its outcome, so this order —
         // and every outcome in it — is shard-count-invariant.
         epochs.sort_by_key(|o| (o.table.map_or(u16::MAX, |t| t.0), o.epoch));
-
-        Ok(ServiceReport {
-            epochs,
-            ingested: self.state.ingested,
-            invalid: self.state.invalid,
-            dropped: self.state.dropped,
-            queue_high_water: queues.iter().map(BoundedQueue::high_water).max().unwrap_or(0),
-            checkpoints_written: committer.as_ref().map_or(0, Committer::commits),
-            // A read of the arbiter's maintained merge, settling what the
-            // run published into the first shard's trace. No group is
-            // re-run: each materializes its selection from its published
-            // construction steps at its maintained allocation.
-            final_selection: self
-                .arbiter
-                .merged_selection(sinks.first().map_or(Trace::disabled(), |s| Trace::to(*s))),
-        })
-    }
-}
-
-impl crate::socket::Engine for Router {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-    fn board(&self) -> Arc<StatusBoard> {
-        Arc::clone(&self.board)
-    }
-    fn set_interactive(&mut self, registry: Arc<InteractiveRegistry>) {
-        Router::set_interactive(self, registry);
-    }
-    fn serve<R: BufRead + Send>(
-        &mut self,
-        input: R,
-        checkpoint: Option<&Path>,
-        sinks: &[&dyn TraceSink],
-    ) -> Result<ServiceReport, String> {
-        self.run_reader(input, OverloadPolicy::DropOldest, checkpoint, sinks)
+        let high_water = queues.iter().map(BoundedQueue::high_water).max().unwrap_or(0);
+        Ok((epochs, self.state.counters(), high_water))
     }
 }
 
@@ -1190,6 +1288,52 @@ mod tests {
             }
         }
         assert_eq!(arbiter.merges(), merges);
+    }
+
+    /// What each placement refuses, checked before any worker spawns:
+    /// worker processes host shards of table groups, so they need
+    /// `shards >= 1`; they restore the committed shard files as written,
+    /// so a manifest from another shard count is refused; and a run
+    /// takes one trace sink per shard thread, exactly one under worker
+    /// processes, or none.
+    #[test]
+    fn each_placement_refuses_what_it_cannot_honour() {
+        use isel_core::VecSink;
+        let w = workload();
+        let procs = |shards| ServiceConfig { workers: 1, ..config(shards) };
+        let refused = |r: Result<Router, String>| r.err().expect("refused");
+        let err = refused(Router::new(w.schema().clone(), procs(0)));
+        assert!(err.contains("workers >= 1 requires shards >= 1"), "{err}");
+
+        let dir = std::env::temp_dir().join(format!("isel-placement-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("m.json");
+        let log = sample_log(&w, 24, 5);
+        let mut writer = Router::new(w.schema().clone(), config(2)).unwrap();
+        writer
+            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, Some(&manifest), &[])
+            .unwrap();
+        let err = refused(Router::resume(w.schema().clone(), procs(3), &manifest));
+        assert!(err.contains("cannot re-pack shard files"), "{err}");
+        let resumed = Router::resume(w.schema().clone(), procs(2), &manifest).unwrap();
+        assert_eq!(resumed.group_count(), 0, "worker processes restore the shard files");
+        // Shard threads re-pack the groups at any count.
+        let repacked = Router::resume(w.schema().clone(), config(3), &manifest).unwrap();
+        assert!(repacked.group_count() > 0);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let sinks = [VecSink::new(), VecSink::new(), VecSink::new()];
+        let refs: Vec<&dyn TraceSink> = sinks.iter().map(|s| s as _).collect();
+        for (cfg, ok, bad) in [(config(2), 2, 1), (config(0), 1, 2), (procs(2), 1, 2)] {
+            let mut router = Router::new(w.schema().clone(), cfg.clone()).unwrap();
+            let mut run =
+                |n| router.run_reader(Cursor::new(""), OverloadPolicy::Block, None, &refs[..n]);
+            let err = run(bad).expect_err("a sink count the placement cannot take");
+            assert!(err.contains(&format!("pass {ok} or none")), "{err}");
+            if cfg.workers == 0 {
+                run(ok).unwrap();
+            }
+        }
     }
 
     // ----- whole-workload tuning (`shards == 0`): the one-group case

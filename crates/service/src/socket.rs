@@ -2,14 +2,14 @@
 //!
 //! [`run_socket_router`] is the one socket front. It binds a socket,
 //! accepts any number of concurrent connections, and turns what they
-//! send into the single ordered record stream an [`Engine`] reads —
-//! the in-process [`crate::Router`] at any `--shards`, or the
-//! multi-process [`crate::Supervisor`] — exactly as it would read stdin or a replayed file.
-//! Live serving sheds load rather than stall its clients: where the
-//! engine queues, overload evicts the oldest queued event and counts
-//! it. A `{"control":"shutdown"}` line on *any* connection stops the
-//! accept loop; the engine then drains, commits a final checkpoint
-//! generation and reports as usual.
+//! send into the single ordered record stream the [`Router`] reads —
+//! at any `--shards`, on shard threads or worker processes — exactly as
+//! it would read stdin or a replayed file. Live serving sheds load
+//! rather than stall its clients: where shards have queues, overload
+//! evicts the oldest queued event and counts it. A
+//! `{"control":"shutdown"}` line on *any* connection stops the accept
+//! loop; the router then drains, commits a final checkpoint generation
+//! and reports as usual.
 //!
 //! Clients may send JSONL lines or binary frames (even mixed on one
 //! connection, auto-detected per record by the magic byte). Binary
@@ -50,12 +50,12 @@ use crate::event::Control;
 use crate::frame::WireItem;
 use crate::journal::{render_item, JournalConfig, JournalWriter};
 use crate::records::{DecodeDict, Record, RecordIter};
-use crate::router::ServiceReport;
+use crate::router::{OverloadPolicy, Router, ServiceReport};
 use crate::status::StatusBoard;
 use crate::stream::line_control;
 use isel_core::TraceSink;
 use isel_workload::Schema;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,32 +65,8 @@ use std::time::Duration;
 /// Accept-loop poll interval while waiting for connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// What the socket front needs of the engine behind it: threads and
-/// queues ([`crate::Router`]) or processes and pipes
-/// ([`crate::Supervisor`]).
-pub trait Engine {
-    /// The schema control lines are checked against.
-    fn schema(&self) -> &Schema;
-    /// The live counters the engine's status line reads; the front
-    /// counts lost replies on it.
-    fn board(&self) -> Arc<StatusBoard>;
-    /// Route in-stream query answers through `registry`.
-    fn set_interactive(&mut self, registry: Arc<InteractiveRegistry>);
-    /// Serve a live input stream to its end — shedding under overload
-    /// where there is a queue to shed from — then drain, commit a final
-    /// checkpoint generation and report. `sinks` is one trace sink per
-    /// shard thread for the router, one in all for the supervisor, or
-    /// empty.
-    fn serve<R: BufRead + Send>(
-        &mut self,
-        input: R,
-        checkpoint: Option<&Path>,
-        sinks: &[&dyn TraceSink],
-    ) -> Result<ServiceReport, String>;
-}
-
-/// A line channel presented as [`std::io::BufRead`] input for an
-/// [`Engine`]: connection handlers send canonical lines in arrival
+/// A line channel presented as [`std::io::BufRead`] input for the
+/// [`Router`]: connection handlers send canonical lines in arrival
 /// order, and the channel hanging up reads as EOF.
 struct ChannelReader {
     rx: std::sync::mpsc::Receiver<String>,
@@ -130,7 +106,7 @@ impl std::io::BufRead for ChannelReader {
     }
 }
 
-/// Serve `engine` on a Unix-domain socket at `path` until a `shutdown`
+/// Serve `router` on a Unix-domain socket at `path` until a `shutdown`
 /// control arrives, then drain, commit a final checkpoint generation
 /// and report. A stale socket file at `path` is replaced.
 ///
@@ -139,13 +115,14 @@ impl std::io::BufRead for ChannelReader {
 /// consumption order (see the module docs for the replay contract). The
 /// journal may be JSONL or binary and may rotate into segments — see
 /// [`JournalConfig`]; both encodings replay identically. `sinks` is
-/// passed to [`Engine::serve`].
+/// passed to [`Router::run_reader`], which sheds the oldest queued event
+/// when a shard queue is full.
 ///
 /// Connection handlers read until their peer disconnects, so the final
 /// drain completes once every client has hung up — clients should close
 /// their end after (or instead of) sending `shutdown`.
-pub fn run_socket_router<E: Engine>(
-    engine: &mut E,
+pub fn run_socket_router(
+    router: &mut Router,
     path: &Path,
     checkpoint: Option<&Path>,
     journal: Option<&JournalConfig>,
@@ -165,9 +142,9 @@ pub fn run_socket_router<E: Engine>(
         None => None,
     };
     let registry = Arc::new(InteractiveRegistry::new());
-    engine.set_interactive(Arc::clone(&registry));
-    let schema = engine.schema().clone();
-    let board = engine.board();
+    router.set_interactive(Arc::clone(&registry));
+    let schema = router.schema().clone();
+    let board = router.board();
     let stop = AtomicBool::new(false);
     let (tx, rx) = std::sync::mpsc::channel::<String>();
     let conn_shared = ConnShared {
@@ -200,7 +177,7 @@ pub fn run_socket_router<E: Engine>(
             // once every connection handler has also hung up.
         });
         let reader = ChannelReader { rx, buf: Vec::new(), pos: 0 };
-        let result = engine.serve(reader, checkpoint, sinks);
+        let result = router.run_reader(reader, OverloadPolicy::DropOldest, checkpoint, sinks);
         stop.store(true, Ordering::Relaxed);
         // Queries still in flight were either answered during the drain
         // or never reached the engine; wake any connection waiting on
@@ -335,7 +312,7 @@ mod tests {
     use crate::config::{DriftThresholds, ServiceConfig};
     use crate::router::{OverloadPolicy, Router};
     use isel_workload::synthetic::{self, SyntheticConfig};
-    use std::io::Read;
+    use std::io::{BufRead, Read};
 
     /// Whole-workload tuning (`shards == 0`) behind the socket front.
     fn whole(w: &isel_workload::Workload, cfg: ServiceConfig) -> Router {

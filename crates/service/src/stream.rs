@@ -1,10 +1,10 @@
 //! The stream grammar and the one ingest loop: what one record of the
-//! input means, and what every engine does with it.
+//! input means, and what the engine does with it at every placement.
 //!
-//! Every engine — the in-process [`crate::router::Router`] (threads and
-//! queues) and the [`crate::process::Supervisor`] (processes and pipes)
-//! — reads the same mixed JSONL/binary stream and must agree, record
-//! for record, on what is an event, what is a command, what counts as
+//! The [`crate::router::Router`] reads the same mixed JSONL/binary
+//! stream at both placements — shard threads and queues, or worker
+//! processes and pipes — and they must agree, record for record, on
+//! what is an event, what is a command, what counts as
 //! *routed* (the unit of the periodic checkpoint cadence) and where an
 //! undecodable record is charged. [`Stream::decide`] is that agreement:
 //! it reduces a [`Record`] to one [`Decision`], by value — the binary
@@ -14,9 +14,9 @@
 //! [`Stream::run`] is the loop around it, written once: the status
 //! signal, the shard choice, reply tokens, routed counting, explicit
 //! and cadence barriers, the recovery skip and the final flush. Where
-//! the groups live is a [`Placement`] — the router's shard threads or
-//! the supervisor's worker processes — and the loop is generic over it,
-//! so each engine gets its own monomorphised, statically dispatched
+//! the groups live is a [`Placement`] — shard threads or worker
+//! processes, chosen once per run — and the loop is generic over it, so
+//! each placement gets its own monomorphised, statically dispatched
 //! copy.
 
 use crate::arbiter::InteractiveRegistry;
@@ -61,7 +61,7 @@ pub(crate) enum Decision {
 }
 
 /// The command a (trimmed) text line carries, by the one rule the
-/// engines and the socket front share: the byte classifier decides, and
+/// placements and the socket front share: the byte classifier decides, and
 /// only a line it classifies [`LineClass::Control`] is parsed — a
 /// top-level `"table"` key makes an event line even where a `"control"`
 /// key rides along.
@@ -87,9 +87,9 @@ pub(crate) enum Routed {
 }
 
 /// Where a run's groups live and how records reach them: the hooks
-/// [`Stream::run`] carries decisions out through. The router's shard
-/// threads ([`crate::router`]) and the supervisor's worker processes
-/// ([`crate::process`]) are its two implementations; failover, queues
+/// [`Stream::run`] carries decisions out through. Shard threads
+/// ([`crate::router`]) and worker processes ([`crate::process`]) are
+/// its two implementations; failover, queues
 /// and pipes stay behind it.
 pub(crate) trait Placement {
     /// Hand one routed record to `shard`.
@@ -119,7 +119,7 @@ pub(crate) trait Placement {
     fn status_line(&self) -> String;
 }
 
-/// An engine's position in its logical input stream: the template
+/// The router's position in its logical input stream: the template
 /// dictionary of the binary encoding, the two counters the checkpoint
 /// cadence runs on, and — on journal-replay recovery — how much of the
 /// stream is already done.
@@ -174,7 +174,7 @@ impl Stream {
     /// with their reply connection looked up by token. Below the
     /// recovery skip, records are counted and not routed, generations
     /// numbered and not fired; `Define`s and queries reach the placement
-    /// everywhere. Each engine ends the run its own way after this
+    /// everywhere. Each placement ends the run its own way after this
     /// returns.
     pub(crate) fn run<R: BufRead, P: Placement>(
         &mut self,
