@@ -15,7 +15,7 @@
 
 use isel_bench::{accept_args, header, report_written, ResultSink};
 use isel_core::dynamic::{self, TransitionCosts};
-use isel_core::budget;
+use isel_core::{budget, Trace};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_workload::drift::{self, DriftConfig};
 use isel_workload::synthetic::SyntheticConfig;
@@ -64,7 +64,7 @@ fn main() {
     for create in [0.0, 0.01, 0.1, 1.0, 10.0] {
         let costs = TransitionCosts { create_cost_per_byte: create, drop_cost: 1_000.0 };
         for (name, trace) in [
-            ("static", dynamic::static_first_epoch(&refs, a, costs)),
+            ("static", dynamic::static_first_epoch(&refs, a, costs, Trace::disabled())),
             ("scratch", dynamic::from_scratch(&refs, a, costs)),
             ("adaptive", dynamic::adapt(&refs, a, costs)),
         ] {

@@ -14,7 +14,7 @@
 //! benefit), H6 and CoPhy track each other.
 
 use isel_bench::{accept_args, header, report_written, ResultSink};
-use isel_core::{algorithm1, budget, candidates, cophy};
+use isel_core::{algorithm1, budget, candidates, cophy, Parallelism, Trace};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer, WhatIfStats};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -112,6 +112,8 @@ fn main() {
                 time_limit: Duration::from_secs(30),
                 max_nodes: usize::MAX,
             },
+            Parallelism::serial(),
+            Trace::disabled(),
         );
         emit("CoPhy", &run.selection);
     }

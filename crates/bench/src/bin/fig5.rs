@@ -17,7 +17,9 @@
 //! off; H5-all good; CoPhy-10 % clearly below CoPhy-all.
 
 use isel_bench::{accept_args, arg_value, has_flag, header, report_written, ResultSink};
-use isel_core::{algorithm1, budget, candidates, cophy, heuristics, Selection};
+use isel_core::{
+    algorithm1, budget, candidates, cophy, heuristics, Parallelism, Selection, Trace,
+};
 use isel_costmodel::{CachingWhatIf, WhatIfOptimizer};
 use isel_dbsim::{measure_workload, CostMetric, Database, MeasureConfig};
 use isel_solver::cophy::CophyOptions;
@@ -139,17 +141,20 @@ fn main() {
     let all_ids = pool.ids(est.pool());
     let ten_pct_ids: Vec<_> = ten_pct.iter().map(|k| est.pool().intern(k)).collect();
 
+    let (serial, off) = (Parallelism::serial(), Trace::disabled());
     for &w in &ws {
         let a = budget::relative_budget(&est, w);
         let h6_sel = algorithm1::selection_at(&h6_run.steps, a);
         emit(&mut sink, &mut eval_db, "H6", w, &h6_sel);
-        emit(&mut sink, &mut eval_db, "H1", w, &heuristics::h1(&all_ids, &est, a));
-        emit(&mut sink, &mut eval_db, "H4", w, &heuristics::h4(&all_ids, &est, a, false));
-        emit(&mut sink, &mut eval_db, "H4-skyline", w, &heuristics::h4(&all_ids, &est, a, true));
-        emit(&mut sink, &mut eval_db, "H5", w, &heuristics::h5(&all_ids, &est, a));
-        let run10 = cophy::solve(&est, &ten_pct_ids, a, &opts);
+        emit(&mut sink, &mut eval_db, "H1", w, &heuristics::h1(&all_ids, &est, a, off));
+        let h4 = heuristics::h4(&all_ids, &est, a, false, serial, off);
+        emit(&mut sink, &mut eval_db, "H4", w, &h4);
+        let h4s = heuristics::h4(&all_ids, &est, a, true, serial, off);
+        emit(&mut sink, &mut eval_db, "H4-skyline", w, &h4s);
+        emit(&mut sink, &mut eval_db, "H5", w, &heuristics::h5(&all_ids, &est, a, serial, off));
+        let run10 = cophy::solve(&est, &ten_pct_ids, a, &opts, serial, off);
         emit(&mut sink, &mut eval_db, "CoPhy-10pct", w, &run10.selection);
-        let run_all = cophy::solve(&est, &all_ids, a, &opts);
+        let run_all = cophy::solve(&est, &all_ids, a, &opts, serial, off);
         emit(&mut sink, &mut eval_db, "CoPhy-all", w, &run_all.selection);
     }
 

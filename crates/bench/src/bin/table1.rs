@@ -15,7 +15,7 @@ use isel_bench::{
     accept_args, arg_value, has_flag, header, print_scan_histogram, report_written, secs, timed,
     ResultSink,
 };
-use isel_core::{algorithm1, budget, candidates, RunReport, Trace, VecSink};
+use isel_core::{algorithm1, budget, candidates, Parallelism, RunReport, Trace, VecSink};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, PrefixAwareWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_solver::SolveStatus;
@@ -111,6 +111,8 @@ fn main() {
                 &cand_ids,
                 a,
                 &CophyOptions { mip_gap: 0.05, time_limit: cutoff, max_nodes: usize::MAX },
+                Parallelism::serial(),
+                Trace::disabled(),
             );
             let status = match run.solution.status {
                 SolveStatus::TimeLimit => "DNF".to_owned(),

@@ -65,6 +65,14 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Every `--key` given, options and flags alike, in sorted order.
+    pub fn keys(&self) -> Vec<&str> {
+        let mut keys: Vec<&str> =
+            self.options.keys().chain(&self.flags).map(String::as_str).collect();
+        keys.sort_unstable();
+        keys
+    }
 }
 
 #[cfg(test)]
@@ -116,6 +124,12 @@ mod tests {
         let a = parse("x --budget nope");
         let err = a.get_parsed::<f64>("budget", 0.0).unwrap_err();
         assert!(err.contains("budget"));
+    }
+
+    #[test]
+    fn keys_list_options_and_flags() {
+        let a = parse("replay --workload w.json --offline-check --budget 0.3");
+        assert_eq!(a.keys(), ["budget", "offline-check", "workload"]);
     }
 
     #[test]

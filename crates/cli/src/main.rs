@@ -129,9 +129,78 @@ USAGE:
   verify the what-if accounting and call-bound invariants.
 ";
 
+/// `--trace FILE` in the `--trace-format` encoding.
+const TRACE: &[&str] = &["trace", "trace-format"];
+/// The service knobs `service_cmd::service_config` reads.
+const TUNING: &[&str] = &[
+    "epoch-events", "window", "templates", "budget", "create-cost", "drop-cost", "noop-above",
+    "scratch-below", "queue", "threads", "checkpoint-every", "shards", "shard-map", "weights",
+    "calibrate", "cal-decay", "cal-min-probes", "cal-envelope", "cal-probation",
+];
+/// Worker-process placement, which only `serve` has.
+const PLACEMENT: &[&str] = &["workers", "respawn", "state-dir"];
+
+/// The options and flags `command` reads, or `None` for a command that
+/// does not exist (dispatch reports it).
+fn accepted(command: &str) -> Option<Vec<&'static str>> {
+    let (own, shared): (&[&str], &[&[&str]]) = match command {
+        "generate" => (
+            &["kind", "out", "seed", "tables", "attrs", "queries", "rows", "updates", "warehouses"],
+            &[],
+        ),
+        "recommend" => (&["workload", "strategy", "budget", "threads", "json"], &[TRACE]),
+        "compare" => (&["workload", "budget", "threads"], &[TRACE]),
+        "frontier" => (&["workload", "max-budget", "threads"], &[TRACE]),
+        "report" => (&["trace", "check"], &[]),
+        "interactions" => (&["workload", "top"], &[]),
+        "stats" => (&["workload"], &[]),
+        "record" => (
+            &[
+                "kind", "out", "events", "seed", "segments", "warehouses", "format", "observed",
+                "observed-drift", "tables", "attrs", "queries", "rows",
+            ],
+            &[],
+        ),
+        "replay" => (
+            &["workload", "log", "offline-check", "format", "checkpoint", "resume"],
+            &[TRACE, TUNING],
+        ),
+        "serve" => (
+            &[
+                "workload", "socket", "checkpoint", "resume", "journal", "format",
+                "journal-max-bytes",
+            ],
+            &[TRACE, TUNING, PLACEMENT],
+        ),
+        "budget" => (&["workload", "log", "at", "set", "tenant", "socket", "shutdown"], &[TUNING]),
+        "calibrate" => (&["workload", "log", "socket", "shutdown"], &[TUNING]),
+        "journal" => (&["log", "to", "out"], &[]),
+        "worker" => (&[], &[]),
+        _ => return None,
+    };
+    Some(shared.iter().fold(own.to_vec(), |mut all, group| {
+        all.extend_from_slice(group);
+        all
+    }))
+}
+
+/// Refuse, before any work, an option `args.command` does not read — a
+/// misspelt `--budjet` would otherwise run at the default budget.
+fn check_options(args: &Args) -> Result<(), String> {
+    let Some(command) = args.command.as_deref() else { return Ok(()) };
+    let Some(known) = accepted(command) else { return Ok(()) };
+    match args.keys().into_iter().find(|key| !known.contains(key)) {
+        None => Ok(()),
+        Some(key) if PLACEMENT.contains(&key) => {
+            Err(format!("--{key} is a `serve` option; `{command}` runs in this process"))
+        }
+        Some(key) => Err(format!("unknown option --{key} for `isel {command}`\n\n{USAGE}")),
+    }
+}
+
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
-    let result = match args.command.as_deref() {
+    let result = check_options(&args).and_then(|()| match args.command.as_deref() {
         Some("generate") => commands::generate(&args),
         Some("recommend") => commands::recommend(&args),
         Some("compare") => commands::compare(&args),
@@ -150,7 +219,7 @@ fn main() -> ExitCode {
         Some("worker") => service_cmd::worker(&args),
         Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}")),
         None => Err(USAGE.to_owned()),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {

@@ -105,20 +105,9 @@ where
 /// `--workers`, `--respawn`, `--calibrate`, `--cal-decay`,
 /// `--cal-min-probes`, `--cal-envelope` and `--cal-probation` options,
 /// defaulting to [`ServiceConfig::default`]. Only `serve` places shards
-/// in worker processes: `replay`, `budget` and `calibrate` refuse
-/// `--workers`, `--respawn` and `--state-dir` rather than ignore them.
+/// in worker processes; the other commands refuse `--workers`,
+/// `--respawn` and `--state-dir` before they get here (`main.rs`).
 fn service_config(args: &Args) -> Result<ServiceConfig, String> {
-    let command = args.command.as_deref().unwrap_or_default();
-    if command != "serve" {
-        let placed = ["workers", "respawn", "state-dir"]
-            .into_iter()
-            .find(|f| args.get(f).is_some() || args.flag(f));
-        if let Some(flag) = placed {
-            return Err(format!(
-                "--{flag} is a `serve` option; `{command}` runs in this process"
-            ));
-        }
-    }
     let d = ServiceConfig::default();
     let cfg = ServiceConfig {
         epoch_events: args.get_parsed("epoch-events", d.epoch_events)?,

@@ -19,18 +19,8 @@ use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_isel");
 
-/// Every supervisor-side site the sweep must cover (mirrors
-/// `isel_service::fault::SUPERVISOR_SWEEP_SITES`).
-const SWEEP_SITES: &[&str] = &[
-    "sup.route",
-    "sup.barrier.open",
-    "sup.commit",
-    "sup.truncate",
-    "sup.failover",
-    "sup.adopt",
-    "checkpoint.manifest",
-    "journal.append",
-];
+/// Every supervisor-side site the sweep must cover.
+const SWEEP_SITES: &[&str] = isel_service::fault::SUPERVISOR_SWEEP_SITES;
 
 /// Fresh per-test scratch directory with a recorded workload + log.
 fn setup(name: &str) -> PathBuf {

@@ -15,10 +15,10 @@
 use crate::parallel::Parallelism;
 use crate::selection::Selection;
 use crate::trace::Trace;
-use crate::{algorithm1, budget, candidates, cophy, heuristics};
+use crate::{algorithm1, budget, candidates, cophy, db2, heuristics};
 use isel_costmodel::{CacheStats, WhatIfOptimizer, WhatIfStats};
 use isel_solver::cophy::CophyOptions;
-use isel_workload::{Index, IndexId};
+use isel_workload::IndexId;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -123,17 +123,6 @@ impl<'a, W: WhatIfOptimizer> Advisor<'a, W> {
         }
     }
 
-    /// Advisor with an explicit candidate set, interned on entry.
-    pub fn with_candidates(est: &'a W, candidates: Vec<Index>) -> Self {
-        let candidates = candidates.iter().map(|k| est.pool().intern(k)).collect();
-        Self {
-            est,
-            candidates,
-            parallelism: Parallelism::serial(),
-            trace: Trace::disabled(),
-        }
-    }
-
     /// Evaluate candidates on `threads` worker threads. Recommendations
     /// are identical at every setting; only the wall-clock changes.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
@@ -151,17 +140,6 @@ impl<'a, W: WhatIfOptimizer> Advisor<'a, W> {
         self
     }
 
-    /// The candidate set used by H1–H5 and CoPhy, as interned ids.
-    pub fn candidate_ids(&self) -> &[IndexId] {
-        &self.candidates
-    }
-
-    /// The candidate set resolved back to plain indexes.
-    pub fn candidates(&self) -> Vec<Index> {
-        let pool = self.est.pool();
-        self.candidates.iter().map(|&k| pool.resolve(k)).collect()
-    }
-
     /// Recommend a selection for a relative budget share `w` (Eq. 10).
     pub fn recommend_relative(&self, strategy: Strategy, w: f64) -> Recommendation {
         self.recommend(strategy, budget::relative_budget(self.est, w))
@@ -171,60 +149,29 @@ impl<'a, W: WhatIfOptimizer> Advisor<'a, W> {
     pub fn recommend(&self, strategy: Strategy, budget: u64) -> Recommendation {
         let stats_before = self.est.stats();
         let start = Instant::now();
+        let (cands, est, par, trace) = (&self.candidates, self.est, self.parallelism, self.trace);
         let selection = match &strategy {
-            Strategy::H1 => {
-                heuristics::h1_traced(&self.candidates, self.est, budget, self.trace)
+            Strategy::H1 => heuristics::h1(cands, est, budget, trace),
+            Strategy::H2 => heuristics::h2(cands, est, budget, trace),
+            Strategy::H3 => heuristics::h3(cands, est, budget, trace),
+            Strategy::H4 { skyline } => heuristics::h4(cands, est, budget, *skyline, par, trace),
+            Strategy::H5 => heuristics::h5(cands, est, budget, par, trace),
+            Strategy::H6 => {
+                let options =
+                    algorithm1::Options { parallelism: par, ..algorithm1::Options::new(budget) };
+                algorithm1::run_traced(est, &options, trace).selection
             }
-            Strategy::H2 => {
-                heuristics::h2_traced(&self.candidates, self.est, budget, self.trace)
-            }
-            Strategy::H3 => {
-                heuristics::h3_traced(&self.candidates, self.est, budget, self.trace)
-            }
-            Strategy::H4 { skyline } => heuristics::h4_traced(
-                &self.candidates,
-                self.est,
-                budget,
-                *skyline,
-                self.parallelism,
-                self.trace,
-            ),
-            Strategy::H5 => heuristics::h5_traced(
-                &self.candidates,
-                self.est,
-                budget,
-                self.parallelism,
-                self.trace,
-            ),
-            Strategy::H6 => algorithm1::run_traced(
-                self.est,
-                &algorithm1::Options { parallelism: self.parallelism, ..algorithm1::Options::new(budget) },
-                self.trace,
-            )
-            .selection,
             Strategy::Db2 { swap_rounds } => {
-                crate::db2::run_traced(
-                    &self.candidates,
-                    self.est,
-                    &crate::db2::Db2Options { budget, swap_rounds: *swap_rounds, seed: 0xDB2 },
-                    self.trace,
-                )
-                .selection
+                let options = db2::Db2Options { budget, swap_rounds: *swap_rounds, seed: 0xDB2 };
+                db2::run(cands, est, &options, trace).selection
             }
             Strategy::CoPhy { mip_gap, time_limit_secs } => {
-                cophy::solve_traced(
-                    self.est,
-                    &self.candidates,
-                    budget,
-                    &CophyOptions {
-                        mip_gap: *mip_gap,
-                        time_limit: Duration::from_secs(*time_limit_secs),
-                        max_nodes: usize::MAX,
-                    },
-                    self.parallelism,
-                    self.trace,
-                )
-                .selection
+                let options = CophyOptions {
+                    mip_gap: *mip_gap,
+                    time_limit: Duration::from_secs(*time_limit_secs),
+                    max_nodes: usize::MAX,
+                };
+                cophy::solve(est, cands, budget, &options, par, trace).selection
             }
         };
         let elapsed = start.elapsed();
@@ -315,20 +262,6 @@ mod tests {
         // Best-first ordering holds.
         for pair in recs.windows(2) {
             assert!(pair[0].cost <= pair[1].cost);
-        }
-    }
-
-    #[test]
-    fn explicit_candidate_sets_are_respected() {
-        let w = workload();
-        let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
-        let only = vec![Index::single(isel_workload::AttrId(0))];
-        let advisor = Advisor::with_candidates(&est, only.clone());
-        let a = budget::relative_budget(&est, 1.0);
-        let rec = advisor.recommend(Strategy::H5, a);
-        assert!(rec.selection.len() <= 1);
-        if let Some(k) = rec.selection.indexes().first() {
-            assert_eq!(k, &only[0]);
         }
     }
 

@@ -104,34 +104,16 @@ pub fn build_instance_with(
     CophyInstance { candidate_memory, candidate_penalty, queries, budget }
 }
 
-/// Run CoPhy end to end on a candidate set.
-pub fn solve(
-    est: &impl WhatIfOptimizer,
-    candidates: &[IndexId],
-    budget: u64,
-    options: &CophyOptions,
-) -> CophyRun {
-    solve_with(est, candidates, budget, options, Parallelism::serial())
-}
-
-/// [`solve`] with parallel coefficient collection.
-pub fn solve_with(
-    est: &impl WhatIfOptimizer,
-    candidates: &[IndexId],
-    budget: u64,
-    options: &CophyOptions,
-    par: Parallelism,
-) -> CophyRun {
-    solve_traced(est, candidates, budget, options, par, Trace::disabled())
-}
-
-/// [`solve_with`] emitting a full trace envelope: `RunStart`, one
+/// Run CoPhy end to end on a candidate set, collecting coefficients on
+/// `par` threads.
+///
+/// An enabled `trace` receives a full envelope: `RunStart`, one
 /// [`TraceEvent::SolverPhase`] per phase (`cophy_build`, detail = what-if
 /// requests collecting coefficients; `cophy_solve`, detail =
 /// branch-and-bound nodes), one covering `CandidateScan`, and `RunEnd` —
 /// so a CoPhy run in a `compare` trace is attributable and passes the
 /// accounting check like every other strategy.
-pub fn solve_traced(
+pub fn solve(
     est: &impl WhatIfOptimizer,
     candidates: &[IndexId],
     budget: u64,
@@ -220,6 +202,10 @@ mod tests {
         }
     }
 
+    fn solve_exact(est: &impl WhatIfOptimizer, candidates: &[IndexId], budget: u64) -> CophyRun {
+        solve(est, candidates, budget, &exact_opts(), Parallelism::serial(), Trace::disabled())
+    }
+
     #[test]
     fn instance_rows_reference_applicable_candidates_only() {
         let mut b = SchemaBuilder::new();
@@ -243,7 +229,7 @@ mod tests {
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let pool = cand::enumerate_imax(&w, 5);
         let budget = budget::relative_budget(&est, 0.3);
-        let run = solve(&est, &pool.ids(est.pool()), budget, &exact_opts());
+        let run = solve_exact(&est, &pool.ids(est.pool()), budget);
         assert!(run.solution.status.finished());
         assert!(run.selection.memory(&est) <= budget);
         let empty_cost = Selection::empty().cost(&est);
@@ -265,7 +251,7 @@ mod tests {
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let pool = cand::enumerate_imax(&w, 5);
         let budget = budget::relative_budget(&est, 0.3);
-        let cophy_run = solve(&est, &pool.ids(est.pool()), budget, &exact_opts());
+        let cophy_run = solve_exact(&est, &pool.ids(est.pool()), budget);
         assert!(cophy_run.solution.status.finished());
         let h6 = algorithm1::run(&est, &algorithm1::Options::new(budget));
         // The pool keeps one permutation per set; H6 may undercut the
@@ -290,12 +276,7 @@ mod tests {
         let w = small_synthetic();
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let k = est.pool().intern_single(AttrId(0));
-        let run = solve(
-            &est,
-            &[k, k],
-            budget::relative_budget(&est, 0.5),
-            &exact_opts(),
-        );
+        let run = solve_exact(&est, &[k, k], budget::relative_budget(&est, 0.5));
         assert_eq!(run.candidates.len(), 1);
     }
 
@@ -321,8 +302,8 @@ mod tests {
             .iter()
             .map(|k| est.pool().intern(k))
             .collect();
-        let run_small = solve(&est, &small, budget, &exact_opts());
-        let run_full = solve(&est, &pool.ids(est.pool()), budget, &exact_opts());
+        let run_small = solve_exact(&est, &small, budget);
+        let run_full = solve_exact(&est, &pool.ids(est.pool()), budget);
         assert!(run_full.solution.objective <= run_small.solution.objective + 1e-9);
     }
 }

@@ -10,6 +10,7 @@
 //! to do so, which is exactly what the comparison experiments show.
 
 use crate::heuristics;
+use crate::parallel::Parallelism;
 use crate::selection::Selection;
 use crate::trace::{Trace, TraceEvent};
 use isel_costmodel::WhatIfOptimizer;
@@ -46,17 +47,14 @@ pub struct Db2Result {
 /// Run the \[9\]-style advisor: H5 start, then randomized swaps. The shuffle
 /// works entirely on interned ids; only the returned [`Selection`] holds
 /// resolved indexes.
-pub fn run(candidates: &[IndexId], est: &impl WhatIfOptimizer, options: &Db2Options) -> Db2Result {
-    run_traced(candidates, est, options, Trace::disabled())
-}
-
-/// [`run`] emitting a full trace envelope: `RunStart`, one
+///
+/// An enabled `trace` receives a full envelope: `RunStart`, one
 /// [`TraceEvent::SolverPhase`] per phase (`db2_h5_start`, detail =
 /// indexes in the starting solution; `db2_swap_rounds`, detail = accepted
 /// swap proposals), one covering `CandidateScan`, and `RunEnd` — so a
 /// DB2 run in a `compare` trace is attributable and passes the
 /// accounting check like every other strategy.
-pub fn run_traced(
+pub fn run(
     candidates: &[IndexId],
     est: &impl WhatIfOptimizer,
     options: &Db2Options,
@@ -64,7 +62,8 @@ pub fn run_traced(
 ) -> Db2Result {
     let env = crate::heuristics::RunEnvelope::open(trace, "DB2", est, options.budget);
     let h5_start = Instant::now();
-    let start = heuristics::h5(candidates, est, options.budget);
+    let serial = Parallelism::serial();
+    let start = heuristics::h5(candidates, est, options.budget, serial, Trace::disabled());
     trace.emit(|| TraceEvent::SolverPhase {
         phase: "db2_h5_start".into(),
         detail: start.len() as u64,
@@ -156,7 +155,12 @@ mod tests {
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let pool = candidates::enumerate_imax(&w, 4).ids(est.pool());
         let a = budget::relative_budget(&est, 0.3);
-        let r = run(&pool, &est, &Db2Options { budget: a, swap_rounds: 200, seed: 1 });
+        let r = run(
+            &pool,
+            &est,
+            &Db2Options { budget: a, swap_rounds: 200, seed: 1 },
+            Trace::disabled(),
+        );
         assert!(r.final_cost <= r.start_cost + 1e-9);
         assert!(r.selection.memory(&est) <= a);
         assert!((r.selection.cost(&est) - r.final_cost).abs() < 1e-6 * r.start_cost);
@@ -168,8 +172,18 @@ mod tests {
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let pool = candidates::enumerate_imax(&w, 4).ids(est.pool());
         let a = budget::relative_budget(&est, 0.3);
-        let short = run(&pool, &est, &Db2Options { budget: a, swap_rounds: 20, seed: 5 });
-        let long = run(&pool, &est, &Db2Options { budget: a, swap_rounds: 400, seed: 5 });
+        let short = run(
+            &pool,
+            &est,
+            &Db2Options { budget: a, swap_rounds: 20, seed: 5 },
+            Trace::disabled(),
+        );
+        let long = run(
+            &pool,
+            &est,
+            &Db2Options { budget: a, swap_rounds: 400, seed: 5 },
+            Trace::disabled(),
+        );
         assert!(long.final_cost <= short.final_cost + 1e-9);
     }
 
@@ -180,7 +194,12 @@ mod tests {
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let pool = candidates::enumerate_imax(&w, 4).ids(est.pool());
         let a = budget::relative_budget(&est, 0.3);
-        let db2 = run(&pool, &est, &Db2Options { budget: a, swap_rounds: 300, seed: 9 });
+        let db2 = run(
+            &pool,
+            &est,
+            &Db2Options { budget: a, swap_rounds: 300, seed: 9 },
+            Trace::disabled(),
+        );
         let h6 = algorithm1::run(&est, &algorithm1::Options::new(a));
         assert!(
             h6.final_cost <= db2.final_cost * 1.02,
@@ -196,8 +215,13 @@ mod tests {
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let pool = candidates::enumerate_imax(&w, 4).ids(est.pool());
         let a = budget::relative_budget(&est, 0.3);
-        let r = run(&pool, &est, &Db2Options { budget: a, swap_rounds: 0, seed: 1 });
-        let h5 = heuristics::h5(&pool, &est, a);
+        let r = run(
+            &pool,
+            &est,
+            &Db2Options { budget: a, swap_rounds: 0, seed: 1 },
+            Trace::disabled(),
+        );
+        let h5 = heuristics::h5(&pool, &est, a, Parallelism::serial(), Trace::disabled());
         assert_eq!(r.selection, h5);
         assert_eq!(r.accepted_swaps, 0);
     }

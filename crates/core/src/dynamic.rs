@@ -31,13 +31,6 @@ pub struct TransitionCosts {
     pub drop_cost: f64,
 }
 
-impl TransitionCosts {
-    /// Free transitions: every epoch re-optimizes from scratch.
-    pub fn free() -> Self {
-        Self { create_cost_per_byte: 0.0, drop_cost: 0.0 }
-    }
-}
-
 /// Outcome of one epoch.
 #[derive(Clone, Debug)]
 pub struct EpochResult {
@@ -89,34 +82,13 @@ fn paid_reconfig(
 /// selection as its `Ī*`, so transitions are only made when they pay for
 /// themselves within the epoch.
 pub fn adapt(epochs: &[&dyn WhatIfOptimizer], budget: u64, costs: TransitionCosts) -> Trace {
-    run_policy(epochs, budget, costs, true, RunTrace::disabled())
-}
-
-/// [`adapt`] with a [`RunTrace`] handle: emits every per-run event of the
-/// underlying Algorithm-1 runs plus one [`TraceEvent::Epoch`] per epoch.
-pub fn adapt_traced(
-    epochs: &[&dyn WhatIfOptimizer],
-    budget: u64,
-    costs: TransitionCosts,
-    trace: RunTrace<'_>,
-) -> Trace {
-    run_policy(epochs, budget, costs, true, trace)
+    run_policy(epochs, budget, costs, true)
 }
 
 /// Greedy re-selection per epoch ignoring transition costs (they are still
 /// charged in the trace — this is the "churn everything" baseline).
 pub fn from_scratch(epochs: &[&dyn WhatIfOptimizer], budget: u64, costs: TransitionCosts) -> Trace {
-    run_policy(epochs, budget, costs, false, RunTrace::disabled())
-}
-
-/// [`from_scratch`] with a [`RunTrace`] handle (see [`adapt_traced`]).
-pub fn from_scratch_traced(
-    epochs: &[&dyn WhatIfOptimizer],
-    budget: u64,
-    costs: TransitionCosts,
-    trace: RunTrace<'_>,
-) -> Trace {
-    run_policy(epochs, budget, costs, false, trace)
+    run_policy(epochs, budget, costs, false)
 }
 
 fn run_policy(
@@ -124,12 +96,10 @@ fn run_policy(
     budget: u64,
     costs: TransitionCosts,
     reconfig_aware: bool,
-    trace: RunTrace<'_>,
 ) -> Trace {
-    let policy = if reconfig_aware { "adapt" } else { "from_scratch" };
     let mut prev = Selection::empty();
     let mut out = Vec::with_capacity(epochs.len());
-    for (e, est) in epochs.iter().enumerate() {
+    for est in epochs {
         let mut options = Options::new(budget);
         if reconfig_aware {
             options.reconfig = ReconfigCosts {
@@ -142,20 +112,13 @@ fn run_policy(
             // steers which *new* steps are worth paying for. Steps whose
             // indexes already exist in `Ī*` are free to re-create.
         }
-        let run = algorithm1::run_traced(est, &options, trace);
+        let run = algorithm1::run(est, &options);
         // Keep previous indexes that the fresh construction did not
         // contradict: an index in Ī* that still fits the budget and was
         // re-chosen costs nothing; everything else is dropped (and billed).
         let selection = run.selection;
         let reconfig_paid = paid_reconfig(*est, &prev, &selection, costs);
         let workload_cost = selection.cost(est);
-        trace.emit(|| TraceEvent::Epoch {
-            epoch: e as u64,
-            policy: policy.into(),
-            indexes: selection.len() as u64,
-            workload_cost,
-            reconfig_paid,
-        });
         out.push(EpochResult { selection: selection.clone(), workload_cost, reconfig_paid });
         prev = selection;
     }
@@ -163,19 +126,11 @@ fn run_policy(
 }
 
 /// Select once on the first epoch and keep the configuration.
+///
+/// An enabled `trace` receives the full Algorithm-1 event stream of the
+/// one selection run on epoch 0, and one [`TraceEvent::Epoch`] per epoch
+/// with policy `"static"`. Results are the same with and without a sink.
 pub fn static_first_epoch(
-    epochs: &[&dyn WhatIfOptimizer],
-    budget: u64,
-    costs: TransitionCosts,
-) -> Trace {
-    static_first_epoch_traced(epochs, budget, costs, RunTrace::disabled())
-}
-
-/// [`static_first_epoch`] with a [`RunTrace`] handle: epoch 0 emits the
-/// full Algorithm-1 event stream of its one selection run, and every
-/// epoch emits one [`TraceEvent::Epoch`] with policy `"static"`. Results
-/// are bit-identical with and without a sink.
-pub fn static_first_epoch_traced(
     epochs: &[&dyn WhatIfOptimizer],
     budget: u64,
     costs: TransitionCosts,
@@ -212,6 +167,9 @@ mod tests {
     use isel_workload::synthetic::SyntheticConfig;
     use isel_workload::Workload;
 
+    /// Free transitions: every epoch re-optimizes from scratch.
+    const FREE: TransitionCosts = TransitionCosts { create_cost_per_byte: 0.0, drop_cost: 0.0 };
+
     fn scenario() -> Vec<Workload> {
         drift::generate(&DriftConfig {
             base: SyntheticConfig {
@@ -242,14 +200,14 @@ mod tests {
         (
             adapt(&refs, budget, costs),
             from_scratch(&refs, budget, costs),
-            static_first_epoch(&refs, budget, costs),
+            static_first_epoch(&refs, budget, costs, RunTrace::disabled()),
         )
     }
 
     #[test]
     fn free_transitions_make_adapt_and_scratch_agree() {
         let epochs = scenario();
-        let (adaptive, scratch, _) = run_all(&epochs, TransitionCosts::free());
+        let (adaptive, scratch, _) = run_all(&epochs, FREE);
         assert_eq!(adaptive.epochs.len(), 4);
         for (a, s) in adaptive.epochs.iter().zip(&scratch.epochs) {
             assert_eq!(a.selection, s.selection);
@@ -283,7 +241,7 @@ mod tests {
             scratch.total_reconfig()
         );
         // And expensive transitions must reduce churn vs free ones.
-        let (free_adapt, _, _) = run_all(&epochs, TransitionCosts::free());
+        let (free_adapt, _, _) = run_all(&epochs, FREE);
         let churn = |t: &Trace| -> usize {
             t.epochs
                 .windows(2)

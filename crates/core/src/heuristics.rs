@@ -111,7 +111,7 @@ impl<'a> RunEnvelope<'a> {
     }
 
     /// Re-open the span after an inner traced call (e.g.
-    /// [`individual_benefits_traced`]) emitted its own contiguous scan.
+    /// [`individual_benefits`]) emitted its own contiguous scan.
     pub(crate) fn resync(&mut self, est: &impl WhatIfOptimizer) {
         self.span_entry = est.stats();
         self.span_t0 = Instant::now();
@@ -210,19 +210,12 @@ pub fn individual_benefit(est: &impl WhatIfOptimizer, index: IndexId) -> f64 {
 /// all `Q` — the `|I|·Q` applicability scan collapses to the applicable
 /// pairs. Per-candidate results are bit-identical to the single-candidate
 /// entry point.
-pub fn individual_benefits(
-    candidates: &[IndexId],
-    est: &impl WhatIfOptimizer,
-    par: Parallelism,
-) -> Vec<f64> {
-    individual_benefits_traced(candidates, est, par, Trace::disabled())
-}
-
-/// [`individual_benefits`] emitting one [`TraceEvent::CandidateScan`]
+///
+/// An enabled `trace` receives one [`TraceEvent::CandidateScan`]
 /// summarizing the sweep: candidates scored, queries visited, and the
-/// what-if calls issued vs. answered from cache. Results are bit-identical
-/// to the untraced scan at every thread count.
-pub fn individual_benefits_traced(
+/// what-if calls issued vs. answered from cache. Results are the same
+/// with and without a sink, at every thread count.
+pub fn individual_benefits(
     candidates: &[IndexId],
     est: &impl WhatIfOptimizer,
     par: Parallelism,
@@ -330,33 +323,37 @@ pub fn greedy_fill(ranked: &[IndexId], est: &impl WhatIfOptimizer, budget: u64) 
 }
 
 /// H1: most used attribute combinations first.
-pub fn h1(candidates: &[IndexId], est: &impl WhatIfOptimizer, budget: u64) -> Selection {
-    let w = est.workload();
-    let pool = est.pool();
-    let mut ranked = candidates.to_vec();
-    ranked.sort_by_cached_key(|&k| std::cmp::Reverse(occurrences(w, pool.attrs(k))));
-    greedy_fill(&ranked, est, budget)
-}
-
-/// [`h1`] wrapped in a `RunStart`/`CandidateScan`/`RunEnd` envelope. The
-/// rule-based ranking issues no what-if calls of its own, so the single
-/// scan span covers the whole run (including the baseline/selection cost
-/// probes for the `RunEnd` payload) and the accounting invariant holds by
-/// construction. Selections are bit-identical to the untraced run.
-pub fn h1_traced(
+///
+/// An enabled `trace` wraps the run in a `RunStart`/`CandidateScan`/`RunEnd`
+/// envelope. The rule-based ranking issues no what-if calls of its own,
+/// so the single scan span covers the whole run (including the
+/// baseline/selection cost probes for the `RunEnd` payload) and the
+/// accounting invariant holds by construction. Selections are the same
+/// with and without a sink.
+pub fn h1(
     candidates: &[IndexId],
     est: &impl WhatIfOptimizer,
     budget: u64,
     trace: Trace<'_>,
 ) -> Selection {
     let env = RunEnvelope::open(trace, "H1", est, budget);
-    let sel = h1(candidates, est, budget);
+    let w = est.workload();
+    let pool = est.pool();
+    let mut ranked = candidates.to_vec();
+    ranked.sort_by_cached_key(|&k| std::cmp::Reverse(occurrences(w, pool.attrs(k))));
+    let sel = greedy_fill(&ranked, est, budget);
     finish_envelope(env, est, candidates.len() as u64, &sel);
     sel
 }
 
-/// H2: smallest combined selectivity first.
-pub fn h2(candidates: &[IndexId], est: &impl WhatIfOptimizer, budget: u64) -> Selection {
+/// H2: smallest combined selectivity first (`trace` as in [`h1`]).
+pub fn h2(
+    candidates: &[IndexId],
+    est: &impl WhatIfOptimizer,
+    budget: u64,
+    trace: Trace<'_>,
+) -> Selection {
+    let env = RunEnvelope::open(trace, "H2", est, budget);
     let w = est.workload();
     let pool = est.pool();
     let mut ranked = candidates.to_vec();
@@ -367,24 +364,20 @@ pub fn h2(candidates: &[IndexId], est: &impl WhatIfOptimizer, budget: u64) -> Se
         )
         .then_with(|| pool.attrs(a).cmp(pool.attrs(b)))
     });
-    greedy_fill(&ranked, est, budget)
+    let sel = greedy_fill(&ranked, est, budget);
+    finish_envelope(env, est, candidates.len() as u64, &sel);
+    sel
 }
 
-/// [`h2`] wrapped in the tracing envelope (see [`h1_traced`]).
-pub fn h2_traced(
+/// H3: smallest selectivity/occurrences ratio first (`trace` as in
+/// [`h1`]).
+pub fn h3(
     candidates: &[IndexId],
     est: &impl WhatIfOptimizer,
     budget: u64,
     trace: Trace<'_>,
 ) -> Selection {
-    let env = RunEnvelope::open(trace, "H2", est, budget);
-    let sel = h2(candidates, est, budget);
-    finish_envelope(env, est, candidates.len() as u64, &sel);
-    sel
-}
-
-/// H3: smallest selectivity/occurrences ratio first.
-pub fn h3(candidates: &[IndexId], est: &impl WhatIfOptimizer, budget: u64) -> Selection {
+    let env = RunEnvelope::open(trace, "H3", est, budget);
     let w = est.workload();
     let pool = est.pool();
     let ratio = |k: IndexId| {
@@ -396,51 +389,22 @@ pub fn h3(candidates: &[IndexId], est: &impl WhatIfOptimizer, budget: u64) -> Se
         isel_workload::ord::total_cmp_nan_lowest(ratio(a), ratio(b))
             .then_with(|| pool.attrs(a).cmp(pool.attrs(b)))
     });
-    greedy_fill(&ranked, est, budget)
-}
-
-/// [`h3`] wrapped in the tracing envelope (see [`h1_traced`]).
-pub fn h3_traced(
-    candidates: &[IndexId],
-    est: &impl WhatIfOptimizer,
-    budget: u64,
-    trace: Trace<'_>,
-) -> Selection {
-    let env = RunEnvelope::open(trace, "H3", est, budget);
-    let sel = h3(candidates, est, budget);
+    let sel = greedy_fill(&ranked, est, budget);
     finish_envelope(env, est, candidates.len() as u64, &sel);
     sel
 }
 
 /// H4: best individually-measured performance first; with
 /// `use_skyline = true` the candidate set is first reduced to per-query
-/// Pareto-efficient candidates (cf. \[11\]).
+/// Pareto-efficient candidates (cf. \[11\]). `par` fans out the benefit
+/// scan.
+///
+/// An enabled `trace` receives `RunStart`, a scan span covering the
+/// skyline filter (when enabled — its what-if probes happen *before* the
+/// benefit sweep), the benefit-sweep scan, a final wrap-up span, and
+/// `RunEnd`. The spans partition the run, so the accounting invariant
+/// holds. Selections are the same with and without a sink.
 pub fn h4(
-    candidates: &[IndexId],
-    est: &impl WhatIfOptimizer,
-    budget: u64,
-    use_skyline: bool,
-) -> Selection {
-    h4_with(candidates, est, budget, use_skyline, Parallelism::serial())
-}
-
-/// [`h4`] with an explicit degree of parallelism for the benefit scan.
-pub fn h4_with(
-    candidates: &[IndexId],
-    est: &impl WhatIfOptimizer,
-    budget: u64,
-    use_skyline: bool,
-    par: Parallelism,
-) -> Selection {
-    h4_traced(candidates, est, budget, use_skyline, par, Trace::disabled())
-}
-
-/// [`h4_with`] wrapped in the tracing envelope: `RunStart`, a scan span
-/// covering the skyline filter (when enabled — its what-if probes happen
-/// *before* the benefit sweep), the benefit-sweep scan, a final wrap-up
-/// span, and `RunEnd`. The spans partition the run, so the accounting
-/// invariant holds. Selections are bit-identical to the untraced run.
-pub fn h4_traced(
     candidates: &[IndexId],
     est: &impl WhatIfOptimizer,
     budget: u64,
@@ -466,7 +430,7 @@ pub fn h4_traced(
     };
     // Candidates whose upkeep outweighs their savings are never worth
     // selecting, whatever the budget.
-    let benefits = individual_benefits_traced(&pool, est, par, trace);
+    let benefits = individual_benefits(&pool, est, par, trace);
     if let Some(env) = env.as_mut() {
         env.resync(est);
     }
@@ -487,10 +451,10 @@ pub fn h4_traced(
 }
 
 /// H5: best benefit-per-size ratio first (cf. the starting solution of
-/// the DB2 advisor \[9\]).
+/// the DB2 advisor \[9\]). `par` and `trace` as in [`h4`].
 ///
 /// ```
-/// use isel_core::{candidates, heuristics, budget};
+/// use isel_core::{candidates, heuristics, budget, Parallelism, Trace};
 /// use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 /// use isel_workload::synthetic::{self, SyntheticConfig};
 ///
@@ -501,25 +465,10 @@ pub fn h4_traced(
 /// let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
 /// let pool = candidates::enumerate_imax(&w, 3).ids(est.pool());
 /// let a = budget::relative_budget(&est, 0.3);
-/// let sel = heuristics::h5(&pool, &est, a);
+/// let sel = heuristics::h5(&pool, &est, a, Parallelism::serial(), Trace::disabled());
 /// assert!(sel.memory(&est) <= a);
 /// ```
-pub fn h5(candidates: &[IndexId], est: &impl WhatIfOptimizer, budget: u64) -> Selection {
-    h5_with(candidates, est, budget, Parallelism::serial())
-}
-
-/// [`h5`] with an explicit degree of parallelism for the benefit scan.
-pub fn h5_with(
-    candidates: &[IndexId],
-    est: &impl WhatIfOptimizer,
-    budget: u64,
-    par: Parallelism,
-) -> Selection {
-    h5_traced(candidates, est, budget, par, Trace::disabled())
-}
-
-/// [`h5_with`] wrapped in the tracing envelope (see [`h4_traced`]).
-pub fn h5_traced(
+pub fn h5(
     candidates: &[IndexId],
     est: &impl WhatIfOptimizer,
     budget: u64,
@@ -527,7 +476,7 @@ pub fn h5_traced(
     trace: Trace<'_>,
 ) -> Selection {
     let mut env = RunEnvelope::open(trace, "H5", est, budget);
-    let benefits = individual_benefits_traced(candidates, est, par, trace);
+    let benefits = individual_benefits(candidates, est, par, trace);
     if let Some(env) = env.as_mut() {
         env.resync(est);
     }
@@ -623,7 +572,7 @@ mod tests {
         let w = fixture();
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let budget = est.index_memory_of(&Index::single(AttrId(1)));
-        let sel = h1(&singles(&est), &est, budget);
+        let sel = h1(&singles(&est), &est, budget, Trace::disabled());
         assert!(sel.contains(&Index::single(AttrId(1)))); // g = 150
     }
 
@@ -632,7 +581,7 @@ mod tests {
         let w = fixture();
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let budget = est.index_memory_of(&Index::single(AttrId(0)));
-        let sel = h2(&singles(&est), &est, budget);
+        let sel = h2(&singles(&est), &est, budget, Trace::disabled());
         assert!(sel.contains(&Index::single(AttrId(0)))); // s = 1e-4
     }
 
@@ -653,8 +602,8 @@ mod tests {
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let cands = singles(&est);
         let budget = cands.iter().map(|&k| est.index_memory(k)).max().unwrap();
-        let by_benefit = h4(&cands, &est, budget, false);
-        let by_selectivity = h2(&cands, &est, budget);
+        let by_benefit = h4(&cands, &est, budget, false, Parallelism::serial(), Trace::disabled());
+        let by_selectivity = h2(&cands, &est, budget, Trace::disabled());
         assert!(by_benefit.cost(&est) <= by_selectivity.cost(&est));
     }
 
@@ -663,7 +612,7 @@ mod tests {
         let w = fixture();
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let budget = est.index_memory_of(&Index::single(AttrId(1)));
-        let sel = h5(&singles(&est), &est, budget);
+        let sel = h5(&singles(&est), &est, budget, Parallelism::serial(), Trace::disabled());
         assert_eq!(sel.len(), 1);
         // The hot a1 index has by far the best benefit density here.
         assert!(sel.contains(&Index::single(AttrId(1))));
@@ -715,11 +664,11 @@ mod tests {
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let cands = singles(&est);
         for sel in [
-            h1(&cands, &est, 0),
-            h2(&cands, &est, 0),
-            h3(&cands, &est, 0),
-            h4(&cands, &est, 0, true),
-            h5(&cands, &est, 0),
+            h1(&cands, &est, 0, Trace::disabled()),
+            h2(&cands, &est, 0, Trace::disabled()),
+            h3(&cands, &est, 0, Trace::disabled()),
+            h4(&cands, &est, 0, true, Parallelism::serial(), Trace::disabled()),
+            h5(&cands, &est, 0, Parallelism::serial(), Trace::disabled()),
         ] {
             assert!(sel.is_empty());
         }

@@ -50,15 +50,13 @@ pub mod reconfig;
 pub mod selection;
 pub mod trace;
 
-pub use advisor::{Advisor, Recommendation, Strategy};
+pub use advisor::{Advisor, Strategy};
 pub use parallel::Parallelism;
-pub use algorithm1::{Options as Algorithm1Options, RunResult as Algorithm1Result};
 pub use reconfig::ReconfigCosts;
 pub use selection::{
     merge_frontiers, merge_frontiers_weighted, Frontier, FrontierMerge, FrontierPoint, FrontierSet,
-    MergeOutcome, Selection,
+    Selection,
 };
 pub use trace::{
     BinaryTraceSink, JsonLinesSink, RunReport, Trace, TraceEvent, TraceSink, VecSink, TRACE_MAGIC,
-    TRACE_VERSION,
 };

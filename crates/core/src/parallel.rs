@@ -44,11 +44,6 @@ impl Parallelism {
     pub fn threads(&self) -> usize {
         self.threads.get()
     }
-
-    /// Whether work runs inline on the calling thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads.get() == 1
-    }
 }
 
 impl Default for Parallelism {
@@ -117,7 +112,6 @@ mod tests {
 
     #[test]
     fn zero_threads_means_inline() {
-        assert!(Parallelism::new(0).is_serial());
         assert_eq!(Parallelism::new(0).threads(), 1);
         assert_eq!(Parallelism::default(), Parallelism::serial());
     }

@@ -158,33 +158,6 @@ impl Frontier {
             .last()
             .map(|p| p.cost)
     }
-
-    /// Area under the cost-vs-memory step curve on `[0, up_to]` — a single
-    /// scalar for comparing whole frontiers in experiment summaries
-    /// (smaller = better across all budgets). The cost before the first
-    /// point (and for an empty frontier) is taken from `base_cost`.
-    pub fn area_under_curve(&self, up_to: u64, base_cost: f64) -> f64 {
-        let mut area = 0.0;
-        let mut cur_cost = base_cost;
-        let mut cur_mem = 0u64;
-        for p in &self.points {
-            if p.memory >= up_to {
-                break;
-            }
-            area += cur_cost * (p.memory - cur_mem) as f64;
-            cur_cost = p.cost;
-            cur_mem = p.memory;
-        }
-        area + cur_cost * up_to.saturating_sub(cur_mem) as f64
-    }
-
-    /// Whether `self` is at least as good as `other` at *every* budget in
-    /// `budgets` (missing points fall back to `base_cost`).
-    pub fn dominates_at(&self, other: &Frontier, budgets: &[u64], base_cost: f64) -> bool {
-        budgets.iter().all(|&b| {
-            self.cost_at(b).unwrap_or(base_cost) <= other.cost_at(b).unwrap_or(base_cost) + 1e-9
-        })
-    }
 }
 
 /// Result of [`merge_frontiers`]: a memory allocation per part under a
@@ -877,31 +850,6 @@ mod tests {
         assert_eq!(f.cost_at(10), Some(100.0));
         assert_eq!(f.cost_at(29), Some(100.0));
         assert_eq!(f.cost_at(1_000), Some(70.0));
-    }
-
-    #[test]
-    fn auc_integrates_the_step_curve() {
-        let f = Frontier::new(vec![
-            FrontierPoint { memory: 10, cost: 50.0 },
-            FrontierPoint { memory: 20, cost: 20.0 },
-        ]);
-        // [0,10): 100, [10,20): 50, [20,30): 20 → 1000 + 500 + 200.
-        let auc = f.area_under_curve(30, 100.0);
-        assert!((auc - 1700.0).abs() < 1e-9);
-        // Empty frontier integrates the base cost.
-        let empty = Frontier::new(vec![]);
-        assert_eq!(empty.area_under_curve(10, 7.0), 70.0);
-    }
-
-    #[test]
-    fn dominance_check_over_budget_grid() {
-        let better = Frontier::new(vec![FrontierPoint { memory: 10, cost: 10.0 }]);
-        let worse = Frontier::new(vec![FrontierPoint { memory: 10, cost: 20.0 }]);
-        let budgets = [5u64, 10, 50];
-        assert!(better.dominates_at(&worse, &budgets, 100.0));
-        assert!(!worse.dominates_at(&better, &budgets, 100.0));
-        // Every frontier dominates itself.
-        assert!(better.dominates_at(&better, &budgets, 100.0));
     }
 
     #[test]

@@ -162,16 +162,6 @@ impl<W: WhatIfOptimizer> CalibratedWhatIf<W> {
     pub fn new(inner: W, ratios: RatioTable) -> Self {
         Self { inner, ratios }
     }
-
-    /// The learned ratios in force.
-    pub fn ratios(&self) -> &RatioTable {
-        &self.ratios
-    }
-
-    /// Unwrap, returning the inner oracle.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
 }
 
 impl<W: WhatIfOptimizer> WhatIfOptimizer for CalibratedWhatIf<W> {

@@ -46,16 +46,6 @@ impl<W: WhatIfOptimizer> PrefixAwareWhatIf<W> {
             hits: AtomicU64::new(0),
         }
     }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &W {
-        &self.inner
-    }
-
-    /// Number of distinct `(query, prefix)` entries cached.
-    pub fn cached_prefixes(&self) -> usize {
-        self.prefix_costs.lock().len()
-    }
 }
 
 impl<W: WhatIfOptimizer> WhatIfOptimizer for PrefixAwareWhatIf<W> {
@@ -146,7 +136,6 @@ mod tests {
         let s = est.stats();
         assert_eq!(s.calls_issued, 1, "one physical call for the shared prefix");
         assert_eq!(s.calls_answered_from_cache, 1);
-        assert_eq!(est.cached_prefixes(), 1);
     }
 
     #[test]
@@ -158,7 +147,6 @@ mod tests {
         est.index_cost(QueryId(0), k1);
         est.index_cost(QueryId(0), k12); // usable prefix (a0, a1)
         assert_eq!(est.stats().calls_issued, 2);
-        assert_eq!(est.cached_prefixes(), 2);
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub mod multi;
 pub mod tabular;
 pub mod whatif;
 
-pub use cache::{pack_key, CacheStats, CachingWhatIf, CACHE_SHARDS};
-pub use calibrate::{CalibratedWhatIf, RatioTable, TemplateProbe, RATIO_CLAMP};
+pub use cache::{pack_key, CacheStats, CachingWhatIf};
+pub use calibrate::{CalibratedWhatIf, RatioTable, TemplateProbe};
 pub use inum::PrefixAwareWhatIf;
 pub use model::AnalyticalWhatIf;
 pub use tabular::TabularWhatIf;

@@ -73,9 +73,11 @@ fn index_access_cost(schema: &Schema, key_attrs: &[AttrId], prefix_len: usize) -
     (cost, frac)
 }
 
-/// Cost `f_j(k)` of evaluating `query` using exactly `index` (then scanning
-/// any residual attributes). `None` if the index is not applicable (its
-/// leading attribute is not accessed by the query).
+/// Cost `f_j(k)` of evaluating `query` using exactly the index with the
+/// ordered key `key_attrs` (then scanning any residual attributes). `None`
+/// if the index is not applicable (its leading attribute is not accessed
+/// by the query). [`AnalyticalWhatIf`] resolves an [`IndexId`] to exactly
+/// this borrowed slice, so no [`Index`] is materialized per probe.
 ///
 /// The engine may bind any *prefix* of the composite key and post-filter
 /// the rest, so the cost is the minimum over all usable prefix lengths.
@@ -83,13 +85,6 @@ fn index_access_cost(schema: &Schema, key_attrs: &[AttrId], prefix_len: usize) -
 /// *worse* than its own leading attribute once the prefix is already
 /// unique — extending an index could then degrade queries it serves,
 /// breaking the paper's Property 1 and the morphing step's monotonicity.)
-pub fn index_scan_cost(schema: &Schema, query: &Query, index: &Index) -> Option<f64> {
-    index_scan_cost_attrs(schema, query, index.attrs())
-}
-
-/// [`index_scan_cost`] over a raw ordered attribute list — the id-keyed
-/// hot path ([`AnalyticalWhatIf`] resolves an [`IndexId`] to exactly this
-/// borrowed slice, so no [`Index`] is materialized per probe).
 pub fn index_scan_cost_attrs(schema: &Schema, query: &Query, key_attrs: &[AttrId]) -> Option<f64> {
     let usable = key_attrs
         .iter()
@@ -123,11 +118,6 @@ pub fn index_scan_cost_attrs(schema: &Schema, query: &Query, key_attrs: &[AttrId
 /// This is the write-amplification term that makes indexes *cost* under
 /// update-heavy workloads; CoPhy's base formulation drops it "w.l.o.g."
 /// (Section II-B), the general model of Section II-A includes it.
-pub fn update_maintenance_cost(schema: &Schema, index: &Index) -> f64 {
-    update_maintenance_cost_attrs(schema, index.attrs())
-}
-
-/// [`update_maintenance_cost`] over a raw ordered attribute list.
 pub fn update_maintenance_cost_attrs(schema: &Schema, key_attrs: &[AttrId]) -> f64 {
     let n = schema.rows_of(key_attrs[0]) as f64;
     let mut cost = n.log2().max(0.0);
@@ -213,6 +203,13 @@ impl WhatIfOptimizer for AnalyticalWhatIf<'_> {
             calls_answered_from_cache: 0,
         }
     }
+}
+
+/// [`index_scan_cost_attrs`] of a whole [`Index`]: the single-index
+/// reference the multi-index tests compare against.
+#[cfg(test)]
+pub(crate) fn index_scan_cost(schema: &Schema, query: &Query, index: &Index) -> Option<f64> {
+    index_scan_cost_attrs(schema, query, index.attrs())
 }
 
 #[cfg(test)]
@@ -364,9 +361,9 @@ mod tests {
         let k1 = Index::single(hi);
         let k2 = k1.extended(mid);
         let k3 = k2.extended(lo);
-        let m1 = update_maintenance_cost(&s, &k1);
-        let m2 = update_maintenance_cost(&s, &k2);
-        let m3 = update_maintenance_cost(&s, &k3);
+        let m1 = update_maintenance_cost_attrs(&s, k1.attrs());
+        let m2 = update_maintenance_cost_attrs(&s, k2.attrs());
+        let m3 = update_maintenance_cost_attrs(&s, k3.attrs());
         assert!(m1 > 0.0);
         assert!(m2 > m1);
         assert!(m3 > m2);

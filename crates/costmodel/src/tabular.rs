@@ -28,8 +28,6 @@ pub struct TabularWhatIf {
     indexed: HashMap<u64, f64, IdHashBuilder>,
     /// Measured or computed `p_k`.
     memory: HashMap<IndexId, u64, IdHashBuilder>,
-    /// Measured per-execution maintenance costs.
-    maintenance: HashMap<IndexId, f64, IdHashBuilder>,
     calls: AtomicU64,
 }
 
@@ -52,7 +50,6 @@ impl TabularWhatIf {
             unindexed,
             indexed: HashMap::default(),
             memory: HashMap::default(),
-            maintenance: HashMap::default(),
             calls: AtomicU64::new(0),
         }
     }
@@ -67,17 +64,6 @@ impl TabularWhatIf {
     pub fn set_index_memory(&mut self, index: &Index, bytes: u64) {
         let id = self.pool.intern(index);
         self.memory.insert(id, bytes);
-    }
-
-    /// Record the measured maintenance cost of an index.
-    pub fn set_maintenance_cost(&mut self, index: &Index, cost: f64) {
-        let id = self.pool.intern(index);
-        self.maintenance.insert(id, cost);
-    }
-
-    /// Number of `(query, index)` cost entries.
-    pub fn entries(&self) -> usize {
-        self.indexed.len()
     }
 
     fn lookup(&self, query: QueryId, index: IndexId) -> Option<f64> {
@@ -137,9 +123,6 @@ impl WhatIfOptimizer for TabularWhatIf {
     }
 
     fn maintenance_cost(&self, index: IndexId) -> f64 {
-        if let Some(&m) = self.maintenance.get(&index) {
-            return m;
-        }
         crate::model::update_maintenance_cost_attrs(self.workload.schema(), self.pool.attrs(index))
     }
 
@@ -216,14 +199,12 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_table_overrides_formula() {
+    fn maintenance_is_the_analytical_formula() {
         let (w, a0, _) = fixture();
-        let mut t = TabularWhatIf::new(w, vec![100.0, 50.0]);
-        let k = Index::single(a0);
-        let analytic = t.maintenance_cost_of(&k);
+        let t = TabularWhatIf::new(w, vec![100.0, 50.0]);
+        let analytic = crate::model::update_maintenance_cost_attrs(t.workload().schema(), &[a0]);
         assert!(analytic > 0.0);
-        t.set_maintenance_cost(&k, 7.5);
-        assert_eq!(t.maintenance_cost_of(&k), 7.5);
+        assert_eq!(t.maintenance_cost_of(&Index::single(a0)), analytic);
     }
 
     #[test]

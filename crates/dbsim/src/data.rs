@@ -18,8 +18,6 @@ pub struct Column {
     /// Declared value size `a_i` in bytes (used by the work counters; the
     /// in-memory representation is always 4 bytes).
     pub value_size: u32,
-    /// Number of distinct values the column was generated with.
-    pub distinct_values: u64,
 }
 
 impl Column {
@@ -38,11 +36,7 @@ pub fn generate_column(schema: &Schema, attr: AttrId, rows: u64, seed: u64) -> C
     );
     let d = a.distinct_values.min(u32::MAX as u64).max(1) as u32;
     let values = (0..rows).map(|_| rng.gen_range(0..d)).collect();
-    Column {
-        values,
-        value_size: a.value_size,
-        distinct_values: a.distinct_values,
-    }
+    Column { values, value_size: a.value_size }
 }
 
 /// Generate all columns of a table.

@@ -58,31 +58,9 @@ impl Database {
         self.indexes.len() - 1
     }
 
-    /// Drop an index; returns whether it existed.
-    pub fn drop_index(&mut self, definition: &Index) -> bool {
-        match self.index_position(definition) {
-            Some(pos) => {
-                self.indexes.remove(pos);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drop all indexes.
-    pub fn clear_indexes(&mut self) {
-        self.indexes.clear();
-    }
-
     /// Position of an index with this exact definition.
     pub fn index_position(&self, definition: &Index) -> Option<usize> {
         self.indexes.iter().position(|i| i.definition == *definition)
-    }
-
-    /// Measured memory of a created index.
-    pub fn index_memory(&self, definition: &Index) -> Option<u64> {
-        self.index_position(definition)
-            .map(|p| self.indexes[p].memory_bytes())
     }
 
     /// Work of maintaining every created index on `table` for one modified
@@ -274,8 +252,6 @@ mod tests {
         let p2 = d.create_index(&k);
         assert_eq!(p1, p2);
         assert_eq!(d.indexes().len(), 1);
-        assert!(d.drop_index(&k));
-        assert!(!d.drop_index(&k));
     }
 
     #[test]
@@ -403,10 +379,10 @@ mod tests {
     #[test]
     fn measured_index_memory_is_positive_and_grows_with_width() {
         let mut d = db();
-        d.create_index(&Index::single(AttrId(0)));
-        d.create_index(&Index::new(vec![AttrId(0), AttrId(1)]));
-        let m1 = d.index_memory(&Index::single(AttrId(0))).unwrap();
-        let m2 = d.index_memory(&Index::new(vec![AttrId(0), AttrId(1)])).unwrap();
+        let p1 = d.create_index(&Index::single(AttrId(0)));
+        let p2 = d.create_index(&Index::new(vec![AttrId(0), AttrId(1)]));
+        let m1 = d.indexes()[p1].memory_bytes();
+        let m2 = d.indexes()[p2].memory_bytes();
         assert!(m1 > 0);
         assert!(m2 > m1);
     }

@@ -157,7 +157,7 @@ mod tests {
     use super::*;
 
     fn col(values: Vec<u32>) -> Column {
-        Column { values, value_size: 4, distinct_values: 16 }
+        Column { values, value_size: 4 }
     }
 
     fn two_col_index() -> (SecondaryIndex, Column, Column) {

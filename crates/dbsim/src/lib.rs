@@ -28,6 +28,4 @@ pub mod index;
 pub mod measure;
 
 pub use database::Database;
-pub use exec::{ExecutionResult, Work};
-pub use index::SecondaryIndex;
 pub use measure::{measure_workload, CostMetric, MeasureConfig};

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Which measurement becomes the cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CostMetric {
-    /// Deterministic work counters ([`crate::Work::cost_units`]): perfectly
+    /// Deterministic work counters ([`crate::exec::Work::cost_units`]): perfectly
     /// reproducible, same units as the analytical model.
     WorkUnits,
     /// Wall-clock nanoseconds, minimum over the configured repetitions —

@@ -175,12 +175,6 @@ impl Arbiter {
         self.lock().set.budget()
     }
 
-    /// Merges performed so far: one per read that found publications
-    /// unmerged, plus one per [`set_budget`](Self::set_budget).
-    pub fn merges(&self) -> u64 {
-        self.lock().merges
-    }
-
     /// Table groups holding a publication.
     pub fn parts(&self) -> usize {
         self.lock().parts.len()
@@ -491,9 +485,9 @@ mod tests {
             let pf = publication(&w, t, global / 3);
             assert!(arbiter.publish(t, pf, Trace::to(&sink)));
         }
-        assert_eq!(arbiter.merges(), 0, "publications merge on read");
+        assert!(merge_events(&sink).is_empty(), "publications merge on read");
         let allocs = arbiter.allocations(Trace::to(&sink));
-        assert_eq!(arbiter.merges(), 1, "one read settles all three publications");
+        assert_eq!(merge_events(&sink).len(), 1, "one read settles all three publications");
         assert_eq!(allocs.len(), 3);
         assert!(allocs.iter().map(|&(_, a)| a).sum::<u64>() <= global);
 
@@ -502,7 +496,6 @@ mod tests {
         let pf = publication(&w, 1, global / 3);
         assert!(!arbiter.publish(1, pf, Trace::to(&sink)));
         assert_eq!(arbiter.allocations(Trace::to(&sink)), allocs);
-        assert_eq!(arbiter.merges(), 1);
         assert_eq!(merge_events(&sink).len(), 1);
     }
 
@@ -516,27 +509,24 @@ mod tests {
         for (t, pf) in parts.iter().enumerate() {
             arbiter.publish(t as u16, Arc::clone(pf), Trace::to(&sink));
         }
-        assert_eq!(arbiter.merges(), 0, "k publishes merge nothing");
-        assert!(merge_events(&sink).is_empty(), "and trace no merge");
+        assert!(merge_events(&sink).is_empty(), "k publishes merge nothing");
 
         // Interactive answers read the published frontiers and settle
         // nothing, before a settle and after it.
         let asks = || (arbiter.whatif(global / 2), arbiter.tenant(1, global / 2));
         let unsettled = asks();
-        assert_eq!(arbiter.merges(), 0, "whatif/tenant never settle");
+        assert!(merge_events(&sink).is_empty(), "whatif/tenant never settle");
 
         let allocs = arbiter.allocations(Trace::to(&sink));
-        assert_eq!(arbiter.merges(), 1, "the first read settles with one merge");
         let events = merge_events(&sink);
-        assert_eq!(events.len(), 1);
+        assert_eq!(events.len(), 1, "the first read settles with one merge");
         let TraceEvent::Merge { parts: n, dirty, budget, .. } = events[0] else { unreachable!() };
         assert_eq!((n, dirty, budget), (3, 3, global), "dirty counts every publication");
 
         assert_eq!(arbiter.allocations(Trace::to(&sink)), allocs);
         let _ = arbiter.merged_selection(Trace::to(&sink));
         assert_eq!(asks(), unsettled, "answers do not depend on when the merge ran");
-        assert_eq!(arbiter.merges(), 1, "later reads find nothing to settle");
-        assert_eq!(merge_events(&sink).len(), 1);
+        assert_eq!(merge_events(&sink).len(), 1, "later reads find nothing to settle");
 
         // One changed group: the next read re-merges that one path.
         let moved = Arc::new(PublishedFrontier {
@@ -545,8 +535,8 @@ mod tests {
         });
         assert!(arbiter.publish(2, moved, Trace::to(&sink)));
         let _ = arbiter.merged_selection(Trace::to(&sink));
-        assert_eq!(arbiter.merges(), 2);
         let events = merge_events(&sink);
+        assert_eq!(events.len(), 2);
         assert!(matches!(events[1], TraceEvent::Merge { dirty: 1, .. }), "{:?}", events[1]);
     }
 
@@ -585,10 +575,10 @@ mod tests {
             arbiter.publish(t, publication(&w, t, global / 3), Trace::disabled());
         }
         let before = arbiter.allocations(Trace::disabled());
-        let merges_before = arbiter.merges();
         // Re-anchoring answers like a whatif at the new budget...
+        let sink = VecSink::new();
         let reply =
-            arbiter.answer(Control::Budget { budget: global / 2 }, Trace::disabled()).unwrap();
+            arbiter.answer(Control::Budget { budget: global / 2 }, Trace::to(&sink)).unwrap();
         assert_eq!(reply, {
             // ...and the whatif at the same figure agrees byte-for-byte.
             let fresh = Arbiter::new(global, BTreeMap::new());
@@ -597,10 +587,10 @@ mod tests {
             }
             fresh.whatif(global / 2)
         });
-        // ...but unlike a whatif it mutates: budget, allocations and the
-        // merge counter all move.
+        // ...but unlike a whatif it mutates: it merges, and budget and
+        // allocations move.
+        assert_eq!(merge_events(&sink).len(), 1);
         assert_eq!(arbiter.budget(), global / 2);
-        assert_eq!(arbiter.merges(), merges_before + 1);
         let after = arbiter.allocations(Trace::disabled());
         assert!(after.iter().map(|&(_, a)| a).sum::<u64>() <= global / 2);
         assert_ne!(before, after, "halving the budget must move allocations");

@@ -211,7 +211,7 @@ pub struct GroupCheckpoint {
     #[serde(default)]
     pub published: Option<PublishedFrontier>,
     /// Observed-cost feedback state of the group (see
-    /// [`crate::feedback`]); the key is absent with calibration disabled.
+    /// the `feedback` module); the key is absent with calibration disabled.
     /// Documents written before PR 21 carry `"feedback":null` there and
     /// still restore. Also absent
     /// inside the gate's own last-good snapshots — the rollback target
@@ -247,7 +247,7 @@ impl GroupCheckpoint {
         }
     }
 
-    /// Attach observed-cost feedback state (see [`crate::feedback`]).
+    /// Attach observed-cost feedback state (see the `feedback` module).
     #[must_use]
     pub fn with_feedback(mut self, feedback: Option<FeedbackCheckpoint>) -> Self {
         self.feedback = feedback;
@@ -531,7 +531,7 @@ mod tests {
         assert_eq!(tuner2.pool().len(), tuner.pool().len());
         assert_eq!(tuner2.drift_baseline(), tuner.drift_baseline());
         assert_eq!(window2.sealed_masses(), window.sealed_masses());
-        assert_eq!(window2.current_events(), window.current_events());
+        assert_eq!(window2.total_mass(), window.total_mass());
         // A second capture of the restored state is byte-identical.
         let mut tuner2 = tuner2;
         let cp2 = GroupCheckpoint::capture(&mut tuner2, &window2);

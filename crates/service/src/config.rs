@@ -108,7 +108,7 @@ pub struct ServiceConfig {
     pub shards: u32,
     /// Explicit table → shard placements overriding the default map
     /// (tables not listed fall back to one-shard-per-table, then to a
-    /// rendezvous hash; see [`crate::shard::ShardMap`]).
+    /// rendezvous hash; see `ShardMap`).
     #[serde(default)]
     pub shard_map: BTreeMap<u16, u32>,
     /// Worker *processes* hosting the shards (0 = shard threads in this

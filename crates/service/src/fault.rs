@@ -176,17 +176,6 @@ impl Schedule {
         Ok(Self { entries })
     }
 
-    /// The parsed entries, in spec order.
-    pub fn entries(&self) -> &[Entry] {
-        &self.entries
-    }
-
-    /// Re-serialize to the schedule grammar.
-    pub fn spec(&self) -> String {
-        let parts: Vec<String> = self.entries.iter().map(Entry::spec).collect();
-        parts.join(";")
-    }
-
     /// The sub-schedule the supervisor hands to worker slot `slot` (of
     /// `workers`): the `worker.*` entries whose scope shard initially
     /// lives on that slot. `None` when no entry targets the slot.
@@ -370,8 +359,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            s.entries(),
-            &[
+            s.entries,
+            [
                 Entry {
                     site: SUP_COMMIT.into(),
                     scope: Some(2),
@@ -404,8 +393,8 @@ mod tests {
     fn spec_round_trips() {
         let spec = "sup.commit@2:1;worker.ingest@0:25:stall(100);journal.append:3:error";
         let s = Schedule::parse(spec).unwrap();
-        assert_eq!(s.spec(), spec);
-        assert_eq!(Schedule::parse(&s.spec()).unwrap(), s);
+        let rendered: Vec<String> = s.entries.iter().map(Entry::spec).collect();
+        assert_eq!(rendered.join(";"), spec);
     }
 
     #[test]
@@ -421,15 +410,15 @@ mod tests {
         ] {
             assert!(Schedule::parse(bad).is_err(), "{bad:?} must not parse");
         }
-        assert_eq!(Schedule::parse("").unwrap().entries().len(), 0);
-        assert_eq!(Schedule::parse(" ; ").unwrap().entries().len(), 0);
+        assert_eq!(Schedule::parse("").unwrap().entries.len(), 0);
+        assert_eq!(Schedule::parse(" ; ").unwrap().entries.len(), 0);
     }
 
     #[test]
     fn every_registered_site_parses() {
         for site in SITES {
             let s = Schedule::parse(&format!("{site}@0:1")).unwrap();
-            assert_eq!(s.entries().len(), 1);
+            assert_eq!(s.entries.len(), 1);
         }
         for site in SUPERVISOR_SWEEP_SITES {
             assert!(SITES.contains(site), "sweep site {site} must be registered");

@@ -100,11 +100,6 @@ impl RatioTracker {
         self.rejected
     }
 
-    /// Distinct templates with at least one accepted probe.
-    pub fn templates(&self) -> usize {
-        self.stats.len()
-    }
-
     /// Fold one observed-cost event in. Returns whether the probe was
     /// accepted; a rejected probe only bumps the rejection counter —
     /// every ratio the tracker will ever produce is unaffected.
@@ -319,7 +314,7 @@ impl GroupFeedback {
     }
 }
 
-/// Serialized [`GroupFeedback`] state inside a checkpoint. Stats are
+/// Serialized `GroupFeedback` state inside a checkpoint. Stats are
 /// key-sorted on capture (the tracker's map is a `BTreeMap`), so two
 /// captures of the same logical state produce identical bytes.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -332,7 +327,7 @@ pub struct FeedbackCheckpoint {
     pub rejected: u64,
     /// Ratios applied at tune time (lifetime total).
     pub applied: u64,
-    /// Applied-ratio histogram (see [`ratio_bucket`]).
+    /// Applied-ratio histogram (see `ratio_bucket`).
     pub hist: Vec<u64>,
     /// Deployment candidates opened.
     pub opened: u64,
@@ -388,8 +383,8 @@ pub struct CalSnapshot {
     pub rejected: u64,
     /// Ratios applied at tune time.
     pub applied: u64,
-    /// Applied-ratio histogram, [`HIST_BUCKETS`] long (see
-    /// [`ratio_bucket`]; a `Vec` because fixed-size arrays don't cross
+    /// Applied-ratio histogram, `HIST_BUCKETS` long (see
+    /// `ratio_bucket`; a `Vec` because fixed-size arrays don't cross
     /// the serde boundary).
     pub hist: Vec<u64>,
     /// Deployment candidates opened.

@@ -49,7 +49,7 @@
 //! forge one, and every event-stream consumer counts it invalid.
 
 use crate::event::Control;
-use isel_workload::wire::{crc32, get_varint, put_varint, MAX_VARINT_LEN};
+use isel_workload::wire::{crc32, get_varint, put_varint};
 use isel_workload::QueryKind;
 use std::collections::HashMap;
 
@@ -309,9 +309,6 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Worst-case header size in bytes (magic + version + varint + crc).
-pub const MAX_HEADER: usize = 2 + MAX_VARINT_LEN + 4;
-
 /// Template-dictionary frame encoder: queries are deduplicated into
 /// `Define` items on first use and referenced by id afterwards. Items
 /// accumulate in an in-memory payload until [`FrameEncoder::flush_into`]
@@ -396,11 +393,6 @@ impl FrameEncoder {
     /// Append a verbatim line (no structured encoding).
     pub fn push_raw(&mut self, bytes: &[u8]) {
         put_item(&mut self.payload, &WireItem::Raw(bytes.to_vec()));
-    }
-
-    /// Bytes currently buffered in the unsealed payload.
-    pub fn pending(&self) -> usize {
-        self.payload.len()
     }
 
     /// Seal the buffered items into one frame appended to `out`. A

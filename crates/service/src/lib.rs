@@ -5,35 +5,36 @@
 //! Section-VII "workloads that change over time" scenario as a
 //! long-running advisor built from the existing layers:
 //!
-//! 1. **Ingestion** ([`event`], [`queue`], [`socket`]) — query events
-//!    from stdin, a file, or a Unix-domain socket flow through bounded
-//!    queues. Replay uses blocking pushes (lossless); live serving uses
+//! 1. **Ingestion** ([`event`], [`BoundedQueue`], [`run_socket_router`])
+//!    — query events from stdin, a file, or a Unix-domain socket flow
+//!    through bounded queues. Replay uses blocking pushes (lossless); live serving uses
 //!    a drop-oldest overload policy whose every drop is *counted*, never
 //!    silent. Events arrive in either of two peer encodings, mixed
 //!    freely on one stream and auto-detected per record by a magic byte
-//!    ([`records`]): JSONL lines, or the length-prefixed checksummed
+//!    ([`RecordIter`]): JSONL lines, or the length-prefixed checksummed
 //!    binary frames of [`frame`] (interned query templates, varint ids —
 //!    DESIGN.md §14). Journals ([`journal`]) write either encoding,
 //!    optionally rotating into size-bounded segments behind a manifest,
 //!    and `convert` translates between them losslessly; replay can mmap
-//!    a journal ([`mmap`]) and decode with zero per-event allocation.
-//! 2. **Aggregation** ([`window`]) — events are batched into fixed-size
-//!    *epochs*; a sliding window of the last `window_epochs` epochs is
+//!    a journal ([`MappedFile`]) and decode with zero per-event
+//!    allocation.
+//! 2. **Aggregation** ([`EpochWindow`]) — events are batched into
+//!    fixed-size *epochs*; a sliding window of the last `window_epochs` epochs is
 //!    merged, deterministically ordered, and compressed with
 //!    `compress::top_k_by_weight` into one [`Workload`] snapshot per
 //!    sealed epoch.
-//! 3. **Tuning** ([`tuner`]) — a drift detector
+//! 3. **Tuning** ([`Tuner`]) — a drift detector
 //!    (`workload::drift::attribute_overlap` against the last re-selected
 //!    snapshot) picks a per-epoch policy: keep the selection (no-op),
 //!    reconfiguration-aware re-selection (`core::reconfig` as in
 //!    `dynamic::adapt`), or a from-scratch run — always under the
 //!    relative memory budget of Eq. (10).
-//! 4. **State** ([`checkpoint`]) — each group's interned [`IndexPool`],
-//!    current selection, window contents and counters serialize into
+//! 4. **State** ([`GroupCheckpoint`]) — each group's interned
+//!    [`IndexPool`], current selection, window contents and counters serialize into
 //!    per-shard JSON documents committed atomically through a
 //!    [`Manifest`]; a restarted service restores them and continues
 //!    **bit-identically** with an uninterrupted run.
-//! 5. **Control** ([`router`]) — EOF or a `{"control":"shutdown"}` line
+//! 5. **Control** ([`Router`]) — EOF or a `{"control":"shutdown"}` line
 //!    drains the queues, tunes any sealed epochs, and commits a final
 //!    checkpoint generation; `{"control":"checkpoint"}` snapshots
 //!    mid-stream in event order. Runs emit the same
@@ -72,7 +73,7 @@
 //!
 //! # Frontier arbitration
 //!
-//! The global-budget merge is a *live* subsystem ([`arbiter`]): each
+//! The global-budget merge is a *live* subsystem ([`Arbiter`]): each
 //! group publishes its tuned frontier as epochs complete, the
 //! [`Arbiter`] folds changed frontiers incrementally into a maintained
 //! [`isel_core::FrontierSet`], and the final merged selection is a cheap
@@ -98,42 +99,39 @@
 //!
 //! [`Workload`]: isel_workload::Workload
 //! [`IndexPool`]: isel_workload::IndexPool
-//! [`Manifest`]: checkpoint::Manifest
 
 #![warn(missing_docs)]
 
-pub mod arbiter;
-pub mod checkpoint;
-pub mod config;
 pub mod event;
 pub mod fault;
-pub mod feedback;
 pub mod frame;
-mod group;
 pub mod journal;
-pub mod mmap;
 pub mod process;
-pub mod queue;
-pub mod records;
-pub mod router;
-pub mod shard;
-pub mod socket;
-pub mod status;
-mod stream;
-pub mod tuner;
-pub mod window;
 
-pub use arbiter::{
-    global_budget, Arbiter, InteractiveRegistry, PendingQuery, PublishedFrontier,
-};
+mod arbiter;
+mod checkpoint;
+mod config;
+mod feedback;
+mod group;
+mod mmap;
+mod queue;
+mod records;
+mod router;
+mod shard;
+mod socket;
+mod status;
+mod stream;
+mod tuner;
+mod window;
+
+pub use arbiter::{global_budget, Arbiter, InteractiveRegistry, PublishedFrontier};
 pub use checkpoint::{
     shard_file, GroupCheckpoint, Manifest, ShardCheckpoint, CHECKPOINT_VERSION,
 };
 pub use config::{CalibrationConfig, DriftThresholds, ServiceConfig};
-pub use event::{parse_line, parse_token, Control, InputLine};
-pub use fault::{Schedule as FaultSchedule, ENV_SCHEDULE as ENV_FAULT_SCHEDULE};
-pub use feedback::{CalSnapshot, FeedbackCheckpoint, GroupFeedback, RatioTracker};
-pub use frame::{FrameEncoder, WireItem, FORMAT_VERSION, MAGIC, MAX_PAYLOAD};
+pub use event::{parse_line, Control, InputLine};
+pub use feedback::{CalSnapshot, FeedbackCheckpoint};
+pub use frame::{FrameEncoder, WireItem, FORMAT_VERSION, MAGIC};
 pub use group::ShardCounters;
 pub use journal::{convert, read_journal_bytes, JournalConfig, JournalWriter, TeeReader, WireFormat};
 pub use mmap::MappedFile;
@@ -143,8 +141,8 @@ pub use queue::BoundedQueue;
 pub use router::{
     offline_group_adapt, offline_group_snapshots, OverloadPolicy, Router, ServiceReport,
 };
-pub use shard::{classify_line, LineClass, ShardMap, ShardTagSink};
+pub use shard::{classify_line, LineClass};
 pub use socket::run_socket_router;
-pub use status::{install_status_signal, take_status_signal, PersistedStatus, StatusBoard};
+pub use status::{install_status_signal, StatusBoard};
 pub use tuner::{EpochOutcome, TunePolicy, Tuner};
 pub use window::EpochWindow;

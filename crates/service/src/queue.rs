@@ -2,20 +2,20 @@
 //!
 //! Two overload policies, chosen per push:
 //!
-//! * [`BoundedQueue::push_blocking`] — the producer waits for space
+//! * blocking ([`BoundedQueue::push_blocking`], and the batch form
+//!   [`BoundedQueue::push_all_blocking`]) — the producer waits for space
 //!   (replay mode: a recorded log must reach the aggregator losslessly,
-//!   or the determinism contract with the offline loop is void).
-//! * [`BoundedQueue::push_drop_oldest`] — a full queue evicts its oldest
-//!   element to admit the new one (live mode: fresh events matter more
-//!   than stale ones under overload). Every eviction increments a
-//!   counter; drops are **never silent**.
+//!   or the determinism contract with the offline loop is void);
+//! * drop-oldest ([`BoundedQueue::push_all_drop_oldest`], batches only)
+//!   — a full queue evicts its oldest element to admit the new one (live
+//!   mode: fresh events matter more than stale ones under overload).
+//!   Every eviction increments a counter; drops are **never silent**.
 //!
-//! Each policy also has a batch form — [`BoundedQueue::push_all_blocking`],
-//! [`BoundedQueue::push_all_drop_oldest`] — and the consumer a matching
-//! [`BoundedQueue::pop_all`]: one lock and one wake-up hand over many
-//! items, which is what the sharded router's per-event path uses (a
-//! condvar wake per event costs more than decoding and folding it).
-//! Capacity counts *items* under every operation.
+//! The consumer takes a batch with [`BoundedQueue::pop_all`]: one lock
+//! and one wake-up hand over many items, which is what the sharded
+//! router's per-event path uses (a condvar wake per event costs more
+//! than decoding and folding it). Capacity counts *items* under every
+//! operation.
 //!
 //! The queue also tracks its high-water mark as a backpressure
 //! diagnostic: a high-water mark at capacity means the consumer fell
@@ -71,24 +71,6 @@ impl<T> BoundedQueue<T> {
         }
         if g.closed {
             return false;
-        }
-        g.buf.push_back(item);
-        self.note_level(g.buf.len());
-        drop(g);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Enqueue without waiting; a full queue evicts its oldest element
-    /// (counted in [`Self::dropped`]). Returns `false` only if closed.
-    pub fn push_drop_oldest(&self, item: T) -> bool {
-        let mut g = self.inner.lock().expect("queue lock poisoned");
-        if g.closed {
-            return false;
-        }
-        if g.buf.len() >= self.capacity {
-            g.buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         g.buf.push_back(item);
         self.note_level(g.buf.len());
@@ -207,7 +189,7 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Elements evicted by [`Self::push_drop_oldest`] so far.
+    /// Elements evicted by [`Self::push_all_drop_oldest`] so far.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -249,7 +231,7 @@ mod tests {
     fn drop_oldest_counts_every_eviction() {
         let q = BoundedQueue::new(3);
         for i in 0..10 {
-            assert!(q.push_drop_oldest(i));
+            assert!(q.push_all_drop_oldest(&mut vec![i]));
         }
         assert_eq!(q.dropped(), 7);
         assert_eq!(q.high_water(), 3);
@@ -300,7 +282,8 @@ mod tests {
         assert!(q.push_blocking(0));
         assert!(q.push_all_blocking(&mut batch));
         assert!(batch.is_empty(), "the batch is handed over, not copied");
-        assert!(q.push_drop_oldest(4));
+        batch.push(4);
+        assert!(q.push_all_drop_oldest(&mut batch));
         batch.extend([5, 6]);
         assert!(q.push_all_drop_oldest(&mut batch));
         assert!(q.push_all_blocking(&mut batch), "an empty batch is a no-op");

@@ -384,11 +384,6 @@ impl DecodeDict {
         self.templates.get(usize::try_from(template).ok()?)?.as_ref()
     }
 
-    /// Table of a defined template (valid or not), for routing.
-    pub fn table_of(&self, template: u64) -> Option<u16> {
-        self.entry(template).map(|e| e.table)
-    }
-
     /// Resolve an event to a validated [`Query`]. Frequency-1 events —
     /// the common case — borrow the pre-built query and allocate
     /// nothing. `None` for unknown or schema-invalid templates and for
@@ -703,7 +698,7 @@ mod tests {
         assert!(d.resolve(2, 1).is_none(), "cross-table attr");
         assert!(d.resolve(7, 1).is_none(), "never defined");
         assert!(d.resolve(0, 0).is_none(), "zero frequency");
-        assert_eq!(d.table_of(1), Some(9), "invalid templates still route");
+        assert_eq!(d.raw(1).map(|r| r.0), Some(9), "invalid templates still route");
         assert_eq!(d.raw(2), Some((0u16, &[2u32][..], QueryKind::Select)));
     }
 
@@ -714,7 +709,7 @@ mod tests {
         d.define_at(&s, 3, 1, QueryKind::Update, vec![2]);
         d.define_at(&s, 1, 0, QueryKind::Select, vec![0]);
         assert!(d.resolve(0, 1).is_none() && d.resolve(2, 1).is_none(), "never sent");
-        assert_eq!(d.table_of(2), None);
+        assert_eq!(d.raw(2), None);
         assert_eq!(d.resolve(3, 1).unwrap().table(), TableId(1), "no id shifted");
         assert_eq!(d.resolve(1, 1).unwrap().table(), TableId(0));
         assert_eq!(d.define(&s, 0, QueryKind::Select, vec![1]), 4, "define appends");

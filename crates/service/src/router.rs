@@ -449,7 +449,7 @@ struct WorkerCtx<'a> {
 }
 
 /// The tuning service: table groups packed onto shards by a
-/// [`ShardMap`] — or, at `config.shards == 0`, the whole workload tuned
+/// `ShardMap` — or, at `config.shards == 0`, the whole workload tuned
 /// as one group on one shard — driven by [`Router::run_reader`]. Where
 /// the shards live is the run's placement, chosen by `config.workers`:
 /// threads of this process at 0 (`Handoff`), worker processes above
@@ -523,7 +523,7 @@ impl Router {
     /// a whole-workload document does not split into table groups, nor
     /// the reverse. In process, the manifest may have been written at a
     /// different shard count — groups are re-packed under the current
-    /// [`ShardMap`] (placement never affects results). Worker processes
+    /// `ShardMap` (placement never affects results). Worker processes
     /// restore their shards from the committed shard files when the run
     /// starts, so there the shard count must match the manifest.
     ///
@@ -651,7 +651,7 @@ impl Router {
     /// pipes, which always block. `sinks` carries one trace sink per
     /// shard thread, exactly one under worker processes, or none. A
     /// shard thread's run events are stamped with its shard id via
-    /// [`ShardTagSink`], so every per-shard trace file is an internally
+    /// `ShardTagSink`, so every per-shard trace file is an internally
     /// consistent run stream; under worker processes the one sink gets
     /// the supervisor-side trace (merges, deploy actions, failovers,
     /// the recovery — workers trace no runs).
@@ -1265,29 +1265,36 @@ mod tests {
 
     #[test]
     fn shutdown_reads_the_maintained_merge_without_rework() {
+        use isel_core::{Trace, TraceEvent, VecSink};
         let w = workload();
         let log = sample_log(&w, 96, 19);
+        let sinks = [VecSink::new(), VecSink::new()];
+        let refs: Vec<&dyn isel_core::TraceSink> = sinks.iter().map(|s| s as _).collect();
         let mut router = Router::new(w.schema().clone(), config(2)).unwrap();
         let report = router
-            .run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[])
+            .run_reader(Cursor::new(log), OverloadPolicy::Block, None, &refs)
             .unwrap();
-        let arbiter = router.arbiter();
-        let merges = arbiter.merges();
-        assert!(merges > 0, "epoch publishes were merged during the run");
+        let merges = |sink: &VecSink| {
+            sink.events().iter().filter(|e| matches!(e, TraceEvent::Merge { .. })).count()
+        };
+        assert!(sinks.iter().map(merges).sum::<usize>() > 0, "the run merged its publishes");
         // The final selection is a cheap read of the maintained state.
-        assert_eq!(arbiter.merged_selection(isel_core::Trace::disabled()), report.final_selection);
-        assert_eq!(arbiter.merges(), merges, "reads never re-merge");
+        let arbiter = router.arbiter();
+        let after = VecSink::new();
+        assert_eq!(arbiter.merged_selection(Trace::to(&after)), report.final_selection);
+        assert_eq!(merges(&after), 0, "reads never re-merge");
         // Republishing an unchanged frontier (a group that saw no events
         // since its last epoch) is a clean skip, not a re-merge.
         for t in 0..w.schema().tables().len() as u16 {
             if let Some(pf) = arbiter.published(t) {
                 assert!(
-                    !arbiter.publish(t, pf, isel_core::Trace::disabled()),
+                    !arbiter.publish(t, pf, Trace::to(&after)),
                     "clean republish of t{t} must be skipped"
                 );
             }
         }
-        assert_eq!(arbiter.merges(), merges);
+        assert_eq!(arbiter.merged_selection(Trace::to(&after)), report.final_selection);
+        assert_eq!(merges(&after), 0, "a clean republish leaves nothing to settle");
     }
 
     /// What each placement refuses, checked before any worker spawns:

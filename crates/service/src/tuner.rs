@@ -86,7 +86,7 @@ pub struct EpochOutcome {
     /// Deployment-gate action taken this epoch (`None` when the
     /// calibration gate is disabled or idle — absent on the wire, so
     /// uncalibrated outcome messages are byte-identical to earlier
-    /// releases). See [`crate::feedback`].
+    /// releases). See the `feedback` module.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub deploy: Option<DeployNote>,
 }

@@ -74,41 +74,6 @@ impl CophyInstance {
         let memory_rows = 1;
         (x_vars + z_vars, assignment_rows + linking_rows + memory_rows)
     }
-
-    /// Total workload cost of a selection (bit-vector over candidates),
-    /// including per-candidate selection penalties.
-    pub fn cost_of(&self, selected: &[bool]) -> f64 {
-        let queries: f64 = self
-            .queries
-            .iter()
-            .map(|q| {
-                let mut best = q.base_cost;
-                for &(k, c) in &q.options {
-                    if selected[k as usize] {
-                        best = best.min(c);
-                    }
-                }
-                q.weight * best
-            })
-            .sum();
-        let penalties: f64 = selected
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s)
-            .map(|(k, _)| self.penalty(k))
-            .sum();
-        queries + penalties
-    }
-
-    /// Memory used by a selection.
-    pub fn memory_of(&self, selected: &[bool]) -> u64 {
-        selected
-            .iter()
-            .zip(&self.candidate_memory)
-            .filter(|(s, _)| **s)
-            .map(|(_, &m)| m)
-            .sum()
-    }
 }
 
 /// Termination options (mirrors the paper's CPLEX configuration).
@@ -483,6 +448,46 @@ fn gap(ub: f64, lb: f64) -> f64 {
         return 0.0;
     }
     ((ub - lb) / ub.abs()).max(0.0)
+}
+
+/// Objective and memory of a given selection: what the tests check the
+/// solver's answers against.
+#[cfg(test)]
+impl CophyInstance {
+    /// Total workload cost of a selection (bit-vector over candidates),
+    /// including per-candidate selection penalties.
+    pub(crate) fn cost_of(&self, selected: &[bool]) -> f64 {
+        let queries: f64 = self
+            .queries
+            .iter()
+            .map(|q| {
+                let mut best = q.base_cost;
+                for &(k, c) in &q.options {
+                    if selected[k as usize] {
+                        best = best.min(c);
+                    }
+                }
+                q.weight * best
+            })
+            .sum();
+        let penalties: f64 = selected
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| **s)
+            .map(|(k, _)| self.penalty(k))
+            .sum();
+        queries + penalties
+    }
+
+    /// Memory used by a selection.
+    pub(crate) fn memory_of(&self, selected: &[bool]) -> u64 {
+        selected
+            .iter()
+            .zip(&self.candidate_memory)
+            .filter(|(s, _)| **s)
+            .map(|(_, &m)| m)
+            .sum()
+    }
 }
 
 #[cfg(test)]

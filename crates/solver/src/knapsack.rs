@@ -4,9 +4,7 @@
 //!   the node bound of the CoPhy branch-and-bound,
 //! * [`solve_01`] — 0/1 knapsack with a safe degradation contract: exact
 //!   dynamic programming while the DP table is affordable, greedy
-//!   density fill beyond (the result says which path ran),
-//! * [`solve_01_dynamic`] — the historical `(value, chosen)` entry point,
-//!   now a thin wrapper over [`solve_01`].
+//!   density fill beyond (the result says which path ran).
 
 use std::cmp::Ordering;
 
@@ -129,16 +127,6 @@ fn greedy_by_density(items: &[Item], capacity: u64) -> KnapsackSolution {
     KnapsackSolution { value, chosen, path: SolvePath::GreedyFallback }
 }
 
-/// Historical entry point: `(best value, chosen item indices)`.
-///
-/// Routes through [`solve_01`]: exact DP at test-scale capacities, greedy
-/// density fill above [`DP_CELL_LIMIT`] — callers needing to distinguish
-/// the paths should call [`solve_01`] directly.
-pub fn solve_01_dynamic(items: &[Item], capacity: u64) -> (f64, Vec<usize>) {
-    let s = solve_01(items, capacity);
-    (s.value, s.chosen)
-}
-
 /// Exact 0/1 knapsack DP over capacities — `O(n · capacity)` time and
 /// table space; only called for capacities vetted by [`solve_01`].
 fn dp_over_capacities(items: &[Item], capacity: u64) -> (f64, Vec<usize>) {
@@ -172,6 +160,14 @@ fn dp_over_capacities(items: &[Item], capacity: u64) -> (f64, Vec<usize>) {
     }
     chosen.reverse();
     (best[cap], chosen)
+}
+
+/// [`solve_01`] as `(best value, chosen item indices)`: the exact DP the
+/// branch-and-bound tests compare against at test-scale capacities.
+#[cfg(test)]
+pub(crate) fn solve_01_dynamic(items: &[Item], capacity: u64) -> (f64, Vec<usize>) {
+    let s = solve_01(items, capacity);
+    (s.value, s.chosen)
 }
 
 #[cfg(test)]

@@ -3,12 +3,6 @@
 //! The paper solves CoPhy's binary program with CPLEX (`mipgap = 0.05`,
 //! NEOS). This crate replaces that proprietary stack:
 //!
-//! * [`simplex`] — a dense two-phase primal simplex for general LPs; used
-//!   as the relaxation engine of the generic MILP solver and as a reference
-//!   oracle in tests,
-//! * [`milp`] — a small generic branch-and-bound MILP solver on top of the
-//!   simplex (exact on small instances; used to cross-validate the
-//!   specialized solver),
 //! * [`cophy`] — a specialized branch-and-bound solver for the CoPhy index
 //!   selection program (5)–(8), scalable to thousands of candidates: it
 //!   exploits that for fixed index decisions the per-query variables are
@@ -17,21 +11,19 @@
 //!   (subadditivity), which yields a fractional-knapsack bound,
 //! * [`knapsack`] — fractional and 0/1 knapsack helpers.
 //!
-//! All solvers support the paper's termination regime: a relative
+//! The solver supports the paper's termination regime: a relative
 //! optimality gap and a wall-clock limit ("DNF" in Table I).
+//!
+//! The tests check it against a generic reference stack that only they
+//! build: a dense two-phase primal simplex (`simplex`), a small
+//! branch-and-bound MILP solver on top of it (`milp`, exact on small
+//! instances), and the textbook LP (5)–(8) of an instance
+//! (`formulation`).
 
 #![warn(missing_docs)]
 
 pub mod cophy;
-pub mod formulation;
 pub mod knapsack;
-pub mod milp;
-pub mod simplex;
-
-pub use cophy::{CophyInstance, CophyOptions, CophyQueryRow, CophySolution};
-pub use formulation::{to_linear_program, CophyFormulation};
-pub use milp::{MilpOptions, MilpProblem, MilpSolution};
-pub use simplex::{Constraint, ConstraintOp, LinearProgram, LpOutcome, LpSolution};
 
 use serde::{Deserialize, Serialize};
 
@@ -52,13 +44,15 @@ pub enum SolveStatus {
 }
 
 impl SolveStatus {
-    /// Whether a feasible incumbent accompanies this status.
-    pub fn has_solution(self) -> bool {
-        !matches!(self, SolveStatus::Infeasible)
-    }
-
     /// Whether the run finished on its own terms (optimal or gap).
     pub fn finished(self) -> bool {
         matches!(self, SolveStatus::Optimal | SolveStatus::GapReached)
     }
 }
+
+#[cfg(test)]
+mod formulation;
+#[cfg(test)]
+mod milp;
+#[cfg(test)]
+mod simplex;

@@ -3,43 +3,10 @@
 //! Large workloads are often preprocessed before index selection:
 //! Chaudhuri et al. \[30\] compress within an error bound, while DB2 simply
 //! keeps "the top k most expensive queries" \[10\] because full compression
-//! proved too slow. This module provides both flavours:
-//!
-//! * [`top_k_by_weight`] — DB2-style: keep the k templates with the
-//!   highest frequency-weighted cost estimate,
-//! * [`merge_duplicates`] — exact, lossless: coalesce templates with
-//!   identical table, kind and attribute set by summing frequencies
-//!   (real template extractions are full of these).
+//! proved too slow. [`top_k_by_weight`] is the DB2 flavour: keep the k
+//! templates with the highest frequency-weighted cost estimate.
 
-use crate::ids::TableId;
-use crate::query::{Query, QueryKind, Workload};
-use std::collections::HashMap;
-
-/// Lossless compression: merge templates with identical
-/// `(table, kind, attribute set)` into one, summing frequencies. Order of
-/// first occurrence is kept.
-pub fn merge_duplicates(workload: &Workload) -> Workload {
-    let mut order: Vec<(TableId, QueryKind, Vec<crate::AttrId>)> = Vec::new();
-    let mut freq: HashMap<(TableId, QueryKind, Vec<crate::AttrId>), u64> = HashMap::new();
-    for (_, q) in workload.iter() {
-        let key = (q.table(), q.kind(), q.attrs().to_vec());
-        match freq.get_mut(&key) {
-            Some(f) => *f += q.frequency(),
-            None => {
-                freq.insert(key.clone(), q.frequency());
-                order.push(key);
-            }
-        }
-    }
-    let queries = order
-        .into_iter()
-        .map(|key| {
-            let f = freq[&key];
-            Query::with_kind(key.0, key.2, f, key.1)
-        })
-        .collect();
-    Workload::new(workload.schema().clone(), queries)
-}
+use crate::query::{Query, Workload};
 
 /// DB2-style lossy compression: keep the `k` templates with the largest
 /// `weight(q)` under the given per-query weight function (typically
@@ -55,7 +22,7 @@ pub fn merge_duplicates(workload: &Workload) -> Workload {
 /// let w = synthetic::generate(&SyntheticConfig::default());
 /// let c = compress::top_k_by_weight(&w, 50, |q| q.frequency() as f64);
 /// assert_eq!(c.query_count(), 50);
-/// assert!(compress::retained_volume(&w, &c) > 0.1);
+/// assert!(c.total_frequency() <= w.total_frequency());
 /// ```
 pub fn top_k_by_weight(
     workload: &Workload,
@@ -80,19 +47,10 @@ pub fn top_k_by_weight(
     Workload::new(workload.schema().clone(), queries)
 }
 
-/// Fraction of the original execution volume a compressed workload keeps.
-pub fn retained_volume(original: &Workload, compressed: &Workload) -> f64 {
-    let total = original.total_frequency();
-    if total == 0 {
-        return 1.0;
-    }
-    compressed.total_frequency() as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    
+    use crate::ids::TableId;
     use crate::schema::SchemaBuilder;
 
     fn workload() -> Workload {
@@ -109,22 +67,6 @@ mod tests {
                 Query::update(TableId(0), vec![a0], 4), // same attrs, write
             ],
         )
-    }
-
-    #[test]
-    fn merge_sums_frequencies_of_identical_templates() {
-        let w = merge_duplicates(&workload());
-        assert_eq!(w.query_count(), 3);
-        assert_eq!(w.queries()[0].frequency(), 7); // 5 + 2
-        assert_eq!(w.total_frequency(), workload().total_frequency());
-    }
-
-    #[test]
-    fn merge_keeps_reads_and_writes_apart() {
-        let w = merge_duplicates(&workload());
-        let updates: Vec<_> = w.queries().iter().filter(|q| q.is_update()).collect();
-        assert_eq!(updates.len(), 1);
-        assert_eq!(updates[0].frequency(), 4);
     }
 
     #[test]
@@ -158,14 +100,5 @@ mod tests {
         let all_nan = top_k_by_weight(&w, 2, |_| f64::NAN);
         assert_eq!(all_nan.queries()[0], w.queries()[0]);
         assert_eq!(all_nan.queries()[1], w.queries()[1]);
-    }
-
-    #[test]
-    fn retained_volume_reports_the_lossy_share() {
-        let w = workload();
-        let c = top_k_by_weight(&w, 2, |q| q.frequency() as f64);
-        let kept = retained_volume(&w, &c);
-        assert!((kept - 9.0 / 14.0).abs() < 1e-12);
-        assert_eq!(retained_volume(&w, &w), 1.0);
     }
 }

@@ -80,11 +80,6 @@ impl Index {
         Self { attrs }
     }
 
-    /// Whether `self` is a (not necessarily proper) prefix of `other`.
-    pub fn is_prefix_of(&self, other: &Index) -> bool {
-        other.attrs.len() >= self.attrs.len() && other.attrs[..self.attrs.len()] == self.attrs[..]
-    }
-
     /// Length of the usable prefix `U(q, k)`: the longest prefix of the
     /// index whose attributes are all accessed by `query`. Zero means the
     /// index is not applicable to the query.
@@ -174,16 +169,5 @@ mod tests {
         let k = Index::new(vec![AttrId(2), AttrId(5)]);
         assert!(k.applicable_to(&q(&[1, 2])));
         assert!(!k.applicable_to(&q(&[5])));
-    }
-
-    #[test]
-    fn prefix_relation() {
-        let a = Index::new(vec![AttrId(1), AttrId(2)]);
-        let b = a.extended(AttrId(3));
-        assert!(a.is_prefix_of(&b));
-        assert!(a.is_prefix_of(&a));
-        assert!(!b.is_prefix_of(&a));
-        let c = Index::new(vec![AttrId(2), AttrId(1)]);
-        assert!(!c.is_prefix_of(&b));
     }
 }

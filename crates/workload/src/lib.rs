@@ -40,8 +40,8 @@ pub mod wire;
 
 pub use ids::{AttrId, IndexId, QueryId, TableId};
 pub use index::Index;
-pub use pool::{IdRemap, IndexPool};
+pub use pool::IndexPool;
 pub use query::{Query, QueryKind, Workload};
-pub use schema::{Attribute, Schema, SchemaBuilder, Table};
+pub use schema::{Schema, SchemaBuilder};
 pub use stats::WorkloadStats;
-pub use synthetic::{SyntheticConfig, SyntheticWorkload};
+pub use synthetic::SyntheticConfig;

@@ -236,11 +236,6 @@ impl IndexPool {
         id
     }
 
-    /// Id of the width-1 index on `attr`, if interned.
-    pub fn root(&self, attr: AttrId) -> Option<IndexId> {
-        self.inner.read().children.get(&(NO_PARENT, attr)).copied().map(IndexId)
-    }
-
     /// Intern the width-1 index on `attr`.
     pub fn intern_single(&self, attr: AttrId) -> IndexId {
         self.intern_attrs(std::slice::from_ref(&attr))
@@ -525,8 +520,6 @@ mod tests {
         assert_eq!(pool.child(root, AttrId(1)), Some(ext));
         assert_eq!(pool.attrs(ext), &[AttrId(0), AttrId(1)]);
         assert_eq!(pool.intern_child(root, AttrId(1)), ext);
-        assert_eq!(pool.root(AttrId(0)), Some(root));
-        assert_eq!(pool.root(AttrId(2)), None);
     }
 
     #[test]

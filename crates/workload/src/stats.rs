@@ -4,12 +4,10 @@
 //! * `g_i = Σ_{j: i ∈ q_j} b_j` — frequency-weighted number of occurrences
 //!   of attribute `i` (Definition 1, H1),
 //! * `q̄ = (1/Q) Σ_j |q_j|` — average number of attributes per query (used
-//!   in the paper's what-if-call complexity estimates),
-//! * occurrence counts of attribute *combinations* (H1-M).
+//!   in the paper's what-if-call complexity estimates).
 
 use crate::ids::AttrId;
 use crate::query::Workload;
-use std::collections::HashMap;
 
 /// Precomputed statistics over a workload.
 #[derive(Clone, Debug)]
@@ -64,49 +62,6 @@ impl WorkloadStats {
     }
 }
 
-/// Frequency-weighted occurrence count of an attribute *combination*
-/// (unordered): `Σ_{j: {i_1..i_m} ⊆ q_j} b_j` (the H1-M ranking metric).
-///
-/// Returns a map from each size-`m` combination (as a sorted attribute
-/// vector) that occurs in at least one query to its weighted count.
-/// Combinations are enumerated per query, so the cost is
-/// `Σ_j C(|q_j|, m)` — fine for the paper's query widths (≤ 10).
-pub fn combination_occurrences(workload: &Workload, m: usize) -> HashMap<Vec<AttrId>, u64> {
-    assert!(m >= 1, "combination size must be positive");
-    let mut counts: HashMap<Vec<AttrId>, u64> = HashMap::new();
-    let mut combo = Vec::with_capacity(m);
-    for (_, q) in workload.iter() {
-        if q.width() < m {
-            continue;
-        }
-        for_each_combination(q.attrs(), m, &mut combo, 0, &mut |c| {
-            *counts.entry(c.to_vec()).or_insert(0) += q.frequency();
-        });
-    }
-    counts
-}
-
-/// Enumerate all size-`m` combinations of `attrs` (which is sorted), calling
-/// `f` with each; `combo` is scratch space.
-fn for_each_combination(
-    attrs: &[AttrId],
-    m: usize,
-    combo: &mut Vec<AttrId>,
-    start: usize,
-    f: &mut impl FnMut(&[AttrId]),
-) {
-    if combo.len() == m {
-        f(combo);
-        return;
-    }
-    let needed = m - combo.len();
-    for i in start..=attrs.len().saturating_sub(needed) {
-        combo.push(attrs[i]);
-        for_each_combination(attrs, m, combo, i + 1, f);
-        combo.pop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,24 +108,4 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pair_combination_counts() {
-        let counts = combination_occurrences(&workload(), 2);
-        assert_eq!(counts[&vec![AttrId(0), AttrId(1)]], 8);
-        assert_eq!(counts[&vec![AttrId(0), AttrId(2)]], 3);
-        assert_eq!(counts[&vec![AttrId(1), AttrId(2)]], 3);
-        assert_eq!(counts.len(), 3);
-    }
-
-    #[test]
-    fn triple_combination_counts() {
-        let counts = combination_occurrences(&workload(), 3);
-        assert_eq!(counts.len(), 1);
-        assert_eq!(counts[&vec![AttrId(0), AttrId(1), AttrId(2)]], 3);
-    }
-
-    #[test]
-    fn oversized_combinations_are_empty() {
-        assert!(combination_occurrences(&workload(), 4).is_empty());
-    }
 }

@@ -80,20 +80,7 @@ impl SyntheticConfig {
             seed,
         }
     }
-
-    /// Total attribute count `N = Σ_t N_t`.
-    pub fn total_attrs(&self) -> usize {
-        self.tables * self.attrs_per_table
-    }
-
-    /// Total query count `Q = Σ_t Q_t`.
-    pub fn total_queries(&self) -> usize {
-        self.tables * self.queries_per_table
-    }
 }
-
-/// Convenience alias for generator output.
-pub type SyntheticWorkload = Workload;
 
 /// `round(Uniform(lo, hi))` exactly as the paper writes it. `hi` below `lo`
 /// collapses to `lo` (can happen for tiny row counts when scaled down).

@@ -10,7 +10,7 @@
 //! or adapt with reconfiguration costs in the loop.
 
 use isel_core::dynamic::{self, TransitionCosts};
-use isel_core::budget;
+use isel_core::{budget, Trace};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_workload::drift::{self, DriftConfig};
 use isel_workload::synthetic::SyntheticConfig;
@@ -45,7 +45,7 @@ fn main() {
 
     println!("\npolicy      total-cost    workload     reconfig   churned-indexes");
     for (name, trace) in [
-        ("static  ", dynamic::static_first_epoch(&refs, a, costs)),
+        ("static  ", dynamic::static_first_epoch(&refs, a, costs, Trace::disabled())),
         ("scratch ", dynamic::from_scratch(&refs, a, costs)),
         ("adaptive", dynamic::adapt(&refs, a, costs)),
     ] {

@@ -252,10 +252,17 @@ fn traced_advisor_recommendations_match_untraced() {
     let (w, _) = tpcc::generate(5);
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
     for strategy in [
+        Strategy::H1,
+        Strategy::H2,
+        Strategy::H3,
+        Strategy::H4 { skyline: false },
         Strategy::H4 { skyline: true },
         Strategy::H5,
         Strategy::H6,
         Strategy::Db2 { swap_rounds: 50 },
+        // Reaches the 5 % gap in well under a second; the limit only
+        // bounds a regression.
+        Strategy::CoPhy { mip_gap: 0.05, time_limit_secs: 10 },
     ] {
         for threads in [1usize, 4] {
             let par = Parallelism::new(threads);

@@ -1,7 +1,7 @@
 //! End-to-end tests against the columnar engine (the Section IV-B loop in
 //! miniature): measured costs in, selections out, verified by execution.
 
-use isel_core::{algorithm1, budget, candidates, heuristics};
+use isel_core::{algorithm1, budget, candidates, heuristics, Parallelism, Trace};
 use isel_costmodel::{CachingWhatIf, WhatIfOptimizer};
 use isel_dbsim::measure::LiveWhatIf;
 use isel_dbsim::{measure_workload, Database, MeasureConfig};
@@ -50,7 +50,7 @@ fn measured_costs_drive_useful_selections() {
     let a = budget::relative_budget(&est, 0.4);
 
     let ids: Vec<_> = pool.iter().map(|k| est.pool().intern(k)).collect();
-    let sel = heuristics::h5(&ids, &est, a);
+    let sel = heuristics::h5(&ids, &est, a, Parallelism::serial(), Trace::disabled());
     assert!(!sel.is_empty());
     let base = executed_cost(&w, &isel_core::Selection::empty());
     let with = executed_cost(&w, &sel);
@@ -98,8 +98,8 @@ fn measured_and_analytical_rankings_agree_on_direction() {
     let a = budget::relative_budget(&est, 0.3);
 
     let ids: Vec<_> = pool.iter().map(|k| est.pool().intern(k)).collect();
-    let h2 = heuristics::h2(&ids, &est, a);
-    let h5 = heuristics::h5(&ids, &est, a);
+    let h2 = heuristics::h2(&ids, &est, a, Trace::disabled());
+    let h5 = heuristics::h5(&ids, &est, a, Parallelism::serial(), Trace::disabled());
     let c2 = executed_cost(&w, &h2);
     let c5 = executed_cost(&w, &h5);
     assert!(

@@ -1,7 +1,7 @@
 //! Cross-crate pipeline tests: workload generation → cost model →
 //! selection algorithms, on the paper's synthetic setting.
 
-use isel_core::{algorithm1, budget, candidates, heuristics};
+use isel_core::{algorithm1, budget, candidates, heuristics, Parallelism, Trace};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::Workload;
@@ -28,9 +28,9 @@ fn h6_beats_all_rule_based_heuristics_on_synthetic_workloads() {
     let h6 = algorithm1::run(&est, &algorithm1::Options::new(a));
     let h6_cost = h6.final_cost;
     for (name, sel) in [
-        ("h1", heuristics::h1(&pool, &est, a)),
-        ("h2", heuristics::h2(&pool, &est, a)),
-        ("h3", heuristics::h3(&pool, &est, a)),
+        ("h1", heuristics::h1(&pool, &est, a, Trace::disabled())),
+        ("h2", heuristics::h2(&pool, &est, a, Trace::disabled())),
+        ("h3", heuristics::h3(&pool, &est, a, Trace::disabled())),
     ] {
         let cost = sel.cost(&est);
         assert!(
@@ -47,7 +47,7 @@ fn h6_is_competitive_with_performance_based_heuristics() {
     let a = budget::relative_budget(&est, 0.25);
     let pool = candidates::enumerate_imax(&w, 4).ids(est.pool());
     let h6 = algorithm1::run(&est, &algorithm1::Options::new(a));
-    let h5 = heuristics::h5(&pool, &est, a).cost(&est);
+    let h5 = heuristics::h5(&pool, &est, a, Parallelism::serial(), Trace::disabled()).cost(&est);
     // H5 with the full candidate set is a strong baseline; H6 must at
     // least match it within a small tolerance (it usually wins).
     assert!(
@@ -65,12 +65,12 @@ fn all_strategies_respect_every_budget() {
     for share in [0.05, 0.15, 0.35] {
         let a = budget::relative_budget(&est, share);
         let sels = [
-            heuristics::h1(&pool, &est, a),
-            heuristics::h2(&pool, &est, a),
-            heuristics::h3(&pool, &est, a),
-            heuristics::h4(&pool, &est, a, false),
-            heuristics::h4(&pool, &est, a, true),
-            heuristics::h5(&pool, &est, a),
+            heuristics::h1(&pool, &est, a, Trace::disabled()),
+            heuristics::h2(&pool, &est, a, Trace::disabled()),
+            heuristics::h3(&pool, &est, a, Trace::disabled()),
+            heuristics::h4(&pool, &est, a, false, Parallelism::serial(), Trace::disabled()),
+            heuristics::h4(&pool, &est, a, true, Parallelism::serial(), Trace::disabled()),
+            heuristics::h5(&pool, &est, a, Parallelism::serial(), Trace::disabled()),
             algorithm1::run(&est, &algorithm1::Options::new(a)).selection,
         ];
         for sel in sels {
@@ -87,8 +87,8 @@ fn selections_never_increase_workload_cost() {
     let a = budget::relative_budget(&est, 0.3);
     let pool = candidates::enumerate_imax(&w, 4).ids(est.pool());
     for sel in [
-        heuristics::h1(&pool, &est, a),
-        heuristics::h4(&pool, &est, a, true),
+        heuristics::h1(&pool, &est, a, Trace::disabled()),
+        heuristics::h4(&pool, &est, a, true, Parallelism::serial(), Trace::disabled()),
         algorithm1::run(&est, &algorithm1::Options::new(a)).selection,
     ] {
         assert!(sel.cost(&est) <= base + 1e-9);

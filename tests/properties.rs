@@ -2,7 +2,7 @@
 //! optimality on random instances, and Algorithm 1 invariants on random
 //! workloads.
 
-use isel_core::{algorithm1, budget, candidates, cophy};
+use isel_core::{algorithm1, budget, candidates, cophy, Parallelism, Trace};
 use isel_costmodel::{model, AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::{AttrId, Index, Query, SchemaBuilder, TableId, Workload};
@@ -110,11 +110,12 @@ proptest! {
         let a = budget::relative_budget(&est, 0.3);
         let pool = candidates::enumerate_imax(&w, 5).ids(est.pool());
         prop_assume!(pool.len() <= 60); // keep the exact solve fast
-        let opt = cophy::solve(&est, &pool, a, &CophyOptions {
+        let exact = CophyOptions {
             mip_gap: 0.0,
             time_limit: Duration::from_secs(30),
             max_nodes: 2_000_000,
-        });
+        };
+        let opt = cophy::solve(&est, &pool, a, &exact, Parallelism::serial(), Trace::disabled());
         prop_assume!(opt.solution.status.finished());
         let h6 = algorithm1::run(&est, &algorithm1::Options::new(a));
         // One-permutation-per-set reference: H6 may undercut by a sliver.

@@ -4,21 +4,24 @@
 //! degrades.
 
 use isel_core::{
-    algorithm1, budget, candidates, cophy, Advisor, Strategy, Trace, TraceEvent, VecSink,
+    algorithm1, budget, candidates, cophy, Advisor, Parallelism, Strategy, Trace, TraceEvent,
+    VecSink,
 };
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::erp::{self, ErpConfig};
-use isel_workload::io;
+use isel_workload::{io, IndexId};
 use isel_workload::synthetic::{self, SyntheticConfig};
 use std::time::Duration;
 
-fn exact() -> CophyOptions {
-    CophyOptions {
+/// CoPhy solved to optimality (zero gap).
+fn solve_exact(est: &impl WhatIfOptimizer, candidates: &[IndexId], a: u64) -> cophy::CophyRun {
+    let exact = CophyOptions {
         mip_gap: 0.0,
         time_limit: Duration::from_secs(120),
         max_nodes: 5_000_000,
-    }
+    };
+    cophy::solve(est, candidates, a, &exact, Parallelism::serial(), Trace::disabled())
 }
 
 fn workload(seed: u64) -> isel_workload::Workload {
@@ -54,7 +57,7 @@ fn h6_is_near_optimal_across_seeds_and_budgets() {
             // exactly this) so the reference is a true lower bound.
             let mut reference = pool.clone();
             reference.extend(h6.selection.ids(&est));
-            let opt = cophy::solve(&est, &reference, a, &exact());
+            let opt = solve_exact(&est, &reference, a);
             assert!(opt.solution.status.finished(), "reference must solve");
             let ratio = h6.final_cost / opt.solution.objective;
             assert!(
@@ -85,13 +88,13 @@ fn restricted_candidate_sets_degrade_cophy() {
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
     let pool = candidates::enumerate_imax(&w, 5);
     let a = budget::relative_budget(&est, 0.3);
-    let all = cophy::solve(&est, &pool.ids(est.pool()), a, &exact());
+    let all = solve_exact(&est, &pool.ids(est.pool()), a);
     let tiny: Vec<_> =
         candidates::select_candidates(&pool, 4, 4, candidates::CandidateRanking::Frequency)
             .iter()
             .map(|k| est.pool().intern(k))
             .collect();
-    let restricted = cophy::solve(&est, &tiny, a, &exact());
+    let restricted = solve_exact(&est, &tiny, a);
     assert!(
         restricted.solution.objective >= all.solution.objective - 1e-9,
         "restricted CoPhy cannot beat the exhaustive set"
@@ -113,7 +116,7 @@ fn h6_beats_cophy_with_tiny_candidate_sets() {
                 .iter()
                 .map(|k| est.pool().intern(k))
                 .collect();
-        let restricted = cophy::solve(&est, &tiny, a, &exact());
+        let restricted = solve_exact(&est, &tiny, a);
         let h6 = algorithm1::run(&est, &algorithm1::Options::new(a));
         rounds += 1;
         if h6.final_cost <= restricted.solution.objective + 1e-9 {
@@ -137,6 +140,8 @@ fn gap_terminated_solutions_respect_their_gap() {
         &pool,
         a,
         &CophyOptions { mip_gap: 0.05, time_limit: Duration::from_secs(60), max_nodes: 5_000_000 },
+        Parallelism::serial(),
+        Trace::disabled(),
     );
     assert!(run.solution.status.finished());
     assert!(run.solution.gap <= 0.05 + 1e-9);

@@ -3,7 +3,7 @@
 //! regenerate identical rows run after run (the property the paper's
 //! "reproducible examples" hinge on).
 
-use isel_core::{algorithm1, budget, candidates, cophy, db2, heuristics};
+use isel_core::{algorithm1, budget, candidates, cophy, db2, heuristics, Parallelism, Trace};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::erp::{self, ErpConfig};
@@ -48,14 +48,17 @@ fn selection_algorithms_are_deterministic() {
         let a = budget::relative_budget(&est, 0.3);
         let pool = candidates::enumerate_imax(&w, 3).ids(est.pool());
         let h6 = algorithm1::run(&est, &algorithm1::Options::new(a));
-        let h5 = heuristics::h5(&pool, &est, a);
+        let h5 = heuristics::h5(&pool, &est, a, Parallelism::serial(), Trace::disabled());
         let cop = cophy::solve(
             &est,
             &pool,
             a,
             &CophyOptions { mip_gap: 0.0, time_limit: Duration::from_secs(60), max_nodes: 1_000_000 },
+            Parallelism::serial(),
+            Trace::disabled(),
         );
-        let shuffled = db2::run(&pool, &est, &db2::Db2Options { budget: a, swap_rounds: 50, seed: 3 });
+        let db2_options = db2::Db2Options { budget: a, swap_rounds: 50, seed: 3 };
+        let shuffled = db2::run(&pool, &est, &db2_options, Trace::disabled());
         (h6.selection, h5, cop.selection, shuffled.selection)
     };
     assert_eq!(run(0), run(1));

@@ -2,7 +2,7 @@
 //! workloads, and starved solver limits must never produce invalid
 //! selections or panics.
 
-use isel_core::{algorithm1, budget, candidates, cophy, heuristics};
+use isel_core::{algorithm1, budget, candidates, cophy, heuristics, Parallelism, Trace};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer, WhatIfStats};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -135,7 +135,7 @@ fn starved_solver_limits_return_feasible_incumbents() {
         CophyOptions { mip_gap: 0.0, time_limit: Duration::from_millis(0), max_nodes: usize::MAX },
         CophyOptions { mip_gap: 0.0, time_limit: Duration::from_secs(60), max_nodes: 1 },
     ] {
-        let run = cophy::solve(&est, &pool, a, &opts);
+        let run = cophy::solve(&est, &pool, a, &opts, Parallelism::serial(), Trace::disabled());
         assert!(run.selection.memory(&est) <= a);
         assert!(run.solution.objective.is_finite());
         assert!(run.solution.objective >= run.solution.lower_bound - 1e-9);
@@ -149,15 +149,15 @@ fn heuristics_survive_single_candidate_pools() {
     let lone = vec![est.pool().intern_single(AttrId(0))];
     let a = budget::relative_budget(&est, 1.0);
     for sel in [
-        heuristics::h1(&lone, &est, a),
-        heuristics::h4(&lone, &est, a, true),
-        heuristics::h5(&lone, &est, a),
+        heuristics::h1(&lone, &est, a, Trace::disabled()),
+        heuristics::h4(&lone, &est, a, true, Parallelism::serial(), Trace::disabled()),
+        heuristics::h5(&lone, &est, a, Parallelism::serial(), Trace::disabled()),
     ] {
         assert!(sel.len() <= 1);
     }
     // Empty candidate pool.
     let empty: Vec<isel_workload::IndexId> = vec![];
-    assert!(heuristics::h1(&empty, &est, a).is_empty());
+    assert!(heuristics::h1(&empty, &est, a, Trace::disabled()).is_empty());
     assert!(heuristics::skyline_filter(&empty, &est).is_empty());
 }
 
@@ -168,8 +168,8 @@ fn noisy_oracle_keeps_heuristics_budget_feasible() {
     let pool = candidates::enumerate_imax(&w, 3).ids(noisy.pool());
     let a = budget::relative_budget(&noisy, 0.25);
     for sel in [
-        heuristics::h4(&pool, &noisy, a, false),
-        heuristics::h5(&pool, &noisy, a),
+        heuristics::h4(&pool, &noisy, a, false, Parallelism::serial(), Trace::disabled()),
+        heuristics::h5(&pool, &noisy, a, Parallelism::serial(), Trace::disabled()),
     ] {
         assert!(sel.memory(&noisy) <= a);
     }

@@ -2,7 +2,7 @@
 //! *cost* maintenance, so every strategy must index write-hot tables more
 //! conservatively.
 
-use isel_core::{algorithm1, budget, candidates, cophy, heuristics};
+use isel_core::{algorithm1, budget, candidates, cophy, heuristics, Parallelism, Trace};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -113,7 +113,7 @@ fn cophy_penalties_match_workload_semantics() {
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
     let a = budget::relative_budget(&est, 1.0);
     let pool = candidates::enumerate_imax(&w, 2).ids(est.pool());
-    let run = cophy::solve(&est, &pool, a, &exact());
+    let run = cophy::solve(&est, &pool, a, &exact(), Parallelism::serial(), Trace::disabled());
     assert!(run.solution.status.finished());
     // The solver's objective equals the estimator's evaluation of the
     // returned selection (maintenance included on both sides).
@@ -141,7 +141,7 @@ fn h6_still_tracks_the_optimum_under_updates() {
     let h6 = algorithm1::run(&est, &algorithm1::Options::new(a));
     let mut pool = candidates::enumerate_imax(&w, 4).ids(est.pool());
     pool.extend(h6.selection.ids(&est));
-    let opt = cophy::solve(&est, &pool, a, &exact());
+    let opt = cophy::solve(&est, &pool, a, &exact(), Parallelism::serial(), Trace::disabled());
     assert!(opt.solution.status.finished());
     let ratio = h6.final_cost / opt.solution.objective;
     assert!(ratio >= 1.0 - 1e-9, "H6 {ratio} below complemented optimum");
@@ -158,10 +158,9 @@ fn individual_benefit_is_negative_for_upkeep_only_indexes() {
     let k = est.pool().intern(&Index::single(AttrId(3)));
     assert!(heuristics::individual_benefit(&est, k) < 0.0);
     let a = budget::relative_budget(&est, 1.0);
-    let h5 = heuristics::h5(std::slice::from_ref(&k), &est, a);
-    assert!(h5.is_empty());
-    let h4 = heuristics::h4(&[k], &est, a, false);
-    assert!(h4.is_empty());
+    let (serial, off) = (Parallelism::serial(), Trace::disabled());
+    assert!(heuristics::h5(&[k], &est, a, serial, off).is_empty());
+    assert!(heuristics::h4(&[k], &est, a, false, serial, off).is_empty());
 }
 
 #[test]
