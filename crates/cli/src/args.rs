@@ -11,6 +11,8 @@ pub struct Args {
     /// Second positional token (the action of two-level commands like
     /// `journal convert`).
     pub subcommand: Option<String>,
+    /// Positional tokens past the second, which no command reads.
+    pub extra: Vec<String>,
     options: HashMap<String, String>,
     flags: Vec<String>,
 }
@@ -37,6 +39,8 @@ impl Args {
                 args.command = Some(tok);
             } else if args.subcommand.is_none() {
                 args.subcommand = Some(tok);
+            } else {
+                args.extra.push(tok);
             }
         }
         args
@@ -100,9 +104,10 @@ mod tests {
         assert_eq!(a.command.as_deref(), Some("journal"));
         assert_eq!(a.subcommand.as_deref(), Some("convert"));
         assert_eq!(a.get("to"), Some("binary"));
-        // A third positional is ignored, as extra positionals always were.
+        // A third positional is kept apart, for the command to refuse.
         let a = parse("journal convert extra");
         assert_eq!(a.subcommand.as_deref(), Some("convert"));
+        assert_eq!(a.extra, ["extra"]);
     }
 
     #[test]

@@ -93,6 +93,18 @@ fn parallelism(args: &Args) -> Result<Parallelism, String> {
     })
 }
 
+/// A budget share (`--budget`, `--max-budget`), `default` when absent.
+/// Eq. (10) scales it by the single-attribute footprint, so it must be
+/// finite and non-negative.
+fn budget_share(args: &Args, key: &str, default: f64) -> Result<f64, String> {
+    let share = args.get_parsed(key, default)?;
+    if share.is_finite() && share >= 0.0 {
+        return Ok(share);
+    }
+    let given = args.get(key).unwrap_or_default();
+    Err(format!("invalid value for --{key}: {given:?} (must be finite and non-negative)"))
+}
+
 /// `isel generate`
 pub fn generate(args: &Args) -> Result<(), String> {
     let kind = args.get("kind").unwrap_or("synthetic");
@@ -144,7 +156,7 @@ fn parse_strategy(name: &str) -> Result<Strategy, String> {
 pub fn recommend(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
     let strategy = parse_strategy(args.get("strategy").unwrap_or("h6"))?;
-    let share = args.get_parsed("budget", 0.2f64)?;
+    let share = budget_share(args, "budget", 0.2)?;
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&workload));
     let sink = trace_sink(args)?;
     let rec = {
@@ -236,7 +248,7 @@ pub fn recommend(args: &Args) -> Result<(), String> {
 /// `isel compare`
 pub fn compare(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
-    let share = args.get_parsed("budget", 0.2f64)?;
+    let share = budget_share(args, "budget", 0.2)?;
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&workload));
     let sink = trace_sink(args)?;
     let recs = {
@@ -274,7 +286,7 @@ pub fn compare(args: &Args) -> Result<(), String> {
 /// `isel frontier`
 pub fn frontier(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
-    let share = args.get_parsed("max-budget", 0.5f64)?;
+    let share = budget_share(args, "max-budget", 0.5)?;
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&workload));
     let a = budget::relative_budget(&est, share);
     let opts = algorithm1::Options {
@@ -288,7 +300,6 @@ pub fn frontier(args: &Args) -> Result<(), String> {
     };
     finish_trace(sink)?;
     println!("memory_bytes\tcost\trelative");
-    println!("0\t{:.6e}\t1.0", run.initial_cost);
     for p in run.frontier.points() {
         println!(
             "{}\t{:.6e}\t{:.4}",

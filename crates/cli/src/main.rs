@@ -184,11 +184,17 @@ fn accepted(command: &str) -> Option<Vec<&'static str>> {
     }))
 }
 
-/// Refuse, before any work, an option `args.command` does not read — a
-/// misspelt `--budjet` would otherwise run at the default budget.
+/// Refuse, before any work, an option or a positional token
+/// `args.command` does not read — a misspelt `--budjet` would otherwise
+/// run at the default budget. Only `journal` reads a second positional
+/// (its action).
 fn check_options(args: &Args) -> Result<(), String> {
     let Some(command) = args.command.as_deref() else { return Ok(()) };
     let Some(known) = accepted(command) else { return Ok(()) };
+    let read = usize::from(command == "journal");
+    if let Some(token) = args.subcommand.iter().chain(&args.extra).nth(read) {
+        return Err(format!("unexpected argument {token:?} for `isel {command}`\n\n{USAGE}"));
+    }
     match args.keys().into_iter().find(|key| !known.contains(key)) {
         None => Ok(()),
         Some(key) if PLACEMENT.contains(&key) => {

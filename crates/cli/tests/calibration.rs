@@ -17,11 +17,12 @@
 //!    is cheaper, the candidate violates the envelope, and the group
 //!    rolls back to the last-good checkpoint.
 
-use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::process::Output;
 
-const BIN: &str = env!("CARGO_BIN_EXE_isel");
+mod common;
+
+use common::{assert_ok, final_selection, report_check, run, scratch, stdout, Server};
 
 /// Tuning knobs shared by every run over the contradiction stream.
 const KNOBS: &[&str] = &[
@@ -62,71 +63,17 @@ fn contradiction_log() -> String {
 /// Fresh per-test scratch directory with a generated workload, the
 /// contradiction stream, and its probe-free prefix (the last-good
 /// state's input).
-fn setup(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("isel_calibration_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+fn contradiction_fixture(name: &str) -> PathBuf {
+    let dir = scratch(&format!("calibration_{name}"));
     let w = dir.join("w.json");
-    assert_ok(&run(
-        &[
-            "generate",
-            "--kind",
-            "synthetic",
-            "--tables",
-            "1",
-            "--attrs",
-            "8",
-            "--queries",
-            "8",
-            "--rows",
-            "50000",
-            "--seed",
-            "9",
-            "--out",
-            w.to_str().unwrap(),
-        ],
-        None,
-        &[],
-    ));
+    let shape = ["--kind", "synthetic", "--tables", "1", "--attrs", "8", "--queries", "8"];
+    let generate = ["generate", "--rows", "50000", "--seed", "9", "--out", w.to_str().unwrap()];
+    assert_ok(&run(&[&generate[..], &shape].concat(), None, &[]));
     let log = contradiction_log();
     std::fs::write(dir.join("ev.jsonl"), &log).unwrap();
-    let prefix: String =
-        log.lines().take(16).map(|l| format!("{l}\n")).collect();
+    let prefix: String = log.lines().take(16).map(|l| format!("{l}\n")).collect();
     std::fs::write(dir.join("prefix.jsonl"), prefix).unwrap();
     dir
-}
-
-fn run(args: &[&str], stdin: Option<&Path>, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(BIN);
-    cmd.args(args);
-    match stdin {
-        Some(p) => cmd.stdin(Stdio::from(File::open(p).unwrap())),
-        None => cmd.stdin(Stdio::null()),
-    };
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn isel")
-}
-
-fn assert_ok(out: &Output) {
-    assert!(
-        out.status.success(),
-        "isel failed: {}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-fn stdout(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-/// The report's `final selection` block.
-fn final_selection(report: &str) -> String {
-    let at = report.find("final selection").expect("report has a final selection block");
-    report[at..].to_owned()
 }
 
 fn replay(dir: &Path, log: &str, shards: &str, extra: &[&str]) -> Output {
@@ -153,7 +100,7 @@ fn replay(dir: &Path, log: &str, shards: &str, extra: &[&str]) -> Output {
 /// run), and `report --check` must verify the gate accounting.
 #[test]
 fn envelope_violation_rolls_back_byte_identically_across_shards() {
-    let dir = setup("replay");
+    let dir = contradiction_fixture("replay");
     let trace = dir.join("t.jsonl");
     let one = replay(&dir, "ev.jsonl", "1", &["--trace", trace.to_str().unwrap()]);
     assert_ok(&one);
@@ -179,10 +126,7 @@ fn envelope_violation_rolls_back_byte_identically_across_shards() {
         "rolled-back selection differs from the last-good checkpoint's"
     );
 
-    let checked =
-        run(&["report", "--trace", dir.join("t.jsonl.shard-0").to_str().unwrap(), "--check"], None, &[]);
-    assert_ok(&checked);
-    let summary = stdout(&checked);
+    let summary = report_check(&dir.join("t.jsonl.shard-0"));
     assert!(summary.contains("rolled back"), "report summary:\n{summary}");
     assert!(summary.contains("deploy accounting ok"), "report summary:\n{summary}");
     std::fs::remove_dir_all(&dir).ok();
@@ -212,7 +156,7 @@ fn serve_workers(dir: &Path, extra: &[&str], envs: &[(&str, &str)]) -> Output {
 /// the rollback and passes `report --check`.
 #[test]
 fn supervised_rollback_survives_sigkill_in_the_rollback_window() {
-    let dir = setup("workers");
+    let dir = contradiction_fixture("workers");
     let clean = serve_workers(&dir, &[], &[]);
     assert_ok(&clean);
     let baseline = stdout(&clean);
@@ -242,79 +186,38 @@ fn supervised_rollback_survives_sigkill_in_the_rollback_window() {
         traced.contains(r#""action":"rollback""#),
         "no rollback event in supervised trace:\n{traced}"
     );
-    let checked = run(&["report", "--trace", trace.to_str().unwrap(), "--check"], None, &[]);
-    assert_ok(&checked);
-    assert!(stdout(&checked).contains("deploy accounting ok"));
+    assert!(report_check(&trace).contains("deploy accounting ok"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The in-band `{"control":"calibration"}` answer over a serving socket
 /// is byte-identical to the offline `isel calibrate` answer over the
-/// same events — and both record the rollback.
+/// same events — and both record the rollback — whether the shards run
+/// on threads (one shard, two) or in two worker processes.
 #[test]
 fn served_calibration_answer_matches_offline() {
-    let dir = setup("socket");
-    let sock = dir.join("cal.sock");
-    let mut server = Command::new(BIN)
-        .args([
-            "serve",
-            "--workload",
-            dir.join("w.json").to_str().unwrap(),
-            "--socket",
-            sock.to_str().unwrap(),
-            "--calibrate",
-            "--shards",
-            "1",
-        ])
-        .args(KNOBS)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn serve --socket");
-    for _ in 0..100 {
-        if sock.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
+    let dir = contradiction_fixture("socket");
+    let (w, events, sock) = (dir.join("w.json"), dir.join("ev.jsonl"), dir.join("cal.sock"));
+    let (w, events, s) = (w.to_str().unwrap(), events.to_str().unwrap(), sock.to_str().unwrap());
+    let workers = ["--shards", "2", "--workers", "2"];
+    for placement in [&["--shards", "1"][..], &["--shards", "2"], &workers] {
+        std::fs::remove_file(&sock).ok();
+        let serve = ["serve", "--workload", w, "--socket", s, "--calibrate"];
+        let server = Server::start(&[&serve[..], placement, KNOBS].concat(), &sock);
+        let served = run(&["calibrate", "--socket", s, "--log", events, "--shutdown"], None, &[]);
+        assert_ok(&served);
+        server.wait();
+
+        let calibrate = ["calibrate", "--workload", w, "--log", events, "--shards", placement[1]];
+        let offline = run(&[&calibrate[..], KNOBS].concat(), None, &[]);
+        assert_ok(&offline);
+
+        let served_line = stdout(&served);
+        assert_eq!(served_line, stdout(&offline), "{placement:?}: served answer diverged");
+        assert!(
+            served_line.contains(r#""rolled_back":1"#),
+            "{placement:?}: calibration answer missing the rollback: {served_line}"
+        );
     }
-    assert!(sock.exists(), "server never bound its socket");
-
-    let served = run(
-        &[
-            "calibrate",
-            "--socket",
-            sock.to_str().unwrap(),
-            "--log",
-            dir.join("ev.jsonl").to_str().unwrap(),
-            "--shutdown",
-        ],
-        None,
-        &[],
-    );
-    assert_ok(&served);
-    server.wait().expect("server exits after shutdown");
-
-    let workload = dir.join("w.json");
-    let events = dir.join("ev.jsonl");
-    let mut args = vec![
-        "calibrate",
-        "--workload",
-        workload.to_str().unwrap(),
-        "--log",
-        events.to_str().unwrap(),
-        "--shards",
-        "1",
-    ];
-    args.extend_from_slice(KNOBS);
-    let offline = run(&args, None, &[]);
-    assert_ok(&offline);
-
-    let served_line = stdout(&served);
-    assert_eq!(served_line, stdout(&offline), "served answer diverged from offline");
-    assert!(
-        served_line.contains(r#""rolled_back":1"#),
-        "calibration answer missing the rollback: {served_line}"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,23 +6,10 @@
 //! generation it failed to commit.
 
 use std::path::Path;
-use std::process::{Command, Output};
 
-const BIN: &str = env!("CARGO_BIN_EXE_isel");
+mod common;
 
-fn isel(args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(BIN);
-    cmd.args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn isel")
-}
-
-fn assert_ok(out: &Output) {
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "isel failed: {}\n{err}", out.status);
-}
+use common::{assert_ok, run, scratch, stderr};
 
 /// The generation the manifest at `path` commits.
 fn generation(path: &Path) -> u64 {
@@ -33,15 +20,13 @@ fn generation(path: &Path) -> u64 {
 /// committed, under a manifest name ending in `.json` and in `.tmp`.
 #[test]
 fn failed_manifest_write_keeps_the_previous_generation() {
-    let dir = std::env::temp_dir().join(format!("isel_ckpt_path_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("ckpt_path");
     let shape = ["--kind", "synthetic", "--tables", "2", "--attrs", "6", "--seed", "5"];
     let (w, log) = (dir.join("w.json"), dir.join("ev.jsonl"));
     let (w, log) = (w.to_str().unwrap(), log.to_str().unwrap());
-    assert_ok(&isel(&[&["generate", "--out", w][..], &shape].concat(), &[]));
+    assert_ok(&run(&[&["generate", "--out", w][..], &shape].concat(), None, &[]));
     let record = ["record", "--out", log, "--events", "160"];
-    assert_ok(&isel(&[&record[..], &shape].concat(), &[]));
+    assert_ok(&run(&[&record[..], &shape].concat(), None, &[]));
 
     for name in ["state.json", "state.tmp"] {
         let sub = dir.join(name.replace('.', "_"));
@@ -61,8 +46,8 @@ fn failed_manifest_write_keeps_the_previous_generation() {
             "1",
         ];
         let fault = [("ISEL_FAULT_SCHEDULE", "checkpoint.manifest@3:1:error")];
-        let out = isel(&replay, &fault);
-        let err = String::from_utf8_lossy(&out.stderr);
+        let out = run(&replay, None, &fault);
+        let err = stderr(&out);
         assert!(!out.status.success(), "{name}: the injected error fails the run");
         assert!(err.contains("injected fault: checkpoint.manifest@3"), "{name}: {err}");
         assert_eq!(generation(&manifest), 2, "{name}: generation 3 never committed");

@@ -16,104 +16,30 @@
 use isel_service::frame::{parse_canonical, put_frame, CanonicalBody, FrameEncoder, MAGIC};
 use isel_service::Control;
 use isel_workload::QueryKind;
-use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::process::Output;
 
-const BIN: &str = env!("CARGO_BIN_EXE_isel");
+mod common;
 
-/// Fresh per-test scratch directory with a recorded workload + log.
-fn setup(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("isel_failover_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let common = [
-        "--kind",
-        "synthetic",
-        "--tables",
-        "3",
-        "--attrs",
-        "8",
-        "--queries",
-        "8",
-        "--rows",
-        "50000",
-        "--seed",
-        "9",
-    ];
-    let w = dir.join("w.json");
-    let mut gen: Vec<&str> = vec!["generate", "--out", w.to_str().unwrap()];
-    gen.extend(common);
-    assert_ok(&run(&gen, None, &[]));
-    let ev = dir.join("ev.jsonl");
-    let mut rec: Vec<&str> = vec!["record", "--out", ev.to_str().unwrap(), "--events", "96"];
-    rec.extend(common);
-    assert_ok(&run(&rec, None, &[]));
-    // The same log's binary twin: `Define`/`Event` frames down the pipe.
-    let bin = dir.join("ev.bin");
-    let mut rec: Vec<&str> =
-        vec!["record", "--out", bin.to_str().unwrap(), "--format", "binary", "--events", "96"];
-    rec.extend(common);
-    assert_ok(&run(&rec, None, &[]));
-    dir
-}
-
-fn run(args: &[&str], stdin: Option<&Path>, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(BIN);
-    cmd.args(args);
-    match stdin {
-        Some(p) => cmd.stdin(Stdio::from(File::open(p).unwrap())),
-        None => cmd.stdin(Stdio::null()),
-    };
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn isel")
-}
-
-fn assert_ok(out: &Output) {
-    assert!(
-        out.status.success(),
-        "isel failed: {}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-fn stdout(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-/// The report's `final selection` block: what failover must preserve.
-fn final_selection(report: &str) -> String {
-    let at = report.find("final selection").expect("report has a final selection block");
-    report[at..].to_owned()
-}
-
-fn serve_args(dir: &Path) -> Vec<String> {
-    vec![
-        "serve".into(),
-        "--workload".into(),
-        dir.join("w.json").display().to_string(),
-        "--epoch-events".into(),
-        "16".into(),
-        "--shards".into(),
-        "2".into(),
-        "--workers".into(),
-        "2".into(),
-    ]
-}
+use common::{assert_ok, final_selection, masked, report_check, run, setup, stderr, stdout, strs};
 
 fn serve(dir: &Path, extra: &[&str], envs: &[(&str, &str)]) -> Output {
     serve_log(dir, "ev.jsonl", extra, envs)
 }
 
-/// [`serve`] over the log file `log` in `dir`.
+/// `serve` at 2 shards in 2 worker processes, 16 events an epoch, over
+/// the log file `log` in `dir`.
 fn serve_log(dir: &Path, log: &str, extra: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut args = serve_args(dir);
-    args.extend(extra.iter().map(|s| s.to_string()));
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    run(&args, Some(&dir.join(log)), envs)
+    let w = dir.join("w.json");
+    let args = ["serve", "--workload", w.to_str().unwrap(), "--epoch-events", "16", "--shards"];
+    run(&[&args[..], &["2", "--workers", "2"], extra].concat(), Some(&dir.join(log)), envs)
+}
+
+/// A manifest path in the fresh checkpoint directory `name` of `dir`.
+fn manifest_in(dir: &Path, name: &str) -> String {
+    let sub = dir.join(name);
+    std::fs::create_dir_all(&sub).unwrap();
+    sub.join("manifest.json").display().to_string()
 }
 
 /// SIGKILL one worker at a sweep of event positions, without any
@@ -199,11 +125,7 @@ fn supervised_selection_matches_in_process_replay() {
 #[test]
 fn checkpointed_failover_is_byte_identical_and_traced() {
     let dir = setup("checkpointed");
-    let cp = |n: &str| {
-        let d = dir.join(n);
-        std::fs::create_dir_all(&d).unwrap();
-        d.join("manifest.json").display().to_string()
-    };
+    let cp = |name: &str| manifest_in(&dir, name);
     let clean = serve(&dir, &["--checkpoint", &cp("clean"), "--checkpoint-every", "1"], &[]);
     assert_ok(&clean);
     let baseline = stdout(&clean);
@@ -226,9 +148,7 @@ fn checkpointed_failover_is_byte_identical_and_traced() {
 
     let traced = std::fs::read_to_string(&trace).unwrap();
     assert!(traced.contains("\"Failover\""), "no failover event in trace:\n{traced}");
-    let checked = run(&["report", "--trace", trace.to_str().unwrap(), "--check"], None, &[]);
-    assert_ok(&checked);
-    let summary = stdout(&checked);
+    let summary = report_check(&trace);
     assert!(summary.contains("failover"), "report summary:\n{summary}");
 
     // The binary twin: the adopter restores from the checkpoint and
@@ -250,11 +170,7 @@ fn checkpointed_failover_is_byte_identical_and_traced() {
 #[test]
 fn kill_during_checkpoint_write_is_byte_identical() {
     let dir = setup("torncp");
-    let cp = |n: &str| {
-        let d = dir.join(n);
-        std::fs::create_dir_all(&d).unwrap();
-        d.join("manifest.json").display().to_string()
-    };
+    let cp = |name: &str| manifest_in(&dir, name);
     let clean = serve(&dir, &["--checkpoint", &cp("clean"), "--checkpoint-every", "1"], &[]);
     assert_ok(&clean);
     let faulted = serve(
@@ -273,11 +189,7 @@ fn kill_during_checkpoint_write_is_byte_identical() {
 #[test]
 fn respawn_restores_on_a_fresh_worker() {
     let dir = setup("respawn");
-    let cp = |n: &str| {
-        let d = dir.join(n);
-        std::fs::create_dir_all(&d).unwrap();
-        d.join("manifest.json").display().to_string()
-    };
+    let cp = |name: &str| manifest_in(&dir, name);
     let clean = serve(&dir, &["--checkpoint", &cp("clean"), "--checkpoint-every", "1"], &[]);
     assert_ok(&clean);
     let faulted = serve(
@@ -310,8 +222,7 @@ fn unwritable_checkpoint_directory_fails_fast() {
         &[],
     );
     assert!(!out.status.success(), "run with an unwritable checkpoint dir succeeded");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("No such file"), "stderr:\n{err}");
+    assert!(stderr(&out).contains("No such file"), "stderr:\n{}", stderr(&out));
 }
 
 /// The recorded log re-encoded one frame per line, with every other
@@ -347,13 +258,6 @@ fn mixed_stream(dir: &Path) -> PathBuf {
     path
 }
 
-/// A report with its one placement-dependent number masked: the queue
-/// high-water mark (pipes have no queue).
-fn masked(report: &str) -> Vec<String> {
-    let field = |f: &&str| !f.starts_with("queue high-water");
-    report.lines().map(|l| l.split('\t').filter(field).collect::<Vec<_>>().join("\t")).collect()
-}
-
 /// Every record a worker can be handed counts where the in-process
 /// replay counts it: with a worker killed after the first `Define` and
 /// respawned, the supervised report and every checkpoint document —
@@ -380,8 +284,7 @@ fn mixed_stream_counts_like_the_in_process_replay() {
         let rep_dir = cp("replay");
         let mut rep_args = args("replay", &rep_dir);
         rep_args.extend(["--log".into(), log.display().to_string()]);
-        let rep_args: Vec<&str> = rep_args.iter().map(String::as_str).collect();
-        let rep = run(&rep_args, None, &[]);
+        let rep = run(&strs(&rep_args), None, &[]);
         assert_ok(&rep);
         let want = masked(&stdout(&rep));
         assert!(!want.iter().any(|l| l.contains("invalid 0")), "no invalid records: {want:?}");
@@ -390,8 +293,7 @@ fn mixed_stream_counts_like_the_in_process_replay() {
             let sup_dir = cp(&format!("serve-{}", fault.replace([':', '@', '.'], "-")));
             let mut sup_args = args("serve", &sup_dir);
             sup_args.extend(["--workers".into(), "2".into(), "--respawn".into()]);
-            let sup_args: Vec<&str> = sup_args.iter().map(String::as_str).collect();
-            let sup = run(&sup_args, Some(&log), &[("ISEL_FAULT_SCHEDULE", fault)]);
+            let sup = run(&strs(&sup_args), Some(&log), &[("ISEL_FAULT_SCHEDULE", fault)]);
             assert_ok(&sup);
             assert_eq!(masked(&stdout(&sup)), want, "{shards} shards, {fault}");
             // Documents equal but for the configuration they record
@@ -499,8 +401,7 @@ fn questioned(dir: &Path, name: &str, after: &[usize]) -> [PathBuf; 2] {
 /// of stderr) and its report with the queue high-water mark masked.
 fn answers_and_report(out: &Output) -> (Vec<String>, Vec<String>) {
     assert_ok(out);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let answers = stderr.lines().filter(|l| l.starts_with('{')).map(String::from).collect();
+    let answers = stderr(out).lines().filter(|l| l.starts_with('{')).map(String::from).collect();
     (answers, masked(&stdout(out)))
 }
 
@@ -524,14 +425,12 @@ fn supervised_queries_answer_like_the_in_process_replay() {
         for log in questioned(&dir, &name, &after) {
             let mut rep_args = args("replay", shards);
             rep_args.extend(["--log".into(), log.display().to_string()]);
-            let rep_args: Vec<&str> = rep_args.iter().map(String::as_str).collect();
-            let (want_answers, want_report) = answers_and_report(&run(&rep_args, None, &[]));
+            let (want_answers, want_report) = answers_and_report(&run(&strs(&rep_args), None, &[]));
             assert_eq!(want_answers.len(), 4 * after.len(), "{want_answers:?}");
 
             let mut sup_args = args("serve", shards);
             sup_args.extend(["--workers".into(), workers.into()]);
-            let sup_args: Vec<&str> = sup_args.iter().map(String::as_str).collect();
-            let (answers, report) = answers_and_report(&run(&sup_args, Some(&log), &[]));
+            let (answers, report) = answers_and_report(&run(&strs(&sup_args), Some(&log), &[]));
             assert_eq!(answers, want_answers, "{}: answers", log.display());
             assert_eq!(report, want_report, "{}: report", log.display());
         }

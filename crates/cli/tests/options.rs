@@ -1,44 +1,60 @@
-//! Every `isel` command refuses an option it does not read, before it
-//! does any work: a misspelt `--budjet` must not tune at the default
-//! budget.
+//! Every `isel` command refuses an option or a positional token it does
+//! not read, and a budget share out of range, before it does any work:
+//! a misspelt `--budjet` must not tune at the default budget, and
+//! `--budget -1` is an error naming the option, not a panic.
 
-use std::process::{Command, Output, Stdio};
+mod common;
 
-const BIN: &str = env!("CARGO_BIN_EXE_isel");
-
-fn isel(args: &[&str]) -> Output {
-    Command::new(BIN).args(args).stdin(Stdio::null()).output().expect("spawn isel")
-}
-
-fn assert_ok(out: &Output) {
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "isel failed: {}\n{err}", out.status);
-}
+use common::{assert_ok, run, scratch, stderr};
 
 #[test]
 fn misspelt_options_are_refused_before_any_work() {
-    let dir = std::env::temp_dir().join(format!("isel_options_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("options");
     let (w, log) = (dir.join("w.json"), dir.join("ev.jsonl"));
     let (w, log) = (w.to_str().unwrap(), log.to_str().unwrap());
     let shape = ["--kind", "synthetic", "--tables", "2", "--attrs", "6", "--seed", "5"];
-    assert_ok(&isel(&[&["generate", "--out", w][..], &shape].concat()));
-    assert_ok(&isel(&[&["record", "--out", log, "--events", "64"][..], &shape].concat()));
+    assert_ok(&run(&[&["generate", "--out", w][..], &shape].concat(), None, &[]));
+    assert_ok(&run(&[&["record", "--out", log, "--events", "64"][..], &shape].concat(), None, &[]));
 
-    for args in [
-        vec!["recommend", "--workload", w, "--budjet", "0.5", "--strategy", "h1"],
-        vec!["replay", "--workload", w, "--log", log, "--epoch-events", "16", "--budjet", "0.5"],
-        vec!["serve", "--workload", w, "--shards", "1", "--budjet", "0.5"],
-    ] {
-        let out = isel(&args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{args:?} ran:\n{}", String::from_utf8_lossy(&out.stdout));
-        let named = format!("unknown option --budjet for `isel {}`", args[0]);
-        assert!(stderr.contains(&named), "{args:?} stderr:\n{stderr}");
+    let refused = [
+        (vec!["recommend", "--workload", w, "--budjet", "0.5", "--strategy", "h1"], "budjet"),
+        (
+            vec![
+                "replay", "--workload", w, "--log", log, "--epoch-events", "16", "--budjet", "0.5",
+            ],
+            "budjet",
+        ),
+        (vec!["serve", "--workload", w, "--shards", "1", "--budjet", "0.5"], "budjet"),
+        (vec!["recommend", "--workload", w, "--strategy", "h6", "--budget", "-1"], "budget"),
+        (vec!["recommend", "--workload", w, "--strategy", "h6", "--budget", "nan"], "budget"),
+        (vec!["compare", "--workload", w, "--budget", "inf"], "budget"),
+        (vec!["frontier", "--workload", w, "--max-budget", "-0.5"], "max-budget"),
+        (vec!["recommend", "oops", "--workload", w, "--strategy", "h6"], "oops"),
+        (vec!["stats", "--workload", w, "one", "two"], "one"),
+        (vec!["journal", "convert", "stray", "--log", log, "--to", "binary"], "stray"),
+        (vec!["worker", "oops"], "oops"),
+    ];
+    for (args, named) in refused {
+        let out = run(&args, None, &[]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?} ran:\n{err}");
+        assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
+        let named = match named {
+            "budjet" => format!("unknown option --budjet for `isel {}`", args[0]),
+            "budget" | "max-budget" => format!("invalid value for --{named}:"),
+            token => format!("unexpected argument {token:?} for `isel {}`", args[0]),
+        };
+        assert!(err.contains(&named), "{args:?} stderr:\n{err}");
         assert!(out.stdout.is_empty(), "{args:?} worked before refusing");
     }
-    // The option it meant is accepted.
-    assert_ok(&isel(&["recommend", "--workload", w, "--budget", "0.5", "--strategy", "h1"]));
+    // What they meant is accepted, `journal`'s action included.
+    assert_ok(&run(
+        &["recommend", "--workload", w, "--budget", "0.5", "--strategy", "h1"],
+        None,
+        &[],
+    ));
+    let bin = dir.join("ev.bin");
+    let convert = ["journal", "convert", "--log", log, "--to", "binary", "--out"];
+    assert_ok(&run(&[&convert[..], &[bin.to_str().unwrap()]].concat(), None, &[]));
     std::fs::remove_dir_all(&dir).ok();
 }

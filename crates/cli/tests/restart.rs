@@ -10,103 +10,18 @@
 //! per-shard checkpoint documents — swept across every registered
 //! supervisor-side fault site at 1, 2 and 4 shards.
 
-use std::fs::File;
-use std::io::Read;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+mod common;
 
-const BIN: &str = env!("CARGO_BIN_EXE_isel");
+use common::{assert_ok, remainder, report_check, run, setup, stderr, stdout};
+use std::path::{Path, PathBuf};
+use std::process::Output;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Every supervisor-side site the sweep must cover.
 const SWEEP_SITES: &[&str] = isel_service::fault::SUPERVISOR_SWEEP_SITES;
 
-/// Fresh per-test scratch directory with a recorded workload + log.
-fn setup(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("isel_restart_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let common = [
-        "--kind",
-        "synthetic",
-        "--tables",
-        "3",
-        "--attrs",
-        "8",
-        "--queries",
-        "8",
-        "--rows",
-        "50000",
-        "--seed",
-        "9",
-    ];
-    let w = dir.join("w.json");
-    let mut gen: Vec<&str> = vec!["generate", "--out", w.to_str().unwrap()];
-    gen.extend(common);
-    assert_ok(&run(&gen, None, &[]));
-    let ev = dir.join("ev.jsonl");
-    let mut rec: Vec<&str> = vec!["record", "--out", ev.to_str().unwrap(), "--events", "96"];
-    rec.extend(common);
-    assert_ok(&run(&rec, None, &[]));
-    // The same log's binary twin: `Define`/`Event` frames down the pipe.
-    let bin = dir.join("ev.bin");
-    let mut rec: Vec<&str> =
-        vec!["record", "--out", bin.to_str().unwrap(), "--format", "binary", "--events", "96"];
-    rec.extend(common);
-    assert_ok(&run(&rec, None, &[]));
-    dir
-}
-
-/// Run `isel` to completion with a watchdog: a run that neither exits
-/// nor gets killed within the bound is a deadlock — fail loudly rather
-/// than hang the suite.
-fn run(args: &[&str], stdin: Option<&Path>, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(BIN);
-    cmd.args(args);
-    match stdin {
-        Some(p) => cmd.stdin(Stdio::from(File::open(p).unwrap())),
-        None => cmd.stdin(Stdio::null()),
-    };
-    cmd.stdout(Stdio::piped()).stderr(Stdio::piped());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd.spawn().expect("spawn isel");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let status = loop {
-        if let Some(st) = child.try_wait().expect("wait isel") {
-            break st;
-        }
-        if Instant::now() > deadline {
-            child.kill().ok();
-            child.wait().ok();
-            panic!("isel {args:?} deadlocked past the watchdog bound");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    let mut stdout = Vec::new();
-    let mut stderr = Vec::new();
-    child.stdout.take().unwrap().read_to_end(&mut stdout).unwrap();
-    child.stderr.take().unwrap().read_to_end(&mut stderr).unwrap();
-    Output { status, stdout, stderr }
-}
-
-fn assert_ok(out: &Output) {
-    assert!(
-        out.status.success(),
-        "isel failed: {}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-fn stdout(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-/// Serve the recorded stream (or a byte-suffix of it) through
-/// `--workers`/`--state-dir`.
+/// Serve `input` through `--workers`/`--state-dir` at one epoch per 16
+/// events, committing every epoch.
 fn serve_state(
     dir: &Path,
     state: &Path,
@@ -115,43 +30,13 @@ fn serve_state(
     input: &Path,
     envs: &[(&str, &str)],
 ) -> Output {
-    let args: Vec<String> = vec![
-        "serve".into(),
-        "--workload".into(),
-        dir.join("w.json").display().to_string(),
-        "--epoch-events".into(),
-        "16".into(),
-        "--checkpoint-every".into(),
-        "1".into(),
-        "--shards".into(),
-        shards.to_string(),
-        "--workers".into(),
-        workers.to_string(),
-        "--state-dir".into(),
-        state.display().to_string(),
+    let (w, state) = (dir.join("w.json").display().to_string(), state.display().to_string());
+    let (shards, workers) = (shards.to_string(), workers.to_string());
+    let args = [
+        "serve", "--workload", &w, "--epoch-events", "16", "--checkpoint-every", "1", "--shards",
+        &shards, "--workers", &workers, "--state-dir", &state,
     ];
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
     run(&args, Some(input), envs)
-}
-
-/// The stream bytes the crashed run's journal had not yet consumed,
-/// written to a file so the restart can read them as stdin.
-fn remainder(dir: &Path, state: &Path, name: &str) -> PathBuf {
-    remainder_of(dir, "ev.jsonl", state, name)
-}
-
-/// [`remainder`] of the stream in the file `log` of `dir`.
-fn remainder_of(dir: &Path, log: &str, state: &Path, name: &str) -> PathBuf {
-    let full = std::fs::read(dir.join(log)).unwrap();
-    let consumed = std::fs::metadata(state.join("journal.log")).map_or(0, |m| m.len()) as usize;
-    assert!(
-        consumed <= full.len(),
-        "journal.log larger than the input stream ({consumed} > {})",
-        full.len()
-    );
-    let rest = dir.join(name);
-    std::fs::write(&rest, &full[consumed..]).unwrap();
-    rest
 }
 
 /// Assert the recovered state directory's committed documents are
@@ -226,7 +111,8 @@ fn sweep(dir: &Path, shards: u32, workers: u32) {
             !crashed.status.success(),
             "{site} @ {shards} shards: schedule {schedule:?} did not kill the supervisor"
         );
-        let rest = remainder(dir, &state, &format!("rest-{shards}-{tag}.jsonl"));
+        let rest = dir.join(format!("rest-{shards}-{tag}"));
+        let rest = remainder(&dir.join("ev.jsonl"), &state, rest);
         let recovered = serve_state(dir, &state, shards, workers, &rest, &[]);
         assert_ok(&recovered);
         assert_eq!(
@@ -259,7 +145,7 @@ fn sweep(dir: &Path, shards: u32, workers: u32) {
         let envs = [("ISEL_FAULT_SCHEDULE", schedule.as_str())];
         let crashed = serve_state(dir, &state, shards, workers, &bin, &envs);
         assert!(!crashed.status.success(), "{ctx}: schedule {schedule:?} did not kill");
-        let rest = remainder_of(dir, "ev.bin", &state, &format!("rest-{shards}-{tag}.bin"));
+        let rest = remainder(&bin, &state, dir.join(format!("rest-{shards}-{tag}")));
         let recovered = serve_state(dir, &state, shards, workers, &rest, &[]);
         assert_ok(&recovered);
         assert_eq!(stdout(&recovered), baseline, "{ctx}: recovered report differs");
@@ -315,7 +201,7 @@ fn status_counters_persist_across_supervisor_restart() {
     let pre_crash = v.get("failovers").and_then(|f| f.as_u64()).unwrap();
     assert!(pre_crash >= 1, "no failover persisted before the crash: {persisted}");
 
-    let rest = remainder(&dir, &state, "rest-counters.jsonl");
+    let rest = remainder(&dir.join("ev.jsonl"), &state, dir.join("rest-counters"));
     let recovered = serve_state(&dir, &state, 2, 2, &rest, &[]);
     assert_ok(&recovered);
     assert_eq!(stdout(&recovered), stdout(&clean));
@@ -344,33 +230,19 @@ fn recovery_is_traced_and_report_checks() {
     );
     assert!(!crashed.status.success());
 
-    let rest = remainder(&dir, &state, "rest-traced.jsonl");
+    let rest = remainder(&dir.join("ev.jsonl"), &state, dir.join("rest-traced"));
     let trace = dir.join("t.jsonl");
-    let args: Vec<String> = vec![
-        "serve".into(),
-        "--workload".into(),
-        dir.join("w.json").display().to_string(),
-        "--epoch-events".into(),
-        "16".into(),
-        "--checkpoint-every".into(),
-        "1".into(),
-        "--shards".into(),
-        "2".into(),
-        "--workers".into(),
-        "2".into(),
-        "--state-dir".into(),
-        state.display().to_string(),
-        "--trace".into(),
-        trace.display().to_string(),
+    let (state, t) = (state.display().to_string(), trace.display().to_string());
+    let w = dir.join("w.json");
+    let args = [
+        "serve", "--workload", w.to_str().unwrap(), "--epoch-events", "16", "--checkpoint-every",
+        "1", "--shards", "2", "--workers", "2", "--state-dir", &state, "--trace", &t,
     ];
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let recovered = run(&args, Some(&rest), &[]);
-    assert_ok(&recovered);
+    assert_ok(&run(&args, Some(&rest), &[]));
     let traced = std::fs::read_to_string(&trace).unwrap();
     assert!(traced.contains("\"Recovery\""), "no recovery event in trace:\n{traced}");
-    let checked = run(&["report", "--trace", trace.to_str().unwrap(), "--check"], None, &[]);
-    assert_ok(&checked);
-    assert!(stdout(&checked).contains("recoveries: 1"), "report:\n{}", stdout(&checked));
+    let summary = report_check(&trace);
+    assert!(summary.contains("recoveries: 1"), "report:\n{summary}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -382,47 +254,17 @@ fn state_dir_validation_fails_fast() {
     let dir = setup("validate");
     let state = dir.join("state");
 
-    let out = run(
-        &[
-            "serve",
-            "--workload",
-            dir.join("w.json").to_str().unwrap(),
-            "--state-dir",
-            state.to_str().unwrap(),
-        ],
-        None,
-        &[],
-    );
+    let (w, st, sock) = (dir.join("w.json"), state.to_str().unwrap(), dir.join("sock"));
+    let w = w.to_str().unwrap();
+    let out = run(&["serve", "--workload", w, "--state-dir", st], None, &[]);
     assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--workers"),
-        "stderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(stderr(&out).contains("--workers"), "stderr:\n{}", stderr(&out));
 
-    let out = run(
-        &[
-            "serve",
-            "--workload",
-            dir.join("w.json").to_str().unwrap(),
-            "--workers",
-            "2",
-            "--shards",
-            "2",
-            "--state-dir",
-            state.to_str().unwrap(),
-            "--socket",
-            dir.join("sock").to_str().unwrap(),
-        ],
-        None,
-        &[],
-    );
+    let socket = ["--socket", sock.to_str().unwrap()];
+    let args = ["serve", "--workload", w, "--workers", "2", "--shards", "2", "--state-dir", st];
+    let out = run(&[&args[..], &socket].concat(), None, &[]);
     assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("stdin"),
-        "stderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(stderr(&out).contains("stdin"), "stderr:\n{}", stderr(&out));
 
     // A manifest without its journal is unrecoverable by design.
     let complete = serve_state(&dir, &state, 2, 2, &dir.join("ev.jsonl"), &[]);
@@ -430,11 +272,7 @@ fn state_dir_validation_fails_fast() {
     std::fs::remove_file(state.join("journal.log")).unwrap();
     let out = serve_state(&dir, &state, 2, 2, &dir.join("ev.jsonl"), &[]);
     assert!(!out.status.success(), "recovered without a journal");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("no journal"),
-        "stderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(stderr(&out).contains("no journal"), "stderr:\n{}", stderr(&out));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -457,15 +295,13 @@ fn placement_flags_only_serve_can_honour_fail_fast() {
     ];
     for args in &offline {
         let out = run(args, None, &[]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} succeeded:\n{}", stdout(&out));
-        assert!(stderr.contains("`serve` option"), "{args:?} stderr:\n{stderr}");
+        assert!(stderr(&out).contains("`serve` option"), "{args:?} stderr:\n{}", stderr(&out));
     }
     let serve = ["serve", "--workload", w, "--shards", "2", "--respawn"];
     let out = run(&serve, Some(&dir.join("ev.jsonl")), &[]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "serve --respawn without --workers succeeded");
-    assert!(stderr.contains("--respawn requires --workers"), "stderr:\n{stderr}");
+    assert!(stderr(&out).contains("--respawn requires --workers"), "stderr:\n{}", stderr(&out));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -488,34 +324,13 @@ struct TpccFixture {
 fn tpcc_fixture() -> &'static TpccFixture {
     static FIX: OnceLock<TpccFixture> = OnceLock::new();
     FIX.get_or_init(|| {
-        let dir =
-            std::env::temp_dir().join(format!("isel_restart_prop_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let w = dir.join("w.json");
-        assert_ok(&run(
-            &["generate", "--kind", "tpcc", "--warehouses", "5", "--out", w.to_str().unwrap()],
-            None,
-            &[],
-        ));
-        let ev = dir.join("ev.jsonl");
-        assert_ok(&run(
-            &[
-                "record",
-                "--kind",
-                "tpcc",
-                "--warehouses",
-                "5",
-                "--events",
-                "96",
-                "--seed",
-                "7",
-                "--out",
-                ev.to_str().unwrap(),
-            ],
-            None,
-            &[],
-        ));
+        let dir = common::scratch("restart_prop");
+        let (w, ev) = (dir.join("w.json"), dir.join("ev.jsonl"));
+        let tpcc = ["--kind", "tpcc", "--warehouses", "5"];
+        let generate = ["generate", "--out", w.to_str().unwrap()];
+        assert_ok(&run(&[&generate[..], &tpcc].concat(), None, &[]));
+        let record = ["record", "--events", "96", "--seed", "7", "--out", ev.to_str().unwrap()];
+        assert_ok(&run(&[&record[..], &tpcc].concat(), None, &[]));
         TpccFixture { dir, baselines: Mutex::new(HashMap::new()) }
     })
 }
@@ -622,7 +437,8 @@ proptest! {
             // fired: the run itself must already be byte-identical.
             stdout(&first)
         } else {
-            let rest = remainder(&fix.dir, &state, &format!("rest-{case}.jsonl"));
+            let rest = fix.dir.join(format!("rest-{case}"));
+            let rest = remainder(&fix.dir.join("ev.jsonl"), &state, rest);
             let recovered =
                 serve_state(&fix.dir, &state, fault.shards, workers, &rest, &[]);
             prop_assert!(

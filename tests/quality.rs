@@ -183,29 +183,38 @@ fn erp_scale_h6_holds_the_papers_call_count_and_cost() {
     let w = io::load(&path).expect("read the ERP workload back");
     std::fs::remove_file(&path).expect("remove the temporary workload file");
 
-    let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
-    let sink = VecSink::new();
-    let rec = Advisor::new(&est)
-        .with_trace(Trace::to(&sink))
-        .recommend_relative(Strategy::H6, 0.2);
-    let steps = sink
-        .take()
-        .into_iter()
-        .find_map(|e| match e {
-            TraceEvent::RunEnd { steps, .. } => Some(steps),
-            _ => None,
-        })
-        .expect("the run reports its end");
-    assert_eq!(steps, 963);
+    // The same run fanned over four threads asks exactly as often and
+    // selects the same indexes: the ledger is thread-count invariant.
+    let mut selections = Vec::new();
+    for threads in [1, 4] {
+        let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
+        let sink = VecSink::new();
+        let rec = Advisor::new(&est)
+            .with_parallelism(Parallelism::new(threads))
+            .with_trace(Trace::to(&sink))
+            .recommend_relative(Strategy::H6, 0.2);
+        let steps = sink
+            .take()
+            .into_iter()
+            .find_map(|e| match e {
+                TraceEvent::RunEnd { steps, .. } => Some(steps),
+                _ => None,
+            })
+            .expect("the run reports its end");
+        assert_eq!(steps, 963, "{threads} threads");
 
-    let q_qbar: usize = w.iter().map(|(_, q)| q.width()).sum();
-    let calls_per_qq = rec.what_if_calls as f64 / q_qbar as f64;
-    assert!(calls_per_qq <= 2.5, "{} calls ÷ Q·q̄ {q_qbar} = {calls_per_qq}", rec.what_if_calls);
-    let rel = rec.relative_cost();
-    assert!((rel / 0.006_323_329_483_832_412 - 1.0).abs() < 1e-12, "relative cost {rel:?}");
+        let q_qbar: usize = w.iter().map(|(_, q)| q.width()).sum();
+        let calls_per_qq = rec.what_if_calls as f64 / q_qbar as f64;
+        assert!(calls_per_qq <= 2.5, "{} calls ÷ Q·q̄ {q_qbar} = {calls_per_qq}", rec.what_if_calls);
+        let rel = rec.relative_cost();
+        assert!((rel / 0.006_323_329_483_832_412 - 1.0).abs() < 1e-12, "relative cost {rel:?}");
 
-    assert_eq!(rec.what_if.calls_issued, 14_119);
-    assert_eq!(rec.what_if.calls_answered_from_cache, 2_846_222);
-    let cache = rec.cache.expect("a caching oracle reports its memo tables");
-    assert_eq!((cache.hits, cache.misses, cache.inserts), (2_854_403, 19_040, 19_040));
+        assert_eq!(rec.what_if.calls_issued, 14_119, "{threads} threads");
+        assert_eq!(rec.what_if.calls_answered_from_cache, 2_846_222, "{threads} threads");
+        let cache = rec.cache.expect("a caching oracle reports its memo tables");
+        let triple = (cache.hits, cache.misses, cache.inserts);
+        assert_eq!(triple, (2_854_403, 19_040, 19_040), "{threads} threads");
+        selections.push(rec.selection);
+    }
+    assert!(selections[0] == selections[1], "4 threads selected other indexes");
 }
