@@ -5,10 +5,10 @@
 //! heuristics, CoPhy and Algorithm 1 together and reports a uniform
 //! [`Recommendation`].
 //!
-//! Candidates are interned into the oracle's [index pool] once, at
-//! construction; every strategy below works on the resulting
-//! [`IndexId`]s and only resolves back to attribute lists inside the
-//! returned [`Selection`].
+//! Candidates are interned into the oracle's [index pool] once, by the
+//! first strategy that reads them (H6 builds its own and never does);
+//! every strategy below works on the resulting [`IndexId`]s and only
+//! resolves back to attribute lists inside the returned [`Selection`].
 //!
 //! [index pool]: isel_workload::IndexPool
 
@@ -20,6 +20,7 @@ use isel_costmodel::{CacheStats, WhatIfOptimizer, WhatIfStats};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::IndexId;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// A selection strategy of Definition 1.
@@ -105,18 +106,19 @@ impl Recommendation {
 /// High-level advisor over a what-if oracle.
 pub struct Advisor<'a, W> {
     est: &'a W,
-    candidates: Vec<IndexId>,
+    /// `I_max`, enumerated on first use.
+    candidates: OnceLock<Vec<IndexId>>,
     parallelism: Parallelism,
     trace: Trace<'a>,
 }
 
 impl<'a, W: WhatIfOptimizer> Advisor<'a, W> {
     /// Advisor with the exhaustive candidate pool `I_max` (width ≤ 4) for
-    /// the candidate-set strategies; H6 ignores the pool by design.
+    /// the candidate-set strategies, enumerated when the first of them
+    /// runs; H6 ignores the pool by design and never builds it.
     pub fn new(est: &'a W) -> Self {
-        let pool = candidates::enumerate_imax(est.workload(), 4);
         Self {
-            candidates: pool.ids(est.pool()),
+            candidates: OnceLock::new(),
             est,
             parallelism: Parallelism::serial(),
             trace: Trace::disabled(),
@@ -145,11 +147,20 @@ impl<'a, W: WhatIfOptimizer> Advisor<'a, W> {
         self.recommend(strategy, budget::relative_budget(self.est, w))
     }
 
+    /// `I_max` interned into the oracle's pool, enumerated on first call.
+    fn candidates(&self) -> &[IndexId] {
+        self.candidates.get_or_init(|| {
+            candidates::enumerate_imax(self.est.workload(), 4).ids(self.est.pool())
+        })
+    }
+
     /// Recommend a selection for an absolute byte budget.
     pub fn recommend(&self, strategy: Strategy, budget: u64) -> Recommendation {
+        // Enumerate before the clock starts: `elapsed` excludes it.
+        let cands = if strategy == Strategy::H6 { &[] } else { self.candidates() };
         let stats_before = self.est.stats();
         let start = Instant::now();
-        let (cands, est, par, trace) = (&self.candidates, self.est, self.parallelism, self.trace);
+        let (est, par, trace) = (self.est, self.parallelism, self.trace);
         let selection = match &strategy {
             Strategy::H1 => heuristics::h1(cands, est, budget, trace),
             Strategy::H2 => heuristics::h2(cands, est, budget, trace),
@@ -307,6 +318,75 @@ mod tests {
         let rerun = advisor.recommend(Strategy::H5, a);
         assert_eq!(rerun.what_if.calls_issued, 0);
         assert!(rerun.cache_hit_rate() >= 0.999);
+    }
+
+    #[test]
+    fn h6_never_enumerates_the_candidate_pool() {
+        let w = workload();
+        let bare = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
+        let a = budget::relative_budget(&bare, 0.3);
+        algorithm1::run(&bare, &algorithm1::Options::new(a));
+        let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
+        let advisor = Advisor::new(&est);
+        advisor.recommend(Strategy::H6, a);
+        assert_eq!(est.pool().len(), bare.pool().len(), "H6 interned more than Algorithm 1");
+        // A candidate-set strategy then enumerates `I_max` into the pool.
+        advisor.recommend(Strategy::H5, a);
+        assert!(est.pool().len() > bare.pool().len());
+    }
+
+    /// How long [`SlowFirstLook`]'s first `workload()` call takes.
+    const PAUSE: Duration = Duration::from_millis(300);
+
+    /// An oracle whose first `workload()` call — the one that starts the
+    /// `I_max` enumeration — takes [`PAUSE`].
+    struct SlowFirstLook<W> {
+        inner: W,
+        looked: std::sync::atomic::AtomicBool,
+    }
+
+    impl<W: WhatIfOptimizer> WhatIfOptimizer for SlowFirstLook<W> {
+        fn workload(&self) -> &isel_workload::Workload {
+            if !self.looked.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                std::thread::sleep(PAUSE);
+            }
+            self.inner.workload()
+        }
+
+        fn pool(&self) -> &isel_workload::IndexPool {
+            self.inner.pool()
+        }
+
+        fn unindexed_cost(&self, query: isel_workload::QueryId) -> f64 {
+            self.inner.unindexed_cost(query)
+        }
+
+        fn index_cost(&self, query: isel_workload::QueryId, index: IndexId) -> Option<f64> {
+            self.inner.index_cost(query, index)
+        }
+
+        fn index_memory(&self, index: IndexId) -> u64 {
+            self.inner.index_memory(index)
+        }
+
+        fn stats(&self) -> WhatIfStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn elapsed_excludes_the_candidate_enumeration() {
+        let w = workload();
+        let a = budget::relative_budget(&AnalyticalWhatIf::new(&w), 0.3);
+        let est = SlowFirstLook {
+            inner: CachingWhatIf::new(AnalyticalWhatIf::new(&w)),
+            looked: Default::default(),
+        };
+        let advisor = Advisor::new(&est);
+        let t0 = Instant::now();
+        let rec = advisor.recommend(Strategy::H5, a);
+        assert!(t0.elapsed() >= PAUSE, "the enumeration ran in the call");
+        assert!(rec.elapsed < PAUSE, "elapsed {:?} counts it", rec.elapsed);
     }
 
     #[test]

@@ -51,7 +51,9 @@
 //! are computed side-effect-free in that order, and the winner is chosen
 //! by a *serial* left-to-right fold over the ordered metrics. The fold —
 //! not the thread schedule — decides every tie, so serial and parallel
-//! runs produce bit-for-bit identical step sequences.
+//! runs produce bit-for-bit identical step sequences. At one thread the
+//! fold consumes the candidate walk as it goes: no move or metric list is
+//! materialized.
 //!
 //! # The candidate table
 //!
@@ -64,7 +66,8 @@
 //! order, then slot by slot), not a re-enumeration, and the canonical
 //! order is a property of the walk: only a refreshed slot's list is
 //! sorted, and — with `pair_steps`, whose pair candidates interleave with
-//! the singles — the new-index segment.
+//! the singles — the new-index segment. The selected ids are a bitmap over
+//! the dense pool ids, so the walk's "already selected?" test is one bit.
 
 use crate::parallel::{parallel_map, Parallelism};
 use crate::reconfig::ReconfigCosts;
@@ -79,6 +82,31 @@ use std::time::Instant;
 
 /// A set of pool ids — dense integers, hashed with two multiplies.
 type IdSet = HashSet<IndexId, IdHashBuilder>;
+
+/// A set of pool ids as a bitmap: pool ids are dense, so membership is
+/// one shift and mask.
+#[derive(Default)]
+struct IdBits(Vec<u64>);
+
+impl IdBits {
+    fn contains(&self, id: IndexId) -> bool {
+        self.0.get(id.idx() / 64).is_some_and(|w| w >> (id.idx() % 64) & 1 != 0)
+    }
+
+    fn insert(&mut self, id: IndexId) {
+        let word = id.idx() / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (id.idx() % 64);
+    }
+
+    fn remove(&mut self, id: IndexId) {
+        if let Some(w) = self.0.get_mut(id.idx() / 64) {
+            *w &= !(1 << (id.idx() % 64));
+        }
+    }
+}
 
 /// Options of a run.
 #[derive(Clone, Debug)]
@@ -279,6 +307,46 @@ struct Slot {
     served: u32,
 }
 
+/// A move with its `(net benefit, memory delta, ratio)`.
+type Scored = (Move, f64, u64, f64);
+
+/// The left-to-right fold of a step's scan: the best move so far and, with
+/// Remark 1.3, the runner-up.
+struct Argmax {
+    track: bool,
+    best: Option<Scored>,
+    second: Option<Scored>,
+}
+
+impl Argmax {
+    /// Does `(net, ratio)` beat the incumbent under the step criterion?
+    /// Higher ratio wins (with an epsilon guard against float noise);
+    /// near-equal ratios fall back to the larger net benefit; remaining
+    /// ties keep the incumbent — i.e. the earlier move in canonical order.
+    fn beats(net: f64, ratio: f64, incumbent: Option<&Scored>) -> bool {
+        match incumbent {
+            None => true,
+            Some((_, bnet, _, bratio)) => {
+                ratio > *bratio + 1e-12 || ((ratio - *bratio).abs() <= 1e-12 && net > *bnet)
+            }
+        }
+    }
+
+    /// Fold in the next move in canonical order with its metrics (`None`:
+    /// not worth taking, or over budget).
+    fn offer(&mut self, mv: Move, metric: Option<(f64, u64, f64)>) {
+        let Some((net, dm, ratio)) = metric else { return };
+        if Self::beats(net, ratio, self.best.as_ref()) {
+            if self.track {
+                self.second = self.best.take();
+            }
+            self.best = Some((mv, net, dm, ratio));
+        } else if self.track && Self::beats(net, ratio, self.second.as_ref()) {
+            self.second = Some((mv, net, dm, ratio));
+        }
+    }
+}
+
 /// Run Algorithm 1 against a what-if oracle.
 ///
 /// ```
@@ -355,7 +423,8 @@ struct Engine<'a, W> {
     entry_stats: WhatIfStats,
     /// Wall-clock run start — origin of the setup-scan timing.
     run_start: Instant,
-    /// Candidate moves enumerated by the most recent [`best_move`] scan.
+    /// Candidate moves given to the fold by the most recent [`best_move`]
+    /// scan.
     scanned_candidates: usize,
     /// Per-query frequency `b_j`.
     freq: Vec<f64>,
@@ -368,7 +437,7 @@ struct Engine<'a, W> {
     slots: Vec<Option<Slot>>,
     /// The indexes of the live slots, maintained by every step: no move
     /// may target an index that is already selected.
-    selected: IdSet,
+    selected: IdBits,
     /// `{i}` for every attribute `i`, interned once.
     single_ids: Vec<IndexId>,
     /// Cached benefit of `{i}` as a new index; `None` = stale. Attributes
@@ -449,7 +518,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             server,
             attr_queries,
             slots: Vec::new(),
-            selected: IdSet::default(),
+            selected: IdBits::default(),
             single_ids,
             single_ben: vec![None; n_attrs],
             pair_ben,
@@ -512,7 +581,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         let drops = self
             .reconfig_current
             .iter()
-            .filter(|k| !self.selected.contains(k))
+            .filter(|&&k| !self.selected.contains(k))
             .count() as f64
             * r.drop_cost;
         creates + drops
@@ -717,36 +786,42 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
     /// The walk *is* the order: singles ascend with their attribute, slots
     /// with their id, and each slot's list was sorted when it was
     /// refreshed.
-    fn candidates(&self) -> Vec<(Move, f64)> {
+    fn candidates(&self) -> impl Iterator<Item = (Move, f64)> + '_ {
         let pool = self.est.pool();
-        let mut moves: Vec<(Move, f64)> = Vec::with_capacity(self.scanned_candidates);
-        for (&k, ben) in self.single_ids.iter().zip(&self.single_ben) {
-            let Some(ben) = *ben else { continue };
-            if !self.selected.contains(&k) {
-                moves.push((Move::New(k), ben)); // step (3a) requires I ∩ {i} = ∅
-            }
-        }
-        if self.options.pair_steps {
-            for &(k, ben) in self.pair_ben.values().flatten() {
-                if !self.selected.contains(&k) {
-                    moves.push((Move::New(k), ben));
-                }
-            }
-            // Pairs come out of a hash map and interleave with the singles
-            // (`[a] < [a, b] < [a + 1]`).
-            sort_canonical(&mut moves, pool);
-        }
+        let singles = self
+            .single_ids
+            .iter()
+            .zip(&self.single_ben)
+            .filter_map(|(&k, ben)| Some((Move::New(k), (*ben)?)));
+        // Pairs come out of a hash map and interleave with the singles
+        // (`[a] < [a, b] < [a + 1]`), so with them the new-index segment
+        // is gathered and sorted.
+        let (singles, news) = if self.options.pair_steps {
+            let pairs = self.pair_ben.values().flatten().map(|&(k, ben)| (Move::New(k), ben));
+            let mut news: Vec<(Move, f64)> = singles.chain(pairs).collect();
+            sort_canonical(&mut news, pool);
+            (None, Some(news))
+        } else {
+            (Some(singles), None)
+        };
         // Slots that were never refreshed (morphing off) hold no moves.
-        for slot in self.slots.iter().flatten() {
-            moves.extend(
-                slot.exts.iter().filter(|(mv, _)| !self.selected.contains(&mv.target())),
-            );
-        }
-        debug_assert!(
-            moves.windows(2).all(|w| w[0].0.key(pool) < w[1].0.key(pool)),
-            "candidate walk left the canonical order"
-        );
-        moves
+        let exts = self.slots.iter().flatten().flat_map(|slot| slot.exts.iter().copied());
+        let mut prev: Option<Move> = None;
+        singles
+            .into_iter()
+            .flatten()
+            .chain(news.into_iter().flatten())
+            .chain(exts)
+            // Step (3a) requires I ∩ {i} = ∅, and (3b) a target not yet
+            // selected either.
+            .filter(|(mv, _)| !self.selected.contains(mv.target()))
+            .inspect(move |(mv, _)| {
+                debug_assert!(
+                    prev.is_none_or(|p| p.key(pool) < mv.key(pool)),
+                    "candidate walk left the canonical order"
+                );
+                prev = Some(*mv);
+            })
     }
 
     /// `(net benefit, memory delta, ratio)` of a move, or `None` when the
@@ -766,49 +841,35 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         Some((net, dm, net / dm as f64))
     }
 
-    /// Does `(net, ratio)` beat the incumbent under the step criterion?
-    /// Higher ratio wins (with an epsilon guard against float noise);
-    /// near-equal ratios fall back to the larger net benefit; remaining
-    /// ties keep the incumbent — i.e. the earlier move in canonical order.
-    fn beats(net: f64, ratio: f64, incumbent: Option<&(usize, f64, u64, f64)>) -> bool {
-        match incumbent {
-            None => true,
-            Some((_, bnet, _, bratio)) => {
-                ratio > *bratio + 1e-12 || ((ratio - *bratio).abs() <= 1e-12 && net > *bnet)
-            }
-        }
-    }
-
     fn best_move(&mut self) -> Option<(Move, f64, u64, f64, Option<MissedOpportunity>)> {
         self.refresh_caches();
-        let moves = self.candidates();
-        self.scanned_candidates = moves.len();
-        // Metrics evaluate in parallel; the winner is decided by a serial
-        // fold over the canonically ordered candidates, so the outcome is
-        // independent of the thread schedule.
-        let metrics = parallel_map(self.options.parallelism, &moves, |(mv, ben)| {
-            self.move_metrics(mv, *ben)
-        });
-        let track = self.options.track_missed;
-        let mut best: Option<(usize, f64, u64, f64)> = None;
-        let mut second: Option<(usize, f64, u64, f64)> = None;
-        for (pos, metric) in metrics.into_iter().enumerate() {
-            let Some((net, dm, ratio)) = metric else { continue };
-            if Self::beats(net, ratio, best.as_ref()) {
-                if track {
-                    second = best.take();
-                }
-                best = Some((pos, net, dm, ratio));
-            } else if track && Self::beats(net, ratio, second.as_ref()) {
-                second = Some((pos, net, dm, ratio));
+        let par = self.options.parallelism;
+        let mut fold = Argmax { track: self.options.track_missed, best: None, second: None };
+        let mut scanned = 0;
+        if par.threads() > 1 {
+            // Metrics evaluate in parallel; the winner is decided by the
+            // serial fold over the canonically ordered candidates, so the
+            // outcome is independent of the thread schedule.
+            let mut moves = Vec::with_capacity(self.scanned_candidates);
+            moves.extend(self.candidates());
+            let metrics = parallel_map(par, &moves, |(mv, ben)| self.move_metrics(mv, *ben));
+            for (&(mv, _), metric) in moves.iter().zip(metrics) {
+                fold.offer(mv, metric);
+            }
+            scanned = moves.len();
+        } else {
+            for (mv, ben) in self.candidates() {
+                fold.offer(mv, self.move_metrics(&mv, ben));
+                scanned += 1;
             }
         }
-        let runner_up = second.map(|(pos, net, _, ratio)| MissedOpportunity {
-            action: self.action_of(&moves[pos].0),
+        self.scanned_candidates = scanned;
+        let runner_up = fold.second.map(|(mv, net, _, ratio)| MissedOpportunity {
+            action: self.action_of(&mv),
             benefit: net,
             ratio,
         });
-        best.map(|(pos, net, dm, ratio)| (moves[pos].0, net, dm, ratio, runner_up))
+        fold.best.map(|(mv, net, dm, ratio)| (mv, net, dm, ratio, runner_up))
     }
 
     /// Apply a chosen move; returns (action, queries whose cost changed).
@@ -882,7 +943,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 }
                 self.total_memory += self.est.index_memory(to) - self.est.index_memory(from);
                 self.maint_total += self.weighted_maint(to) - self.weighted_maint(from);
-                self.selected.remove(&from);
+                self.selected.remove(from);
                 self.selected.insert(to);
                 self.slots[*slot_id] = Some(Slot {
                     index: to,
@@ -949,7 +1010,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             let drop_it = self.slots[pos].as_ref().is_some_and(|s| s.served == 0);
             if drop_it {
                 let s = self.slots[pos].take().expect("checked above");
-                self.selected.remove(&s.index);
+                self.selected.remove(s.index);
                 freed += self.est.index_memory(s.index);
                 self.maint_total -= self.weighted_maint(s.index);
                 dropped.push(self.est.pool().resolve(s.index));

@@ -8,7 +8,8 @@
 //!
 //! [`CachingWhatIf`] wraps any [`WhatIfOptimizer`]:
 //!
-//! * `f_j(0)` answers are memoized per query,
+//! * `f_j(0)` answers are memoized per query, and index memory per index,
+//!   each in a dense table indexed by the id itself,
 //! * `f_j(k)` answers are memoized per `(query, index id)` — the two ids
 //!   pack into one `u64` ([`pack_key`]), so a lookup hashes a single
 //!   machine word instead of cloning and re-hashing an attribute vector.
@@ -16,14 +17,24 @@
 //!   entry,
 //! * issued vs cache-answered calls are counted separately.
 //!
-//! The memo is sharded: each of [`CACHE_SHARDS`] shards is an independent
-//! `Mutex<HashMap>`, so concurrent candidate evaluations (the parallel
-//! argmax scan of Algorithm 1) rarely contend. A miss computes the answer
-//! *under the shard lock*, which makes the cache linearizable per key: two
-//! threads racing on the same key serialize, and the loser finds the
-//! winner's entry instead of re-issuing the what-if call. Distinct keys on
-//! the same shard briefly serialize too — the price of the no-duplicate
-//! guarantee, and cheap while the wrapped oracle is the expensive part.
+//! The single-id memos are dense: query and index ids are small integers
+//! handed out in order, so cell `id` of a table of write-once cells holds
+//! the answer. The table is a fixed array of doubling buckets, each
+//! allocated on first touch and never moved, so a hit is one atomic load
+//! with no lock and no hash — Algorithm 1 asks for index memory millions
+//! of times per ERP-scale run. A miss initializes its cell exactly once;
+//! a thread racing on the same cell blocks until the winner's answer is
+//! there and counts a hit.
+//!
+//! The pair memo is sharded: each of [`CACHE_SHARDS`] shards is an
+//! independent `Mutex<HashMap>`, so concurrent candidate evaluations (the
+//! parallel argmax scan of Algorithm 1) rarely contend. A miss computes
+//! the answer *under the shard lock*, which makes the cache linearizable
+//! per key: two threads racing on the same key serialize, and the loser
+//! finds the winner's entry instead of re-issuing the what-if call.
+//! Distinct keys on the same shard briefly serialize too — the price of
+//! the no-duplicate guarantee, and cheap while the wrapped oracle is the
+//! expensive part.
 
 use crate::whatif::{WhatIfOptimizer, WhatIfStats};
 use isel_workload::{IndexId, IndexPool, QueryId, Workload};
@@ -31,6 +42,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Number of independent lock domains per memo table.
 pub const CACHE_SHARDS: usize = 16;
@@ -93,8 +105,9 @@ pub fn pack_key(query: QueryId, index: IndexId) -> u64 {
 ///
 /// Invariants (verified by the concurrency stress tests):
 /// `hits + misses == lookups()`, and `inserts == misses` because every miss
-/// computes-and-inserts under the shard lock — a duplicate evaluation of
-/// the same key would show up as `inserts < misses`.
+/// computes-and-inserts exactly once (under the shard lock, or as the one
+/// initializer of a dense cell) — a duplicate evaluation of the same key
+/// would show up as `inserts < misses`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from a memo table.
@@ -110,6 +123,14 @@ impl CacheStats {
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
+}
+
+/// A memo table: answers each key once, then from memory.
+trait Memo<K, V> {
+    /// Cached value for `key`, or `compute` it. Returns `(value,
+    /// was_hit)`; `compute` runs at most once per key across all threads,
+    /// and a lookup that waited for another thread's `compute` is a hit.
+    fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool);
 }
 
 /// A hash map split over [`CACHE_SHARDS`] independently locked shards.
@@ -135,9 +156,15 @@ impl<K: Hash + Eq + Copy, V: Copy> Sharded<K, V> {
         &self.shards[((h.finish() >> 32) as usize) % self.shards.len()]
     }
 
-    /// Cached value for `key`, or `compute` it while holding the shard
-    /// lock. Returns `(value, was_hit)`; `compute` runs at most once per
-    /// key across all threads.
+    fn clear(&self) {
+        for s in self.shards.iter() {
+            s.lock().clear();
+        }
+    }
+}
+
+impl<K: Hash + Eq + Copy, V: Copy> Memo<K, V> for Sharded<K, V> {
+    /// `compute` runs while holding the key's shard lock.
     fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
         let mut map = self.shard(&key).lock();
         if let Some(&v) = map.get(&key) {
@@ -147,21 +174,71 @@ impl<K: Hash + Eq + Copy, V: Copy> Sharded<K, V> {
         map.insert(key, v);
         (v, false)
     }
+}
 
-    fn clear(&self) {
-        for s in self.shards.iter() {
-            s.lock().clear();
+/// log2 of the cell count of a [`Dense`] table's first bucket.
+const FIRST_BUCKET_BITS: u32 = 6;
+/// Bucket `b` holds `64 << b` cells; 27 buckets cover every `u32` id.
+const DENSE_BUCKETS: usize = 27;
+
+/// `id → (bucket, cell)` for the doubling bucket layout of [`Dense`]:
+/// bucket `b` starts at id `(64 << b) − 64` and holds `64 << b` cells.
+#[inline]
+fn locate(id: u32) -> (usize, usize) {
+    let i = id as u64 + (1 << FIRST_BUCKET_BITS);
+    let bucket = (u64::BITS - 1 - i.leading_zeros() - FIRST_BUCKET_BITS) as usize;
+    (bucket, (i - (1 << (FIRST_BUCKET_BITS as usize + bucket))) as usize)
+}
+
+/// A write-once cell per dense `u32` id, in doubling buckets allocated on
+/// first touch. Cells never move once allocated, so readers hold plain
+/// references; dropping the table frees every bucket.
+struct Dense<V> {
+    buckets: [OnceLock<Box<[OnceLock<V>]>>; DENSE_BUCKETS],
+}
+
+impl<V> Dense<V> {
+    fn new() -> Self {
+        Self { buckets: std::array::from_fn(|_| OnceLock::new()) }
+    }
+
+    /// The cell of `id`, allocating its bucket on first touch.
+    #[inline]
+    fn cell(&self, id: u32) -> &OnceLock<V> {
+        let (bucket, cell) = locate(id);
+        let cells = self.buckets[bucket]
+            .get_or_init(|| (0..64usize << bucket).map(|_| OnceLock::new()).collect());
+        &cells[cell]
+    }
+}
+
+impl<V: Copy> Memo<u32, V> for Dense<V> {
+    #[inline]
+    fn get_or_insert_with(&self, id: u32, compute: impl FnOnce() -> V) -> (V, bool) {
+        let cell = self.cell(id);
+        if let Some(&v) = cell.get() {
+            return (v, true);
         }
+        // A racing thread that loses the initialization blocks until the
+        // winner's value is in, and finds `ran` still false: a hit.
+        let mut ran = false;
+        let v = *cell.get_or_init(|| {
+            ran = true;
+            compute()
+        });
+        (v, !ran)
     }
 }
 
 /// A caching, call-counting decorator over another what-if optimizer.
 pub struct CachingWhatIf<W> {
     inner: W,
-    unindexed: Sharded<QueryId, f64>,
+    /// `f_j(0)` in cell `j`.
+    unindexed: Dense<f64>,
     /// `f_j(k)` keyed by [`pack_key`]`(j, k)`.
     indexed: Sharded<u64, Option<f64>>,
-    memory: Sharded<IndexId, u64>,
+    /// Memory of index `k` in cell `k`.
+    memory: Dense<u64>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -172,9 +249,9 @@ impl<W: WhatIfOptimizer> CachingWhatIf<W> {
     pub fn new(inner: W) -> Self {
         Self {
             inner,
-            unindexed: Sharded::new(),
+            unindexed: Dense::new(),
             indexed: Sharded::new(),
-            memory: Sharded::new(),
+            memory: Dense::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -188,18 +265,13 @@ impl<W: WhatIfOptimizer> CachingWhatIf<W> {
 
     /// Drop all cached answers (used when the underlying oracle's answers
     /// become stale, e.g. multi-index mode after a configuration change,
-    /// cf. Remark 2).
-    pub fn invalidate(&self) {
-        self.unindexed.clear();
+    /// cf. Remark 2). Index memory depends on the index alone and stays.
+    pub fn invalidate(&mut self) {
+        self.unindexed = Dense::new();
         self.indexed.clear();
     }
 
-    fn lookup<K: Hash + Eq + Copy, V: Copy>(
-        &self,
-        table: &Sharded<K, V>,
-        key: K,
-        compute: impl FnOnce() -> V,
-    ) -> V {
+    fn lookup<K, V>(&self, table: &impl Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> V {
         let (v, hit) = table.get_or_insert_with(key, || {
             self.inserts.fetch_add(1, Ordering::Relaxed);
             compute()
@@ -223,7 +295,7 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CachingWhatIf<W> {
     }
 
     fn unindexed_cost(&self, query: QueryId) -> f64 {
-        self.lookup(&self.unindexed, query, || self.inner.unindexed_cost(query))
+        self.lookup(&self.unindexed, query.0, || self.inner.unindexed_cost(query))
     }
 
     fn index_cost(&self, query: QueryId, index: IndexId) -> Option<f64> {
@@ -243,7 +315,7 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CachingWhatIf<W> {
     fn index_memory(&self, index: IndexId) -> u64 {
         // Memory estimates are deterministic and cheap relative to what-if
         // calls but still worth memoizing for wide candidate sweeps.
-        self.lookup(&self.memory, index, || self.inner.index_memory(index))
+        self.lookup(&self.memory, index.0, || self.inner.index_memory(index))
     }
 
     fn maintenance_cost(&self, index: IndexId) -> f64 {
@@ -299,6 +371,35 @@ mod tests {
     }
 
     #[test]
+    fn dense_buckets_tile_the_id_space() {
+        // Consecutive ids map to consecutive cells, and the array has a
+        // bucket for the largest id.
+        let mut at = (0, 0);
+        assert_eq!(locate(0), at);
+        for id in 1..100_000u32 {
+            let next = locate(id);
+            at = if at.1 + 1 == 64 << at.0 { (at.0 + 1, 0) } else { (at.0, at.1 + 1) };
+            assert_eq!(next, at, "id {id}");
+        }
+        assert_eq!(locate(63), (0, 63));
+        assert_eq!(locate(64), (1, 0));
+        assert_eq!(locate(u32::MAX), (DENSE_BUCKETS - 1, 63));
+    }
+
+    #[test]
+    fn dense_cells_are_distinct_and_write_once() {
+        let table: Dense<u32> = Dense::new();
+        for id in (0..1_000u32).chain([4_095, 4_096, 70_000]) {
+            let (v, hit) = table.get_or_insert_with(id, || id * 3);
+            assert_eq!((v, hit), (id * 3, false), "id {id}");
+        }
+        for id in (0..1_000u32).chain([4_095, 4_096, 70_000]) {
+            let (v, hit) = table.get_or_insert_with(id, || unreachable!("id {id} was memoized"));
+            assert_eq!((v, hit), (id * 3, true));
+        }
+    }
+
+    #[test]
     fn repeated_calls_hit_the_cache() {
         let w = workload();
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
@@ -344,7 +445,7 @@ mod tests {
     #[test]
     fn invalidate_clears_answers() {
         let w = workload();
-        let est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
+        let mut est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
         let k = est.pool().intern_single(AttrId(0));
         est.index_cost(QueryId(0), k);
         est.index_cost(QueryId(0), k);

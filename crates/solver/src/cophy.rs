@@ -493,6 +493,7 @@ impl CophyInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::brute::best_subset;
     use crate::milp::{self, MilpOptions, MilpProblem};
     use crate::simplex::{ConstraintOp, LinearProgram};
     use rand::rngs::StdRng;
@@ -500,20 +501,6 @@ mod tests {
 
     fn exact() -> CophyOptions {
         CophyOptions { mip_gap: 0.0, time_limit: Duration::from_secs(30), max_nodes: 1_000_000 }
-    }
-
-    /// Brute-force optimum by enumerating all subsets (tiny instances).
-    fn brute_force(inst: &CophyInstance) -> f64 {
-        let n = inst.candidate_memory.len();
-        assert!(n <= 16);
-        let mut best = f64::INFINITY;
-        for mask in 0u32..(1 << n) {
-            let sel: Vec<bool> = (0..n).map(|k| mask & (1 << k) != 0).collect();
-            if inst.memory_of(&sel) <= inst.budget {
-                best = best.min(inst.cost_of(&sel));
-            }
-        }
-        best
     }
 
     fn random_instance(rng: &mut StdRng, n_cand: usize, n_q: usize) -> CophyInstance {
@@ -617,7 +604,9 @@ mod tests {
             let (n_cand, n_q) = (rng.gen_range(1..9), rng.gen_range(1..8));
             let inst = random_instance(&mut rng, n_cand, n_q);
             let s = solve(&inst, &exact());
-            let bf = brute_force(&inst);
+            let (bf, _) =
+                best_subset(n_cand, |s| inst.memory_of(s) <= inst.budget, |s| inst.cost_of(s))
+                    .expect("the empty selection fits");
             assert!(
                 (s.objective - bf).abs() < 1e-6,
                 "round {round}: bb={} bf={bf}",

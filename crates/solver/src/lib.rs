@@ -18,7 +18,8 @@
 //! build: a dense two-phase primal simplex (`simplex`), a small
 //! branch-and-bound MILP solver on top of it (`milp`, exact on small
 //! instances), and the textbook LP (5)–(8) of an instance
-//! (`formulation`).
+//! (`formulation`) — and hold all of them to exhaustive enumeration on
+//! tiny instances (`brute`).
 
 #![warn(missing_docs)]
 
@@ -50,6 +51,8 @@ impl SolveStatus {
     }
 }
 
+#[cfg(test)]
+mod brute;
 #[cfg(test)]
 mod formulation;
 #[cfg(test)]

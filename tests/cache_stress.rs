@@ -1,17 +1,21 @@
-//! Concurrency stress tests for the sharded what-if cache.
+//! Concurrency stress tests for the what-if cache.
 //!
 //! The parallel argmax scan hammers one [`CachingWhatIf`] from many worker
 //! threads at once. These tests drive that pattern hard — far more threads
 //! than shards, all asking overlapping questions — and then audit the
 //! [`CacheStats`] ledger: every lookup is a hit or a miss, every miss
 //! inserted exactly one entry, and the wrapped oracle was consulted exactly
-//! once per distinct question (no duplicate evaluations, ever).
+//! once per distinct question (no duplicate evaluations, ever). The dense
+//! per-id memos (index memory, unindexed cost) get their own race, across
+//! their bucket boundaries and while the pool grows.
 
 use isel_core::{algorithm1, budget, Parallelism};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_workload::synthetic::{self, SyntheticConfig};
-use isel_workload::{AttrId, Index};
+use isel_workload::{AttrId, Index, IndexId, QueryId};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 
 fn workload() -> isel_workload::Workload {
     synthetic::generate(&SyntheticConfig {
@@ -26,10 +30,24 @@ fn workload() -> isel_workload::Workload {
 }
 
 /// An oracle decorator that counts raw evaluations, to catch duplicate
-/// computations that the cache's own `inserts` counter could miss.
+/// computations that the cache's own `inserts` counter could miss —
+/// in total, and per id for the single-id questions.
 struct CountingWhatIf<W> {
     inner: W,
     evals: AtomicUsize,
+    unindexed_by_query: Mutex<HashMap<QueryId, u32>>,
+    memory_by_index: Mutex<HashMap<IndexId, u32>>,
+}
+
+impl<W> CountingWhatIf<W> {
+    fn new(inner: W) -> Self {
+        Self {
+            inner,
+            evals: AtomicUsize::new(0),
+            unindexed_by_query: Mutex::default(),
+            memory_by_index: Mutex::default(),
+        }
+    }
 }
 
 impl<W: WhatIfOptimizer> WhatIfOptimizer for CountingWhatIf<W> {
@@ -41,8 +59,9 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CountingWhatIf<W> {
         self.inner.pool()
     }
 
-    fn unindexed_cost(&self, j: isel_workload::QueryId) -> f64 {
+    fn unindexed_cost(&self, j: QueryId) -> f64 {
         self.evals.fetch_add(1, Ordering::Relaxed);
+        *self.unindexed_by_query.lock().unwrap().entry(j).or_default() += 1;
         self.inner.unindexed_cost(j)
     }
 
@@ -51,8 +70,9 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CountingWhatIf<W> {
         self.inner.index_cost(j, k)
     }
 
-    fn index_memory(&self, k: isel_workload::IndexId) -> u64 {
+    fn index_memory(&self, k: IndexId) -> u64 {
         self.evals.fetch_add(1, Ordering::Relaxed);
+        *self.memory_by_index.lock().unwrap().entry(k).or_default() += 1;
         self.inner.index_memory(k)
     }
 
@@ -70,10 +90,7 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CountingWhatIf<W> {
 #[test]
 fn hammered_cache_never_duplicates_and_ledger_balances() {
     let w = workload();
-    let est = CachingWhatIf::new(CountingWhatIf {
-        inner: AnalyticalWhatIf::new(&w),
-        evals: AtomicUsize::new(0),
-    });
+    let est = CachingWhatIf::new(CountingWhatIf::new(AnalyticalWhatIf::new(&w)));
 
     const THREADS: usize = 32; // 2× the shard count
     const ROUNDS: usize = 25;
@@ -147,6 +164,99 @@ fn hammered_cache_never_duplicates_and_ledger_balances() {
     assert_eq!(after.hits - before.hits, per_walk);
 }
 
+/// Every index of up to four attributes of the one table, by width, then
+/// lexicographically: 10 + 90 + 720 + 5 040 ids once interned.
+fn indexes_up_to_width_four(w: &isel_workload::Workload) -> Vec<Index> {
+    let attrs: Vec<AttrId> = (0..w.schema().attr_count() as u32).map(AttrId).collect();
+    let mut out: Vec<Index> = attrs.iter().map(|&a| Index::single(a)).collect();
+    let mut frontier = out.clone();
+    for _ in 1..4 {
+        frontier = frontier
+            .iter()
+            .flat_map(|k| {
+                attrs.iter().filter(|a| !k.attrs().contains(a)).map(|&a| k.extended(a))
+            })
+            .collect();
+        out.extend(frontier.iter().cloned());
+    }
+    out
+}
+
+/// The dense memos under fire: 32 threads race `index_memory` on every id
+/// below 2 100 — across the bucket boundaries at 64, 192, 448, 960 and
+/// 1 984 — and `unindexed_cost` on every query, while four more threads
+/// intern the remaining ids (into buckets nobody has touched yet) and ask
+/// their memory. Each id and each query is evaluated exactly once, and
+/// the ledger balances.
+#[test]
+fn dense_memos_evaluate_each_id_once_across_buckets_while_the_pool_grows() {
+    let w = workload();
+    let est = CachingWhatIf::new(CountingWhatIf::new(AnalyticalWhatIf::new(&w)));
+
+    const RACERS: usize = 32;
+    const INTERNERS: usize = 4;
+    const ROUNDS: usize = 8;
+    const PRE_INTERNED: usize = 2_100;
+    let all = indexes_up_to_width_four(&w);
+    assert_eq!(all.len(), 5_860);
+    let ids: Vec<IndexId> = all[..PRE_INTERNED].iter().map(|k| est.pool().intern(k)).collect();
+    assert_eq!(ids.last(), Some(&IndexId(PRE_INTERNED as u32 - 1)), "ids are dense from 0");
+    let later = &all[PRE_INTERNED..];
+    let queries: Vec<QueryId> = w.iter().map(|(j, _)| j).collect();
+    // Every thread starts its first lookup at once.
+    let start = Barrier::new(RACERS + INTERNERS);
+
+    std::thread::scope(|scope| {
+        for t in 0..RACERS {
+            let (est, ids, queries, start) = (&est, &ids, &queries, &start);
+            scope.spawn(move || {
+                start.wait();
+                for r in 0..ROUNDS {
+                    // Offsets differ per thread and round, so racers
+                    // collide on fresh cells of every bucket.
+                    for i in 0..ids.len() {
+                        est.index_memory(ids[(i * 11 + t * 131 + r * 17) % ids.len()]);
+                    }
+                    for i in 0..queries.len() {
+                        est.unindexed_cost(queries[(i + t + r) % queries.len()]);
+                    }
+                }
+            });
+        }
+        for t in 0..INTERNERS {
+            let (est, start) = (&est, &start);
+            scope.spawn(move || {
+                start.wait();
+                // Each interner walks every later index from its own
+                // offset: the ids race to be interned and then to be
+                // evaluated.
+                let offset = t * later.len() / INTERNERS;
+                for i in 0..later.len() {
+                    let k = est.pool().intern(&later[(i + offset) % later.len()]);
+                    est.index_memory(k);
+                }
+            });
+        }
+    });
+
+    assert_eq!(est.pool().len(), all.len());
+    let memory = est.inner().memory_by_index.lock().unwrap();
+    assert_eq!(memory.len(), all.len(), "every id was evaluated");
+    assert!(memory.values().all(|&n| n == 1), "an id was evaluated twice");
+    let unindexed = est.inner().unindexed_by_query.lock().unwrap();
+    assert_eq!(unindexed.len(), queries.len(), "every query was evaluated");
+    assert!(unindexed.values().all(|&n| n == 1), "a query was evaluated twice");
+
+    let lookups = (RACERS * ROUNDS * (ids.len() + queries.len())
+        + INTERNERS * later.len()) as u64;
+    let distinct = (all.len() + queries.len()) as u64;
+    let stats = est.cache_stats().expect("caching oracle exposes stats");
+    assert_eq!(stats.lookups(), lookups);
+    assert_eq!(stats.misses, distinct);
+    assert_eq!(stats.inserts, stats.misses);
+    assert_eq!(est.inner().evals.load(Ordering::Relaxed) as u64, distinct);
+}
+
 /// The real workload: Algorithm 1's parallel scan over a shared cache.
 /// Stats must balance and the run must match the serial engine exactly.
 #[test]
@@ -161,7 +271,7 @@ fn parallel_algorithm1_keeps_cache_accounting_consistent() {
     let serial = algorithm1::run(&serial_est, &algorithm1::Options::new(a));
     let serial_stats = serial_est.cache_stats().unwrap();
 
-    let par_est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
+    let mut par_est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
     let opts = algorithm1::Options {
         parallelism: Parallelism::new(8),
         ..algorithm1::Options::new(a)
