@@ -1,6 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
+use crate::out::Failure;
 use isel_core::{
     algorithm1, budget, interaction, Advisor, BinaryTraceSink, JsonLinesSink, Parallelism,
     RunReport, Strategy, Trace, TraceEvent, TraceSink,
@@ -106,7 +107,7 @@ fn budget_share(args: &Args, key: &str, default: f64) -> Result<f64, String> {
 }
 
 /// `isel generate`
-pub fn generate(args: &Args) -> Result<(), String> {
+pub fn generate(args: &Args) -> Result<(), Failure> {
     let kind = args.get("kind").unwrap_or("synthetic");
     let out = args.get("out").ok_or("missing --out FILE")?;
     let seed = args.get_parsed("seed", 0x15E1u64)?;
@@ -126,10 +127,10 @@ pub fn generate(args: &Args) -> Result<(), String> {
         }
         "erp" => erp::generate(&ErpConfig { seed, ..ErpConfig::default() }),
         "tpcc" => tpcc::generate(args.get_parsed("warehouses", 100u64)?).0,
-        other => return Err(format!("unknown workload kind {other:?}")),
+        other => return Err(format!("unknown workload kind {other:?}").into()),
     };
     io::save(&workload, out).map_err(|e| format!("cannot save workload: {e}"))?;
-    println!(
+    outln!(
         "wrote {kind} workload: {} tables, {} attributes, {} templates -> {out}",
         workload.schema().tables().len(),
         workload.schema().attr_count(),
@@ -153,7 +154,7 @@ fn parse_strategy(name: &str) -> Result<Strategy, String> {
 }
 
 /// `isel recommend`
-pub fn recommend(args: &Args) -> Result<(), String> {
+pub fn recommend(args: &Args) -> Result<(), Failure> {
     let workload = load_workload(args)?;
     let strategy = parse_strategy(args.get("strategy").unwrap_or("h6"))?;
     let share = budget_share(args, "budget", 0.2)?;
@@ -194,18 +195,18 @@ pub fn recommend(args: &Args) -> Result<(), String> {
                 .map(|k| k.attrs().iter().map(|a| a.0).collect::<Vec<_>>())
                 .collect::<Vec<_>>(),
         });
-        println!("{row}");
+        outln!("{row}");
         return Ok(());
     }
 
-    println!(
+    outln!(
         "strategy {:?}: {} indexes, {:.1} MiB of {:.1} MiB budget",
         rec.strategy,
         rec.selection.len(),
         rec.memory as f64 / (1024.0 * 1024.0),
         rec.budget as f64 / (1024.0 * 1024.0),
     );
-    println!(
+    outln!(
         "workload cost {:.3e} -> {:.3e} ({:.1}%), {} what-if calls, {:.3}s",
         rec.base_cost,
         rec.cost,
@@ -213,7 +214,7 @@ pub fn recommend(args: &Args) -> Result<(), String> {
         rec.what_if_calls,
         rec.elapsed.as_secs_f64(),
     );
-    println!(
+    outln!(
         "what-if requests: {} issued + {} cached ({:.1}% hit rate)",
         rec.what_if.calls_issued,
         rec.what_if.calls_answered_from_cache,
@@ -222,13 +223,13 @@ pub fn recommend(args: &Args) -> Result<(), String> {
     // Section III-A / Table I count an approach's what-if calls in units
     // of Q·q̄, the summed template widths; Algorithm 1 needs about two.
     let q_qbar: usize = workload.iter().map(|(_, q)| q.width()).sum();
-    println!(
+    outln!(
         "what-if calls ÷ Q·q̄ = {:.2}{}",
         rec.what_if_calls as f64 / q_qbar as f64,
         if rec.strategy == Strategy::H6 { " (paper ≈ 2)" } else { "" },
     );
     if let Some(c) = rec.cache {
-        println!(
+        outln!(
             "memo tables: {} hits / {} misses / {} entries",
             c.hits, c.misses, c.inserts
         );
@@ -240,13 +241,13 @@ pub fn recommend(args: &Args) -> Result<(), String> {
             .map(|&a| workload.schema().attribute(a).name.as_str())
             .collect();
         let table = workload.schema().attribute(k.leading()).table;
-        println!("  {}({})", workload.schema().table(table).name, names.join(", "));
+        outln!("  {}({})", workload.schema().table(table).name, names.join(", "));
     }
     Ok(())
 }
 
 /// `isel compare`
-pub fn compare(args: &Args) -> Result<(), String> {
+pub fn compare(args: &Args) -> Result<(), Failure> {
     let workload = load_workload(args)?;
     let share = budget_share(args, "budget", 0.2)?;
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&workload));
@@ -260,9 +261,9 @@ pub fn compare(args: &Args) -> Result<(), String> {
         advisor.compare(a)
     };
     finish_trace(sink)?;
-    println!("strategy\trel.cost\t|I*|\tMiB\tseconds\twhatif\tcached\thit%");
+    outln!("strategy\trel.cost\t|I*|\tMiB\tseconds\twhatif\tcached\thit%");
     for rec in recs {
-        println!(
+        outln!(
             "{:?}\t{:.4}\t{}\t{:.1}\t{:.3}\t{}\t{}\t{:.1}",
             rec.strategy,
             rec.relative_cost(),
@@ -275,7 +276,7 @@ pub fn compare(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(c) = est.cache_stats() {
-        println!(
+        outln!(
             "# memo tables after all runs: {} hits / {} misses / {} entries",
             c.hits, c.misses, c.inserts
         );
@@ -284,7 +285,7 @@ pub fn compare(args: &Args) -> Result<(), String> {
 }
 
 /// `isel frontier`
-pub fn frontier(args: &Args) -> Result<(), String> {
+pub fn frontier(args: &Args) -> Result<(), Failure> {
     let workload = load_workload(args)?;
     let share = budget_share(args, "max-budget", 0.5)?;
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&workload));
@@ -299,9 +300,9 @@ pub fn frontier(args: &Args) -> Result<(), String> {
         algorithm1::run_traced(&est, &opts, trace)
     };
     finish_trace(sink)?;
-    println!("memory_bytes\tcost\trelative");
+    outln!("memory_bytes\tcost\trelative");
     for p in run.frontier.points() {
-        println!(
+        outln!(
             "{}\t{:.6e}\t{:.4}",
             p.memory,
             p.cost,
@@ -316,7 +317,7 @@ pub fn frontier(args: &Args) -> Result<(), String> {
 /// or daemon trace holds many); `--check` additionally verifies the
 /// accounting invariant for every run and the what-if call-bound
 /// invariant for the Algorithm-1 (`H6`) runs.
-pub fn report(args: &Args) -> Result<(), String> {
+pub fn report(args: &Args) -> Result<(), Failure> {
     let path = args.get("trace").ok_or("missing --trace FILE")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read trace file: {e}"))?;
     let events = RunReport::parse_trace(&bytes)?;
@@ -328,9 +329,9 @@ pub fn report(args: &Args) -> Result<(), String> {
     for (n, report) in reports.iter().enumerate() {
         if many {
             let label = report.strategy.as_deref().unwrap_or("(no RunStart)");
-            println!("== run {} / {}: {label} ==", n + 1, reports.len());
+            outln!("== run {} / {}: {label} ==", n + 1, reports.len());
         }
-        print!("{}", report.render());
+        out!("{}", report.render());
     }
     if args.flag("check") {
         let mut bounds = 0usize;
@@ -357,7 +358,7 @@ pub fn report(args: &Args) -> Result<(), String> {
             }
         }
         let deploys: u64 = reports.iter().map(|r| r.deploy_candidates).sum();
-        println!(
+        outln!(
             "invariants: accounting ok ({} runs), call bound ok ({bounds} H6 runs), \
              deploy accounting ok ({deploys} candidates)",
             reports.len()
@@ -367,7 +368,7 @@ pub fn report(args: &Args) -> Result<(), String> {
 }
 
 /// `isel stats`
-pub fn stats(args: &Args) -> Result<(), String> {
+pub fn stats(args: &Args) -> Result<(), Failure> {
     let workload = load_workload(args)?;
     let stats = isel_workload::WorkloadStats::compute(&workload);
     let schema = workload.schema();
@@ -378,28 +379,28 @@ pub fn stats(args: &Args) -> Result<(), String> {
         .map(|q| q.frequency())
         .sum();
     let total = workload.total_frequency();
-    println!(
+    outln!(
         "tables: {}   attributes: {}   templates: {}   executions: {}",
         schema.tables().len(),
         schema.attr_count(),
         workload.query_count(),
         total
     );
-    println!(
+    outln!(
         "avg query width: {:.2}   update volume: {:.1}%",
         stats.avg_query_width(),
         100.0 * updates as f64 / total.max(1) as f64
     );
     let mut by_rows: Vec<_> = schema.tables().iter().collect();
     by_rows.sort_by_key(|t| std::cmp::Reverse(t.rows));
-    println!("largest tables:");
+    outln!("largest tables:");
     for t in by_rows.into_iter().take(5) {
-        println!("  {:<12} {:>12} rows, {} attributes", t.name, t.rows, t.attr_count);
+        outln!("  {:<12} {:>12} rows, {} attributes", t.name, t.rows, t.attr_count);
     }
-    println!("hottest attributes (g_i):");
+    outln!("hottest attributes (g_i):");
     for a in stats.attrs_by_occurrences().into_iter().take(10) {
         let attr = schema.attribute(a);
-        println!(
+        outln!(
             "  {:<16} g={:<10} d={:<10} {}B",
             attr.name,
             stats.occurrences(a),
@@ -411,7 +412,7 @@ pub fn stats(args: &Args) -> Result<(), String> {
 }
 
 /// `isel interactions`
-pub fn interactions(args: &Args) -> Result<(), String> {
+pub fn interactions(args: &Args) -> Result<(), Failure> {
     let workload = load_workload(args)?;
     let top = args.get_parsed("top", 10usize)?;
     let est = CachingWhatIf::new(AnalyticalWhatIf::new(&workload));
@@ -424,9 +425,9 @@ pub fn interactions(args: &Args) -> Result<(), String> {
         .map(isel_workload::Index::single)
         .collect();
     let pairs = interaction::interaction_matrix(&est, &hot, 0.01);
-    println!("index_a\tindex_b\tdegree");
+    outln!("index_a\tindex_b\tdegree");
     for p in pairs.into_iter().take(top) {
-        println!("{}\t{}\t{:.4}", hot[p.a], hot[p.b], p.degree);
+        outln!("{}\t{}\t{:.4}", hot[p.a], hot[p.b], p.degree);
     }
     Ok(())
 }
@@ -487,7 +488,7 @@ mod tests {
             "recommend --workload {out} --threads nope"
         )))
         .unwrap_err();
-        assert!(err.contains("threads"));
+        assert!(err.to_string().contains("threads"));
     }
 
     #[test]
@@ -540,7 +541,7 @@ mod tests {
             "recommend --workload {out} --trace {trace} --trace-format nope"
         )))
         .unwrap_err();
-        assert!(err.contains("trace-format"), "{err}");
+        assert!(err.to_string().contains("trace-format"), "{err}");
     }
 
     #[test]
@@ -573,6 +574,6 @@ mod tests {
         let out = tmp("broken.json");
         std::fs::write(&out, "not json").unwrap();
         let err = recommend(&argv(&format!("recommend --workload {out}"))).unwrap_err();
-        assert!(err.contains("cannot load"));
+        assert!(err.to_string().contains("cannot load"));
     }
 }

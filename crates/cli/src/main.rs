@@ -14,11 +14,15 @@
 //! All costs come from the analytical Appendix-B model; budgets are
 //! relative shares of the all-single-attribute-indexes footprint (Eq. 10).
 
+#[macro_use]
+mod out;
 mod args;
 mod commands;
 mod service_cmd;
 
 use args::Args;
+use out::Failure;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -206,7 +210,8 @@ fn check_options(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
-    let result = check_options(&args).and_then(|()| match args.command.as_deref() {
+    let result = check_options(&args).map_err(Failure::from);
+    let result = result.and_then(|()| match args.command.as_deref() {
         Some("generate") => commands::generate(&args),
         Some("recommend") => commands::recommend(&args),
         Some("compare") => commands::compare(&args),
@@ -222,14 +227,16 @@ fn main() -> ExitCode {
         Some("journal") => service_cmd::journal(&args),
         // Hidden: the multi-process worker entrypoint the supervisor
         // spawns from its own executable (`serve --workers N`).
-        Some("worker") => service_cmd::worker(&args),
-        Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}")),
-        None => Err(USAGE.to_owned()),
+        Some("worker") => service_cmd::worker(&args).map_err(Failure::from),
+        Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}").into()),
+        None => Err(USAGE.into()),
     });
-    match result {
+    match result.and_then(|()| std::io::stdout().flush().map_err(Failure::Output)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
+        // The reader has all it wanted (`isel … | head`).
+        Err(Failure::Output(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(failure) => {
+            eprintln!("{failure}");
             ExitCode::FAILURE
         }
     }

@@ -21,6 +21,7 @@
 
 use crate::args::Args;
 use crate::commands::{create_trace_sink, finish_trace, load_workload, FileSink};
+use crate::out::Failure;
 use isel_core::TraceSink;
 use isel_service::{
     install_status_signal, journal::is_manifest, offline_group_adapt, offline_group_snapshots,
@@ -223,7 +224,7 @@ fn traced<T>(
     Ok(out)
 }
 
-fn print_epoch(out: &EpochOutcome) {
+fn print_epoch(out: &EpochOutcome) -> Result<(), Failure> {
     let overlap = out
         .overlap
         .map_or("-".to_owned(), |o| format!("{o:.3}"));
@@ -233,7 +234,7 @@ fn print_epoch(out: &EpochOutcome) {
     let table = out
         .table
         .map_or(String::new(), |t| format!("table {}\t", t.0));
-    println!(
+    outln!(
         "epoch {}\t{table}{}\toverlap {}\t{} indexes\tcost {:.4e}\treconfig {:.3e}",
         out.epoch,
         out.policy.label(),
@@ -242,13 +243,14 @@ fn print_epoch(out: &EpochOutcome) {
         out.workload_cost,
         out.reconfig_paid,
     );
+    Ok(())
 }
 
-fn print_report(report: &ServiceReport, workload: &Workload) {
+fn print_report(report: &ServiceReport, workload: &Workload) -> Result<(), Failure> {
     for out in &report.epochs {
-        print_epoch(out);
+        print_epoch(out)?;
     }
-    println!(
+    outln!(
         "ingested {}\tinvalid {}\tdropped {}\tqueue high-water {}\tcheckpoints {}",
         report.ingested,
         report.invalid,
@@ -256,7 +258,7 @@ fn print_report(report: &ServiceReport, workload: &Workload) {
         report.queue_high_water,
         report.checkpoints_written,
     );
-    println!("final selection ({} indexes):", report.final_selection.len());
+    outln!("final selection ({} indexes):", report.final_selection.len());
     let schema = workload.schema();
     for k in report.final_selection.indexes() {
         let names: Vec<&str> = k
@@ -265,8 +267,9 @@ fn print_report(report: &ServiceReport, workload: &Workload) {
             .map(|&a| schema.attribute(a).name.as_str())
             .collect();
         let table = schema.attribute(k.leading()).table;
-        println!("  {}({})", schema.table(table).name, names.join(", "));
+        outln!("  {}({})", schema.table(table).name, names.join(", "));
     }
+    Ok(())
 }
 
 /// The `--journal FILE` / `--journal-max-bytes N` journal configuration
@@ -312,7 +315,7 @@ fn journal_config(args: &Args) -> Result<Option<JournalConfig>, String> {
 /// resumes on live stdin — with the final merged selection and
 /// checkpoint documents byte-identical to an uninterrupted run over the
 /// same stream.
-pub fn serve(args: &Args) -> Result<(), String> {
+pub fn serve(args: &Args) -> Result<(), Failure> {
     let workload = load_workload(args)?;
     let config = service_config(args)?;
     let checkpoint = args.get("checkpoint").map(PathBuf::from);
@@ -357,7 +360,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
             let prior = match std::fs::read(&journal_path) {
                 Ok(bytes) => bytes,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(format!("cannot read {}: {e}", journal_path.display())),
+                Err(e) => return Err(format!("cannot read {}: {e}", journal_path.display()).into()),
             };
             if manifest.exists() && prior.is_empty() {
                 // The journal must span the stream from byte 0 for replay
@@ -368,7 +371,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
                      both (to adopt a foreign checkpoint, resume once with --resume \
                      --checkpoint and a fresh state dir)",
                     dir.display()
-                ));
+                ).into());
             }
             let mut router = make_router(&workload, config, Some(&manifest), true)?;
             if !prior.is_empty() {
@@ -398,7 +401,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
             }
         }
     })?;
-    print_report(&report, &workload);
+    print_report(&report, &workload)?;
     Ok(())
 }
 
@@ -407,7 +410,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
 /// `--offline-check` forces the always-adapt drift thresholds and
 /// verifies the selection sequence is bit-identical to the offline
 /// `dynamic::adapt` loop over the same epoch snapshots, group by group.
-pub fn replay(args: &Args) -> Result<(), String> {
+pub fn replay(args: &Args) -> Result<(), Failure> {
     let workload = load_workload(args)?;
     let log = args.get("log").ok_or("missing --log FILE")?;
     let mut config = service_config(args)?;
@@ -433,7 +436,7 @@ pub fn replay(args: &Args) -> Result<(), String> {
                  drop --format to auto-detect)",
                 want.name(),
                 found.name()
-            ));
+            ).into());
         }
     }
     let reader = || Cursor::new(data.bytes());
@@ -442,7 +445,7 @@ pub fn replay(args: &Args) -> Result<(), String> {
     let report = traced(args, config.shards, |sinks| {
         router.run_reader(reader(), OverloadPolicy::Block, checkpoint.as_deref(), sinks)
     })?;
-    print_report(&report, &workload);
+    print_report(&report, &workload)?;
     if args.flag("offline-check") {
         let snaps = offline_group_snapshots(reader(), workload.schema(), &config)?;
         let offline = offline_group_adapt(&snaps, &config);
@@ -451,7 +454,7 @@ pub fn replay(args: &Args) -> Result<(), String> {
             return Err(format!(
                 "offline check: the service tuned {} epochs, the offline reference {total}",
                 report.epochs.len()
-            ));
+            ).into());
         }
         for out in &report.epochs {
             // Whole-workload epochs carry no table: they are group 0's.
@@ -466,12 +469,12 @@ pub fn replay(args: &Args) -> Result<(), String> {
                     out.epoch,
                     out.selection.len(),
                     want.len()
-                ));
+                ).into());
             }
         }
         match config.shards {
-            0 => println!("offline check: {total} epochs bit-identical to dynamic::adapt"),
-            _ => println!(
+            0 => outln!("offline check: {total} epochs bit-identical to dynamic::adapt"),
+            _ => outln!(
                 "offline check: {total} epochs across {} table groups bit-identical \
                  to per-group dynamic::adapt",
                 offline.len()
@@ -486,7 +489,7 @@ pub fn replay(args: &Args) -> Result<(), String> {
 /// binary`) dictionary-compressed binary frames. `--segments N` splits
 /// the log into N runs each drawing from a rotated half of the template
 /// set, producing genuine drift for the daemon to detect.
-pub fn record(args: &Args) -> Result<(), String> {
+pub fn record(args: &Args) -> Result<(), Failure> {
     let kind = args.get("kind").unwrap_or("tpcc");
     let out = args.get("out").ok_or("missing --out FILE")?;
     let events = args.get_parsed("events", 4096usize)?;
@@ -495,7 +498,7 @@ pub fn record(args: &Args) -> Result<(), String> {
     let observed = args.get_parsed("observed", 0usize)?;
     let drift = args.get_parsed("observed-drift", 1.0f64)?;
     if !(drift.is_finite() && drift > 0.0) {
-        return Err(format!("--observed-drift must be finite and positive, got {drift}"));
+        return Err(format!("--observed-drift must be finite and positive, got {drift}").into());
     }
     let format = wire_format(args)?;
     let workload = match kind {
@@ -509,7 +512,7 @@ pub fn record(args: &Args) -> Result<(), String> {
             seed,
             ..SyntheticConfig::default()
         }),
-        other => return Err(format!("unknown workload kind {other:?}")),
+        other => return Err(format!("unknown workload kind {other:?}").into()),
     };
 
     let file = std::fs::File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
@@ -623,7 +626,7 @@ pub fn record(args: &Args) -> Result<(), String> {
     w.flush().map_err(|e| format!("write {out}: {e}"))?;
     let probe_note =
         if probes > 0 { format!(" + {probes} observed-cost probe(s)") } else { String::new() };
-    println!(
+    outln!(
         "recorded {written} {kind} {} events{probe_note} over {segments} segment(s) \
          ({} templates) -> {out}",
         format.name(),
@@ -636,10 +639,10 @@ pub fn record(args: &Args) -> Result<(), String> {
 /// event log or journal between the JSONL and binary encodings
 /// losslessly (rotated journals are flattened to one output file; the
 /// jsonl→binary→jsonl round trip is byte-identical).
-pub fn journal(args: &Args) -> Result<(), String> {
+pub fn journal(args: &Args) -> Result<(), Failure> {
     match args.subcommand.as_deref() {
         Some("convert") => journal_convert(args),
-        Some(other) => Err(format!("unknown journal action {other:?} (expected convert)")),
+        Some(other) => Err(format!("unknown journal action {other:?} (expected convert)").into()),
         None => Err("usage: isel journal convert --log FILE --to jsonl|binary --out FILE".into()),
     }
 }
@@ -653,7 +656,7 @@ pub fn journal(args: &Args) -> Result<(), String> {
 /// Live mode (`--socket PATH`): stream `--log` (if given) into a serving
 /// socket, then issue the same queries over the wire and print the
 /// replies — byte-identical to the offline answers over the same events.
-pub fn budget(args: &Args) -> Result<(), String> {
+pub fn budget(args: &Args) -> Result<(), Failure> {
     let budgets: Vec<u64> = args
         .get("at")
         .unwrap_or("")
@@ -694,10 +697,10 @@ pub fn budget(args: &Args) -> Result<(), String> {
     let router = replay_offline(args, config)?;
     let arbiter = router.arbiter();
     if let Some(b) = set {
-        println!("{}", arbiter.set_budget(b, isel_core::Trace::disabled()));
+        outln!("{}", arbiter.set_budget(b, isel_core::Trace::disabled()));
     }
     for &b in &budgets {
-        println!(
+        outln!(
             "{}",
             match tenant {
                 Some(t) => arbiter.tenant(t, b),
@@ -726,7 +729,7 @@ fn ask_over_socket(
     args: &Args,
     sock: &str,
     queries: impl Iterator<Item = String>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     use std::os::unix::net::UnixStream;
     let mut stream =
         UnixStream::connect(sock).map_err(|e| format!("connect {sock}: {e}"))?;
@@ -748,7 +751,7 @@ fn ask_over_socket(
         if reply.is_empty() {
             return Err("server closed the connection before answering".into());
         }
-        print!("{reply}");
+        out!("{reply}");
     }
     if args.flag("shutdown") {
         let _ = stream.write_all(b"{\"control\":\"shutdown\"}\n");
@@ -765,7 +768,7 @@ fn ask_over_socket(
 /// then issue the in-band `{"control":"calibration"}` barrier query and
 /// print the reply — byte-identical to the offline answer over the same
 /// events.
-pub fn calibrate(args: &Args) -> Result<(), String> {
+pub fn calibrate(args: &Args) -> Result<(), Failure> {
     if let Some(sock) = args.get("socket") {
         let query = "{\"control\":\"calibration\"}".to_owned();
         return ask_over_socket(args, sock, std::iter::once(query));
@@ -774,18 +777,18 @@ pub fn calibrate(args: &Args) -> Result<(), String> {
     // The whole point of the offline mode is to see what the tracker
     // would learn, so calibration is on unless explicitly configured.
     config.calibration.enabled = true;
-    println!("{}", replay_offline(args, config)?.calibration());
+    outln!("{}", replay_offline(args, config)?.calibration());
     Ok(())
 }
 
-fn journal_convert(args: &Args) -> Result<(), String> {
+fn journal_convert(args: &Args) -> Result<(), Failure> {
     let input = args.get("log").ok_or("missing --log FILE")?;
     let out = args.get("out").ok_or("missing --out FILE")?;
     let to: WireFormat = args.get("to").ok_or("missing --to jsonl|binary")?.parse()?;
     let bytes = read_journal_bytes(Path::new(input))?;
     let converted = isel_service::convert(&bytes, to);
     std::fs::write(out, &converted).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    outln!(
         "converted {input} ({} bytes) -> {} {out} ({} bytes)",
         bytes.len(),
         to.name(),
@@ -1025,7 +1028,7 @@ mod tests {
             "replay --workload {w} --log {bin} --epoch-events 32 --format jsonl"
         )))
         .unwrap_err();
-        assert!(err.contains("starts with binary"), "{err}");
+        assert!(err.to_string().contains("starts with binary"), "{err}");
         // Unknown conversion targets and actions are rejected.
         assert!(journal(&argv(&format!(
             "journal convert --log {bin} --to nope --out {back}"

@@ -56,7 +56,18 @@ pub fn run(args: &[&str], stdin: Option<&Path>, envs: &[(&str, &str)]) -> Output
         Some(p) => cmd.stdin(Stdio::from(File::open(p).unwrap())),
         None => cmd.stdin(Stdio::null()),
     };
-    let mut child = cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn().expect("spawn isel");
+    finish(cmd.stdout(Stdio::piped()), args)
+}
+
+/// [`run`] with no input and stdout sent to `stdout` rather than
+/// captured: the `Output`'s stdout is empty.
+pub fn run_to(args: &[&str], stdout: Stdio) -> Output {
+    finish(Command::new(BIN).args(args).stdin(Stdio::null()).stdout(stdout), args)
+}
+
+/// Spawn `cmd` with stderr captured and wait for it under the watchdog.
+fn finish(cmd: &mut Command, args: &[&str]) -> Output {
+    let mut child = cmd.stderr(Stdio::piped()).spawn().expect("spawn isel");
     // Drained while it runs: a report larger than the pipe must not
     // stall the child into the watchdog.
     let drain = |mut pipe: Box<dyn Read + Send>| {
@@ -66,10 +77,11 @@ pub fn run(args: &[&str], stdin: Option<&Path>, envs: &[(&str, &str)]) -> Output
             bytes
         })
     };
-    let stdout = drain(Box::new(child.stdout.take().unwrap()));
+    let stdout = child.stdout.take().map(|pipe| drain(Box::new(pipe)));
     let stderr = drain(Box::new(child.stderr.take().unwrap()));
     let status = wait_bounded(&mut child, &format!("isel {args:?}"));
-    Output { status, stdout: stdout.join().unwrap(), stderr: stderr.join().unwrap() }
+    let stdout = stdout.map_or_else(Vec::new, |t| t.join().unwrap());
+    Output { status, stdout, stderr: stderr.join().unwrap() }
 }
 
 /// Wait for `child` to exit, killing it and failing past the watchdog.

@@ -497,3 +497,58 @@ fn frontier_rows_are_thread_count_and_trace_invariant() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `recommend --json` with its wall-clock masked, for every strategy on
+/// TPC-C (20 warehouses) and on a write-heavy 20-table synthetic, at 1
+/// and 4 threads, reproduces `examples/recommend_rows.txt` byte for
+/// byte: selection, costs, what-if and memo counts. CoPhy is left out on
+/// the synthetic, where it stops at its 60 s time limit.
+#[test]
+fn recommend_rows_match_their_golden() {
+    let dir = scratch("contract_recommend");
+    let golden = std::fs::read_to_string(examples().join("recommend_rows.txt")).unwrap();
+    let update = [
+        "--kind", "synthetic", "--tables", "20", "--attrs", "12", "--queries", "40", "--updates",
+        "0.2", "--seed", "7",
+    ];
+    let tpcc = ["--kind", "tpcc", "--warehouses", "20"];
+    let mut rows = Vec::new();
+    for (name, shape) in [("tpcc", &tpcc[..]), ("upd", &update)] {
+        let w = dir.join(format!("{name}.json"));
+        let w = w.to_str().unwrap();
+        assert_ok(&run(&[&["generate", "--out", w][..], shape].concat(), None, &[]));
+        for strategy in ["h1", "h2", "h3", "h4", "h4s", "h5", "h6", "cophy"] {
+            if name == "upd" && strategy == "cophy" {
+                continue;
+            }
+            let mut want = None;
+            for threads in ["1", "4"] {
+                let args = [
+                    "recommend", "--workload", w, "--strategy", strategy, "--threads", threads,
+                    "--json",
+                ];
+                let out = run(&args, None, &[]);
+                assert_ok(&out);
+                let row = format!("{name} {strategy} {}", mask_elapsed(stdout(&out).trim_end()));
+                match &want {
+                    None => want = Some(row),
+                    Some(w) => assert_eq!(&row, w, "{name} {strategy} at {threads} threads"),
+                }
+            }
+            rows.extend(want);
+        }
+    }
+    for (got, want) in rows.iter().zip(golden.lines()) {
+        assert_eq!(got, want, "recommend moved off its golden");
+    }
+    assert_eq!(rows.len(), golden.lines().count(), "golden rows");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `recommend --json` line with its `elapsed_secs` value set to 0.
+fn mask_elapsed(line: &str) -> String {
+    const KEY: &str = "\"elapsed_secs\":";
+    let at = line.find(KEY).expect("recommend --json reports elapsed_secs") + KEY.len();
+    let end = at + line[at..].find([',', '}']).expect("a terminated value");
+    format!("{}0{}", &line[..at], &line[end..])
+}

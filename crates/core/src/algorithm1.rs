@@ -59,9 +59,10 @@
 //!
 //! The engine keeps its candidates between steps. Single-attribute ids
 //! are interned once; every slot stores its extension moves — target id
-//! resolved, benefit cached, already in `Move::key` order — and rebuilds
-//! that list only when a query it covers changed cost; the set of
-//! selected ids is maintained by the steps themselves. A step therefore
+//! resolved, benefit cached, maintenance delta priced, already in
+//! `Move::key` order — and rebuilds that list only when a query it covers
+//! changed cost; the set of selected ids is maintained by the steps
+//! themselves. A step therefore
 //! costs its refreshes plus one walk over the table (singles in attribute
 //! order, then slot by slot), not a re-enumeration, and the canonical
 //! order is a property of the walk: only a refreshed slot's list is
@@ -286,9 +287,21 @@ impl Move {
     }
 }
 
-/// Put candidate moves into the canonical [`Move::key`] order.
-fn sort_canonical(moves: &mut [(Move, f64)], pool: &IndexPool) {
-    moves.sort_by(|(a, _), (b, _)| a.key(pool).cmp(&b.key(pool)));
+/// A candidate move with what a step's scan reads of it: the workload
+/// benefit, cached until a query it covers changes cost, and the
+/// weighted maintenance delta, which depends on the move alone and is
+/// priced once, when the candidate is built — and only when the benefit
+/// is positive, since no other candidate is ever priced.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    mv: Move,
+    ben: f64,
+    maint: f64,
+}
+
+/// Put candidates into the canonical [`Move::key`] order.
+fn sort_canonical(cands: &mut [Candidate], pool: &IndexPool) {
+    cands.sort_by(|a, b| a.mv.key(pool).cmp(&b.mv.key(pool)));
 }
 
 struct Slot {
@@ -296,19 +309,22 @@ struct Slot {
     /// Queries containing *all* attributes of `index` (sorted ids) — the
     /// only queries an extension can affect.
     covering: Vec<u32>,
-    /// The slot's extension moves with their cached workload benefits, in
-    /// canonical order: one per appended attribute (and per appended pair
-    /// with Remark 1.4) that lowers some covering query's cost.
-    exts: Vec<(Move, f64)>,
+    /// The slot's extension candidates, in canonical order: one per
+    /// appended attribute (and per appended pair with Remark 1.4) that
+    /// lowers some covering query's cost.
+    exts: Vec<Candidate>,
     /// Whether `exts` must be recomputed.
     dirty: bool,
     /// Number of queries currently served by this index (tracked for
     /// Remark 1.2).
     served: u32,
+    /// Weighted maintenance cost of `index`: the `from` side of every
+    /// extension's delta.
+    maint: f64,
 }
 
-/// A move with its `(net benefit, memory delta, ratio)`.
-type Scored = (Move, f64, u64, f64);
+/// A candidate with its `(net benefit, memory delta, ratio)`.
+type Scored = (Candidate, f64, u64, f64);
 
 /// The left-to-right fold of a step's scan: the best move so far and, with
 /// Remark 1.3, the runner-up.
@@ -332,17 +348,17 @@ impl Argmax {
         }
     }
 
-    /// Fold in the next move in canonical order with its metrics (`None`:
-    /// not worth taking, or over budget).
-    fn offer(&mut self, mv: Move, metric: Option<(f64, u64, f64)>) {
+    /// Fold in the next candidate in canonical order with its metrics
+    /// (`None`: not worth taking, or over budget).
+    fn offer(&mut self, c: Candidate, metric: Option<(f64, u64, f64)>) {
         let Some((net, dm, ratio)) = metric else { return };
         if Self::beats(net, ratio, self.best.as_ref()) {
             if self.track {
                 self.second = self.best.take();
             }
-            self.best = Some((mv, net, dm, ratio));
+            self.best = Some((c, net, dm, ratio));
         } else if self.track && Self::beats(net, ratio, self.second.as_ref()) {
-            self.second = Some((mv, net, dm, ratio));
+            self.second = Some((c, net, dm, ratio));
         }
     }
 }
@@ -440,13 +456,14 @@ struct Engine<'a, W> {
     selected: IdBits,
     /// `{i}` for every attribute `i`, interned once.
     single_ids: Vec<IndexId>,
-    /// Cached benefit of `{i}` as a new index; `None` = stale. Attributes
-    /// excluded by Remark 1.1 are never refreshed and stay `None`.
-    single_ben: Vec<Option<f64>>,
+    /// `{i}` as a new-index candidate, its benefit cached; `None` =
+    /// stale. Attributes excluded by Remark 1.1 are never refreshed and
+    /// stay `None`.
+    single_ben: Vec<Option<Candidate>>,
     /// Remark 1.4 cache, keyed by co-occurring attribute pair `a < b`: the
     /// new two-attribute index in whichever orientation benefits the
-    /// covering queries more (ties go to `(a, b)`), with that benefit.
-    pair_ben: HashMap<(AttrId, AttrId), Option<(IndexId, f64)>>,
+    /// covering queries more (ties go to `(a, b)`).
+    pair_ben: HashMap<(AttrId, AttrId), Option<Candidate>>,
     /// Attributes allowed in new-single steps (Remark 1.1), `None` = all.
     allowed_singles: Option<Vec<bool>>,
     total_memory: u64,
@@ -531,6 +548,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
     }
 
     /// Frequency-weighted maintenance cost an index adds to the selection.
+    /// On a table without update templates it is 0 and asks nothing.
     fn weighted_maint(&self, index: IndexId) -> f64 {
         let table = self.est.pool().table(index);
         let w = self.upd_weight[table.idx()];
@@ -538,17 +556,6 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             0.0
         } else {
             w * self.est.maintenance_cost(index)
-        }
-    }
-
-    /// Maintenance delta a move would cause.
-    fn maintenance_delta(&self, mv: &Move) -> f64 {
-        match mv {
-            Move::New(k) => self.weighted_maint(*k),
-            Move::Extend { slot, to } => {
-                let from = self.slots[*slot].as_ref().expect("live slot").index;
-                self.weighted_maint(*to) - self.weighted_maint(from)
-            }
         }
     }
 
@@ -587,6 +594,13 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         creates + drops
     }
 
+    /// `index` as a new-index candidate: its maintenance is priced only
+    /// when its benefit is positive.
+    fn new_candidate(&self, index: IndexId, ben: f64) -> Candidate {
+        let maint = if ben > 0.0 { self.weighted_maint(index) } else { 0.0 };
+        Candidate { mv: Move::New(index), ben, maint }
+    }
+
     /// Benefit of a brand-new index over the queries containing all its
     /// attributes.
     fn new_index_benefit(&self, index: IndexId) -> f64 {
@@ -607,13 +621,14 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         ben
     }
 
-    /// Recompute the extension moves of a slot: every target interned
-    /// and keyed by its id (distinct appended attributes give distinct
-    /// children), benefits summed over the covering queries in ascending
-    /// id, the list sorted once into canonical order. Side-effect-free on
-    /// the engine (only the what-if oracle's cache and the append-only
-    /// pool are touched), so dirty slots refresh concurrently.
-    fn compute_exts(&self, slot_id: usize) -> Vec<(Move, f64)> {
+    /// Recompute the extension candidates of a slot: every target
+    /// interned and keyed by its id (distinct appended attributes give
+    /// distinct children), benefits summed over the covering queries in
+    /// ascending id, maintenance deltas priced, the list sorted once into
+    /// canonical order. Side-effect-free on the engine (only the what-if
+    /// oracle's cache and the append-only pool are touched), so dirty
+    /// slots refresh concurrently.
+    fn compute_exts(&self, slot_id: usize) -> Vec<Candidate> {
         let slot = self.slots[slot_id].as_ref().expect("dirty slot is live");
         let mut ext_ben: HashMap<IndexId, f64, IdHashBuilder> = HashMap::default();
         let workload = self.est.workload();
@@ -648,9 +663,12 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 }
             }
         }
-        let mut exts: Vec<(Move, f64)> = ext_ben
+        let mut exts: Vec<Candidate> = ext_ben
             .into_iter()
-            .map(|(to, ben)| (Move::Extend { slot: slot_id, to }, ben))
+            .map(|(to, ben)| {
+                let maint = if ben > 0.0 { self.weighted_maint(to) - slot.maint } else { 0.0 };
+                Candidate { mv: Move::Extend { slot: slot_id, to }, ben, maint }
+            })
             .collect();
         sort_canonical(&mut exts, pool);
         exts
@@ -725,11 +743,12 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         let computed = {
             let this = &*self;
             parallel_map(par, &stale_singles, |&i| {
-                this.new_index_benefit(this.single_ids[i as usize])
+                let k = this.single_ids[i as usize];
+                this.new_candidate(k, this.new_index_benefit(k))
             })
         };
-        for (&i, ben) in stale_singles.iter().zip(computed) {
-            self.single_ben[i as usize] = Some(ben);
+        for (&i, cand) in stale_singles.iter().zip(computed) {
+            self.single_ben[i as usize] = Some(cand);
         }
         // Refresh pair benefits (Remark 1.4): cost both orientations and
         // keep whichever benefits the covering queries more (ties go
@@ -749,9 +768,9 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                     let (fwd_ben, rev_ben) =
                         (this.new_index_benefit(fwd), this.new_index_benefit(rev));
                     if fwd_ben >= rev_ben {
-                        (fwd, fwd_ben)
+                        this.new_candidate(fwd, fwd_ben)
                     } else {
-                        (rev, rev_ben)
+                        this.new_candidate(rev, rev_ben)
                     }
                 })
             };
@@ -780,25 +799,20 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         }
     }
 
-    /// Every eligible move of this step with its workload benefit, in the
-    /// canonical [`Move::key`] order — one walk over the refreshed
-    /// candidate table, skipping moves whose target is already selected.
-    /// The walk *is* the order: singles ascend with their attribute, slots
-    /// with their id, and each slot's list was sorted when it was
-    /// refreshed.
-    fn candidates(&self) -> impl Iterator<Item = (Move, f64)> + '_ {
+    /// Every eligible candidate of this step, in the canonical
+    /// [`Move::key`] order — one walk over the refreshed candidate table,
+    /// skipping moves whose target is already selected. The walk *is* the
+    /// order: singles ascend with their attribute, slots with their id,
+    /// and each slot's list was sorted when it was refreshed.
+    fn candidates(&self) -> impl Iterator<Item = Candidate> + '_ {
         let pool = self.est.pool();
-        let singles = self
-            .single_ids
-            .iter()
-            .zip(&self.single_ben)
-            .filter_map(|(&k, ben)| Some((Move::New(k), (*ben)?)));
+        let singles = self.single_ben.iter().flatten().copied();
         // Pairs come out of a hash map and interleave with the singles
         // (`[a] < [a, b] < [a + 1]`), so with them the new-index segment
         // is gathered and sorted.
         let (singles, news) = if self.options.pair_steps {
-            let pairs = self.pair_ben.values().flatten().map(|&(k, ben)| (Move::New(k), ben));
-            let mut news: Vec<(Move, f64)> = singles.chain(pairs).collect();
+            let pairs = self.pair_ben.values().flatten().copied();
+            let mut news: Vec<Candidate> = singles.chain(pairs).collect();
             sort_canonical(&mut news, pool);
             (None, Some(news))
         } else {
@@ -814,34 +828,34 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             .chain(exts)
             // Step (3a) requires I ∩ {i} = ∅, and (3b) a target not yet
             // selected either.
-            .filter(|(mv, _)| !self.selected.contains(mv.target()))
-            .inspect(move |(mv, _)| {
+            .filter(|c| !self.selected.contains(c.mv.target()))
+            .inspect(move |c| {
                 debug_assert!(
-                    prev.is_none_or(|p| p.key(pool) < mv.key(pool)),
+                    prev.is_none_or(|p| p.key(pool) < c.mv.key(pool)),
                     "candidate walk left the canonical order"
                 );
-                prev = Some(*mv);
+                prev = Some(c.mv);
             })
     }
 
-    /// `(net benefit, memory delta, ratio)` of a move, or `None` when the
-    /// move is not worth taking or does not fit the budget.
-    fn move_metrics(&self, mv: &Move, workload_ben: f64) -> Option<(f64, u64, f64)> {
-        if workload_ben <= 0.0 {
+    /// `(net benefit, memory delta, ratio)` of a candidate, or `None` when
+    /// it is not worth taking or does not fit the budget.
+    fn move_metrics(&self, c: &Candidate) -> Option<(f64, u64, f64)> {
+        if c.ben <= 0.0 {
             return None;
         }
-        let net = workload_ben - self.reconfig_delta(mv) - self.maintenance_delta(mv);
+        let net = c.ben - self.reconfig_delta(&c.mv) - c.maint;
         if net <= 0.0 {
             return None;
         }
-        let dm = self.memory_delta(mv);
+        let dm = self.memory_delta(&c.mv);
         if dm == 0 || self.total_memory + dm > self.options.budget {
             return None;
         }
         Some((net, dm, net / dm as f64))
     }
 
-    fn best_move(&mut self) -> Option<(Move, f64, u64, f64, Option<MissedOpportunity>)> {
+    fn best_move(&mut self) -> Option<(Candidate, f64, u64, f64, Option<MissedOpportunity>)> {
         self.refresh_caches();
         let par = self.options.parallelism;
         let mut fold = Argmax { track: self.options.track_missed, best: None, second: None };
@@ -850,32 +864,34 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             // Metrics evaluate in parallel; the winner is decided by the
             // serial fold over the canonically ordered candidates, so the
             // outcome is independent of the thread schedule.
-            let mut moves = Vec::with_capacity(self.scanned_candidates);
-            moves.extend(self.candidates());
-            let metrics = parallel_map(par, &moves, |(mv, ben)| self.move_metrics(mv, *ben));
-            for (&(mv, _), metric) in moves.iter().zip(metrics) {
-                fold.offer(mv, metric);
+            let mut cands = Vec::with_capacity(self.scanned_candidates);
+            cands.extend(self.candidates());
+            let metrics = parallel_map(par, &cands, |c| self.move_metrics(c));
+            for (&c, metric) in cands.iter().zip(metrics) {
+                fold.offer(c, metric);
             }
-            scanned = moves.len();
+            scanned = cands.len();
         } else {
-            for (mv, ben) in self.candidates() {
-                fold.offer(mv, self.move_metrics(&mv, ben));
+            for c in self.candidates() {
+                fold.offer(c, self.move_metrics(&c));
                 scanned += 1;
             }
         }
         self.scanned_candidates = scanned;
-        let runner_up = fold.second.map(|(mv, net, _, ratio)| MissedOpportunity {
-            action: self.action_of(&mv),
+        let runner_up = fold.second.map(|(c, net, _, ratio)| MissedOpportunity {
+            action: self.action_of(&c.mv),
             benefit: net,
             ratio,
         });
-        fold.best.map(|(mv, net, dm, ratio)| (mv, net, dm, ratio, runner_up))
+        fold.best.map(|(c, net, dm, ratio)| (c, net, dm, ratio, runner_up))
     }
 
-    /// Apply a chosen move; returns (action, queries whose cost changed).
-    fn apply(&mut self, mv: &Move) -> (StepAction, Vec<u32>) {
+    /// Apply a chosen candidate; returns (action, queries whose cost
+    /// changed).
+    fn apply(&mut self, c: &Candidate) -> (StepAction, Vec<u32>) {
         let pool = self.est.pool();
-        match mv {
+        self.maint_total += c.maint;
+        match &c.mv {
             Move::New(k) => {
                 let index = *k;
                 let attrs = pool.attrs(index);
@@ -901,7 +917,6 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                     }
                 }
                 self.total_memory += self.est.index_memory(index);
-                self.maint_total += self.weighted_maint(index);
                 self.selected.insert(index);
                 self.slots.push(Some(Slot {
                     index,
@@ -909,6 +924,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                     exts: Vec::new(),
                     dirty: true,
                     served,
+                    maint: c.maint,
                 }));
                 (StepAction::NewIndex(pool.resolve(index)), changed)
             }
@@ -942,7 +958,6 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                     }
                 }
                 self.total_memory += self.est.index_memory(to) - self.est.index_memory(from);
-                self.maint_total += self.weighted_maint(to) - self.weighted_maint(from);
                 self.selected.remove(from);
                 self.selected.insert(to);
                 self.slots[*slot_id] = Some(Slot {
@@ -951,6 +966,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                     exts: Vec::new(),
                     dirty: true,
                     served,
+                    maint: self.weighted_maint(to),
                 });
                 (
                     StepAction::Extend { from: pool.resolve(from), to: pool.resolve(to) },
@@ -1012,7 +1028,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 let s = self.slots[pos].take().expect("checked above");
                 self.selected.remove(s.index);
                 freed += self.est.index_memory(s.index);
-                self.maint_total -= self.weighted_maint(s.index);
+                self.maint_total -= s.maint;
                 dropped.push(self.est.pool().resolve(s.index));
             }
         }
@@ -1090,7 +1106,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 .is_enabled()
                 .then(|| (Instant::now(), self.est.stats()));
             let best = self.best_move();
-            let Some((mv, net_ben, dmem, ratio, runner_up)) = best else {
+            let Some((cand, net_ben, dmem, ratio, runner_up)) = best else {
                 // The terminating scan still issued what-if calls; record
                 // it so scan sums equal the run totals.
                 if let Some((t0, before)) = span {
@@ -1098,7 +1114,8 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 }
                 break;
             };
-            let (action, changed) = self.apply(&mv);
+            let (action, changed) = self.apply(&cand);
+            let mv = cand.mv;
             self.invalidate(&changed);
 
             let total_cost = self.total_f() + self.maint_total + self.reconfig_cost();

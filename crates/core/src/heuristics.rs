@@ -380,15 +380,20 @@ pub fn h3(
     let env = RunEnvelope::open(trace, "H3", est, budget);
     let w = est.workload();
     let pool = est.pool();
-    let ratio = |k: IndexId| {
-        let attrs = pool.attrs(k);
-        combined_selectivity(w, attrs) / occurrences(w, attrs).max(1) as f64
-    };
-    let mut ranked = candidates.to_vec();
-    ranked.sort_by(|&a, &b| {
-        isel_workload::ord::total_cmp_nan_lowest(ratio(a), ratio(b))
+    // Each ratio scans the workload once, so it is computed once per
+    // candidate, not once per comparison.
+    let mut ranked: Vec<(f64, IndexId)> = candidates
+        .iter()
+        .map(|&k| {
+            let attrs = pool.attrs(k);
+            (combined_selectivity(w, attrs) / occurrences(w, attrs).max(1) as f64, k)
+        })
+        .collect();
+    ranked.sort_by(|&(ra, a), &(rb, b)| {
+        isel_workload::ord::total_cmp_nan_lowest(ra, rb)
             .then_with(|| pool.attrs(a).cmp(pool.attrs(b)))
     });
+    let ranked: Vec<IndexId> = ranked.into_iter().map(|(_, k)| k).collect();
     let sel = greedy_fill(&ranked, est, budget);
     finish_envelope(env, est, candidates.len() as u64, &sel);
     sel

@@ -115,11 +115,24 @@ pub trait WhatIfOptimizer: Sync {
         best
     }
 
-    /// Total workload cost `F(I*) = Σ_j b_j · f_j(I*)` (Eq. 1).
+    /// Total workload cost `F(I*) = Σ_j b_j · f_j(I*)` (Eq. 1), summed in
+    /// query order.
+    ///
+    /// Each query's [`Self::config_cost`] receives only the indexes of
+    /// `config` on the query's own table, in configuration order. An
+    /// index on another table can neither serve the query (its leading
+    /// attribute is not accessed) nor charge it maintenance, so every
+    /// query costs what the whole configuration gives it, while the
+    /// (query, index) pairs visited fall from `Q·|I|` to `Σₜ Qₜ·|Iₜ|`.
     fn workload_cost(&self, config: &[IndexId]) -> f64 {
-        self.workload()
+        let workload = self.workload();
+        let mut by_table = vec![Vec::new(); workload.schema().tables().len()];
+        for &k in config {
+            by_table[self.pool().table(k).idx()].push(k);
+        }
+        workload
             .iter()
-            .map(|(j, q)| q.frequency() as f64 * self.config_cost(j, config))
+            .map(|(j, q)| q.frequency() as f64 * self.config_cost(j, &by_table[q.table().idx()]))
             .sum()
     }
 
