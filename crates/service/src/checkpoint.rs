@@ -222,12 +222,14 @@ pub struct GroupCheckpoint {
 }
 
 impl GroupCheckpoint {
-    /// Capture one group, compacting its pool first (canonical: the
-    /// result depends only on the group's logical state, so two runs
-    /// that converged to the same state produce identical bytes).
-    pub fn capture(tuner: &mut Tuner, window: &EpochWindow) -> Self {
+    /// Capture one group, compacting its pool and materialising its
+    /// window's tallies first (canonical: the result depends only on the
+    /// group's logical state, so two runs that converged to the same
+    /// state produce identical bytes).
+    pub fn capture(tuner: &mut Tuner, window: &mut EpochWindow) -> Self {
         let table = tuner.scope().map_or(0, |t| t.0);
         tuner.compact_pool();
+        window.materialise();
         let pool = tuner.pool();
         let entries: Vec<Vec<u32>> = (0..pool.len() as u32)
             .map(|id| pool.attrs(IndexId(id)).iter().map(|a| a.0).collect())
@@ -506,7 +508,7 @@ mod tests {
     /// The whole-workload group as one shard document, the way a
     /// `shards == 0` run writes it.
     fn whole_document() -> (ServiceConfig, ShardCheckpoint, Tuner, EpochWindow) {
-        let (config, mut tuner, window) = populated_state();
+        let (config, mut tuner, mut window) = populated_state();
         let cp = ShardCheckpoint {
             version: CHECKPOINT_VERSION,
             config: config.clone(),
@@ -515,7 +517,7 @@ mod tests {
             ingested: 10,
             invalid: 1,
             dropped: 2,
-            groups: vec![GroupCheckpoint::capture(&mut tuner, &window)],
+            groups: vec![GroupCheckpoint::capture(&mut tuner, &mut window)],
         };
         (config, cp, tuner, window)
     }
@@ -524,7 +526,7 @@ mod tests {
     fn capture_restore_round_trips() {
         let (config, cp, tuner, window) = whole_document();
         assert_eq!(cp.groups[0].table, 0, "the whole-schema group sits under part key 0");
-        let (tuner2, window2) = cp.groups[0].restore(window.schema(), &config).unwrap();
+        let (tuner2, mut window2) = cp.groups[0].restore(window.schema(), &config).unwrap();
         assert_eq!(tuner2.scope(), None, "a shards == 0 document restores unscoped");
         assert_eq!(tuner2.epoch(), tuner.epoch());
         assert_eq!(tuner2.selection(), tuner.selection());
@@ -534,7 +536,7 @@ mod tests {
         assert_eq!(window2.total_mass(), window.total_mass());
         // A second capture of the restored state is byte-identical.
         let mut tuner2 = tuner2;
-        let cp2 = GroupCheckpoint::capture(&mut tuner2, &window2);
+        let cp2 = GroupCheckpoint::capture(&mut tuner2, &mut window2);
         assert_eq!(cp.groups[0].to_json().unwrap(), cp2.to_json().unwrap());
     }
 
@@ -618,15 +620,15 @@ mod tests {
 
     #[test]
     fn group_capture_restore_round_trips() {
-        let (config, mut tuner, window) = populated_group(0);
+        let (config, mut tuner, mut window) = populated_group(0);
         let pool_before = tuner.pool().len();
-        let cp = GroupCheckpoint::capture(&mut tuner, &window);
+        let cp = GroupCheckpoint::capture(&mut tuner, &mut window);
         assert!(
             tuner.pool().len() <= pool_before,
             "capture compacts the pool in place"
         );
         assert_eq!(cp.table, 0);
-        let (tuner2, window2) = cp.restore(window.schema(), &config).unwrap();
+        let (tuner2, mut window2) = cp.restore(window.schema(), &config).unwrap();
         assert_eq!(tuner2.epoch(), tuner.epoch());
         assert_eq!(tuner2.selection(), tuner.selection());
         assert_eq!(tuner2.scope(), Some(TableId(0)));
@@ -635,7 +637,7 @@ mod tests {
         // Re-capture of the restored state is byte-identical (compaction
         // is canonical, so the second compact is a no-op).
         let mut tuner2 = tuner2;
-        let cp2 = GroupCheckpoint::capture(&mut tuner2, &window2);
+        let cp2 = GroupCheckpoint::capture(&mut tuner2, &mut window2);
         assert_eq!(cp.to_json().unwrap(), cp2.to_json().unwrap());
     }
 
@@ -644,7 +646,7 @@ mod tests {
         // Drive the group through drifting epochs so dead indexes pile
         // up in the pool, then compare checkpoint sizes with and without
         // compaction.
-        let (_config, mut tuner, window) = populated_group(3);
+        let (_config, mut tuner, mut window) = populated_group(3);
         let uncompacted = {
             let pool = tuner.pool();
             let entries: Vec<Vec<u32>> = (0..pool.len() as u32)
@@ -652,7 +654,7 @@ mod tests {
                 .collect();
             serde_json::to_string(&entries).unwrap().len()
         };
-        let cp = GroupCheckpoint::capture(&mut tuner, &window);
+        let cp = GroupCheckpoint::capture(&mut tuner, &mut window);
         let compacted = serde_json::to_string(&cp.pool).unwrap().len();
         assert!(
             compacted <= uncompacted,
@@ -662,12 +664,12 @@ mod tests {
 
     #[test]
     fn manifest_commits_and_detects_torn_generations() {
-        let (config, mut tuner, window) = populated_group(0);
+        let (config, mut tuner, mut window) = populated_group(0);
         let dir = std::env::temp_dir().join(format!("isel-manifest-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let manifest_path = dir.join("checkpoint.json");
 
-        let group = GroupCheckpoint::capture(&mut tuner, &window);
+        let group = GroupCheckpoint::capture(&mut tuner, &mut window);
         let mut files = Vec::new();
         for shard in 0..2u32 {
             let cp = ShardCheckpoint {

@@ -612,7 +612,7 @@ fn promote(
 /// Capture the group's current state as the rollback target. The
 /// window's current batch was just sealed (capture happens right after
 /// a tune), so the restore-side seal check always passes.
-fn capture_last_good(tuner: &mut Tuner, window: &EpochWindow, feedback: &mut GroupFeedback) {
+fn capture_last_good(tuner: &mut Tuner, window: &mut EpochWindow, feedback: &mut GroupFeedback) {
     if let Ok(json) = GroupCheckpoint::capture(tuner, window).to_json() {
         feedback.last_good = Some(json);
     }

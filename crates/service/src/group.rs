@@ -44,9 +44,8 @@ use crate::stream::Routed;
 use crate::tuner::{EpochOutcome, Tuner};
 use crate::window::EpochWindow;
 use isel_core::{Parallelism, Trace};
-use isel_workload::{Query, Schema, TableId};
+use isel_workload::{Schema, TableId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -138,7 +137,7 @@ impl GroupState {
     /// Capture the group (compacting its pool, which is why this takes
     /// `&mut self`).
     fn capture(&mut self, config: &ServiceConfig) -> GroupCheckpoint {
-        GroupCheckpoint::capture(&mut self.tuner, &self.window)
+        GroupCheckpoint::capture(&mut self.tuner, &mut self.window)
             .with_feedback(config.calibration.enabled.then(|| self.feedback.save()))
     }
 
@@ -150,6 +149,7 @@ impl GroupState {
             // Only the window's partial epoch changed: the pool, whose
             // compaction is canonical, interned nothing since.
             Stale::Current => {
+                self.window.materialise();
                 let mut json = String::new();
                 save_batch(&self.window.current).write_json(&mut json);
                 self.rendered.replace_range(self.current.clone(), &json);
@@ -214,12 +214,61 @@ impl ShardCounters {
     }
 }
 
+/// A shard's groups by key, as a table: entry `k` holds group `k`.
+/// Finding an event's group is an index, and iteration runs in
+/// ascending key order like a `BTreeMap`'s, so documents and reports do
+/// not depend on the container. An absent group costs one pointer —
+/// an ERP shard spans keys 0..500 and may host a handful.
+#[derive(Default)]
+pub(crate) struct GroupTable {
+    entries: Vec<Option<Box<GroupState>>>,
+}
+
+impl GroupTable {
+    /// Entry `key`, grown into the table if past its end.
+    #[inline]
+    fn entry(&mut self, key: u16) -> &mut Option<Box<GroupState>> {
+        let k = usize::from(key);
+        if k >= self.entries.len() {
+            self.entries.resize_with(k + 1, || None);
+        }
+        &mut self.entries[k]
+    }
+
+    /// Host `group` under `key`, handing back a group already there.
+    pub(crate) fn insert(&mut self, key: u16, group: GroupState) -> Option<GroupState> {
+        self.entry(key).replace(Box::new(group)).map(|old| *old)
+    }
+
+    /// Hosted groups in ascending key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u16, &GroupState)> {
+        (0u16..).zip(&self.entries).filter_map(|(key, g)| Some((key, g.as_deref()?)))
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &GroupState> {
+        self.iter().map(|(_, g)| g)
+    }
+
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut GroupState> {
+        self.entries.iter_mut().filter_map(|g| g.as_deref_mut())
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.iter().flatten().count()
+    }
+
+    /// The hosted groups, taken out in ascending key order.
+    pub(crate) fn into_entries(self) -> impl Iterator<Item = (u16, GroupState)> {
+        (0u16..).zip(self.entries).filter_map(|(key, g)| Some((key, *g?)))
+    }
+}
+
 /// The groups one shard hosts plus the shard's absolute lifetime
 /// counters (checkpoint-exact: they restore from and serialize into
 /// every [`ShardCheckpoint`]).
 #[derive(Default)]
 pub(crate) struct GroupHost {
-    pub(crate) groups: BTreeMap<u16, GroupState>,
+    pub(crate) groups: GroupTable,
     pub(crate) ingested: u64,
     pub(crate) invalid: u64,
     pub(crate) dropped: u64,
@@ -233,7 +282,7 @@ impl GroupHost {
         config: &ServiceConfig,
     ) -> Result<Self, String> {
         let mut host = Self {
-            groups: BTreeMap::new(),
+            groups: GroupTable::default(),
             ingested: cp.ingested,
             invalid: cp.invalid,
             dropped: cp.dropped,
@@ -246,7 +295,7 @@ impl GroupHost {
 
     fn group(&mut self, env: &Env<'_>, table: TableId) -> (u16, &mut GroupState) {
         let key = env.config.group_key(table);
-        (key, self.groups.entry(key).or_insert_with(|| GroupState::fresh(env, key)))
+        (key, self.groups.entry(key).get_or_insert_with(|| Box::new(GroupState::fresh(env, key))))
     }
 
     /// Act on one routed record, at its position in this shard's stream:
@@ -268,12 +317,17 @@ impl GroupHost {
         trace: Trace<'_>,
     ) -> Option<Sealed> {
         match item {
-            Routed::Event { template, frequency } => match dict.resolve(template, frequency) {
-                Some(q) => return self.ingest(env, &q, trace),
+            Routed::Event { template, frequency } => match dict.resolve_slot(template, frequency) {
+                Some((slot, base)) => {
+                    return self
+                        .ingest(env, base.table(), trace, |w| w.count(slot, base, frequency))
+                }
                 None => self.invalid += 1,
             },
             Routed::Line(line) => match dict.resolve_line(line, env.schema) {
-                Ok(InputLine::Query(q)) => return self.ingest(env, &q, trace),
+                Ok(InputLine::Query(q)) => {
+                    return self.ingest(env, q.table(), trace, |w| w.push(&q))
+                }
                 Ok(InputLine::Observed(o)) => {
                     let (_, group) = self.group(env, o.query.table());
                     group.stale = Stale::All;
@@ -287,13 +341,19 @@ impl GroupHost {
         None
     }
 
-    /// Fold one valid query event into its group's window; when that
-    /// seals an epoch, tune it.
+    /// Fold one valid query event on `table` into its group's window
+    /// with `fold`; when that seals an epoch, tune it.
     #[inline]
-    fn ingest(&mut self, env: &Env<'_>, q: &Query, trace: Trace<'_>) -> Option<Sealed> {
+    fn ingest(
+        &mut self,
+        env: &Env<'_>,
+        table: TableId,
+        trace: Trace<'_>,
+        fold: impl FnOnce(&mut EpochWindow) -> bool,
+    ) -> Option<Sealed> {
         self.ingested += 1;
-        let (key, group) = self.group(env, q.table());
-        if !group.window.push(q) {
+        let (key, group) = self.group(env, table);
+        if !fold(&mut group.window) {
             group.stale = group.stale.max(Stale::Current);
             return None;
         }
@@ -372,7 +432,7 @@ impl GroupHost {
         self.ingested += other.ingested;
         self.invalid += other.invalid;
         self.dropped += other.dropped;
-        for (key, group) in other.groups {
+        for (key, group) in other.groups.into_entries() {
             if self.groups.insert(key, group).is_some() {
                 return Err(format!("table t{key} appears in more than one shard checkpoint"));
             }
@@ -384,7 +444,16 @@ impl GroupHost {
     /// restored host re-seats in the arbiter so queries are answerable
     /// (and the merged selection computable) before any group re-tunes.
     pub(crate) fn published(&self) -> impl Iterator<Item = (u16, &Arc<PublishedFrontier>)> {
-        self.groups.iter().filter_map(|(&key, g)| Some((key, g.tuner.published()?)))
+        self.groups.iter().filter_map(|(key, g)| Some((key, g.tuner.published()?)))
+    }
+
+    /// Materialise every group's tallies and forget their slots: the
+    /// dictionary that numbered them is done, and a host that outlives
+    /// it counts under the next one's.
+    pub(crate) fn forget_slots(&mut self) {
+        for g in self.groups.values_mut() {
+            g.window.forget_slots();
+        }
     }
 
     /// The shard's counters as they stand.
@@ -410,11 +479,12 @@ impl GroupHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::save_batch;
     use crate::records::LINE_CAP;
     use crate::tuner::TunePolicy;
     use isel_workload::synthetic::{self, SyntheticConfig};
-    use isel_workload::Workload;
-    use std::collections::BTreeSet;
+    use isel_workload::{Query, QueryKind, Workload};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn workload() -> Workload {
         synthetic::generate(&SyntheticConfig {
@@ -498,7 +568,7 @@ mod tests {
             let mut last = String::new();
             for (shard, p) in pairs.iter_mut().enumerate() {
                 let shard = shard as u32;
-                clean += p.host.groups.keys().filter(|k| !touched.contains(k)).count();
+                clean += p.host.groups.iter().filter(|(k, _)| !touched.contains(k)).count();
                 let file =
                     p.host.checkpoint(&config, &manifest, shard, generation, &mut doc).unwrap();
                 let written = std::fs::read_to_string(&file).unwrap();
@@ -554,7 +624,7 @@ mod tests {
             };
             (first.ingested, first.invalid, first.dropped) =
                 (from.ingested, from.invalid, from.dropped);
-            for (key, group) in from.groups {
+            for (key, group) in from.groups.into_entries() {
                 let to = if key % 2 == 0 { &mut *first } else { &mut *second };
                 to.groups.insert(key, group);
             }
@@ -635,7 +705,8 @@ mod tests {
                     _ => adapts += 1,
                 }
             }
-            assert_eq!(host.groups[&0].stale, level, "{what}: the level it leaves");
+            let group = host.groups.values().next().expect("the one group");
+            assert_eq!(group.stale, level, "{what}: the level it leaves");
             levels[level as usize] += 1;
             let file = host.checkpoint(&config, &manifest, 0, generation, &mut doc).unwrap();
             written = std::fs::read_to_string(&file).unwrap();
@@ -730,5 +801,226 @@ mod tests {
         assert!(c.invalid >= 1_000 && c.ingested >= 10_000, "{c:?}");
         assert!(c.cal.probes + c.cal.rejected >= 100, "{c:?}");
         assert!(sealed >= 60, "only {sealed} epochs sealed");
+    }
+
+    /// One record of a fold-equivalence stream.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Event {
+            template: u64,
+            frequency: u64,
+        },
+        Line(String),
+        /// A barrier, most often in the middle of an epoch.
+        Capture,
+    }
+
+    /// A template as its define carries it.
+    type Shape = (u16, QueryKind, Vec<u32>);
+
+    /// The defines and records of a seeded stream over `w`'s templates.
+    /// Every template is defined, the first a second time under another
+    /// id, plus one with an attribute of another table (defined but
+    /// invalid); events also name ids past the last define (undefined).
+    /// Frequencies are mostly 1, some small, some 0 (invalid) and some
+    /// within 3 of `u64::MAX / 2`, so sums saturate. Lines spell the same
+    /// shapes; with `distinct`, more different lines than [`LINE_CAP`],
+    /// each twice, so the line table starts over.
+    fn fold_stream(w: &Workload, seed: u64, distinct: bool) -> (Vec<Shape>, Vec<Step>) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shapes: Vec<Shape> = w
+            .queries()
+            .iter()
+            .map(|q| (q.table().0, q.kind(), q.attrs().iter().map(|a| a.0).collect()))
+            .collect();
+        shapes.push(shapes[0].clone());
+        shapes.push((0, QueryKind::Select, vec![0, 8]));
+        let line = |(t, kind, attrs): &Shape, frequency: u64| {
+            let attrs: Vec<String> = attrs.iter().map(u32::to_string).collect();
+            let kind = if *kind == QueryKind::Update { r#","kind":"Update""# } else { "" };
+            format!(
+                r#"{{"table":{t},"attrs":[{}],"frequency":{frequency}{kind}}}"#,
+                attrs.join(",")
+            )
+        };
+        let frequency = |rng: &mut StdRng| match rng.gen_range(0..40) {
+            0..=29 => 1,
+            30..=35 => rng.gen_range(2..50),
+            36 => 0,
+            _ => u64::MAX / 2 - rng.gen_range(0..4u64),
+        };
+        let mut steps = Vec::new();
+        let mut n = 0u64;
+        while steps.len() < 3_000 || (distinct && n <= LINE_CAP as u64) {
+            let step = match rng.gen_range(0..100) {
+                0 => Step::Capture,
+                1..=57 => Step::Event {
+                    template: rng.gen_range(0..shapes.len() as u64 + 2),
+                    frequency: frequency(&mut rng),
+                },
+                58..=59 => Step::Line(r#"{"table":1,"attrs":[9"#.to_owned()),
+                60..=79 if distinct => {
+                    n += 1;
+                    let l = line(&shapes[n as usize % shapes.len()], n);
+                    steps.push(Step::Line(l.clone()));
+                    Step::Line(l)
+                }
+                _ => {
+                    let shape = &shapes[rng.gen_range(0..shapes.len())];
+                    Step::Line(line(shape, frequency(&mut rng)))
+                }
+            };
+            steps.push(step);
+        }
+        (shapes, steps)
+    }
+
+    /// Feed `steps` to a host and, as a reference, every query they
+    /// resolve to through [`EpochWindow::push`] into a window per group:
+    /// the host seals the same epochs, with the same sealed masses and
+    /// snapshots, holds the same mass, and renders every barrier's
+    /// window and partial epoch as the reference saves them.
+    fn assert_folds_like_pushes(w: &Workload, config: &ServiceConfig, seed: u64, distinct: bool) {
+        let env = Env::new(w.schema(), config);
+        let (shapes, steps) = fold_stream(w, seed, distinct);
+        let mut dict = DecodeDict::for_groups(config);
+        for (id, (table, kind, attrs)) in shapes.into_iter().enumerate() {
+            dict.define_at(w.schema(), id, table, kind, attrs);
+        }
+        let dir = std::env::temp_dir().join(format!("isel-fold-{}-{seed}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("m.json");
+        let mut host = GroupHost::default();
+        let mut reference: BTreeMap<u16, EpochWindow> = BTreeMap::new();
+        let (mut doc, mut generation, mut seals) = (String::new(), 0, 0);
+        for (i, step) in steps.iter().enumerate() {
+            let case = format!("seed {seed}, shards {}, record {i}: {step:?}", config.shards);
+            let (routed, query) = match step {
+                Step::Event { template, frequency } => (
+                    Routed::Event { template: *template, frequency: *frequency },
+                    dict.resolve(*template, *frequency).map(std::borrow::Cow::into_owned),
+                ),
+                Step::Line(line) => (
+                    Routed::Line(line.clone()),
+                    match crate::event::parse_line(line, w.schema()) {
+                        Ok(InputLine::Query(q)) => Some(q),
+                        _ => None,
+                    },
+                ),
+                Step::Capture => {
+                    generation += 1;
+                    let file = host.checkpoint(config, &manifest, 0, generation, &mut doc).unwrap();
+                    let cp = ShardCheckpoint::from_json(&std::fs::read_to_string(&file).unwrap())
+                        .unwrap();
+                    let keys: Vec<u16> = cp.groups.iter().map(|g| g.table).collect();
+                    assert_eq!(keys, reference.keys().copied().collect::<Vec<_>>(), "{case}");
+                    for (gc, window) in cp.groups.iter().zip(reference.values()) {
+                        let saved: Vec<_> = window.window.iter().map(save_batch).collect();
+                        assert_eq!(gc.window, saved, "{case}: group {}", gc.table);
+                        assert_eq!(
+                            gc.current,
+                            save_batch(&window.current),
+                            "{case}: group {}",
+                            gc.table
+                        );
+                    }
+                    std::fs::remove_file(&file).unwrap();
+                    continue;
+                }
+            };
+            let sealed = host.fold(&env, &mut dict, routed, Trace::disabled()).is_some();
+            let Some(q) = query else {
+                assert!(!sealed, "{case}: an invalid record sealed");
+                continue;
+            };
+            let key = config.group_key(q.table());
+            let window = reference.entry(key).or_insert_with(|| {
+                EpochWindow::new(
+                    w.schema().clone(),
+                    config.epoch_events,
+                    config.window_epochs,
+                    config.max_templates,
+                )
+            });
+            assert_eq!(sealed, window.push(&q), "{case}: whether the epoch sealed");
+            let (_, group) = host.groups.iter().find(|&(k, _)| k == key).expect("folded into");
+            assert_eq!(group.window.total_mass(), window.total_mass(), "{case}: total mass");
+            if sealed {
+                seals += 1;
+                assert_eq!(group.window.sealed_masses(), window.sealed_masses(), "{case}");
+                let queries = |w: &EpochWindow| w.snapshot().map(|s| s.queries().to_vec());
+                assert_eq!(queries(&group.window), queries(window), "{case}: snapshot");
+            }
+        }
+        assert!(generation >= 10 && seals >= 20, "{generation} barriers, {seals} seals");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Counting binary events by slot is invisible: per table and as
+    /// one whole-workload group, over streams that mix events and lines,
+    /// saturate, repeat a shape under two ids, name undefined ids,
+    /// overflow the line table and capture mid-epoch.
+    #[test]
+    fn counted_events_fold_like_keyed_pushes() {
+        let w = workload();
+        for (seed, shards, distinct) in [(1, 1, false), (2, 0, false), (3, 1, true), (4, 0, true)] {
+            let config = ServiceConfig {
+                epoch_events: 96,
+                window_epochs: 3,
+                max_templates: 64,
+                shards,
+                ..ServiceConfig::default()
+            };
+            assert_folds_like_pushes(&w, &config, seed, distinct);
+        }
+    }
+
+    /// A group table over sparse keys of ERP's 500 tables iterates, and
+    /// checkpoints, as a `BTreeMap` of the same groups does, however the
+    /// groups arrived; absorbing a group twice still fails by name.
+    #[test]
+    fn a_sparse_group_table_reads_like_a_btree_map() {
+        use isel_workload::erp::{self, ErpConfig};
+        let w = erp::generate(&ErpConfig::default());
+        let config = ServiceConfig { epoch_events: 4, shards: 1, ..ServiceConfig::default() };
+        let env = Env::new(w.schema(), &config);
+        let keys = [499u16, 0, 7];
+        let mut dict = DecodeDict::new();
+        let mut host = GroupHost::default();
+        let mut twin: BTreeMap<u16, GroupState> = BTreeMap::new();
+        for (n, &key) in keys.iter().enumerate() {
+            let attr = w.schema().tables()[usize::from(key)].first_attr.0;
+            let line = format!(r#"{{"table":{key},"attrs":[{attr}],"frequency":{}}}"#, n + 1);
+            for _ in 0..=n {
+                host.fold(&env, &mut dict, Routed::Line(line.clone()), Trace::disabled());
+            }
+            let mut alone = GroupHost::default();
+            for _ in 0..=n {
+                alone.fold(&env, &mut dict, Routed::Line(line.clone()), Trace::disabled());
+            }
+            let (k, group) = alone.groups.into_entries().next().unwrap();
+            twin.insert(k, group);
+        }
+        let order: Vec<u16> = host.groups.iter().map(|(k, _)| k).collect();
+        assert_eq!(order, twin.keys().copied().collect::<Vec<_>>());
+        assert_eq!(order, [0, 7, 499]);
+        assert_eq!(host.groups.len(), 3);
+
+        let dir = std::env::temp_dir().join(format!("isel-sparse-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut doc = String::new();
+        let file = host.checkpoint(&config, &dir.join("m.json"), 0, 1, &mut doc).unwrap();
+        let written = std::fs::read_to_string(&file).unwrap();
+        let groups = twin.values_mut().map(|g| g.capture(&config)).collect();
+        let full = host.document(&config, 0, 1, groups).to_json().unwrap();
+        assert_eq!(written, full);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let mut again = GroupHost::default();
+        let seven = twin.remove(&7).unwrap();
+        again.groups.insert(7, seven);
+        let err = host.absorb(again).err();
+        assert_eq!(err.as_deref(), Some("table t7 appears in more than one shard checkpoint"));
     }
 }

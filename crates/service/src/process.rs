@@ -294,7 +294,7 @@ pub fn run_worker_io<R: BufRead, W: Write>(input: R, mut out: W) -> Result<(), S
     let mut current: Option<u32> = None;
     // Every `Define` reaches every worker in stream order, so numbering
     // them in arrival order gives each template its stream-global id.
-    let mut dict = DecodeDict::new();
+    let mut dict = DecodeDict::for_groups(&config);
     // Shard documents' JSON, reused by every generation of every shard.
     let mut doc = String::new();
 

@@ -26,11 +26,14 @@
 //! is remembered by its exact text once it repeats, so a recorded log —
 //! a handful of templates repeated millions of times — pays
 //! [`crate::event::parse_line`] twice per distinct line and then one
-//! hash lookup per event. It is the one place an event of either
-//! encoding becomes a query: a router shard thread and a worker process
-//! both resolve through it, and offline replay resolves binary events
-//! through it.
+//! hash lookup per event. Each valid template also gets a *slot*, the
+//! next free number among its group's templates, under which a window
+//! counts its events without a key lookup (`EpochWindow::count`). It is
+//! the one place an event of either encoding becomes a query: a router
+//! shard thread and a worker process both resolve through it, and
+//! offline replay resolves binary events through it.
 
+use crate::config::ServiceConfig;
 use crate::event::{parse_line, InputLine};
 use crate::frame::{get_item, WireItem, FORMAT_VERSION, MAGIC, MAX_PAYLOAD};
 use isel_costmodel::cache::IdHashBuilder;
@@ -293,6 +296,8 @@ struct TemplateEntry {
     /// Pre-built frequency-1 query, `None` if the definition failed
     /// schema validation (events referencing it count as invalid).
     query: Option<Query>,
+    /// The template's slot in its group, if valid.
+    slot: u32,
 }
 
 /// Distinct text lines a [`DecodeDict`] remembers at most. Past it the
@@ -305,6 +310,11 @@ pub(crate) const LINE_CAP: usize = 4096;
 pub struct DecodeDict {
     /// By template id; `None` is an id this consumer was never sent.
     templates: Vec<Option<TemplateEntry>>,
+    /// Whether slots are numbered per table — every group is a table —
+    /// rather than across the stream.
+    slots_by_table: bool,
+    /// Slots handed out so far, by table (or all under entry 0).
+    slots: Vec<u32>,
     /// Remembered lines' indexes into `lines`, by [`line_hash`]. The line
     /// table is a cache, not state: nothing checkpoints, posts or traces
     /// it, and a restarted or adopting host starts with it empty.
@@ -324,6 +334,8 @@ impl Default for DecodeDict {
     fn default() -> Self {
         Self {
             templates: Vec::new(),
+            slots_by_table: false,
+            slots: Vec::new(),
             line_ids: HashMap::default(),
             lines: Vec::new(),
             seen: vec![0; LINE_CAP],
@@ -332,9 +344,17 @@ impl Default for DecodeDict {
 }
 
 impl DecodeDict {
-    /// Empty dictionary.
+    /// Empty dictionary numbering slots across the stream, which keeps
+    /// them distinct within any group.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty dictionary numbering slots within each group of a run
+    /// under `config`, so a window's tallies grow with its own
+    /// templates only.
+    pub(crate) fn for_groups(config: &ServiceConfig) -> Self {
+        Self { slots_by_table: config.shards > 0, ..Self::default() }
     }
 
     /// Register the next template. Returns the assigned id; whether the
@@ -352,6 +372,14 @@ impl DecodeDict {
     /// may shed one under overload. Ids this dictionary never sees stay
     /// undefined, so their events resolve to `None`, and no later id
     /// shifts.
+    ///
+    /// An id is defined once: a producer numbers its templates in order
+    /// and never reuses one, so a second define of an id means the two
+    /// sides disagree on numbering. Windows rely on what an event's
+    /// number means staying fixed, as they learn it from the first
+    /// event they count under it. They count by slot, not by id, and
+    /// every define takes a fresh slot, so a slot keeps its meaning even
+    /// if an id were redefined; counting by id would not.
     pub fn define_at(
         &mut self,
         schema: &Schema,
@@ -363,10 +391,22 @@ impl DecodeDict {
         let query = validate_define(schema, table, &attrs).then(|| {
             Query::with_kind(TableId(table), attrs.iter().map(|&a| AttrId(a)).collect(), 1, kind)
         });
+        let slot = match &query {
+            Some(_) => {
+                let space = if self.slots_by_table { usize::from(table) } else { 0 };
+                if self.slots.len() <= space {
+                    self.slots.resize(space + 1, 0);
+                }
+                self.slots[space] += 1;
+                self.slots[space] - 1
+            }
+            None => 0,
+        };
         if self.templates.len() <= id {
             self.templates.resize_with(id + 1, || None);
         }
-        self.templates[id] = Some(TemplateEntry { table, kind, attrs, query });
+        debug_assert!(self.templates[id].is_none(), "template {id} defined twice");
+        self.templates[id] = Some(TemplateEntry { table, kind, attrs, query, slot });
     }
 
     /// Register a template without schema validation, for render-only
@@ -376,7 +416,7 @@ impl DecodeDict {
     /// [`raw`]: Self::raw
     /// [`resolve`]: Self::resolve
     pub fn define_raw(&mut self, table: u16, kind: QueryKind, attrs: Vec<u32>) -> u64 {
-        self.templates.push(Some(TemplateEntry { table, kind, attrs, query: None }));
+        self.templates.push(Some(TemplateEntry { table, kind, attrs, query: None, slot: 0 }));
         (self.templates.len() - 1) as u64
     }
 
@@ -404,6 +444,16 @@ impl DecodeDict {
                 entry.kind,
             )))
         }
+    }
+
+    /// Resolve an event to its template's slot and frequency-1 query,
+    /// for [`crate::EpochWindow::count`]; `None` where [`Self::resolve`]
+    /// is.
+    #[inline]
+    pub(crate) fn resolve_slot(&self, template: u64, frequency: u64) -> Option<(u32, &Query)> {
+        let entry = self.entry(template)?;
+        let base = entry.query.as_ref()?;
+        (frequency > 0).then_some((entry.slot, base))
     }
 
     /// Raw shape of a template (written-order attrs), for rendering a
@@ -713,6 +763,43 @@ mod tests {
         assert_eq!(d.resolve(3, 1).unwrap().table(), TableId(1), "no id shifted");
         assert_eq!(d.resolve(1, 1).unwrap().table(), TableId(0));
         assert_eq!(d.define(&s, 0, QueryKind::Select, vec![1]), 4, "define appends");
+    }
+
+    /// A worker process numbers templates as their defines arrive, and
+    /// each valid one takes the next slot of its group: per table when
+    /// groups are tables, across the stream for the one whole-workload
+    /// group. Invalid templates take none.
+    #[test]
+    fn worker_defines_append_ids_and_number_slots_per_group() {
+        let s = schema();
+        let defines: [(u16, &[u32]); 5] =
+            [(1, &[2]), (0, &[0]), (0, &[2]), (0, &[1, 0]), (1, &[2])];
+        for (shards, want) in [(1, [0, 0, 1, 1]), (0, [0, 1, 2, 3])] {
+            let config = ServiceConfig { shards, ..ServiceConfig::default() };
+            let mut d = DecodeDict::for_groups(&config);
+            let ids: Vec<u64> = defines
+                .iter()
+                .map(|&(t, attrs)| d.define(&s, t, QueryKind::Select, attrs.to_vec()))
+                .collect();
+            assert_eq!(ids, [0, 1, 2, 3, 4], "shards {shards}");
+            let slots: Vec<u32> =
+                [0, 1, 3, 4].iter().map(|&id| d.resolve_slot(id, 1).unwrap().0).collect();
+            assert_eq!(slots, want, "shards {shards}");
+            assert!(d.resolve_slot(2, 1).is_none(), "a cross-table attr has no slot");
+            assert!(d.resolve_slot(0, 0).is_none(), "frequency 0 is invalid");
+            let (slot, base) = d.resolve_slot(3, 9).unwrap();
+            assert_eq!((slot, base.frequency()), (want[2], 1), "the frequency-1 template");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "template 1 defined twice")]
+    fn an_id_is_defined_once() {
+        let s = schema();
+        let mut d = DecodeDict::new();
+        d.define_at(&s, 1, 0, QueryKind::Select, vec![0]);
+        d.define_at(&s, 1, 0, QueryKind::Select, vec![1]);
     }
 
     /// What [`DecodeDict::resolve_line`] makes of `line`, and whether the

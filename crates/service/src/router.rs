@@ -728,7 +728,7 @@ impl Router {
         let state = std::mem::take(&mut self.state);
         (hosts[0].ingested, hosts[0].invalid, hosts[0].dropped) =
             (state.ingested, state.invalid, state.dropped);
-        for (key, group) in state.groups {
+        for (key, group) in state.groups.into_entries() {
             hosts[self.map.shard_of(key) as usize].groups.insert(key, group);
         }
 
@@ -856,7 +856,7 @@ fn shard_worker(
     // sends a define only to its table's shard, so the ids of other
     // shards' templates — and of a define shed under drop-oldest — stay
     // undefined here, and their events count invalid.
-    let mut dict = DecodeDict::new();
+    let mut dict = DecodeDict::for_groups(ctx.env.config);
     let mut batch = VecDeque::new();
     // The shard document's JSON, reused by every generation.
     let mut doc = String::new();
@@ -910,6 +910,7 @@ fn shard_worker(
         }
     }
     host.dropped = base_dropped + queue.dropped();
+    host.forget_slots();
     match failure {
         Some(e) => Err(e),
         None => Ok((outcomes, host)),

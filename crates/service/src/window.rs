@@ -16,6 +16,17 @@
 //! (also property-tested). Frequency sums saturate at `u64::MAX`
 //! instead of wrapping, so events whose frequencies add past it pin
 //! their template at the maximum weight rather than zeroing it.
+//!
+//! A binary event arrives with its template's *slot* — a small number
+//! its [`crate::DecodeDict`] hands out, dense within the event's group —
+//! and [`EpochWindow::count`] adds it to that slot's tally instead of
+//! probing the epoch's map. One materialise step folds the tallies into
+//! the keyed batch: before every seal, whichever of `push` and `count`
+//! reaches it, before a capture or a rendering of the current epoch,
+//! and before the window outlives the dictionary whose slots it
+//! counted. Saturating sums do not depend on the order they are taken
+//! in, so the keyed batch — sealed, snapshotted or saved — is the one
+//! `push` alone would have built.
 
 use isel_workload::compress;
 use isel_workload::{AttrId, Query, QueryKind, Schema, TableId, Workload};
@@ -73,6 +84,20 @@ pub struct EpochWindow {
     /// an event whose template the epoch already holds — all but the
     /// first of each — allocates nothing.
     probe: TemplateKey,
+    /// The current epoch's counted events not yet in `current`, by
+    /// template slot.
+    tallies: Vec<Tally>,
+}
+
+/// One template slot's share of the current epoch.
+#[derive(Debug, Default)]
+struct Tally {
+    /// The slot's template, set by the first event counted under it and
+    /// kept for the life of the dictionary that numbered the slot.
+    key: Option<TemplateKey>,
+    /// Frequency counted since the last materialise step; 0 for none,
+    /// as every counted event carries at least 1.
+    frequency: u64,
 }
 
 impl EpochWindow {
@@ -98,6 +123,7 @@ impl EpochWindow {
             window: VecDeque::new(),
             current: EpochBatch::default(),
             probe: (TableId(0), 0, Vec::new()),
+            tallies: Vec::new(),
         }
     }
 
@@ -115,9 +141,61 @@ impl EpochWindow {
             }
         }
         self.current.events += 1;
-        if self.current.events < self.epoch_events {
-            return false;
+        self.current.events >= self.epoch_events && self.seal()
+    }
+
+    /// [`Self::push`] for an event of `frequency` whose frequency-1
+    /// `template` its dictionary numbered `slot`: the same fold, into
+    /// the slot's tally. A slot must name one template for as long as
+    /// the window counts under it (see [`Self::forget_slots`]).
+    #[inline]
+    pub(crate) fn count(&mut self, slot: u32, template: &Query, frequency: u64) -> bool {
+        let slot = slot as usize;
+        if slot >= self.tallies.len() {
+            self.tallies.resize_with(slot + 1, Tally::default);
         }
+        let tally = &mut self.tallies[slot];
+        let key = tally.key.get_or_insert_with(|| {
+            (template.table(), kind_rank(template.kind()), template.attrs().to_vec())
+        });
+        debug_assert!(
+            key.0 == template.table()
+                && key.1 == kind_rank(template.kind())
+                && key.2 == template.attrs(),
+            "slot {slot} names one template"
+        );
+        tally.frequency = tally.frequency.saturating_add(frequency);
+        self.current.events += 1;
+        self.current.events >= self.epoch_events && self.seal()
+    }
+
+    /// Fold every tally into the current epoch's keyed batch.
+    pub(crate) fn materialise(&mut self) {
+        for tally in &mut self.tallies {
+            if tally.frequency == 0 {
+                continue;
+            }
+            let frequency = std::mem::take(&mut tally.frequency);
+            let key = tally.key.as_ref().expect("a counted slot knows its template");
+            match self.current.templates.get_mut(key) {
+                Some(sum) => *sum = sum.saturating_add(frequency),
+                None => {
+                    self.current.templates.insert(key.clone(), frequency);
+                }
+            }
+        }
+    }
+
+    /// Materialise and drop the slot table: the window is about to
+    /// count under another dictionary's slots.
+    pub(crate) fn forget_slots(&mut self) {
+        self.materialise();
+        self.tallies = Vec::new();
+    }
+
+    /// Seal the full current epoch into the window.
+    fn seal(&mut self) -> bool {
+        self.materialise();
         self.window.push_back(std::mem::take(&mut self.current));
         if self.window.len() > self.window_epochs {
             self.window.pop_front();
@@ -163,9 +241,15 @@ impl EpochWindow {
     }
 
     /// Total frequency mass across the sealed window plus the current
-    /// partial epoch.
+    /// partial epoch, tallies included.
     pub fn total_mass(&self) -> u64 {
-        self.window.iter().chain([&self.current]).fold(0, |sum, b| sum.saturating_add(b.mass()))
+        let tallied = self.tallies.iter().map(|t| t.frequency);
+        self.window
+            .iter()
+            .chain([&self.current])
+            .map(EpochBatch::mass)
+            .chain(tallied)
+            .fold(0, u64::saturating_add)
     }
 }
 
@@ -258,6 +342,39 @@ mod tests {
         assert_eq!(snap.query_count(), 2);
         assert!(!snap.queries()[0].is_update());
         assert!(snap.queries()[1].is_update());
+    }
+
+    /// Counting under slots folds like pushing: the same seals, sealed
+    /// batches and partial epoch, saturating alike, whether two slots
+    /// share a shape or a window forgets its slots mid-epoch.
+    #[test]
+    fn counting_by_slot_folds_like_pushing() {
+        let half = u64::MAX / 2;
+        let upd = Query::update(TableId(0), vec![AttrId(2)], 1);
+        let templates = [q(&[0], 1), q(&[1, 0], 1), upd, q(&[0], 1)];
+        let events = [(0, 1), (1, 3), (0, half), (3, half), (2, 1), (0, 2), (1, 1), (3, 7)];
+        let (mut pushed, mut counted) =
+            (EpochWindow::new(schema(), 3, 2, 16), EpochWindow::new(schema(), 3, 2, 16));
+        let mut saturated = false;
+        for (i, &(slot, f)) in events.iter().cycle().take(40).enumerate() {
+            let t = &templates[slot];
+            let one = Query::with_kind(t.table(), t.attrs().to_vec(), f, t.kind());
+            assert_eq!(counted.count(slot as u32, t, f), pushed.push(&one), "event {i}");
+            assert_eq!(counted.total_mass(), pushed.total_mass(), "event {i}");
+            if i == 20 {
+                counted.forget_slots();
+            }
+            let mut partial = counted.current.clone();
+            for tally in counted.tallies.iter().filter(|t| t.frequency > 0) {
+                let sum = partial.templates.entry(tally.key.clone().unwrap()).or_insert(0);
+                *sum = sum.saturating_add(tally.frequency);
+            }
+            assert_eq!(partial, pushed.current, "event {i}");
+            saturated |= counted.sealed_masses().contains(&u64::MAX);
+        }
+        assert_eq!(counted.window, pushed.window);
+        assert_eq!(counted.snapshot(), pushed.snapshot());
+        assert!(saturated, "some epoch saturates");
     }
 
     #[test]

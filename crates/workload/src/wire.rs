@@ -1,5 +1,5 @@
 //! Low-level binary wire primitives: LEB128 varints, zigzag signed
-//! integers, length-prefixed strings and a table-driven CRC-32.
+//! integers, length-prefixed strings and a slicing-by-8 CRC-32.
 //!
 //! These are the byte-level building blocks shared by the binary event
 //! frame (`isel-service`) and the binary trace stream (`isel-core`).
@@ -88,10 +88,13 @@ pub fn get_f64(b: &[u8], pos: &mut usize) -> Option<f64> {
     Some(f64::from_bits(u64::from_le_bytes(bytes)))
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, generated at
-/// compile time — no dependency, no runtime init.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial, reflected) slicing-by-8 tables,
+/// generated at compile time — no dependency, no runtime init. Table 0
+/// is the classic byte-at-a-time table; table `k` advances a byte's
+/// contribution past `k` more zero bytes, so eight bytes fold in with
+/// eight independent lookups instead of a chain of eight.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -100,17 +103,42 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC-32 checksum of `bytes` (IEEE, as in gzip/zlib).
+/// CRC-32 checksum of `bytes` (IEEE, as in gzip/zlib), eight bytes per
+/// step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -197,5 +225,30 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"), "detects a one-byte change");
+    }
+
+    /// The textbook bit-at-a-time CRC-32, sharing nothing with the
+    /// tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_a_bitwise_reference_at_every_length_and_offset() {
+        let buf: Vec<u8> =
+            (0..308u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bitwise(bytes), "offset {start}, length {len}");
+            }
+        }
     }
 }
