@@ -1,5 +1,5 @@
-//! Command output. Every report line goes to stdout through [`outln!`]
-//! (or [`out!`]), which turns a failed write into [`Failure::Output`]
+//! Command output. Every report line goes to stdout through `outln!`
+//! (or `out!`), which turns a failed write into [`Failure::Output`]
 //! where `println!` would panic. `main` ends the command quietly when
 //! the reader has closed the pipe (`isel stats | head -1`) and reports
 //! any other write error (a full disk) as `cannot write output: …`,
@@ -51,7 +51,7 @@ macro_rules! outln {
     };
 }
 
-/// `write!` to stdout, failing like [`outln!`].
+/// `write!` to stdout, failing like `outln!`.
 macro_rules! out {
     ($($arg:tt)*) => {
         std::io::Write::write_fmt(&mut std::io::stdout(), format_args!($($arg)*))

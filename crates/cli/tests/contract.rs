@@ -24,6 +24,10 @@ use common::{
     assert_ok, final_selection, groups, masked, remainder, report_check, run, scratch, stderr,
     stdout, strs, Server,
 };
+use isel_service::FrameEncoder;
+use isel_workload::QueryKind;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -141,9 +145,10 @@ const CASES: &[Case] = &[
     Case { name: "resumed-4", like: "resumed-4", resume: Some(4), ..RESUME },
     Case { name: "resumed-2", like: "resumed-4", resume: Some(2), ..RESUME },
     Case { name: "resumed-1", like: "resumed-4", resume: Some(1), ..RESUME },
-    // The JSONL line table past its cap: every line made distinct (read,
-    // never remembered), and each of those written twice (remembered,
-    // 4 096 at a time) replays like its binary conversion.
+    // The router's line table past its cap: every line made distinct
+    // (read, never remembered), and each of those written twice (the
+    // first 4 096 become templates, the rest are parsed where they land)
+    // replays like its binary conversion.
     Case { name: "distinct-0", like: "distinct-0", log: "distinct.jsonl", ..CHECK },
     Case { name: "distinct-0-bin", like: "distinct-0", log: "distinct.bin", ..CHECK },
     Case { name: "distinct-1", like: "distinct-1", log: "distinct.jsonl", shards: 1, ..CHECK },
@@ -368,6 +373,195 @@ fn every_case_reproduces_its_reference() {
         outcomes.insert(case.name, got);
         std::fs::remove_dir_all(fixture().join(case.name)).ok();
     }
+}
+
+/// Distinct lines the router's line table holds (`LINE_CAP`).
+const LINE_CAP: u64 = 4096;
+
+/// A template of the TPC-C fixture log: table, attributes, kind.
+type Shape = (u16, Vec<u32>, QueryKind);
+
+/// The distinct templates of the fixture log [`EVENTS`].
+fn shapes() -> Vec<Shape> {
+    let text = std::fs::read_to_string(examples().join(EVENTS)).unwrap();
+    let mut shapes: Vec<Shape> = text
+        .lines()
+        .map(|line| {
+            let v: serde_json::Value = serde_json::from_str(line).unwrap();
+            let attrs = v.get("attrs").and_then(|a| a.as_array()).unwrap().iter();
+            let kind = match v.get("kind").and_then(|k| k.as_str()) {
+                Some("Update") => QueryKind::Update,
+                _ => QueryKind::Select,
+            };
+            let table = v.get("table").and_then(|t| t.as_u64()).unwrap() as u16;
+            (table, attrs.map(|a| a.as_u64().unwrap() as u32).collect(), kind)
+        })
+        .collect();
+    shapes.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    shapes.dedup();
+    shapes
+}
+
+/// A seeded mixed stream over `shapes`, and its reference: the same
+/// records with every text line made unique by a `"seq"` key, which the
+/// event parser ignores. The router remembers a line only once it
+/// repeats, so the reference's lines all reach their shards as text and
+/// are parsed there. The stream holds binary frames with their
+/// `Define`s among JSONL lines; more than [`LINE_CAP`] distinct lines,
+/// each twice; whitespace, CRLF, key-order and frequency variants of one
+/// shape; repeated invalid lines and observed-cost probes; a line with
+/// both `"table"` and `"control"`; and `checkpoint` controls.
+fn edge_stream(shapes: &[Shape], seed: u64) -> (Vec<u8>, Vec<u8>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Twins::default();
+    let mut encoder = FrameEncoder::new();
+    let (mut distinct, mut frames) = (0u64, 0usize);
+    while distinct <= LINE_CAP + 100 || frames < 20 {
+        let (t, attrs, kind) = &shapes[rng.gen_range(0..shapes.len())];
+        let list = |sep: &str| attrs.iter().map(u32::to_string).collect::<Vec<_>>().join(sep);
+        let kind = if *kind == QueryKind::Update { r#","kind":"Update""# } else { "" };
+        let ending = if rng.gen_range(0..8) == 0 { "\r\n" } else { "\n" };
+        let line = match rng.gen_range(0..100) {
+            0..=3 => {
+                frames += 1;
+                for _ in 0..rng.gen_range(1..40) {
+                    let (t, attrs, kind) = &shapes[rng.gen_range(0..shapes.len())];
+                    encoder.push_query(*t, attrs, [1u64, 1, 2, 7][rng.gen_range(0..4usize)], *kind);
+                }
+                let mut bytes = Vec::new();
+                encoder.flush_into(&mut bytes);
+                out.frames(&bytes);
+                continue;
+            }
+            4 => r#"{"control":"checkpoint"}"#.to_owned(),
+            // A new line, twice.
+            5..=49 => {
+                distinct += 1;
+                let line = format!(
+                    r#"{{"table":{t},"attrs":[{}],"frequency":{distinct}{kind}}}"#,
+                    list(",")
+                );
+                out.line(&line, ending);
+                line
+            }
+            50..=64 => format!(r#"{{"table":{t},"attrs":[{}]{kind}}}"#, list(",")),
+            65..=69 => format!(r#"{{"table":{t},"attrs":[{}],"frequency":3{kind}}}"#, list(",")),
+            70..=72 => format!(r#"{{"table":{t},"attrs":[{}],"frequency":40{kind}}}"#, list(",")),
+            73..=76 => format!(r#"{{"attrs":[{}]{kind},"table":{t}}}"#, list(",")),
+            77..=80 => format!(r#"  {{"table": {t}, "attrs": [{}]{kind}}} "#, list(", ")),
+            81..=84 => {
+                format!(r#"{{"table":{t},"attrs":[{}],"observed_cost":{}.5}}"#, list(","), t + 2)
+            }
+            85..=86 => format!(r#"{{"table":{t},"attrs":[{}],"control":"status"}}"#, list(",")),
+            87..=90 => format!(r#"{{"table":{t},"attrs":[{}],"frequency":0}}"#, list(",")),
+            91..=94 => format!(r#"{{"table":{t},"attrs":[99]}}"#),
+            _ => format!(r#"{{"table":{t},"attrs":["#),
+        };
+        out.line(&line, ending);
+    }
+    (out.stream, out.reference)
+}
+
+/// A stream and its reference, written side by side.
+#[derive(Default)]
+struct Twins {
+    stream: Vec<u8>,
+    reference: Vec<u8>,
+    /// Lines written so far: the next line's `"seq"`.
+    seq: u64,
+}
+
+impl Twins {
+    /// `line` into the stream, and into the reference with `"seq"` first.
+    fn line(&mut self, line: &str, ending: &str) {
+        self.stream.extend_from_slice(format!("{line}{ending}").as_bytes());
+        let at = line.find('{').expect("every line opens an object") + 1;
+        let unique = format!("{}\"seq\":{},{}{ending}", &line[..at], self.seq, &line[at..]);
+        self.reference.extend_from_slice(unique.as_bytes());
+        self.seq += 1;
+    }
+
+    /// Binary frames into both, as they are.
+    fn frames(&mut self, bytes: &[u8]) {
+        self.stream.extend_from_slice(bytes);
+        self.reference.extend_from_slice(bytes);
+    }
+}
+
+/// The first line where `got` and `want` part, for a failure to show.
+fn first_difference(got: &[String], want: &[String]) -> String {
+    let at = got.iter().zip(want).take_while(|(g, w)| g == w).count();
+    format!(
+        "line {at}: got {:?}, want {:?} ({} vs {} lines)",
+        got.get(at),
+        want.get(at),
+        got.len(),
+        want.len()
+    )
+}
+
+/// Every file a run's checkpoint directory holds, by name.
+fn checkpoint_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The router's line table is invisible: a seeded mixed stream
+/// ([`edge_stream`]) replays at `--shards 0`, 1 and 4, committing
+/// checkpoints, to the report and checkpoint bytes of its reference,
+/// whose every line is parsed where it lands. One seed calibrates, so
+/// probes shape the group documents; the other checks itself against
+/// the offline reference, which parses every line itself (the two do
+/// not mix: a calibrated group's deployment gate is no part of the
+/// offline loop).
+#[test]
+fn repeated_lines_replay_like_lines_parsed_where_they_land() {
+    let fix = fixture();
+    let dir = scratch("contract_edge");
+    let shapes = shapes();
+    let w = fix.join("tpcc.json");
+    for (seed, flag) in [(1u64, "--calibrate"), (2, "--offline-check")] {
+        let (stream, reference) = edge_stream(&shapes, seed);
+        for shards in ["0", "1", "4"] {
+            let mut outcomes = Vec::new();
+            for (name, log) in [("stream", &stream), ("reference", &reference)] {
+                let run_dir = dir.join(format!("{seed}-{shards}-{name}"));
+                std::fs::create_dir_all(&run_dir).unwrap();
+                let (path, manifest) = (run_dir.join("log"), run_dir.join("checkpoint.json"));
+                std::fs::write(&path, log).unwrap();
+                let args = [
+                    "replay", "--workload", w.to_str().unwrap(), "--log", path.to_str().unwrap(),
+                    "--shards", shards, "--epoch-events", "256", "--checkpoint",
+                    manifest.to_str().unwrap(), "--checkpoint-every", "2", flag,
+                ];
+                let out = run(&args, None, &[]);
+                let case = format!("seed {seed}, --shards {shards}, {name}");
+                assert!(out.status.success(), "{case}: {}\n{}", out.status, stderr(&out));
+                std::fs::remove_file(&path).unwrap();
+                outcomes.push((masked(&stdout(&out)), checkpoint_files(&run_dir)));
+            }
+            let case = format!("seed {seed}, --shards {shards}");
+            let (got, want) = (&outcomes[0], &outcomes[1]);
+            assert!(got.0 == want.0, "{case}: report, {}", first_difference(&got.0, &want.0));
+            let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+                files.iter().map(|(name, _)| name.clone()).collect()
+            };
+            assert_eq!(names(&got.1), names(&want.1), "{case}: checkpoint files");
+            for ((name, a), (_, b)) in got.1.iter().zip(&want.1) {
+                assert!(a == b, "{case}: {name} differs from the reference's");
+            }
+            assert!(got.1.len() > 1, "{case}: no checkpoint committed");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The checked-in logs are what `record` writes for their recipe, in

@@ -37,7 +37,7 @@ use crate::checkpoint::{
     atomic_write, save_batch, shard_file, GroupCheckpoint, ShardCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::config::ServiceConfig;
-use crate::event::InputLine;
+use crate::event::{parse_line, InputLine};
 use crate::feedback::{self, CalSnapshot, GroupFeedback};
 use crate::records::DecodeDict;
 use crate::stream::Routed;
@@ -299,8 +299,8 @@ impl GroupHost {
     }
 
     /// Act on one routed record, at its position in this shard's stream:
-    /// a query — a text line or a binary event, either resolved through
-    /// `dict` — folds into its group's window and, when that
+    /// a query — a template event resolved through `dict`, or a text
+    /// line parsed here — folds into its group's window and, when that
     /// seals an epoch, the group is tuned; an observed-cost probe feeds
     /// its group's ratio tracker (and never counts as ingested);
     /// anything else — unparseable, schema-invalid, an undefined
@@ -324,7 +324,7 @@ impl GroupHost {
                 }
                 None => self.invalid += 1,
             },
-            Routed::Line(line) => match dict.resolve_line(line, env.schema) {
+            Routed::Line(line) => match parse_line(&line, env.schema) {
                 Ok(InputLine::Query(q)) => {
                     return self.ingest(env, q.table(), trace, |w| w.push(&q))
                 }
@@ -480,7 +480,8 @@ impl GroupHost {
 mod tests {
     use super::*;
     use crate::checkpoint::save_batch;
-    use crate::records::LINE_CAP;
+    use crate::records::Record;
+    use crate::stream::{Decision, Stream, LINE_CAP};
     use crate::tuner::TunePolicy;
     use isel_workload::synthetic::{self, SyntheticConfig};
     use isel_workload::{Query, QueryKind, Workload};
@@ -719,9 +720,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Every shape of text line the line table must tell apart, in a
-    /// fixed shuffled order, with more distinct repeated valid lines than
-    /// [`LINE_CAP`] in the middle so the table starts over mid-stream.
+    /// Every shape of text line the router's line table must tell apart,
+    /// in a fixed shuffled order, with more distinct repeated valid lines
+    /// than [`LINE_CAP`] in the middle so the table fills mid-stream.
     fn memo_corpus(w: &Workload) -> Vec<String> {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(28);
@@ -765,10 +766,34 @@ mod tests {
         corpus
     }
 
-    /// The line table is invisible: a host whose dictionary remembers
-    /// lines and a twin whose dictionary is new for every record count
-    /// the same, seal and publish the same epochs, and capture the same
-    /// documents at every barrier.
+    /// Fold `line` into `host` as the ingest loop hands it over: through
+    /// `stream`'s line table, a line that became a template defined in
+    /// `dict` (and counted in `defines`) and folded as its event.
+    fn fold_at_edge(
+        stream: &mut Stream,
+        dict: &mut DecodeDict,
+        defines: &mut usize,
+        host: &mut GroupHost,
+        env: &Env<'_>,
+        line: &str,
+    ) -> Option<Sealed> {
+        let item = match stream.decide(Record::Line(line.to_owned()), env.schema) {
+            Decision::Define { id, table, kind, attrs, event } => {
+                dict.define_at(env.schema, id, table, kind, attrs);
+                *defines += 1;
+                let frequency = event.expect("a line's define carries its first event");
+                Routed::Event { template: id as u64, frequency }
+            }
+            Decision::Route { item, .. } => item,
+            _ => unreachable!("every corpus line has a table key"),
+        };
+        host.fold(env, dict, item, Trace::disabled())
+    }
+
+    /// The line table is invisible: a host fed through the router's line
+    /// table — repeated lines as template events — and a twin that parses
+    /// every line count the same, seal and publish the same epochs, and
+    /// capture the same documents at every barrier.
     #[test]
     fn remembered_lines_fold_like_fresh_parses() {
         let w = workload();
@@ -776,21 +801,22 @@ mod tests {
         let env = Env::new(w.schema(), &config);
         let corpus = memo_corpus(&w);
         let (mut host, mut twin) = (GroupHost::default(), GroupHost::default());
-        let mut dict = DecodeDict::new();
+        let mut stream = Stream::new(&config);
+        let mut dict = DecodeDict::for_groups(&config);
         let render = |sealed: Option<Sealed>| {
             sealed.map(|s| {
                 let publish = s.publish.map(|(key, pf)| (key, (*pf).clone()));
                 (serde_json::to_string(&s.outcome).unwrap(), publish)
             })
         };
-        let mut sealed = 0usize;
+        let (mut sealed, mut defines) = (0usize, 0usize);
         for (i, line) in corpus.iter().enumerate() {
-            let line = || Routed::Line(line.clone());
-            let a = render(host.fold(&env, &mut dict, line(), Trace::disabled()));
-            let b = render(twin.fold(&env, &mut DecodeDict::new(), line(), Trace::disabled()));
-            assert_eq!(a, b, "record {i}");
+            let a = fold_at_edge(&mut stream, &mut dict, &mut defines, &mut host, &env, line);
+            let b = twin.fold(&env, &mut dict, Routed::Line(line.clone()), Trace::disabled());
+            let (a, b) = (render(a), render(b));
+            assert_eq!(a, b, "record {i}: {line}");
             sealed += usize::from(a.is_some());
-            assert_eq!(host.counters(), twin.counters(), "record {i}");
+            assert_eq!(host.counters(), twin.counters(), "record {i}: {line}");
             if i % 512 == 511 {
                 let generation = (i / 512) as u64;
                 let doc = |h: &mut GroupHost| h.capture(&config, 0, generation).to_json().unwrap();
@@ -801,6 +827,8 @@ mod tests {
         assert!(c.invalid >= 1_000 && c.ingested >= 10_000, "{c:?}");
         assert!(c.cal.probes + c.cal.rejected >= 100, "{c:?}");
         assert!(sealed >= 60, "only {sealed} epochs sealed");
+        // The table fills: fewer than 500 of its lines are not queries.
+        assert!(defines > LINE_CAP - 500 && defines < LINE_CAP, "{defines} lines became templates");
     }
 
     /// One record of a fold-equivalence stream.
@@ -824,9 +852,8 @@ mod tests {
     /// invalid); events also name ids past the last define (undefined).
     /// Frequencies are mostly 1, some small, some 0 (invalid) and some
     /// within 3 of `u64::MAX / 2`, so sums saturate. Lines spell the same
-    /// shapes; with `distinct`, more different lines than [`LINE_CAP`],
-    /// each twice, so the line table starts over.
-    fn fold_stream(w: &Workload, seed: u64, distinct: bool) -> (Vec<Shape>, Vec<Step>) {
+    /// shapes.
+    fn fold_stream(w: &Workload, seed: u64) -> (Vec<Shape>, Vec<Step>) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let mut shapes: Vec<Shape> = w
@@ -851,8 +878,7 @@ mod tests {
             _ => u64::MAX / 2 - rng.gen_range(0..4u64),
         };
         let mut steps = Vec::new();
-        let mut n = 0u64;
-        while steps.len() < 3_000 || (distinct && n <= LINE_CAP as u64) {
+        while steps.len() < 3_000 {
             let step = match rng.gen_range(0..100) {
                 0 => Step::Capture,
                 1..=57 => Step::Event {
@@ -860,12 +886,6 @@ mod tests {
                     frequency: frequency(&mut rng),
                 },
                 58..=59 => Step::Line(r#"{"table":1,"attrs":[9"#.to_owned()),
-                60..=79 if distinct => {
-                    n += 1;
-                    let l = line(&shapes[n as usize % shapes.len()], n);
-                    steps.push(Step::Line(l.clone()));
-                    Step::Line(l)
-                }
                 _ => {
                     let shape = &shapes[rng.gen_range(0..shapes.len())];
                     Step::Line(line(shape, frequency(&mut rng)))
@@ -881,9 +901,9 @@ mod tests {
     /// the host seals the same epochs, with the same sealed masses and
     /// snapshots, holds the same mass, and renders every barrier's
     /// window and partial epoch as the reference saves them.
-    fn assert_folds_like_pushes(w: &Workload, config: &ServiceConfig, seed: u64, distinct: bool) {
+    fn assert_folds_like_pushes(w: &Workload, config: &ServiceConfig, seed: u64) {
         let env = Env::new(w.schema(), config);
-        let (shapes, steps) = fold_stream(w, seed, distinct);
+        let (shapes, steps) = fold_stream(w, seed);
         let mut dict = DecodeDict::for_groups(config);
         for (id, (table, kind, attrs)) in shapes.into_iter().enumerate() {
             dict.define_at(w.schema(), id, table, kind, attrs);
@@ -959,12 +979,12 @@ mod tests {
 
     /// Counting binary events by slot is invisible: per table and as
     /// one whole-workload group, over streams that mix events and lines,
-    /// saturate, repeat a shape under two ids, name undefined ids,
-    /// overflow the line table and capture mid-epoch.
+    /// saturate, repeat a shape under two ids, name undefined ids and
+    /// capture mid-epoch.
     #[test]
     fn counted_events_fold_like_keyed_pushes() {
         let w = workload();
-        for (seed, shards, distinct) in [(1, 1, false), (2, 0, false), (3, 1, true), (4, 0, true)] {
+        for (seed, shards) in [(1, 1), (2, 0), (3, 1), (4, 0)] {
             let config = ServiceConfig {
                 epoch_events: 96,
                 window_epochs: 3,
@@ -972,7 +992,7 @@ mod tests {
                 shards,
                 ..ServiceConfig::default()
             };
-            assert_folds_like_pushes(&w, &config, seed, distinct);
+            assert_folds_like_pushes(&w, &config, seed);
         }
     }
 

@@ -17,10 +17,11 @@
 //!
 //! The wire is the binary frame protocol of [`crate::frame`]: down each
 //! worker's stdin go [`SupMsg`]s (JSON inside [`WireItem::Sup`] items)
-//! and the input as it came in — a text line as a [`WireItem::Raw`]
-//! item, a binary template or event as its [`WireItem::Define`] or
-//! [`WireItem::Event`] item, resolved through the same [`DecodeDict`] a
-//! shard thread uses; up its stdout come [`WorkerMsg`] JSON lines. A
+//! and the input as the ingest loop decided it — a text line as a
+//! [`WireItem::Raw`] item, a template (binary, or a line seen before)
+//! and its events as [`WireItem::Define`] and [`WireItem::Event`]
+//! items, resolved through the same [`DecodeDict`] a shard thread uses;
+//! up its stdout come [`WorkerMsg`] JSON lines. A
 //! record the receiving host must count invalid (an event of a template
 //! the stream never defined, a corrupt frame region) goes down as an
 //! *empty* `Raw` item: routed lines are trimmed and never empty, so the
@@ -29,7 +30,7 @@
 //! Events name their template by stream-global id, so one invariant
 //! carries the dictionary across the pipe: **every live worker has seen
 //! every `Define`, in stream order** — each is written to every live
-//! worker as it is read, and all of them to a new worker right after
+//! worker as it is emitted, and all of them to a new worker right after
 //! its `Hello`.
 //!
 //! ## Liveness and failover

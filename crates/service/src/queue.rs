@@ -7,9 +7,11 @@
 //!   (replay mode: a recorded log must reach the aggregator losslessly,
 //!   or the determinism contract with the offline loop is void);
 //! * drop-oldest ([`BoundedQueue::push_all_drop_oldest`], batches only)
-//!   — a full queue evicts its oldest element to admit the new one (live
-//!   mode: fresh events matter more than stale ones under overload).
-//!   Every eviction increments a counter; drops are **never silent**.
+//!   — a full queue evicts its oldest evictable element to admit the new
+//!   one (live mode: fresh events matter more than stale ones under
+//!   overload). The caller says what may be evicted; what may not is
+//!   never lost. Every eviction increments a counter; drops are **never
+//!   silent**.
 //!
 //! The consumer takes a batch with [`BoundedQueue::pop_all`]: one lock
 //! and one wake-up hand over many items, which is what the sharded
@@ -111,33 +113,49 @@ impl<T> BoundedQueue<T> {
         true
     }
 
-    /// Enqueue all of `items` in order without waiting, leaving the
-    /// vector empty. Every item that does not fit evicts the oldest
-    /// queued element — possibly an earlier item of the same batch — and
+    /// Enqueue all of `items` in order, leaving the vector empty. Every
+    /// item that does not fit evicts the oldest queued element that is
+    /// `evictable` — possibly an earlier item of the same batch — and
     /// every eviction is counted in [`Self::dropped`], exactly as if the
-    /// items had been pushed one by one. Returns `false` only if closed.
-    pub fn push_all_drop_oldest(&self, items: &mut Vec<T>) -> bool {
+    /// items had been pushed one by one. With nothing evictable queued,
+    /// it waits for room as [`Self::push_all_blocking`] does, so what
+    /// may not be lost never is. Returns `false` (remaining items
+    /// discarded) only if the queue was closed.
+    pub fn push_all_drop_oldest(
+        &self,
+        items: &mut Vec<T>,
+        evictable: impl Fn(&T) -> bool,
+    ) -> bool {
         if items.is_empty() {
             return true;
         }
         let mut g = self.inner.lock().expect("queue lock poisoned");
-        if g.closed {
-            items.clear();
-            return false;
-        }
         let mut evicted = 0;
         for item in items.drain(..) {
-            if g.buf.len() >= self.capacity {
-                g.buf.pop_front();
-                evicted += 1;
+            while g.buf.len() >= self.capacity && !g.closed {
+                match g.buf.iter().position(&evictable) {
+                    Some(oldest) => {
+                        g.buf.remove(oldest);
+                        evicted += 1;
+                    }
+                    None => {
+                        self.note_level(g.buf.len());
+                        self.not_empty.notify_one();
+                        g = self.not_full.wait(g).expect("queue lock poisoned");
+                    }
+                }
+            }
+            if g.closed {
+                break;
             }
             g.buf.push_back(item);
         }
         self.dropped.fetch_add(evicted, Ordering::Relaxed);
         self.note_level(g.buf.len());
+        let open = !g.closed;
         drop(g);
         self.not_empty.notify_one();
-        true
+        open
     }
 
     /// Dequeue the oldest element, waiting while the queue is empty and
@@ -231,13 +249,47 @@ mod tests {
     fn drop_oldest_counts_every_eviction() {
         let q = BoundedQueue::new(3);
         for i in 0..10 {
-            assert!(q.push_all_drop_oldest(&mut vec![i]));
+            assert!(q.push_all_drop_oldest(&mut vec![i], |_| true));
         }
         assert_eq!(q.dropped(), 7);
         assert_eq!(q.high_water(), 3);
         q.close();
         let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained, vec![7, 8, 9], "newest events survive");
+    }
+
+    /// Drop-oldest sheds only what it may: a non-evictable item at the
+    /// head survives while evictable ones behind it go, oldest first;
+    /// with nothing evictable queued, the push waits for the consumer
+    /// rather than overfill or shed.
+    #[test]
+    fn a_non_evictable_head_survives_eviction() {
+        let q = Arc::new(BoundedQueue::new(3));
+        let evictable = |i: &i32| *i >= 0;
+        assert!(q.push_all_drop_oldest(&mut vec![-1, 1, 2], evictable));
+        assert!(q.push_all_drop_oldest(&mut vec![3, 4], evictable));
+        assert_eq!(q.dropped(), 2);
+        let mut got = VecDeque::new();
+        assert!(q.pop_all(&mut got));
+        assert_eq!(got, VecDeque::from([-1, 3, 4]), "the head stays, 1 and 2 go");
+
+        assert!(q.push_all_drop_oldest(&mut vec![-2, -3, -4], evictable));
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.push_all_drop_oldest(&mut vec![-5, 5], evictable))
+        };
+        thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(q.len(), 3, "a full queue of what may not be shed makes the push wait");
+        got.clear();
+        let mut seen = Vec::new();
+        while seen.len() < 5 {
+            assert!(q.pop_all(&mut got));
+            seen.extend(got.drain(..));
+        }
+        assert!(producer.join().unwrap());
+        assert_eq!(seen, [-2, -3, -4, -5, 5]);
+        assert_eq!(q.dropped(), 2, "nothing more was shed");
+        assert_eq!(q.high_water(), 3);
     }
 
     #[test]
@@ -283,9 +335,9 @@ mod tests {
         assert!(q.push_all_blocking(&mut batch));
         assert!(batch.is_empty(), "the batch is handed over, not copied");
         batch.push(4);
-        assert!(q.push_all_drop_oldest(&mut batch));
+        assert!(q.push_all_drop_oldest(&mut batch, |_| true));
         batch.extend([5, 6]);
-        assert!(q.push_all_drop_oldest(&mut batch));
+        assert!(q.push_all_drop_oldest(&mut batch, |_| true));
         assert!(q.push_all_blocking(&mut batch), "an empty batch is a no-op");
         assert!(q.push_blocking(7));
         assert_eq!(q.len(), 8);
@@ -333,7 +385,7 @@ mod tests {
         for (round, size) in [3usize, 5, 12, 1, 7].into_iter().enumerate() {
             let mut batch: Vec<u64> = (pushed..pushed + size as u64).collect();
             pushed += size as u64;
-            assert!(q.push_all_drop_oldest(&mut batch));
+            assert!(q.push_all_drop_oldest(&mut batch, |_| true));
             assert!(q.len() <= 5);
             if round == 1 {
                 assert!(q.pop_all(&mut got));
@@ -374,7 +426,7 @@ mod tests {
         assert!(q.pop_all(&mut got), "already-queued items still drain");
         assert_eq!(got, VecDeque::from([1, 2]));
         let mut batch = vec![9];
-        assert!(!q.push_all_drop_oldest(&mut batch), "closed to every push");
+        assert!(!q.push_all_drop_oldest(&mut batch, |_| true), "closed to every push");
         assert!(batch.is_empty());
     }
 

@@ -17,30 +17,32 @@
 //! downstream instead of silently ending the stream (which is what
 //! `BufRead::lines` would do).
 //!
+//! The ingest loop reads through `RecordIter::next_or_line`, which
+//! hands a text line over as bytes still in the reader's buffer, so a
+//! line the stream already knows is matched there and never becomes a
+//! `String` (`stream.rs`); `line_hash` is the hash it is matched by.
+//!
 //! [`DecodeDict`] is the consumer-side template dictionary: it
 //! validates [`WireItem::Define`]s against the schema once — the same
 //! checks [`crate::event::parse_line`] applies per line — and
 //! pre-builds a frequency-1 [`Query`] per valid template, so resolving
-//! a frequency-1 event is an array lookup that allocates nothing. Text
-//! lines get the same treatment: a line that parsed to a valid query
-//! is remembered by its exact text once it repeats, so a recorded log —
-//! a handful of templates repeated millions of times — pays
-//! [`crate::event::parse_line`] twice per distinct line and then one
-//! hash lookup per event. Each valid template also gets a *slot*, the
-//! next free number among its group's templates, under which a window
-//! counts its events without a key lookup (`EpochWindow::count`). It is
-//! the one place an event of either encoding becomes a query: a router
-//! shard thread and a worker process both resolve through it, and
-//! offline replay resolves binary events through it.
+//! a frequency-1 event is an array lookup that allocates nothing. Each
+//! valid template also gets a *slot*, the next free number among its
+//! group's templates, under which a window counts its events without a
+//! key lookup (`EpochWindow::count`). It is the one place an event
+//! becomes a query: a router shard thread and a worker process both
+//! resolve through it, and offline replay resolves binary events
+//! through it. A template is a binary `Define` or a text line the
+//! stream saw repeat, numbered in one namespace by the router; a line
+//! the router did not resolve reaches its host as text and is parsed
+//! there.
 
 use crate::config::ServiceConfig;
-use crate::event::{parse_line, InputLine};
 use crate::frame::{get_item, WireItem, FORMAT_VERSION, MAGIC, MAX_PAYLOAD};
-use isel_costmodel::cache::IdHashBuilder;
 use isel_workload::wire::crc32;
 use isel_workload::{AttrId, Query, QueryKind, Schema, TableId};
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, ErrorKind};
 
 /// One record from a mixed-encoding input stream.
@@ -86,20 +88,45 @@ impl<R: BufRead> RecordIter<R> {
     /// slice or mapped file drains only at its end, a pipe once per
     /// buffer-full, a reader that hands over one line per `fill_buf`
     /// after every line.
-    pub fn next_with(&mut self, mut before_block: impl FnMut()) -> Option<Record> {
+    pub fn next_with(&mut self, before_block: impl FnMut()) -> Option<Record> {
+        let text = |raw: &[u8]| String::from_utf8_lossy(raw).into_owned();
+        Some(match self.next_or_line(before_block, text)? {
+            Next::Line(line) => Record::Line(line),
+            Next::Record(record) => record,
+        })
+    }
+
+    /// [`Self::next_with`], handing each text line to `line` as bytes —
+    /// newline and one trailing carriage return stripped, UTF-8 not yet
+    /// checked — instead of building a `String`. A line whole in the
+    /// reader's buffer is read there, and `line` runs before the line is
+    /// consumed; a line that straddles two reads is gathered first.
+    /// Binary frames never reach `line`.
+    pub(crate) fn next_or_line<T>(
+        &mut self,
+        mut before_block: impl FnMut(),
+        line: impl FnOnce(&[u8]) -> T,
+    ) -> Option<Next<T>> {
         let hook = &mut before_block;
         loop {
-            if let Some(slot) = self.pending.pop_front() {
-                return Some(match slot {
-                    Some(item) => Record::Item(item),
-                    None => Record::Corrupt,
-                });
+            if let Some(record) = self.decoded() {
+                return Some(Next::Record(record));
             }
             match self.peek(hook)? {
                 MAGIC => self.read_frame(hook), // refills `pending`; loop
-                _ => return self.read_line(hook).map(Record::Line),
+                _ => return self.read_line(hook, line).map(Next::Line),
             }
         }
+    }
+
+    /// The next item of a frame already decoded, if any: what the
+    /// iterator yields next, taken without a read.
+    #[inline]
+    pub(crate) fn decoded(&mut self) -> Option<Record> {
+        Some(match self.pending.pop_front()? {
+            Some(item) => Record::Item(item),
+            None => Record::Corrupt,
+        })
     }
 
     /// The unconsumed input: empty at EOF, `None` on an I/O error (which
@@ -246,9 +273,20 @@ impl<R: BufRead> RecordIter<R> {
         Ok(())
     }
 
-    /// The bytes up to and including the next newline (or EOF), as a
-    /// line. `None` at EOF and when an I/O error cuts the line short.
-    fn read_line(&mut self, before_block: &mut impl FnMut()) -> Option<String> {
+    /// The bytes up to and including the next newline (or EOF), as
+    /// `line` makes them of the line without its line ending. `None` at
+    /// EOF and when an I/O error cuts the line short.
+    fn read_line<T>(
+        &mut self,
+        before_block: &mut impl FnMut(),
+        line: impl FnOnce(&[u8]) -> T,
+    ) -> Option<T> {
+        let buf = self.fill(before_block)?;
+        if let Some(end) = buf.iter().position(|&b| b == b'\n') {
+            let made = line(strip_cr(&buf[..end]));
+            self.consume(end + 1);
+            return Some(made);
+        }
         let mut raw = Vec::new();
         loop {
             let buf = self.fill(before_block)?;
@@ -268,15 +306,20 @@ impl<R: BufRead> RecordIter<R> {
         if raw.last() == Some(&b'\n') {
             raw.pop();
         }
-        if raw.last() == Some(&b'\r') {
-            raw.pop();
-        }
-        // Valid UTF-8 — every line but a corrupt one — keeps its buffer.
-        Some(match String::from_utf8(raw) {
-            Ok(line) => line,
-            Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
-        })
+        Some(line(strip_cr(&raw)))
     }
+}
+
+/// What [`RecordIter::next_or_line`] reads: a text line, as its caller
+/// made it, or any other record.
+pub(crate) enum Next<T> {
+    Line(T),
+    Record(Record),
+}
+
+/// `line` without one trailing carriage return.
+fn strip_cr(line: &[u8]) -> &[u8] {
+    line.strip_suffix(b"\r").unwrap_or(line)
 }
 
 impl<R: BufRead> Iterator for RecordIter<R> {
@@ -300,13 +343,9 @@ struct TemplateEntry {
     slot: u32,
 }
 
-/// Distinct text lines a [`DecodeDict`] remembers at most. Past it the
-/// table starts over empty.
-pub(crate) const LINE_CAP: usize = 4096;
-
 /// Consumer-side template dictionary: validates `Define` items against
-/// the schema once, then resolves events by id; remembers a text line
-/// that parses to a query twice, then resolves it by its text.
+/// the schema once, then resolves events by id.
+#[derive(Default)]
 pub struct DecodeDict {
     /// By template id; `None` is an id this consumer was never sent.
     templates: Vec<Option<TemplateEntry>>,
@@ -315,32 +354,6 @@ pub struct DecodeDict {
     slots_by_table: bool,
     /// Slots handed out so far, by table (or all under entry 0).
     slots: Vec<u32>,
-    /// Remembered lines' indexes into `lines`, by [`line_hash`]. The line
-    /// table is a cache, not state: nothing checkpoints, posts or traces
-    /// it, and a restarted or adopting host starts with it empty.
-    line_ids: HashMap<u64, u32, IdHashBuilder>,
-    /// Each remembered line's text and validated query, frequency
-    /// included.
-    lines: Vec<(String, Query)>,
-    /// By hash modulo [`LINE_CAP`]: the hash of the last line that parsed
-    /// to a query there without being remembered. A line is remembered
-    /// when it parses the second time, so a stream that never repeats a
-    /// line pays a hash and a lookup per line, holds none of them, and
-    /// never fills the table.
-    seen: Vec<u64>,
-}
-
-impl Default for DecodeDict {
-    fn default() -> Self {
-        Self {
-            templates: Vec::new(),
-            slots_by_table: false,
-            slots: Vec::new(),
-            line_ids: HashMap::default(),
-            lines: Vec::new(),
-            seen: vec![0; LINE_CAP],
-        }
-    }
 }
 
 impl DecodeDict {
@@ -463,45 +476,6 @@ impl DecodeDict {
         let e = self.entry(template)?;
         Some((e.table, &e.attrs, e.kind))
     }
-
-    /// [`parse_line`] a routed text line, remembering it when it is a
-    /// valid query seen before: a remembered line resolves by lookup and
-    /// borrows its query, as a frequency-1 binary event does. Only
-    /// queries are remembered — errors, observed-cost probes and controls
-    /// are parsed every time — so what a line does, and what it counts,
-    /// never depends on what came before it.
-    pub fn resolve_line(
-        &mut self,
-        line: String,
-        schema: &Schema,
-    ) -> Result<InputLine<Cow<'_, Query>>, String> {
-        let hash = line_hash(&line);
-        let known = self.line_ids.get(&hash).map(|&id| id as usize);
-        if let Some(id) = known {
-            if self.lines[id].0 == line {
-                return Ok(InputLine::Query(Cow::Borrowed(&self.lines[id].1)));
-            }
-        }
-        let q = match parse_line(&line, schema)? {
-            InputLine::Query(q) => q,
-            InputLine::Observed(o) => return Ok(InputLine::Observed(o)),
-            InputLine::Control(c) => return Ok(InputLine::Control(c)),
-        };
-        // Remembered the second time it parses, unless another line
-        // holds its hash.
-        let seen = &mut self.seen[hash as usize % LINE_CAP];
-        if *seen != hash || known.is_some() {
-            *seen = hash;
-            return Ok(InputLine::Query(Cow::Owned(q)));
-        }
-        if self.lines.len() == LINE_CAP {
-            self.line_ids.clear();
-            self.lines.clear();
-        }
-        self.line_ids.insert(hash, self.lines.len() as u32);
-        self.lines.push((line, q));
-        Ok(InputLine::Query(Cow::Borrowed(&self.lines.last().expect("pushed just above").1)))
-    }
 }
 
 /// The schema checks [`crate::event::parse_line`] applies, on raw ids.
@@ -514,18 +488,17 @@ fn validate_define(schema: &Schema, table: u16, attrs: &[u32]) -> bool {
     })
 }
 
-/// A line's hash: its text sixteen bytes at a time, each pair of words
+/// A line's hash: its bytes sixteen at a time, each pair of words
 /// folded in by one 64 × 64 → 128-bit multiply; a ragged end is the
-/// text's last sixteen bytes, overlapping the pair before. A line that
+/// line's last sixteen bytes, overlapping the pair before. A line that
 /// never repeats pays this on top of its parse, hence one multiply per
 /// sixteen bytes rather than std's SipHash. Lines that collide only
-/// miss: the text is compared before a remembered query is used.
-fn line_hash(text: &str) -> u64 {
+/// miss: the bytes are compared before a remembered line is used.
+pub(crate) fn line_hash(bytes: &[u8]) -> u64 {
     let mix = |h: u64, a: u64, b: u64| {
         let p = u128::from(h ^ a ^ 0x243F_6A88_85A3_08D3) * u128::from(b ^ 0x9E37_79B9_7F4A_7C15);
         (p as u64) ^ (p >> 64) as u64
     };
-    let bytes = text.as_bytes();
     let n = bytes.len();
     let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
     if n < 16 {
@@ -802,80 +775,17 @@ mod tests {
         d.define_at(&s, 1, 0, QueryKind::Select, vec![1]);
     }
 
-    /// What [`DecodeDict::resolve_line`] makes of `line`, and whether the
-    /// query came out of the line table.
-    fn resolved(d: &mut DecodeDict, line: &str, s: &Schema) -> (String, bool) {
-        let out = d.resolve_line(line.to_string(), s);
-        let remembered = matches!(out, Ok(InputLine::Query(Cow::Borrowed(_))));
-        (format!("{out:?}"), remembered)
-    }
-
-    #[test]
-    fn a_line_is_remembered_on_its_second_parse_and_only_if_a_query() {
-        let s = schema();
-        let mut d = DecodeDict::new();
-        let line = r#"{"table":0,"attrs":[1,0],"frequency":3}"#;
-        let parsed = format!("{:?}", parse_line(line, &s));
-        assert_eq!(resolved(&mut d, line, &s), (parsed.clone(), false));
-        for _ in 0..3 {
-            assert_eq!(resolved(&mut d, line, &s), (parsed.clone(), true));
-        }
-        for other in [
-            r#"{"table":0,"attrs":[2]}"#,
-            r#"{"table":0,"attrs":[0],"frequency":0}"#,
-            r#"{"table":0,"attrs":[0],"observed_cost":2.5}"#,
-            r#"{"table":0,"attrs":[0],"control":"status"}"#,
-            r#"{"table":0,"attrs":["#,
-        ] {
-            for _ in 0..3 {
-                let parsed = format!("{:?}", parse_line(other, &s));
-                assert_eq!(resolved(&mut d, other, &s), (parsed, false), "{other}");
-            }
-        }
-        assert_eq!(d.lines.len(), 1, "only the query line is remembered");
-    }
-
-    #[test]
-    fn the_line_table_starts_over_past_its_cap() {
-        let s = schema();
-        let mut d = DecodeDict::new();
-        for n in 1..=LINE_CAP + 2 {
-            let line = format!(r#"{{"table":1,"attrs":[2],"frequency":{n}}}"#);
-            assert!(!resolved(&mut d, &line, &s).1);
-            assert!(resolved(&mut d, &line, &s).1);
-        }
-        assert_eq!(d.lines.len(), 2);
-        assert_eq!(d.line_ids.len(), 2);
-    }
-
-    #[test]
-    fn a_line_under_another_lines_hash_is_parsed_never_remembered() {
-        let s = schema();
-        let mut d = DecodeDict::new();
-        let (a, b) = (r#"{"table":0,"attrs":[0]}"#, r#"{"table":1,"attrs":[2]}"#);
-        resolved(&mut d, a, &s);
-        assert!(resolved(&mut d, a, &s).1);
-        // Forge a collision: b's hash names a's entry.
-        d.line_ids.insert(line_hash(b), 0);
-        let parsed = format!("{:?}", parse_line(b, &s));
-        for _ in 0..3 {
-            assert_eq!(resolved(&mut d, b, &s), (parsed.clone(), false));
-        }
-        assert_eq!(d.lines.len(), 1);
-    }
-
     #[test]
     fn line_hash_reads_every_byte() {
         let line = r#"{"table":12,"attrs":[40,41,42,43],"frequency":77,"kind":"Update"}"#;
         let mut seen = std::collections::HashSet::new();
         for n in 0..=line.len() {
-            assert!(seen.insert(line_hash(&line[..n])), "prefix of {n} bytes");
+            assert!(seen.insert(line_hash(&line.as_bytes()[..n])), "prefix of {n} bytes");
         }
         for at in 0..line.len() {
             let mut flipped = line.as_bytes().to_vec();
             flipped[at] ^= 0x20;
-            let flipped = String::from_utf8(flipped).unwrap();
-            assert_ne!(line_hash(&flipped), line_hash(line), "byte {at}");
+            assert_ne!(line_hash(&flipped), line_hash(line.as_bytes()), "byte {at}");
         }
     }
 }

@@ -104,13 +104,15 @@ pub struct ServiceReport {
 
 /// Items flowing through one shard's queue.
 enum ShardItem {
-    /// A routed record: a raw line the worker parses and validates, a
-    /// binary event of a previously routed `Define`, or an invalid
-    /// record the worker counts at its position in the shard's stream.
+    /// A routed record: a raw line the worker parses and validates, an
+    /// event of a previously sent `Define`, or an invalid record the
+    /// worker counts at its position in the shard's stream. The only
+    /// item drop-oldest sheds.
     Routed(Routed),
-    /// A binary template definition, carrying its stream-global id. The
-    /// router sends it to the owning table's shard, whose dictionary
-    /// validates it against the schema once.
+    /// A template definition — binary, or a line the router resolved —
+    /// carrying its stream-global id. The router sends it to the owning
+    /// table's shard, whose dictionary validates it against the schema
+    /// once.
     Define {
         id: usize,
         table: u16,
@@ -192,15 +194,18 @@ impl<'a> Handoff<'a> {
     ) {
         match policy {
             OverloadPolicy::Block => queue.push_all_blocking(batch),
-            OverloadPolicy::DropOldest => queue.push_all_drop_oldest(batch),
+            // Only a routed record is shed: a lost `Define` would turn
+            // every later event of its template invalid, and a marker
+            // must reach every queue.
+            OverloadPolicy::DropOldest => {
+                queue.push_all_drop_oldest(batch, |item| matches!(item, ShardItem::Routed(_)))
+            }
         };
     }
 
     /// Put one in-band marker on *every* queue, behind everything routed
-    /// so far. Markers are pushed blocking at every policy: a barrier or
-    /// query must reach each queue (events behind it may still evict it
-    /// under drop-oldest, and the committer tolerates generations that
-    /// never complete).
+    /// so far. Markers are pushed blocking at every policy, and never
+    /// evicted: a barrier or query must reach each queue.
     fn broadcast(&mut self, marker: impl Fn() -> ShardItem) {
         self.flush();
         for queue in self.queues {
@@ -383,8 +388,8 @@ impl<'a> Committer<'a> {
         crate::fault::fire(crate::fault::SUP_COMMIT, generation as u32)?;
         manifest.save(self.manifest_path)?;
         // The new generation is durable; older files are now garbage —
-        // including generations whose barrier was evicted on some shard
-        // (drop-oldest overload) and that can never complete.
+        // including those of any older generation still pending, which
+        // can no longer commit.
         let stale: Vec<PathBuf> = std::mem::take(&mut g.live_files);
         let dead_gens: Vec<u64> =
             g.pending.range(..generation).map(|(&gen, _)| gen).collect();
@@ -854,8 +859,7 @@ fn shard_worker(
     };
     // This shard's templates under their stream-global ids: the router
     // sends a define only to its table's shard, so the ids of other
-    // shards' templates — and of a define shed under drop-oldest — stay
-    // undefined here, and their events count invalid.
+    // shards' templates stay undefined here. A define is never shed.
     let mut dict = DecodeDict::for_groups(ctx.env.config);
     let mut batch = VecDeque::new();
     // The shard document's JSON, reused by every generation.
@@ -922,9 +926,11 @@ fn shard_worker(
 /// the service keys its groups: by table under `config.shards >= 1`,
 /// everything under key 0 when the whole workload is one group
 /// (`config.shards == 0`). Works on both encodings (and mixtures),
-/// read by the engines' own grammar and dictionary. Each valid event
-/// feeds its group's own window; invalid records are skipped,
-/// `shutdown` stops, other controls are no-ops.
+/// read by the engines' own grammar and dictionary, but without the
+/// router's line table: every text line is parsed here, so a replay's
+/// `--offline-check` does not share the edge's line resolution. Each
+/// valid event feeds its group's own window; invalid records are
+/// skipped, `shutdown` stops, other controls are no-ops.
 pub fn offline_group_snapshots<R: BufRead>(
     input: R,
     schema: &Schema,
@@ -933,7 +939,7 @@ pub fn offline_group_snapshots<R: BufRead>(
     config.validate()?;
     let mut windows: BTreeMap<u16, EpochWindow> = BTreeMap::new();
     let mut out: BTreeMap<u16, Vec<Workload>> = BTreeMap::new();
-    let mut stream = Stream::new(config);
+    let mut stream = Stream::parsing_every_line(config);
     let mut dict = DecodeDict::new();
     let mut feed = |q: &Query| {
         let key = config.group_key(q.table());
@@ -960,7 +966,8 @@ pub fn offline_group_snapshots<R: BufRead>(
                     feed(&q);
                 }
             }
-            Decision::Define { id, table, kind, attrs } => {
+            Decision::Define { id, table, kind, attrs, event } => {
+                debug_assert!(event.is_none(), "no line becomes a template here");
                 dict.define_at(schema, id, table, kind, attrs);
             }
             Decision::Route { item: Routed::Event { template, frequency }, .. } => {

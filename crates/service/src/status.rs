@@ -247,9 +247,11 @@ pub fn install_status_signal() {
 }
 
 /// Consume a pending `SIGUSR1` status request, if one arrived since the
-/// last call.
+/// last call. The ingest loop asks before every record, so the flag is
+/// read first and swapped only when set: an atomic swap is a full
+/// barrier on x86, and one per event cost the router thread ≈ 10 %.
 pub fn take_status_signal() -> bool {
-    STATUS_REQUESTED.swap(false, Ordering::Relaxed)
+    STATUS_REQUESTED.load(Ordering::Relaxed) && STATUS_REQUESTED.swap(false, Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -11,6 +11,15 @@
 //! hot path (`Define`/`Event`) allocates nothing and dispatches nothing
 //! dynamically.
 //!
+//! The stream owns the run's one template namespace, and resolves text
+//! lines too: a routed line seen before is parsed here once and becomes
+//! a template — a `Define` to its table's shard, then one `Event` per
+//! occurrence — matched against the line table in the reader's buffer,
+//! so a repeated line costs a hash and a compare, no `String` and no
+//! parse anywhere (DESIGN.md §14, "Where a line is resolved"). A line
+//! seen once, a probe, or a line past the table's cap travels as text
+//! and is parsed where it lands.
+//!
 //! [`Stream::run`] is the loop around it, written once: the status
 //! signal, the shard choice, reply tokens, routed counting, explicit
 //! and cadence barriers, the recovery skip and the final flush. Where
@@ -23,10 +32,12 @@ use crate::arbiter::InteractiveRegistry;
 use crate::config::ServiceConfig;
 use crate::event::{parse_line, parse_token, Control, InputLine};
 use crate::frame::WireItem;
-use crate::records::{Record, RecordIter};
+use crate::records::{line_hash, Next, Record, RecordIter};
 use crate::shard::{classify_line, LineClass, ShardMap};
 use crate::status::take_status_signal;
+use isel_costmodel::cache::IdHashBuilder;
 use isel_workload::{QueryKind, Schema};
+use std::collections::HashMap;
 use std::io::BufRead;
 use std::sync::mpsc::Sender;
 
@@ -44,11 +55,13 @@ pub(crate) enum Decision {
     /// exactly once, by a host, at a deterministic position of that
     /// shard's stream — never by the loop.
     Route { table: Option<u16>, item: Routed },
-    /// A binary template definition with its stream-global id. Not
-    /// routed: a JSONL stream has no define lines, and barrier
+    /// A template definition — a binary `Define`, or a line that
+    /// became a template — with its stream-global id. Not routed: barrier
     /// generations must land at identical event positions in both
-    /// encodings.
-    Define { id: usize, table: u16, kind: QueryKind, attrs: Vec<u32> },
+    /// encodings, and whether a line is resolved here or where it lands.
+    /// `event` is the frequency of the line's occurrence that made it a
+    /// template, routed right behind the define as an event of it.
+    Define { id: usize, table: u16, kind: QueryKind, attrs: Vec<u32>, event: Option<u64> },
     /// A `checkpoint` control: open the next barrier generation here.
     Barrier,
     /// A control that wants an answer: a `whatif`/`tenant`/`budget`/
@@ -119,14 +132,95 @@ pub(crate) trait Placement {
     fn status_line(&self) -> String;
 }
 
-/// The router's position in its logical input stream: the template
-/// dictionary of the binary encoding, the two counters the checkpoint
-/// cadence runs on, and — on journal-replay recovery — how much of the
-/// stream is already done.
+/// Distinct text lines a stream remembers at most: a line repeated
+/// after the table is full is parsed where it lands, as a line seen
+/// once is.
+pub(crate) const LINE_CAP: usize = 4096;
+
+/// What a remembered line is, decided once by parsing it at the edge.
+#[derive(Clone, Copy)]
+enum Known {
+    /// A valid query: template `id` of the stream, on `table`; each
+    /// occurrence is one event of it with the line's `frequency`.
+    Template { id: usize, table: u16, frequency: u64 },
+    /// A line its host would count invalid: route an invalid record to
+    /// the shard the line routes to.
+    Invalid { table: Option<u16> },
+    /// A line its host must parse: an observed-cost probe, a table line
+    /// a control rides on, or a query whose routing key is not its table.
+    Parse { table: Option<u16> },
+}
+
+/// The text lines a stream resolves itself. A routed line is
+/// remembered the second time it is seen — a per-slot record of the
+/// hash of the last line seen once — so a log that never repeats a line
+/// never fills the table and holds none of its lines. Keys are a line's
+/// bytes as read, so whitespace, key-order and line-ending variants of
+/// one template are separate entries. The table is a cache, not state:
+/// a run starts it empty, and nothing checkpoints, posts or traces it.
+struct LineTable {
+    /// Remembered lines' indexes into `lines`, by [`line_hash`].
+    ids: HashMap<u64, u32, IdHashBuilder>,
+    /// Each remembered line's bytes and what it is.
+    lines: Vec<(Box<[u8]>, Known)>,
+    /// By hash modulo [`LINE_CAP`]: the hash of the last routed line seen
+    /// there and not remembered. Allocated at the first line.
+    seen: Vec<u64>,
+}
+
+impl LineTable {
+    fn new() -> Self {
+        Self { ids: HashMap::default(), lines: Vec::new(), seen: Vec::new() }
+    }
+
+    /// What the line `raw` of hash `hash` is, if remembered.
+    #[inline]
+    fn get(&self, hash: u64, raw: &[u8]) -> Option<Known> {
+        let (text, known) = &self.lines[*self.ids.get(&hash)? as usize];
+        (**text == *raw).then_some(*known)
+    }
+
+    /// Whether the routed line of `hash`, not remembered, should be now:
+    /// it is the last line seen once under its slot, the table has room,
+    /// and no other line holds its hash.
+    fn seen_before(&mut self, hash: u64) -> bool {
+        if self.lines.len() == LINE_CAP || self.ids.contains_key(&hash) {
+            return false;
+        }
+        if self.seen.is_empty() {
+            self.seen = vec![0; LINE_CAP];
+        }
+        let seen = &mut self.seen[hash as usize % LINE_CAP];
+        std::mem::replace(seen, hash) == hash
+    }
+
+    fn remember(&mut self, hash: u64, raw: &[u8], known: Known) {
+        self.ids.insert(hash, self.lines.len() as u32);
+        self.lines.push((raw.into(), known));
+    }
+}
+
+/// The router's position in its logical input stream: the one template
+/// namespace of both encodings, the line table, the two counters the
+/// checkpoint cadence runs on, and — on journal-replay recovery — how
+/// much of the stream is already done.
+///
+/// Template ids are dense and stream-global: the next id goes to each
+/// `Define` as it is emitted, a binary one or a line's. A binary event
+/// names its template by the producer's own id — the input numbers its
+/// `Define`s from 0 — which translates here. A shard thread defines
+/// each id it is sent at that number (`DecodeDict::define_at`), and a
+/// worker process, sent every `Define` in order, numbers them as they
+/// arrive (`DecodeDict::define`): the same numbering.
 pub(crate) struct Stream {
-    /// Table of every `Define` seen, by stream-global template id, so
+    /// Dense template ids handed out so far.
+    templates: usize,
+    /// By binary producer id: the template's dense id and its table, so
     /// events route by table without re-reading their definition.
-    tables: Vec<u16>,
+    binary: Vec<(usize, u16)>,
+    /// The lines this stream resolves itself; `None` in a reference that
+    /// leaves every line to be parsed where it lands.
+    lines: Option<LineTable>,
     /// Records routed so far (lifetime: a resumed run continues the
     /// manifest's count).
     pub(crate) routed: u64,
@@ -146,7 +240,22 @@ impl Stream {
     /// The start of a stream: nothing routed, generation 1 next.
     pub(crate) fn new(config: &ServiceConfig) -> Self {
         let barrier_every = config.checkpoint_every_epochs.saturating_mul(config.epoch_events);
-        Self { tables: Vec::new(), routed: 0, next_gen: 1, barrier_every, skip: 0, skip_gen: 0 }
+        Self {
+            templates: 0,
+            binary: Vec::new(),
+            lines: Some(LineTable::new()),
+            routed: 0,
+            next_gen: 1,
+            barrier_every,
+            skip: 0,
+            skip_gen: 0,
+        }
+    }
+
+    /// [`Self::new`] without a line table: every routed line stays text,
+    /// to be parsed where it lands — the offline reference's grammar.
+    pub(crate) fn parsing_every_line(config: &ServiceConfig) -> Self {
+        Self { lines: None, ..Self::new(config) }
     }
 
     /// Switch to **journal-replay recovery**: the input replays the
@@ -185,25 +294,46 @@ impl Stream {
         checkpointing: bool,
         placement: &mut P,
     ) -> Result<(), String> {
-        // Template ids are the input's own: a binary stream numbers its
-        // `Define`s from 0.
-        self.tables.clear();
+        // Each run numbers its templates from 0, as its consumers do.
+        self.templates = 0;
+        self.binary.clear();
+        if let Some(lines) = &mut self.lines {
+            *lines = LineTable::new();
+        }
         let opaque = map.opaque_shard();
         let mut records = RecordIter::new(input);
-        while let Some(record) = records.next_with(|| placement.flush()) {
+        loop {
+            // A decoded frame's items first: the binary path reads nothing
+            // and never meets the line table.
+            let decision = match records.decoded() {
+                Some(record) => self.decide(record, schema),
+                None => match records
+                    .next_or_line(|| placement.flush(), |raw| self.decide_line(raw, schema))
+                {
+                    None => break,
+                    Some(Next::Line(decision)) => decision,
+                    Some(Next::Record(record)) => self.decide(record, schema),
+                },
+            };
             placement.poll()?;
             if take_status_signal() {
                 eprintln!("{}", placement.status_line());
             }
-            let (shard, item) = match self.decide(record, schema) {
+            let (shard, item) = match decision {
                 Decision::Skip => continue,
                 Decision::Shutdown => break,
                 Decision::Route { table, item } => {
                     (table.map_or(opaque, |t| map.shard_of(t)), item)
                 }
-                Decision::Define { id, table, kind, attrs } => {
-                    placement.define(map.shard_of(table), id, table, kind, attrs)?;
-                    continue;
+                Decision::Define { id, table, kind, attrs, event } => {
+                    let shard = map.shard_of(table);
+                    placement.define(shard, id, table, kind, attrs)?;
+                    match event {
+                        Some(frequency) => {
+                            (shard, Routed::Event { template: id as u64, frequency })
+                        }
+                        None => continue,
+                    }
                 }
                 Decision::Barrier => {
                     if checkpointing {
@@ -244,58 +374,103 @@ impl Stream {
     /// Reduce one record to its decision.
     #[inline]
     pub(crate) fn decide(&mut self, record: Record, schema: &Schema) -> Decision {
-        // Journal conn/seq tags and raw-carried lines reduce to the
-        // plain record they wrap.
+        // Journal conn/seq tags reduce to the plain record they wrap.
         let record = match record {
             Record::Item(WireItem::Tagged { item, .. }) => Record::Item(*item),
             r => r,
         };
-        let record = match record {
-            Record::Item(WireItem::Raw(bytes)) => {
-                Record::Line(String::from_utf8_lossy(&bytes).into_owned())
-            }
-            r => r,
-        };
         match record {
-            Record::Line(line) => Self::decide_line(line, schema),
+            Record::Line(line) => self.decide_line(line.as_bytes(), schema),
+            Record::Item(WireItem::Raw(bytes)) => self.decide_line(&bytes, schema),
             Record::Item(WireItem::Define { table, kind, attrs }) => {
-                let id = self.tables.len();
-                self.tables.push(table);
-                Decision::Define { id, table, kind, attrs }
+                let id = self.templates;
+                self.templates += 1;
+                self.binary.push((id, table));
+                Decision::Define { id, table, kind, attrs, event: None }
             }
             Record::Item(WireItem::Event { template, frequency }) => {
-                match usize::try_from(template).ok().and_then(|t| self.tables.get(t)) {
-                    Some(&table) => Decision::Route {
+                match usize::try_from(template).ok().and_then(|t| self.binary.get(t)) {
+                    Some(&(id, table)) => Decision::Route {
                         table: Some(table),
-                        item: Routed::Event { template, frequency },
+                        item: Routed::Event { template: id as u64, frequency },
                     },
                     None => INVALID,
                 }
             }
             Record::Item(WireItem::Control(c)) => Self::control(c, None),
-            // Tagged/Raw were unwrapped above; what is left (a supervisor
+            // Tagged was unwrapped above; what is left (a supervisor
             // message, a doubly wrapped item) would be a decoder
             // invariant violation — count it invalid rather than trust it.
             Record::Item(_) | Record::Corrupt => INVALID,
         }
     }
 
-    fn decide_line(line: String, schema: &Schema) -> Decision {
-        // Strip surrounding blanks; recorded and rendered lines have
-        // none and move as they are.
-        let line = match line.trim() {
-            "" => return Decision::Skip,
-            t if t.len() == line.len() => line,
-            t => t.to_owned(),
+    /// Reduce one text line — its bytes as read, line ending stripped —
+    /// to its decision. A remembered line is decided by its bytes alone.
+    /// Any other is trimmed, classified by a byte scan and, if a control,
+    /// parsed; a line to route is parsed here the second time it is
+    /// seen, and remembered as what it is. A valid query becomes the
+    /// stream's next template: a `Define` to its shard, with its first
+    /// event behind it.
+    fn decide_line(&mut self, raw: &[u8], schema: &Schema) -> Decision {
+        let hash = match &self.lines {
+            Some(lines) => {
+                let hash = line_hash(raw);
+                if let Some(known) = lines.get(hash, raw) {
+                    return Self::known(known, raw);
+                }
+                Some(hash)
+            }
+            None => None,
         };
-        let table = match classify_line(&line) {
+        let text = String::from_utf8_lossy(raw);
+        let line = text.trim();
+        if line.is_empty() {
+            return Decision::Skip;
+        }
+        let table = match classify_line(line) {
             LineClass::Table(t) => Some(t),
-            _ => match line_control(&line, schema) {
-                Some(c) => return Self::control(c, Some(&line)),
+            _ => match line_control(line, schema) {
+                Some(c) => return Self::control(c, Some(line)),
                 None => None,
             },
         };
-        Decision::Route { table, item: Routed::Line(line) }
+        let as_text = || Decision::Route { table, item: Routed::Line(line.to_owned()) };
+        let Some((hash, lines)) = hash.zip(self.lines.as_mut()) else { return as_text() };
+        if !lines.seen_before(hash) {
+            return as_text();
+        }
+        let known = match parse_line(line, schema) {
+            // The shard the line routes to is its table's.
+            Ok(InputLine::Query(q)) if table == Some(q.table().0) => {
+                let (id, frequency) = (self.templates, q.frequency());
+                self.templates += 1;
+                let table = q.table().0;
+                lines.remember(hash, raw, Known::Template { id, table, frequency });
+                let attrs = q.attrs().iter().map(|a| a.0).collect();
+                let kind = q.kind();
+                return Decision::Define { id, table, kind, attrs, event: Some(frequency) };
+            }
+            Ok(_) => Known::Parse { table },
+            Err(_) => Known::Invalid { table },
+        };
+        lines.remember(hash, raw, known);
+        Self::known(known, raw)
+    }
+
+    /// The decision for a remembered line.
+    fn known(known: Known, raw: &[u8]) -> Decision {
+        match known {
+            Known::Template { id, table, frequency } => Decision::Route {
+                table: Some(table),
+                item: Routed::Event { template: id as u64, frequency },
+            },
+            Known::Invalid { table } => Decision::Route { table, item: Routed::Invalid },
+            Known::Parse { table } => {
+                let line = String::from_utf8_lossy(raw).trim().to_owned();
+                Decision::Route { table, item: Routed::Line(line) }
+            }
+        }
     }
 
     /// A control command; `line` is its text form, which may carry a
@@ -468,7 +643,9 @@ mod tests {
                 route(0, T0),
                 barrier(4, 6),
                 Query(Control::Whatif { budget: 5 }, true),
-                route(1, T1),
+                // Seen before: parsed here, and invalid (attribute 8 is
+                // not table 1's).
+                route(1, "invalid"),
                 Query(Control::Status, false),
                 route(0, T2),
                 barrier(5, 8),
@@ -507,6 +684,170 @@ mod tests {
                     .collect();
                 assert_eq!(transcript(k, g, true).0, want, "skip {k}, skip_gen {g}");
             }
+        }
+    }
+
+    /// A two-table schema: `t0` with attributes 0 and 1, `t1` with 2.
+    fn schema() -> Schema {
+        let mut b = isel_workload::SchemaBuilder::new();
+        let t0 = b.table("t0", 1_000);
+        b.attribute(t0, "a", 10, 4);
+        b.attribute(t0, "b", 10, 4);
+        let t1 = b.table("t1", 1_000);
+        b.attribute(t1, "c", 10, 4);
+        b.finish()
+    }
+
+    /// A decision as text, for comparing.
+    fn describe(d: Decision) -> String {
+        match d {
+            Decision::Skip => "skip".into(),
+            Decision::Shutdown => "shutdown".into(),
+            Decision::Barrier => "barrier".into(),
+            Decision::Query { control, token } => format!("query {control:?} {token:?}"),
+            Decision::Define { id, table, kind, attrs, event } => {
+                format!("define {id} t{table} {kind:?} {attrs:?} then {event:?}")
+            }
+            Decision::Route { table, item } => {
+                let item = match item {
+                    Routed::Line(line) => format!("line {line}"),
+                    Routed::Event { template, frequency } => {
+                        format!("event {template}x{frequency}")
+                    }
+                    Routed::Invalid => "invalid".into(),
+                };
+                format!("route {table:?} {item}")
+            }
+        }
+    }
+
+    fn decide(stream: &mut Stream, line: &str, s: &Schema) -> String {
+        describe(stream.decide(Record::Line(line.to_owned()), s))
+    }
+
+    /// A routed line is text the first time it is seen and is parsed at
+    /// the edge the second: a valid query becomes a template — one
+    /// define with its first event behind it, then one event per
+    /// occurrence — and anything else is remembered as what its host
+    /// makes of it, so it is never parsed twice per occurrence. Controls
+    /// and blank lines are never remembered.
+    #[test]
+    fn a_line_becomes_a_template_on_its_second_parse_and_only_if_a_query() {
+        let s = schema();
+        let mut stream = Stream::new(&ServiceConfig::default());
+        let line = r#"{"table":0,"attrs":[1,0],"frequency":3}"#;
+        assert_eq!(decide(&mut stream, line, &s), format!("route Some(0) line {line}"));
+        assert_eq!(decide(&mut stream, line, &s), "define 0 t0 Select [0, 1] then Some(3)");
+        for _ in 0..3 {
+            assert_eq!(decide(&mut stream, line, &s), "route Some(0) event 0x3");
+        }
+        let probe = r#"{"table":0,"attrs":[0],"observed_cost":2.5}"#;
+        let riding = r#"{"table":0,"attrs":[0],"control":"status"}"#;
+        for (other, then) in [
+            (r#"{"table":0,"attrs":[2]}"#, "route Some(0) invalid"),
+            (r#"{"table":0,"attrs":[0],"frequency":0}"#, "route Some(0) invalid"),
+            (r#"{"table":0,"attrs":["#, "route Some(0) invalid"),
+            ("garbage", "route None invalid"),
+            (probe, &format!("route Some(0) line {probe}")),
+            (riding, &format!("route Some(0) line {riding}")),
+        ] {
+            let first = decide(&mut stream, other, &s);
+            assert!(first.ends_with(&format!("line {other}")), "{other}: {first}");
+            for _ in 0..3 {
+                assert_eq!(decide(&mut stream, other, &s), then, "{other}");
+            }
+        }
+        for _ in 0..3 {
+            assert_eq!(decide(&mut stream, r#"{"control":"checkpoint"}"#, &s), "barrier");
+            assert_eq!(decide(&mut stream, "  ", &s), "skip");
+        }
+        let lines = stream.lines.as_ref().unwrap();
+        assert_eq!(lines.lines.len(), 7, "the query and the six others");
+        assert_eq!(stream.templates, 1, "only the query is a template");
+    }
+
+    /// Binary producer ids and remembered lines share one dense
+    /// namespace, numbered in the order the defines go out; a binary
+    /// event names its template by the producer's id.
+    #[test]
+    fn binary_ids_and_line_templates_share_one_namespace() {
+        let s = schema();
+        let mut stream = Stream::new(&ServiceConfig::default());
+        let kind = QueryKind::Update;
+        let define = |table| Record::Item(WireItem::Define { table, kind, attrs: vec![2] });
+        let event = |template| Record::Item(WireItem::Event { template, frequency: 2 });
+        let line = r#"{"table":0,"attrs":[0]}"#;
+        let mut got = vec![describe(stream.decide(define(1), &s))];
+        got.push(decide(&mut stream, line, &s));
+        got.push(decide(&mut stream, line, &s));
+        got.push(describe(stream.decide(define(1), &s)));
+        got.push(describe(stream.decide(event(1), &s)));
+        got.push(describe(stream.decide(event(0), &s)));
+        got.push(decide(&mut stream, line, &s));
+        got.push(describe(stream.decide(event(2), &s)));
+        assert_eq!(
+            got,
+            [
+                "define 0 t1 Update [2] then None",
+                &format!("route Some(0) line {line}"),
+                "define 1 t0 Select [0] then Some(1)",
+                "define 2 t1 Update [2] then None",
+                "route Some(1) event 2x2",
+                "route Some(1) event 0x2",
+                "route Some(0) event 1x1",
+                "route None invalid", // producer id 2 was never defined
+            ]
+        );
+    }
+
+    /// A line whose hash another remembered line holds is routed as text
+    /// every time, never parsed at the edge.
+    #[test]
+    fn a_line_under_another_lines_hash_is_parsed_never_remembered() {
+        let s = schema();
+        let mut stream = Stream::new(&ServiceConfig::default());
+        let (a, b) = (r#"{"table":0,"attrs":[0]}"#, r#"{"table":1,"attrs":[2]}"#);
+        decide(&mut stream, a, &s);
+        assert!(decide(&mut stream, a, &s).starts_with("define 0"));
+        // Forge a collision: b's hash names a's entry.
+        let lines = stream.lines.as_mut().unwrap();
+        lines.ids.insert(line_hash(b.as_bytes()), 0);
+        for _ in 0..3 {
+            assert_eq!(decide(&mut stream, b, &s), format!("route Some(1) line {b}"));
+        }
+        assert_eq!(stream.lines.as_ref().unwrap().lines.len(), 1);
+    }
+
+    /// Past [`LINE_CAP`] remembered lines the table stops growing: a new
+    /// line stays text however often it repeats, and the lines already
+    /// remembered still resolve.
+    #[test]
+    fn the_line_table_stops_remembering_at_its_cap() {
+        let s = schema();
+        let mut stream = Stream::new(&ServiceConfig::default());
+        let line = |n: usize| format!(r#"{{"table":1,"attrs":[2],"frequency":{n}}}"#);
+        for n in 1..=LINE_CAP + 2 {
+            assert!(decide(&mut stream, &line(n), &s).contains("line"), "{n}: seen once");
+            let again = decide(&mut stream, &line(n), &s);
+            match n <= LINE_CAP {
+                true => assert!(again.starts_with(&format!("define {}", n - 1)), "{n}: {again}"),
+                false => assert!(again.contains("line"), "{n}: past the cap, {again}"),
+            }
+        }
+        assert_eq!(decide(&mut stream, &line(7), &s), "route Some(1) event 6x7");
+        let lines = stream.lines.as_ref().unwrap();
+        assert_eq!((lines.lines.len(), lines.ids.len()), (LINE_CAP, LINE_CAP));
+    }
+
+    /// The offline reference's stream leaves every line to be parsed
+    /// where it lands.
+    #[test]
+    fn a_reference_stream_remembers_no_line() {
+        let s = schema();
+        let mut stream = Stream::parsing_every_line(&ServiceConfig::default());
+        let line = r#"{"table":0,"attrs":[0]}"#;
+        for _ in 0..3 {
+            assert_eq!(decide(&mut stream, line, &s), format!("route Some(0) line {line}"));
         }
     }
 }

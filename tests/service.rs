@@ -1568,6 +1568,45 @@ fn drop_oldest_accounts_for_every_event() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Under drop-oldest a shed record is one lost event, in either
+/// encoding: the queues never shed a `Define` — the binary input's own,
+/// or the one the router sends for a JSONL line it saw before — so no
+/// later event of its template turns invalid. A few canonical lines
+/// repeat, with a new template joining every 100 events so that
+/// defines land among queued events; their binary twin is `Define`s and
+/// `Event`s.
+#[test]
+fn drop_oldest_sheds_events_never_defines() {
+    let w = workload();
+    let sent = 3000usize;
+    let qs = w.queries();
+    let jsonl: String = (0..sent)
+        .map(|i| {
+            let q = &qs[i % (1 + i / 100) % qs.len()];
+            let attrs: Vec<String> = q.attrs().iter().map(|a| a.0.to_string()).collect();
+            let kind = if q.is_update() { r#","kind":"Update""# } else { "" };
+            format!("{{\"table\":{},\"attrs\":[{}]{kind}}}\n", q.table().0, attrs.join(","))
+        })
+        .collect();
+    let binary = convert(jsonl.as_bytes(), WireFormat::Binary);
+    let defines = RecordIter::new(Cursor::new(&binary[..]))
+        .filter(|r| matches!(r, Record::Item(isel_service::WireItem::Define { .. })))
+        .count();
+    let distinct: std::collections::HashSet<&str> = jsonl.lines().collect();
+    assert_eq!(defines, distinct.len(), "the twin defines every distinct line");
+    let mut config = sharded_config(2);
+    config.queue_capacity = 3;
+    for (encoding, log) in [("jsonl", jsonl.into_bytes()), ("binary", binary)] {
+        let mut router = Router::new(w.schema().clone(), config.clone()).unwrap();
+        let report =
+            router.run_reader(Cursor::new(log), OverloadPolicy::DropOldest, None, &[]).unwrap();
+        assert_eq!(report.invalid, 0, "{encoding}: a shed define turned events invalid");
+        assert_eq!(report.ingested + report.dropped, sent as u64, "{encoding}");
+        assert!(report.dropped > 0, "{encoding}: nothing was shed, so nothing was shown");
+        assert!(report.queue_high_water <= 3, "{encoding}: {}", report.queue_high_water);
+    }
+}
+
 /// A line with a top-level `"table"` key is an event line to the engine
 /// even when it carries `"control"` too, and the socket front agrees:
 /// were it to wait for a reply the engine never sends, the connection
