@@ -15,7 +15,7 @@
 
 use isel_bench::{accept_args, header, report_written, ResultSink};
 use isel_core::{algorithm1, budget, candidates, cophy, Parallelism, Trace};
-use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer, WhatIfStats};
+use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::{IndexId, IndexPool, QueryId, Workload};
@@ -43,9 +43,6 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for MaintenanceBlind<W> {
     }
     fn maintenance_cost(&self, _k: IndexId) -> f64 {
         0.0
-    }
-    fn stats(&self) -> WhatIfStats {
-        self.0.stats()
     }
 }
 

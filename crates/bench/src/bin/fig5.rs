@@ -100,17 +100,17 @@ fn main() {
 
     // Phase 2: H6 on live measurements (no candidate set).
     let max_budget = budget::relative_budget(&est, 1.0);
-    let live = isel_dbsim::measure::LiveWhatIf::new(
+    let live = CachingWhatIf::new(isel_dbsim::measure::LiveWhatIf::new(
         Database::populate(workload.schema(), data_seed),
         workload.clone(),
         mcfg,
-    );
+    ));
     let (h6_run, t_h6) =
         isel_bench::timed(|| algorithm1::run(&live, &algorithm1::Options::new(max_budget)));
     println!(
         "(H6 on live measurements: {:.1}s, {} indexes built on demand)",
         t_h6.as_secs_f64(),
-        live.indexes_built()
+        live.inner().indexes_built()
     );
 
     // Phase 3: evaluate every strategy's selection per budget by executing

@@ -16,7 +16,7 @@ use isel_bench::{
     ResultSink,
 };
 use isel_core::{algorithm1, budget, candidates, Parallelism, RunReport, Trace, VecSink};
-use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, PrefixAwareWhatIf, WhatIfOptimizer};
+use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_solver::SolveStatus;
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -101,10 +101,10 @@ fn main() {
                 )
             };
             // Fresh estimator per run so call counts are attributable. The
-            // prefix-aware (INUM-style) layer keeps the cache proportional
-            // to distinct (query, prefix) pairs rather than
-            // (query, candidate) pairs — essential for |I| ≈ 10⁵.
-            let est = PrefixAwareWhatIf::new(AnalyticalWhatIf::new(&workload));
+            // prefix key (INUM-style) keeps the cache proportional to
+            // distinct (query, prefix) pairs rather than (query, candidate)
+            // pairs — essential for |I| ≈ 10⁵.
+            let est = CachingWhatIf::prefix_keyed(AnalyticalWhatIf::new(&workload));
             let cand_ids: Vec<_> = cands.iter().map(|k| est.pool().intern(k)).collect();
             let run = isel_core::cophy::solve(
                 &est,

@@ -68,8 +68,8 @@ USAGE:
   The service commands drive the continuous-tuning daemon: record an
   event log, replay it losslessly (--offline-check verifies the
   selection sequence is bit-identical to the offline dynamic::adapt
-  loop), or serve live on stdin / a Unix socket with counted drop-oldest
-  overload shedding.
+  loop, and refuses --calibrate), or serve live on stdin / a Unix
+  socket with counted drop-oldest overload shedding.
 
   Event streams come in two peer encodings, auto-detected per record by
   a magic byte and mixable on one stream: JSONL (one JSON object per

@@ -410,7 +410,14 @@ pub fn serve(args: &Args) -> Result<(), Failure> {
 /// `--offline-check` forces the always-adapt drift thresholds and
 /// verifies the selection sequence is bit-identical to the offline
 /// `dynamic::adapt` loop over the same epoch snapshots, group by group.
+/// It refuses `--calibrate`: the reference has no deployment gate, so a
+/// calibrated run would diverge from it by design.
 pub fn replay(args: &Args) -> Result<(), Failure> {
+    if args.flag("offline-check") && args.flag("calibrate") {
+        return Err("--offline-check cannot judge --calibrate: the offline reference \
+                    does not model the deployment gate (run them separately)"
+            .into());
+    }
     let workload = load_workload(args)?;
     let log = args.get("log").ok_or("missing --log FILE")?;
     let mut config = service_config(args)?;
@@ -827,6 +834,16 @@ mod tests {
             "replay --workload {w} --log {log} --epoch-events 32 --offline-check"
         )))
         .unwrap();
+    }
+
+    #[test]
+    fn replay_refuses_offline_check_with_calibrate() {
+        // Refused before any work: neither file is read.
+        let err = replay(&argv(
+            "replay --workload missing.json --log missing.jsonl --offline-check --calibrate",
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains("--offline-check cannot judge --calibrate"), "{err}");
     }
 
     #[test]

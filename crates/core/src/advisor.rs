@@ -368,10 +368,6 @@ mod tests {
         fn index_memory(&self, index: IndexId) -> u64 {
             self.inner.index_memory(index)
         }
-
-        fn stats(&self) -> WhatIfStats {
-            self.inner.stats()
-        }
     }
 
     #[test]

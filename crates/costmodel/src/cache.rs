@@ -1,12 +1,14 @@
-//! Caching what-if decorator.
+//! The what-if ledger: the one memo and the one call counter.
 //!
 //! What-if optimizer calls dominate the runtime of index-selection tools
 //! (Section I and \[16\] in the paper), so repeated questions must be
-//! answered from a cache. Algorithm 1 additionally notes (Figure 1) that
-//! "in each step, required what-if calls from previous steps can be
-//! cached, except for calls related to indexes built in the previous step".
+//! answered from a cache, and a strategy is judged by the calls it issues
+//! (Section III-A). Algorithm 1 additionally notes (Figure 1) that "in
+//! each step, required what-if calls from previous steps can be cached,
+//! except for calls related to indexes built in the previous step".
 //!
-//! [`CachingWhatIf`] wraps any [`WhatIfOptimizer`]:
+//! [`CachingWhatIf`] wraps any [`WhatIfOptimizer`]; every other oracle is
+//! a pure cost function that neither memoizes nor counts.
 //!
 //! * `f_j(0)` answers are memoized per query, and index memory per index,
 //!   each in a dense table indexed by the id itself,
@@ -15,7 +17,27 @@
 //!   machine word instead of cloning and re-hashing an attribute vector.
 //!   Inapplicable indexes are answered structurally, without a cache
 //!   entry,
-//! * issued vs cache-answered calls are counted separately.
+//! * a miss of the `f_j(0)` or `f_j(k)` memo is an *issued* what-if call;
+//!   every hit, index memory included, is a *cached* one.
+//!
+//! # Two pair keys
+//!
+//! [`CachingWhatIf::new`] keys `f_j(k)` by the candidate itself.
+//! [`CachingWhatIf::prefix_keyed`] is INUM's reuse (cf. Papadomanolakis et
+//! al. \[16\]): the cost of a query under an index depends only on the
+//! index's *usable prefix* for that query — the longest prefix of key
+//! attributes the query binds — and candidates frequently share usable
+//! prefixes (every extension of an index shares all of its prefixes). The
+//! pair is then keyed by `(query, usable prefix)`, and a miss asks the
+//! inner oracle about the prefix index, whose answer serves every later
+//! candidate with the same usable prefix. CoPhy's exhaustive candidate
+//! evaluation, whose `Q·q̄·|I|/N` requests collapse to one call per
+//! distinct `(query, prefix)` pair, is what it is for. Every prefix of an
+//! interned index is itself interned, so the usable prefix *is* a pool id
+//! ([`IndexPool::usable_ancestor`] walks the parent links) and the
+//! reduction allocates nothing.
+//!
+//! # Layout
 //!
 //! The single-id memos are dense: query and index ids are small integers
 //! handed out in order, so cell `id` of a table of write-once cells holds
@@ -93,9 +115,8 @@ pub type IdHashBuilder = BuildHasherDefault<IdKeyHasher>;
 /// Pack a `(query, index)` id pair into one `u64` cache key.
 ///
 /// Both ids are dense `u32`s, so the pair fits a machine word exactly;
-/// every id-keyed cost table in the workspace (the sharded cache here,
-/// `TabularWhatIf`, `PrefixAwareWhatIf`, the dbsim measurement table) uses
-/// this layout.
+/// every id-keyed cost table in the workspace (the sharded cache here and
+/// `TabularWhatIf`) uses this layout.
 #[inline]
 pub fn pack_key(query: QueryId, index: IndexId) -> u64 {
     ((query.0 as u64) << 32) | index.0 as u64
@@ -230,32 +251,52 @@ impl<V: Copy> Memo<u32, V> for Dense<V> {
     }
 }
 
-/// A caching, call-counting decorator over another what-if optimizer.
+/// The what-if ledger: a caching, call-counting decorator over another
+/// what-if optimizer.
+///
+/// Its `config_cost`/`workload_cost` are the trait's single-index
+/// defaults over the memo: an inner oracle that overrides them (the
+/// multi-index one of Remark 2) is asked only `f_j(0)` and `f_j(k)`
+/// through this wrapper.
 pub struct CachingWhatIf<W> {
     inner: W,
+    /// Key `f_j(k)` by `k`'s usable prefix for `j` instead of by `k`.
+    prefix_keyed: bool,
     /// `f_j(0)` in cell `j`.
     unindexed: Dense<f64>,
-    /// `f_j(k)` keyed by [`pack_key`]`(j, k)`.
+    /// `f_j(k)` keyed by [`pack_key`]`(j, k)`, or by `(j, usable prefix)`.
     indexed: Sharded<u64, Option<f64>>,
     /// Memory of index `k` in cell `k`.
     memory: Dense<u64>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
+    /// Questions forwarded to `inner`: misses of `unindexed` and `indexed`.
+    issued: AtomicU64,
 }
 
 impl<W: WhatIfOptimizer> CachingWhatIf<W> {
-    /// Wrap `inner` with a cache.
+    /// Wrap `inner` with a cache keyed by the exact `(query, index)` pair.
     pub fn new(inner: W) -> Self {
         Self {
             inner,
+            prefix_keyed: false,
             unindexed: Dense::new(),
             indexed: Sharded::new(),
             memory: Dense::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
+            issued: AtomicU64::new(0),
         }
+    }
+
+    /// Wrap `inner` with a cache keyed by `(query, usable prefix)` (INUM):
+    /// a miss asks `inner` about the prefix index. Sound only for an inner
+    /// oracle whose `f_j(k)` depends on nothing but `k`'s usable prefix
+    /// for `j`, as the Appendix-B model's does.
+    pub fn prefix_keyed(inner: W) -> Self {
+        Self { prefix_keyed: true, ..Self::new(inner) }
     }
 
     /// The wrapped optimizer.
@@ -283,6 +324,12 @@ impl<W: WhatIfOptimizer> CachingWhatIf<W> {
         }
         v
     }
+
+    /// Ask the inner oracle a cost question: one issued what-if call.
+    fn issue<V>(&self, ask: impl FnOnce() -> V) -> V {
+        self.issued.fetch_add(1, Ordering::Relaxed);
+        ask()
+    }
 }
 
 impl<W: WhatIfOptimizer> WhatIfOptimizer for CachingWhatIf<W> {
@@ -295,7 +342,9 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CachingWhatIf<W> {
     }
 
     fn unindexed_cost(&self, query: QueryId) -> f64 {
-        self.lookup(&self.unindexed, query.0, || self.inner.unindexed_cost(query))
+        self.lookup(&self.unindexed, query.0, || {
+            self.issue(|| self.inner.unindexed_cost(query))
+        })
     }
 
     fn index_cost(&self, query: QueryId, index: IndexId) -> Option<f64> {
@@ -304,11 +353,16 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CachingWhatIf<W> {
         // allocating a cache entry — negative entries for all Q·|I| pairs
         // of an exhaustive candidate sweep would dwarf the useful cache.
         let pool = self.inner.pool();
-        if !pool.applicable_to(self.inner.workload().query(query), index) {
+        let q = self.inner.workload().query(query);
+        let asked = if self.prefix_keyed {
+            pool.usable_ancestor(q, index)?
+        } else if pool.applicable_to(q, index) {
+            index
+        } else {
             return None;
-        }
-        self.lookup(&self.indexed, pack_key(query, index), || {
-            self.inner.index_cost(query, index)
+        };
+        self.lookup(&self.indexed, pack_key(query, asked), || {
+            self.issue(|| self.inner.index_cost(query, asked))
         })
     }
 
@@ -323,11 +377,9 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CachingWhatIf<W> {
     }
 
     fn stats(&self) -> WhatIfStats {
-        let inner = self.inner.stats();
         WhatIfStats {
-            calls_issued: inner.calls_issued,
-            calls_answered_from_cache: inner.calls_answered_from_cache
-                + self.hits.load(Ordering::Relaxed),
+            calls_issued: self.issued.load(Ordering::Relaxed),
+            calls_answered_from_cache: self.hits.load(Ordering::Relaxed),
         }
     }
 
@@ -486,6 +538,11 @@ mod tests {
         assert_eq!(s.misses, 4);
         assert_eq!(s.inserts, s.misses);
         assert_eq!(s.lookups(), 6);
+        // A memory miss asks the oracle no cost question; a memory hit is
+        // a cached request like any other.
+        assert_eq!(est.stats(), WhatIfStats { calls_issued: 3, calls_answered_from_cache: 2 });
+        est.index_memory(k0); // hit
+        assert_eq!(est.stats(), WhatIfStats { calls_issued: 3, calls_answered_from_cache: 3 });
     }
 
     #[test]
@@ -518,6 +575,87 @@ mod tests {
         assert_eq!(s.lookups(), 1600);
         assert_eq!(s.misses, 4);
         assert_eq!(s.inserts, 4);
-        assert_eq!(est.inner().stats().calls_issued, 4);
+        assert_eq!(est.stats().calls_issued, 4);
+    }
+
+    /// Two queries over three attributes: query 0 binds a0 and a1, query 1
+    /// only a2.
+    fn prefix_fixture() -> Workload {
+        let mut b = SchemaBuilder::new();
+        let t = b.table("t", 10_000);
+        let a0 = b.attribute(t, "a0", 1_000, 4);
+        let a1 = b.attribute(t, "a1", 100, 4);
+        let a2 = b.attribute(t, "a2", 10, 4);
+        Workload::new(
+            b.finish(),
+            vec![Query::new(TableId(0), vec![a0, a1], 5), Query::new(TableId(0), vec![a2], 2)],
+        )
+    }
+
+    #[test]
+    fn prefix_key_shares_one_call_across_a_shared_prefix() {
+        let w = prefix_fixture();
+        let est = CachingWhatIf::prefix_keyed(AnalyticalWhatIf::new(&w));
+        // Query 0 binds a0 and a1 but not a2: both candidates below have
+        // usable prefix (a0) for it.
+        let k1 = est.pool().intern_single(AttrId(0));
+        let k2 = est.pool().intern(&Index::new(vec![AttrId(0), AttrId(2)]));
+        let c1 = est.index_cost(QueryId(0), k1).unwrap();
+        let c2 = est.index_cost(QueryId(0), k2).unwrap();
+        assert_eq!(c1, c2);
+        let s = est.stats();
+        assert_eq!(s.calls_issued, 1, "one physical call for the shared prefix");
+        assert_eq!(s.calls_answered_from_cache, 1);
+    }
+
+    #[test]
+    fn prefix_key_issues_distinct_calls_for_distinct_prefixes() {
+        let w = prefix_fixture();
+        let est = CachingWhatIf::prefix_keyed(AnalyticalWhatIf::new(&w));
+        let k1 = est.pool().intern_single(AttrId(0));
+        let k12 = est.pool().intern(&Index::new(vec![AttrId(0), AttrId(1)]));
+        est.index_cost(QueryId(0), k1);
+        est.index_cost(QueryId(0), k12); // usable prefix (a0, a1)
+        assert_eq!(est.stats().calls_issued, 2);
+    }
+
+    #[test]
+    fn prefix_key_answers_inapplicable_pairs_without_a_call() {
+        let w = prefix_fixture();
+        let est = CachingWhatIf::prefix_keyed(AnalyticalWhatIf::new(&w));
+        let k = est.pool().intern_single(AttrId(0));
+        assert_eq!(est.index_cost(QueryId(1), k), None);
+        assert_eq!(est.stats(), WhatIfStats::default());
+        assert_eq!(est.cache_stats().unwrap().lookups(), 0);
+    }
+
+    #[test]
+    fn prefix_key_answers_match_the_plain_oracle() {
+        let w = prefix_fixture();
+        let plain = AnalyticalWhatIf::new(&w);
+        let accel = CachingWhatIf::prefix_keyed(AnalyticalWhatIf::new(&w));
+        for (j, _) in w.iter() {
+            for k in [
+                Index::single(AttrId(0)),
+                Index::new(vec![AttrId(0), AttrId(1)]),
+                Index::new(vec![AttrId(1), AttrId(0)]),
+                Index::new(vec![AttrId(0), AttrId(2), AttrId(1)]),
+                Index::single(AttrId(2)),
+            ] {
+                assert_eq!(plain.index_cost_of(j, &k), accel.index_cost_of(j, &k), "{j} {k}");
+            }
+            assert_eq!(plain.unindexed_cost(j), accel.unindexed_cost(j));
+        }
+    }
+
+    #[test]
+    fn prefix_key_caches_unindexed_costs() {
+        let w = prefix_fixture();
+        let est = CachingWhatIf::prefix_keyed(AnalyticalWhatIf::new(&w));
+        est.unindexed_cost(QueryId(0));
+        est.unindexed_cost(QueryId(0));
+        let s = est.stats();
+        assert_eq!(s.calls_issued, 1);
+        assert_eq!(s.calls_answered_from_cache, 1);
     }
 }

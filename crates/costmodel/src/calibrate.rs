@@ -23,7 +23,7 @@
 //!   poison a selection.
 
 use crate::cache::pack_key;
-use crate::whatif::{WhatIfOptimizer, WhatIfStats};
+use crate::whatif::WhatIfOptimizer;
 use isel_workload::{AttrId, Index, IndexId, IndexPool, QueryId, QueryKind, Workload};
 use std::collections::HashMap;
 
@@ -148,9 +148,11 @@ fn sanitize_ratio(observed: f64, estimated: f64) -> Option<f64> {
 }
 
 /// A decorator that rescales the inner oracle's cost primitives by the
-/// learned ratios. Memory, maintenance, statistics and the pool forward
-/// untouched; `config_cost`/`workload_cost` recompute through the
-/// calibrated primitives via the trait's default methods.
+/// learned ratios. Memory, maintenance and the pool forward untouched;
+/// `config_cost`/`workload_cost` recompute through the calibrated
+/// primitives via the trait's default methods. Like the leaves it wraps,
+/// it counts nothing: put a [`CachingWhatIf`](crate::CachingWhatIf) on
+/// top to memoize and count.
 #[derive(Clone, Debug)]
 pub struct CalibratedWhatIf<W> {
     inner: W,
@@ -196,14 +198,6 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CalibratedWhatIf<W> {
 
     fn maintenance_cost(&self, index: IndexId) -> f64 {
         self.inner.maintenance_cost(index)
-    }
-
-    fn stats(&self) -> WhatIfStats {
-        self.inner.stats()
-    }
-
-    fn cache_stats(&self) -> Option<crate::CacheStats> {
-        self.inner.cache_stats()
     }
 }
 

@@ -20,9 +20,8 @@
 //! The functions are pure so they can be property-tested; [`AnalyticalWhatIf`]
 //! wraps them behind the [`crate::WhatIfOptimizer`] trait.
 
-use crate::whatif::{WhatIfOptimizer, WhatIfStats};
+use crate::whatif::WhatIfOptimizer;
 use isel_workload::{AttrId, Index, IndexId, IndexPool, Query, QueryId, Schema, Workload};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes per position-list entry.
 pub const POSITION_BYTES: f64 = 4.0;
@@ -148,11 +147,11 @@ pub fn index_memory_attrs(schema: &Schema, key_attrs: &[AttrId]) -> u64 {
 }
 
 /// The analytical what-if optimizer: Appendix B behind the
-/// [`WhatIfOptimizer`] trait, with a call counter.
+/// [`WhatIfOptimizer`] trait, as a pure cost function (wrap it in a
+/// [`CachingWhatIf`](crate::CachingWhatIf) to memoize and count calls).
 pub struct AnalyticalWhatIf<'a> {
     workload: &'a Workload,
     pool: IndexPool,
-    calls: AtomicU64,
 }
 
 impl<'a> AnalyticalWhatIf<'a> {
@@ -161,7 +160,6 @@ impl<'a> AnalyticalWhatIf<'a> {
         Self {
             workload,
             pool: IndexPool::new(workload.schema()),
-            calls: AtomicU64::new(0),
         }
     }
 }
@@ -176,12 +174,10 @@ impl WhatIfOptimizer for AnalyticalWhatIf<'_> {
     }
 
     fn unindexed_cost(&self, query: QueryId) -> f64 {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         scan_cost(self.workload.schema(), self.workload.query(query))
     }
 
     fn index_cost(&self, query: QueryId, index: IndexId) -> Option<f64> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         index_scan_cost_attrs(
             self.workload.schema(),
             self.workload.query(query),
@@ -195,13 +191,6 @@ impl WhatIfOptimizer for AnalyticalWhatIf<'_> {
 
     fn maintenance_cost(&self, index: IndexId) -> f64 {
         update_maintenance_cost_attrs(self.workload.schema(), self.pool.attrs(index))
-    }
-
-    fn stats(&self) -> WhatIfStats {
-        WhatIfStats {
-            calls_issued: self.calls.load(Ordering::Relaxed),
-            calls_answered_from_cache: 0,
-        }
     }
 }
 
@@ -370,14 +359,15 @@ mod tests {
     }
 
     #[test]
-    fn analytical_whatif_counts_calls() {
+    fn analytical_whatif_counts_no_calls() {
+        // The leaf is a pure cost function; only the ledger counts.
         let (s, hi, _, _) = fixture();
         let w = Workload::new(s, vec![q(&[hi])]);
         let est = AnalyticalWhatIf::new(&w);
         est.unindexed_cost(QueryId(0));
         let k = est.pool().intern_single(hi);
         est.index_cost(QueryId(0), k);
-        est.index_cost(QueryId(0), k);
-        assert_eq!(est.stats().calls_issued, 3);
+        assert_eq!(est.stats(), crate::WhatIfStats::default());
+        assert_eq!(est.cache_stats(), None);
     }
 }

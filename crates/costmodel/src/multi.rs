@@ -14,9 +14,8 @@
 //! after each construction step.
 
 use crate::model::{self, POSITION_BYTES};
-use crate::whatif::{WhatIfOptimizer, WhatIfStats};
+use crate::whatif::WhatIfOptimizer;
 use isel_workload::{AttrId, Index, IndexId, IndexPool, Query, QueryId, QueryKind, Schema, Workload};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cost of evaluating `attrs` by scanning the surviving `c`-fraction of
 /// the table, cheapest selectivity first (the Appendix-B residual scan).
@@ -123,7 +122,6 @@ pub fn multi_index_cost(schema: &Schema, query: &Query, config: &[Index]) -> f64
 pub struct MultiIndexAnalyticalWhatIf<'a> {
     workload: &'a Workload,
     pool: IndexPool,
-    calls: AtomicU64,
 }
 
 impl<'a> MultiIndexAnalyticalWhatIf<'a> {
@@ -132,7 +130,6 @@ impl<'a> MultiIndexAnalyticalWhatIf<'a> {
         Self {
             workload,
             pool: IndexPool::new(workload.schema()),
-            calls: AtomicU64::new(0),
         }
     }
 }
@@ -147,12 +144,10 @@ impl WhatIfOptimizer for MultiIndexAnalyticalWhatIf<'_> {
     }
 
     fn unindexed_cost(&self, query: QueryId) -> f64 {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         model::scan_cost(self.workload.schema(), self.workload.query(query))
     }
 
     fn index_cost(&self, query: QueryId, index: IndexId) -> Option<f64> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         model::index_scan_cost_attrs(
             self.workload.schema(),
             self.workload.query(query),
@@ -164,19 +159,11 @@ impl WhatIfOptimizer for MultiIndexAnalyticalWhatIf<'_> {
         model::index_memory_attrs(self.workload.schema(), self.pool.attrs(index))
     }
 
-    fn stats(&self) -> WhatIfStats {
-        WhatIfStats {
-            calls_issued: self.calls.load(Ordering::Relaxed),
-            calls_answered_from_cache: 0,
-        }
-    }
-
     fn maintenance_cost(&self, index: IndexId) -> f64 {
         model::update_maintenance_cost_attrs(self.workload.schema(), self.pool.attrs(index))
     }
 
     fn config_cost(&self, query: QueryId, config: &[IndexId]) -> f64 {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         let q = self.workload.query(query);
         // The multi-index evaluation is a genuine per-call optimizer run;
         // resolving ids to owned indexes here is noise next to its cost.

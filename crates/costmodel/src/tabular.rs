@@ -14,10 +14,9 @@
 //! then follow parent links — no key vectors are built or re-hashed.
 
 use crate::cache::{pack_key, IdHashBuilder};
-use crate::whatif::{WhatIfOptimizer, WhatIfStats};
+use crate::whatif::WhatIfOptimizer;
 use isel_workload::{Index, IndexId, IndexPool, QueryId, Workload};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cost tables: measured or precomputed query costs.
 pub struct TabularWhatIf {
@@ -28,7 +27,6 @@ pub struct TabularWhatIf {
     indexed: HashMap<u64, f64, IdHashBuilder>,
     /// Measured or computed `p_k`.
     memory: HashMap<IndexId, u64, IdHashBuilder>,
-    calls: AtomicU64,
 }
 
 impl TabularWhatIf {
@@ -50,7 +48,6 @@ impl TabularWhatIf {
             unindexed,
             indexed: HashMap::default(),
             memory: HashMap::default(),
-            calls: AtomicU64::new(0),
         }
     }
 
@@ -106,12 +103,10 @@ impl WhatIfOptimizer for TabularWhatIf {
     }
 
     fn unindexed_cost(&self, query: QueryId) -> f64 {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         self.unindexed[query.idx()]
     }
 
     fn index_cost(&self, query: QueryId, index: IndexId) -> Option<f64> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         self.lookup(query, index)
     }
 
@@ -124,13 +119,6 @@ impl WhatIfOptimizer for TabularWhatIf {
 
     fn maintenance_cost(&self, index: IndexId) -> f64 {
         crate::model::update_maintenance_cost_attrs(self.workload.schema(), self.pool.attrs(index))
-    }
-
-    fn stats(&self) -> WhatIfStats {
-        WhatIfStats {
-            calls_issued: self.calls.load(Ordering::Relaxed),
-            calls_answered_from_cache: 0,
-        }
     }
 }
 

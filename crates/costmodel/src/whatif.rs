@@ -2,14 +2,21 @@
 //!
 //! Selection algorithms never compute costs themselves; they ask a
 //! [`WhatIfOptimizer`] — exactly like index advisors ask the DBMS's what-if
-//! mode for the cost of a query under a hypothetical index. The trait has
-//! three implementations in this workspace:
+//! mode for the cost of a query under a hypothetical index. Its
+//! implementations in this workspace:
 //!
-//! * [`AnalyticalWhatIf`](crate::AnalyticalWhatIf) — the Appendix-B model,
-//! * [`TabularWhatIf`](crate::TabularWhatIf) — precomputed/measured cost
-//!   tables (the Section IV-B end-to-end mode, fed by `isel-dbsim`),
-//! * [`CachingWhatIf`](crate::CachingWhatIf) — a decorator that caches and
-//!   counts calls.
+//! * pure leaves — [`AnalyticalWhatIf`](crate::AnalyticalWhatIf) (the
+//!   Appendix-B model), [`TabularWhatIf`](crate::TabularWhatIf)
+//!   (precomputed/measured cost tables, the Section IV-B end-to-end mode
+//!   fed by `isel-dbsim`, whose on-demand `LiveWhatIf` is a leaf too) and
+//!   the multi-index model of Remark 2; they answer questions and count
+//!   nothing,
+//! * [`CachingWhatIf`](crate::CachingWhatIf) — the one ledger: it memoizes
+//!   answers, keyed by the exact `(query, index)` pair or by INUM's
+//!   `(query, usable prefix)`, and counts issued and cached calls,
+//! * [`CalibratedWhatIf`](crate::CalibratedWhatIf) — rescales an inner
+//!   oracle's costs by learned ratios (the service wraps it in the
+//!   ledger).
 //!
 //! # Id-keyed costing
 //!
@@ -27,12 +34,18 @@ use isel_workload::{Index, IndexId, IndexPool, Query, QueryId, QueryKind, Worklo
 use serde::{Deserialize, Serialize};
 
 /// Call statistics; the paper evaluates approaches by the number of what-if
-/// calls they need (Section III-A).
+/// calls they need (Section III-A). Only
+/// [`CachingWhatIf`](crate::CachingWhatIf) keeps them; every other oracle
+/// reports zeros.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WhatIfStats {
-    /// Calls actually answered by the (possibly expensive) optimizer.
+    /// Cost questions forwarded to the wrapped oracle: misses of the
+    /// ledger's `f_j(0)` and `f_j(k)` memos. An index-memory miss is not
+    /// a what-if call and is not counted; an inapplicable pair is answered
+    /// structurally and is not counted either.
     pub calls_issued: u64,
-    /// Calls answered from a cache instead.
+    /// Requests answered from the ledger's memos: every hit, index-memory
+    /// hits included.
     pub calls_answered_from_cache: u64,
 }
 
@@ -52,7 +65,8 @@ impl WhatIfStats {
 ///
 /// Oracles must be `Sync`: the selection algorithms fan candidate
 /// evaluations across threads, each holding `&self`. Implementations keep
-/// their mutable state (caches, call counters) behind locks or atomics.
+/// their mutable state (the ledger's memos and counters, a measuring
+/// oracle's database) behind locks or atomics.
 pub trait WhatIfOptimizer: Sync {
     /// The workload the oracle answers questions about.
     fn workload(&self) -> &Workload;
@@ -81,8 +95,12 @@ pub trait WhatIfOptimizer: Sync {
         0.0
     }
 
-    /// Call statistics so far.
-    fn stats(&self) -> WhatIfStats;
+    /// Call statistics so far. Only the ledger
+    /// ([`CachingWhatIf`](crate::CachingWhatIf)) counts; every other oracle
+    /// answers zeros.
+    fn stats(&self) -> WhatIfStats {
+        WhatIfStats::default()
+    }
 
     /// Memo-table accounting, when the oracle keeps one
     /// ([`CachingWhatIf`](crate::CachingWhatIf) does; plain oracles return

@@ -13,18 +13,19 @@
 //!   return a [`TabularWhatIf`] table (what CoPhy and the candidate-set
 //!   heuristics consume),
 //! * [`LiveWhatIf`] — measure *on demand*: whichever index a selection
-//!   algorithm asks about is built, executed and cached. This is what lets
+//!   algorithm asks about is built and executed. This is what lets
 //!   Algorithm 1 — which does not enumerate candidates in advance — run on
-//!   measured costs too.
+//!   measured costs too. It measures on every question; wrap it in a
+//!   [`CachingWhatIf`](isel_costmodel::CachingWhatIf) to measure each
+//!   distinct question once and count them.
 
 use crate::database::Database;
 use crate::exec::BoundQuery;
-use isel_costmodel::{pack_key, TabularWhatIf, WhatIfOptimizer, WhatIfStats};
+use isel_costmodel::{TabularWhatIf, WhatIfOptimizer};
 use isel_workload::{Index, IndexId, IndexPool, QueryId, Workload};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which measurement becomes the cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,49 +144,29 @@ pub fn measure_workload(
 }
 
 /// On-demand measuring what-if oracle: builds and measures whichever index
-/// it is asked about, memoizing results. Lets candidate-free algorithms
-/// (Algorithm 1) run against measured costs.
+/// it is asked about. Lets candidate-free algorithms (Algorithm 1) run
+/// against measured costs; callers put the ledger on top,
+/// `CachingWhatIf::new(LiveWhatIf::new(..))`, so each distinct question is
+/// measured once.
 pub struct LiveWhatIf {
     workload: Workload,
     pool: IndexPool,
     cfg: MeasureConfig,
-    state: Mutex<LiveState>,
-    issued: AtomicU64,
-    cached: AtomicU64,
-}
-
-struct LiveState {
-    db: Database,
     bindings: Vec<Vec<BoundQuery>>,
-    unindexed: Vec<Option<f64>>,
-    /// Measured `f_j(k)` keyed by [`pack_key`]`(j, k)`.
-    measured: std::collections::HashMap<u64, f64>,
+    db: Mutex<Database>,
 }
 
 impl LiveWhatIf {
     /// Wrap a populated database.
     pub fn new(db: Database, workload: Workload, cfg: MeasureConfig) -> Self {
         let bindings = sample_bindings(&db, &workload, &cfg);
-        let unindexed = vec![None; workload.query_count()];
         let pool = IndexPool::new(workload.schema());
-        Self {
-            workload,
-            pool,
-            cfg,
-            state: Mutex::new(LiveState {
-                db,
-                bindings,
-                unindexed,
-                measured: std::collections::HashMap::new(),
-            }),
-            issued: AtomicU64::new(0),
-            cached: AtomicU64::new(0),
-        }
+        Self { workload, pool, cfg, bindings, db: Mutex::new(db) }
     }
 
     /// Number of distinct indexes built so far.
     pub fn indexes_built(&self) -> usize {
-        self.state.lock().db.indexes().len()
+        self.db.lock().indexes().len()
     }
 }
 
@@ -199,62 +180,41 @@ impl WhatIfOptimizer for LiveWhatIf {
     }
 
     fn unindexed_cost(&self, query: QueryId) -> f64 {
-        let mut st = self.state.lock();
-        if let Some(c) = st.unindexed[query.idx()] {
-            self.cached.fetch_add(1, Ordering::Relaxed);
-            return c;
-        }
-        self.issued.fetch_add(1, Ordering::Relaxed);
-        let st = &mut *st;
-        let mask = vec![false; st.db.indexes().len()];
-        let c = template_cost(&st.db, &st.bindings[query.idx()], &mask, &self.cfg);
-        st.unindexed[query.idx()] = Some(c);
-        c
+        let db = self.db.lock();
+        let mask = vec![false; db.indexes().len()];
+        template_cost(&db, &self.bindings[query.idx()], &mask, &self.cfg)
     }
 
     fn index_cost(&self, query: QueryId, index: IndexId) -> Option<f64> {
+        // Checked here as well as in the ledger: an inapplicable pair must
+        // build no index, whoever asks.
         if !self.pool.applicable_to(self.workload.query(query), index) {
             return None;
         }
-        let key = pack_key(query, index);
-        let mut st = self.state.lock();
-        if let Some(&c) = st.measured.get(&key) {
-            self.cached.fetch_add(1, Ordering::Relaxed);
-            return Some(c);
-        }
-        self.issued.fetch_add(1, Ordering::Relaxed);
-        let st = &mut *st;
-        let pos = st.db.create_index(&self.pool.resolve(index));
-        let mut mask = vec![false; st.db.indexes().len()];
+        let mut db = self.db.lock();
+        let pos = db.create_index(&self.pool.resolve(index));
+        let mut mask = vec![false; db.indexes().len()];
         mask[pos] = true;
-        let c = template_cost(&st.db, &st.bindings[query.idx()], &mask, &self.cfg);
-        st.measured.insert(key, c);
-        Some(c)
+        Some(template_cost(&db, &self.bindings[query.idx()], &mask, &self.cfg))
     }
 
     fn index_memory(&self, index: IndexId) -> u64 {
-        let mut st = self.state.lock();
-        let pos = st.db.create_index(&self.pool.resolve(index));
-        st.db.indexes()[pos].memory_bytes()
+        let mut db = self.db.lock();
+        let pos = db.create_index(&self.pool.resolve(index));
+        db.indexes()[pos].memory_bytes()
     }
 
     fn maintenance_cost(&self, index: IndexId) -> f64 {
-        let mut st = self.state.lock();
-        let pos = st.db.create_index(&self.pool.resolve(index));
-        st.db.indexes()[pos].maintenance_work().cost_units()
-    }
-
-    fn stats(&self) -> WhatIfStats {
-        WhatIfStats {
-            calls_issued: self.issued.load(Ordering::Relaxed),
-            calls_answered_from_cache: self.cached.load(Ordering::Relaxed),
-        }
+        let mut db = self.db.lock();
+        let pos = db.create_index(&self.pool.resolve(index));
+        db.indexes()[pos].maintenance_work().cost_units()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isel_costmodel::CachingWhatIf;
     use isel_workload::{AttrId, Query, SchemaBuilder, TableId};
 
     fn fixture() -> (Database, Workload) {
@@ -297,10 +257,10 @@ mod tests {
     #[test]
     fn live_oracle_builds_indexes_on_demand() {
         let (db, w) = fixture();
-        let live = LiveWhatIf::new(db, w, MeasureConfig::default());
-        assert_eq!(live.indexes_built(), 0);
+        let live = CachingWhatIf::new(LiveWhatIf::new(db, w, MeasureConfig::default()));
+        assert_eq!(live.inner().indexes_built(), 0);
         let c1 = live.index_cost_of(QueryId(0), &Index::single(AttrId(0))).unwrap();
-        assert_eq!(live.indexes_built(), 1);
+        assert_eq!(live.inner().indexes_built(), 1);
         let c2 = live.index_cost_of(QueryId(0), &Index::single(AttrId(0))).unwrap();
         assert_eq!(c1, c2);
         let s = live.stats();

@@ -7,6 +7,7 @@
 //! ```
 
 use isel_core::{algorithm1, budget};
+use isel_costmodel::CachingWhatIf;
 use isel_dbsim::measure::LiveWhatIf;
 use isel_dbsim::{Database, MeasureConfig};
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -35,16 +36,16 @@ fn main() {
 
     // Advisor: Algorithm 1 against live measurements — every index it
     // wonders about is built and probed for real.
-    let live = LiveWhatIf::new(
+    let live = CachingWhatIf::new(LiveWhatIf::new(
         Database::populate(workload.schema(), seed),
         workload.clone(),
         MeasureConfig::default(),
-    );
+    ));
     let a = budget::relative_budget(&live, 0.3);
     let result = algorithm1::run(&live, &algorithm1::Options::new(a));
     println!(
         "advisor built {} trial indexes, recommends {} (budget {} MiB):",
-        live.indexes_built(),
+        live.inner().indexes_built(),
         result.selection.len(),
         a / (1024 * 1024),
     );

@@ -79,10 +79,6 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for CountingWhatIf<W> {
     fn maintenance_cost(&self, k: isel_workload::IndexId) -> f64 {
         self.inner.maintenance_cost(k)
     }
-
-    fn stats(&self) -> isel_costmodel::WhatIfStats {
-        self.inner.stats()
-    }
 }
 
 /// Many threads, overlapping key sets: the ledger must balance and the
@@ -151,6 +147,7 @@ fn hammered_cache_never_duplicates_and_ledger_balances() {
     assert_eq!(stats.misses, per_walk);
     let evals = est.inner().evals.load(Ordering::Relaxed) as u64;
     assert_eq!(evals, stats.misses, "oracle evaluations must equal misses");
+    assert_eq!(est.stats().calls_issued, evals, "each evaluation is one issued call");
     // Re-walking the whole key space serially must be pure hits now.
     let before = est.cache_stats().unwrap();
     for &j in &queries {
@@ -255,6 +252,8 @@ fn dense_memos_evaluate_each_id_once_across_buckets_while_the_pool_grows() {
     assert_eq!(stats.misses, distinct);
     assert_eq!(stats.inserts, stats.misses);
     assert_eq!(est.inner().evals.load(Ordering::Relaxed) as u64, distinct);
+    // Index memory is no what-if call: only the unindexed misses issue.
+    assert_eq!(est.stats().calls_issued, queries.len() as u64);
 }
 
 /// The real workload: Algorithm 1's parallel scan over a shared cache.

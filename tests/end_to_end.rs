@@ -63,11 +63,11 @@ fn measured_costs_drive_useful_selections() {
 #[test]
 fn h6_on_live_measurements_speeds_up_execution() {
     let w = tiny_workload();
-    let live = LiveWhatIf::new(
+    let live = CachingWhatIf::new(LiveWhatIf::new(
         Database::populate(w.schema(), SEED),
         w.clone(),
         MeasureConfig::default(),
-    );
+    ));
     let a = budget::relative_budget(&live, 0.4);
     let run = algorithm1::run(&live, &algorithm1::Options::new(a));
     assert!(!run.selection.is_empty());
@@ -78,9 +78,9 @@ fn h6_on_live_measurements_speeds_up_execution() {
     // exhaustive candidate pool would require.
     let pool_size = candidates::enumerate_imax(&w, 3).len();
     assert!(
-        live.indexes_built() < pool_size,
+        live.inner().indexes_built() < pool_size,
         "live probing ({}) should stay below |I_max| ({pool_size})",
-        live.indexes_built()
+        live.inner().indexes_built()
     );
 }
 

@@ -2,9 +2,9 @@
 //! selection algorithms, on the paper's synthetic setting.
 
 use isel_core::{algorithm1, budget, candidates, heuristics, Parallelism, Trace};
-use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
+use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer, WhatIfStats};
 use isel_workload::synthetic::{self, SyntheticConfig};
-use isel_workload::Workload;
+use isel_workload::{Index, Workload};
 
 fn small() -> Workload {
     synthetic::generate(&SyntheticConfig {
@@ -157,11 +157,61 @@ fn multi_index_oracle_tracks_single_index_semantics() {
 #[test]
 fn algorithm1_runs_under_multi_index_semantics_too() {
     // Remark 2: the construction works unchanged when queries may use
-    // several indexes.
+    // several indexes. Algorithm 1 asks only f_j(0) and f_j(k), and the
+    // ledger answers `config_cost` by the single-index default, so the
+    // multi-index evaluation is reached by costing the selection through
+    // the bare oracle, whose `config_cost` is Remark 2's.
     let w = small();
-    let multi = CachingWhatIf::new(isel_costmodel::multi::MultiIndexAnalyticalWhatIf::new(&w));
-    let a = budget::relative_budget(&multi, 0.2);
-    let run = algorithm1::run(&multi, &algorithm1::Options::new(a));
+    let ledger = CachingWhatIf::new(isel_costmodel::multi::MultiIndexAnalyticalWhatIf::new(&w));
+    let a = budget::relative_budget(&ledger, 0.2);
+    let run = algorithm1::run(&ledger, &algorithm1::Options::new(a));
     assert!(run.final_cost <= run.initial_cost);
-    assert!(run.selection.memory(&multi) <= a);
+    assert!(run.selection.memory(&ledger) <= a);
+    assert!(run.selection.len() > 1, "a one-index selection has nothing to intersect");
+
+    let multi = isel_costmodel::multi::MultiIndexAnalyticalWhatIf::new(&w);
+    let ids = run.selection.ids(&multi);
+    let single_ids = run.selection.ids(&ledger);
+    let mut choices = 0;
+    for (j, _) in w.iter() {
+        let applicable = ids.iter().filter(|&&k| multi.index_cost(j, k).is_some()).count();
+        choices += usize::from(applicable > 1);
+        let m = multi.config_cost(j, &ids);
+        let s = ledger.config_cost(j, &single_ids);
+        // Per query, intersecting several indexes never costs more than
+        // the best single one (Appendix B (i)), nor than the scan.
+        assert!(m <= s + 1e-9 * s, "query {j}: multi {m} > single-index {s}");
+        assert!(m <= multi.unindexed_cost(j) + 1e-9, "query {j}: multi {m} > scan");
+    }
+    let cost_multi = multi.workload_cost(&ids);
+    assert!(cost_multi <= run.final_cost * (1.0 + 1e-12), "{cost_multi} vs {}", run.final_cost);
+    assert!(choices > 10, "{choices} queries could combine indexes: Remark 2 was barely exercised");
+}
+
+/// What-if requests CoPhy's coefficient collection asks through `est`.
+fn cophy_build_stats(est: impl WhatIfOptimizer, cands: &[Index], budget: u64) -> WhatIfStats {
+    let ids: Vec<_> = cands.iter().map(|k| est.pool().intern(k)).collect();
+    isel_core::cophy::build_instance(&est, &ids, budget);
+    est.stats()
+}
+
+#[test]
+fn cophy_build_asks_table1s_request_count_under_either_pair_key() {
+    // Table I's first cell (`table1 --cutoff=1`: ΣQ = 500, |I| = 100 by
+    // H1-M): collecting CoPhy's coefficients asks 1 982 what-if requests.
+    // INUM's prefix key answers more of them from the memo.
+    let w = synthetic::generate(&SyntheticConfig {
+        queries_per_table: 50,
+        ..SyntheticConfig::default()
+    });
+    assert_eq!(w.query_count(), 500);
+    let pool = candidates::enumerate_imax(&w, 4);
+    let ranking = candidates::CandidateRanking::Frequency;
+    let cands = candidates::select_candidates(&pool, 100, 4, ranking);
+    let a = budget::relative_budget(&AnalyticalWhatIf::new(&w), 0.2);
+    let exact = cophy_build_stats(CachingWhatIf::new(AnalyticalWhatIf::new(&w)), &cands, a);
+    let prefix = cophy_build_stats(CachingWhatIf::prefix_keyed(AnalyticalWhatIf::new(&w)), &cands, a);
+    assert_eq!(prefix.total_requests(), 1_982);
+    assert_eq!(exact.total_requests(), 1_982);
+    assert!(prefix.calls_issued < exact.calls_issued, "{prefix:?} vs {exact:?}");
 }

@@ -3,7 +3,7 @@
 //! selections or panics.
 
 use isel_core::{algorithm1, budget, candidates, cophy, heuristics, Parallelism, Trace};
-use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer, WhatIfStats};
+use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::{AttrId, Index, Query, QueryId, SchemaBuilder, TableId, Workload};
@@ -52,9 +52,6 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for NoisyWhatIf<W> {
     }
     fn maintenance_cost(&self, k: isel_workload::IndexId) -> f64 {
         self.inner.maintenance_cost(k)
-    }
-    fn stats(&self) -> WhatIfStats {
-        self.inner.stats()
     }
 }
 

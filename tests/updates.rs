@@ -3,7 +3,7 @@
 //! conservatively.
 
 use isel_core::{algorithm1, budget, candidates, cophy, heuristics, Parallelism, Trace};
-use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer, WhatIfStats};
+use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_solver::cophy::CophyOptions;
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::{
@@ -221,9 +221,6 @@ impl<W: WhatIfOptimizer> WhatIfOptimizer for MaintenanceLog<W> {
     fn maintenance_cost(&self, k: IndexId) -> f64 {
         self.asked.lock().unwrap().push(k);
         self.inner.maintenance_cost(k)
-    }
-    fn stats(&self) -> WhatIfStats {
-        self.inner.stats()
     }
 }
 
