@@ -66,10 +66,10 @@ USAGE:
   isel journal       convert --log FILE --to jsonl|binary --out FILE
 
   The service commands drive the continuous-tuning daemon: record an
-  event log, replay it losslessly (--offline-check verifies the
-  selection sequence is bit-identical to the offline dynamic::adapt
-  loop, and refuses --calibrate), or serve live on stdin / a Unix
-  socket with counted drop-oldest overload shedding.
+  event log, replay it losslessly (--offline-check verifies every
+  epoch's cost columns and selection are bit-identical to the offline
+  dynamic::adapt loop, and refuses --calibrate), or serve live on
+  stdin / a Unix socket with counted drop-oldest overload shedding.
 
   Event streams come in two peer encodings, auto-detected per record by
   a magic byte and mixable on one stream: JSONL (one JSON object per

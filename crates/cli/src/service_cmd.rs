@@ -408,8 +408,9 @@ pub fn serve(args: &Args) -> Result<(), Failure> {
 /// `isel replay` — feed a recorded `--log FILE` through the service
 /// losslessly (blocking pushes; nothing is ever dropped).
 /// `--offline-check` forces the always-adapt drift thresholds and
-/// verifies the selection sequence is bit-identical to the offline
-/// `dynamic::adapt` loop over the same epoch snapshots, group by group.
+/// verifies that every epoch's workload cost, reconfiguration cost and
+/// selection are bit-identical to the offline `dynamic::adapt` loop over
+/// the same epoch snapshots, group by group.
 /// It refuses `--calibrate`: the reference has no deployment gate, so a
 /// calibrated run would diverge from it by design.
 pub fn replay(args: &Args) -> Result<(), Failure> {
@@ -469,13 +470,23 @@ pub fn replay(args: &Args) -> Result<(), Failure> {
             let want = offline.get(&key).and_then(|v| v.get(out.epoch as usize)).ok_or_else(
                 || format!("offline check: no reference for group {key} epoch {}", out.epoch),
             )?;
-            if &out.selection != want {
+            let (cost, cost_ref) = (out.workload_cost, want.workload_cost);
+            let (paid, paid_ref) = (out.reconfig_paid, want.reconfig_paid);
+            let (n, n_ref) = (out.selection.len(), want.selection.len());
+            let diverged = if cost.to_bits() != cost_ref.to_bits() {
+                Some(("workload costs", cost.to_string(), cost_ref.to_string()))
+            } else if paid.to_bits() != paid_ref.to_bits() {
+                Some(("reconfiguration costs", paid.to_string(), paid_ref.to_string()))
+            } else if out.selection != want.selection {
+                Some(("selections", format!("{n} indexes"), format!("{n_ref} indexes")))
+            } else {
+                None
+            };
+            if let Some((what, service, reference)) = diverged {
                 return Err(format!(
-                    "offline check: selections diverge at group {key} epoch {} \
-                     (service {} indexes, offline {})",
-                    out.epoch,
-                    out.selection.len(),
-                    want.len()
+                    "offline check: {what} diverge at group {key} epoch {} \
+                     (service {service}, offline {reference})",
+                    out.epoch
                 ).into());
             }
         }

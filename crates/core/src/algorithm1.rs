@@ -8,8 +8,7 @@
 //!
 //! always taking the step with the best ratio of cost reduction
 //! `F(I) + R(I, Ī) − F(Ĩ) − R(Ĩ, Ī)` to additional memory `P(Ĩ) − P(I)`
-//! until the budget is exhausted, a step limit is hit, or no step improves
-//! the workload.
+//! until the budget is exhausted or no step improves the workload.
 //!
 //! Index interaction is handled *by construction*: each step's benefit is
 //! measured against the current per-query costs, i.e. in the presence of
@@ -114,8 +113,6 @@ impl IdBits {
 pub struct Options {
     /// Memory budget `A` in bytes; steps never exceed it.
     pub budget: u64,
-    /// Maximum number of construction steps (`None` = unlimited).
-    pub max_steps: Option<usize>,
     /// Remark 1.1: consider only the n best single attributes (ranked by
     /// initial benefit density) for new-index steps.
     pub n_best_single: Option<usize>,
@@ -127,9 +124,6 @@ pub struct Options {
     /// Allow extension steps (3b). Disabling degenerates the algorithm
     /// into a single-attribute greedy — the morphing ablation.
     pub morphing: bool,
-    /// Remark 1.3: record the runner-up construction step of every round
-    /// (the best "missed opportunity") in the step log.
-    pub track_missed: bool,
     /// Reconfiguration cost model `R(·, Ī*)`.
     pub reconfig: ReconfigCosts,
     /// Worker threads for candidate evaluation. The chosen steps are
@@ -138,25 +132,18 @@ pub struct Options {
 }
 
 impl Options {
-    /// Defaults matching the paper's base configuration: unlimited steps,
-    /// all extensions off, free reconfiguration.
+    /// Defaults matching the paper's base configuration: all extensions
+    /// off, free reconfiguration, one thread.
     pub fn new(budget: u64) -> Self {
         Self {
             budget,
-            max_steps: None,
             n_best_single: None,
             prune_unused: false,
             pair_steps: false,
             morphing: true,
-            track_missed: false,
             reconfig: ReconfigCosts::free(),
             parallelism: Parallelism::serial(),
         }
-    }
-
-    /// Same options with `threads` evaluation workers.
-    pub fn with_threads(self, threads: usize) -> Self {
-        Self { parallelism: Parallelism::new(threads), ..self }
     }
 }
 
@@ -178,19 +165,6 @@ pub enum StepAction {
     Prune(Vec<Index>),
 }
 
-/// A construction step that was evaluated but not taken (Remark 1.3):
-/// storing the impact of missed (second-best) opportunities lets later
-/// analysis identify alternative indexes with the same leading attributes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MissedOpportunity {
-    /// The runner-up action.
-    pub action: StepAction,
-    /// Its net benefit at the time.
-    pub benefit: f64,
-    /// Its benefit-per-byte ratio at the time.
-    pub ratio: f64,
-}
-
 /// Log record of one construction step.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StepRecord {
@@ -206,8 +180,6 @@ pub struct StepRecord {
     pub total_memory: u64,
     /// Total cost `F(I) + R(I, Ī)` after the step.
     pub total_cost: f64,
-    /// Remark 1.3: the runner-up step of this round, when tracking is on.
-    pub runner_up: Option<MissedOpportunity>,
 }
 
 /// Result of a run.
@@ -326,12 +298,9 @@ struct Slot {
 /// A candidate with its `(net benefit, memory delta, ratio)`.
 type Scored = (Candidate, f64, u64, f64);
 
-/// The left-to-right fold of a step's scan: the best move so far and, with
-/// Remark 1.3, the runner-up.
+/// The left-to-right fold of a step's scan: the best move so far.
 struct Argmax {
-    track: bool,
     best: Option<Scored>,
-    second: Option<Scored>,
 }
 
 impl Argmax {
@@ -353,12 +322,7 @@ impl Argmax {
     fn offer(&mut self, c: Candidate, metric: Option<(f64, u64, f64)>) {
         let Some((net, dm, ratio)) = metric else { return };
         if Self::beats(net, ratio, self.best.as_ref()) {
-            if self.track {
-                self.second = self.best.take();
-            }
             self.best = Some((c, net, dm, ratio));
-        } else if self.track && Self::beats(net, ratio, self.second.as_ref()) {
-            self.second = Some((c, net, dm, ratio));
         }
     }
 }
@@ -714,18 +678,6 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         }
     }
 
-    /// Materialize the [`StepAction`] a move would take, without applying.
-    fn action_of(&self, mv: &Move) -> StepAction {
-        let pool = self.est.pool();
-        match mv {
-            Move::New(k) => StepAction::NewIndex(pool.resolve(*k)),
-            Move::Extend { slot, to } => {
-                let from = self.slots[*slot].as_ref().expect("live slot").index;
-                StepAction::Extend { from: pool.resolve(from), to: pool.resolve(*to) }
-            }
-        }
-    }
-
     /// Refresh stale benefit caches, evaluating concurrently when
     /// parallelism is enabled. Each computation reads only `&self` and the
     /// what-if oracle; results are written back serially.
@@ -855,10 +807,10 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         Some((net, dm, net / dm as f64))
     }
 
-    fn best_move(&mut self) -> Option<(Candidate, f64, u64, f64, Option<MissedOpportunity>)> {
+    fn best_move(&mut self) -> Option<Scored> {
         self.refresh_caches();
         let par = self.options.parallelism;
-        let mut fold = Argmax { track: self.options.track_missed, best: None, second: None };
+        let mut fold = Argmax { best: None };
         let mut scanned = 0;
         if par.threads() > 1 {
             // Metrics evaluate in parallel; the winner is decided by the
@@ -878,12 +830,7 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
             }
         }
         self.scanned_candidates = scanned;
-        let runner_up = fold.second.map(|(c, net, _, ratio)| MissedOpportunity {
-            action: self.action_of(&c.mv),
-            benefit: net,
-            ratio,
-        });
-        fold.best.map(|(c, net, dm, ratio)| (c, net, dm, ratio, runner_up))
+        fold.best
     }
 
     /// Apply a chosen candidate; returns (action, queries whose cost
@@ -1096,17 +1043,12 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
         let mut frontier_points = vec![FrontierPoint { memory: 0, cost: initial_cost }];
 
         loop {
-            if let Some(max) = self.options.max_steps {
-                if steps.len() >= max {
-                    break;
-                }
-            }
             let span = self
                 .trace
                 .is_enabled()
                 .then(|| (Instant::now(), self.est.stats()));
             let best = self.best_move();
-            let Some((cand, net_ben, dmem, ratio, runner_up)) = best else {
+            let Some((cand, net_ben, dmem, ratio)) = best else {
                 // The terminating scan still issued what-if calls; record
                 // it so scan sums equal the run totals.
                 if let Some((t0, before)) = span {
@@ -1126,7 +1068,6 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                 ratio,
                 total_memory: self.total_memory,
                 total_cost,
-                runner_up,
             });
             if let Some((t0, before)) = span {
                 let step_no = steps.len() as u64;
@@ -1160,7 +1101,6 @@ impl<'a, W: WhatIfOptimizer> Engine<'a, W> {
                         ratio: 0.0,
                         total_memory: self.total_memory,
                         total_cost,
-                        runner_up: None,
                     });
                     self.trace.emit(|| TraceEvent::Step {
                         step: steps.len() as u64,
@@ -1294,19 +1234,10 @@ mod tests {
     }
 
     #[test]
-    fn max_steps_limits_construction() {
-        let w = fixture();
-        let e = est(&w);
-        let r = run(&e, &Options { max_steps: Some(1), ..Options::new(u64::MAX / 2) });
-        assert_eq!(r.steps.len(), 1);
-        assert_eq!(r.selection.len(), 1);
-    }
-
-    #[test]
     fn first_step_picks_best_density_single() {
         let w = fixture();
         let e = est(&w);
-        let r = run(&e, &Options { max_steps: Some(1), ..Options::new(u64::MAX / 2) });
+        let r = run(&e, &Options::new(u64::MAX / 2));
         // Manually compute the best-density single attribute.
         let mut best = (f64::MIN, usize::MAX);
         for i in 0..3u32 {
@@ -1341,25 +1272,6 @@ mod tests {
         leads.sort_unstable();
         leads.dedup();
         assert_eq!(leads.len(), 1);
-    }
-
-    #[test]
-    fn runner_up_tracking_records_missed_opportunities() {
-        let w = fixture();
-        let e = est(&w);
-        let r = run(
-            &e,
-            &Options { track_missed: true, ..Options::new(u64::MAX / 2) },
-        );
-        // Three competing attributes: the first step must have seen a
-        // second-best alternative, and it cannot outrank the chosen step.
-        let ru = r.steps[0].runner_up.as_ref().expect("runner-up recorded");
-        assert!(ru.ratio <= r.steps[0].ratio + 1e-12);
-        assert!(ru.benefit > 0.0);
-        // Tracking does not change the chosen construction.
-        let plain = run(&e, &Options::new(u64::MAX / 2));
-        assert_eq!(plain.selection, r.selection);
-        assert!(plain.steps.iter().all(|s| s.runner_up.is_none()));
     }
 
     #[test]

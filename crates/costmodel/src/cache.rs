@@ -116,7 +116,7 @@ pub type IdHashBuilder = BuildHasherDefault<IdKeyHasher>;
 ///
 /// Both ids are dense `u32`s, so the pair fits a machine word exactly;
 /// every id-keyed cost table in the workspace (the sharded cache here and
-/// `TabularWhatIf`) uses this layout.
+/// the calibration's per-pair ratios) uses this layout.
 #[inline]
 pub fn pack_key(query: QueryId, index: IndexId) -> u64 {
     ((query.0 as u64) << 32) | index.0 as u64
@@ -253,11 +253,6 @@ impl<V: Copy> Memo<u32, V> for Dense<V> {
 
 /// The what-if ledger: a caching, call-counting decorator over another
 /// what-if optimizer.
-///
-/// Its `config_cost`/`workload_cost` are the trait's single-index
-/// defaults over the memo: an inner oracle that overrides them (the
-/// multi-index one of Remark 2) is asked only `f_j(0)` and `f_j(k)`
-/// through this wrapper.
 pub struct CachingWhatIf<W> {
     inner: W,
     /// Key `f_j(k)` by `k`'s usable prefix for `j` instead of by `k`.
@@ -304,9 +299,8 @@ impl<W: WhatIfOptimizer> CachingWhatIf<W> {
         &self.inner
     }
 
-    /// Drop all cached answers (used when the underlying oracle's answers
-    /// become stale, e.g. multi-index mode after a configuration change,
-    /// cf. Remark 2). Index memory depends on the index alone and stays.
+    /// Drop all cached cost answers, for an inner oracle whose answers
+    /// went stale. Index memory depends on the index alone and stays.
     pub fn invalidate(&mut self) {
         self.unindexed = Dense::new();
         self.indexed.clear();

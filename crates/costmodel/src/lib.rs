@@ -5,11 +5,10 @@
 //! * [`whatif`] — the [`WhatIfOptimizer`] abstraction every selection
 //!   algorithm is written against, mirroring the role of a DBMS's what-if
 //!   optimizer mode,
-//! * the leaf oracles — pure cost functions that neither memoize nor
-//!   count: [`AnalyticalWhatIf`] (Appendix B), [`TabularWhatIf`]
-//!   (precomputed or measured cost tables, fed by `isel-dbsim` in the
-//!   end-to-end evaluation) and [`multi::MultiIndexAnalyticalWhatIf`]
-//!   (Remark 2),
+//! * [`AnalyticalWhatIf`] — the model as a leaf oracle, a pure cost
+//!   function that neither memoizes nor counts. The one other leaf is
+//!   `isel-dbsim`'s `LiveWhatIf`, which measures each answer on the
+//!   column store (the end-to-end evaluation of Section IV-B),
 //! * [`cache`] — the one ledger, [`CachingWhatIf`]: what-if calls are the
 //!   dominant cost of index-selection tools (Section I), so it both
 //!   memoizes repeated questions and counts the distinct ones it issues.
@@ -23,12 +22,9 @@
 pub mod cache;
 pub mod calibrate;
 pub mod model;
-pub mod multi;
-pub mod tabular;
 pub mod whatif;
 
 pub use cache::{CacheStats, CachingWhatIf};
 pub use calibrate::{CalibratedWhatIf, RatioTable, TemplateProbe};
 pub use model::AnalyticalWhatIf;
-pub use tabular::TabularWhatIf;
 pub use whatif::{WhatIfOptimizer, WhatIfStats};

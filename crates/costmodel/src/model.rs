@@ -194,8 +194,7 @@ impl WhatIfOptimizer for AnalyticalWhatIf<'_> {
     }
 }
 
-/// [`index_scan_cost_attrs`] of a whole [`Index`]: the single-index
-/// reference the multi-index tests compare against.
+/// [`index_scan_cost_attrs`] of a whole [`Index`], for the tests below.
 #[cfg(test)]
 pub(crate) fn index_scan_cost(schema: &Schema, query: &Query, index: &Index) -> Option<f64> {
     index_scan_cost_attrs(schema, query, index.attrs())

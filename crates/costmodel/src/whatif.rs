@@ -5,12 +5,10 @@
 //! mode for the cost of a query under a hypothetical index. Its
 //! implementations in this workspace:
 //!
-//! * pure leaves — [`AnalyticalWhatIf`](crate::AnalyticalWhatIf) (the
-//!   Appendix-B model), [`TabularWhatIf`](crate::TabularWhatIf)
-//!   (precomputed/measured cost tables, the Section IV-B end-to-end mode
-//!   fed by `isel-dbsim`, whose on-demand `LiveWhatIf` is a leaf too) and
-//!   the multi-index model of Remark 2; they answer questions and count
-//!   nothing,
+//! * two pure leaves — [`AnalyticalWhatIf`](crate::AnalyticalWhatIf)
+//!   (the Appendix-B model) and `isel-dbsim`'s `LiveWhatIf`, which builds
+//!   and executes on demand (the Section IV-B end-to-end mode); they
+//!   answer questions and count nothing,
 //! * [`CachingWhatIf`](crate::CachingWhatIf) — the one ledger: it memoizes
 //!   answers, keyed by the exact `(query, index)` pair or by INUM's
 //!   `(query, usable prefix)`, and counts issued and cached calls,
@@ -112,9 +110,6 @@ pub trait WhatIfOptimizer: Sync {
     /// `f_j(I*)` in the "one index only" setting:
     /// `min(f_j(0), min_{k∈I*} f_j(k))` (Example 1 (i)). Update templates
     /// additionally pay the maintenance cost of every index on their table.
-    ///
-    /// Implementations with true multi-index execution (Remark 2) override
-    /// this.
     fn config_cost(&self, query: QueryId, config: &[IndexId]) -> f64 {
         let mut best = self.unindexed_cost(query);
         for &k in config {

@@ -14,10 +14,10 @@
 //!   binary search, and post-filters the survivors column-at-a-time
 //!   ([`exec`]),
 //! * deterministic work counters *and* wall-clock timing ([`exec::Work`]),
-//! * a measurement harness that executes a workload under every candidate
-//!   index and feeds a [`TabularWhatIf`](isel_costmodel::TabularWhatIf)
-//!   cost table, exactly like the paper feeds measured runtimes into the
-//!   selection model ([`measure`]).
+//! * a measuring what-if oracle, [`measure::LiveWhatIf`], that builds
+//!   whichever index it is asked about and executes the query under it.
+//!   Under the ledger, `CachingWhatIf<LiveWhatIf>`, it is the table of
+//!   measured costs the paper feeds its selection models ([`measure`]).
 
 #![warn(missing_docs)]
 
@@ -28,4 +28,4 @@ pub mod index;
 pub mod measure;
 
 pub use database::Database;
-pub use measure::{measure_workload, CostMetric, MeasureConfig};
+pub use measure::{CostMetric, MeasureConfig};

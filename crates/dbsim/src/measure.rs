@@ -7,22 +7,19 @@
 //! then used (instead of what-if estimations) to feed the model's cost
 //! parameters."
 //!
-//! Two modes:
-//!
-//! * [`measure_workload`] — measure a fixed candidate set up front and
-//!   return a [`TabularWhatIf`] table (what CoPhy and the candidate-set
-//!   heuristics consume),
-//! * [`LiveWhatIf`] — measure *on demand*: whichever index a selection
-//!   algorithm asks about is built and executed. This is what lets
-//!   Algorithm 1 — which does not enumerate candidates in advance — run on
-//!   measured costs too. It measures on every question; wrap it in a
-//!   [`CachingWhatIf`](isel_costmodel::CachingWhatIf) to measure each
-//!   distinct question once and count them.
+//! [`LiveWhatIf`] measures *on demand*: whichever index a selection
+//! algorithm asks about is built and executed, so Algorithm 1 — which
+//! does not enumerate candidates in advance — runs on measured costs as
+//! well as the candidate-set strategies do. It measures on every
+//! question; wrapped in the ledger,
+//! [`CachingWhatIf`](isel_costmodel::CachingWhatIf), it is the table of
+//! measured costs the paper feeds its models, filled as it is asked and
+//! measuring each distinct question once.
 
 use crate::database::Database;
 use crate::exec::BoundQuery;
-use isel_costmodel::{TabularWhatIf, WhatIfOptimizer};
-use isel_workload::{Index, IndexId, IndexPool, QueryId, Workload};
+use isel_costmodel::WhatIfOptimizer;
+use isel_workload::{IndexId, IndexPool, QueryId, Workload};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,44 +102,6 @@ fn template_cost(
     total / bindings.len() as f64
 }
 
-/// Create every candidate, execute every query under every applicable
-/// candidate, and return the resulting cost table.
-pub fn measure_workload(
-    db: &mut Database,
-    workload: &Workload,
-    candidates: &[Index],
-    cfg: &MeasureConfig,
-) -> TabularWhatIf {
-    let bindings = sample_bindings(db, workload, cfg);
-    for k in candidates {
-        db.create_index(k);
-    }
-    let n_idx = db.indexes().len();
-
-    // Unindexed baseline.
-    let no_mask = vec![false; n_idx];
-    let unindexed: Vec<f64> = bindings
-        .iter()
-        .map(|b| template_cost(db, b, &no_mask, cfg))
-        .collect();
-    let mut table = TabularWhatIf::new(workload.clone(), unindexed);
-
-    for k in candidates {
-        let pos = db.index_position(k).expect("candidate was created");
-        let mut mask = vec![false; n_idx];
-        mask[pos] = true;
-        table.set_index_memory(k, db.indexes()[pos].memory_bytes());
-        for (j, q) in workload.iter() {
-            if !k.applicable_to(q) {
-                continue;
-            }
-            let c = template_cost(db, &bindings[j.idx()], &mask, cfg);
-            table.set_index_cost(j, k, c);
-        }
-    }
-    table
-}
-
 /// On-demand measuring what-if oracle: builds and measures whichever index
 /// it is asked about. Lets candidate-free algorithms (Algorithm 1) run
 /// against measured costs; callers put the ledger on top,
@@ -215,7 +174,7 @@ impl WhatIfOptimizer for LiveWhatIf {
 mod tests {
     use super::*;
     use isel_costmodel::CachingWhatIf;
-    use isel_workload::{AttrId, Query, SchemaBuilder, TableId};
+    use isel_workload::{AttrId, Index, Query, SchemaBuilder, TableId};
 
     fn fixture() -> (Database, Workload) {
         let mut b = SchemaBuilder::new();
@@ -233,11 +192,16 @@ mod tests {
         (Database::populate(&schema, 77), w)
     }
 
+    /// The measured cost table: the ledger over a live oracle.
+    fn table() -> CachingWhatIf<LiveWhatIf> {
+        let (db, w) = fixture();
+        CachingWhatIf::new(LiveWhatIf::new(db, w, MeasureConfig::default()))
+    }
+
     #[test]
     fn measured_table_prefers_indexes_for_selective_queries() {
-        let (mut db, w) = fixture();
+        let table = table();
         let k = Index::single(AttrId(0));
-        let table = measure_workload(&mut db, &w, std::slice::from_ref(&k), &MeasureConfig::default());
         let f0 = table.unindexed_cost(QueryId(0));
         let fk = table.index_cost_of(QueryId(0), &k).unwrap();
         assert!(fk < f0, "fk={fk} f0={f0}");
@@ -247,9 +211,8 @@ mod tests {
 
     #[test]
     fn measured_memory_is_recorded() {
-        let (mut db, w) = fixture();
+        let table = table();
         let k = Index::new(vec![AttrId(0), AttrId(1)]);
-        let table = measure_workload(&mut db, &w, std::slice::from_ref(&k), &MeasureConfig::default());
         // 2000 rows: 4·2000 row ids + (4+4)·2000 keys.
         assert_eq!(table.index_memory_of(&k), 8_000 + 16_000);
     }
@@ -290,16 +253,10 @@ mod tests {
 
     #[test]
     fn work_units_are_deterministic_across_harness_runs() {
-        let (mut db1, w) = fixture();
-        let (mut db2, _) = fixture();
+        // Two tables over two databases populated from the same seed.
+        let (t1, t2) = (table(), table());
         let k = Index::single(AttrId(1));
-        let cfg = MeasureConfig::default();
-        let t1 = measure_workload(&mut db1, &w, std::slice::from_ref(&k), &cfg);
-        let t2 = measure_workload(&mut db2, &w, std::slice::from_ref(&k), &cfg);
-        assert_eq!(
-            t1.index_cost_of(QueryId(1), &k),
-            t2.index_cost_of(QueryId(1), &k)
-        );
+        assert_eq!(t1.index_cost_of(QueryId(1), &k), t2.index_cost_of(QueryId(1), &k));
         assert_eq!(t1.unindexed_cost(QueryId(0)), t2.unindexed_cost(QueryId(0)));
     }
 }

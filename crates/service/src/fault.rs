@@ -327,7 +327,6 @@ pub fn fire(site: &str, scope: u32) -> Result<(), String> {
 
 /// `SIGKILL` the current process — the fault-injection crash. Never
 /// returns control to the faulted path, exactly like a real crash.
-#[cfg(unix)]
 fn kill_self() -> Result<(), String> {
     extern "C" {
         fn kill(pid: i32, sig: i32) -> i32;
@@ -340,11 +339,6 @@ fn kill_self() -> Result<(), String> {
         kill(getpid(), SIGKILL);
     }
     unreachable!("survived SIGKILL");
-}
-
-#[cfg(not(unix))]
-fn kill_self() -> Result<(), String> {
-    std::process::exit(137);
 }
 
 #[cfg(test)]

@@ -5,18 +5,17 @@
 //! decode straight out of the page cache via `Cursor<&[u8]>` with zero
 //! per-line copies. The binding is a two-call `extern "C"` declaration
 //! (`mmap`/`munmap`), the same no-dependency FFI pattern
-//! [`crate::status`] uses for `signal(2)`. Non-Unix builds fall back to
-//! reading the file into memory behind the same API.
+//! [`crate::status`] uses for `signal(2)`. The crate is Unix-only (its
+//! socket front end is `std::os::unix::net`), so there is no fallback.
 
 use std::fs::File;
 use std::path::Path;
 
-/// A file mapped (or, off Unix, read) into memory, read-only.
+/// A file mapped into memory, read-only.
 pub struct MappedFile {
     ptr: *mut u8,
     len: usize,
-    /// Fallback storage when the file is empty or the target has no
-    /// `mmap` (the pointer then borrows from this vector).
+    /// Storage of an empty file, which `mmap` rejects (a zero length).
     fallback: Option<Vec<u8>>,
 }
 
@@ -25,7 +24,6 @@ pub struct MappedFile {
 unsafe impl Send for MappedFile {}
 unsafe impl Sync for MappedFile {}
 
-#[cfg(unix)]
 mod sys {
     use std::os::raw::{c_int, c_long, c_void};
 
@@ -49,7 +47,6 @@ mod sys {
 impl MappedFile {
     /// Map `path` read-only. Empty files (which `mmap` rejects) come
     /// back as an empty in-memory buffer.
-    #[cfg(unix)]
     pub fn open(path: &Path) -> Result<Self, String> {
         use std::os::fd::AsRawFd;
 
@@ -75,15 +72,6 @@ impl MappedFile {
         Ok(Self { ptr: ptr.cast(), len, fallback: None })
     }
 
-    /// Portable fallback: read the whole file into memory.
-    #[cfg(not(unix))]
-    pub fn open(path: &Path) -> Result<Self, String> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let len = bytes.len();
-        Ok(Self { ptr: std::ptr::null_mut(), len, fallback: Some(bytes) })
-    }
-
     /// The mapped bytes.
     pub fn bytes(&self) -> &[u8] {
         match &self.fallback {
@@ -97,7 +85,6 @@ impl MappedFile {
 
 impl Drop for MappedFile {
     fn drop(&mut self) {
-        #[cfg(unix)]
         if self.fallback.is_none() && !self.ptr.is_null() {
             // SAFETY: exactly the pointer and length mmap returned.
             unsafe { sys::munmap(self.ptr.cast(), self.len) };

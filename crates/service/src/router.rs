@@ -62,6 +62,7 @@ use crate::status::StatusBoard;
 use crate::stream::{Decision, Placement, Routed, Stream};
 use crate::tuner::EpochOutcome;
 use crate::window::EpochWindow;
+use isel_core::dynamic::EpochResult;
 use isel_core::{budget, Selection, Trace, TraceSink};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf};
 use isel_workload::{Query, QueryKind, Schema, Workload};
@@ -989,11 +990,12 @@ pub fn offline_group_snapshots<R: BufRead>(
 /// snapshots at the group's budget — a table's share of Eq. (10), or
 /// the whole-schema budget for the one whole-workload group — exactly
 /// what a group tuner computes under
-/// [`crate::DriftThresholds::always_adapt`].
+/// [`crate::DriftThresholds::always_adapt`]. Each epoch keeps its
+/// selection and both cost columns.
 pub fn offline_group_adapt(
     snapshots: &BTreeMap<u16, Vec<Workload>>,
     config: &ServiceConfig,
-) -> BTreeMap<u16, Vec<Selection>> {
+) -> BTreeMap<u16, Vec<EpochResult>> {
     use isel_costmodel::WhatIfOptimizer;
     snapshots
         .iter()
@@ -1009,12 +1011,7 @@ pub fn offline_group_adapt(
                 None => budget::relative_budget(&ests[0], config.budget_share),
                 Some(t) => budget::table_relative_budget(&ests[0], config.budget_share, t),
             };
-            let selections = isel_core::dynamic::adapt(&refs, a, config.transition)
-                .epochs
-                .into_iter()
-                .map(|e| e.selection)
-                .collect();
-            (key, selections)
+            (key, isel_core::dynamic::adapt(&refs, a, config.transition).epochs)
         })
         .collect()
 }
@@ -1104,7 +1101,9 @@ mod tests {
         for out in &report.epochs {
             let t = out.table.expect("router epochs are table-scoped").0;
             let want = &offline[&t][out.epoch as usize];
-            assert_eq!(&out.selection, want, "table t{t} epoch {}", out.epoch);
+            assert_eq!(out.workload_cost.to_bits(), want.workload_cost.to_bits());
+            assert_eq!(out.reconfig_paid.to_bits(), want.reconfig_paid.to_bits());
+            assert_eq!(out.selection, want.selection, "table t{t} epoch {}", out.epoch);
         }
     }
 
@@ -1379,9 +1378,11 @@ mod tests {
         assert_eq!(snaps[&0].len(), 5);
         let offline = &offline_group_adapt(&snaps, &cfg)[&0];
         for (got, want) in report.epochs.iter().zip(offline) {
-            assert_eq!(&got.selection, want);
+            assert_eq!(got.workload_cost.to_bits(), want.workload_cost.to_bits());
+            assert_eq!(got.reconfig_paid.to_bits(), want.reconfig_paid.to_bits());
+            assert_eq!(got.selection, want.selection);
         }
-        assert_eq!(&report.final_selection, offline.last().unwrap());
+        assert_eq!(report.final_selection, offline.last().unwrap().selection);
     }
 
     #[test]

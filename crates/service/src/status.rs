@@ -188,19 +188,16 @@ static STATUS_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 /// `SIGUSR1` on Linux and most Unixes. Kept local instead of pulling in
 /// a libc dependency for one constant.
-#[cfg(unix)]
 const SIGUSR1: i32 = 10;
 
 /// Restart interrupted syscalls instead of surfacing `EINTR` to every
 /// blocking read in the service (`SA_RESTART`).
-#[cfg(unix)]
 const SA_RESTART: i32 = 0x1000_0000;
 
 /// Subset of `struct sigaction` (Linux x86-64/aarch64 layout): handler
 /// pointer, blocked-signal mask, flags, legacy restorer slot. The mask
 /// is zeroed — the handler only stores to an atomic, so nothing needs
 /// blocking while it runs.
-#[cfg(unix)]
 #[repr(C)]
 struct SigAction {
     handler: usize,
@@ -209,7 +206,6 @@ struct SigAction {
     restorer: usize,
 }
 
-#[cfg(unix)]
 extern "C" {
     /// `sigaction(2)` from the platform libc (which std already links).
     /// Used instead of `signal(2)`, whose reset-to-default and
@@ -217,13 +213,11 @@ extern "C" {
     fn sigaction(signum: i32, act: *const SigAction, old: *mut SigAction) -> i32;
 }
 
-#[cfg(unix)]
 extern "C" fn on_sigusr1(_sig: i32) {
     // Only async-signal-safe work here: set the flag, nothing else.
     STATUS_REQUESTED.store(true, Ordering::Relaxed);
 }
 
-#[cfg(unix)]
 fn install_flag_handler(signum: i32, handler: extern "C" fn(i32)) {
     let act = SigAction {
         handler: handler as usize,
@@ -238,11 +232,8 @@ fn install_flag_handler(signum: i32, handler: extern "C" fn(i32)) {
     }
 }
 
-/// Install the `SIGUSR1` status handler (idempotent). On non-Unix
-/// targets this is a no-op and status lines are only reachable via the
-/// `{"control":"status"}` event.
+/// Install the `SIGUSR1` status handler (idempotent).
 pub fn install_status_signal() {
-    #[cfg(unix)]
     install_flag_handler(SIGUSR1, on_sigusr1);
 }
 
@@ -374,7 +365,6 @@ mod tests {
         assert_eq!(PersistedStatus::load(&path), PersistedStatus::default());
     }
 
-    #[cfg(unix)]
     #[test]
     fn sigusr1_sets_and_take_clears_the_flag() {
         install_status_signal();

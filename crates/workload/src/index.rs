@@ -84,16 +84,9 @@ impl Index {
     /// index whose attributes are all accessed by `query`. Zero means the
     /// index is not applicable to the query.
     pub fn usable_prefix_len(&self, query: &Query) -> usize {
-        self.usable_prefix_len_in(query.attrs())
-    }
-
-    /// [`Self::usable_prefix_len`] against an explicit *sorted* attribute
-    /// set (used when residual attribute sets shrink during multi-index
-    /// evaluation).
-    pub fn usable_prefix_len_in(&self, sorted_attrs: &[AttrId]) -> usize {
         self.attrs
             .iter()
-            .take_while(|a| sorted_attrs.binary_search(a).is_ok())
+            .take_while(|a| query.attrs().binary_search(a).is_ok())
             .count()
     }
 

@@ -12,13 +12,11 @@
 //! two or more, one table has no query at all. Every workload is costed against a
 //! sequence of configurations — empty, random (duplicates included, on
 //! any table), every single-attribute index of the schema, and the
-//! random one again on a warm cache — through five oracles: the bare
+//! random one again on a warm cache — through four oracles: the bare
 //! analytical model, the cached analytical stack the CLI uses, the
-//! prefix-keyed ledger `table1`'s CoPhy uses, the multi-index oracle
-//! (which overrides `config_cost`), and the service's calibrated stack
-//! with learned ratios.
+//! prefix-keyed ledger `table1`'s CoPhy uses, and the service's
+//! calibrated stack with learned ratios.
 
-use isel_costmodel::multi::MultiIndexAnalyticalWhatIf;
 use isel_costmodel::{
     AnalyticalWhatIf, CachingWhatIf, CalibratedWhatIf, RatioTable, TemplateProbe, WhatIfOptimizer,
 };
@@ -181,7 +179,6 @@ fn workload_cost_matches_the_per_query_sum() {
         check("cached", seed, || CachingWhatIf::new(AnalyticalWhatIf::new(&w)), &configs);
         let prefix_keyed = || CachingWhatIf::prefix_keyed(AnalyticalWhatIf::new(&w));
         check("prefix-keyed", seed, prefix_keyed, &configs);
-        check("multi-index", seed, || MultiIndexAnalyticalWhatIf::new(&w), &configs);
         let probes = probes(&w, &mut rng);
         let calibrated = || {
             let inner = AnalyticalWhatIf::new(&w);

@@ -1,10 +1,12 @@
 //! End-to-end tests against the columnar engine (the Section IV-B loop in
 //! miniature): measured costs in, selections out, verified by execution.
+//! Every strategy asks the ledger over the measuring oracle, which builds
+//! and executes each distinct question once.
 
 use isel_core::{algorithm1, budget, candidates, heuristics, Parallelism, Trace};
 use isel_costmodel::{CachingWhatIf, WhatIfOptimizer};
 use isel_dbsim::measure::LiveWhatIf;
-use isel_dbsim::{measure_workload, Database, MeasureConfig};
+use isel_dbsim::{Database, MeasureConfig};
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::Workload;
 use rand::rngs::StdRng;
@@ -22,6 +24,15 @@ fn tiny_workload() -> Workload {
         update_fraction: 0.0,
         seed: 4,
     })
+}
+
+/// The table of measured costs: the ledger over a live oracle.
+fn ledger(w: &Workload) -> CachingWhatIf<LiveWhatIf> {
+    CachingWhatIf::new(LiveWhatIf::new(
+        Database::populate(w.schema(), SEED),
+        w.clone(),
+        MeasureConfig::default(),
+    ))
 }
 
 /// Execute the workload with exactly `sel` and report total work units.
@@ -44,9 +55,7 @@ fn executed_cost(workload: &Workload, sel: &isel_core::Selection) -> f64 {
 fn measured_costs_drive_useful_selections() {
     let w = tiny_workload();
     let pool = candidates::enumerate_imax(&w, 3).indexes();
-    let mut db = Database::populate(w.schema(), SEED);
-    let table = measure_workload(&mut db, &w, &pool, &MeasureConfig::default());
-    let est = CachingWhatIf::new(table);
+    let est = ledger(&w);
     let a = budget::relative_budget(&est, 0.4);
 
     let ids: Vec<_> = pool.iter().map(|k| est.pool().intern(k)).collect();
@@ -63,11 +72,7 @@ fn measured_costs_drive_useful_selections() {
 #[test]
 fn h6_on_live_measurements_speeds_up_execution() {
     let w = tiny_workload();
-    let live = CachingWhatIf::new(LiveWhatIf::new(
-        Database::populate(w.schema(), SEED),
-        w.clone(),
-        MeasureConfig::default(),
-    ));
+    let live = ledger(&w);
     let a = budget::relative_budget(&live, 0.4);
     let run = algorithm1::run(&live, &algorithm1::Options::new(a));
     assert!(!run.selection.is_empty());
@@ -92,9 +97,7 @@ fn measured_and_analytical_rankings_agree_on_direction() {
     // with the same measured estimator.
     let w = tiny_workload();
     let pool = candidates::enumerate_imax(&w, 3).indexes();
-    let mut db = Database::populate(w.schema(), SEED);
-    let table = measure_workload(&mut db, &w, &pool, &MeasureConfig::default());
-    let est = CachingWhatIf::new(table);
+    let est = ledger(&w);
     let a = budget::relative_budget(&est, 0.3);
 
     let ids: Vec<_> = pool.iter().map(|k| est.pool().intern(k)).collect();
@@ -112,8 +115,7 @@ fn measured_and_analytical_rankings_agree_on_direction() {
 fn index_memory_measurements_track_the_analytic_formula() {
     let w = tiny_workload();
     let pool = candidates::enumerate_imax(&w, 2).indexes();
-    let mut db = Database::populate(w.schema(), SEED);
-    let table = measure_workload(&mut db, &w, &pool, &MeasureConfig::default());
+    let table = ledger(&w);
     for k in pool.iter().take(20) {
         let measured = table.index_memory_of(k);
         let analytic = isel_costmodel::model::index_memory(w.schema(), k);

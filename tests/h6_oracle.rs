@@ -18,10 +18,8 @@
 //! order the engine documents (queries in ascending id, slots in slot
 //! order), so `to_bits` equality is the assertion, not an epsilon.
 
-use isel_core::algorithm1::{
-    self, MissedOpportunity, Options, RunResult, StepAction, StepRecord,
-};
-use isel_core::{budget, Frontier, FrontierPoint, ReconfigCosts, Selection};
+use isel_core::algorithm1::{self, Options, RunResult, StepAction, StepRecord};
+use isel_core::{budget, Frontier, FrontierPoint, Parallelism, ReconfigCosts, Selection};
 use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
 use isel_workload::{AttrId, Index, Query, QueryId, SchemaBuilder, TableId, Workload};
 use proptest::prelude::*;
@@ -355,9 +353,6 @@ impl<'a, W: WhatIfOptimizer> Naive<'a, W> {
         let mut points = vec![FrontierPoint { memory: 0, cost: initial_cost }];
 
         loop {
-            if self.options.max_steps.is_some_and(|max| steps.len() >= max) {
-                break;
-            }
             let candidates = self.candidates();
             // The documented fold: higher ratio wins beyond 1e-12, equal
             // ratios go to the larger net benefit, anything else keeps the
@@ -369,24 +364,13 @@ impl<'a, W: WhatIfOptimizer> Naive<'a, W> {
                 }
             };
             let mut best: Option<(usize, f64, u64, f64)> = None;
-            let mut second: Option<(usize, f64, u64, f64)> = None;
             for (pos, (cand, ben)) in candidates.iter().enumerate() {
                 let Some((net, dm, ratio)) = self.metrics(cand, *ben) else { continue };
                 if beats(net, ratio, best.as_ref()) {
-                    if self.options.track_missed {
-                        second = best.take();
-                    }
                     best = Some((pos, net, dm, ratio));
-                } else if self.options.track_missed && beats(net, ratio, second.as_ref()) {
-                    second = Some((pos, net, dm, ratio));
                 }
             }
             let Some((pos, net, dm, ratio)) = best else { break };
-            let runner_up = second.map(|(pos, net, _, ratio)| MissedOpportunity {
-                action: self.action_of(&candidates[pos].0),
-                benefit: net,
-                ratio,
-            });
             let action = self.action_of(&candidates[pos].0);
             self.apply(&candidates[pos].0);
             let total_cost = self.total_cost();
@@ -397,7 +381,6 @@ impl<'a, W: WhatIfOptimizer> Naive<'a, W> {
                 ratio,
                 total_memory: self.total_memory,
                 total_cost,
-                runner_up,
             });
             points.push(FrontierPoint { memory: self.total_memory, cost: total_cost });
 
@@ -423,7 +406,6 @@ impl<'a, W: WhatIfOptimizer> Naive<'a, W> {
                         ratio: 0.0,
                         total_memory: self.total_memory,
                         total_cost,
-                        runner_up: None,
                     });
                     points.push(FrontierPoint { memory: self.total_memory, cost: total_cost });
                 }
@@ -462,27 +444,6 @@ fn same_f64(what: &str, got: f64, want: f64) -> Result<(), String> {
     }
 }
 
-fn same_runner_up(
-    step: usize,
-    got: &Option<MissedOpportunity>,
-    want: &Option<MissedOpportunity>,
-) -> Result<(), String> {
-    match (got, want) {
-        (None, None) => Ok(()),
-        (Some(g), Some(w)) => {
-            if g.action != w.action {
-                return Err(format!(
-                    "step {step} runner-up: engine {:?} vs oracle {:?}",
-                    g.action, w.action
-                ));
-            }
-            same_f64(&format!("step {step} runner-up benefit"), g.benefit, w.benefit)?;
-            same_f64(&format!("step {step} runner-up ratio"), g.ratio, w.ratio)
-        }
-        _ => Err(format!("step {step} runner-up: engine {got:?} vs oracle {want:?}")),
-    }
-}
-
 /// `Ok` iff the two results agree in every field, floats by bit pattern.
 /// The error names the first difference.
 fn same_run(got: &RunResult, want: &RunResult) -> Result<(), String> {
@@ -502,7 +463,6 @@ fn same_run(got: &RunResult, want: &RunResult) -> Result<(), String> {
                 (w.memory_delta, w.total_memory)
             ));
         }
-        same_runner_up(step, &g.runner_up, &w.runner_up)?;
     }
     if got.steps.len() != want.steps.len() {
         return Err(format!(
@@ -643,7 +603,6 @@ proptest! {
         w in arb_workload(),
         share in 0.05f64..1.2,
         n_best in 1usize..5,
-        max_steps in 0usize..6,
     ) {
         let a = budget_for(&w, share);
         check(&w, &Options { pair_steps: true, ..Options::new(a) }, "pair_steps")?;
@@ -654,12 +613,6 @@ proptest! {
             &format!("n_best_single {n_best}"),
         )?;
         check(&w, &Options { morphing: false, ..Options::new(a) }, "morphing off")?;
-        check(&w, &Options { track_missed: true, ..Options::new(a) }, "track_missed")?;
-        check(
-            &w,
-            &Options { max_steps: Some(max_steps), ..Options::new(a) },
-            &format!("max_steps {max_steps}"),
-        )?;
     }
 
     /// Non-free reconfiguration against a non-empty current selection —
@@ -685,9 +638,7 @@ proptest! {
         let everything = Options {
             pair_steps: true,
             prune_unused: true,
-            track_missed: true,
             n_best_single: Some(3),
-            max_steps: Some(12),
             reconfig,
             ..Options::new(a)
         };
@@ -700,10 +651,10 @@ proptest! {
     fn parallel_engine_matches_the_oracle(w in arb_workload(), share in 0.05f64..1.2) {
         let options = Options {
             pair_steps: true,
-            track_missed: true,
+            parallelism: Parallelism::new(4),
             ..Options::new(budget_for(&w, share))
         };
-        check(&w, &options.with_threads(4), "pair_steps + track_missed at 4 threads")?;
+        check(&w, &options, "pair_steps at 4 threads")?;
     }
 }
 

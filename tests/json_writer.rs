@@ -18,7 +18,6 @@
 //! `Serialize::to_value`); it goes with the shim if the real crates come
 //! back (`vendor/README.md`).
 
-use isel_core::algorithm1::MissedOpportunity;
 use isel_core::trace::StepKind;
 use isel_core::{TraceEvent, TraceSink, VecSink};
 use isel_service::{
@@ -340,36 +339,18 @@ fn calibrated(lines: usize) -> Run {
 #[test]
 fn checkpoints_of_tuned_groups_keep_their_bytes() {
     let (_, run) = tuned();
-    let mut docs = run.docs.clone();
+    let docs = &run.docs;
     assert!(docs
         .iter()
         .flat_map(|d| &d.groups)
         .any(|g| g.published.is_some()));
-    for doc in &docs {
+    for doc in docs {
         let text = same_bytes(doc);
         assert_eq!(text, doc.to_json().unwrap());
         assert!(
             !text.contains("\"feedback\""),
             "calibration off: no feedback key"
         );
-    }
-    // The service never tracks runner-ups; a frontier that carries them
-    // streams all the same.
-    for pf in docs
-        .iter_mut()
-        .flat_map(|d| &mut d.groups)
-        .filter_map(|g| g.published.as_mut())
-    {
-        for step in &mut pf.steps {
-            step.runner_up = Some(MissedOpportunity {
-                action: step.action.clone(),
-                benefit: step.benefit / 3.0,
-                ratio: -0.0,
-            });
-        }
-    }
-    for doc in &docs {
-        assert!(same_bytes(doc).contains("\"runner_up\":{\"action\":"));
     }
     same_bytes(&run.manifest);
     for outcome in &run.epochs {
@@ -430,8 +411,11 @@ fn calibrated_checkpoints_keep_their_bytes() {
 #[test]
 fn parent_format_documents_with_nulls_still_restore() {
     // Before the derive honoured `skip_serializing_if`, every group
-    // carried `"feedback":null`; such documents must restore unchanged.
+    // carried `"feedback":null`, and before Remark 1.3's runner-up went,
+    // every published step ended in `"runner_up":null`; such documents
+    // must restore unchanged.
     let (w, run) = tuned();
+    let mut steps = 0;
     for doc in &run.docs {
         let mut tree = serde_json::to_value(doc).unwrap();
         let Value::Object(fields) = &mut tree else {
@@ -445,6 +429,20 @@ fn parent_format_documents_with_nulls_still_restore() {
             let Value::Object(entries) = group else {
                 panic!("a group is an object")
             };
+            if let Some((_, Value::Object(published))) =
+                entries.iter_mut().find(|(k, _)| k == "published")
+            {
+                let (_, Value::Array(published_steps)) =
+                    published.iter_mut().find(|(k, _)| k == "steps").unwrap()
+                else {
+                    panic!("published steps are an array")
+                };
+                for step in published_steps {
+                    let Value::Object(step) = step else { panic!("a step is an object") };
+                    step.push(("runner_up".to_owned(), Value::Null));
+                    steps += 1;
+                }
+            }
             entries.push(("feedback".to_owned(), Value::Null));
         }
         let parent = serde_json::to_string(&tree).unwrap();
@@ -456,13 +454,14 @@ fn parent_format_documents_with_nulls_still_restore() {
         assert_eq!(&back, doc);
         assert_eq!(
             back.to_json().unwrap(),
-            parent.replace(",\"feedback\":null", "")
+            parent.replace(",\"feedback\":null", "").replace(",\"runner_up\":null", "")
         );
         for group in &back.groups {
             let (tuner, _) = group.restore(w.schema(), &back.config).unwrap();
             assert_eq!(tuner.epoch(), group.epoch);
         }
     }
+    assert!(steps > 0, "a published step carried the old key");
 }
 
 /// One of each event, with numbers at the writer's edges.

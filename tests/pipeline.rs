@@ -131,63 +131,6 @@ fn selection_at_replays_the_step_log_consistently() {
     }
 }
 
-#[test]
-fn multi_index_oracle_tracks_single_index_semantics() {
-    // Appendix B's multi-index procedure greedily picks the index with the
-    // smallest result set first, which need not coincide with the
-    // cheapest-total single index — so the multi-index cost can sit a hair
-    // above the Example-1 min formula on individual queries. It must stay
-    // within a fraction of a percent overall and never exceed the
-    // unindexed baseline.
-    let w = small();
-    let single = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
-    let multi = isel_costmodel::multi::MultiIndexAnalyticalWhatIf::new(&w);
-    let a = budget::relative_budget(&single, 0.3);
-    let sel = algorithm1::run(&single, &algorithm1::Options::new(a)).selection;
-    let cost_single = sel.cost(&single);
-    let cost_multi = sel.cost(&multi);
-    let base = single.workload_cost(&[]);
-    assert!(cost_multi <= base + 1e-9);
-    assert!(
-        cost_multi <= cost_single * 1.01,
-        "multi {cost_multi} vs single {cost_single}"
-    );
-}
-
-#[test]
-fn algorithm1_runs_under_multi_index_semantics_too() {
-    // Remark 2: the construction works unchanged when queries may use
-    // several indexes. Algorithm 1 asks only f_j(0) and f_j(k), and the
-    // ledger answers `config_cost` by the single-index default, so the
-    // multi-index evaluation is reached by costing the selection through
-    // the bare oracle, whose `config_cost` is Remark 2's.
-    let w = small();
-    let ledger = CachingWhatIf::new(isel_costmodel::multi::MultiIndexAnalyticalWhatIf::new(&w));
-    let a = budget::relative_budget(&ledger, 0.2);
-    let run = algorithm1::run(&ledger, &algorithm1::Options::new(a));
-    assert!(run.final_cost <= run.initial_cost);
-    assert!(run.selection.memory(&ledger) <= a);
-    assert!(run.selection.len() > 1, "a one-index selection has nothing to intersect");
-
-    let multi = isel_costmodel::multi::MultiIndexAnalyticalWhatIf::new(&w);
-    let ids = run.selection.ids(&multi);
-    let single_ids = run.selection.ids(&ledger);
-    let mut choices = 0;
-    for (j, _) in w.iter() {
-        let applicable = ids.iter().filter(|&&k| multi.index_cost(j, k).is_some()).count();
-        choices += usize::from(applicable > 1);
-        let m = multi.config_cost(j, &ids);
-        let s = ledger.config_cost(j, &single_ids);
-        // Per query, intersecting several indexes never costs more than
-        // the best single one (Appendix B (i)), nor than the scan.
-        assert!(m <= s + 1e-9 * s, "query {j}: multi {m} > single-index {s}");
-        assert!(m <= multi.unindexed_cost(j) + 1e-9, "query {j}: multi {m} > scan");
-    }
-    let cost_multi = multi.workload_cost(&ids);
-    assert!(cost_multi <= run.final_cost * (1.0 + 1e-12), "{cost_multi} vs {}", run.final_cost);
-    assert!(choices > 10, "{choices} queries could combine indexes: Remark 2 was barely exercised");
-}
-
 /// What-if requests CoPhy's coefficient collection asks through `est`.
 fn cophy_build_stats(est: impl WhatIfOptimizer, cands: &[Index], budget: u64) -> WhatIfStats {
     let ids: Vec<_> = cands.iter().map(|k| est.pool().intern(k)).collect();

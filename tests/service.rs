@@ -218,12 +218,14 @@ fn replay_is_deterministic_across_thread_counts() {
             .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, Some(&cp_path), &[])
             .unwrap();
         assert_eq!(report.dropped, 0, "blocking replay never drops");
-        let selections: Vec<_> = report.epochs.iter().map(|e| e.selection.clone()).collect();
-        runs.push((selections, whole_checkpoint(&cp_path)));
+        runs.push((report.epochs, whole_checkpoint(&cp_path)));
     }
-    let (sel_1, cp_1) = &runs[0];
-    let (sel_4, cp_4) = &runs[1];
-    assert_eq!(sel_1, sel_4, "selection sequence differs across thread counts");
+    let (ep_1, cp_1) = &runs[0];
+    let (ep_4, cp_4) = &runs[1];
+    assert!(
+        ep_1.iter().map(|e| &e.selection).eq(ep_4.iter().map(|e| &e.selection)),
+        "selection sequence differs across thread counts"
+    );
     // The checkpoint embeds its config (whose `threads` field differs by
     // construction); everything else must be byte-identical. Compare via
     // the parsed form with the config normalized.
@@ -236,9 +238,11 @@ fn replay_is_deterministic_across_thread_counts() {
     let cfg = service_config(1);
     let snaps = offline_group_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
     let offline = &offline_group_adapt(&snaps, &cfg)[&0];
-    assert_eq!(sel_1.len(), offline.len());
-    for (got, want) in sel_1.iter().zip(offline) {
-        assert_eq!(got, want);
+    assert_eq!(ep_1.len(), offline.len());
+    for (got, want) in ep_1.iter().zip(offline) {
+        assert_eq!(got.workload_cost.to_bits(), want.workload_cost.to_bits());
+        assert_eq!(got.reconfig_paid.to_bits(), want.reconfig_paid.to_bits());
+        assert_eq!(got.selection, want.selection);
     }
 }
 
@@ -422,7 +426,10 @@ proptest! {
                 // Only table groups are table-scoped.
                 prop_assert_eq!(out.table.is_some(), cfg.shards > 0);
                 let key = out.table.map_or(0, |t| t.0);
-                prop_assert_eq!(&out.selection, &offline[&key][out.epoch as usize]);
+                let want = &offline[&key][out.epoch as usize];
+                prop_assert_eq!(out.workload_cost.to_bits(), want.workload_cost.to_bits());
+                prop_assert_eq!(out.reconfig_paid.to_bits(), want.reconfig_paid.to_bits());
+                prop_assert_eq!(&out.selection, &want.selection);
             }
         }
     }
