@@ -221,7 +221,25 @@ pub fn get_item(b: &[u8], pos: &mut usize) -> Option<WireItem> {
     get_item_inner(b, pos, true)
 }
 
+/// Decode the item at `*pos` only if it is a well-formed `Event`: its
+/// `(template, frequency)`, with `*pos` advanced past it. Any other
+/// item, and a malformed event, leaves `*pos` where it was.
+#[inline]
+pub(crate) fn get_event(b: &[u8], pos: &mut usize) -> Option<(u64, u64)> {
+    let mut at = *pos + 1;
+    let event = match *b.get(*pos)? {
+        TAG_EVENT1 => (get_varint(b, &mut at)?, 1),
+        TAG_EVENT => (get_varint(b, &mut at)?, get_varint(b, &mut at).filter(|&f| f > 0)?),
+        _ => return None,
+    };
+    *pos = at;
+    Some(event)
+}
+
 fn get_item_inner(b: &[u8], pos: &mut usize, allow_tag: bool) -> Option<WireItem> {
+    if let Some((template, frequency)) = get_event(b, pos) {
+        return Some(WireItem::Event { template, frequency });
+    }
     let tag = *b.get(*pos)?;
     *pos += 1;
     match tag {
@@ -253,15 +271,8 @@ fn get_item_inner(b: &[u8], pos: &mut usize, allow_tag: bool) -> Option<WireItem
             }
             Some(WireItem::Define { table, kind, attrs })
         }
-        TAG_EVENT1 => Some(WireItem::Event { template: get_varint(b, pos)?, frequency: 1 }),
-        TAG_EVENT => {
-            let template = get_varint(b, pos)?;
-            let frequency = get_varint(b, pos)?;
-            if frequency == 0 {
-                return None;
-            }
-            Some(WireItem::Event { template, frequency })
-        }
+        // Not a well-formed event (`get_event` above takes those).
+        TAG_EVENT1 | TAG_EVENT => None,
         TAG_CONTROL => Some(WireItem::Control(get_control(b, pos)?)),
         TAG_RAW => {
             let len = usize::try_from(get_varint(b, pos)?).ok()?;
@@ -619,6 +630,43 @@ mod tests {
         ] {
             let mut pos = 0;
             assert_eq!(get_item(bad, &mut pos), None, "bytes {bad:?}");
+        }
+    }
+
+    /// `get_event` takes exactly the items `get_item` decodes to an
+    /// untagged event, and leaves every other one, malformed events
+    /// included, where it is.
+    #[test]
+    fn get_event_takes_well_formed_events_only() {
+        let mut items = vec![
+            WireItem::Event { template: 0, frequency: 1 },
+            WireItem::Event { template: 300, frequency: 1 },
+            WireItem::Event { template: 1, frequency: 9000 },
+            WireItem::Define { table: 3, kind: QueryKind::Select, attrs: vec![6] },
+            WireItem::Control(Control::Checkpoint),
+            WireItem::Raw(b"line".to_vec()),
+            WireItem::Sup(b"{}".to_vec()),
+        ];
+        items.push(WireItem::Tagged { conn: 1, seq: 2, item: Box::new(items[0].clone()) });
+        for item in &items {
+            let mut payload = Vec::new();
+            put_item(&mut payload, item);
+            let mut pos = 0;
+            match get_event(&payload, &mut pos) {
+                Some((template, frequency)) => {
+                    assert_eq!(*item, WireItem::Event { template, frequency });
+                    assert_eq!(pos, payload.len());
+                }
+                None => {
+                    assert!(!matches!(item, WireItem::Event { .. }), "{item:?}");
+                    assert_eq!(pos, 0, "{item:?}");
+                }
+            }
+        }
+        for bad in [&[TAG_EVENT, 0, 0][..], &[TAG_EVENT, 0][..], &[TAG_EVENT1, 0x80][..], &[][..]] {
+            let mut pos = 0;
+            assert_eq!(get_event(bad, &mut pos), None, "bytes {bad:?}");
+            assert_eq!((pos, get_item(bad, &mut pos)), (0, None), "bytes {bad:?}");
         }
     }
 

@@ -38,11 +38,10 @@
 //! there.
 
 use crate::config::ServiceConfig;
-use crate::frame::{get_item, WireItem, FORMAT_VERSION, MAGIC, MAX_PAYLOAD};
+use crate::frame::{get_event, get_item, WireItem, FORMAT_VERSION, MAGIC, MAX_PAYLOAD};
 use isel_workload::wire::crc32;
 use isel_workload::{AttrId, Query, QueryKind, Schema, TableId};
 use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::io::{BufRead, ErrorKind};
 
 /// One record from a mixed-encoding input stream.
@@ -69,9 +68,14 @@ pub enum Record {
 /// the input is idle.
 pub struct RecordIter<R: BufRead> {
     input: R,
-    /// Items of the frame currently being drained; `None` marks the
-    /// corrupt remainder of a frame whose payload went bad mid-way.
-    pending: VecDeque<Option<WireItem>>,
+    /// The checksummed payload of the frame being drained, decoded an
+    /// item at a time from `at`; the buffer is reused by every frame.
+    frame: Vec<u8>,
+    /// Where the next undecoded item of `frame` starts.
+    at: usize,
+    /// A corrupt region still to report: a frame that failed its header
+    /// or checksum.
+    corrupt: bool,
     /// Bytes of the last `fill_buf` not consumed yet.
     buffered: usize,
 }
@@ -79,7 +83,7 @@ pub struct RecordIter<R: BufRead> {
 impl<R: BufRead> RecordIter<R> {
     /// Wrap an input stream.
     pub fn new(input: R) -> Self {
-        Self { input, pending: VecDeque::new(), buffered: 0 }
+        Self { input, frame: Vec::new(), at: 0, corrupt: false, buffered: 0 }
     }
 
     /// [`Iterator::next`], calling `before_block` ahead of every read
@@ -113,20 +117,35 @@ impl<R: BufRead> RecordIter<R> {
                 return Some(Next::Record(record));
             }
             match self.peek(hook)? {
-                MAGIC => self.read_frame(hook), // refills `pending`; loop
+                MAGIC => self.read_frame(hook), // a frame to drain; loop
                 _ => return self.read_line(hook, line).map(Next::Line),
             }
         }
     }
 
-    /// The next item of a frame already decoded, if any: what the
-    /// iterator yields next, taken without a read.
+    /// The next item of a frame already read, if any: what the iterator
+    /// yields next, taken without a read. A malformed item is one
+    /// corrupt record for the rest of its frame.
     #[inline]
     pub(crate) fn decoded(&mut self) -> Option<Record> {
-        Some(match self.pending.pop_front()? {
-            Some(item) => Record::Item(item),
-            None => Record::Corrupt,
-        })
+        if self.at < self.frame.len() {
+            return Some(match get_item(&self.frame, &mut self.at) {
+                Some(item) => Record::Item(item),
+                None => {
+                    self.at = self.frame.len();
+                    Record::Corrupt
+                }
+            });
+        }
+        std::mem::take(&mut self.corrupt).then_some(Record::Corrupt)
+    }
+
+    /// The next item of a frame already read, if it is a well-formed
+    /// event: its `(template, frequency)`, taken past. Any other item —
+    /// and a malformed event — stays where it is for [`Self::decoded`].
+    #[inline]
+    pub(crate) fn event(&mut self) -> Option<(u64, u64)> {
+        get_event(&self.frame, &mut self.at)
     }
 
     /// The unconsumed input: empty at EOF, `None` on an I/O error (which
@@ -201,19 +220,22 @@ impl<R: BufRead> RecordIter<R> {
         }
     }
 
-    /// Decode the frame at the current position (first byte is known to
-    /// be [`MAGIC`]) into `pending`. On any header, checksum or payload
-    /// error, queues one corrupt marker; when the error leaves the
-    /// stream position unknown (bad header, truncation), also resyncs.
+    /// Read the frame at the current position (first byte is known to
+    /// be [`MAGIC`]) into `frame`, to be decoded as it is drained. On any
+    /// header or checksum error, marks one corrupt record instead; when
+    /// the error leaves the stream position unknown (bad header,
+    /// truncation), also resyncs.
     fn read_frame(&mut self, before_block: &mut impl FnMut()) {
         self.consume(1); // MAGIC
-        match self.try_read_frame(before_block) {
-            Ok(()) => {}
-            Err(resync) => {
-                self.pending.push_back(None);
-                if resync {
-                    self.resync(before_block);
-                }
+        let mut frame = std::mem::take(&mut self.frame);
+        let read = self.try_read_frame(&mut frame, before_block);
+        self.frame = frame;
+        self.at = 0;
+        if let Err(resync) = read {
+            self.frame.clear();
+            self.corrupt = true;
+            if resync {
+                self.resync(before_block);
             }
         }
     }
@@ -222,7 +244,11 @@ impl<R: BufRead> RecordIter<R> {
     /// `Err(false)` = corrupt but fully consumed (a checksum mismatch
     /// after reading the declared length — the next record starts right
     /// here, so skipping would eat it).
-    fn try_read_frame(&mut self, before_block: &mut impl FnMut()) -> Result<(), bool> {
+    fn try_read_frame(
+        &mut self,
+        payload: &mut Vec<u8>,
+        before_block: &mut impl FnMut(),
+    ) -> Result<(), bool> {
         if self.read_byte(before_block) != Some(FORMAT_VERSION) {
             return Err(true);
         }
@@ -251,24 +277,13 @@ impl<R: BufRead> RecordIter<R> {
         if !self.read_exact(&mut crc_bytes, before_block) {
             return Err(true);
         }
-        let mut payload = vec![0u8; len];
-        if !self.read_exact(&mut payload, before_block) {
+        payload.clear();
+        payload.resize(len, 0);
+        if !self.read_exact(payload, before_block) {
             return Err(true);
         }
-        if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
+        if crc32(payload) != u32::from_le_bytes(crc_bytes) {
             return Err(false);
-        }
-        let mut pos = 0;
-        while pos < payload.len() {
-            match get_item(&payload, &mut pos) {
-                Some(item) => self.pending.push_back(Some(item)),
-                None => {
-                    // The frame checksummed clean but an item is
-                    // malformed — count the remainder invalid once.
-                    self.pending.push_back(None);
-                    break;
-                }
-            }
         }
         Ok(())
     }
@@ -522,6 +537,7 @@ mod tests {
     use crate::event::Control;
     use crate::frame::FrameEncoder;
     use isel_workload::SchemaBuilder;
+    use std::collections::VecDeque;
     use std::io::Cursor;
 
     fn schema() -> Schema {
@@ -683,6 +699,28 @@ mod tests {
         let recs = records(&bytes);
         assert_eq!(recs[0], Record::Corrupt);
         assert_eq!(recs[1], Record::Line("next".into()));
+    }
+
+    /// A malformed item is one corrupt record for the rest of its frame,
+    /// however many items follow it, and what follows the frame reads on.
+    #[test]
+    fn a_malformed_item_ends_its_frame_in_one_corrupt_record() {
+        let event = |template| WireItem::Event { template, frequency: 1 };
+        let mut payload = Vec::new();
+        crate::frame::put_item(&mut payload, &event(4));
+        payload.extend_from_slice(&[2, 0, 0]); // frequency 0
+        crate::frame::put_item(&mut payload, &event(5));
+        let mut bytes = Vec::new();
+        crate::frame::put_frame(&mut bytes, &payload);
+        bytes.extend_from_slice(b"next\n");
+        crate::frame::put_frame(&mut bytes, &payload[..2]);
+        let want = [
+            Record::Item(event(4)),
+            Record::Corrupt,
+            Record::Line("next".into()),
+            Record::Item(event(4)),
+        ];
+        assert_eq!(records(&bytes), want);
     }
 
     #[test]

@@ -113,18 +113,26 @@ enum ShardItem {
     /// A template definition — binary, or a line the router resolved —
     /// carrying its stream-global id. The router sends it to the owning
     /// table's shard, whose dictionary validates it against the schema
-    /// once.
-    Define {
-        id: usize,
-        table: u16,
-        kind: QueryKind,
-        attrs: Vec<u32>,
-    },
+    /// once. Boxed: a define is rare, and every item is as large as the
+    /// largest.
+    Define(Box<Define>),
     /// Checkpoint barrier of one generation.
     Barrier(u64),
     /// An interactive arbitration query riding every queue as an in-band
     /// barrier; the last worker to reach it answers from the arbiter.
     Query(Arc<PendingQuery>),
+}
+
+/// A batch moves its items by value, one per event. Unboxed, a `Define`
+/// made every item 40 bytes.
+const _: () = assert!(std::mem::size_of::<ShardItem>() <= 24);
+
+/// What [`ShardItem::Define`] carries.
+struct Define {
+    id: usize,
+    table: u16,
+    kind: QueryKind,
+    attrs: Vec<u32>,
 }
 
 /// Most items the router thread collects per shard before handing them
@@ -232,7 +240,7 @@ impl Placement for Handoff<'_> {
         kind: QueryKind,
         attrs: Vec<u32>,
     ) -> Result<(), String> {
-        self.push(shard, ShardItem::Define { id, table, kind, attrs });
+        self.push(shard, ShardItem::Define(Box::new(Define { id, table, kind, attrs })));
         Ok(())
     }
 
@@ -877,7 +885,8 @@ fn shard_worker(
         };
         match item {
             ShardItem::Routed(item) => deliver(host.fold(ctx.env, &mut dict, item, trace)),
-            ShardItem::Define { id, table, kind, attrs } => {
+            ShardItem::Define(define) => {
+                let Define { id, table, kind, attrs } = *define;
                 dict.define_at(ctx.env.schema, id, table, kind, attrs);
             }
             ShardItem::Query(pq) => {

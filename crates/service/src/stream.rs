@@ -7,9 +7,12 @@
 //! what is an event, what is a command, what counts as
 //! *routed* (the unit of the periodic checkpoint cadence) and where an
 //! undecodable record is charged. [`Stream::decide`] is that agreement:
-//! it reduces a [`Record`] to one [`Decision`], by value — the binary
-//! hot path (`Define`/`Event`) allocates nothing and dispatches nothing
-//! dynamically.
+//! it reduces a [`Record`] to one [`Decision`], by value — a binary
+//! `Define` or `Event` allocates nothing and dispatches nothing
+//! dynamically. A frame's well-formed events do not even become
+//! records: [`Stream::run`] routes them from the frame payload by their
+//! template's shard, to the same effect (DESIGN.md §14, "A frame
+//! decodes as it drains").
 //!
 //! The stream owns the run's one template namespace, and resolves text
 //! lines too: a routed line seen before is parsed here once and becomes
@@ -22,7 +25,8 @@
 //!
 //! [`Stream::run`] is the loop around it, written once: the status
 //! signal, the shard choice, reply tokens, routed counting, explicit
-//! and cadence barriers, the recovery skip and the final flush. Where
+//! and cadence barriers, the recovery skip and the final flush; a
+//! record and a frame's event share its per-record steps. Where
 //! the groups live is a [`Placement`] — shard threads or worker
 //! processes, chosen once per run — and the loop is generic over it, so
 //! each placement gets its own monomorphised, statically dispatched
@@ -200,6 +204,15 @@ impl LineTable {
     }
 }
 
+/// A binary producer's template: its dense id, its table, and the shard
+/// its events route to, fixed when its `Define` is taken.
+#[derive(Clone, Copy)]
+struct Producer {
+    id: u64,
+    table: u16,
+    shard: u32,
+}
+
 /// The router's position in its logical input stream: the one template
 /// namespace of both encodings, the line table, the two counters the
 /// checkpoint cadence runs on, and — on journal-replay recovery — how
@@ -215,9 +228,9 @@ impl LineTable {
 pub(crate) struct Stream {
     /// Dense template ids handed out so far.
     templates: usize,
-    /// By binary producer id: the template's dense id and its table, so
-    /// events route by table without re-reading their definition.
-    binary: Vec<(usize, u16)>,
+    /// By binary producer id: the template's dense id, table and shard,
+    /// so an event routes by one index.
+    binary: Vec<Producer>,
     /// The lines this stream resolves itself; `None` in a reference that
     /// leaves every line to be parsed where it lands.
     lines: Option<LineTable>,
@@ -303,8 +316,19 @@ impl Stream {
         let opaque = map.opaque_shard();
         let mut records = RecordIter::new(input);
         loop {
-            // A decoded frame's items first: the binary path reads nothing
-            // and never meets the line table.
+            // A frame's well-formed events go straight to their shard:
+            // no record, no decision, no table-to-shard division.
+            while let Some((template, frequency)) = records.event() {
+                Self::poll(placement)?;
+                let producer = usize::try_from(template).ok().and_then(|t| self.binary.get(t));
+                let (shard, item) = match producer {
+                    Some(p) => (p.shard, Routed::Event { template: p.id, frequency }),
+                    None => (opaque, Routed::Invalid),
+                };
+                self.pass(shard, item, checkpointing, placement)?;
+            }
+            // Any other item of the frame, then the next record: the
+            // binary path reads nothing and never meets the line table.
             let decision = match records.decoded() {
                 Some(record) => self.decide(record, schema),
                 None => match records
@@ -315,10 +339,7 @@ impl Stream {
                     Some(Next::Record(record)) => self.decide(record, schema),
                 },
             };
-            placement.poll()?;
-            if take_status_signal() {
-                eprintln!("{}", placement.status_line());
-            }
+            Self::poll(placement)?;
             let (shard, item) = match decision {
                 Decision::Skip => continue,
                 Decision::Shutdown => break,
@@ -327,6 +348,10 @@ impl Stream {
                 }
                 Decision::Define { id, table, kind, attrs, event } => {
                     let shard = map.shard_of(table);
+                    // A binary template's events route by this shard.
+                    if let Some(p) = self.binary.last_mut().filter(|p| p.id == id as u64) {
+                        p.shard = shard;
+                    }
                     placement.define(shard, id, table, kind, attrs)?;
                     match event {
                         Some(frequency) => {
@@ -349,16 +374,41 @@ impl Stream {
                     continue;
                 }
             };
-            if self.routed >= self.skip {
-                placement.route(shard, item)?;
-            }
-            if let Some(generation) = self.count_routed() {
-                if checkpointing {
-                    self.fire(generation, placement)?;
-                }
-            }
+            self.pass(shard, item, checkpointing, placement)?;
         }
         placement.flush();
+        Ok(())
+    }
+
+    /// Before every record: let the placement surface failures, and print
+    /// the status line if `SIGUSR1` asked for it.
+    #[inline(always)]
+    fn poll<P: Placement>(placement: &mut P) -> Result<(), String> {
+        placement.poll()?;
+        if take_status_signal() {
+            eprintln!("{}", placement.status_line());
+        }
+        Ok(())
+    }
+
+    /// One routed record: to `shard` unless recovery already has it,
+    /// counted either way, with the cadence barrier behind it.
+    #[inline(always)]
+    fn pass<P: Placement>(
+        &mut self,
+        shard: u32,
+        item: Routed,
+        checkpointing: bool,
+        placement: &mut P,
+    ) -> Result<(), String> {
+        if self.routed >= self.skip {
+            placement.route(shard, item)?;
+        }
+        if let Some(generation) = self.count_routed() {
+            if checkpointing {
+                self.fire(generation, placement)?;
+            }
+        }
         Ok(())
     }
 
@@ -385,14 +435,15 @@ impl Stream {
             Record::Item(WireItem::Define { table, kind, attrs }) => {
                 let id = self.templates;
                 self.templates += 1;
-                self.binary.push((id, table));
+                // The shard is the run's to fix (`run`).
+                self.binary.push(Producer { id: id as u64, table, shard: 0 });
                 Decision::Define { id, table, kind, attrs, event: None }
             }
             Record::Item(WireItem::Event { template, frequency }) => {
                 match usize::try_from(template).ok().and_then(|t| self.binary.get(t)) {
-                    Some(&(id, table)) => Decision::Route {
-                        table: Some(table),
-                        item: Routed::Event { template: id as u64, frequency },
+                    Some(p) => Decision::Route {
+                        table: Some(p.table),
+                        item: Routed::Event { template: p.id, frequency },
                     },
                     None => INVALID,
                 }
@@ -683,6 +734,156 @@ mod tests {
                     .cloned()
                     .collect();
                 assert_eq!(transcript(k, g, true).0, want, "skip {k}, skip_gen {g}");
+            }
+        }
+    }
+
+    /// One frame with events at both edges of everything else a frame can
+    /// hold — a `Define`, a `checkpoint` control, a tagged event, an event
+    /// of a producer id never defined, and a malformed item with items
+    /// behind it — between a frame of defines and a frame and a line
+    /// after.
+    fn frame_edges() -> Vec<u8> {
+        let event = |template, frequency| WireItem::Event { template, frequency };
+        let define = |table, attrs: &[u32]| WireItem::Define {
+            table,
+            kind: QueryKind::Select,
+            attrs: attrs.to_vec(),
+        };
+        let frame = |out: &mut Vec<u8>, items: &[WireItem], tail: &[u8]| {
+            let mut payload = Vec::new();
+            for item in items {
+                put_item(&mut payload, item);
+            }
+            payload.extend_from_slice(tail);
+            put_frame(out, &payload);
+        };
+        let mut out = Vec::new();
+        frame(&mut out, &[define(0, &[0]), define(1, &[8])], &[]);
+        let mut malformed = vec![2, 0, 0]; // an event of frequency 0
+        put_item(&mut malformed, &event(0, 1));
+        put_item(&mut malformed, &event(1, 4));
+        frame(
+            &mut out,
+            &[
+                event(0, 1),
+                event(1, 3),
+                event(0, 1),
+                event(1, 1),
+                event(0, 7),
+                define(2, &[16]),
+                event(2, 1),
+                WireItem::Control(Control::Checkpoint),
+                event(2, 2),
+                WireItem::Tagged { conn: 1, seq: 1, item: Box::new(event(1, 2)) },
+                event(9, 1),
+                event(0, 1),
+            ],
+            &malformed,
+        );
+        out.extend_from_slice(T1.as_bytes());
+        out.push(b'\n');
+        frame(&mut out, &[event(2, 5), event(1, 1)], &[]);
+        out
+    }
+
+    /// The loop's transcript over `input` at 2 shards and a barrier every
+    /// 2 routed records, recovering as [`transcript`] does.
+    fn run_over(input: &[u8], skip: u64, skip_gen: u64, checkpointing: bool) -> (Vec<Call>, u64) {
+        let (w, config, map) = edge_setup();
+        let mut stream = Stream::new(&config);
+        (stream.routed, stream.next_gen) = (skip, skip_gen + 1);
+        stream.recover();
+        let mut rec = Recorder::default();
+        stream.run(Cursor::new(input), w.schema(), &map, None, checkpointing, &mut rec).unwrap();
+        (rec.0, stream.next_gen)
+    }
+
+    fn edge_setup() -> (isel_workload::Workload, ServiceConfig, ShardMap) {
+        let w = synthetic::generate(&SyntheticConfig { tables: 3, ..SyntheticConfig::default() });
+        let config = ServiceConfig {
+            epoch_events: 2,
+            checkpoint_every_epochs: 1,
+            ..ServiceConfig::default()
+        };
+        let map = ShardMap::new(2, BTreeMap::new(), w.schema().tables().len()).unwrap();
+        (w, config, map)
+    }
+
+    /// [`run_over`] written record by record: every record read by
+    /// [`RecordIter::next_with`] and reduced by [`Stream::decide`], and
+    /// its decision carried out by hand.
+    fn reference(input: &[u8], skip: u64, skip_gen: u64, checkpointing: bool) -> (Vec<Call>, u64) {
+        let (w, config, map) = edge_setup();
+        let mut stream = Stream::new(&config);
+        let mut rec = Recorder::default();
+        let (mut routed, mut next_gen) = (0u64, 1u64);
+        let barrier = |rec: &mut Recorder, next_gen: &mut u64, routed| {
+            *next_gen += 1;
+            if checkpointing && *next_gen - 1 > skip_gen {
+                rec.0.push(Call::Barrier { generation: *next_gen - 1, routed });
+            }
+        };
+        let mut records = RecordIter::new(Cursor::new(input));
+        while let Some(record) = records.next_with(|| {}) {
+            let (shard, item) = match stream.decide(record, w.schema()) {
+                Decision::Skip => continue,
+                Decision::Shutdown => break,
+                Decision::Route { table, item } => (table.map_or(0, |t| map.shard_of(t)), item),
+                Decision::Define { id, table, kind, attrs, event } => {
+                    let shard = map.shard_of(table);
+                    rec.define(shard, id, table, kind, attrs).unwrap();
+                    match event {
+                        Some(frequency) => {
+                            (shard, Routed::Event { template: id as u64, frequency })
+                        }
+                        None => continue,
+                    }
+                }
+                Decision::Barrier => {
+                    if checkpointing {
+                        barrier(&mut rec, &mut next_gen, routed);
+                    }
+                    continue;
+                }
+                Decision::Query { control, .. } => {
+                    rec.query(control, None).unwrap();
+                    continue;
+                }
+            };
+            if routed >= skip {
+                rec.route(shard, item).unwrap();
+            }
+            routed += 1;
+            if routed % 2 == 0 {
+                barrier(&mut rec, &mut next_gen, routed);
+            }
+        }
+        (rec.0, next_gen)
+    }
+
+    /// A frame's events take the loop's shortcut to their shard; every
+    /// other item takes the record's way. Both ways must leave the same
+    /// transcript, wherever a cadence barrier or the recovery skip falls
+    /// in the frame.
+    #[test]
+    fn a_frame_carries_out_like_its_records_one_by_one() {
+        let input = frame_edges();
+        let (fresh, next_gen) = reference(&input, 0, 0, true);
+        let routes = fresh.iter().filter(|c| matches!(c, Call::Route(..))).count() as u64;
+        assert_eq!(routes, 14, "{fresh:?}");
+        assert!(fresh.contains(&Call::Route(0, "event 2x2".into())), "{fresh:?}");
+        assert!(fresh.contains(&Call::Route(1, "event 1x2".into())), "the tagged event");
+        assert_eq!(fresh.iter().filter(|c| **c == Call::Route(0, "invalid".into())).count(), 2);
+        for checkpointing in [true, false] {
+            for skip in 0..=routes + 1 {
+                for skip_gen in [0, 1, 3, 5, next_gen] {
+                    assert_eq!(
+                        run_over(&input, skip, skip_gen, checkpointing),
+                        reference(&input, skip, skip_gen, checkpointing),
+                        "skip {skip}, skip_gen {skip_gen}, checkpointing {checkpointing}"
+                    );
+                }
             }
         }
     }

@@ -46,7 +46,9 @@ fn service_config(threads: usize) -> ServiceConfig {
     }
 }
 
-/// Frequency-weighted event sampling from a workload's templates.
+/// Frequency-weighted event sampling from a workload's templates; about
+/// half the lines carry a `"frequency"` above 1, so the log's binary
+/// twin holds events of both encodings (`TAG_EVENT1` and `TAG_EVENT`).
 fn sample_log(w: &Workload, n: usize, seed: u64) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
     let total = w.total_frequency();
@@ -66,9 +68,13 @@ fn sample_log(w: &Workload, n: usize, seed: u64) -> String {
             })
             .expect("pick < total");
         let attrs: Vec<String> = q.attrs().iter().map(|a| a.0.to_string()).collect();
+        let frequency = match [1u64, 1, 2, 7][rng.gen_range(0..4usize)] {
+            1 => String::new(),
+            f => format!(",\"frequency\":{f}"),
+        };
         let kind = if q.is_update() { ",\"kind\":\"Update\"" } else { "" };
         out.push_str(&format!(
-            "{{\"table\":{},\"attrs\":[{}]{kind}}}\n",
+            "{{\"table\":{},\"attrs\":[{}]{frequency}{kind}}}\n",
             q.table().0,
             attrs.join(",")
         ));
@@ -202,37 +208,42 @@ fn whole_checkpoint(path: &std::path::Path) -> ShardCheckpoint {
 }
 
 /// Same log + same seed ⇒ bit-identical selection sequence and
-/// checkpoint bytes at 1 and 4 worker threads, both matching the offline
-/// `dynamic::adapt` reference.
+/// checkpoint bytes at 1 and 4 worker threads, from the JSONL log and
+/// from its binary twin, all matching the offline `dynamic::adapt`
+/// reference.
 #[test]
 fn replay_is_deterministic_across_thread_counts() {
     let w = workload();
     let log = sample_log(&w, 80, 21);
+    let twin = convert(log.as_bytes(), WireFormat::Binary);
 
     let mut runs = Vec::new();
-    for threads in [1usize, 4] {
-        let cfg = service_config(threads);
-        let cp_path = tmp(&format!("replay_t{threads}.json"));
-        std::fs::remove_file(&cp_path).ok();
-        let report = whole(&w, cfg)
-            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, Some(&cp_path), &[])
-            .unwrap();
-        assert_eq!(report.dropped, 0, "blocking replay never drops");
-        runs.push((report.epochs, whole_checkpoint(&cp_path)));
+    for (encoding, input) in [("jsonl", log.as_bytes()), ("binary", &twin[..])] {
+        for threads in [1usize, 4] {
+            let cfg = service_config(threads);
+            let cp_path = tmp(&format!("replay_{encoding}_t{threads}.json"));
+            std::fs::remove_file(&cp_path).ok();
+            let report = whole(&w, cfg)
+                .run_reader(Cursor::new(input), OverloadPolicy::Block, Some(&cp_path), &[])
+                .unwrap();
+            assert_eq!(report.dropped, 0, "blocking replay never drops");
+            runs.push((report.epochs, whole_checkpoint(&cp_path)));
+        }
     }
     let (ep_1, cp_1) = &runs[0];
-    let (ep_4, cp_4) = &runs[1];
-    assert!(
-        ep_1.iter().map(|e| &e.selection).eq(ep_4.iter().map(|e| &e.selection)),
-        "selection sequence differs across thread counts"
-    );
-    // The checkpoint embeds its config (whose `threads` field differs by
-    // construction); everything else must be byte-identical. Compare via
-    // the parsed form with the config normalized.
-    let (mut a, mut b) = (cp_1.clone(), cp_4.clone());
-    a.config.threads = 0;
-    b.config.threads = 0;
-    assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
+    for (ep, cp) in &runs[1..] {
+        assert!(
+            ep_1.iter().map(|e| &e.selection).eq(ep.iter().map(|e| &e.selection)),
+            "selection sequence differs across thread counts or encodings"
+        );
+        // The checkpoint embeds its config (whose `threads` field differs
+        // by construction); everything else must be byte-identical.
+        // Compare via the parsed form with the config normalized.
+        let (mut a, mut b) = (cp_1.clone(), cp.clone());
+        a.config.threads = 0;
+        b.config.threads = 0;
+        assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
+    }
 
     // Both match the offline dynamic::adapt reference.
     let cfg = service_config(1);
@@ -379,27 +390,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The headline sharding guarantee (DESIGN.md §13): the same random
-    /// multi-table log replayed at 1, 2 and 4 shards yields bit-identical
-    /// per-group selection sequences and final merged selections, all
-    /// matching the pure single-threaded per-group offline reference.
-    /// Whole-workload tuning (`shards: 0`, DESIGN.md §12) is held to the
-    /// same standard across what varies there — 1 and 4 evaluation
-    /// threads — against the whole-workload offline reference.
+    /// multi-table log replayed at 1, 2 and 4 shards, as JSONL and as its
+    /// binary twin, yields bit-identical per-group selection sequences
+    /// and final merged selections, all matching the pure
+    /// single-threaded per-group offline reference. Whole-workload
+    /// tuning (`shards: 0`, DESIGN.md §12) is held to the same standard
+    /// across what varies there — 1 and 4 evaluation threads — against
+    /// the whole-workload offline reference.
     #[test]
     fn sharded_replay_is_bit_identical_at_every_shard_count(
         picks in prop::collection::vec((0usize..10_000, 1u64..40), 24..72),
     ) {
         let w = workload();
         let log = render_log(&w, &picks);
+        let twin = convert(log.as_bytes(), WireFormat::Binary);
         let sharded = [1u32, 2, 4].map(sharded_config);
         let whole = [1usize, 4].map(|threads| ServiceConfig { threads, ..sharded_config(0) });
         for configs in [&sharded[..], &whole[..]] {
             let reports: Vec<_> = configs
                 .iter()
-                .map(|config| {
+                .flat_map(|config| [log.as_bytes(), &twin[..]].map(|input| (config, input)))
+                .map(|(config, input)| {
                     let mut router = Router::new(w.schema().clone(), config.clone()).unwrap();
                     router
-                        .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
+                        .run_reader(Cursor::new(input), OverloadPolicy::Block, None, &[])
                         .unwrap()
                 })
                 .collect();
