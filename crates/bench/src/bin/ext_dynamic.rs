@@ -16,7 +16,7 @@
 use isel_bench::{accept_args, header, report_written, ResultSink};
 use isel_core::dynamic::{self, TransitionCosts};
 use isel_core::{budget, Trace};
-use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
+use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf};
 use isel_workload::drift::{self, DriftConfig};
 use isel_workload::synthetic::SyntheticConfig;
 use serde::Serialize;
@@ -52,9 +52,7 @@ fn main() {
         .iter()
         .map(|w| CachingWhatIf::new(AnalyticalWhatIf::new(w)))
         .collect();
-    let refs: Vec<&dyn WhatIfOptimizer> =
-        ests.iter().map(|e| e as &dyn WhatIfOptimizer).collect();
-    let a = budget::relative_budget(&refs[0], 0.3);
+    let a = budget::relative_budget(&ests[0], 0.3);
 
     let mut sink = ResultSink::new("ext_dynamic");
     header(
@@ -64,9 +62,9 @@ fn main() {
     for create in [0.0, 0.01, 0.1, 1.0, 10.0] {
         let costs = TransitionCosts { create_cost_per_byte: create, drop_cost: 1_000.0 };
         for (name, trace) in [
-            ("static", dynamic::static_first_epoch(&refs, a, costs, Trace::disabled())),
-            ("scratch", dynamic::from_scratch(&refs, a, costs)),
-            ("adaptive", dynamic::adapt(&refs, a, costs)),
+            ("static", dynamic::static_first_epoch(&ests, a, costs, Trace::disabled())),
+            ("scratch", dynamic::from_scratch(&ests, a, costs)),
+            ("adaptive", dynamic::adapt(&ests, a, costs)),
         ] {
             let workload: f64 = trace.epochs.iter().map(|e| e.workload_cost).sum();
             println!(

@@ -388,16 +388,16 @@ pub fn serve(args: &Args) -> Result<(), Failure> {
     };
     let checkpoint = checkpoint.as_deref();
     let report = traced(args, trace_shards, |sinks| {
-        let stdin = BufReader::new(std::io::stdin());
+        let mut stdin = BufReader::new(std::io::stdin());
         let policy = OverloadPolicy::DropOldest;
         match (socket, recovery) {
             (Some(path), _) => {
                 run_socket_router(&mut router, Path::new(path), checkpoint, journal.as_ref(), sinks)
             }
-            (None, None) => router.run_reader(stdin, policy, checkpoint, sinks),
+            (None, None) => router.run_reader(&mut stdin, policy, checkpoint, sinks),
             (None, Some((prior, journal_path))) => {
-                let input = Cursor::new(prior).chain(TeeReader::create(stdin, &journal_path)?);
-                router.run_reader(input, policy, checkpoint, sinks)
+                let tee = TeeReader::create(&mut stdin, &journal_path)?;
+                router.run_reader(&mut Cursor::new(prior).chain(tee), policy, checkpoint, sinks)
             }
         }
     })?;
@@ -430,7 +430,9 @@ pub fn replay(args: &Args) -> Result<(), Failure> {
     // The whole log is mapped (or a rotated journal's segments
     // concatenated) once; every pass replays the same bytes through a
     // cursor, and the binary fast path decodes without per-event
-    // allocation.
+    // allocation. A cursor, not the slice itself: behind the ingest
+    // loop's `dyn BufRead`, `&[u8]`'s `consume` rewrites the very slice
+    // the next `fill_buf` reads back, which measured ≈ 17 ns a line.
     let data = open_log(log)?;
     if let Some(want) = args.get("format") {
         let want: WireFormat = want.parse()?;
@@ -447,15 +449,15 @@ pub fn replay(args: &Args) -> Result<(), Failure> {
             ).into());
         }
     }
-    let reader = || Cursor::new(data.bytes());
     let mut router =
         make_router(&workload, config.clone(), checkpoint.as_deref(), args.flag("resume"))?;
     let report = traced(args, config.shards, |sinks| {
-        router.run_reader(reader(), OverloadPolicy::Block, checkpoint.as_deref(), sinks)
+        let input = &mut Cursor::new(data.bytes());
+        router.run_reader(input, OverloadPolicy::Block, checkpoint.as_deref(), sinks)
     })?;
     print_report(&report, &workload)?;
     if args.flag("offline-check") {
-        let snaps = offline_group_snapshots(reader(), workload.schema(), &config)?;
+        let snaps = offline_group_snapshots(data.bytes(), workload.schema(), &config)?;
         let offline = offline_group_adapt(&snaps, &config);
         let total: usize = offline.values().map(Vec::len).sum();
         if report.epochs.len() != total {
@@ -736,7 +738,7 @@ fn replay_offline(args: &Args, config: ServiceConfig) -> Result<Router, String> 
     let log = args.get("log").ok_or("missing --log FILE (or --socket PATH)")?;
     let data = open_log(log)?;
     let mut router = Router::new(workload.schema().clone(), config)?;
-    router.run_reader(Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
+    router.run_reader(&mut Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
     Ok(router)
 }
 

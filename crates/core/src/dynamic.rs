@@ -65,7 +65,7 @@ impl Trace {
 }
 
 fn paid_reconfig(
-    est: &dyn WhatIfOptimizer,
+    est: &impl WhatIfOptimizer,
     prev: &Selection,
     next: &Selection,
     costs: TransitionCosts,
@@ -75,24 +75,24 @@ fn paid_reconfig(
         create_cost_per_byte: costs.create_cost_per_byte,
         drop_cost: costs.drop_cost,
     }
-    .cost(next, &est)
+    .cost(next, est)
 }
 
 /// Reconfiguration-aware adaptation: each epoch's run sees the previous
 /// selection as its `Ī*`, so transitions are only made when they pay for
 /// themselves within the epoch.
-pub fn adapt(epochs: &[&dyn WhatIfOptimizer], budget: u64, costs: TransitionCosts) -> Trace {
+pub fn adapt(epochs: &[impl WhatIfOptimizer], budget: u64, costs: TransitionCosts) -> Trace {
     run_policy(epochs, budget, costs, true)
 }
 
 /// Greedy re-selection per epoch ignoring transition costs (they are still
 /// charged in the trace — this is the "churn everything" baseline).
-pub fn from_scratch(epochs: &[&dyn WhatIfOptimizer], budget: u64, costs: TransitionCosts) -> Trace {
+pub fn from_scratch(epochs: &[impl WhatIfOptimizer], budget: u64, costs: TransitionCosts) -> Trace {
     run_policy(epochs, budget, costs, false)
 }
 
 fn run_policy(
-    epochs: &[&dyn WhatIfOptimizer],
+    epochs: &[impl WhatIfOptimizer],
     budget: u64,
     costs: TransitionCosts,
     reconfig_aware: bool,
@@ -117,7 +117,7 @@ fn run_policy(
         // contradict: an index in Ī* that still fits the budget and was
         // re-chosen costs nothing; everything else is dropped (and billed).
         let selection = run.selection;
-        let reconfig_paid = paid_reconfig(*est, &prev, &selection, costs);
+        let reconfig_paid = paid_reconfig(est, &prev, &selection, costs);
         let workload_cost = selection.cost(est);
         out.push(EpochResult { selection: selection.clone(), workload_cost, reconfig_paid });
         prev = selection;
@@ -131,7 +131,7 @@ fn run_policy(
 /// one selection run on epoch 0, and one [`TraceEvent::Epoch`] per epoch
 /// with policy `"static"`. Results are the same with and without a sink.
 pub fn static_first_epoch(
-    epochs: &[&dyn WhatIfOptimizer],
+    epochs: &[impl WhatIfOptimizer],
     budget: u64,
     costs: TransitionCosts,
     trace: RunTrace<'_>,
@@ -144,7 +144,7 @@ pub fn static_first_epoch(
         } else {
             prev.clone()
         };
-        let reconfig_paid = paid_reconfig(*est, &prev, &selection, costs);
+        let reconfig_paid = paid_reconfig(est, &prev, &selection, costs);
         let workload_cost = selection.cost(est);
         trace.emit(|| TraceEvent::Epoch {
             epoch: e as u64,
@@ -194,13 +194,11 @@ mod tests {
             .iter()
             .map(|w| CachingWhatIf::new(AnalyticalWhatIf::new(w)))
             .collect();
-        let refs: Vec<&dyn WhatIfOptimizer> =
-            ests.iter().map(|e| e as &dyn WhatIfOptimizer).collect();
-        let budget = crate::budget::relative_budget(&refs[0], 0.3);
+        let budget = crate::budget::relative_budget(&ests[0], 0.3);
         (
-            adapt(&refs, budget, costs),
-            from_scratch(&refs, budget, costs),
-            static_first_epoch(&refs, budget, costs, RunTrace::disabled()),
+            adapt(&ests, budget, costs),
+            from_scratch(&ests, budget, costs),
+            static_first_epoch(&ests, budget, costs, RunTrace::disabled()),
         )
     }
 

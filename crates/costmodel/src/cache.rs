@@ -176,12 +176,6 @@ impl<K: Hash + Eq + Copy, V: Copy> Sharded<K, V> {
         // all share the shard-selecting bits.
         &self.shards[((h.finish() >> 32) as usize) % self.shards.len()]
     }
-
-    fn clear(&self) {
-        for s in self.shards.iter() {
-            s.lock().clear();
-        }
-    }
 }
 
 impl<K: Hash + Eq + Copy, V: Copy> Memo<K, V> for Sharded<K, V> {
@@ -297,13 +291,6 @@ impl<W: WhatIfOptimizer> CachingWhatIf<W> {
     /// The wrapped optimizer.
     pub fn inner(&self) -> &W {
         &self.inner
-    }
-
-    /// Drop all cached cost answers, for an inner oracle whose answers
-    /// went stale. Index memory depends on the index alone and stays.
-    pub fn invalidate(&mut self) {
-        self.unindexed = Dense::new();
-        self.indexed.clear();
     }
 
     fn lookup<K, V>(&self, table: &impl Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> V {
@@ -486,19 +473,6 @@ mod tests {
         let c2 = est.unindexed_cost(QueryId(0));
         assert_eq!(c1, c2);
         assert_eq!(est.stats().calls_issued, 1);
-    }
-
-    #[test]
-    fn invalidate_clears_answers() {
-        let w = workload();
-        let mut est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
-        let k = est.pool().intern_single(AttrId(0));
-        est.index_cost(QueryId(0), k);
-        est.index_cost(QueryId(0), k);
-        assert_eq!(est.stats().calls_issued, 1);
-        est.invalidate();
-        est.index_cost(QueryId(0), k);
-        assert_eq!(est.stats().calls_issued, 2, "the answer was dropped");
     }
 
     #[test]

@@ -268,15 +268,15 @@ impl JournalWriter {
 ///
 /// Write errors are swallowed, never propagated, matching
 /// [`JournalWriter`]'s full-disk posture.
-pub struct TeeReader<R: BufRead> {
-    inner: R,
+pub struct TeeReader<'a> {
+    inner: &'a mut (dyn BufRead + Send),
     out: File,
 }
 
-impl<R: BufRead> TeeReader<R> {
+impl<'a> TeeReader<'a> {
     /// Tee `inner` into the file at `path`, appending (the restart path
     /// re-opens the prior incarnation's journal and continues it).
-    pub fn create(inner: R, path: &Path) -> Result<Self, String> {
+    pub fn create(inner: &'a mut (dyn BufRead + Send), path: &Path) -> Result<Self, String> {
         let out = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -286,7 +286,7 @@ impl<R: BufRead> TeeReader<R> {
     }
 }
 
-impl<R: BufRead> Read for TeeReader<R> {
+impl Read for TeeReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let avail = self.fill_buf()?;
         let n = avail.len().min(buf.len());
@@ -296,7 +296,7 @@ impl<R: BufRead> Read for TeeReader<R> {
     }
 }
 
-impl<R: BufRead> BufRead for TeeReader<R> {
+impl BufRead for TeeReader<'_> {
     fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
         self.inner.fill_buf()
     }
@@ -550,7 +550,8 @@ mod tests {
         let path = tmp("tee.log");
         let _ = std::fs::remove_file(&path);
         let input = b"{\"table\":0,\"attrs\":[0]}\nsecond line\npartial";
-        let mut tee = TeeReader::create(Cursor::new(&input[..]), &path).unwrap();
+        let mut reader = &input[..];
+        let mut tee = TeeReader::create(&mut reader, &path).unwrap();
         let mut line = Vec::new();
         tee.read_until(b'\n', &mut line).unwrap();
         assert_eq!(line, b"{\"table\":0,\"attrs\":[0]}\n");
@@ -561,7 +562,8 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), input, "journal holds the full stream");
 
         // A second incarnation appends after the prior journal.
-        let mut tee = TeeReader::create(Cursor::new(&b" tail\n"[..]), &path).unwrap();
+        let mut reader = &b" tail\n"[..];
+        let mut tee = TeeReader::create(&mut reader, &path).unwrap();
         let mut all = Vec::new();
         tee.read_to_end(&mut all).unwrap();
         let full = std::fs::read(&path).unwrap();

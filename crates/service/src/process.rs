@@ -1209,9 +1209,9 @@ impl Router {
     /// outcome dedupe point, one [`TraceEvent::Failover`] per restored
     /// shard and the [`TraceEvent::Recovery`] of a recovering run.
     /// (Workers do not trace their tuning runs — see [`run_worker`].)
-    pub(crate) fn run_processes<R: BufRead>(
+    pub(crate) fn run_processes(
         &mut self,
-        input: R,
+        input: &mut (dyn BufRead + Send),
         checkpoint: Option<&Path>,
         committer: Option<&Committer<'_>>,
         sink: Option<&dyn TraceSink>,

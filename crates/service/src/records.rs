@@ -58,7 +58,10 @@ pub enum Record {
 }
 
 /// Iterator over [`Record`]s. Works over any `BufRead`; for mmap replay
-/// wrap the mapped bytes in a `std::io::Cursor`.
+/// wrap the mapped bytes in a `std::io::Cursor`. The ingest loop reads
+/// every input through one `&mut dyn BufRead`, called once per buffered
+/// text line (one `fill_buf`, one `consume`) and never per event of a
+/// frame already read.
 ///
 /// `BufRead::fill_buf` only reads — and so only blocks — when the
 /// reader's buffer is empty. The iterator therefore tracks how much of
@@ -104,7 +107,8 @@ impl<R: BufRead> RecordIter<R> {
     /// newline and one trailing carriage return stripped, UTF-8 not yet
     /// checked — instead of building a `String`. A line whole in the
     /// reader's buffer is read there, and `line` runs before the line is
-    /// consumed; a line that straddles two reads is gathered first.
+    /// consumed — one `fill_buf` and one `consume` for the line, beyond
+    /// a refill; a line that straddles two reads is gathered first.
     /// Binary frames never reach `line`.
     pub(crate) fn next_or_line<T>(
         &mut self,
@@ -116,10 +120,18 @@ impl<R: BufRead> RecordIter<R> {
             if let Some(record) = self.decoded() {
                 return Some(Next::Record(record));
             }
-            match self.peek(hook)? {
-                MAGIC => self.read_frame(hook), // a frame to drain; loop
-                _ => return self.read_line(hook, line).map(Next::Line),
+            // One `fill_buf` for the leading byte and a buffered line.
+            let buf = self.fill(hook)?;
+            if *buf.first()? == MAGIC {
+                self.read_frame(hook); // a frame to drain; loop
+                continue;
             }
+            let Some(end) = buf.iter().position(|&b| b == b'\n') else {
+                return self.read_split_line(hook, line).map(Next::Line);
+            };
+            let made = line(strip_cr(&buf[..end]));
+            self.consume(end + 1);
+            return Some(Next::Line(made));
         }
     }
 
@@ -288,20 +300,15 @@ impl<R: BufRead> RecordIter<R> {
         Ok(())
     }
 
-    /// The bytes up to and including the next newline (or EOF), as
-    /// `line` makes them of the line without its line ending. `None` at
-    /// EOF and when an I/O error cuts the line short.
-    fn read_line<T>(
+    /// A line that does not end in the reader's buffer: the bytes up to
+    /// and including the next newline (or EOF), gathered across reads, as
+    /// `line` makes them of the line without its line ending. `None` when
+    /// an I/O error cuts the line short.
+    fn read_split_line<T>(
         &mut self,
         before_block: &mut impl FnMut(),
         line: impl FnOnce(&[u8]) -> T,
     ) -> Option<T> {
-        let buf = self.fill(before_block)?;
-        if let Some(end) = buf.iter().position(|&b| b == b'\n') {
-            let made = line(strip_cr(&buf[..end]));
-            self.consume(end + 1);
-            return Some(made);
-        }
         let mut raw = Vec::new();
         loop {
             let buf = self.fill(before_block)?;
@@ -314,9 +321,6 @@ impl<R: BufRead> RecordIter<R> {
             if complete {
                 break;
             }
-        }
-        if raw.is_empty() {
-            return None;
         }
         if raw.last() == Some(&b'\n') {
             raw.pop();
@@ -537,8 +541,10 @@ mod tests {
     use crate::event::Control;
     use crate::frame::FrameEncoder;
     use isel_workload::SchemaBuilder;
+    use std::cell::Cell;
     use std::collections::VecDeque;
     use std::io::Cursor;
+    use std::rc::Rc;
 
     fn schema() -> Schema {
         let mut b = SchemaBuilder::new();
@@ -569,14 +575,46 @@ mod tests {
         assert_eq!(recs[3], Record::Line("tail line".into()));
     }
 
+    /// The calls a [`Pieces`] reader took: every `fill_buf` and every
+    /// `consume`, and the refills among the `fill_buf`s.
+    #[derive(Default)]
+    struct Calls {
+        fills: Cell<usize>,
+        refills: Cell<usize>,
+        consumes: Cell<usize>,
+    }
+
+    impl Calls {
+        fn all(&self) -> (usize, usize, usize) {
+            (self.fills.get(), self.refills.get(), self.consumes.get())
+        }
+    }
+
+    fn bump(counter: &Cell<usize>) {
+        counter.set(counter.get() + 1);
+    }
+
     /// A reader that hands its input over in fixed pieces, one per
-    /// `fill_buf` on an empty buffer, and counts those refills — each is
-    /// a read that could have blocked.
+    /// `fill_buf` on an empty buffer — a refill, which is a read that
+    /// could have blocked — and counts its calls.
     struct Pieces {
         pieces: VecDeque<Vec<u8>>,
         current: Vec<u8>,
         pos: usize,
-        refills: std::rc::Rc<std::cell::Cell<usize>>,
+        calls: Rc<Calls>,
+    }
+
+    impl Pieces {
+        fn new(pieces: impl IntoIterator<Item = Vec<u8>>) -> (Self, Rc<Calls>) {
+            let calls = Rc::new(Calls::default());
+            let reader = Self {
+                pieces: pieces.into_iter().collect(),
+                current: Vec::new(),
+                pos: 0,
+                calls: Rc::clone(&calls),
+            };
+            (reader, calls)
+        }
     }
 
     impl std::io::Read for Pieces {
@@ -587,8 +625,9 @@ mod tests {
 
     impl BufRead for Pieces {
         fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            bump(&self.calls.fills);
             if self.pos >= self.current.len() {
-                self.refills.set(self.refills.get() + 1);
+                bump(&self.calls.refills);
                 self.current = self.pieces.pop_front().unwrap_or_default();
                 self.pos = 0;
             }
@@ -596,6 +635,7 @@ mod tests {
         }
 
         fn consume(&mut self, n: usize) {
+            bump(&self.calls.consumes);
             self.pos += n;
         }
     }
@@ -621,14 +661,10 @@ mod tests {
         let want = records(&bytes);
         assert!(want.len() > 40 && !want.contains(&Record::Corrupt));
         for piece in [1usize, 2, 3, 5, 7, 16, 61, bytes.len()] {
-            let refills = std::rc::Rc::new(std::cell::Cell::new(0));
-            let mut iter = RecordIter::new(Pieces {
-                pieces: bytes.chunks(piece).map(<[u8]>::to_vec).collect(),
-                current: Vec::new(),
-                pos: 0,
-                refills: std::rc::Rc::clone(&refills),
-            });
-            let announced = std::cell::Cell::new(0);
+            let (reader, calls) = Pieces::new(bytes.chunks(piece).map(<[u8]>::to_vec));
+            let refills = &calls.refills;
+            let mut iter = RecordIter::new(reader);
+            let announced = Cell::new(0);
             let mut got = Vec::new();
             loop {
                 let before = refills.get();
@@ -637,7 +673,7 @@ mod tests {
                     // Ahead of its refill: so far, as many refills as
                     // earlier announcements.
                     assert_eq!(refills.get() - before, announced.get());
-                    announced.set(announced.get() + 1);
+                    bump(&announced);
                 });
                 assert_eq!(refills.get() - before, announced.get(), "piece size {piece}");
                 match record {
@@ -647,6 +683,52 @@ mod tests {
             }
             assert_eq!(got, want, "piece size {piece}");
         }
+    }
+
+    /// What keeps the ingest loop's one `dyn BufRead` cheap: a text line
+    /// whole in the reader's buffer costs one `fill_buf` and one
+    /// `consume`, beyond the refill that brought it in, and a frame's
+    /// events, once the frame is read, cost no reader call at all.
+    #[test]
+    fn a_buffered_line_costs_one_fill_and_one_consume_and_a_frame_event_none() {
+        let line = b"{\"table\":0,\"attrs\":[0]}\r\n";
+        let (reader, calls) = Pieces::new(std::iter::repeat_n(line.repeat(4), 3));
+        let mut iter = RecordIter::new(reader);
+        let mut lines = 0;
+        while let Some(next) = iter.next_or_line(|| {}, <[u8]>::len) {
+            assert!(matches!(next, Next::Line(n) if n == line.len() - 2));
+            lines += 1;
+        }
+        let (fills, refills, consumes) = calls.all();
+        assert_eq!((lines, refills), (12, 4), "three pieces, then EOF");
+        assert_eq!((fills - refills, consumes), (lines, lines), "one of each per line");
+
+        let mut enc = FrameEncoder::new();
+        for i in 0..40 {
+            enc.push_query(0, &[i % 2], 1 + u64::from(i % 3), QueryKind::Select);
+        }
+        let mut bytes = Vec::new();
+        enc.flush_into(&mut bytes);
+        let (reader, calls) = Pieces::new([bytes]);
+        let mut iter = RecordIter::new(reader);
+        let first = iter.next_or_line(|| {}, |_| ());
+        assert!(matches!(first, Some(Next::Record(Record::Item(WireItem::Define { .. })))));
+        let read = calls.all();
+        let mut events = 0;
+        loop {
+            while iter.event().is_some() {
+                events += 1;
+            }
+            match iter.decoded() {
+                Some(Record::Item(WireItem::Define { .. })) => {}
+                other => {
+                    assert_eq!(other, None);
+                    break;
+                }
+            }
+        }
+        assert_eq!(events, 40);
+        assert_eq!(calls.all(), read, "a drained frame calls no reader");
     }
 
     #[test]

@@ -670,15 +670,18 @@ impl Router {
     /// the supervisor-side trace (merges, deploy actions, failovers,
     /// the recovery — workers trace no runs).
     ///
+    /// Every input is one `&mut dyn BufRead`, so the ingest loop is
+    /// compiled once per placement, not once per input type.
+    ///
     /// # Errors
     ///
     /// Returns a sink count that fits no placement, checkpoint I/O
     /// failures, and — under worker processes — spawn/protocol
     /// failures, or repeated worker deaths exhausting the failover
     /// budget.
-    pub fn run_reader<R: BufRead + Send>(
+    pub fn run_reader(
         &mut self,
-        input: R,
+        input: &mut (dyn BufRead + Send),
         policy: OverloadPolicy,
         checkpoint: Option<&Path>,
         sinks: &[&dyn TraceSink],
@@ -719,9 +722,9 @@ impl Router {
     /// The thread placement's run: deal the groups out to one thread per
     /// shard, run the ingest loop on a router thread over [`Handoff`],
     /// and collect the groups again.
-    fn run_threads<R: BufRead + Send>(
+    fn run_threads(
         &mut self,
-        input: R,
+        input: &mut (dyn BufRead + Send),
         policy: OverloadPolicy,
         checkpoint: Option<&Path>,
         committer: Option<&Committer<'_>>,
@@ -941,8 +944,8 @@ fn shard_worker(
 /// `--offline-check` does not share the edge's line resolution. Each
 /// valid event feeds its group's own window; invalid records are
 /// skipped, `shutdown` stops, other controls are no-ops.
-pub fn offline_group_snapshots<R: BufRead>(
-    input: R,
+pub fn offline_group_snapshots(
+    input: &[u8],
     schema: &Schema,
     config: &ServiceConfig,
 ) -> Result<BTreeMap<u16, Vec<Workload>>, String> {
@@ -1005,7 +1008,6 @@ pub fn offline_group_adapt(
     snapshots: &BTreeMap<u16, Vec<Workload>>,
     config: &ServiceConfig,
 ) -> BTreeMap<u16, Vec<EpochResult>> {
-    use isel_costmodel::WhatIfOptimizer;
     snapshots
         .iter()
         .filter(|(_, snaps)| !snaps.is_empty())
@@ -1014,13 +1016,11 @@ pub fn offline_group_adapt(
                 .iter()
                 .map(|w| CachingWhatIf::new(AnalyticalWhatIf::new(w)))
                 .collect();
-            let refs: Vec<&dyn WhatIfOptimizer> =
-                ests.iter().map(|e| e as &dyn WhatIfOptimizer).collect();
             let a = match config.group_scope(key) {
                 None => budget::relative_budget(&ests[0], config.budget_share),
                 Some(t) => budget::table_relative_budget(&ests[0], config.budget_share, t),
             };
-            (key, isel_core::dynamic::adapt(&refs, a, config.transition).epochs)
+            (key, isel_core::dynamic::adapt(&ests, a, config.transition).epochs)
         })
         .collect()
 }
@@ -1089,7 +1089,7 @@ mod tests {
     fn replay(w: &Workload, log: &str, shards: u32) -> ServiceReport {
         let mut router = Router::new(w.schema().clone(), config(shards)).unwrap();
         router
-            .run_reader(Cursor::new(log.to_owned()), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut Cursor::new(log.to_owned()), OverloadPolicy::Block, None, &[])
             .unwrap()
     }
 
@@ -1103,7 +1103,7 @@ mod tests {
         assert!(!report.epochs.is_empty());
 
         let cfg = config(2);
-        let snaps = offline_group_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
+        let snaps = offline_group_snapshots(log.as_bytes(), w.schema(), &cfg).unwrap();
         let offline = offline_group_adapt(&snaps, &cfg);
         let total: usize = offline.values().map(Vec::len).sum();
         assert_eq!(report.epochs.len(), total);
@@ -1171,14 +1171,14 @@ mod tests {
         let second: String = lines[48..].join("\n") + "\n";
         let mut router = Router::new(w.schema().clone(), config(2)).unwrap();
         router
-            .run_reader(Cursor::new(first), OverloadPolicy::Block, Some(&manifest), &[])
+            .run_reader(&mut Cursor::new(first), OverloadPolicy::Block, Some(&manifest), &[])
             .unwrap();
         assert!(manifest.exists());
 
         // Second half resumed under 3 shards from the manifest.
         let mut resumed = Router::resume(w.schema().clone(), config(3), &manifest).unwrap();
         let report = resumed
-            .run_reader(Cursor::new(second), OverloadPolicy::Block, Some(&manifest), &[])
+            .run_reader(&mut Cursor::new(second), OverloadPolicy::Block, Some(&manifest), &[])
             .unwrap();
         assert_eq!(report.ingested, 96, "lifetime counters survive the resume");
 
@@ -1210,12 +1210,7 @@ mod tests {
         assert!(!report.final_selection.is_empty());
         // Recompute the global budget and check the union's memory.
         let cfg = config(3);
-        let snaps = offline_group_snapshots(
-            Cursor::new(log),
-            w.schema(),
-            &cfg,
-        )
-        .unwrap();
+        let snaps = offline_group_snapshots(log.as_bytes(), w.schema(), &cfg).unwrap();
         let any = snaps.values().next().unwrap().last().unwrap();
         let est = CachingWhatIf::new(AnalyticalWhatIf::new(any));
         let global = budget::relative_budget(&est, cfg.budget_share);
@@ -1253,7 +1248,7 @@ mod tests {
             let mut router = Router::new(w.schema().clone(), config(2)).unwrap();
             let refs: Vec<&dyn isel_core::TraceSink> = sinks.iter().map(|s| s as _).collect();
             let report = router
-                .run_reader(Cursor::new(log.to_owned()), OverloadPolicy::Block, None, &refs)
+                .run_reader(&mut Cursor::new(log.to_owned()), OverloadPolicy::Block, None, &refs)
                 .unwrap();
             let events: Vec<TraceEvent> =
                 sinks.iter().flat_map(|s| s.events()).collect();
@@ -1288,7 +1283,7 @@ mod tests {
         let refs: Vec<&dyn isel_core::TraceSink> = sinks.iter().map(|s| s as _).collect();
         let mut router = Router::new(w.schema().clone(), config(2)).unwrap();
         let report = router
-            .run_reader(Cursor::new(log), OverloadPolicy::Block, None, &refs)
+            .run_reader(&mut Cursor::new(log), OverloadPolicy::Block, None, &refs)
             .unwrap();
         let merges = |sink: &VecSink| {
             sink.events().iter().filter(|e| matches!(e, TraceEvent::Merge { .. })).count()
@@ -1334,7 +1329,7 @@ mod tests {
         let log = sample_log(&w, 24, 5);
         let mut writer = Router::new(w.schema().clone(), config(2)).unwrap();
         writer
-            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, Some(&manifest), &[])
+            .run_reader(&mut Cursor::new(log.clone()), OverloadPolicy::Block, Some(&manifest), &[])
             .unwrap();
         let err = refused(Router::resume(w.schema().clone(), procs(3), &manifest));
         assert!(err.contains("cannot re-pack shard files"), "{err}");
@@ -1350,7 +1345,7 @@ mod tests {
         for (cfg, ok, bad) in [(config(2), 2, 1), (config(0), 1, 2), (procs(2), 1, 2)] {
             let mut router = Router::new(w.schema().clone(), cfg.clone()).unwrap();
             let mut run =
-                |n| router.run_reader(Cursor::new(""), OverloadPolicy::Block, None, &refs[..n]);
+                |n| router.run_reader(&mut &b""[..], OverloadPolicy::Block, None, &refs[..n]);
             let err = run(bad).expect_err("a sink count the placement cannot take");
             assert!(err.contains(&format!("pass {ok} or none")), "{err}");
             if cfg.workers == 0 {
@@ -1374,7 +1369,7 @@ mod tests {
 
         let mut router = Router::new(w.schema().clone(), cfg.clone()).unwrap();
         let report = router
-            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
             .unwrap();
         assert_eq!(report.ingested, 80);
         assert_eq!(report.invalid, 0);
@@ -1382,7 +1377,7 @@ mod tests {
         assert_eq!(report.epochs.len(), 5, "80 events / 16 per epoch");
         assert!(report.epochs.iter().all(|o| o.table.is_none()), "epochs span the schema");
 
-        let snaps = offline_group_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
+        let snaps = offline_group_snapshots(log.as_bytes(), w.schema(), &cfg).unwrap();
         assert_eq!(snaps.keys().collect::<Vec<_>>(), [&0], "one group, part key 0");
         assert_eq!(snaps[&0].len(), 5);
         let offline = &offline_group_adapt(&snaps, &cfg)[&0];
@@ -1414,7 +1409,7 @@ mod tests {
         };
         let rx = ask("\"whatif\"".into());
         let tenant_rx = ask("\"tenant\",\"table_group\":0".into());
-        router.run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[]).unwrap();
+        router.run_reader(&mut Cursor::new(log), OverloadPolicy::Block, None, &[]).unwrap();
 
         let reply = rx.recv().unwrap();
         let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
@@ -1441,7 +1436,7 @@ mod tests {
         let mut router = Router::new(w.schema().clone(), whole()).unwrap();
         let log = "garbage\n{\"table\":999,\"attrs\":[0]}\n\n";
         let report = router
-            .run_reader(Cursor::new(log.to_owned()), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut Cursor::new(log.to_owned()), OverloadPolicy::Block, None, &[])
             .unwrap();
         assert_eq!(report.invalid, 2);
         assert_eq!(report.ingested, 0);
@@ -1457,7 +1452,7 @@ mod tests {
         let log = format!("{event}{}\n{event}", r#"{"control":"shutdown"}"#);
         let mut router = Router::new(w.schema().clone(), whole()).unwrap();
         let report =
-            router.run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[]).unwrap();
+            router.run_reader(&mut Cursor::new(log), OverloadPolicy::Block, None, &[]).unwrap();
         assert_eq!(report.ingested, 1, "events after shutdown are not read");
     }
 
@@ -1471,7 +1466,7 @@ mod tests {
         log.push_str("{\"control\":\"checkpoint\"}\n");
         let mut router = Router::new(w.schema().clone(), whole()).unwrap();
         let report = router
-            .run_reader(Cursor::new(log), OverloadPolicy::Block, Some(&path), &[])
+            .run_reader(&mut Cursor::new(log), OverloadPolicy::Block, Some(&path), &[])
             .unwrap();
         // One from the control line, one final at shutdown.
         assert_eq!(report.checkpoints_written, 2);

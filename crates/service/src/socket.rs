@@ -176,8 +176,8 @@ pub fn run_socket_router(
             // Dropping the accept loop's sender lets the engine read EOF
             // once every connection handler has also hung up.
         });
-        let reader = ChannelReader { rx, buf: Vec::new(), pos: 0 };
-        let result = router.run_reader(reader, OverloadPolicy::DropOldest, checkpoint, sinks);
+        let mut reader = ChannelReader { rx, buf: Vec::new(), pos: 0 };
+        let result = router.run_reader(&mut reader, OverloadPolicy::DropOldest, checkpoint, sinks);
         stop.store(true, Ordering::Relaxed);
         // Queries still in flight were either answered during the drain
         // or never reached the engine; wake any connection waiting on
@@ -673,7 +673,7 @@ mod tests {
         // Replaying the journal through the deterministic reader
         // reproduces the live outcome: RawLine ignores conn/seq.
         let rep = whole(&w, cfg)
-            .run_reader(std::io::Cursor::new(text), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut std::io::Cursor::new(text), OverloadPolicy::Block, None, &[])
             .unwrap();
         assert_eq!(rep.ingested, report.ingested);
         assert_eq!(rep.epochs.len(), report.epochs.len());
@@ -725,7 +725,7 @@ mod tests {
 
         let text = std::fs::read_to_string(&journal).unwrap();
         let replayed = whole(&w, cfg)
-            .run_reader(std::io::Cursor::new(text), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut std::io::Cursor::new(text), OverloadPolicy::Block, None, &[])
             .unwrap();
         assert_eq!((replayed.ingested, replayed.invalid), (live.ingested, live.invalid));
         std::fs::remove_file(&journal).ok();

@@ -29,8 +29,9 @@
 //! record and a frame's event share its per-record steps. Where
 //! the groups live is a [`Placement`] — shard threads or worker
 //! processes, chosen once per run — and the loop is generic over it, so
-//! each placement gets its own monomorphised, statically dispatched
-//! copy.
+//! each placement gets its own statically dispatched copy. Every input
+//! is one `&mut dyn BufRead`, called once per buffered text line (one
+//! `fill_buf`, one `consume`) and never per event of a read frame.
 
 use crate::arbiter::InteractiveRegistry;
 use crate::config::ServiceConfig;
@@ -298,9 +299,9 @@ impl Stream {
     /// numbered and not fired; `Define`s and queries reach the placement
     /// everywhere. Each placement ends the run its own way after this
     /// returns.
-    pub(crate) fn run<R: BufRead, P: Placement>(
+    pub(crate) fn run<P: Placement>(
         &mut self,
-        input: R,
+        input: &mut (dyn BufRead + Send),
         schema: &Schema,
         map: &ShardMap,
         interactive: Option<&InteractiveRegistry>,
@@ -668,7 +669,7 @@ mod tests {
         (stream.routed, stream.next_gen) = (skip, skip_gen + 1);
         stream.recover();
         let mut rec = Recorder::default();
-        let input = Cursor::new(input());
+        let input = &mut Cursor::new(input());
         stream.run(input, w.schema(), &map, Some(&registry), checkpointing, &mut rec).unwrap();
         (rec.0, stream.next_gen)
     }
@@ -795,7 +796,8 @@ mod tests {
         (stream.routed, stream.next_gen) = (skip, skip_gen + 1);
         stream.recover();
         let mut rec = Recorder::default();
-        stream.run(Cursor::new(input), w.schema(), &map, None, checkpointing, &mut rec).unwrap();
+        let input = &mut Cursor::new(input);
+        stream.run(input, w.schema(), &map, None, checkpointing, &mut rec).unwrap();
         (rec.0, stream.next_gen)
     }
 

@@ -259,8 +259,8 @@ impl Tuner {
         trace: Trace<'_>,
     ) -> EpochOutcome {
         let budget = match self.scope {
-            Some(t) => budget::table_relative_budget(&est, self.config.budget_share, t),
-            None => budget::relative_budget(&est, self.config.budget_share),
+            Some(t) => budget::table_relative_budget(est, self.config.budget_share, t),
+            None => budget::relative_budget(est, self.config.budget_share),
         };
         let overlap = self
             .prev_snapshot
@@ -282,12 +282,12 @@ impl Tuner {
                     create_cost_per_byte: transition.create_cost_per_byte,
                     drop_cost: transition.drop_cost,
                 };
-                Some(algorithm1::run_traced(&est, &options, trace))
+                Some(algorithm1::run_traced(est, &options, trace))
             }
             TunePolicy::FromScratch => {
                 let mut options = Options::new(budget);
                 options.parallelism = par;
-                Some(algorithm1::run_traced(&est, &options, trace))
+                Some(algorithm1::run_traced(est, &options, trace))
             }
         };
         let selection = match &run {
@@ -299,8 +299,8 @@ impl Tuner {
             create_cost_per_byte: transition.create_cost_per_byte,
             drop_cost: transition.drop_cost,
         }
-        .cost(&selection, &est);
-        let workload_cost = selection.cost(&est);
+        .cost(&selection, est);
+        let workload_cost = selection.cost(est);
         let epoch = self.epoch;
         trace.emit(|| TraceEvent::Epoch {
             epoch,
@@ -346,7 +346,6 @@ mod tests {
     use super::*;
     use crate::config::DriftThresholds;
     use isel_core::dynamic::{self, TransitionCosts};
-    use isel_costmodel::WhatIfOptimizer;
     use isel_workload::drift::DriftConfig;
     use isel_workload::synthetic::SyntheticConfig;
 
@@ -391,10 +390,8 @@ mod tests {
             .iter()
             .map(|w| CachingWhatIf::new(AnalyticalWhatIf::new(w)))
             .collect();
-        let refs: Vec<&dyn WhatIfOptimizer> =
-            ests.iter().map(|e| e as &dyn WhatIfOptimizer).collect();
-        let budget = budget::relative_budget(&refs[0], cfg.budget_share);
-        let offline = dynamic::adapt(&refs, budget, cfg.transition);
+        let budget = budget::relative_budget(&ests[0], cfg.budget_share);
+        let offline = dynamic::adapt(&ests, budget, cfg.transition);
         assert_eq!(online.len(), offline.epochs.len());
         for (o, e) in online.iter().zip(&offline.epochs) {
             assert_eq!(o, &e.selection);

@@ -11,7 +11,7 @@
 
 use isel_core::dynamic::{self, TransitionCosts};
 use isel_core::{budget, Trace};
-use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
+use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf};
 use isel_workload::drift::{self, DriftConfig};
 use isel_workload::synthetic::SyntheticConfig;
 
@@ -38,16 +38,14 @@ fn main() {
         .iter()
         .map(|w| CachingWhatIf::new(AnalyticalWhatIf::new(w)))
         .collect();
-    let refs: Vec<&dyn WhatIfOptimizer> =
-        ests.iter().map(|e| e as &dyn WhatIfOptimizer).collect();
-    let a = budget::relative_budget(&refs[0], 0.25);
+    let a = budget::relative_budget(&ests[0], 0.25);
     let costs = TransitionCosts { create_cost_per_byte: 0.05, drop_cost: 10_000.0 };
 
     println!("\npolicy      total-cost    workload     reconfig   churned-indexes");
     for (name, trace) in [
-        ("static  ", dynamic::static_first_epoch(&refs, a, costs, Trace::disabled())),
-        ("scratch ", dynamic::from_scratch(&refs, a, costs)),
-        ("adaptive", dynamic::adapt(&refs, a, costs)),
+        ("static  ", dynamic::static_first_epoch(&ests, a, costs, Trace::disabled())),
+        ("scratch ", dynamic::from_scratch(&ests, a, costs)),
+        ("adaptive", dynamic::adapt(&ests, a, costs)),
     ] {
         let workload: f64 = trace.epochs.iter().map(|e| e.workload_cost).sum();
         let churn: usize = trace

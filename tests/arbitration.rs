@@ -196,7 +196,7 @@ fn restored_frontiers_answer_whatif_byte_identically_at_any_shard_count() {
 
     let mut writer = Router::new(w.schema().clone(), config(2)).unwrap();
     writer
-        .run_reader(Cursor::new(log), OverloadPolicy::Block, Some(&manifest), &[])
+        .run_reader(&mut Cursor::new(log), OverloadPolicy::Block, Some(&manifest), &[])
         .unwrap();
     let budgets = [0, 4096, 1 << 20, writer.arbiter().budget()];
     let whatifs: Vec<String> = budgets.iter().map(|&b| writer.arbiter().whatif(b)).collect();
@@ -235,7 +235,7 @@ fn restored_daemon_answers_whatif_byte_identically() {
     let path = dir.join("daemon.json");
 
     let mut writer = Router::new(w.schema().clone(), config(0)).unwrap();
-    writer.run_reader(Cursor::new(log), OverloadPolicy::Block, Some(&path), &[]).unwrap();
+    writer.run_reader(&mut Cursor::new(log), OverloadPolicy::Block, Some(&path), &[]).unwrap();
     let resumed = Router::resume(w.schema().clone(), config(0), &path).unwrap();
     for b in [0u64, 4096, 1 << 20, writer.arbiter().budget()] {
         assert_eq!(resumed.arbiter().whatif(b), writer.arbiter().whatif(b));

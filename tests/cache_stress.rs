@@ -270,7 +270,7 @@ fn parallel_algorithm1_keeps_cache_accounting_consistent() {
     let serial = algorithm1::run(&serial_est, &algorithm1::Options::new(a));
     let serial_stats = serial_est.cache_stats().unwrap();
 
-    let mut par_est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
+    let par_est = CachingWhatIf::new(AnalyticalWhatIf::new(&w));
     let opts = algorithm1::Options {
         parallelism: Parallelism::new(8),
         ..algorithm1::Options::new(a)
@@ -290,9 +290,4 @@ fn parallel_algorithm1_keeps_cache_accounting_consistent() {
     // count is identical; only scheduling changes.
     assert_eq!(serial_stats.misses, par_stats.misses);
     assert_eq!(serial_stats.lookups(), par_stats.lookups());
-
-    // Invalidation resets the memo but not the run's correctness.
-    par_est.invalidate();
-    let again = algorithm1::run(&par_est, &opts);
-    assert_eq!(again.steps, par.steps);
 }

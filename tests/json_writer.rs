@@ -236,7 +236,7 @@ fn replay(w: &Workload, config: ServiceConfig, log: &str) -> Run {
     let report = Router::new(w.schema().clone(), config)
         .unwrap()
         .run_reader(
-            Cursor::new(log.to_owned()),
+            &mut Cursor::new(log.to_owned()),
             OverloadPolicy::Block,
             Some(&path),
             &refs,

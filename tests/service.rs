@@ -224,7 +224,7 @@ fn replay_is_deterministic_across_thread_counts() {
             let cp_path = tmp(&format!("replay_{encoding}_t{threads}.json"));
             std::fs::remove_file(&cp_path).ok();
             let report = whole(&w, cfg)
-                .run_reader(Cursor::new(input), OverloadPolicy::Block, Some(&cp_path), &[])
+                .run_reader(&mut Cursor::new(input), OverloadPolicy::Block, Some(&cp_path), &[])
                 .unwrap();
             assert_eq!(report.dropped, 0, "blocking replay never drops");
             runs.push((report.epochs, whole_checkpoint(&cp_path)));
@@ -247,7 +247,7 @@ fn replay_is_deterministic_across_thread_counts() {
 
     // Both match the offline dynamic::adapt reference.
     let cfg = service_config(1);
-    let snaps = offline_group_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
+    let snaps = offline_group_snapshots(log.as_bytes(), w.schema(), &cfg).unwrap();
     let offline = &offline_group_adapt(&snaps, &cfg)[&0];
     assert_eq!(ep_1.len(), offline.len());
     for (got, want) in ep_1.iter().zip(offline) {
@@ -269,7 +269,7 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
 
     // Uninterrupted reference run.
     let ref_report = whole(&w, cfg.clone())
-        .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
+        .run_reader(&mut Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
         .unwrap();
     assert_eq!(ref_report.epochs.len(), 6, "96 events / 16 per epoch");
 
@@ -280,7 +280,7 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
     let head = format!("{}\n", lines[..40].join("\n"));
     let mut first = whole(&w, cfg.clone());
     let head_report = first
-        .run_reader(Cursor::new(head), OverloadPolicy::Block, Some(&cp_path), &[])
+        .run_reader(&mut Cursor::new(head), OverloadPolicy::Block, Some(&cp_path), &[])
         .unwrap();
     assert_eq!(head_report.epochs.len(), 2);
     drop(first); // the "kill"
@@ -291,7 +291,7 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
     assert_eq!(resumed.epochs_tuned(), 2);
     let tail = format!("{}\n", lines[40..].join("\n"));
     let tail_report = resumed
-        .run_reader(Cursor::new(tail), OverloadPolicy::Block, Some(&cp_path), &[])
+        .run_reader(&mut Cursor::new(tail), OverloadPolicy::Block, Some(&cp_path), &[])
         .unwrap();
     assert_eq!(tail_report.epochs.len(), 4, "epochs 2..6 tuned after restore");
     assert_eq!(tail_report.ingested, 96, "lifetime counter spans the restart");
@@ -322,7 +322,7 @@ fn daemon_trace_passes_accounting_checks() {
     let log = sample_log(&w, 48, 4);
     let sink = JsonLinesSink::new(Vec::new());
     whole(&w, cfg)
-        .run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[&sink])
+        .run_reader(&mut Cursor::new(log), OverloadPolicy::Block, None, &[&sink])
         .unwrap();
     let bytes = sink.finish().unwrap();
     let text = String::from_utf8(bytes).unwrap();
@@ -413,7 +413,7 @@ proptest! {
                 .map(|(config, input)| {
                     let mut router = Router::new(w.schema().clone(), config.clone()).unwrap();
                     router
-                        .run_reader(Cursor::new(input), OverloadPolicy::Block, None, &[])
+                        .run_reader(&mut Cursor::new(input), OverloadPolicy::Block, None, &[])
                         .unwrap()
                 })
                 .collect();
@@ -431,8 +431,7 @@ proptest! {
             }
             // The offline reference agrees epoch by epoch, group by group.
             let cfg = &configs[0];
-            let snaps =
-                offline_group_snapshots(Cursor::new(log.clone()), w.schema(), cfg).unwrap();
+            let snaps = offline_group_snapshots(log.as_bytes(), w.schema(), cfg).unwrap();
             let offline = offline_group_adapt(&snaps, cfg);
             let total: usize = offline.values().map(Vec::len).sum();
             prop_assert_eq!(baseline.epochs.len(), total);
@@ -464,7 +463,7 @@ proptest! {
 
         let mut reference = Router::new(w.schema().clone(), sharded_config(1)).unwrap();
         let ref_report = reference
-            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
             .unwrap();
 
         let dir = case_dir("kill-restore");
@@ -472,7 +471,7 @@ proptest! {
         let head = format!("{}\n", lines[..cut].join("\n"));
         let mut first = Router::new(w.schema().clone(), sharded_config(2)).unwrap();
         first
-            .run_reader(Cursor::new(head), OverloadPolicy::Block, Some(&manifest), &[])
+            .run_reader(&mut Cursor::new(head), OverloadPolicy::Block, Some(&manifest), &[])
             .unwrap();
         drop(first); // the "kill"
 
@@ -481,7 +480,7 @@ proptest! {
                 .unwrap();
         let tail = format!("{}\n", lines[cut..].join("\n"));
         let tail_report = resumed
-            .run_reader(Cursor::new(tail), OverloadPolicy::Block, Some(&manifest), &[])
+            .run_reader(&mut Cursor::new(tail), OverloadPolicy::Block, Some(&manifest), &[])
             .unwrap();
         prop_assert_eq!(tail_report.ingested, lines.len() as u64);
 
@@ -578,7 +577,7 @@ proptest! {
         let log: String = lines.iter().map(|l| format!("{l}\n")).collect();
         let mut router = Router::new(w.schema().clone(), sharded_config(shards)).unwrap();
         let report = router
-            .run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut Cursor::new(log), OverloadPolicy::Block, None, &[])
             .unwrap();
         let shutdown = lines
             .iter()
@@ -622,7 +621,7 @@ fn run_with_checkpoints(
     let manifest = dir.join("cp.json");
     let mut router = Router::new(w.schema().clone(), sharded_config(shards)).unwrap();
     let report = router
-        .run_reader(Cursor::new(bytes), OverloadPolicy::Block, Some(&manifest), &[])
+        .run_reader(&mut Cursor::new(bytes), OverloadPolicy::Block, Some(&manifest), &[])
         .unwrap();
     let files = take_dir_files(&dir);
     (report, files)
@@ -842,7 +841,7 @@ fn golden_tpcc_fixture_matches_its_jsonl_twin() {
     let w = tpcc::generate(50).0;
     let run = |bytes: &[u8]| {
         whole(&w, service_config(1))
-            .run_reader(Cursor::new(bytes.to_vec()), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut Cursor::new(bytes.to_vec()), OverloadPolicy::Block, None, &[])
             .unwrap()
     };
     let a = run(&jsonl);
@@ -948,13 +947,13 @@ proptest! {
 
         let mut reference = Router::new(w.schema().clone(), sharded_config(1)).unwrap();
         let baseline = reference
-            .run_reader(Cursor::new(plain), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut Cursor::new(plain), OverloadPolicy::Block, None, &[])
             .unwrap();
         for shards in [1u32, 2, 4] {
             let mut router =
                 Router::new(w.schema().clone(), sharded_config(shards)).unwrap();
             let report = router
-                .run_reader(Cursor::new(with_probes.clone()), OverloadPolicy::Block, None, &[])
+                .run_reader(&mut Cursor::new(with_probes.clone()), OverloadPolicy::Block, None, &[])
                 .unwrap();
             // Probes must never count as ingested events.
             prop_assert_eq!(report.ingested, picks.len() as u64);
@@ -1003,7 +1002,7 @@ fn golden_observed_fixture_matches_its_jsonl_twin() {
         config.calibration.enabled = true;
         let mut router = whole(&w, config);
         let report = router
-            .run_reader(Cursor::new(bytes.to_vec()), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut Cursor::new(bytes.to_vec()), OverloadPolicy::Block, None, &[])
             .unwrap();
         (report, router.calibration())
     };
@@ -1052,7 +1051,8 @@ fn in_band_calibration_answer_is_the_groups_sums() {
             .collect();
         let mut router = Router::new(w.schema().clone(), config).unwrap();
         router.set_interactive(registry);
-        router.run_reader(Cursor::new(log.to_vec()), OverloadPolicy::Block, None, &[]).unwrap();
+        let input = &mut Cursor::new(log.to_vec());
+        router.run_reader(input, OverloadPolicy::Block, None, &[]).unwrap();
         let answers: Vec<String> = replies.iter().map(|rx| rx.recv().unwrap()).collect();
         (answers, router.calibration())
     };
@@ -1178,7 +1178,7 @@ fn observed_probes_are_counted_never_ingested_or_shed() {
     for calibrate in [false, true] {
         let mut router = Router::new(w.schema().clone(), config(calibrate)).unwrap();
         let report = router
-            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
+            .run_reader(&mut Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
             .unwrap();
         assert_eq!(report.ingested as usize, EVENTS, "probes must not count as ingested");
         assert_eq!(report.invalid, 0);
@@ -1189,7 +1189,7 @@ fn observed_probes_are_counted_never_ingested_or_shed() {
 
     let mut router = Router::new(w.schema().clone(), config(true)).unwrap();
     let report = router
-        .run_reader(Paced::new(&log, 50_000), OverloadPolicy::DropOldest, None, &[])
+        .run_reader(&mut Paced::new(&log, 50_000), OverloadPolicy::DropOldest, None, &[])
         .unwrap();
     assert_eq!(report.ingested as usize, EVENTS);
     assert_eq!(report.dropped, 0, "the calibrated service shed events at 50 000 lines/s");
@@ -1369,7 +1369,7 @@ fn events_are_handed_over_before_the_input_blocks() {
         let report = std::thread::scope(|s| {
             let serving = s.spawn(|| {
                 router.run_reader(
-                    GatedReader::new(rx),
+                    &mut GatedReader::new(rx),
                     OverloadPolicy::Block,
                     None,
                     &[&sink as &dyn isel_core::TraceSink],
@@ -1450,7 +1450,7 @@ fn run_with_controls(
     let mut router = Router::new(w.schema().clone(), config).unwrap();
     router.set_interactive(registry);
     let report = router
-        .run_reader(reader(&bytes), OverloadPolicy::Block, Some(&manifest), &[])
+        .run_reader(&mut reader(&bytes), OverloadPolicy::Block, Some(&manifest), &[])
         .unwrap();
     let files = take_dir_files(&dir);
     let replies =
@@ -1558,7 +1558,7 @@ fn drop_oldest_accounts_for_every_event() {
     // Whole batches from a slice.
     let mut router = Router::new(w.schema().clone(), config.clone()).unwrap();
     let report = router
-        .run_reader(Cursor::new(events.concat()), OverloadPolicy::DropOldest, None, &[])
+        .run_reader(&mut Cursor::new(events.concat()), OverloadPolicy::DropOldest, None, &[])
         .unwrap();
     assert_eq!(report.invalid, 0);
     assert_eq!(report.ingested + report.dropped, sent as u64);
@@ -1619,8 +1619,9 @@ fn drop_oldest_sheds_events_never_defines() {
     config.queue_capacity = 3;
     for (encoding, log) in [("jsonl", jsonl.into_bytes()), ("binary", binary)] {
         let mut router = Router::new(w.schema().clone(), config.clone()).unwrap();
-        let report =
-            router.run_reader(Cursor::new(log), OverloadPolicy::DropOldest, None, &[]).unwrap();
+        let report = router
+            .run_reader(&mut Cursor::new(log), OverloadPolicy::DropOldest, None, &[])
+            .unwrap();
         assert_eq!(report.invalid, 0, "{encoding}: a shed define turned events invalid");
         assert_eq!(report.ingested + report.dropped, sent as u64, "{encoding}");
         assert!(report.dropped > 0, "{encoding}: nothing was shed, so nothing was shown");
