@@ -25,8 +25,9 @@ use crate::out::Failure;
 use isel_core::TraceSink;
 use isel_service::{
     install_status_signal, journal::is_manifest, offline_group_adapt, offline_group_snapshots,
-    read_journal_bytes, run_socket_router, EpochOutcome, FrameEncoder, JournalConfig, MappedFile,
-    OverloadPolicy, Router, ServiceConfig, ServiceReport, TeeReader, WireFormat, MAGIC,
+    read_journal_bytes, run_socket_router, run_state_dir, EpochOutcome, FrameEncoder,
+    JournalConfig, MappedFile, OverloadPolicy, Router, ServiceConfig, ServiceReport, WireFormat,
+    MAGIC,
 };
 use isel_workload::erp::{self, ErpConfig};
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -35,7 +36,7 @@ use isel_workload::{tpcc, QueryId, QueryKind, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Cursor, Read, Write};
+use std::io::{BufRead, BufReader, Cursor, Write};
 use std::path::{Path, PathBuf};
 
 /// `--format jsonl|binary` (default jsonl) — the event-stream encoding
@@ -302,103 +303,47 @@ fn journal_config(args: &Args) -> Result<Option<JournalConfig>, String> {
 /// `whatif`/`tenant` control lines are answered from the live arbiter
 /// on the issuing connection.
 ///
-/// `--workers N --state-dir DIR` adds crash recovery on stdin
-/// (DESIGN.md §18). Every consumed input byte is teed into
-/// `DIR/journal.log` *before* it is acted on; checkpoints commit
-/// through `DIR/checkpoint.json` (unless `--checkpoint` overrides it),
-/// the failover/restart counters persist in `DIR/status.json`, and the
-/// committed epoch-outcome history in `DIR/outcomes.json`. On startup a
-/// prior incarnation is detected from those files: the committed
-/// manifest restores every shard, the whole journal replays (records
-/// the checkpoint already covers are counted but not re-routed,
-/// committed generations are counted but not re-fired), and serving
-/// resumes on live stdin — with the final merged selection and
+/// `--state-dir DIR` adds crash recovery on stdin at either placement
+/// (DESIGN.md §18, [`isel_service::state_dir`]): every consumed input
+/// byte is journaled in `DIR` before it is acted on, a shard queue
+/// blocks rather than shed, and a restart from `DIR` restores the
+/// committed checkpoint, replays the whole journal and resumes on live
+/// stdin — with the report, the final merged selection and the
 /// checkpoint documents byte-identical to an uninterrupted run over the
 /// same stream.
 pub fn serve(args: &Args) -> Result<(), Failure> {
     let workload = load_workload(args)?;
     let config = service_config(args)?;
     let checkpoint = args.get("checkpoint").map(PathBuf::from);
+    let checkpoint = checkpoint.as_deref();
     install_status_signal();
     let journal = journal_config(args)?;
-    let socket = args.get("socket");
+    let (socket, state_dir) = (args.get("socket"), args.get("state-dir"));
     if journal.is_some() && socket.is_none() {
         return Err("--journal requires --socket (stdin input is already a replayable log)".into());
     }
-    if config.workers == 0 {
-        if args.get("state-dir").is_some() {
-            return Err(
-                "--state-dir requires --workers N (crash recovery of the worker-process \
-                 placement; single-process restart is --resume --checkpoint)"
-                    .into(),
-            );
-        }
-        if config.respawn {
-            return Err("--respawn requires --workers N (it respawns worker processes)".into());
-        }
+    if config.respawn && config.workers == 0 {
+        return Err("--respawn requires --workers N (it respawns worker processes)".into());
+    }
+    if state_dir.is_some() && socket.is_some() {
+        return Err(
+            "--state-dir serves on stdin (socket serving records with --journal instead)".into()
+        );
     }
     // One trace file per shard thread; one under worker processes.
     let trace_shards = if config.workers > 0 { 0 } else { config.shards };
-    let (mut router, checkpoint, recovery) = match args.get("state-dir") {
-        None => {
-            let router =
-                make_router(&workload, config, checkpoint.as_deref(), args.flag("resume"))?;
-            (router, checkpoint, None)
-        }
-        Some(_) if socket.is_some() => {
-            return Err(
-                "--state-dir serves on stdin (socket serving records with --journal instead)"
-                    .into(),
-            )
-        }
-        Some(dir) => {
-            let dir = Path::new(dir);
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create state dir {}: {e}", dir.display()))?;
-            let manifest = checkpoint.unwrap_or_else(|| dir.join("checkpoint.json"));
-            let journal_path = dir.join("journal.log");
-            let prior = match std::fs::read(&journal_path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(format!("cannot read {}: {e}", journal_path.display()).into()),
-            };
-            if manifest.exists() && prior.is_empty() {
-                // The journal must span the stream from byte 0 for replay
-                // positions to line up with the manifest's routed_lines; a
-                // manifest without its journal cannot be recovered from.
-                return Err(format!(
-                    "state dir {} holds a checkpoint manifest but no journal; recovery needs \
-                     both (to adopt a foreign checkpoint, resume once with --resume \
-                     --checkpoint and a fresh state dir)",
-                    dir.display()
-                ).into());
-            }
-            let mut router = make_router(&workload, config, Some(&manifest), true)?;
-            if !prior.is_empty() {
-                eprintln!(
-                    "replaying {} journal bytes from {}",
-                    prior.len(),
-                    journal_path.display()
-                );
-                router.set_recovery(prior.len() as u64);
-            }
-            router.set_state_dir(dir.to_path_buf());
-            (router, Some(manifest), Some((prior, journal_path)))
-        }
-    };
-    let checkpoint = checkpoint.as_deref();
     let report = traced(args, trace_shards, |sinks| {
         let mut stdin = BufReader::new(std::io::stdin());
-        let policy = OverloadPolicy::DropOldest;
-        match (socket, recovery) {
-            (Some(path), _) => {
+        if let Some(dir) = state_dir {
+            let schema = workload.schema();
+            return run_state_dir(schema, config, Path::new(dir), checkpoint, &mut stdin, sinks);
+        }
+        let mut router = make_router(&workload, config, checkpoint, args.flag("resume"))?;
+        match socket {
+            Some(path) => {
                 run_socket_router(&mut router, Path::new(path), checkpoint, journal.as_ref(), sinks)
             }
-            (None, None) => router.run_reader(&mut stdin, policy, checkpoint, sinks),
-            (None, Some((prior, journal_path))) => {
-                let tee = TeeReader::create(&mut stdin, &journal_path)?;
-                router.run_reader(&mut Cursor::new(prior).chain(tee), policy, checkpoint, sinks)
-            }
+            None => router.run_reader(&mut stdin, OverloadPolicy::DropOldest, checkpoint, sinks),
         }
     })?;
     print_report(&report, &workload)?;

@@ -7,6 +7,7 @@
 // Each suite compiles this module on its own and uses a subset of it.
 #![allow(dead_code)]
 
+use isel_service::state_dir::JOURNAL;
 use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -148,10 +149,10 @@ pub fn report_check(trace: &Path) -> String {
 /// read them as stdin.
 pub fn remainder(log: &Path, state: &Path, rest: PathBuf) -> PathBuf {
     let full = std::fs::read(log).unwrap();
-    let consumed = std::fs::metadata(state.join("journal.log")).map_or(0, |m| m.len()) as usize;
+    let consumed = std::fs::metadata(state.join(JOURNAL)).map_or(0, |m| m.len()) as usize;
     assert!(
         consumed <= full.len(),
-        "journal.log larger than the input stream ({consumed} > {})",
+        "{JOURNAL} larger than the input stream ({consumed} > {})",
         full.len()
     );
     std::fs::write(&rest, &full[consumed..]).unwrap();

@@ -24,6 +24,7 @@ use common::{
     assert_ok, final_selection, groups, masked, remainder, report_check, run, scratch, stderr,
     stdout, strs, Server,
 };
+use isel_service::state_dir::MANIFEST;
 use isel_service::FrameEncoder;
 use isel_workload::QueryKind;
 use rand::rngs::StdRng;
@@ -251,7 +252,7 @@ fn run_case(case: &Case) -> Outcome {
     std::fs::create_dir_all(dir.join("traces")).unwrap();
     let (log, state) = (fix.join(case.log), dir.join("state"));
     let manifest =
-        if case.restart { state.join("checkpoint.json") } else { dir.join("checkpoint.json") };
+        if case.restart { state.join(MANIFEST) } else { dir.join("checkpoint.json") };
     let input = case.serve.then_some(log.as_path());
     let args = |shards: u32, trace: Option<&str>| -> Vec<String> {
         let path = |p: &Path| p.display().to_string();

@@ -1,18 +1,23 @@
-//! Supervisor crash-recovery tests for `serve --workers N --state-dir DIR`.
+//! Crash-recovery tests for `serve --state-dir DIR`, at both
+//! placements.
 //!
 //! Each test drives the real `isel` binary. A crash run sets an
 //! `ISEL_FAULT_SCHEDULE` entry (DESIGN.md §18) that SIGKILLs the
-//! *supervisor* at a named fault site; the test then restarts the
-//! supervisor from the state directory, feeding it only the bytes of
+//! process running the router at a named fault site; the test then
+//! restarts it from the state directory, feeding it only the bytes of
 //! the stream the journal had not yet consumed. The restarted run must
 //! report **byte-identically** to an uninterrupted run over the same
 //! stream — stdout, the committed checkpoint manifest, and the final
-//! per-shard checkpoint documents — swept across every registered
-//! supervisor-side fault site at 1, 2 and 4 shards.
+//! per-shard checkpoint documents. Under worker processes the sweep
+//! walks every registered supervisor-side fault site at 1, 2 and 4
+//! shards; on shard threads (`--workers 0`), the sites that placement
+//! reaches at `--shards 0` and 2, where stdout is compared with the
+//! queue high-water column masked (shard threads race for it).
 
 mod common;
 
-use common::{assert_ok, remainder, report_check, run, setup, stderr, stdout};
+use common::{assert_ok, masked, remainder, report_check, run, setup, stderr, stdout};
+use isel_service::state_dir::{JOURNAL, MANIFEST, STATUS};
 use std::path::{Path, PathBuf};
 use std::process::Output;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,8 +48,8 @@ fn serve_state(
 /// byte-identical to the clean run's: the manifest, plus every live
 /// shard checkpoint file the clean run kept.
 fn assert_state_identical(clean: &Path, recovered: &Path, ctx: &str) {
-    let clean_manifest = std::fs::read(clean.join("checkpoint.json")).unwrap();
-    let rec_manifest = std::fs::read(recovered.join("checkpoint.json")).unwrap();
+    let clean_manifest = std::fs::read(clean.join(MANIFEST)).unwrap();
+    let rec_manifest = std::fs::read(recovered.join(MANIFEST)).unwrap();
     assert_eq!(clean_manifest, rec_manifest, "{ctx}: checkpoint manifest differs");
     for entry in std::fs::read_dir(clean).unwrap() {
         let name = entry.unwrap().file_name();
@@ -174,8 +179,116 @@ fn supervisor_crash_sweep_recovers_byte_identically_at_four_shards() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The sites a crash at the thread placement (`--workers 0`) can hit:
+/// the commit edge, the manifest rename and the journal append. The
+/// generation-scoped ones fall mid-stream (96 events commit 7
+/// generations), the journal ones inside the stream.
+fn thread_schedule(site: &str, log: &str) -> &'static str {
+    match (site, log) {
+        ("sup.commit", _) => "sup.commit@4:1",
+        ("checkpoint.manifest", _) => "checkpoint.manifest@5:1",
+        ("journal.append", "ev.bin") => "journal.append:4",
+        ("journal.append", _) => "journal.append:40",
+        _ => panic!("no thread-placement schedule for {site}"),
+    }
+}
+
+/// [`sweep`] on shard threads: crash at each site the thread placement
+/// reaches, on the JSONL log and its binary twin, restart from the state
+/// directory on the unconsumed rest, and require the clean JSONL run's
+/// masked report, manifest and shard documents.
+fn thread_sweep(dir: &Path, shards: u32) {
+    let clean_state = dir.join(format!("clean-{shards}"));
+    let clean = serve_state(dir, &clean_state, shards, 0, &dir.join("ev.jsonl"), &[]);
+    assert_ok(&clean);
+    let baseline = masked(&stdout(&clean));
+    assert!(baseline.iter().any(|l| l.starts_with("epoch")), "baseline report:\n{baseline:?}");
+    for log in ["ev.jsonl", "ev.bin"] {
+        for site in ["sup.commit", "checkpoint.manifest", "journal.append"] {
+            let schedule = thread_schedule(site, log);
+            let ctx = format!("{log}, {site} @ {shards} shards on threads");
+            let tag = format!("{log}-{site}").replace('.', "-");
+            let state = dir.join(format!("crash-{shards}-{tag}"));
+            let envs = [("ISEL_FAULT_SCHEDULE", schedule)];
+            let crashed = serve_state(dir, &state, shards, 0, &dir.join(log), &envs);
+            assert!(!crashed.status.success(), "{ctx}: schedule {schedule:?} did not kill");
+            let rest = remainder(&dir.join(log), &state, dir.join(format!("rest-{shards}-{tag}")));
+            let recovered = serve_state(dir, &state, shards, 0, &rest, &[]);
+            assert_ok(&recovered);
+            assert_eq!(masked(&stdout(&recovered)), baseline, "{ctx}: recovered report differs");
+            assert_state_identical(&clean_state, &state, &ctx);
+        }
+    }
+}
+
+#[test]
+fn thread_placement_crash_sweep_recovers_byte_identically_as_one_group() {
+    let dir = setup("tsweep0");
+    thread_sweep(&dir, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn thread_placement_crash_sweep_recovers_byte_identically_at_two_shards() {
+    let dir = setup("tsweep2");
+    thread_sweep(&dir, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// On shard threads the recovery is traced once, into the first
+/// shard's trace file, and every shard's file checks.
+#[test]
+fn thread_placement_recovery_is_traced_once_and_report_checks() {
+    let dir = setup("ttraced");
+    let state = dir.join("state");
+    let schedule = [("ISEL_FAULT_SCHEDULE", "sup.commit@2:1")];
+    let crashed = serve_state(&dir, &state, 2, 0, &dir.join("ev.jsonl"), &schedule);
+    assert!(!crashed.status.success());
+
+    let rest = remainder(&dir.join("ev.jsonl"), &state, dir.join("rest-traced"));
+    let trace = dir.join("t.jsonl");
+    let (state, t) = (state.display().to_string(), trace.display().to_string());
+    let w = dir.join("w.json");
+    let args = [
+        "serve", "--workload", w.to_str().unwrap(), "--epoch-events", "16", "--checkpoint-every",
+        "1", "--shards", "2", "--state-dir", &state, "--trace", &t,
+    ];
+    assert_ok(&run(&args, Some(&rest), &[]));
+    let files: Vec<PathBuf> = (0..2).map(|k| dir.join(format!("t.jsonl.shard-{k}"))).collect();
+    let recoveries: usize = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).unwrap().matches("\"Recovery\"").count())
+        .sum();
+    assert_eq!(recoveries, 1, "one recovery, traced once");
+    assert!(report_check(&files[0]).contains("recoveries: 1"));
+    report_check(&files[1]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failed journal append is not silent, at either placement: the run
+/// goes on to its end, then fails naming the write errors, and the
+/// journal it leaves is an exact byte prefix of the stream.
+#[test]
+fn a_journal_write_error_fails_the_run_and_leaves_a_prefix() {
+    let dir = setup("journal-error");
+    let input = std::fs::read(dir.join("ev.jsonl")).unwrap();
+    for workers in [0, 2] {
+        let state = dir.join(format!("state-{workers}"));
+        let schedule = [("ISEL_FAULT_SCHEDULE", "journal.append:3:error")];
+        let out = serve_state(&dir, &state, 2, workers, &dir.join("ev.jsonl"), &schedule);
+        assert!(!out.status.success(), "--workers {workers}: a journal error exited 0");
+        assert!(stderr(&out).contains("journal write errors: "), "stderr:\n{}", stderr(&out));
+        let journal = std::fs::read(state.join(JOURNAL)).unwrap();
+        assert!(
+            journal.len() < input.len() && input.starts_with(&journal),
+            "--workers {workers}: the journal is not a strict prefix of the stream"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `failovers`/`restarts`/`reply_errors` counters survive a
-/// supervisor restart through `DIR/status.json`: a worker kill bumps
+/// supervisor restart through the status sidecar: a worker kill bumps
 /// `failovers`, the supervisor is then crashed and restarted, and the
 /// final persisted counters still include the pre-crash failover —
 /// while the report stays byte-identical to the clean run.
@@ -196,7 +309,7 @@ fn status_counters_persist_across_supervisor_restart() {
         &[("ISEL_FAULT_SCHEDULE", "worker.ingest@0:9;worker.ingest@1:9;sup.commit@4:1")],
     );
     assert!(!crashed.status.success(), "supervisor survived sup.commit@4 kill");
-    let persisted = std::fs::read_to_string(state.join("status.json")).unwrap();
+    let persisted = std::fs::read_to_string(state.join(STATUS)).unwrap();
     let v: serde_json::Value = serde_json::from_str(&persisted).unwrap();
     let pre_crash = v.get("failovers").and_then(|f| f.as_u64()).unwrap();
     assert!(pre_crash >= 1, "no failover persisted before the crash: {persisted}");
@@ -205,7 +318,7 @@ fn status_counters_persist_across_supervisor_restart() {
     let recovered = serve_state(&dir, &state, 2, 2, &rest, &[]);
     assert_ok(&recovered);
     assert_eq!(stdout(&recovered), stdout(&clean));
-    let persisted = std::fs::read_to_string(state.join("status.json")).unwrap();
+    let persisted = std::fs::read_to_string(state.join(STATUS)).unwrap();
     let v: serde_json::Value = serde_json::from_str(&persisted).unwrap();
     assert!(
         v.get("failovers").and_then(|f| f.as_u64()).unwrap() >= pre_crash,
@@ -246,9 +359,9 @@ fn recovery_is_traced_and_report_checks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--state-dir` argument validation: it needs `--workers`, refuses
-/// `--socket`, and refuses a state directory holding a manifest but no
-/// journal (recovery cannot line up replay positions without it).
+/// `--state-dir` argument validation: it refuses `--socket`, and
+/// refuses a state directory holding a manifest but no journal
+/// (recovery cannot line up replay positions without it).
 #[test]
 fn state_dir_validation_fails_fast() {
     let dir = setup("validate");
@@ -256,10 +369,6 @@ fn state_dir_validation_fails_fast() {
 
     let (w, st, sock) = (dir.join("w.json"), state.to_str().unwrap(), dir.join("sock"));
     let w = w.to_str().unwrap();
-    let out = run(&["serve", "--workload", w, "--state-dir", st], None, &[]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("--workers"), "stderr:\n{}", stderr(&out));
-
     let socket = ["--socket", sock.to_str().unwrap()];
     let args = ["serve", "--workload", w, "--workers", "2", "--shards", "2", "--state-dir", st];
     let out = run(&[&args[..], &socket].concat(), None, &[]);
@@ -269,7 +378,7 @@ fn state_dir_validation_fails_fast() {
     // A manifest without its journal is unrecoverable by design.
     let complete = serve_state(&dir, &state, 2, 2, &dir.join("ev.jsonl"), &[]);
     assert_ok(&complete);
-    std::fs::remove_file(state.join("journal.log")).unwrap();
+    std::fs::remove_file(state.join(JOURNAL)).unwrap();
     let out = serve_state(&dir, &state, 2, 2, &dir.join("ev.jsonl"), &[]);
     assert!(!out.status.success(), "recovered without a journal");
     assert!(stderr(&out).contains("no journal"), "stderr:\n{}", stderr(&out));
@@ -345,7 +454,7 @@ fn tpcc_baseline(shards: u32, workers: u32) -> (String, Vec<u8>) {
             let out =
                 serve_state(&fix.dir, &state, shards, workers, &fix.dir.join("ev.jsonl"), &[]);
             assert_ok(&out);
-            let manifest = std::fs::read(state.join("checkpoint.json")).unwrap();
+            let manifest = std::fs::read(state.join(MANIFEST)).unwrap();
             (stdout(&out), manifest)
         })
         .clone()
@@ -454,7 +563,7 @@ proptest! {
             schedule,
             final_out
         );
-        let manifest = std::fs::read(state.join("checkpoint.json")).unwrap();
+        let manifest = std::fs::read(state.join(MANIFEST)).unwrap();
         prop_assert!(
             manifest == base_manifest,
             "schedule {} diverged from the clean manifest",

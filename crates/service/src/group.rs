@@ -422,8 +422,8 @@ impl GroupHost {
         self.document(config, shard, generation, groups)
     }
 
-    /// Take over `other`'s groups and add its counters — the shards of
-    /// a run (or the documents of a manifest) back into one state.
+    /// Take over `other`'s groups and add its counters — how a
+    /// manifest's documents land on the hosts of the current map.
     ///
     /// # Errors
     ///

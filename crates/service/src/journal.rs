@@ -33,7 +33,7 @@ use crate::frame::{
 };
 use crate::records::{DecodeDict, Record, RecordIter};
 use std::fs::File;
-use std::io::{BufRead, BufWriter, Cursor, Read, Write};
+use std::io::{BufWriter, Cursor, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
@@ -251,67 +251,6 @@ impl JournalWriter {
     #[doc(hidden)]
     pub fn abandon(mut self) {
         let _ = self.out.flush();
-    }
-}
-
-/// A [`BufRead`] adapter that appends every **consumed** byte of the
-/// inner reader to a file — the supervisor's write-ahead input journal
-/// (DESIGN.md §18).
-///
-/// The tee happens in [`BufRead::consume`], *before* the bytes are
-/// released from the inner buffer: any byte a `read_until`/`read_line`
-/// caller has copied out was journaled first, so after a crash the
-/// journal is always a superset of what the supervisor routed. (It may
-/// run a partial line past the routed prefix — the restart replays the
-/// journal and resumes the live stream from byte `journal.len()`, so
-/// torn lines reassemble across the boundary.)
-///
-/// Write errors are swallowed, never propagated, matching
-/// [`JournalWriter`]'s full-disk posture.
-pub struct TeeReader<'a> {
-    inner: &'a mut (dyn BufRead + Send),
-    out: File,
-}
-
-impl<'a> TeeReader<'a> {
-    /// Tee `inner` into the file at `path`, appending (the restart path
-    /// re-opens the prior incarnation's journal and continues it).
-    pub fn create(inner: &'a mut (dyn BufRead + Send), path: &Path) -> Result<Self, String> {
-        let out = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
-        Ok(Self { inner, out })
-    }
-}
-
-impl Read for TeeReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let avail = self.fill_buf()?;
-        let n = avail.len().min(buf.len());
-        buf[..n].copy_from_slice(&avail[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for TeeReader<'_> {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        self.inner.fill_buf()
-    }
-
-    fn consume(&mut self, amt: usize) {
-        if amt > 0 {
-            // fill_buf on a filled buffer is idempotent: this re-reads
-            // the exact bytes the caller is releasing.
-            if let Ok(buf) = self.inner.fill_buf() {
-                let n = amt.min(buf.len());
-                let _ = crate::fault::fire(crate::fault::JOURNAL_APPEND, 0);
-                let _ = self.out.write_all(&buf[..n]).and_then(|()| self.out.flush());
-            }
-        }
-        self.inner.consume(amt);
     }
 }
 
@@ -543,31 +482,6 @@ mod tests {
                 std::str::from_utf8(&text).unwrap().lines().map(String::from).collect();
             assert_eq!(got, reference, "format {:?}", format);
         }
-    }
-
-    #[test]
-    fn tee_reader_journals_exactly_the_consumed_bytes() {
-        let path = tmp("tee.log");
-        let _ = std::fs::remove_file(&path);
-        let input = b"{\"table\":0,\"attrs\":[0]}\nsecond line\npartial";
-        let mut reader = &input[..];
-        let mut tee = TeeReader::create(&mut reader, &path).unwrap();
-        let mut line = Vec::new();
-        tee.read_until(b'\n', &mut line).unwrap();
-        assert_eq!(line, b"{\"table\":0,\"attrs\":[0]}\n");
-        // Consumed bytes are on disk before the caller acts on them.
-        assert_eq!(std::fs::read(&path).unwrap(), line);
-        let mut rest = Vec::new();
-        tee.read_to_end(&mut rest).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), input, "journal holds the full stream");
-
-        // A second incarnation appends after the prior journal.
-        let mut reader = &b" tail\n"[..];
-        let mut tee = TeeReader::create(&mut reader, &path).unwrap();
-        let mut all = Vec::new();
-        tee.read_to_end(&mut all).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        assert!(full.ends_with(b"partial tail\n"), "torn line reassembles across restarts");
     }
 
     #[test]

@@ -107,6 +107,7 @@ pub mod fault;
 pub mod frame;
 pub mod journal;
 pub mod process;
+pub mod state_dir;
 
 mod arbiter;
 mod checkpoint;
@@ -133,7 +134,7 @@ pub use event::{parse_line, Control, InputLine};
 pub use feedback::{CalSnapshot, FeedbackCheckpoint};
 pub use frame::{FrameEncoder, WireItem, FORMAT_VERSION, MAGIC};
 pub use group::ShardCounters;
-pub use journal::{convert, read_journal_bytes, JournalConfig, JournalWriter, TeeReader, WireFormat};
+pub use journal::{convert, read_journal_bytes, JournalConfig, JournalWriter, WireFormat};
 pub use mmap::MappedFile;
 pub use process::{run_worker, SupMsg, WorkerMsg};
 pub use records::{DecodeDict, Record, RecordIter};
@@ -143,6 +144,7 @@ pub use router::{
 };
 pub use shard::{classify_line, LineClass};
 pub use socket::run_socket_router;
+pub use state_dir::run_state_dir;
 pub use status::{install_status_signal, StatusBoard};
 pub use tuner::{EpochOutcome, TunePolicy, Tuner};
 pub use window::EpochWindow;

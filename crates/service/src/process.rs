@@ -68,6 +68,7 @@ use crate::frame::{put_frame, put_item, WireItem, MAX_PAYLOAD};
 use crate::group::{Env, GroupHost, Sealed, ShardCounters};
 use crate::records::{DecodeDict, Record, RecordIter};
 use crate::router::{Committer, Ran, Router};
+use crate::state_dir::Outcomes;
 use crate::status::StatusBoard;
 use crate::stream::{Placement, Routed};
 use crate::tuner::EpochOutcome;
@@ -497,23 +498,6 @@ impl Tail {
     }
 }
 
-/// One persisted epoch outcome: the `(table, epoch)` dedupe key plus
-/// the outcome the worker reported.
-type OutcomeEntry = (u16, u64, EpochOutcome);
-
-/// Load the outcome sidecar; a missing or unreadable file is an empty
-/// history (a fresh state directory, or a crash before the first
-/// commit edge).
-fn load_outcomes(path: &Path) -> BTreeMap<(u16, u64), EpochOutcome> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    let Ok(entries) = serde_json::from_str::<Vec<OutcomeEntry>>(&text) else {
-        return BTreeMap::new();
-    };
-    entries.into_iter().map(|(t, e, o)| ((t, e), o)).collect()
-}
-
 /// An interactive query waiting for every live worker to pass its
 /// in-band barrier.
 struct PendingInteractive {
@@ -525,9 +509,9 @@ struct PendingInteractive {
 /// State shared between the supervisor's routing loop and the
 /// per-worker collector threads.
 struct Shared<'a> {
-    /// Epoch outcomes keyed by `(table, epoch)` — the key under which a
-    /// failover replay's re-reported (bit-identical) outcomes dedupe.
-    outcomes: Mutex<BTreeMap<(u16, u64), EpochOutcome>>,
+    /// The run's epoch outcomes, where a failover replay's re-reported
+    /// (bit-identical) outcomes dedupe.
+    outcomes: &'a Outcomes,
     /// Outstanding interactive queries by id.
     pending: Mutex<HashMap<u64, PendingInteractive>>,
     /// Per-shard journal tails since the last committed generation.
@@ -538,10 +522,6 @@ struct Shared<'a> {
     committer: Option<&'a Committer<'a>>,
     arbiter: &'a Arbiter,
     sink: Option<&'a dyn TraceSink>,
-    /// Restart sidecar paths under `--state-dir`: persisted status
-    /// counters and the committed epoch-outcome history.
-    status_path: Option<PathBuf>,
-    outcomes_path: Option<PathBuf>,
 }
 
 impl Shared<'_> {
@@ -559,26 +539,6 @@ impl Shared<'_> {
     /// The supervisor-side trace.
     fn trace(&self) -> Trace<'_> {
         self.sink.map_or(Trace::disabled(), Trace::to)
-    }
-
-    /// Rewrite the restart sidecars (tmp + rename, best-effort). Called
-    /// on every commit edge — the exact point journal replay resumes
-    /// from — plus after each failover and at end of run, so a
-    /// restarted supervisor reloads counters and epoch history at least
-    /// as fresh as the checkpoint it restores.
-    fn persist_sidecars(&self) {
-        if let Some(p) = &self.status_path {
-            let _ = crate::status::PersistedStatus::capture(self.board).save(p);
-        }
-        if let Some(p) = &self.outcomes_path {
-            let snapshot: Vec<OutcomeEntry> = {
-                let map = self.outcomes.lock().expect("outcomes lock poisoned");
-                map.iter().map(|(&(t, e), o)| (t, e, o.clone())).collect()
-            };
-            if let Ok(json) = serde_json::to_string(&snapshot) {
-                let _ = crate::checkpoint::atomic_write(p, json.as_bytes(), None);
-            }
-        }
     }
 
     /// The status line: the board's counters as the workers last
@@ -641,25 +601,21 @@ fn collect(slot: usize, out: ChildStdout, shared: &Shared<'_>, eof: &AtomicBool)
         match msg {
             WorkerMsg::Ready => {}
             WorkerMsg::Outcome { shard, outcome, counters } => {
-                let key = (outcome.table.map_or(u16::MAX, |t| t.0), outcome.epoch);
-                {
-                    let mut map = shared.outcomes.lock().expect("outcomes lock poisoned");
-                    if let std::collections::btree_map::Entry::Vacant(slot) = map.entry(key) {
-                        // Deploy-gate actions trace supervisor-side at
-                        // the dedupe point, so a failover replay's
-                        // re-reported outcome never double-counts.
-                        if let (Some(sink), Some(note)) = (shared.sink, &outcome.deploy) {
-                            sink.record(TraceEvent::Deploy {
-                                action: note.action.clone(),
-                                table: key.0,
-                                epoch: outcome.epoch,
-                                incumbent_cost: note.incumbent_cost,
-                                candidate_cost: note.candidate_cost,
-                            });
-                        }
-                        slot.insert(outcome);
-                        shared.board.epochs.fetch_add(1, Ordering::Relaxed);
+                // Deploy-gate actions trace supervisor-side at the dedupe
+                // point, so a failover replay's re-reported outcome never
+                // double-counts.
+                let deploy = outcome.deploy.as_ref().map(|note| TraceEvent::Deploy {
+                    action: note.action.clone(),
+                    table: outcome.table.map_or(u16::MAX, |t| t.0),
+                    epoch: outcome.epoch,
+                    incumbent_cost: note.incumbent_cost,
+                    candidate_cost: note.candidate_cost,
+                });
+                if shared.outcomes.insert(outcome) {
+                    if let (Some(sink), Some(deploy)) = (shared.sink, deploy) {
+                        sink.record(deploy);
                     }
+                    shared.board.epochs.fetch_add(1, Ordering::Relaxed);
                 }
                 shared.board.post(shard, counters);
             }
@@ -677,14 +633,10 @@ fn collect(slot: usize, out: ChildStdout, shared: &Shared<'_>, eof: &AtomicBool)
                             if let Err(e) = fault::fire(fault::SUP_TRUNCATE, generation as u32) {
                                 shared.fail(e);
                             }
-                            {
-                                let mut tails =
-                                    shared.tails.lock().expect("tails lock poisoned");
-                                for tail in tails.values_mut() {
-                                    tail.truncate(generation);
-                                }
+                            let mut tails = shared.tails.lock().expect("tails lock poisoned");
+                            for tail in tails.values_mut() {
+                                tail.truncate(generation);
                             }
-                            shared.persist_sidecars();
                         }
                         Ok(false) => {}
                         Err(e) => shared.fail(e),
@@ -998,7 +950,9 @@ impl<'scope, 'env> Fleet<'scope, 'env> {
             if dead.is_empty() {
                 // The failover/restart counters just moved; make them
                 // durable for the next incarnation.
-                self.shared.persist_sidecars();
+                if let Some(c) = self.shared.committer {
+                    c.persist();
+                }
                 return Ok(());
             }
         }
@@ -1206,41 +1160,21 @@ impl Router {
     /// placement's over the same events, crashes or not.
     ///
     /// `sink` receives the supervisor-side trace: deploy actions at the
-    /// outcome dedupe point, one [`TraceEvent::Failover`] per restored
-    /// shard and the [`TraceEvent::Recovery`] of a recovering run.
-    /// (Workers do not trace their tuning runs — see [`run_worker`].)
+    /// outcome dedupe point and one [`TraceEvent::Failover`] per
+    /// restored shard. (Workers do not trace their tuning runs — see
+    /// [`run_worker`].)
     pub(crate) fn run_processes(
         &mut self,
         input: &mut (dyn BufRead + Send),
         checkpoint: Option<&Path>,
         committer: Option<&Committer<'_>>,
+        outcomes: &Outcomes,
         sink: Option<&dyn TraceSink>,
     ) -> Result<Ran, String> {
-        let t_start = Instant::now();
         let shards = self.map.shards();
         let board = &*self.board;
-        let status_path = self.state_dir.as_ref().map(|d| d.join("status.json"));
-        let outcomes_path = self.state_dir.as_ref().map(|d| d.join("outcomes.json"));
-        if let Some(p) = &status_path {
-            crate::status::PersistedStatus::load(p).apply(board);
-        }
-        let (skipped, prior_gen) = self.stream.skipped();
-        // Epoch outcomes folded into committed generations by prior
-        // incarnations replay without re-tuning, so their report lines
-        // come from the sidecar, not from the workers.
-        let mut prior_outcomes: BTreeMap<(u16, u64), EpochOutcome> = BTreeMap::new();
-        if self.recovered_bytes.is_some() {
-            if let Some(c) = committer {
-                c.prime(prior_gen);
-            }
-            if let Some(p) = &outcomes_path {
-                prior_outcomes = load_outcomes(p);
-                board.epochs.store(prior_outcomes.len() as u64, Ordering::Relaxed);
-            }
-        }
-
         let shared = Shared {
-            outcomes: Mutex::new(prior_outcomes),
+            outcomes,
             pending: Mutex::new(HashMap::new()),
             tails: Mutex::new((0..shards).map(|k| (k, Tail::default())).collect()),
             failure: Mutex::new(None),
@@ -1248,25 +1182,14 @@ impl Router {
             committer,
             arbiter: &self.arbiter,
             sink,
-            status_path,
-            outcomes_path,
         };
 
         let (schema, config, map) = (&self.schema, &self.config, &self.map);
         let resumed = self.resumed.as_ref().map(|(m, g)| (m.as_path(), *g));
         let interactive = self.interactive.as_deref();
-        let recovered_bytes = self.recovered_bytes;
         let stream = &mut self.stream;
         let final_committed = std::thread::scope(|scope| -> Result<Option<u64>, String> {
             let mut fleet = Fleet::start(scope, &shared, schema, config, checkpoint, resumed)?;
-            if let (Some(journal_bytes), Some(sink)) = (recovered_bytes, sink) {
-                sink.record(TraceEvent::Recovery {
-                    generation: prior_gen,
-                    skipped,
-                    journal_bytes,
-                    micros: t_start.elapsed().as_micros() as u64,
-                });
-            }
             stream.run(input, schema, map, interactive, checkpoint.is_some(), &mut fleet)?;
             fleet.quiesce()?;
             // Final generation, then drain the fleet.
@@ -1285,7 +1208,6 @@ impl Router {
             Ok(final_committed)
         })?;
 
-        shared.persist_sidecars();
         if let Some(e) = shared.take_failure() {
             return Err(e);
         }
@@ -1301,9 +1223,8 @@ impl Router {
                 }
             }
         }
-        let epochs = shared.outcomes.into_inner().expect("outcomes lock poisoned");
         // Pipes have no queue to fill.
-        Ok((epochs.into_values().collect(), board.totals(), 0))
+        Ok((board.totals(), 0))
     }
 }
 
@@ -1414,8 +1335,9 @@ mod tests {
     fn a_rearmed_query_ignores_acks_sent_before_the_failover() {
         let board = StatusBoard::new(2);
         let arbiter = Arbiter::new(1 << 20, BTreeMap::new());
+        let outcomes = Outcomes::default();
         let shared = Shared {
-            outcomes: Mutex::new(BTreeMap::new()),
+            outcomes: &outcomes,
             pending: Mutex::new(HashMap::new()),
             tails: Mutex::new(BTreeMap::new()),
             failure: Mutex::new(None),
@@ -1423,8 +1345,6 @@ mod tests {
             committer: None,
             arbiter: &arbiter,
             sink: None,
-            status_path: None,
-            outcomes_path: None,
         };
         let (tx, rx) = std::sync::mpsc::channel();
         let query = PendingInteractive {

@@ -56,8 +56,9 @@ use crate::config::ServiceConfig;
 use crate::event::{parse_line, Control, InputLine};
 use crate::group::{Env, GroupHost, Sealed, ShardCounters};
 use crate::queue::BoundedQueue;
-use crate::records::{DecodeDict, RecordIter};
+use crate::records::{DecodeDict, Next, RecordIter};
 use crate::shard::{ShardMap, ShardTagSink};
+use crate::state_dir::Outcomes;
 use crate::status::StatusBoard;
 use crate::stream::{Decision, Placement, Routed, Stream};
 use crate::tuner::EpochOutcome;
@@ -126,6 +127,13 @@ enum ShardItem {
 /// A batch moves its items by value, one per event. Unboxed, a `Define`
 /// made every item 40 bytes.
 const _: () = assert!(std::mem::size_of::<ShardItem>() <= 24);
+
+// The other values moved once per event on the fast paths, at their sizes
+// today: the routed record, a line's decision, and a shard fold's result.
+const _: () = assert!(std::mem::size_of::<Routed>() <= 24);
+const _: () = assert!(std::mem::size_of::<Decision>() <= 56);
+const _: () = assert!(std::mem::size_of::<Option<Next<Decision>>>() <= 56);
+const _: () = assert!(std::mem::size_of::<Option<Sealed>>() <= 144);
 
 /// What [`ShardItem::Define`] carries.
 struct Define {
@@ -306,37 +314,51 @@ struct CommitterInner {
 /// Counts per-generation shard-file completions and commits the
 /// manifest once a generation is complete on every shard. At the
 /// process placement ([`crate::process`]) the collectors report `done`
-/// on behalf of the worker processes.
+/// on behalf of the worker processes. Under a state directory, every
+/// commit edge persists its sidecars first.
 pub(crate) struct Committer<'a> {
     manifest_path: &'a Path,
     shards: u32,
     board: &'a StatusBoard,
+    outcomes: &'a Outcomes,
+    state_dir: Option<&'a Path>,
     inner: Mutex<CommitterInner>,
 }
 
 impl<'a> Committer<'a> {
-    pub(crate) fn new(manifest_path: &'a Path, shards: u32, board: &'a StatusBoard) -> Self {
+    /// A committer crediting `commits` manifests to prior incarnations —
+    /// the generations a recovery's replay skips — so that a recovered
+    /// report counts commits across the whole logical run. Every
+    /// generation 1..=G commits exactly one manifest.
+    pub(crate) fn new(
+        manifest_path: &'a Path,
+        shards: u32,
+        board: &'a StatusBoard,
+        outcomes: &'a Outcomes,
+        state_dir: Option<&'a Path>,
+        commits: u64,
+    ) -> Self {
+        board.checkpoints.fetch_add(commits, Ordering::Relaxed);
         Self {
             manifest_path,
             shards,
             board,
+            outcomes,
+            state_dir,
             inner: Mutex::new(CommitterInner {
                 pending: BTreeMap::new(),
                 committed: None,
                 live_files: Vec::new(),
-                commits: 0,
+                commits,
             }),
         }
     }
 
-    /// Credit `commits` manifests written by prior incarnations, so a
-    /// recovered run's report counts commits across the whole
-    /// logical run — byte-identical to the uninterrupted one. Every
-    /// generation 1..=G commits exactly one manifest, so the committed
-    /// generation *is* the prior commit count.
-    pub(crate) fn prime(&self, commits: u64) {
-        self.inner.lock().expect("committer lock poisoned").commits += commits;
-        self.board.checkpoints.fetch_add(commits, Ordering::Relaxed);
+    /// Rewrite the state directory's sidecars, if the run has one.
+    pub(crate) fn persist(&self) {
+        if let Some(dir) = self.state_dir {
+            crate::state_dir::persist(dir, self.board, self.outcomes);
+        }
     }
 
     /// Register a generation the router is about to inject barriers for.
@@ -395,6 +417,7 @@ impl<'a> Committer<'a> {
         // Every shard file is on disk, the manifest is not — a kill in
         // this window must recover to the *previous* generation.
         crate::fault::fire(crate::fault::SUP_COMMIT, generation as u32)?;
+        self.persist();
         manifest.save(self.manifest_path)?;
         // The new generation is durable; older files are now garbage —
         // including those of any older generation still pending, which
@@ -460,6 +483,7 @@ struct WorkerCtx<'a> {
     checkpoint: Option<&'a Path>,
     sink: Option<&'a dyn TraceSink>,
     arbiter: &'a Arbiter,
+    outcomes: &'a Outcomes,
 }
 
 /// The tuning service: table groups packed onto shards by a
@@ -472,15 +496,14 @@ pub struct Router {
     pub(crate) schema: Schema,
     pub(crate) config: ServiceConfig,
     pub(crate) map: ShardMap,
-    /// Every group, with the lifetime counters restored from a
-    /// checkpoint (zero for a fresh router); a run deals the groups out
-    /// to its shard threads and collects them again. Empty under worker
-    /// processes, which hold the groups themselves.
-    state: GroupHost,
+    /// One host per shard, each holding the groups the map gives it and
+    /// its lifetime counters (restored from a checkpoint, or zero); a
+    /// run hands each to its shard thread and takes it back. Empty under
+    /// worker processes, which hold the groups themselves.
+    hosts: Vec<GroupHost>,
     /// Where the next run continues the stream (a resumed router
     /// continues the manifest's count and generations) — and, on
-    /// journal-replay recovery ([`Router::set_recovery`]), what of it
-    /// is done.
+    /// journal-replay recovery (`Stream::recover`), what of it is done.
     pub(crate) stream: Stream,
     pub(crate) arbiter: Arbiter,
     pub(crate) board: Arc<StatusBoard>,
@@ -488,18 +511,17 @@ pub struct Router {
     /// Worker processes: a resumed manifest and its generation, which
     /// the workers restore their shards from.
     pub(crate) resumed: Option<(PathBuf, u64)>,
-    /// Prior-incarnation journal size, when recovering (drives the
-    /// [`isel_core::TraceEvent::Recovery`] emission).
-    pub(crate) recovered_bytes: Option<u64>,
-    /// State directory holding the restart sidecars (`status.json`
-    /// counters, `outcomes.json` epoch history).
+    /// The state directory a `--state-dir` run persists its sidecars to
+    /// ([`crate::run_state_dir`]).
     pub(crate) state_dir: Option<PathBuf>,
+    /// The epoch outcomes the next run starts from: a recovery's, from
+    /// the state directory; none otherwise.
+    pub(crate) outcomes: Outcomes,
 }
 
-/// What a placement hands back from a run: the epochs tuned, in
-/// canonical `(group, epoch)` order, the lifetime counters and the
-/// highest queue fill level.
-pub(crate) type Ran = (Vec<EpochOutcome>, ShardCounters, u64);
+/// What a placement hands back from a run: the lifetime counters and
+/// the highest queue fill level.
+pub(crate) type Ran = (ShardCounters, u64);
 
 impl Router {
     /// Fresh router with no tuned state. `config.shards == 0` selects
@@ -522,14 +544,14 @@ impl Router {
             stream: Stream::new(&config),
             schema,
             config,
+            hosts: (0..map.shards()).map(|_| GroupHost::default()).collect(),
             map,
-            state: GroupHost::default(),
             arbiter,
             board,
             interactive: None,
             resumed: None,
-            recovered_bytes: None,
             state_dir: None,
+            outcomes: Outcomes::default(),
         })
     }
 
@@ -537,9 +559,11 @@ impl Router {
     /// a whole-workload document does not split into table groups, nor
     /// the reverse. In process, the manifest may have been written at a
     /// different shard count — groups are re-packed under the current
-    /// `ShardMap` (placement never affects results). Worker processes
-    /// restore their shards from the committed shard files when the run
-    /// starts, so there the shard count must match the manifest.
+    /// `ShardMap` (placement never affects results), and shard 0 takes
+    /// the counters; at the manifest's count each shard keeps its own.
+    /// Worker processes restore their shards from the committed shard
+    /// files when the run starts, so there the shard count must match
+    /// the manifest.
     ///
     /// # Errors
     ///
@@ -560,11 +584,20 @@ impl Router {
                 manifest.shards, router.config.shards
             ));
         }
+        let same_count = manifest.shards == router.map.shards();
         for cp in &manifest.load_shards(manifest_path)? {
             router.config.check_resume(&cp.config)?;
-            if in_process {
-                router.state.absorb(GroupHost::adopt(cp, &router.schema, &router.config)?)?;
+            if !in_process {
+                continue;
             }
+            // Each group to its table's shard under the current map.
+            let mut host = GroupHost::adopt(cp, &router.schema, &router.config)?;
+            for (key, group) in std::mem::take(&mut host.groups).into_entries() {
+                let mut one = GroupHost::default();
+                one.groups.insert(key, group);
+                router.hosts[router.map.shard_of(key) as usize].absorb(one)?;
+            }
+            router.hosts[if same_count { cp.shard as usize } else { 0 }].absorb(host)?;
         }
         router.stream.routed = manifest.routed_lines;
         router.stream.next_gen = manifest.generation + 1;
@@ -575,37 +608,10 @@ impl Router {
         // answers queries — and computes the merged selection — without
         // any group having to re-run from scratch. (Adopting workers
         // re-publish their own.)
-        for (key, pf) in router.state.published() {
+        for (key, pf) in router.hosts.iter().flat_map(GroupHost::published) {
             router.arbiter.publish(key, Arc::clone(pf), Trace::disabled());
         }
         Ok(router)
-    }
-
-    /// Switch a (fresh or resumed) router into **journal-replay
-    /// recovery**: the run's input opens with the prior incarnation's
-    /// complete journal (`journal_bytes` long), so `routed` and the
-    /// generation counter restart from zero and count through the
-    /// replay — but records the restored checkpoint already contains
-    /// are not re-routed, and generations it already committed are not
-    /// re-fired. Cadence positions and generation numbering therefore
-    /// land exactly where an uninterrupted run would put them, which is
-    /// what makes the final merged selection and the checkpoint
-    /// documents byte-identical to that run (DESIGN.md §18).
-    pub fn set_recovery(&mut self, journal_bytes: u64) {
-        self.stream.recover();
-        self.recovered_bytes = Some(journal_bytes);
-    }
-
-    /// Persist restart sidecars into this state directory and restore
-    /// them at run start (worker processes): `status.json` carries the
-    /// `failovers`/`restarts`/`reply_errors` counters (so a recovered
-    /// run's `{"control":"status"}` reports lifetime history, not just
-    /// the current incarnation's), and `outcomes.json` carries the
-    /// epoch-outcome history already folded into committed generations
-    /// (so the recovered report's epoch lines match the uninterrupted
-    /// run's). Both rewrite on every commit edge.
-    pub fn set_state_dir(&mut self, dir: PathBuf) {
-        self.state_dir = Some(dir);
     }
 
     /// The live frontier arbiter: maintained allocations, interactive
@@ -639,19 +645,28 @@ impl Router {
 
     /// Number of groups holding state in this process.
     pub fn group_count(&self) -> usize {
-        self.state.groups.len()
+        self.hosts.iter().map(|h| h.groups.len()).sum()
     }
 
     /// Sealed epochs tuned across the groups in this process (lifetime).
     pub fn epochs_tuned(&self) -> u64 {
-        self.state.groups.values().map(|g| g.tuner.epoch()).sum()
+        self.hosts.iter().flat_map(|h| h.groups.values()).map(|g| g.tuner.epoch()).sum()
     }
 
     /// Canonical calibration snapshot line summed over every group in
     /// this process — byte-identical to the in-band
     /// `{"control":"calibration"}` answer at this point in the stream.
     pub fn calibration(&self) -> String {
-        self.state.calibration().render()
+        self.totals().cal.render()
+    }
+
+    /// The counters of every shard host, summed.
+    fn totals(&self) -> ShardCounters {
+        let mut sum = ShardCounters::default();
+        for host in &self.hosts {
+            sum.add(&host.counters());
+        }
+        sum
     }
 
     /// Run the router over a line-based input until EOF or a `shutdown`
@@ -667,8 +682,8 @@ impl Router {
     /// shard thread's run events are stamped with its shard id via
     /// `ShardTagSink`, so every per-shard trace file is an internally
     /// consistent run stream; under worker processes the one sink gets
-    /// the supervisor-side trace (merges, deploy actions, failovers,
-    /// the recovery — workers trace no runs).
+    /// the supervisor-side trace (merges, deploy actions, failovers —
+    /// workers trace no runs).
     ///
     /// Every input is one `&mut dyn BufRead`, so the ingest loop is
     /// compiled once per placement, not once per input type.
@@ -696,14 +711,18 @@ impl Router {
             ));
         }
         let board = Arc::clone(&self.board);
-        let committer = checkpoint.map(|p| Committer::new(p, self.map.shards(), &board));
-        let (epochs, counters, queue_high_water) = if threads {
-            self.run_threads(input, policy, checkpoint, committer.as_ref(), sinks)?
+        let (outcomes, state_dir) = (std::mem::take(&mut self.outcomes), self.state_dir.take());
+        let (shards, prior) = (self.map.shards(), self.stream.skipped().1);
+        let committer = checkpoint
+            .map(|p| Committer::new(p, shards, &board, &outcomes, state_dir.as_deref(), prior));
+        let (counters, queue_high_water) = if threads {
+            self.run_threads(input, policy, checkpoint, committer.as_ref(), &outcomes, sinks)?
         } else {
-            self.run_processes(input, checkpoint, committer.as_ref(), sinks.first().copied())?
+            let sink = sinks.first().copied();
+            self.run_processes(input, checkpoint, committer.as_ref(), &outcomes, sink)?
         };
         Ok(ServiceReport {
-            epochs,
+            epochs: outcomes.take(),
             ingested: counters.ingested,
             invalid: counters.invalid,
             dropped: counters.dropped,
@@ -719,15 +738,16 @@ impl Router {
         })
     }
 
-    /// The thread placement's run: deal the groups out to one thread per
-    /// shard, run the ingest loop on a router thread over [`Handoff`],
-    /// and collect the groups again.
+    /// The thread placement's run: hand each shard's host to a thread of
+    /// its own, run the ingest loop on a router thread over [`Handoff`],
+    /// and take the hosts back.
     fn run_threads(
         &mut self,
         input: &mut (dyn BufRead + Send),
         policy: OverloadPolicy,
         checkpoint: Option<&Path>,
         committer: Option<&Committer<'_>>,
+        outcomes: &Outcomes,
         sinks: &[&dyn TraceSink],
     ) -> Result<Ran, String> {
         let shards = self.map.shards() as usize;
@@ -736,18 +756,11 @@ impl Router {
             .map(|_| BoundedQueue::new(self.config.queue_capacity))
             .collect();
 
-        // Deal the groups out to the shards under the current map; shard
-        // 0 carries the restored counter history. Restored groups bring
-        // their calibration history with them, so every count a shard
-        // posts is a lifetime one.
-        let base_dropped = self.state.dropped;
-        let mut hosts: Vec<GroupHost> = (0..shards).map(|_| GroupHost::default()).collect();
-        let state = std::mem::take(&mut self.state);
-        (hosts[0].ingested, hosts[0].invalid, hosts[0].dropped) =
-            (state.ingested, state.invalid, state.dropped);
-        for (key, group) in state.groups.into_entries() {
-            hosts[self.map.shard_of(key) as usize].groups.insert(key, group);
-        }
+        // Each shard thread takes its host. Restored groups bring their
+        // calibration history with them, so every count a shard posts
+        // is a lifetime one.
+        let base_dropped = self.hosts.iter().map(|h| h.dropped).sum();
+        let hosts = std::mem::take(&mut self.hosts);
 
         let env = Env::new(&self.schema, &self.config);
         let interactive = self.interactive.as_deref();
@@ -755,7 +768,7 @@ impl Router {
         let (stream, arbiter_ref) = (&mut self.stream, &self.arbiter);
         let queues_ref = &queues;
 
-        let result: Result<Vec<GroupOut>, String> = std::thread::scope(|s| {
+        let result: Result<Vec<GroupHost>, String> = std::thread::scope(|s| {
             let router_thread = s.spawn(move || {
                 let mut threads = Handoff::new(
                     queues_ref,
@@ -794,16 +807,17 @@ impl Router {
                         checkpoint,
                         sink: sinks.get(k).copied(),
                         arbiter: arbiter_ref,
+                        outcomes,
                     };
                     s.spawn(move || shard_worker(ctx, host, queue))
                 })
                 .collect();
 
-            let mut outs = Vec::new();
+            let mut hosts = Vec::new();
             let mut first_err: Option<String> = None;
             for handle in workers {
                 match handle.join() {
-                    Ok(Ok(out)) => outs.push(out),
+                    Ok(Ok(host)) => hosts.push(host),
                     Ok(Err(e)) => {
                         first_err.get_or_insert(e);
                     }
@@ -815,44 +829,30 @@ impl Router {
             router_thread.join().map_err(|_| "the router thread panicked".to_owned())??;
             match first_err {
                 Some(e) => Err(e),
-                None => Ok(outs),
+                None => Ok(hosts),
             }
         });
-        let outs = result?;
-
-        let mut epochs = Vec::new();
-        for (outcomes, host) in outs {
-            epochs.extend(outcomes);
-            self.state.absorb(host)?;
-        }
-        // Canonical order: by (table, epoch). Shard packing decides only
-        // *where* an epoch was tuned, never its outcome, so this order —
-        // and every outcome in it — is shard-count-invariant.
-        epochs.sort_by_key(|o| (o.table.map_or(u16::MAX, |t| t.0), o.epoch));
+        self.hosts = result?;
         let high_water = queues.iter().map(BoundedQueue::high_water).max().unwrap_or(0);
-        Ok((epochs, self.state.counters(), high_water))
+        Ok((self.totals(), high_water))
     }
 }
 
-/// What one shard worker hands back when its queue drains: the epochs it
-/// tuned and its host.
-type GroupOut = (Vec<EpochOutcome>, GroupHost);
-
 /// One shard's consume loop: fold what the router thread hands over
-/// into the shard's [`GroupHost`], deliver sealed epochs to the report
-/// and the arbiter, serialize shard checkpoints at barriers.
+/// into the shard's [`GroupHost`], deliver sealed epochs to the run's
+/// outcomes and the arbiter, serialize shard checkpoints at barriers;
+/// hand the host back when the queue drains.
 fn shard_worker(
     ctx: WorkerCtx<'_>,
     mut host: GroupHost,
     queue: &BoundedQueue<ShardItem>,
-) -> Result<GroupOut, String> {
+) -> Result<GroupHost, String> {
     let tag_sink = ctx.sink.map(|s| ShardTagSink::new(ctx.shard, s));
     let trace = match &tag_sink {
         Some(t) => Trace::to(t),
         None => Trace::disabled(),
     };
     let base_dropped = host.dropped;
-    let mut outcomes = Vec::new();
     let mut failure: Option<String> = None;
     // The status board hears this shard's counters once per hand-off
     // batch — the first time before the first batch, so restored
@@ -860,11 +860,12 @@ fn shard_worker(
     // marker, whose answer may be followed by a status read; never once
     // per event.
     let post = |host: &GroupHost| ctx.board.post(ctx.shard, host.counters());
-    let mut deliver = |sealed: Option<Sealed>| {
+    let deliver = |sealed: Option<Sealed>| {
         let Some(Sealed { mut outcome, publish }) = sealed else { return };
         outcome.shard = Some(ctx.shard);
-        outcomes.push(outcome);
-        ctx.board.epochs.fetch_add(1, Ordering::Relaxed);
+        if ctx.outcomes.insert(outcome) {
+            ctx.board.epochs.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some((key, pf)) = publish {
             ctx.arbiter.publish(key, pf, trace);
         }
@@ -930,7 +931,7 @@ fn shard_worker(
     host.forget_slots();
     match failure {
         Some(e) => Err(e),
-        None => Ok((outcomes, host)),
+        None => Ok(host),
     }
 }
 
@@ -1171,14 +1172,14 @@ mod tests {
         let second: String = lines[48..].join("\n") + "\n";
         let mut router = Router::new(w.schema().clone(), config(2)).unwrap();
         router
-            .run_reader(&mut Cursor::new(first), OverloadPolicy::Block, Some(&manifest), &[])
+            .run_reader(&mut Cursor::new(first.clone()), OverloadPolicy::Block, Some(&manifest), &[])
             .unwrap();
         assert!(manifest.exists());
 
         // Second half resumed under 3 shards from the manifest.
         let mut resumed = Router::resume(w.schema().clone(), config(3), &manifest).unwrap();
         let report = resumed
-            .run_reader(&mut Cursor::new(second), OverloadPolicy::Block, Some(&manifest), &[])
+            .run_reader(&mut Cursor::new(second.clone()), OverloadPolicy::Block, Some(&manifest), &[])
             .unwrap();
         assert_eq!(report.ingested, 96, "lifetime counters survive the resume");
 
@@ -1199,6 +1200,24 @@ mod tests {
             assert_eq!(got.workload_cost.to_bits(), want.workload_cost.to_bits());
         }
         assert_eq!(report.final_selection, full.final_selection);
+
+        // At the manifest's own shard count every shard keeps its
+        // counters, so the final shard documents count what an
+        // uninterrupted run's do (not shard 0 taking them all).
+        let ingested = |m: &Path| -> Vec<u64> {
+            let manifest = Manifest::load(m).unwrap();
+            manifest.load_shards(m).unwrap().iter().map(|cp| cp.ingested).collect()
+        };
+        let (whole, halves) = (dir.join("whole.json"), dir.join("halves.json"));
+        let run = |mut router: Router, input: &str, manifest: &Path| {
+            let input = &mut Cursor::new(input.to_owned());
+            router.run_reader(input, OverloadPolicy::Block, Some(manifest), &[]).unwrap()
+        };
+        run(Router::new(w.schema().clone(), config(2)).unwrap(), &log, &whole);
+        run(Router::new(w.schema().clone(), config(2)).unwrap(), &first, &halves);
+        let resumed = Router::resume(w.schema().clone(), config(2), &halves).unwrap();
+        assert_eq!(run(resumed, &second, &halves).ingested, 96);
+        assert_eq!(ingested(&halves), ingested(&whole));
         std::fs::remove_dir_all(&dir).ok();
     }
 

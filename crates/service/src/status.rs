@@ -125,64 +125,6 @@ impl StatusBoard {
     }
 }
 
-/// The status counters that survive a supervisor restart, persisted as
-/// a JSON sidecar in the state directory (never inside the checkpoint
-/// manifest — recovery keeps checkpoint bytes identical to a clean
-/// run's, and these counters are history, not tuning state). The
-/// restarted supervisor seeds its fresh [`StatusBoard`] from the
-/// sidecar, so `{"control":"status"}` reports lifetime totals.
-#[derive(Debug, Default, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct PersistedStatus {
-    /// Lifetime worker failovers absorbed.
-    #[serde(default)]
-    pub failovers: u64,
-    /// Lifetime worker respawns.
-    #[serde(default)]
-    pub restarts: u64,
-    /// Lifetime reply-write errors.
-    #[serde(default)]
-    pub reply_errors: u64,
-}
-
-impl PersistedStatus {
-    /// Load from `path`; a missing or unreadable sidecar is a fresh
-    /// history (all zero), never an error — status must not block
-    /// recovery.
-    pub fn load(path: &std::path::Path) -> Self {
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_default()
-    }
-
-    /// Snapshot the persisted subset of a live board.
-    pub fn capture(board: &StatusBoard) -> Self {
-        Self {
-            failovers: board.failovers.load(Ordering::Relaxed),
-            restarts: board.restarts.load(Ordering::Relaxed),
-            reply_errors: board.reply_errors.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Seed a board's counters from this history.
-    pub fn apply(&self, board: &StatusBoard) {
-        board.failovers.store(self.failovers, Ordering::Relaxed);
-        board.restarts.store(self.restarts, Ordering::Relaxed);
-        board.reply_errors.store(self.reply_errors, Ordering::Relaxed);
-    }
-
-    /// Atomically write to `path` (`<path>.tmp` + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns write/rename failures (callers treat them as
-    /// best-effort).
-    pub fn save(&self, path: &std::path::Path) -> Result<(), String> {
-        let json = serde_json::to_string(self).map_err(|e| format!("serialize status: {e}"))?;
-        crate::checkpoint::atomic_write(path, json.as_bytes(), None)
-    }
-}
-
 /// Set by the `SIGUSR1` handler, consumed by [`take_status_signal`].
 static STATUS_REQUESTED: AtomicBool = AtomicBool::new(false);
 
@@ -339,30 +281,6 @@ mod tests {
         board.post(2, counters(4, 3));
         assert_eq!(want(board.totals()), (12, 2, 5), "no double count after the re-post");
         assert_eq!(StatusBoard::new(0).slots.lock().unwrap().len(), 1, "one slot at --shards 0");
-    }
-
-    #[test]
-    fn persisted_status_round_trips_and_tolerates_absence() {
-        let dir = std::env::temp_dir().join("isel-status-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("status.json");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(PersistedStatus::load(&path), PersistedStatus::default());
-
-        let board = StatusBoard::new(2);
-        board.failovers.store(3, Ordering::Relaxed);
-        board.restarts.store(1, Ordering::Relaxed);
-        board.reply_errors.store(7, Ordering::Relaxed);
-        PersistedStatus::capture(&board).save(&path).unwrap();
-
-        let fresh = StatusBoard::new(2);
-        PersistedStatus::load(&path).apply(&fresh);
-        assert_eq!(fresh.failovers.load(Ordering::Relaxed), 3);
-        assert_eq!(fresh.restarts.load(Ordering::Relaxed), 1);
-        assert_eq!(fresh.reply_errors.load(Ordering::Relaxed), 7);
-
-        std::fs::write(&path, "not json").unwrap();
-        assert_eq!(PersistedStatus::load(&path), PersistedStatus::default());
     }
 
     #[test]
